@@ -259,14 +259,20 @@ def identity_morphism(presentation):
 
 
 def morphism_from_canonical(source, target, family):
-    """Extend per-point canonical-chart gauges to all charts by naturality."""
+    """Extend per-point canonical-chart gauges to all charts by naturality.
+
+    Self-transitions of a valid presentation are identities, so the
+    canonical chart keeps its gauge as given.
+    """
     data = {}
     for c in source.charts:
         for p in c.domain:
             can = source.canonical_chart(p)
             g = family[p]
-            data[(c.id, p)] = target.transition(c.id, can, p).compose(g).compose(
-                source.transition(can, c.id, p))
+            if c.id != can:
+                g = target.transition(c.id, can, p).compose(g).compose(
+                    source.transition(can, c.id, p))
+            data[(c.id, p)] = g
     return BundleMorphism(source, target, data)
 
 

@@ -19,6 +19,7 @@ from .atlas import validate
 from .cubecat import IndexSet
 from .errors import MvbError, ParseError, SchemaError, SemanticError
 from .rand import twisted_instance
+from .split import STRATEGIES
 
 FIXTURE_ENV = "MVB_FIXTURES"
 
@@ -434,18 +435,18 @@ def build_parser():
                      **{"--k": {"type": int, "required": True}})
     instance_command("split", cmd_split,
                      **{"--strategy": {"default": "least-chart",
-                                       "choices": ("least-chart", "uniform-average")}})
+                                       "choices": STRATEGIES}})
     instance_command("decompose", cmd_decompose,
                      **{"--strategy": {"default": "least-chart",
-                                       "choices": ("least-chart", "uniform-average")}})
+                                       "choices": STRATEGIES}})
     instance_command("normalize", cmd_normalize,
                      **{"--strategy": {"default": "least-chart",
-                                       "choices": ("least-chart", "uniform-average")}})
+                                       "choices": STRATEGIES}})
     instance_command("torsor", cmd_torsor,
                      **{"--strategy-a": {"default": "least-chart",
-                                         "choices": ("least-chart", "uniform-average")},
+                                         "choices": STRATEGIES},
                         "--strategy-b": {"default": "uniform-average",
-                                         "choices": ("least-chart", "uniform-average")}})
+                                         "choices": STRATEGIES}})
 
     stato = sub.add_parser("stato", parents=[shared])
     stato.add_argument("action", choices=("compose", "invert", "check"))

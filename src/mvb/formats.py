@@ -17,7 +17,7 @@ from fractions import Fraction
 from .atlas import AtlasPresentation, Chart, FiniteBase
 from .bundle import BundleElement, BundleMorphism
 from .cubecat import IndexSet, Partition, full_set, nonempty_subsets, partitions
-from .errors import ParseError, SchemaError
+from .errors import InvalidPartition, ParseError, SchemaError
 from .exactlin import MultiTensor
 from .gauge import DimAssignment, Gauge
 
@@ -107,13 +107,18 @@ def gauge_to_json(gauge):
     }
 
 
+def _cube_dimension(obj, where):
+    try:
+        return int(obj["n"])
+    except (KeyError, TypeError, ValueError):
+        raise SchemaError("%s: cube dimension n must be an integer, got %r"
+                          % (where, obj.get("n")))
+
+
 def gauge_from_json(obj, where="gauge"):
     if not isinstance(obj, dict):
         raise SchemaError("%s must be an object" % where)
-    try:
-        n = int(obj["n"])
-    except (KeyError, TypeError):
-        raise SchemaError("%s missing cube dimension" % where)
+    n = _cube_dimension(obj, where)
     src = dims_from_json(n, obj.get("source_dims"), where + ".source_dims")
     tgt = dims_from_json(n, obj.get("target_dims"), where + ".target_dims")
     components = {}
@@ -121,9 +126,15 @@ def gauge_from_json(obj, where="gauge"):
         try:
             target = IndexSet(item["target"])
             blocks = Partition(item["blocks"])
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, InvalidPartition) as err:
             raise SchemaError("%s component malformed: %s" % (where, err))
         label = " at (%s, %s)" % (list(target), [list(b) for b in blocks])
+        if not target or target[-1] > n:
+            raise SchemaError("%s component%s: target is not a nonempty subset"
+                              " of the cube {1..%d}" % (where, label, n))
+        if set().union(*blocks) != set(target):
+            raise SchemaError("%s component%s: blocks do not partition the target"
+                              % (where, label))
         tensor = tensor_from_json(item.get("tensor"), where=label)
         expected_out = tgt.dim(target)
         expected_in = tuple(src.dim(b) for b in blocks)
@@ -168,8 +179,8 @@ def atlas_from_json(obj):
         raise SchemaError("expected an atlas object")
     if obj.get("format_version") != FORMAT_VERSION:
         raise SchemaError("unsupported format_version %r" % (obj.get("format_version"),))
+    n = _cube_dimension(obj, "atlas")
     try:
-        n = int(obj["n"])
         base = FiniteBase(obj["base"])
         charts = tuple(Chart(c["id"], tuple(c["domain"])) for c in obj["charts"])
     except (KeyError, TypeError) as err:

@@ -606,8 +606,8 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
 
     The top splitting rides the lift along the hat sections of the side
     splittings; the third core splitting is the lift's value on hat
-    pairs read off in the core slot; the staged chain then produces the
-    unique decomposition with these restrictions.
+    pairs read off in the core slot; ``splitting_to_decomposition`` then
+    assembles the unique decomposition with these restrictions.
     """
     pres = presentation
     _require_n(pres, 3)
@@ -692,8 +692,7 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
         S13: _double_decomposition_from_splitting(lde_pres, split_lde),
         S23: _double_decomposition_from_splitting(lfd_pres, split_lfd),
     }
-    return splitting_to_decomposition(pres, sigma, core_decs,
-                                      check_bracketing=False)
+    return splitting_to_decomposition(pres, sigma, core_decs)
 
 
 def decomposition_to_lift(presentation, decomposition):

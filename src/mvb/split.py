@@ -15,10 +15,13 @@ The pipeline follows the constructive existence proofs:
 * A splitting plus compatible decompositions of the codimension-one
   cores determines a unique decomposition.  The chain construction
   handles one pair of merged axes at a time, writing each element as a
-  sum of an already-handled part and a core part; every component of
-  the result is extracted from chain evaluations on basis elements, so
-  face restrictions of the output agree with the construction on faces
-  by uniqueness rather than by bookkeeping.
+  sum of an already-handled part and a core part.  In the canonical
+  chart fiber addition is coordinatewise, so each component of the
+  result is routed rather than evaluated: all-singleton components come
+  from the splitting, every other one from the core decomposition at
+  the last chain stage whose pair heads one of its blocks, reindexed
+  onto the merged cube.  Face restrictions of the output agree with the
+  construction on faces by uniqueness rather than by bookkeeping.
 
 * Full decomposition recurses over coarsenings of the axis partition.
   Every object that appears (a core of a face, a face of a core, an
@@ -35,16 +38,7 @@ from .atlas import (
     associated_vacant,
     validate,
 )
-from .bundle import (
-    BundleMorphism,
-    add,
-    element,
-    elements_equal,
-    morphism_from_canonical,
-    project,
-    project_to,
-    zero_lift,
-)
+from .bundle import BundleMorphism, morphism_from_canonical
 from .cores import partition_core, pullback
 from .cubecat import (
     IndexSet,
@@ -127,158 +121,69 @@ def _tuples(dims):
             yield (j,) + rest
 
 
-def _support_element(model, chart, point, assignment):
-    """Top-node element of a decomposed model supported on given slots."""
-    comps = {}
-    for s in nonempty_subsets(full_set(model.n)):
-        comps[s] = assignment.get(s, zero_vector(model.dims.dim(s)))
-    return element(model, full_set(model.n), chart, point, comps)
+def _pairs(k):
+    """Two-element axis sets in chain order."""
+    return sorted((s for s in nonempty_subsets(full_set(k)) if len(s) == 2), key=tuple)
 
 
 def _merged_slot_map(blocks, positions):
-    """Maps between object slots and merged-cube slots for one merge."""
-    merged_blocks = _merge_blocks(blocks, positions)
+    """Map from sets of object positions to merged-cube positions for one
+    merge: the merged pair goes to one position, every other block to
+    its own."""
     blocks = tuple(blocks)
     old_to_new = {}
-    for pos_new, block_new in enumerate(merged_blocks, start=1):
+    for pos_new, block_new in enumerate(_merge_blocks(blocks, positions), start=1):
         old_positions = IndexSet(
             pos + 1 for pos, b in enumerate(blocks) if set(b) <= set(block_new)
         )
         old_to_new[old_positions] = pos_new
-    return old_to_new, merged_blocks
+    return old_to_new
 
 
-def _to_merged(core_model, old_to_new, x):
-    """Rewrite a core-supported element in merged-cube coordinates."""
-    k_new = core_model.n
-    comps = {s: zero_vector(core_model.dims.dim(s))
-             for s in nonempty_subsets(full_set(k_new))}
-    for s, vec in x.components.items():
-        pieces = [p for p in old_to_new if p.issubset(s)]
-        covered = IndexSet(i for p in pieces for i in p)
-        if covered == s:
-            comps[IndexSet(old_to_new[p] for p in pieces)] = vec
-        elif any(v != 0 for v in vec):
-            raise InvalidInput("element is not supported on the core")
-    return element(core_model, full_set(k_new), x.chart, x.point, comps)
+def _merged_component(old_to_new, subset, rho):
+    """A component key whose blocks are unions of merge pieces, rewritten
+    in merged-cube positions.  Block order is preserved, since the merge
+    keeps the order of least elements of disjoint blocks."""
+    def image(s):
+        return IndexSet(new for old, new in old_to_new.items() if old.issubset(s))
+    return image(subset), Partition([image(b) for b in rho])
 
 
-def _from_merged(obj, old_to_new, y):
-    """Embed a merged-cube element back into the object's top node."""
-    new_to_old = {new: old for old, new in old_to_new.items()}
-    k = obj.n
-    comps = {s: zero_vector(obj.dims.dim(s))
-             for s in nonempty_subsets(full_set(k))}
-    for s, vec in y.components.items():
-        old = IndexSet(i for pos in s for i in new_to_old[pos])
-        comps[old] = vec
-    return element(obj, full_set(k), y.chart, y.point, comps)
+def _route(rho):
+    """The pair whose core decomposition carries the (T, rho) component,
+    or None when the splitting carries it.
+
+    In chain order the first pair inside a block is its two least axes;
+    the chain handles rho at the last such stage over its blocks, and
+    there the already-handled part has a zero T-coordinate.  Every block
+    of rho contains or misses each head, so compatible core
+    decompositions all carry this component alike; the last head is the
+    one the chain consults.
+    """
+    heads = [IndexSet(b[:2]) for b in rho if len(b) > 1]
+    return max(heads, key=tuple) if heads else None
 
 
-class _Chain:
-    """The staged construction of a decomposition from a splitting and
-    codimension-one core decompositions, for one presentation."""
-
-    def __init__(self, obj, sigma, core_decs, blocks, check_bracketing=False):
-        self.obj = obj
-        self.k = obj.n
-        self.model = associated_decomposed(obj)
-        self.vacant = associated_vacant(obj)
-        self.sigma = sigma
-        self.check_bracketing = check_bracketing
-        self.pairs = sorted(
-            (s for s in nonempty_subsets(full_set(self.k)) if len(s) == 2),
-            key=tuple,
-        )
-        self.core_decs = core_decs
-        self.slot_maps = {
-            mu: _merged_slot_map(blocks, mu)[0] for mu in self.pairs
-        }
-
-    def _allowed(self, subset, stage):
-        if len(subset) == 1:
-            return True
-        return any(self.pairs[i].issubset(subset) for i in range(stage))
-
-    def vacant_part(self, x):
-        comps = {
-            s: (x.components[s] if len(s) == 1
-                else zero_vector(self.vacant.dims.dim(s)))
-            for s in nonempty_subsets(full_set(self.k))
-        }
-        return element(self.vacant, x.node, x.chart, x.point, comps)
-
-    def apply(self, x, stage=None):
-        stage = len(self.pairs) if stage is None else stage
-        for s, vec in x.components.items():
-            if not self._allowed(s, stage) and any(v != 0 for v in vec):
-                raise InvalidInput("element outside stage %d support" % stage)
-        if stage == 0:
-            return self.sigma.apply(self.vacant_part(x))
-        mu = self.pairs[stage - 1]
-        s_axis, t_axis = tuple(mu)
-        y_assign = {}
-        z_assign = {}
-        complement = full_set(self.k).difference(mu)
-        for s, vec in x.components.items():
-            if self._allowed(s, stage - 1):
-                y_assign[s] = vec
-            if s.issubset(complement):
-                if self._allowed(s, stage - 1):
-                    z_assign[s] = vec
-            elif mu.issubset(s) and not self._allowed(s, stage - 1):
-                z_assign[s] = vec
-        y = _support_element(self.model, x.chart, x.point, y_assign)
-        z = _support_element(self.model, x.chart, x.point, z_assign)
-
-        left = self.apply(y, stage - 1)
-        dec = self.core_decs[mu]
-        core_image = _from_merged(
-            self.obj, self.slot_maps[mu],
-            dec.apply(_to_merged(dec.source, self.slot_maps[mu], z)),
-        )
-        result = self._assemble(left, core_image, s_axis, t_axis)
-        if self.check_bracketing:
-            other = self._assemble(left, core_image, t_axis, s_axis)
-            if not elements_equal(self.obj, result, other):
-                raise SemanticError("bracketing orders disagree in the chain")
-        return result
-
-    def _assemble(self, left, core_image, s_axis, t_axis):
-        lifted = zero_lift(self.obj, project(self.obj, left, s_axis), left.node)
-        inner = add(self.obj, lifted, core_image, t_axis)
-        return add(self.obj, left, inner, s_axis)
-
-    def extract(self, presentation_base):
-        """All gauge components of the chain, per point in the canonical
-        chart, read off from evaluations on basis-supported elements."""
-        k = self.k
-        family = {}
-        for p in presentation_base:
-            can = self.obj.canonical_chart(p)
-            comps = {}
-            for target in nonempty_subsets(full_set(k)):
-                d_out = self.obj.dims.dim(target)
-                for rho in partitions(target):
-                    block_dims = [self.model.dims.dim(b) for b in rho]
-                    size = 1
-                    for d in block_dims:
-                        size *= d
-                    entries = [Fraction(0)] * (d_out * size)
-                    for j, basis in enumerate(_tuples(block_dims)):
-                        assignment = {
-                            b: unit_vector(self.model.dims.dim(b), idx)
-                            for b, idx in zip(rho, basis)
-                        }
-                        x = _support_element(self.model, can, p, assignment)
-                        out = self.apply(x)
-                        vec = project_to(self.obj, out, target).components[target]
-                        for i0 in range(d_out):
-                            entries[i0 * size + j] = vec[i0]
-                    comps[(target, rho)] = MultiTensor(
-                        d_out, tuple(block_dims), entries)
-            family[p] = Gauge(self.model.dims, self.obj.dims, comps)
-        return family
+def _assemble(obj, model, sigma, core_decs, blocks, base):
+    """Decomposition data fixed by a splitting and the codimension-one
+    core decompositions.  In the canonical chart fiber addition is
+    coordinatewise, so every component is copied from the splitting or
+    from the core decomposition that the chain would consult for it."""
+    slot_maps = {mu: _merged_slot_map(blocks, mu) for mu in _pairs(obj.n)}
+    family = {}
+    for p in base:
+        can = obj.canonical_chart(p)
+        comps = {}
+        for target in nonempty_subsets(full_set(obj.n)):
+            for rho in partitions(target):
+                mu = _route(rho)
+                if mu is None:
+                    comps[(target, rho)] = sigma.data[(can, p)].components[(target, rho)]
+                else:
+                    comps[(target, rho)] = core_decs[mu].data[(can, p)].components[
+                        _merged_component(slot_maps[mu], target, rho)]
+        family[p] = Gauge(model.dims, obj.dims, comps)
+    return morphism_from_canonical(model, obj, family).data
 
 
 class DecompositionBuilder:
@@ -451,33 +356,24 @@ class DecompositionBuilder:
 
     # -- decompositions --------------------------------------------------
 
-    def decomposition(self, key, check_bracketing=False):
+    def decomposition(self, key):
         if key in self._decompositions:
             return self._decompositions[key]
         obj = self.object(key)
-        k = obj.n
         model = associated_decomposed(obj)
-        if k <= 1:
+        if obj.n <= 1:
             data = {
                 (c.id, p): identity_gauge(obj.dims)
                 for c in obj.charts for p in c.domain
             }
-            morphism = Decomposition(model, obj, data, parent=obj)
-            self._decompositions[key] = morphism
-            return morphism
-
-        sigma = self.splitting(key)
-        core_decs = {}
-        for mu in (s for s in nonempty_subsets(full_set(k)) if len(s) == 2):
-            core_decs[mu] = self.decomposition(
-                self.merged_key(key, mu), check_bracketing=check_bracketing)
-        chain = _Chain(obj, sigma, core_decs, key[1],
-                       check_bracketing=check_bracketing)
-        family = chain.extract(self.A.base)
-        morphism = Decomposition(
-            model, obj, morphism_from_canonical(model, obj, family).data,
-            parent=obj,
-        )
+        else:
+            sigma = self.splitting(key)
+            core_decs = {
+                mu: self.decomposition(self.merged_key(key, mu))
+                for mu in _pairs(obj.n)
+            }
+            data = _assemble(obj, model, sigma, core_decs, key[1], self.A.base)
+        morphism = Decomposition(model, obj, data, parent=obj)
         self._decompositions[key] = morphism
         return morphism
 
@@ -504,30 +400,13 @@ def find_splitting(presentation, strategy="least-chart", theta_top=None):
     return builder.splitting(builder.top_key())
 
 
-def decompose(presentation, strategy="least-chart", check_bracketing=False):
+def decompose(presentation, strategy="least-chart"):
     """A decomposition of a valid presentation via the staged pipeline."""
     report = validate(presentation)
     if not report.valid:
         raise SemanticError("presentation does not validate: %r" % (report,))
     builder = DecompositionBuilder(presentation, strategy)
-    return builder.decomposition(builder.top_key(), check_bracketing=check_bracketing)
-
-
-def _disjoint_families(slots):
-    """Nonempty families of pairwise disjoint slots."""
-    slots = list(slots)
-
-    def rec(i, current):
-        if i == len(slots):
-            if current:
-                yield tuple(current)
-            return
-        yield from rec(i + 1, current)
-        s = slots[i]
-        if all(s.isdisjoint(t) for t in current):
-            yield from rec(i + 1, current + [s])
-
-    yield from rec(0, [])
+    return builder.decomposition(builder.top_key())
 
 
 def _merged_slots(n, mu):
@@ -546,99 +425,64 @@ def check_compatibility(presentation, sigma, core_decs):
     The core decomposition over each merged pair must restrict to the
     splitting on the vacant slots away from the pair, and any two core
     decompositions must agree on the slots supported by both cores.
-    Raises with the violated intersection on failure.
+    Both are exact equalities of the components whose blocks are drawn
+    from those slots, in every chart: an element supported on disjoint
+    slots feeds exactly one partition of each target.  Raises with the
+    violated intersection on failure.
     """
     a = presentation
     n = a.n
-    builder = DecompositionBuilder(a)
-    key = builder.top_key()
-    model = associated_decomposed(a)
-    pairs = sorted((s for s in nonempty_subsets(full_set(n)) if len(s) == 2),
-                   key=tuple)
+    pairs = _pairs(n)
     for mu in pairs:
         if mu not in core_decs:
             raise InvalidInput("missing core decomposition at %s" % (list(mu),))
-    slot_maps = {mu: _merged_slot_map(key[1], mu)[0] for mu in pairs}
+    singles = Partition([[i] for i in full_set(n)])
+    slot_maps = {mu: _merged_slot_map(singles, mu) for mu in pairs}
     locations = [(c.id, p) for c in a.charts for p in c.domain]
 
-    vac = associated_vacant(a)
+    def keys_on(slots):
+        return [(t, rho) for t in nonempty_subsets(full_set(n))
+                for rho in partitions(t) if all(b in slots for b in rho)]
 
-    def vacant_part(x):
-        comps = {
-            s: (x.components[s] if len(s) == 1 else zero_vector(0))
-            for s in nonempty_subsets(full_set(n))
-        }
-        return element(vac, x.node, x.chart, x.point, comps)
+    def core_component(mu, location, key):
+        return core_decs[mu].data[location].components[
+            _merged_component(slot_maps[mu], *key)]
 
     for mu in pairs:
-        dec = core_decs[mu]
-        single_slots = [IndexSet([i]) for i in full_set(n).difference(mu)]
-        for family in _disjoint_families(single_slots):
-            dims = [a.dims.dim(s) for s in family]
-            for basis in _tuples(dims):
-                assignment = {
-                    s: unit_vector(a.dims.dim(s), idx) for s, idx in zip(family, basis)
-                }
-                for chart, p in locations:
-                    x = _support_element(model, chart, p, assignment)
-                    via_core = _from_merged(
-                        a, slot_maps[mu],
-                        dec.apply(_to_merged(dec.source, slot_maps[mu], x)))
-                    via_sigma = sigma.apply(vacant_part(x))
-                    if not elements_equal(a, via_core, via_sigma):
-                        raise SemanticError(
-                            "core decomposition at %s violates the splitting"
-                            % (list(mu),))
+        keys = keys_on({IndexSet([i]) for i in full_set(n).difference(mu)})
+        for location in locations:
+            g = sigma.data[location]
+            if any(core_component(mu, location, key) != g.components[key]
+                   for key in keys):
+                raise SemanticError(
+                    "core decomposition at %s violates the splitting" % (list(mu),))
     for idx, mu in enumerate(pairs):
         for nu in pairs[idx + 1:]:
-            shared = sorted(set(_merged_slots(n, mu)) & set(_merged_slots(n, nu)),
-                            key=tuple)
-            for family in _disjoint_families(shared):
-                dims = [a.dims.dim(s) for s in family]
-                for basis in _tuples(dims):
-                    assignment = {
-                        s: unit_vector(a.dims.dim(s), idx2)
-                        for s, idx2 in zip(family, basis)
-                    }
-                    for chart, p in locations:
-                        x = _support_element(model, chart, p, assignment)
-                        via_mu = _from_merged(
-                            a, slot_maps[mu],
-                            core_decs[mu].apply(
-                                _to_merged(core_decs[mu].source, slot_maps[mu], x)))
-                        via_nu = _from_merged(
-                            a, slot_maps[nu],
-                            core_decs[nu].apply(
-                                _to_merged(core_decs[nu].source, slot_maps[nu], x)))
-                        if not elements_equal(a, via_mu, via_nu):
-                            raise SemanticError(
-                                "core decompositions at %s and %s disagree"
-                                % (list(mu), list(nu)))
+            keys = keys_on(set(_merged_slots(n, mu)) & set(_merged_slots(n, nu)))
+            for location in locations:
+                if any(core_component(mu, location, key)
+                       != core_component(nu, location, key) for key in keys):
+                    raise SemanticError(
+                        "core decompositions at %s and %s disagree"
+                        % (list(mu), list(nu)))
     return True
 
 
-def splitting_to_decomposition(presentation, sigma, core_decs,
-                               check_bracketing=True):
+def splitting_to_decomposition(presentation, sigma, core_decs):
     """The unique decomposition restricting to the given splitting and
     codimension-one core decompositions.
 
     ``core_decs`` maps each two-element axis set to a decomposition of
-    the merged-axes core.  Compatibility is a checked precondition; the
-    chain evaluates both bracketing orders of its defining sum when
-    ``check_bracketing`` is set.
+    the merged-axes core.  Compatibility is a checked precondition.
     """
     a = presentation
+    core_decs = {IndexSet(mu): dec for mu, dec in core_decs.items()}
     check_compatibility(a, sigma, core_decs)
-    builder = DecompositionBuilder(a)
-    key = builder.top_key()
-    obj = builder.object(key)
+    blocks = Partition([[i] for i in full_set(a.n)])
+    obj = partition_core(a, full_set(a.n), blocks, check=False)
     model = associated_decomposed(obj)
-    chain = _Chain(obj, sigma, {IndexSet(mu): dec for mu, dec in core_decs.items()},
-                   key[1], check_bracketing=check_bracketing)
-    family = chain.extract(a.base)
-    return Decomposition(
-        model, obj, morphism_from_canonical(model, obj, family).data, parent=obj,
-    )
+    data = _assemble(obj, model, sigma, core_decs, blocks, a.base)
+    return Decomposition(model, obj, data, parent=obj)
 
 
 def extract_splitting(presentation, decomposition):

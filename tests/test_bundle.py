@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from chain_oracle import compose_from_canonical
 
-from mvb.atlas import FiniteBase, decomposed, validate
+from mvb.atlas import FiniteBase, associated_decomposed, decomposed, validate
 from mvb.bundle import (
     add,
     element,
@@ -21,6 +22,7 @@ from mvb.bundle import (
     zero_element,
     zero_lift,
 )
+from mvb.cores import partition_core
 from mvb.cubecat import IndexSet, full_set, nonempty_subsets
 from mvb.errors import InvalidInput
 from mvb.exactlin import MultiTensor
@@ -28,9 +30,11 @@ from mvb.gauge import DimAssignment, permute_gauge
 from mvb.rand import (
     interchange_quadruple,
     random_element,
+    random_gauge,
     random_morphism_gauge,
     twisted_instance,
 )
+from mvb.split import decompose
 
 
 def dims_of(n, value=1):
@@ -432,3 +436,25 @@ def test_double_tangent_commutes_up_to_swap():
     assert swapped_dims == tt.dims.dims
     for key, g in tt.transitions.items():
         assert permute_gauge(g, swap) == g
+
+
+def test_morphism_from_canonical_matches_composing_at_every_chart():
+    # the canonical chart keeps its gauge as given; composing it with the
+    # identity self-transitions gives the same data
+    rng = random.Random(23)
+    a = twisted_instance(505, n=3, n_points=3, n_charts=3)
+    model = associated_decomposed(a)
+    d = decompose(a)
+    families = [
+        (model, a, {p: d.data[(a.canonical_chart(p), p)] for p in a.base}),
+        (a, a, {p: random_gauge(rng, a.dims, statomorphism=True) for p in a.base}),
+    ]
+    core = partition_core(a, full_set(3), [[1, 2], [3]], check=False)
+    families.append(
+        (core, core, {p: random_gauge(rng, core.dims) for p in a.base}))
+    for source, target, family in families:
+        kept = morphism_from_canonical(source, target, family)
+        composed = compose_from_canonical(source, target, family)
+        assert kept.data == composed.data
+        for p in source.base:
+            assert kept.data[(source.canonical_chart(p), p)] is family[p]

@@ -2,6 +2,7 @@ import json
 
 from mvb import formats
 from mvb.cli import run
+from mvb.exactlin import MultiTensor
 from mvb.rand import twisted_instance
 from mvb.tower import InfinityPresentation, StabilizingGenerator
 
@@ -190,3 +191,39 @@ def test_text_output(tmp_path, capsys):
     code, out, _ = invoke(capsys, ["--output", "text", "validate", path])
     assert code == 0
     assert "status: ok" in out
+
+
+def test_malformed_atlases_exit_two(tmp_path, capsys):
+    instance = twisted_instance(403, n=2, n_points=2, n_charts=2)
+    body = formats.atlas_to_json(instance)
+
+    def edited(edit):
+        copy = json.loads(json.dumps(body))
+        edit(copy)
+        return copy
+
+    def add_component(target, blocks, out_dim, in_dim):
+        tensor = MultiTensor(out_dim, (in_dim,), [1] * (out_dim * in_dim))
+
+        def edit(copy):
+            copy["transitions"][0]["gauge"]["components"].append({
+                "target": target, "blocks": blocks,
+                "tensor": formats.tensor_to_json(tensor)})
+        return edit
+
+    def bad_n(copy):
+        copy["n"] = "x"
+
+    cases = {
+        "outside.json": (add_component([3], [[3]], 1, 1), "[3]"),
+        "bad-n.json": (bad_n, "'x'"),
+        "dropped.json": (add_component(
+            [1, 2], [[1]], instance.dims.dim([1, 2]), instance.dims.dim([1])),
+            "[[1]]"),
+    }
+    for name, (edit, needle) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(formats.canonical_bytes(edited(edit)))
+        code, _, err = invoke(capsys, ["validate", str(path)])
+        assert code == 2, name
+        assert "input error" in err and needle in err, (name, err)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -6,6 +7,7 @@ from mvb import formats
 from mvb.atlas import decomposed, FiniteBase, validate
 from mvb.cubecat import full_set, nonempty_subsets
 from mvb.errors import ParseError, SchemaError
+from mvb.exactlin import MultiTensor
 from mvb.gauge import DimAssignment
 from mvb.rand import random_element, seeded, twisted_instance
 from mvb.split import decompose
@@ -146,3 +148,48 @@ def test_zero_components_omitted_in_serialized_form():
     for item in body["transitions"]:
         for comp in item["gauge"]["components"]:
             assert len(comp["blocks"]) == 1
+
+
+def _edited_atlas(edit):
+    body = json.loads(json.dumps(formats.atlas_to_json(fixture_corpus()[2])))
+    edit(body)
+    return formats.canonical_bytes(body)
+
+
+def _append_component(target, blocks, out_dim, in_dims):
+    def edit(body):
+        tensor = MultiTensor(out_dim, in_dims, [1] * (out_dim * math.prod(in_dims)))
+        body["transitions"][0]["gauge"]["components"].append({
+            "target": target, "blocks": blocks,
+            "tensor": formats.tensor_to_json(tensor)})
+    return edit
+
+
+def test_non_integer_n_is_schema_error():
+    def edit(body):
+        body["n"] = "x"
+    with pytest.raises(SchemaError) as err:
+        formats.parse(_edited_atlas(edit))
+    assert "'x'" in str(err.value)
+
+    def edit_gauge(body):
+        body["transitions"][0]["gauge"]["n"] = "x"
+    with pytest.raises(SchemaError) as err:
+        formats.parse(_edited_atlas(edit_gauge))
+    assert "'x'" in str(err.value) and "transition" in str(err.value)
+
+
+def test_component_target_outside_cube_is_schema_error():
+    with pytest.raises(SchemaError) as err:
+        formats.parse(_edited_atlas(_append_component([3], [[3]], 1, (1,))))
+    assert "[3]" in str(err.value) and "cube" in str(err.value)
+
+
+def test_blocks_not_partitioning_target_is_schema_error():
+    instance = fixture_corpus()[2]
+    out_dim = instance.dims.dim([1, 2])
+    in_dim = instance.dims.dim([1])
+    with pytest.raises(SchemaError) as err:
+        formats.parse(_edited_atlas(
+            _append_component([1, 2], [[1]], out_dim, (in_dim,))))
+    assert "([1, 2], [[1]])" in str(err.value) and "partition" in str(err.value)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from chain_oracle import builder_chain_data, splitting_to_decomposition_data
 
 from mvb.atlas import (
     FiniteBase,
@@ -104,8 +105,13 @@ def test_decompose_n1_twisted():
 
 def test_decompose_n2_twisted_with_bracket_check():
     a = twisted_instance(77, n=2, n_points=2, n_charts=2)
-    d = decompose(a, check_bracketing=True)
+    d = decompose(a)
     assert is_decomposition(d)
+    # the element chain evaluates both bracketing orders at every key
+    builder = DecompositionBuilder(a)
+    assert builder.decomposition(builder.top_key()).data == d.data
+    for key, dec in builder._decompositions.items():
+        assert builder_chain_data(builder, key, check_bracketing=True) == dec.data
 
 
 def test_decompose_n2_matches_displayed_formula():
@@ -149,8 +155,10 @@ def test_decomposition_round_trip_through_parts():
     sigma = extract_splitting(a, d)
     assert is_splitting(sigma)
     cores = extract_core_decompositions(a, d)
-    rebuilt = splitting_to_decomposition(a, sigma, cores, check_bracketing=True)
+    rebuilt = splitting_to_decomposition(a, sigma, cores)
     assert rebuilt.data == d.data
+    chained = splitting_to_decomposition_data(a, sigma, cores, check_bracketing=True)
+    assert chained == d.data
 
 
 def test_statomorphism_twisted_core_is_compatible_and_changes_output():
@@ -175,7 +183,7 @@ def test_statomorphism_twisted_core_is_compatible_and_changes_output():
         bad.source, bad.source, tau_fam))
     from mvb.split import Decomposition
     cores[mu] = Decomposition(bad.source, bad.target, twisted_core.data)
-    rebuilt = splitting_to_decomposition(a, sigma, cores, check_bracketing=False)
+    rebuilt = splitting_to_decomposition(a, sigma, cores)
     assert is_decomposition(rebuilt)
     assert rebuilt.data != d.data
 
