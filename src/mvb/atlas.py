@@ -16,6 +16,7 @@ follow from these.
 
 from .cubecat import Partition, full_set, nonempty_subsets, partitions
 from .errors import InvalidInput
+from .exactlin import rank
 from .gauge import DimAssignment, Gauge, diagonal_dims, identity_gauge, singleton_dims
 
 
@@ -247,7 +248,6 @@ def validate(presentation):
     # invertibility of every transition's one-block parts
     for (dst, src, p), g in sorted(a.transitions.items()):
         for subset in nonempty_subsets(full_set(a.n)):
-            from .exactlin import rank
             lin = g.linear_part(subset)
             if lin.out_dim != lin.in_dims[0] or rank(lin) != lin.out_dim:
                 violations.append(Violation(

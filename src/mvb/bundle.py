@@ -8,6 +8,8 @@ transitions.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 from .atlas import AtlasPresentation, decomposed
 from .cubecat import (
@@ -19,7 +21,7 @@ from .cubecat import (
     subsets,
 )
 from .errors import DimensionMismatch, InvalidInput
-from .exactlin import MultiTensor, vec_add, vec_scale, zero_vector
+from .exactlin import MultiTensor, rank, vec_add, vec_scale, zero_vector
 from .gauge import DimAssignment, Gauge, identity_gauge
 
 
@@ -230,7 +232,6 @@ class BundleMorphism:
         return BundleMorphism(self.target, self.source, data)
 
     def is_fiberwise_bijective(self):
-        from .exactlin import rank
         for g in self.data.values():
             for subset in nonempty_subsets(full_set(self.source.n)):
                 lin = g.linear_part(subset)
@@ -332,7 +333,7 @@ def face(presentation, outer, inner):
                     offs, total = _grouped_offsets(a.dims, bc, inner)
                     in_offsets.append(offs)
                     in_dims.append(total)
-                entries = [Fraction(0)] * (out_dim * _prod(in_dims))
+                entries = [Fraction(0)] * (out_dim * prod(in_dims))
                 for out_sub in frozen_subsets:
                     target_full = target_core.union(out_sub)
                     d_out = a.dims.dim(target_full)
@@ -347,7 +348,7 @@ def face(presentation, outer, inner):
                         if any(d == 0 for d in dims_full):
                             continue
                         for o in range(d_out):
-                            for idx in _indices(dims_full):
+                            for idx in product(*map(range, dims_full)):
                                 amb_idx = [0] * len(blocks_full)
                                 for pos, b in enumerate(idx):
                                     amb_idx[slot_of[pos]] = b
@@ -367,22 +368,6 @@ def face(presentation, outer, inner):
         m, face_dims, a.base, a.charts, transitions,
         axis_blocks=tuple(IndexSet([axis]) for axis in free),
     )
-
-
-def _prod(values):
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
-def _indices(dims):
-    if not dims:
-        yield ()
-        return
-    for i in range(dims[0]):
-        for rest in _indices(dims[1:]):
-            yield (i,) + rest
 
 
 def _disjoint_covers(target, count, pool):
@@ -437,7 +422,7 @@ def hom_decode(e_pres, f_pres, hom_elem):
         for rho in partitions(subset):
             o = f_pres.dims.dim(subset)
             ins = e_pres.dims.block_dims(rho)
-            size = o * _prod(ins)
+            size = o * prod(ins)
             out[(subset, rho)] = MultiTensor(o, ins, vec[pos:pos + size])
             pos += size
         if pos != len(vec):

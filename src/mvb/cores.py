@@ -13,6 +13,7 @@ morphism of a core a literal restriction of the ambient data.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .atlas import AtlasPresentation
 from .bundle import (
@@ -206,25 +207,10 @@ def core_closure_certificate(presentation, ambient, blocks):
 
 def _basis_tuples(dims, rho):
     """Families assigning one basis vector to each block of rho."""
-    per_block = []
-    for block in rho:
-        d = dims.dim(block)
-        vecs = []
-        for j in range(d):
-            v = [0] * d
-            v[j] = 1
-            vecs.append(tuple(v))
-        per_block.append([(block, tuple(v)) for v in vecs])
-    if any(not choices for choices in per_block):
-        return
-    def rec(i):
-        if i == len(per_block):
-            yield ()
-            return
-        for choice in per_block[i]:
-            for rest in rec(i + 1):
-                yield (choice,) + rest
-    yield from rec(0)
+    return product(*(
+        [(block, tuple(int(i == j) for i in range(dims.dim(block))))
+         for j in range(dims.dim(block))]
+        for block in rho))
 
 
 def core_by_stages(presentation, ambient, inner, first):

@@ -3,15 +3,48 @@
 Finite subsets of the positive integers serve as cube-category objects,
 set partitions index the multilinear components of chart changes, and
 diagonal partitions reindex cores onto smaller cubes.
+
+The enumerations depend on the index set alone, so ``subsets`` and
+``partitions`` compute each answer once and hand out copies.
+``cube_plan(n)`` goes one step further for the cube over {1..n}: it
+lists every (S, rho) component key once and, on first use, the terms of
+the chart-change composition sum of every key (see ``gauge``).
 """
 
 from .errors import InvalidPartition
+
+
+def _memoized(limit):
+    """Remember the answers of a one-argument function of index data.
+
+    At most ``limit`` answers are kept; the memo is emptied when full.
+    Answers must be immutable, since every caller shares them.  The memo
+    dict is exposed as the function's ``memo`` attribute.
+    """
+    def decorate(fn):
+        memo = {}
+
+        def memoized(arg):
+            try:
+                return memo[arg]
+            except KeyError:
+                pass
+            if len(memo) >= limit:
+                memo.clear()
+            answer = memo[arg] = fn(arg)
+            return answer
+        memoized.__doc__ = fn.__doc__
+        memoized.memo = memo
+        return memoized
+    return decorate
 
 
 class IndexSet(tuple):
     """A finite subset of {1, 2, ...}, stored as a strictly increasing tuple."""
 
     def __new__(cls, elements=()):
+        if type(elements) is cls:
+            return elements
         elems = tuple(sorted(set(elements)))
         for i in elems:
             if not isinstance(i, int) or isinstance(i, bool) or i < 1:
@@ -52,6 +85,8 @@ class Partition(tuple):
     """
 
     def __new__(cls, blocks):
+        if type(blocks) is cls:
+            return blocks
         blocks = tuple(IndexSet(b) for b in blocks)
         if any(len(b) == 0 for b in blocks):
             raise InvalidPartition("empty block")
@@ -112,16 +147,11 @@ class DiagonalPartition:
 
 def subsets(index_set):
     """All subsets of an IndexSet, ordered by cardinality then lexicographically."""
-    index_set = IndexSet(index_set)
-    out = [IndexSet()]
-    for i in index_set:
-        out.extend(s.union([i]) for s in list(out))
-    out.sort(key=lambda s: (len(s), tuple(s)))
-    return out
+    return list(_subsets(IndexSet(index_set)))
 
 
 def nonempty_subsets(index_set):
-    return [s for s in subsets(index_set) if s]
+    return list(_subsets(IndexSet(index_set))[1:])
 
 
 def partitions(index_set):
@@ -134,7 +164,21 @@ def partitions(index_set):
     index_set = IndexSet(index_set)
     if len(index_set) == 0:
         raise InvalidPartition("partitions of the empty set are not enumerated")
+    return list(_partitions(index_set))
 
+
+# Enough entries for every subset of a 10-cube.
+@_memoized(1024)
+def _subsets(index_set):
+    out = [IndexSet()]
+    for i in index_set:
+        out.extend(s.union([i]) for s in list(out))
+    out.sort(key=lambda s: (len(s), tuple(s)))
+    return tuple(out)
+
+
+@_memoized(1024)
+def _partitions(index_set):
     def _gen(elems):
         if not elems:
             yield []
@@ -147,7 +191,60 @@ def partitions(index_set):
 
     out = [Partition(blocks) for blocks in _gen(list(index_set))]
     out.sort(key=lambda p: (len(p), tuple(tuple(b) for b in p)))
-    return out
+    return tuple(out)
+
+
+class CubePlan:
+    """The component keys of the cube over {1..n} and their composition terms.
+
+    ``keys`` lists every (S, rho), S a nonempty subset of {1..n} and rho
+    a partition of S, in the order gauges store their components;
+    ``index`` maps each key to its position.  ``terms`` (built on first
+    use) lists, per key, one ``(outer, inners, slot_groups)`` triple for
+    every grouping of rho's blocks, the one-group grouping first:
+    ``outer`` is the position of (S, coarsened rho), ``inners`` the
+    positions of (union of the group, the group's blocks) per group, and
+    ``slot_groups`` the block positions of rho feeding each group.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.keys = tuple((s, rho) for s in _subsets(full_set(n))[1:]
+                          for rho in _partitions(s))
+        self.index = {key: i for i, key in enumerate(self.keys)}
+        self._terms = None
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = tuple(self._key_terms(subset, rho) for subset, rho in self.keys)
+        return self._terms
+
+    def _key_terms(self, subset, rho):
+        out = []
+        for slot_groups in _slot_groups(len(rho)):
+            inners = []
+            merged = []
+            for positions in slot_groups:
+                group_blocks = Partition([rho[pos] for pos in positions])
+                union = group_blocks.ground
+                inners.append(self.index[(union, group_blocks)])
+                merged.append(union)
+            out.append((self.index[(subset, Partition(merged))], tuple(inners), slot_groups))
+        return tuple(out)
+
+
+@_memoized(16)
+def _slot_groups(k):
+    """Zero-based block positions per group, for every grouping of k blocks."""
+    return tuple(tuple(tuple(pos - 1 for pos in group) for group in grouping)
+                 for grouping in _partitions(full_set(k)))
+
+
+@_memoized(16)
+def cube_plan(n):
+    """The ``CubePlan`` of {1..n}, built on first use and then shared."""
+    return CubePlan(n)
 
 
 def coarsen(partition, grouping):

@@ -8,6 +8,7 @@ targets.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, prod
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -64,7 +65,7 @@ class MultiTensor:
         return cls(len(rows), (n_cols,), [x for row in rows for x in row])
 
     def is_zero(self):
-        return all(x == 0 for x in self.entries)
+        return not any(self.entries)
 
     def is_identity(self):
         if len(self.in_dims) != 1 or self.in_dims[0] != self.out_dim:
@@ -148,16 +149,6 @@ class MultiTensor:
         return "MultiTensor(out=%d, ins=%s)" % (self.out_dim, list(self.in_dims))
 
 
-def _multi_indices(dims):
-    if not dims:
-        yield ()
-        return
-    head, tail = dims[0], dims[1:]
-    for i in range(head):
-        for rest in _multi_indices(tail):
-            yield (i,) + rest
-
-
 def compose_tensors(outer, inners, slot_groups, total_in_dims):
     """Contract ``outer`` with one inner tensor per slot.
 
@@ -179,8 +170,8 @@ def compose_tensors(outer, inners, slot_groups, total_in_dims):
     if out_dim == 0 or any(d == 0 for d in total_in_dims):
         return MultiTensor(out_dim, total_in_dims, result)
 
-    mids = list(_multi_indices(outer.in_dims))
-    for full in _multi_indices(tuple(total_in_dims)):
+    mids = list(product(*map(range, outer.in_dims)))
+    for full in product(*map(range, total_in_dims)):
         flat_base = 0
         for d, i in zip(total_in_dims, full):
             flat_base = flat_base * d + i
@@ -260,18 +251,14 @@ def rank(tensor):
     return len(pivots)
 
 
-def solve_linear(tensor, rhs):
-    """Exact solution of A x = b for square invertible A."""
-    rows = _as_matrix(tensor)
-    n = tensor.out_dim
-    if tensor.in_dims[0] != n:
-        raise DimensionMismatch("matrix is not square")
-    if len(rhs) != n:
-        raise DimensionMismatch("right-hand side has wrong length")
-    if n == 0:
-        return ()
-    aug = [list(row) + [_frac(b)] for row, b in zip(rows, rhs)]
-    # Fraction elimination on the augmented system; small sizes only.
+def _gauss_jordan(aug, n):
+    """Reduce the first ``n`` columns of an augmented system to the identity.
+
+    ``aug`` is a list of n row lists of Fractions with any number of
+    extra columns; it is reduced in place and returned, the extra
+    columns then holding the solutions.  Raises SingularMatrix at the
+    first column without a pivot.
+    """
     for col in range(n):
         pivot = None
         for i in range(col, n):
@@ -287,20 +274,37 @@ def solve_linear(tensor, rhs):
             if i != col and aug[i][col]:
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return aug
+
+
+def solve_linear(tensor, rhs):
+    """Exact solution of A x = b for square invertible A."""
+    rows = _as_matrix(tensor)
+    n = tensor.out_dim
+    if tensor.in_dims[0] != n:
+        raise DimensionMismatch("matrix is not square")
+    if len(rhs) != n:
+        raise DimensionMismatch("right-hand side has wrong length")
+    if n == 0:
+        return ()
+    # Fraction elimination on the augmented system; small sizes only.
+    aug = _gauss_jordan([list(row) + [_frac(b)] for row, b in zip(rows, rhs)], n)
     return tuple(aug[i][n] for i in range(n))
 
 
 def invert_matrix(tensor):
-    """Exact inverse of a square invertible one-block tensor."""
+    """Exact inverse of a square invertible one-block tensor.
+
+    One Gauss-Jordan elimination on [A | I]; the right half ends as the
+    inverse.
+    """
     n = tensor.out_dim
     if len(tensor.in_dims) != 1 or tensor.in_dims[0] != n:
         raise DimensionMismatch("matrix is not square")
-    cols = []
-    for j in range(n):
-        e = [ONE if i == j else ZERO for i in range(n)]
-        cols.append(solve_linear(tensor, e))
-    entries = [cols[j][i] for i in range(n) for j in range(n)]
-    return MultiTensor(n, (n,), entries)
+    aug = _gauss_jordan(
+        [list(row) + [ONE if i == j else ZERO for j in range(n)]
+         for i, row in enumerate(tensor.rows())], n)
+    return MultiTensor(n, (n,), [x for row in aug for x in row[n:]])
 
 
 def kernel_basis(tensor):
@@ -340,16 +344,19 @@ def kernel_basis(tensor):
 
 
 def image_contains(tensor, vector):
-    """Membership of ``vector`` in the column space, by a rank test."""
+    """Membership of ``vector`` in the column space of a matrix.
+
+    One echelon form of [A | v]: the vector lies in the image exactly
+    when its column carries no pivot.
+    """
     rows = _as_matrix(tensor)
     if len(vector) != tensor.out_dim:
         raise DimensionMismatch("vector has wrong length")
-    base = rank(tensor)
     augmented = [list(r) + [_frac(v)] for r, v in zip(rows, vector)]
     if not augmented:
         return True
     _, pivots = _bareiss_echelon(_integer_rows(augmented))
-    return len(pivots) == base
+    return tensor.in_dims[0] not in pivots
 
 
 def contract_slot(tensor, slot, vector):
@@ -360,7 +367,7 @@ def contract_slot(tensor, slot, vector):
     size = prod(rest)
     entries = [ZERO] * (tensor.out_dim * size)
     for i0 in range(tensor.out_dim):
-        for j, idx in enumerate(_multi_indices(rest)):
+        for j, idx in enumerate(product(*map(range, rest))):
             acc = ZERO
             for t, x in enumerate(vector):
                 if x:

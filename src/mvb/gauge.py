@@ -14,12 +14,23 @@ rho: the one-block components invert as matrices, and each k-block
 component of the inverse is determined by components with fewer blocks,
 because every other term of the composition sum only involves inner
 components on proper subgroups.
+
+The shape of these sums depends on n alone.  ``cubecat.cube_plan(n)``
+enumerates it once per n, on first use: the (J, rho) keys in component
+order and, per key, one term per grouping of rho's blocks, naming the
+outer key, the inner keys and the slots each inner component consumes
+by position in the key list.  A gauge records at construction which of
+its components are nonzero; composition and inversion walk the plan
+and skip every term whose outer or inner component is zero, since such
+a term contributes nothing to the exact sum.
 """
+
+from itertools import product
 
 from .cubecat import (
     IndexSet,
     Partition,
-    coarsen,
+    cube_plan,
     full_set,
     nonempty_subsets,
     partitions,
@@ -40,14 +51,15 @@ class DimAssignment:
     def __init__(self, n, dims):
         self.n = int(n)
         self.dims = {}
+        cube = full_set(self.n)
         for key, value in dims.items():
             key = IndexSet(key)
-            if not key or not key.issubset(full_set(self.n)):
+            if not key or not key.issubset(cube):
                 raise DimensionMismatch("bad dimension key %r for n=%d" % (key, self.n))
             if int(value) < 0:
                 raise DimensionMismatch("negative dimension at %r" % (key,))
             self.dims[key] = int(value)
-        for subset in nonempty_subsets(full_set(self.n)):
+        for subset in nonempty_subsets(cube):
             if subset not in self.dims:
                 raise DimensionMismatch("missing dimension for %s" % (list(subset),))
 
@@ -60,7 +72,7 @@ class DimAssignment:
         return sum(d for key, d in self.dims.items() if key.issubset(node))
 
     def block_dims(self, partition):
-        return tuple(self.dim(b) for b in Partition(partition))
+        return tuple(self.dims[b] for b in Partition(partition))
 
     def __eq__(self, other):
         return (
@@ -94,19 +106,30 @@ def diagonal_dims(dims, blocks):
     set of positions is the ambient dimension of the union of the
     corresponding blocks.
     """
-    blocks = tuple(Partition(blocks))
-    k = len(blocks)
-    new = {}
-    for nu in nonempty_subsets(full_set(k)):
-        union = IndexSet()
-        for pos in nu:
-            union = union.union(blocks[pos - 1])
-        new[nu] = dims.dim(union)
-    return DimAssignment(k, new)
+    blocks = Partition(blocks)
+    return _union_dims(dims, len(blocks), _block_unions(blocks))
+
+
+def _union_dims(dims, k, unions):
+    return DimAssignment(k, {nu: dims.dims[union] for nu, union in unions.items()})
+
+
+def _block_unions(blocks):
+    """Map each nonempty set of block positions to the union of its blocks."""
+    return {
+        nu: IndexSet(i for pos in nu for i in blocks[pos - 1])
+        for nu in nonempty_subsets(full_set(len(blocks)))
+    }
 
 
 class Gauge:
-    """A complete family of components from one DimAssignment to another."""
+    """A complete family of components from one DimAssignment to another.
+
+    ``components`` holds a tensor for every key of ``cube_plan(n)``,
+    zeros included.  Alongside it the gauge keeps ``_sparse``, the same
+    tensors in plan order with ``None`` in place of every all-zero one,
+    which is what composition and inversion walk.
+    """
 
     def __init__(self, source_dims, target_dims, components):
         if source_dims.n != target_dims.n:
@@ -114,22 +137,33 @@ class Gauge:
         self.n = source_dims.n
         self.source_dims = source_dims
         self.target_dims = target_dims
+        plan = cube_plan(self.n)
+        for key in components:
+            if key not in plan.index:
+                raise DimensionMismatch(
+                    "unknown component key %r: not a (nonempty subset of {1..%d},"
+                    " partition of it) pair" % (key, self.n))
         self.components = {}
-        for subset in nonempty_subsets(full_set(self.n)):
-            for rho in partitions(subset):
-                tensor = components.get((subset, rho))
-                in_dims = source_dims.block_dims(rho)
-                out_dim = target_dims.dim(subset)
-                if tensor is None:
-                    tensor = MultiTensor.zeros(out_dim, in_dims)
-                if tensor.out_dim != out_dim or tensor.in_dims != in_dims:
-                    raise DimensionMismatch(
-                        "component (%s, %s) has shape %dx%s, expected %dx%s"
-                        % (list(subset), [list(b) for b in rho],
-                           tensor.out_dim, list(tensor.in_dims),
-                           out_dim, list(in_dims))
-                    )
-                self.components[(subset, rho)] = tensor
+        sparse = []
+        for key in plan.keys:
+            out_dim = target_dims.dims[key[0]]
+            in_dims = source_dims.block_dims(key[1])
+            tensor = components.get(key)
+            if tensor is None:
+                self.components[key] = MultiTensor.zeros(out_dim, in_dims)
+                sparse.append(None)
+                continue
+            if tensor.out_dim != out_dim or tensor.in_dims != in_dims:
+                subset, rho = key
+                raise DimensionMismatch(
+                    "component (%s, %s) has shape %dx%s, expected %dx%s"
+                    % (list(subset), [list(b) for b in rho],
+                       tensor.out_dim, list(tensor.in_dims),
+                       out_dim, list(in_dims))
+                )
+            self.components[key] = tensor
+            sparse.append(None if tensor.is_zero() else tensor)
+        self._sparse = tuple(sparse)
 
     def component(self, subset, rho):
         return self.components[(IndexSet(subset), Partition(rho))]
@@ -163,8 +197,8 @@ class Gauge:
 
     def is_block_diagonal(self):
         return all(
-            tensor.is_zero()
-            for (subset, rho), tensor in self.components.items()
+            tensor is None
+            for (subset, rho), tensor in zip(cube_plan(self.n).keys, self._sparse)
             if len(rho) > 1
         )
 
@@ -183,43 +217,42 @@ class Gauge:
                     "input at %s has length %d, expected %d"
                     % (list(subset), len(vec), self.source_dims.dim(subset))
                 )
+        index = cube_plan(self.n).index
         out = {}
         for subset in support:
             acc = zero_vector(self.target_dims.dim(subset))
             for rho in partitions(subset):
                 args = [support[b] for b in rho]
-                acc = vec_add(acc, self.components[(subset, rho)].apply(args))
+                tensor = self._sparse[index[(subset, rho)]]
+                if tensor is not None:
+                    acc = vec_add(acc, tensor.apply(args))
             out[subset] = acc
         return out
 
     def compose(self, other):
-        """The gauge acting as ``self`` after ``other``."""
+        """The gauge acting as ``self`` after ``other``.
+
+        Terms whose outer or inner component is zero contribute nothing
+        and are skipped.
+        """
         if other.target_dims != self.source_dims:
             raise DimensionMismatch("middle dimensions do not match")
+        plan = cube_plan(self.n)
         components = {}
-        for subset in nonempty_subsets(full_set(self.n)):
-            for rho in partitions(subset):
-                k = len(rho)
-                total_in = other.source_dims.block_dims(rho)
-                acc = MultiTensor.zeros(self.target_dims.dim(subset), total_in)
-                for grouping in partitions(full_set(k)):
-                    coarse = coarsen(rho, grouping)
-                    outer = self.components[(subset, coarse)]
-                    inners = []
-                    slot_groups = []
-                    for group in grouping:
-                        positions = [pos - 1 for pos in group]
-                        group_blocks = Partition([rho[pos] for pos in positions])
-                        union = group_blocks.ground
-                        inners.append(other.components[(union, group_blocks)])
-                        slot_groups.append(positions)
-                    term = compose_tensors(outer, inners, slot_groups, total_in)
-                    acc = acc.plus(term)
-                components[(subset, rho)] = acc
+        for key, terms in zip(plan.keys, plan.terms):
+            total_in = other.source_dims.block_dims(key[1])
+            acc = _sum_terms(terms, self._sparse, other._sparse, total_in)
+            if acc is not None:
+                components[key] = acc
         return Gauge(other.source_dims, self.target_dims, components)
 
     def invert(self):
-        """Two-sided inverse; requires invertible one-block parts."""
+        """Two-sided inverse; requires invertible one-block parts.
+
+        Walks the plan keys in order, so every inner component a residue
+        term needs (on a proper subset) is already solved; terms with a
+        zero outer or inner component are skipped.
+        """
         if not self.is_square():
             raise DimensionMismatch("only square gauges invert")
         inv_linear = {}
@@ -231,36 +264,27 @@ class Gauge:
                 raise SingularMatrix(
                     "one-block part at %s is singular" % (list(subset),)
                 )
+        plan = cube_plan(self.n)
+        solved = [None] * len(plan.keys)
         components = {}
-        for subset in nonempty_subsets(full_set(self.n)):
-            trivial = Partition([subset])
-            components[(subset, trivial)] = inv_linear[subset]
-            for rho in partitions(subset):
-                k = len(rho)
-                if k == 1:
-                    continue
+        for at, (key, terms) in enumerate(zip(plan.keys, plan.terms)):
+            subset, rho = key
+            k = len(rho)
+            if k == 1:
+                tensor = inv_linear[subset]
+            else:
                 total_in = self.source_dims.block_dims(rho)
-                residue = MultiTensor.zeros(self.target_dims.dim(subset), total_in)
-                for grouping in partitions(full_set(k)):
-                    if len(grouping) == 1:
-                        continue  # the unknown term, solved for below
-                    coarse = coarsen(rho, grouping)
-                    outer = self.components[(subset, coarse)]
-                    inners = []
-                    slot_groups = []
-                    for group in grouping:
-                        positions = [pos - 1 for pos in group]
-                        group_blocks = Partition([rho[pos] for pos in positions])
-                        inners.append(components[(group_blocks.ground, group_blocks)])
-                        slot_groups.append(positions)
-                    residue = residue.plus(
-                        compose_tensors(outer, inners, slot_groups, total_in)
-                    )
-                solved = compose_tensors(
+                # terms[0] holds the unknown component, solved for below
+                residue = _sum_terms(terms[1:], self._sparse, solved, total_in)
+                if residue is None:
+                    continue
+                tensor = compose_tensors(
                     inv_linear[subset].scaled(-1), [residue],
                     [list(range(k))], total_in,
                 )
-                components[(subset, rho)] = solved
+            components[key] = tensor
+            if not tensor.is_zero():
+                solved[at] = tensor
         return Gauge(self.source_dims, self.target_dims, components)
 
     def diagonal_restrict(self, blocks):
@@ -271,24 +295,16 @@ class Gauge:
         components at the corresponding unions.  This realizes both face
         restriction (singleton blocks) and core reindexing.
         """
-        blocks = tuple(Partition(blocks))
+        blocks = Partition(blocks)
         k = len(blocks)
-        src = diagonal_dims(self.source_dims, blocks)
-        tgt = diagonal_dims(self.target_dims, blocks)
+        unions = _block_unions(blocks)
+        src = _union_dims(self.source_dims, k, unions)
+        tgt = src if self.target_dims == self.source_dims else \
+            _union_dims(self.target_dims, k, unions)
         components = {}
-        for nu in nonempty_subsets(full_set(k)):
-            target_union = IndexSet()
-            for pos in nu:
-                target_union = target_union.union(blocks[pos - 1])
-            for sigma in partitions(nu):
-                big_blocks = []
-                for part in sigma:
-                    union = IndexSet()
-                    for pos in part:
-                        union = union.union(blocks[pos - 1])
-                    big_blocks.append(union)
-                ambient = self.components[(target_union, Partition(big_blocks))]
-                components[(nu, sigma)] = ambient
+        for nu, sigma in cube_plan(k).keys:
+            ambient_key = (unions[nu], Partition([unions[part] for part in sigma]))
+            components[(nu, sigma)] = self.components[ambient_key]
         return Gauge(src, tgt, components)
 
     def __eq__(self, other):
@@ -308,6 +324,23 @@ class Gauge:
         return "Gauge(n=%d)" % self.n
 
 
+def _sum_terms(terms, outers, inners, total_in):
+    """Sum of the composition terms whose outer and inner components are
+    all nonzero; ``None`` when there is no such term.  ``outers`` and
+    ``inners`` hold tensors in plan order, ``None`` for zero ones."""
+    acc = None
+    for outer_at, inner_at, slot_groups in terms:
+        outer = outers[outer_at]
+        if outer is None:
+            continue
+        args = [inners[i] for i in inner_at]
+        if not all(args):
+            continue
+        term = compose_tensors(outer, args, slot_groups, total_in)
+        acc = term if acc is None else acc.plus(term)
+    return acc
+
+
 def identity_gauge(dims):
     components = {}
     for subset in nonempty_subsets(full_set(dims.n)):
@@ -325,21 +358,12 @@ def reorder_inputs(tensor, new_to_old):
     new_in = tuple(tensor.in_dims[o] for o in new_to_old)
     entries = []
     for i0 in range(tensor.out_dim):
-        for new_idx in _all_indices(new_in):
+        for new_idx in product(*map(range, new_in)):
             old_idx = [0] * k
             for m, o in enumerate(new_to_old):
                 old_idx[o] = new_idx[m]
             entries.append(tensor.entry(i0, old_idx))
     return MultiTensor(tensor.out_dim, new_in, entries)
-
-
-def _all_indices(dims):
-    if not dims:
-        yield ()
-        return
-    for i in range(dims[0]):
-        for rest in _all_indices(dims[1:]):
-            yield (i,) + rest
 
 
 def permute_gauge(gauge, mapping):

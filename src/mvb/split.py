@@ -31,6 +31,7 @@ The pipeline follows the constructive existence proofs:
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .atlas import (
     AtlasPresentation,
@@ -110,15 +111,6 @@ def _merge_blocks(blocks, positions):
         else:
             rest.append(b)
     return Partition([merged] + rest)
-
-
-def _tuples(dims):
-    if not dims:
-        yield ()
-        return
-    for j in range(dims[0]):
-        for rest in _tuples(dims[1:]):
-            yield (j,) + rest
 
 
 def _pairs(k):
@@ -311,7 +303,7 @@ class DecompositionBuilder:
                 weights = {cid: Fraction(1, len(at)) for cid in at}
 
             columns = []
-            for basis in _tuples(block_dims):
+            for basis in product(*map(range, block_dims)):
                 acc = zero_vector(d_top)
                 for cid, w in weights.items():
                     to_chart = obj.transition(cid, can, p)

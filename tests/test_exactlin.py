@@ -175,3 +175,69 @@ def test_zero_dimension_blocks():
     assert t.apply([()]) == (Fraction(0), Fraction(0))
     t2 = MultiTensor.zeros(0, (3,))
     assert t2.apply([(Fraction(1), Fraction(2), Fraction(3))]) == ()
+
+
+def invert_by_columns(tensor):
+    """The inverse as one solve_linear per column of the identity."""
+    n = tensor.out_dim
+    cols = [solve_linear(tensor, [Fraction(int(i == j)) for i in range(n)])
+            for j in range(n)]
+    return MultiTensor(n, (n,), [cols[j][i] for i in range(n) for j in range(n)])
+
+
+def image_contains_by_ranks(tensor, vector):
+    """Column-space membership as rank(A) == rank([A | v])."""
+    augmented = [list(r) + [v] for r, v in zip(tensor.rows(), vector)]
+    if not augmented:
+        return True
+    return rank(MultiTensor.from_rows(augmented)) == rank(tensor)
+
+
+def random_matrix(rng, n_rows, n_cols, singular=False):
+    rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n_cols)]
+            for _ in range(n_rows)]
+    if singular and n_rows > 1:
+        rows[-1] = [2 * a for a in rows[0]]
+    return mat(rows) if n_rows else MultiTensor.zeros(0, (n_cols,))
+
+
+def test_invert_matrix_equals_column_solves():
+    rng = random.Random(53)
+    checked = 0
+    for n in (0, 1, 2, 3, 4):
+        for _ in range(15):
+            a = random_matrix(rng, n, n)
+            try:
+                expected = invert_by_columns(a)
+            except SingularMatrix:
+                with pytest.raises(SingularMatrix):
+                    invert_matrix(a)
+                continue
+            assert invert_matrix(a) == expected
+            checked += 1
+    assert checked > 50
+
+
+def test_invert_singular_matrix_still_raises():
+    a = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    with pytest.raises(SingularMatrix) as by_columns:
+        invert_by_columns(a)
+    with pytest.raises(SingularMatrix) as at_once:
+        invert_matrix(a)
+    assert str(at_once.value) == str(by_columns.value)
+    rng = random.Random(59)
+    for n in (2, 3, 4):
+        with pytest.raises(SingularMatrix):
+            invert_matrix(random_matrix(rng, n, n, singular=True))
+
+
+def test_image_contains_equals_rank_comparison():
+    rng = random.Random(61)
+    for n_rows in (0, 1, 2, 3, 4):
+        for n_cols in (0, 1, 2, 3):
+            for singular in (False, True):
+                a = random_matrix(rng, n_rows, n_cols, singular=singular)
+                inside = a.apply([tuple(Fraction(rng.randint(-2, 2)) for _ in range(n_cols))])
+                outside = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n_rows))
+                for v in (inside, outside, (Fraction(0),) * n_rows):
+                    assert image_contains(a, v) == image_contains_by_ranks(a, v)

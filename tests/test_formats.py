@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mvb import formats
 from mvb.atlas import decomposed, FiniteBase, validate
@@ -9,7 +11,14 @@ from mvb.cubecat import full_set, nonempty_subsets
 from mvb.errors import ParseError, SchemaError
 from mvb.exactlin import MultiTensor
 from mvb.gauge import DimAssignment
-from mvb.rand import random_element, seeded, twisted_instance
+from mvb.rand import (
+    random_dims,
+    random_element,
+    random_gauge,
+    random_morphism_gauge,
+    seeded,
+    twisted_instance,
+)
 from mvb.split import decompose
 from mvb.tower import InfinityPresentation, RuleGenerator, StabilizingGenerator
 
@@ -193,3 +202,34 @@ def test_blocks_not_partitioning_target_is_schema_error():
         formats.parse(_edited_atlas(
             _append_component([1, 2], [[1]], out_dim, (in_dim,))))
     assert "([1, 2], [[1]])" in str(err.value) and "partition" in str(err.value)
+
+
+ROUND_TRIP = settings(max_examples=25, derandomize=True, database=None, deadline=None,
+                      suppress_health_check=[HealthCheck.too_slow])
+
+
+def atlas_fields(a):
+    return (a.n, a.dims, a.base, a.charts, a.transitions)
+
+
+@ROUND_TRIP
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 3), max_dim=st.integers(1, 2),
+       n_points=st.integers(1, 3), n_charts=st.integers(1, 3))
+def test_parse_dumps_round_trip_random_atlases(seed, n, max_dim, n_points, n_charts):
+    instance = twisted_instance(seed, n=n, max_dim=max_dim, n_points=n_points,
+                                n_charts=n_charts)
+    parsed = formats.parse(formats.dumps(instance))
+    assert atlas_fields(parsed) == atlas_fields(instance)
+
+
+@ROUND_TRIP
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(0, 3), max_dim=st.integers(0, 2),
+       kind=st.sampled_from(["invertible", "statomorphism", "rectangular"]))
+def test_parse_dumps_round_trip_random_gauges(seed, n, max_dim, kind):
+    rng = seeded(seed)
+    source = random_dims(rng, n, max_dim=max_dim)
+    if kind == "rectangular":
+        gauge = random_morphism_gauge(rng, source, random_dims(rng, n, max_dim=max_dim))
+    else:
+        gauge = random_gauge(rng, source, statomorphism=kind == "statomorphism")
+    assert formats.parse(formats.dumps(gauge)) == gauge

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mvb.cubecat import IndexSet, Partition, full_set, nonempty_subsets
-from mvb.errors import SingularMatrix
+from mvb.errors import DimensionMismatch, SingularMatrix
 from mvb.exactlin import MultiTensor
 from mvb.gauge import (
     DimAssignment,
@@ -264,3 +264,30 @@ def test_singleton_dims_zeroes_higher_slots():
     d = DimAssignment(2, {J1: 2, J2: 3, J12: 4})
     v = singleton_dims(d)
     assert v.dim(J1) == 2 and v.dim(J2) == 3 and v.dim(J12) == 0
+
+
+@pytest.mark.parametrize("key", [
+    (J12, Partition([J1])),              # blocks do not partition the target
+    (IndexSet([3]), Partition([[3]])),   # target outside the cube
+    (IndexSet(), Partition([])),         # empty target
+    (J12, (J2, J1)),                     # blocks out of canonical order
+    "J12",                               # not a (target, blocks) pair
+])
+def test_gauge_rejects_unknown_component_key(key):
+    d = dims_all_one(2)
+    comps = {(s, Partition([s])): MultiTensor.identity(1) for s in (J1, J2, J12)}
+    comps[key] = MultiTensor(1, (1,), [5])
+    with pytest.raises(DimensionMismatch) as err:
+        Gauge(d, d, comps)
+    assert repr(key) in str(err.value)
+
+
+def test_gauge_accepts_plain_tuple_keys():
+    # keys equal to the canonical (IndexSet, Partition) pairs are known
+    d = dims_all_one(2)
+    comps = {((1,), ((1,),)): MultiTensor(1, (1,), [2]),
+             ((1, 2), ((1,), (2,))): MultiTensor(1, (1, 1), [3])}
+    g = Gauge(d, d, comps)
+    assert g.component(J1, [J1]).entries == (Fraction(2),)
+    assert g.component(J12, SPLIT12).entries == (Fraction(3),)
+    assert g.linear_part(J2).is_zero()
