@@ -361,18 +361,9 @@ def pullback(presentation):
     top = full_set(n)
     dims_p = _drop_top_dims(a.dims)
 
-    def trim(g):
-        comps = {}
-        for (subset, rho), tensor in g.components.items():
-            o = dims_p.dim(subset)
-            ins = tuple(dims_p.dim(b) for b in rho)
-            if o == tensor.out_dim and ins == tensor.in_dims:
-                comps[(subset, rho)] = tensor
-        return Gauge(dims_p, dims_p, comps)
-
     p_pres = AtlasPresentation(
         n, dims_p, a.base, a.charts,
-        {key: trim(g) for key, g in a.transitions.items()},
+        {key: g.trimmed(dims_p) for key, g in a.transitions.items()},
     )
 
     proj_data = {}
@@ -425,19 +416,9 @@ def ultracore_dims(dims, axis):
 def ultracore_pullback_presentation(presentation, axis):
     a = presentation
     dims_q = ultracore_dims(a.dims, axis)
-
-    def restrict_gauge(g):
-        comps = {}
-        for (subset, rho), tensor in g.components.items():
-            o = dims_q.dim(subset)
-            ins = tuple(dims_q.dim(b) for b in rho)
-            if o == tensor.out_dim and ins == tensor.in_dims:
-                comps[(subset, rho)] = tensor
-        return Gauge(dims_q, dims_q, comps)
-
     return AtlasPresentation(
         a.n, dims_q, a.base, a.charts,
-        {key: restrict_gauge(g) for key, g in a.transitions.items()},
+        {key: g.trimmed(dims_q) for key, g in a.transitions.items()},
     )
 
 

@@ -5,11 +5,22 @@ checked with zero tolerance.  The elimination core is fraction-free
 (Bareiss) on a denominator-cleared integer copy, which keeps
 intermediate entries from blowing up at the scales this package
 targets.
+
+The two tensor kernels, ``MultiTensor.apply`` and ``compose_tensors``,
+run on Python integers.  A tensor's integer form (computed once, on
+first use) is its entries as numerators over one common denominator,
+the lcm of the entry denominators, plus the list of its nonzero
+numerators by position.  Applying a tensor multiplies and adds only
+those numerators and the arguments' cleared numerators; the composite
+of ``compose_tensors`` at an input index is the outer tensor applied to
+the inner tensors' columns at that index, so both run the same integer
+contraction.  One ``Fraction`` is built per nonzero result entry, from
+the integer sum and the product of the denominators.
 """
 
 from fractions import Fraction
-from itertools import product
-from math import gcd, prod
+from itertools import product, repeat
+from math import lcm, prod
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -21,6 +32,40 @@ def _frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _numerators(values):
+    """Integer numerators of rationals over one common denominator.
+
+    Returns ``(numerators, denominator)``; the denominator is the lcm of
+    the values' denominators (1 for no values).
+    """
+    den = lcm(*{x.denominator for x in values})
+    if den == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _contract(nonzero, out_dim, columns):
+    """Integer numerators of a tensor applied to one vector per block.
+
+    ``nonzero`` lists the tensor's nonzero numerators as ``(i0, j, num)``
+    with ``j`` the flat input index; ``columns`` holds one integer
+    vector per input block.
+    """
+    weights = [1]
+    for column in columns:
+        weights = [w * x for w in weights for x in column]
+    out = [0] * out_dim
+    for i0, j, num in nonzero:
+        w = weights[j]
+        if w:
+            out[i0] += num * w
+    return out
+
+
+def _rationals(numerators, den):
+    return [Fraction(x, den) if x else ZERO for x in numerators]
+
+
 class MultiTensor:
     """A multilinear map between rational vector spaces with a fixed layout.
 
@@ -30,7 +75,7 @@ class MultiTensor:
     coordinate ``i0`` on basis inputs ``(i1, ..., ik)``.
     """
 
-    __slots__ = ("out_dim", "in_dims", "entries")
+    __slots__ = ("out_dim", "in_dims", "entries", "_ints")
 
     def __init__(self, out_dim, in_dims, entries):
         self.out_dim = int(out_dim)
@@ -45,6 +90,23 @@ class MultiTensor:
                 % (self.out_dim, list(self.in_dims), expected, len(entries))
             )
         self.entries = entries
+        self._ints = None
+
+    def _integer_form(self):
+        """``(numerators, denominator, nonzero)``, computed on first use.
+
+        ``numerators`` are the entries over the one common denominator;
+        ``nonzero`` lists ``(i0, j, numerator)`` for every nonzero entry,
+        ``j`` being the flat input index.
+        """
+        form = self._ints
+        if form is None:
+            nums, den = _numerators(self.entries)
+            in_size = prod(self.in_dims)
+            nonzero = tuple((k // in_size, k % in_size, x)
+                            for k, x in enumerate(nums) if x)
+            form = self._ints = (nums, den, nonzero)
+        return form
 
     @classmethod
     def zeros(cls, out_dim, in_dims):
@@ -101,26 +163,15 @@ class MultiTensor:
                 raise DimensionMismatch(
                     "argument of length %d for block of dimension %d" % (len(arg), d)
                 )
-        out = [ZERO] * self.out_dim
         if self.out_dim == 0 or any(d == 0 for d in self.in_dims):
-            return tuple(out)
-        in_size = prod(self.in_dims)
-        # weight of each flat input multi-index: product of argument coords
-        weights = [ONE]
+            return (ZERO,) * self.out_dim
+        _, den, nonzero = self._integer_form()
+        columns = []
         for arg in args:
-            weights = [w * x for w in weights for x in arg]
-        entries = self.entries
-        for i0 in range(self.out_dim):
-            base = i0 * in_size
-            acc = ZERO
-            for j in range(in_size):
-                e = entries[base + j]
-                if e:
-                    w = weights[j]
-                    if w:
-                        acc += e * w
-            out[i0] = acc
-        return tuple(out)
+            nums, arg_den = _numerators(arg)
+            columns.append(nums)
+            den *= arg_den
+        return tuple(_rationals(_contract(nonzero, self.out_dim, columns), den))
 
     def scaled(self, scalar):
         scalar = _frac(scalar)
@@ -156,6 +207,16 @@ def compose_tensors(outer, inners, slot_groups, total_in_dims):
     composite input list that feed its blocks (in order).  The composite
     has inputs ``total_in_dims``.
     """
+    nums, den = _compose_numerators(outer, inners, slot_groups, total_in_dims)
+    return MultiTensor(outer.out_dim, total_in_dims, _rationals(nums, den))
+
+
+def _compose_numerators(outer, inners, slot_groups, total_in_dims):
+    """``compose_tensors`` as integer numerators over one denominator.
+
+    At each composite input index the result is ``outer`` applied to
+    the inner tensors' columns at that index's slots.
+    """
     if len(inners) != len(outer.in_dims):
         raise DimensionMismatch("one inner tensor per outer block required")
     for inner, mid in zip(inners, outer.in_dims):
@@ -166,31 +227,28 @@ def compose_tensors(outer, inners, slot_groups, total_in_dims):
             raise DimensionMismatch("slot group does not match inner tensor shape")
 
     out_dim = outer.out_dim
-    result = [ZERO] * (out_dim * prod(total_in_dims))
-    if out_dim == 0 or any(d == 0 for d in total_in_dims):
-        return MultiTensor(out_dim, total_in_dims, result)
-
-    mids = list(product(*map(range, outer.in_dims)))
-    for full in product(*map(range, total_in_dims)):
-        flat_base = 0
-        for d, i in zip(total_in_dims, full):
-            flat_base = flat_base * d + i
-        inner_args = [tuple(full[g] for g in group) for group in slot_groups]
-        for i0 in range(out_dim):
-            acc = ZERO
-            for mid in mids:
-                coeff = outer.entry(i0, mid)
-                if not coeff:
-                    continue
-                term = coeff
-                for inner, b, args in zip(inners, mid, inner_args):
-                    term *= inner.entry(b, args)
-                    if not term:
-                        break
-                acc += term
-            if acc:
-                result[i0 * prod(total_in_dims) + flat_base] = acc
-    return MultiTensor(out_dim, tuple(total_in_dims), result)
+    size = prod(total_in_dims)
+    if out_dim == 0 or size == 0:
+        return [0] * (out_dim * size), 1
+    _, den, nonzero = outer._integer_form()
+    indices = list(product(*map(range, total_in_dims)))
+    # per inner tensor, its column at every composite input index
+    picked = []
+    for inner, group in zip(inners, slot_groups):
+        nums, inner_den, _ = inner._integer_form()
+        den *= inner_den
+        in_size = prod(inner.in_dims)
+        columns = [nums[j::in_size] for j in range(in_size)]
+        at = []
+        for full in indices:
+            j = 0
+            for g in group:
+                j = j * total_in_dims[g] + full[g]
+            at.append(columns[j])
+        picked.append(at)
+    outs = [_contract(nonzero, out_dim, cols)
+            for cols in (zip(*picked) if picked else repeat((), size))]
+    return [out[i0] for i0 in range(out_dim) for out in outs], den
 
 
 def _as_matrix(tensor):
@@ -201,13 +259,7 @@ def _as_matrix(tensor):
 
 def _integer_rows(rows):
     """Clear denominators row by row; rank and pivots are unchanged."""
-    out = []
-    for row in rows:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
-    return out
+    return [_numerators(row)[0] for row in rows]
 
 
 def _bareiss_echelon(rows):

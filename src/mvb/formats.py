@@ -53,7 +53,7 @@ def tensor_from_json(obj, where=""):
         out_dim = int(obj["out_dim"])
         in_dims = [int(d) for d in obj["in_dims"]]
         entries = [rational_from_str(x) for x in obj["entries"]]
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise SchemaError("tensor%s malformed: %s" % (where, err))
     expected = out_dim
     for d in in_dims:
@@ -78,9 +78,12 @@ def dims_from_json(n, obj, where="dims"):
     for item in obj:
         try:
             key = IndexSet(item["set"])
-            out[key] = int(item["dim"])
-        except (KeyError, TypeError) as err:
+            dim = int(item["dim"])
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise SchemaError("%s entry malformed: %s" % (where, err))
+        if key in out:
+            raise SchemaError("%s: duplicate entry for %s" % (where, list(key)))
+        out[key] = dim
     try:
         return DimAssignment(n, out)
     except Exception as err:
@@ -110,9 +113,18 @@ def gauge_to_json(gauge):
 def _cube_dimension(obj, where):
     try:
         return int(obj["n"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise SchemaError("%s: cube dimension n must be an integer, got %r"
                           % (where, obj.get("n")))
+
+
+def _list_field(obj, key, where):
+    """The list under ``key``, empty when the key is absent."""
+    items = obj.get(key, [])
+    if not isinstance(items, list):
+        raise SchemaError("%s: %s must be a list, got %s"
+                          % (where, key, type(items).__name__))
+    return items
 
 
 def gauge_from_json(obj, where="gauge"):
@@ -122,7 +134,7 @@ def gauge_from_json(obj, where="gauge"):
     src = dims_from_json(n, obj.get("source_dims"), where + ".source_dims")
     tgt = dims_from_json(n, obj.get("target_dims"), where + ".target_dims")
     components = {}
-    for item in obj.get("components", []):
+    for item in _list_field(obj, "components", where):
         try:
             target = IndexSet(item["target"])
             blocks = Partition(item["blocks"])
@@ -143,6 +155,8 @@ def gauge_from_json(obj, where="gauge"):
                 "%s component%s has shape %dx%s, expected %dx%s"
                 % (where, label, tensor.out_dim, list(tensor.in_dims),
                    expected_out, list(expected_in)))
+        if (target, blocks) in components:
+            raise SchemaError("%s: duplicate component%s" % (where, label))
         components[(target, blocks)] = tensor
     for subset in nonempty_subsets(full_set(n)):
         trivial = Partition([subset])
@@ -187,14 +201,16 @@ def atlas_from_json(obj):
         raise SchemaError("atlas malformed: %s" % err)
     dims = dims_from_json(n, obj.get("dims"))
     transitions = {}
-    for item in obj.get("transitions", []):
+    for item in _list_field(obj, "transitions", "atlas"):
         try:
-            src, dst, p = item["from"], item["to"], item["point"]
+            # read as strings, like chart ids and base points
+            src, dst, p = str(item["from"]), str(item["to"]), str(item["point"])
         except (KeyError, TypeError) as err:
             raise SchemaError("transition malformed: %s" % err)
-        g = gauge_from_json(item.get("gauge"),
-                            where="transition %s<-%s at %s" % (dst, src, p))
-        transitions[(dst, src, p)] = g
+        where = "transition %s<-%s at %s" % (dst, src, p)
+        if (dst, src, p) in transitions:
+            raise SchemaError("duplicate %s" % where)
+        transitions[(dst, src, p)] = gauge_from_json(item.get("gauge"), where=where)
     try:
         return AtlasPresentation(n, dims, base, charts, transitions)
     except Exception as err:

@@ -22,14 +22,19 @@ outer key, the inner keys and the slots each inner component consumes
 by position in the key list.  A gauge records at construction which of
 its components are nonzero; composition and inversion walk the plan
 and skip every term whose outer or inner component is zero, since such
-a term contributes nothing to the exact sum.
+a term contributes nothing to the exact sum.  ``_sum_terms`` contracts
+the remaining terms of a key to integer numerators, adds them over the
+lcm of their denominators and builds one tensor from the sum.
 """
 
-from itertools import product
+from itertools import combinations, product
+from math import lcm
+from types import MappingProxyType
 
 from .cubecat import (
     IndexSet,
     Partition,
+    _memoized,
     cube_plan,
     full_set,
     nonempty_subsets,
@@ -38,6 +43,8 @@ from .cubecat import (
 from .errors import DimensionMismatch, SingularMatrix
 from .exactlin import (
     MultiTensor,
+    _compose_numerators,
+    _rationals,
     compose_tensors,
     invert_matrix,
     vec_add,
@@ -51,17 +58,23 @@ class DimAssignment:
     def __init__(self, n, dims):
         self.n = int(n)
         self.dims = {}
-        cube = full_set(self.n)
         for key, value in dims.items():
             key = IndexSet(key)
-            if not key or not key.issubset(cube):
+            if not key or key[-1] > self.n:
                 raise DimensionMismatch("bad dimension key %r for n=%d" % (key, self.n))
             if int(value) < 0:
                 raise DimensionMismatch("negative dimension at %r" % (key,))
             self.dims[key] = int(value)
-        for subset in nonempty_subsets(cube):
-            if subset not in self.dims:
-                raise DimensionMismatch("missing dimension for %s" % (list(subset),))
+        # Walking the subsets in (size, lexicographic) order stops at the
+        # first missing one, after at most len(dims) present ones.  The
+        # singletons are walked lazily, so a huge n never builds {1..n}.
+        for i in range(1, self.n + 1):
+            if (i,) not in self.dims:
+                raise DimensionMismatch("missing dimension for %s" % ([i],))
+        for size in range(2, self.n + 1):
+            for subset in combinations(range(1, self.n + 1), size):
+                if subset not in self.dims:
+                    raise DimensionMismatch("missing dimension for %s" % (list(subset),))
 
     def dim(self, subset):
         return self.dims[IndexSet(subset)]
@@ -114,12 +127,27 @@ def _union_dims(dims, k, unions):
     return DimAssignment(k, {nu: dims.dims[union] for nu, union in unions.items()})
 
 
+@_memoized(1024)
 def _block_unions(blocks):
-    """Map each nonempty set of block positions to the union of its blocks."""
-    return {
+    """Map each nonempty set of block positions to the union of its blocks
+    (read-only, since every caller shares it)."""
+    return MappingProxyType({
         nu: IndexSet(i for pos in nu for i in blocks[pos - 1])
         for nu in nonempty_subsets(full_set(len(blocks)))
-    }
+    })
+
+
+@_memoized(1024)
+def _ambient_positions(n_and_blocks):
+    """For ``(n, blocks)``: per key of the blocks' cube plan, the position
+    in ``cube_plan(n)`` of the ambient component it restricts."""
+    n, blocks = n_and_blocks
+    unions = _block_unions(blocks)
+    index = cube_plan(n).index
+    return tuple(
+        index[(unions[nu], Partition([unions[part] for part in sigma]))]
+        for nu, sigma in cube_plan(len(blocks)).keys
+    )
 
 
 class Gauge:
@@ -301,11 +329,26 @@ class Gauge:
         src = _union_dims(self.source_dims, k, unions)
         tgt = src if self.target_dims == self.source_dims else \
             _union_dims(self.target_dims, k, unions)
-        components = {}
-        for nu, sigma in cube_plan(k).keys:
-            ambient_key = (unions[nu], Partition([unions[part] for part in sigma]))
-            components[(nu, sigma)] = self.components[ambient_key]
+        ambient = cube_plan(self.n).keys
+        components = {
+            key: self.components[ambient[at]]
+            for key, at in zip(cube_plan(k).keys, _ambient_positions((self.n, blocks)))
+        }
         return Gauge(src, tgt, components)
+
+    def trimmed(self, dims):
+        """The gauge from ``dims`` to ``dims`` keeping every component whose
+        shape fits ``dims``; the others become zero.
+
+        Restricts a gauge to a sub-bundle with smaller dimensions, such as
+        a pullback or an ultracore.
+        """
+        components = {}
+        for (subset, rho), tensor in self.components.items():
+            if (tensor.out_dim == dims.dims[subset]
+                    and tensor.in_dims == dims.block_dims(rho)):
+                components[(subset, rho)] = tensor
+        return Gauge(dims, dims, components)
 
     def __eq__(self, other):
         return (
@@ -327,8 +370,11 @@ class Gauge:
 def _sum_terms(terms, outers, inners, total_in):
     """Sum of the composition terms whose outer and inner components are
     all nonzero; ``None`` when there is no such term.  ``outers`` and
-    ``inners`` hold tensors in plan order, ``None`` for zero ones."""
-    acc = None
+    ``inners`` hold tensors in plan order, ``None`` for zero ones.
+
+    The terms are added as integer numerators over the lcm of their
+    denominators, and one tensor is built from the sum."""
+    parts = []
     for outer_at, inner_at, slot_groups in terms:
         outer = outers[outer_at]
         if outer is None:
@@ -336,9 +382,16 @@ def _sum_terms(terms, outers, inners, total_in):
         args = [inners[i] for i in inner_at]
         if not all(args):
             continue
-        term = compose_tensors(outer, args, slot_groups, total_in)
-        acc = term if acc is None else acc.plus(term)
-    return acc
+        parts.append(_compose_numerators(outer, args, slot_groups, total_in))
+        out_dim = outer.out_dim
+    if not parts:
+        return None
+    den = lcm(*(part_den for _, part_den in parts))
+    total = [0] * len(parts[0][0])
+    for nums, part_den in parts:
+        scale = den // part_den
+        total = [a + x * scale for a, x in zip(total, nums)]
+    return MultiTensor(out_dim, total_in, _rationals(total, den))
 
 
 def identity_gauge(dims):

@@ -566,14 +566,8 @@ def split_pullback(presentation, strategy="least-chart"):
                 comps[(subset, Partition([subset]))] = MultiTensor.identity(
                     a.dims.dim(subset))
         inclusion = Gauge(p_pres.dims, dec.source.dims, comps)
-        trimmed = {}
-        for (subset, rho), tensor in g.components.items():
-            o = p_pres.dims.dim(subset)
-            ins = tuple(p_pres.dims.dim(b) for b in rho)
-            if o == tensor.out_dim and ins == tensor.in_dims:
-                trimmed[(subset, rho)] = tensor
-        dec_p = Gauge(p_pres.dims, p_pres.dims, trimmed)
-        data[(chart, p)] = g.compose(inclusion).compose(dec_p.invert())
+        data[(chart, p)] = g.compose(inclusion).compose(
+            g.trimmed(p_pres.dims).invert())
     morphism = BundleMorphism(p_pres, a, data)
 
     composite = pb.projection.compose(morphism)

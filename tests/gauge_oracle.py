@@ -6,12 +6,16 @@ rebuilt by enumerating the partitions of S and, for each, every grouping
 of rho's blocks through ``coarsen``, and every term is contracted even
 when its outer or inner component is zero.  The library walks a per-n
 plan of the same sums and skips the zero terms; the differential tests
-compare the two.
+compare the two.  Every contraction and evaluation runs on the
+entry-by-entry ``Fraction`` kernels of ``tensor_oracle``, not on the
+library's integer kernels.
 """
+
+from tensor_oracle import apply, compose_tensors
 
 from mvb.cubecat import IndexSet, Partition, coarsen, full_set, nonempty_subsets, partitions
 from mvb.errors import DimensionMismatch, SingularMatrix
-from mvb.exactlin import MultiTensor, compose_tensors, invert_matrix, vec_add, zero_vector
+from mvb.exactlin import MultiTensor, invert_matrix, vec_add, zero_vector
 from mvb.gauge import Gauge
 
 
@@ -89,6 +93,6 @@ def dense_evaluate(g, vectors):
         acc = zero_vector(g.target_dims.dim(subset))
         for rho in partitions(subset):
             args = [support[b] for b in rho]
-            acc = vec_add(acc, g.components[(subset, rho)].apply(args))
+            acc = vec_add(acc, apply(g.components[(subset, rho)], args))
         out[subset] = acc
     return out

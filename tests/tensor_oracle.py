@@ -1,0 +1,91 @@
+"""Entry-by-entry ``Fraction`` tensor kernels, kept as oracles.
+
+These are the straightforward forms of ``MultiTensor.apply`` and
+``compose_tensors``: every product and sum is a ``Fraction`` operation,
+and the composite is rebuilt entry by entry from ``MultiTensor.entry``.
+The library runs both kernels on integer numerators over one shared
+denominator per tensor; the differential tests compare the two.
+"""
+
+from itertools import product
+from math import prod
+
+from mvb.errors import DimensionMismatch
+from mvb.exactlin import ONE, ZERO, MultiTensor
+
+
+def apply(tensor, args):
+    """Evaluate ``tensor`` on one vector per input block; exact."""
+    if len(args) != len(tensor.in_dims):
+        raise DimensionMismatch(
+            "expected %d arguments, got %d" % (len(tensor.in_dims), len(args))
+        )
+    for arg, d in zip(args, tensor.in_dims):
+        if len(arg) != d:
+            raise DimensionMismatch(
+                "argument of length %d for block of dimension %d" % (len(arg), d)
+            )
+    out = [ZERO] * tensor.out_dim
+    if tensor.out_dim == 0 or any(d == 0 for d in tensor.in_dims):
+        return tuple(out)
+    in_size = prod(tensor.in_dims)
+    # weight of each flat input multi-index: product of argument coords
+    weights = [ONE]
+    for arg in args:
+        weights = [w * x for w in weights for x in arg]
+    entries = tensor.entries
+    for i0 in range(tensor.out_dim):
+        base = i0 * in_size
+        acc = ZERO
+        for j in range(in_size):
+            e = entries[base + j]
+            if e:
+                w = weights[j]
+                if w:
+                    acc += e * w
+        out[i0] = acc
+    return tuple(out)
+
+
+def compose_tensors(outer, inners, slot_groups, total_in_dims):
+    """Contract ``outer`` with one inner tensor per slot.
+
+    ``slot_groups[m]`` lists, for inner tensor ``m``, the positions in the
+    composite input list that feed its blocks (in order).  The composite
+    has inputs ``total_in_dims``.
+    """
+    if len(inners) != len(outer.in_dims):
+        raise DimensionMismatch("one inner tensor per outer block required")
+    for inner, mid in zip(inners, outer.in_dims):
+        if inner.out_dim != mid:
+            raise DimensionMismatch("inner output does not match outer block")
+    for inner, group in zip(inners, slot_groups):
+        if tuple(inner.in_dims) != tuple(total_in_dims[g] for g in group):
+            raise DimensionMismatch("slot group does not match inner tensor shape")
+
+    out_dim = outer.out_dim
+    result = [ZERO] * (out_dim * prod(total_in_dims))
+    if out_dim == 0 or any(d == 0 for d in total_in_dims):
+        return MultiTensor(out_dim, total_in_dims, result)
+
+    mids = list(product(*map(range, outer.in_dims)))
+    for full in product(*map(range, total_in_dims)):
+        flat_base = 0
+        for d, i in zip(total_in_dims, full):
+            flat_base = flat_base * d + i
+        inner_args = [tuple(full[g] for g in group) for group in slot_groups]
+        for i0 in range(out_dim):
+            acc = ZERO
+            for mid in mids:
+                coeff = outer.entry(i0, mid)
+                if not coeff:
+                    continue
+                term = coeff
+                for inner, b, args in zip(inners, mid, inner_args):
+                    term *= inner.entry(b, args)
+                    if not term:
+                        break
+                acc += term
+            if acc:
+                result[i0 * prod(total_in_dims) + flat_base] = acc
+    return MultiTensor(out_dim, tuple(total_in_dims), result)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from mvb import formats
 from mvb.cli import run
@@ -227,3 +230,121 @@ def test_malformed_atlases_exit_two(tmp_path, capsys):
         code, _, err = invoke(capsys, ["validate", str(path)])
         assert code == 2, name
         assert "input error" in err and needle in err, (name, err)
+
+
+def test_transition_ids_of_any_json_type_exit_cleanly(tmp_path, capsys):
+    """A transition's from/to/point are read as strings, like chart ids and
+    base points, so a list or null there names no chart or point and fails
+    validation structurally; it used to raise TypeError."""
+    instance = twisted_instance(404, n=2, n_points=2, n_charts=2)
+    body = formats.atlas_to_json(instance)
+    for field, value in (("from", ["0"]), ("point", None), ("to", {"a": 1})):
+        copy = json.loads(json.dumps(body))
+        copy["transitions"][0][field] = value
+        path = tmp_path / ("%s.json" % field)
+        path.write_bytes(formats.canonical_bytes(copy))
+        code, out, err = invoke(capsys, ["validate", str(path)])
+        assert code == 1, (field, err)
+        kinds = {c["kind"] for c in report_of(out)["counterexamples"]}
+        assert kinds == {"structural"}, (field, out)
+
+
+def test_non_integer_counts_exit_two(tmp_path, capsys):
+    """Counts that int() rejects used to escape as ValueError or
+    OverflowError instead of an input error."""
+    body = formats.atlas_to_json(twisted_instance(405, n=2, n_points=2, n_charts=2))
+
+    def component(copy):
+        return copy["transitions"][0]["gauge"]["components"][0]["tensor"]
+
+    edits = {
+        "dim": lambda c: c["dims"][0].update(dim=":"),
+        "in_dims": lambda c: component(c).update(in_dims=":"),
+        "out_dim": lambda c: component(c).update(out_dim=""),
+        "infinite-n": lambda c: c.update(n=float("inf")),
+        "infinite-dim": lambda c: c["dims"][0].update(dim=float("inf")),
+    }
+    for name, edit in edits.items():
+        copy = json.loads(json.dumps(body))
+        edit(copy)
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(copy))
+        code, _, err = invoke(capsys, ["validate", str(path)])
+        assert code == 2, (name, err)
+        assert "input error" in err, (name, err)
+
+
+# Runs validate under a 1 GiB address-space limit, so that a regression
+# fails with MemoryError instead of exhausting the machine.
+_LIMITED_VALIDATE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from mvb.cli import run
+sys.exit(run(["validate", sys.argv[1]]))
+"""
+
+
+def test_huge_cube_dimension_costs_no_more_than_the_dims_given(tmp_path):
+    """n = 10**12 with the dims of an n=2 atlas used to build {1..n} in
+    memory before reporting the first missing dimension."""
+    body = formats.atlas_to_json(twisted_instance(406, n=2, n_points=1, n_charts=1))
+    body["n"] = 10 ** 12
+    path = tmp_path / "huge-n.json"
+    path.write_text(json.dumps(body))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_VALIDATE, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "missing dimension for [3]" in proc.stderr
+
+
+def test_non_list_collections_exit_two(tmp_path, capsys):
+    """``transitions`` or a gauge's ``components`` that is not a list used
+    to raise TypeError while being iterated."""
+    body = formats.atlas_to_json(twisted_instance(407, n=2, n_points=2, n_charts=2))
+    edits = {
+        "transitions": lambda c: c.update(transitions=3),
+        "components": lambda c: c["transitions"][0]["gauge"].update(components=None),
+    }
+    for name, edit in edits.items():
+        copy = json.loads(json.dumps(body))
+        edit(copy)
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(copy))
+        code, _, err = invoke(capsys, ["validate", str(path)])
+        assert code == 2, (name, err)
+        assert "input error" in err and name in err, (name, err)
+
+
+def test_duplicate_entries_exit_two(tmp_path, capsys):
+    """A second dims entry, gauge component or transition for the same key
+    used to replace the first one silently, and validation passed."""
+    body = formats.atlas_to_json(twisted_instance(408, n=2, n_points=2, n_charts=2))
+
+    def components(copy):
+        return copy["transitions"][0]["gauge"]["components"]
+
+    def other_transition_at_first_key(copy):
+        first, other = copy["transitions"][0], copy["transitions"][1]
+        twin = dict(other, **{k: first[k] for k in ("from", "to", "point")})
+        copy["transitions"].append(twin)
+
+    edits = {
+        "dims": (lambda c: c["dims"].insert(0, dict(c["dims"][0], dim=5)), "[1]"),
+        "component": (lambda c: components(c).append(dict(components(c)[0])), "[[1]]"),
+        "transition": (other_transition_at_first_key,
+                       "%s<-%s at %s" % (body["transitions"][0]["to"],
+                                         body["transitions"][0]["from"],
+                                         body["transitions"][0]["point"])),
+    }
+    for name, (edit, needle) in edits.items():
+        copy = json.loads(json.dumps(body))
+        edit(copy)
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(copy))
+        code, _, err = invoke(capsys, ["validate", str(path)])
+        assert code == 2, (name, err)
+        assert "input error" in err and "duplicate" in err and needle in err, (name, err)

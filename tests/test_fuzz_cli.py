@@ -1,0 +1,99 @@
+"""``mvb validate`` on arbitrary and mutated input files.
+
+Whatever the file holds, ``validate`` returns 0 (valid), 1 (a semantic
+failure) or 2 (an input error) and raises nothing.  The mutated inputs
+start from a small ``gen`` instance and replace, delete, duplicate or
+nudge a few of its JSON nodes.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mvb import formats
+from mvb.cli import run
+from mvb.rand import twisted_instance
+
+FUZZ = settings(max_examples=150, derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+BASE = json.loads(formats.dumps(twisted_instance(7, n=2, n_points=2, n_charts=2)))
+
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.sampled_from(["1/0", "1/2", "-3", "x", "", "1e9", "0x10", " 1"]),
+)
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=5), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _paths(child, path + (index,))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = json.loads(json.dumps(BASE))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        path = paths[draw(st.integers(0, len(paths) - 1))]
+        if not path:
+            doc = draw(JSON_VALUES)
+            continue
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        last, node = path[-1], parent[path[-1]]
+        action = draw(st.sampled_from(["replace", "delete", "duplicate", "nudge"]))
+        if action == "delete":
+            del parent[last]
+        elif action == "duplicate" and isinstance(parent, list):
+            parent.insert(last, json.loads(json.dumps(node)))
+        elif action == "nudge" and isinstance(node, int) and not isinstance(node, bool):
+            parent[last] = node + draw(st.sampled_from([-2, -1, 1, 2, 10]))
+        else:
+            parent[last] = draw(JSON_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+def validate_exit(path, data):
+    path.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return run(["validate", str(path)])
+
+
+@FUZZ
+@given(st.binary(max_size=300))
+def test_validate_arbitrary_bytes(input_path, data):
+    assert validate_exit(input_path, data) in (0, 1, 2)
+
+
+@FUZZ
+@given(mutated_documents())
+def test_validate_mutated_instance(input_path, doc):
+    data = json.dumps(doc).encode("utf-8")
+    assert validate_exit(input_path, data) in (0, 1, 2)
+
+
+def test_unmutated_instance_validates(input_path):
+    assert validate_exit(input_path, json.dumps(BASE).encode("utf-8")) == 0

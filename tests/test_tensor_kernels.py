@@ -1,0 +1,87 @@
+"""The integer tensor kernels against the entry-by-entry Fraction oracles."""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from tensor_oracle import apply as oracle_apply
+from tensor_oracle import compose_tensors as oracle_compose
+
+from mvb.exactlin import MultiTensor, compose_tensors
+
+KERNELS = settings(max_examples=200, derandomize=True, database=None, deadline=None,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+# zero, small integers, small and large mixed denominators, negatives
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**20)),
+)
+DIMS = st.integers(0, 3)
+
+
+@st.composite
+def tensors(draw, out_dim, in_dims):
+    size = out_dim
+    for d in in_dims:
+        size *= d
+    if draw(st.integers(0, 4)) == 0:
+        return MultiTensor.zeros(out_dim, in_dims)
+    return MultiTensor(out_dim, in_dims,
+                       draw(st.lists(RATIONALS, min_size=size, max_size=size)))
+
+
+@st.composite
+def compositions(draw):
+    """An outer tensor, one inner tensor per outer block, and slot groups
+    that hand every composite input position to exactly one inner."""
+    total_in = tuple(draw(st.lists(DIMS, max_size=4)))
+    k = draw(st.integers(1 if total_in else 0, 3))
+    owner = [draw(st.integers(0, k - 1)) for _ in total_in]
+    order = draw(st.permutations(range(len(total_in))))
+    groups = [[pos for pos in order if owner[pos] == m] for m in range(k)]
+    mids = tuple(draw(DIMS) for _ in range(k))
+    outer = draw(tensors(draw(DIMS), mids))
+    inners = [draw(tensors(mid, tuple(total_in[g] for g in group)))
+              for mid, group in zip(mids, groups)]
+    return outer, inners, groups, total_in
+
+
+@KERNELS
+@given(compositions())
+def test_compose_tensors_matches_fraction_oracle(case):
+    outer, inners, groups, total_in = case
+    got = compose_tensors(outer, inners, groups, total_in)
+    assert got == oracle_compose(outer, inners, groups, total_in)
+    assert all(type(x) is Fraction for x in got.entries)
+
+
+@st.composite
+def applications(draw):
+    in_dims = tuple(draw(st.lists(DIMS, max_size=3)))
+    tensor = draw(tensors(draw(DIMS), in_dims))
+    args = [draw(st.lists(RATIONALS, min_size=d, max_size=d)) for d in in_dims]
+    return tensor, args
+
+
+@KERNELS
+@given(applications())
+def test_apply_matches_fraction_oracle(case):
+    tensor, args = case
+    got = tensor.apply(args)
+    assert got == oracle_apply(tensor, args)
+    assert all(type(x) is Fraction for x in got)
+
+
+def test_equality_and_hash_ignore_the_integer_form():
+    entries = [Fraction(1, 6), Fraction(-5, 4), Fraction(0), Fraction(7)]
+    used = MultiTensor(2, (2,), entries)
+    fresh = MultiTensor(2, (2,), entries)
+    hash_before = hash(used)
+    used.apply([(Fraction(1, 3), Fraction(2))])
+    assert used._ints is not None and fresh._ints is None
+    assert used == fresh and fresh == used
+    assert hash(used) == hash(fresh) == hash_before
+    assert len({used, fresh}) == 1
