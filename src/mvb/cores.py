@@ -12,8 +12,9 @@ Core presentations reuse the ambient charts, which keeps the induced
 morphism of a core a literal restriction of the ambient data.
 """
 
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from .atlas import AtlasPresentation
 from .bundle import (
@@ -23,6 +24,7 @@ from .bundle import (
     element,
     elements_equal,
     project_to,
+    transport,
     zero_element,
     zero_lift,
 )
@@ -35,11 +37,11 @@ from .cubecat import (
     is_union_of_blocks,
     nonempty_subsets,
     partitions,
-    subsets,
 )
 from .errors import InvalidInput
 from .exactlin import MultiTensor, kernel_basis, rank, zero_vector
-from .gauge import DimAssignment, Gauge, diagonal_dims
+from .gauge import DimAssignment, diagonal_dims, identity_gauge
+from .rand import random_element
 
 
 class CoreSpec:
@@ -220,7 +222,6 @@ def core_by_stages(presentation, ambient, inner, first):
     reindexing and (b) the direct membership predicate matches the
     staged one on basis and random samples.
     """
-    import random as _random
     a = presentation
     s_set, j_set, k_set = IndexSet(ambient), IndexSet(inner), IndexSet(first)
     if not (k_set and k_set.issubset(j_set) and j_set.issubset(s_set)):
@@ -241,9 +242,8 @@ def core_by_stages(presentation, ambient, inner, first):
                                            "inner": list(j_set),
                                            "first": list(k_set)})
 
-    rng = _random.Random(2024)
+    rng = random.Random(2024)
     samples = []
-    from .rand import random_element
     for _ in range(12):
         samples.append(random_element(rng, a, node=s_set))
     for _ in range(12):
@@ -355,7 +355,6 @@ def pullback(presentation):
     Fiberwise surjectivity of the projection is certified by rank
     computations over sampled base elements in every chart.
     """
-    import random as _random
     a = presentation
     n = a.n
     top = full_set(n)
@@ -366,19 +365,11 @@ def pullback(presentation):
         {key: g.trimmed(dims_p) for key, g in a.transitions.items()},
     )
 
-    proj_data = {}
-    for c in a.charts:
-        for pt in c.domain:
-            comps = {}
-            for subset in nonempty_subsets(top):
-                if subset != top:
-                    comps[(subset, Partition([subset]))] = MultiTensor.identity(
-                        a.dims.dim(subset))
-            proj_data[(c.id, pt)] = Gauge(a.dims, dims_p, comps)
-    projection = BundleMorphism(a, p_pres, proj_data)
+    drop_top = identity_gauge(a.dims, dims_p)
+    projection = BundleMorphism(
+        a, p_pres, {(c.id, pt): drop_top for c in a.charts for pt in c.domain})
 
-    rng = _random.Random(77)
-    from .rand import random_element
+    rng = random.Random(77)
     witnesses = []
     for c in a.charts:
         for pt in c.domain:
@@ -425,18 +416,10 @@ def ultracore_pullback_presentation(presentation, axis):
 def ultracore_inclusion(presentation, axis):
     """The inclusion of the pulled-back ultracore over the axis side."""
     a = presentation
-    top = full_set(a.n)
     q_pres = ultracore_pullback_presentation(a, axis)
-    data = {}
-    for c in a.charts:
-        for pt in c.domain:
-            comps = {}
-            for subset in nonempty_subsets(top):
-                if axis not in subset or subset == top:
-                    comps[(subset, Partition([subset]))] = MultiTensor.identity(
-                        a.dims.dim(subset))
-            data[(c.id, pt)] = Gauge(q_pres.dims, a.dims, comps)
-    return q_pres, BundleMorphism(q_pres, a, data)
+    inclusion = identity_gauge(q_pres.dims, a.dims)
+    return q_pres, BundleMorphism(
+        q_pres, a, {(c.id, pt): inclusion for c in a.charts for pt in c.domain})
 
 
 def include_by_nested_sums(presentation, axis, core_elem, side_elem, ordering=None):
@@ -460,7 +443,6 @@ def include_by_nested_sums(presentation, axis, core_elem, side_elem, ordering=No
     if not is_core_member(a, core_elem, top):
         raise InvalidInput("first element is not in the ultracore")
     chart = a.canonical_chart(core_elem.point)
-    from .bundle import transport
     out = transport(a, core_elem, chart)
     side = transport(a, side_elem, chart)
     n = a.n
@@ -478,8 +460,6 @@ def ultracore_sequence(presentation, axis):
     certificate carries the per-fiber rank checks, the dimension
     identity, and the ordering-independence witnesses.
     """
-    import random as _random
-    from itertools import permutations
     a = presentation
     n = a.n
     top = full_set(n)
@@ -489,8 +469,7 @@ def ultracore_sequence(presentation, axis):
     q_pres, iota = ultracore_inclusion(a, axis)
     pi = pb.projection
 
-    rng = _random.Random(axis * 1000 + 9)
-    from .rand import random_element
+    rng = random.Random(axis * 1000 + 9)
     d_ultra = a.dims.dim(top)
     witnesses = []
     for c in a.charts:

@@ -127,6 +127,14 @@ def _list_field(obj, key, where):
     return items
 
 
+def _string_field(obj, key, where):
+    """The string under ``key``: a chart id or a base point."""
+    value = obj.get(key)
+    if not isinstance(value, str):
+        raise SchemaError("%s: %s must be a string, got %r" % (where, key, value))
+    return value
+
+
 def gauge_from_json(obj, where="gauge"):
     if not isinstance(obj, dict):
         raise SchemaError("%s must be an object" % where)
@@ -235,13 +243,16 @@ def element_to_json(elem):
 def element_from_json(obj):
     if not isinstance(obj, dict) or obj.get("kind") != "element":
         raise SchemaError("expected an element object")
+    chart = _string_field(obj, "chart", "element")
+    point = _string_field(obj, "point", "element")
+    comps = {}
     try:
-        comps = {
-            IndexSet(item["set"]): tuple(rational_from_str(x)
-                                         for x in item["vector"])
-            for item in obj["components"]
-        }
-        return BundleElement(IndexSet(obj["node"]), obj["chart"], obj["point"], comps)
+        for item in obj["components"]:
+            key = IndexSet(item["set"])
+            if key in comps:
+                raise SchemaError("element: duplicate component for %s" % (list(key),))
+            comps[key] = tuple(rational_from_str(x) for x in item["vector"])
+        return BundleElement(IndexSet(obj["node"]), chart, point, comps)
     except (KeyError, TypeError) as err:
         raise SchemaError("element malformed: %s" % err)
 
@@ -266,13 +277,15 @@ def morphism_from_json(obj, source, target):
     if not isinstance(obj, dict) or obj.get("kind") != "morphism":
         raise SchemaError("expected a morphism object")
     data = {}
-    for item in obj.get("data", []):
-        try:
-            chart, p = item["chart"], item["point"]
-        except (KeyError, TypeError) as err:
-            raise SchemaError("morphism data malformed: %s" % err)
-        data[(chart, p)] = gauge_from_json(
-            item.get("gauge"), where="morphism data at (%s, %s)" % (chart, p))
+    for item in _list_field(obj, "data", "morphism"):
+        if not isinstance(item, dict):
+            raise SchemaError("morphism data entry must be an object, got %r" % (item,))
+        chart = _string_field(item, "chart", "morphism data")
+        p = _string_field(item, "point", "morphism data")
+        where = "morphism data at (%s, %s)" % (chart, p)
+        if (chart, p) in data:
+            raise SchemaError("duplicate %s" % where)
+        data[(chart, p)] = gauge_from_json(item.get("gauge"), where=where)
     try:
         return BundleMorphism(source, target, data)
     except Exception as err:

@@ -394,11 +394,23 @@ def _sum_terms(terms, outers, inners, total_in):
     return MultiTensor(out_dim, total_in, _rationals(total, den))
 
 
-def identity_gauge(dims):
+def identity_gauge(source_dims, target_dims=None):
+    """Identity one-block parts wherever the source and target dimensions
+    agree, every other component zero; the identity of ``source_dims``
+    when no target is given.
+
+    With different dimensions on a slot one side is 0 there in every
+    use (a pullback projection, an ultracore or vacant inclusion), so
+    the result is the coordinate inclusion or projection.
+    """
+    if target_dims is None:
+        target_dims = source_dims
     components = {}
-    for subset in nonempty_subsets(full_set(dims.n)):
-        components[(subset, Partition([subset]))] = MultiTensor.identity(dims.dim(subset))
-    return Gauge(dims, dims, components)
+    for subset in nonempty_subsets(full_set(source_dims.n)):
+        dim = source_dims.dims[subset]
+        if dim == target_dims.dims[subset]:
+            components[(subset, Partition([subset]))] = MultiTensor.identity(dim)
+    return Gauge(source_dims, target_dims, components)
 
 
 def reorder_inputs(tensor, new_to_old):

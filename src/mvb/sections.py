@@ -17,14 +17,23 @@ sections count.
 
 from fractions import Fraction
 
-from .bundle import canonicalize, element
+from .atlas import associated_decomposed, associated_vacant
+from .bundle import (
+    add,
+    canonicalize,
+    element,
+    morphism_from_canonical,
+    scale,
+    zero_element,
+)
 from .certify import Certificate
-from .cores import core
+from .cores import core, partition_core
 from .cubecat import IndexSet, Partition, full_set, nonempty_subsets
 from .errors import DimensionMismatch, InvalidInput, SemanticError
 from .exactlin import (
     MultiTensor,
     compose_tensors,
+    contract_slot,
     unit_vector,
     vec_add,
     vec_scale,
@@ -33,6 +42,7 @@ from .exactlin import (
 from .gauge import Gauge
 from .split import (
     Decomposition,
+    DecompositionBuilder,
     Splitting,
     extract_core_decompositions,
     extract_splitting,
@@ -82,7 +92,6 @@ class BaseSection:
 
     @classmethod
     def zero(cls, presentation, node):
-        from .bundle import zero_element
         return cls(presentation, node, {
             p: zero_element(presentation, node, p) for p in presentation.base
         })
@@ -223,8 +232,6 @@ def local_split_double(presentation, sigma_frames=None):
     these values linearly along the frame.  The default zero frames
     yield the canonical-chart splitting.
     """
-    from .atlas import associated_vacant
-    from .bundle import add, element as build, morphism_from_canonical, scale
     _require_n(presentation, 2)
     a = presentation
     d1, d2, d12 = (a.dims.dim(s) for s in (S1, S2, S12))
@@ -246,7 +253,7 @@ def local_split_double(presentation, sigma_frames=None):
                                 if frame_core is not None else zero_vector(d12))
                     unit_b = tuple(
                         Fraction(1 if t == frame else 0) for t in range(d2))
-                    term = build(a, S12, can, p, {
+                    term = element(a, S12, can, p, {
                         S1: unit_a, S2: unit_b, S12: core_vec,
                     })
                     beta = Fraction(1 if frame == j2 else 0)
@@ -563,14 +570,12 @@ def zero_free_part(presentation):
 
 
 def _face_presentation(presentation, axes):
-    from .cores import partition_core
     return partition_core(presentation, IndexSet(axes),
                           Partition([[i] for i in IndexSet(axes)]), check=False)
 
 
 def face_splitting(presentation, decomposition, axes):
     """Splitting of a coordinate face induced by a decomposition."""
-    from .atlas import associated_decomposed
     axes = IndexSet(axes)
     face_pres = _face_presentation(presentation, axes)
     face_dec_data = {
@@ -586,16 +591,14 @@ def face_splitting(presentation, decomposition, axes):
 def _double_decomposition_from_splitting(pres2, splitting):
     """The unique decomposition of a double presentation with the given
     splitting (its one iterated core is an ordinary bundle)."""
-    from .split import DecompositionBuilder
     builder = DecompositionBuilder(pres2)
     key = builder.top_key()
-    builder._splittings[key] = splitting
+    builder.cache.splittings[key] = splitting
     return builder.decomposition(key)
 
 
 def _hat_slope(top_tensor, c):
     """Partial application of a two-block top component in its last slot."""
-    from .exactlin import contract_slot
     return contract_slot(top_tensor, 1, c)
 
 
@@ -616,8 +619,6 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
     d1, d2, d3 = dims.dim(S1), dims.dim(S2), dims.dim(S3)
     d12, d13, d23, d123 = (dims.dim(s) for s in (S12, S13, S23, S123))
 
-    from .atlas import associated_vacant
-    from .bundle import morphism_from_canonical
     vac = associated_vacant(pres)
 
     _, lef_pres = core(pres, S123, S12, check=False)
@@ -729,8 +730,6 @@ def decomposition_to_lift(presentation, decomposition):
 
         def make_map(t_1_2_3=t_1_2_3, t_12_3=t_12_3, t_13_2=t_13_2,
                      t_23_1=t_23_1, t_d=t_d, t_f=t_f, t_e=t_e):
-            from .exactlin import contract_slot
-
             def the_map(c, slope_f, slope_e):
                 lin = contract_slot(t_12_3, 1, c)
                 dev_f = slope_f.plus(contract_slot(t_f, 1, c).scaled(-1))
@@ -768,7 +767,6 @@ def explicit_triple_formula(presentation, decomposition, point,
                             a, b, c, k_ab, k_bc, k_ca, s):
     """Evaluate the displayed seven-argument assembly of a decomposition
     from its splitting data, elementwise with genuine fiber operations."""
-    from .bundle import add, element as build
     pres = presentation
     _require_n(pres, 3)
     dec = decomposition
@@ -793,7 +791,7 @@ def explicit_triple_formula(presentation, decomposition, point,
     def t_elem(assign):
         comps = dict(zeros)
         comps.update(assign)
-        return build(pres, S123, can, p, comps)
+        return element(pres, S123, can, p, comps)
 
     sigma_abc = t_elem({
         S1: a, S2: b, S3: c,

@@ -2,15 +2,18 @@
 
 The pipeline follows the constructive existence proofs:
 
-* Splittings are built by recursion over the cube: all proper faces are
-  split first (compatibly, because every face splitting is fetched from
-  a shared cache), then a per-chart right inverse of the pullback
-  projection with zero top slot is linearized over the remaining axes
-  by frame interpolation, and the chart-local results are pasted with a
-  partition of unity over the finite base.  Over a discrete base the
-  zero-top choice is already fiberwise multilinear in its own chart, so
-  the interpolation is the identity there; it is still executed, and it
-  does real work for any other admissible right inverse.
+* Splittings are built by recursion over the cube and pasted from gauge
+  components.  All proper faces are split first (compatibly, because
+  every face splitting is fetched from a shared cache).  Per chart and
+  point a local splitting gauge then has identity singleton parts, the
+  face splittings' top components on the proper faces, and in the top
+  slot the ``theta_top`` hook read on basis tuples, or zero without
+  one: over a discrete base the zero-top right inverse of the pullback
+  projection is already multilinear in its own chart.  The local gauges
+  are pasted with a partition of unity over the finite base: each is
+  conjugated into the canonical chart, by the object's transition after
+  it and the vacant model's before it, and the top components are
+  averaged with the strategy's weights.  No element is evaluated.
 
 * A splitting plus compatible decompositions of the codimension-one
   cores determines a unique decomposition.  The chain construction
@@ -49,7 +52,7 @@ from .cubecat import (
     partitions,
 )
 from .errors import InvalidInput, SemanticError
-from .exactlin import MultiTensor, unit_vector, vec_add, vec_scale, zero_vector
+from .exactlin import MultiTensor, unit_vector
 from .gauge import Gauge, identity_gauge
 
 STRATEGIES = ("least-chart", "uniform-average")
@@ -111,6 +114,12 @@ def _merge_blocks(blocks, positions):
         else:
             rest.append(b)
     return Partition([merged] + rest)
+
+
+def _top_key(k):
+    """The key of the whole k-cube with singleton blocks."""
+    ground = full_set(k)
+    return (ground, Partition([[i] for i in ground]))
 
 
 def _pairs(k):
@@ -178,35 +187,48 @@ def _assemble(obj, model, sigma, core_decs, blocks, base):
     return morphism_from_canonical(model, obj, family).data
 
 
+class BuilderCache:
+    """Objects, splittings and decompositions per builder key.
+
+    Builders handed the same cache share its entries: a tower shares one
+    across its levels, and a caller may seed a splitting before asking
+    for the decomposition it determines.
+    """
+
+    def __init__(self):
+        self.objects = {}
+        self.splittings = {}
+        self.decompositions = {}
+
+
 class DecompositionBuilder:
     """Shared-cache recursion over the coarsening lattice of one atlas.
 
     A key is a pair (ambient node, partition of it); the object of a
     key is the corresponding diagonal core presentation.  The top-level
     bundle is the key (full cube, singleton partition).  Splittings and
-    decompositions are memoized per key, so any object reached twice is
-    split exactly once.
+    decompositions are memoized per key in ``cache``, so any object
+    reached twice is split exactly once.
     """
 
-    def __init__(self, presentation, strategy="least-chart", theta_top=None):
+    def __init__(self, presentation, strategy="least-chart", theta_top=None,
+                 cache=None):
         if strategy not in STRATEGIES:
             raise InvalidInput("unknown strategy %r" % (strategy,))
         self.A = presentation
         self.strategy = strategy
         self.theta_top = theta_top
-        self._objects = {}
-        self._splittings = {}
-        self._decompositions = {}
+        self.cache = BuilderCache() if cache is None else cache
 
     def top_key(self):
-        ground = full_set(self.A.n)
-        return (ground, Partition([[i] for i in ground]))
+        return _top_key(self.A.n)
 
     def object(self, key):
-        if key not in self._objects:
+        objects = self.cache.objects
+        if key not in objects:
             ambient, blocks = key
-            self._objects[key] = partition_core(self.A, ambient, blocks, check=False)
-        return self._objects[key]
+            objects[key] = partition_core(self.A, ambient, blocks, check=False)
+        return objects[key]
 
     def subkey(self, key, positions):
         sub = _position_blocks(key[1], positions)
@@ -218,139 +240,76 @@ class DecompositionBuilder:
     # -- splittings ----------------------------------------------------
 
     def splitting(self, key):
-        if key in self._splittings:
-            return self._splittings[key]
+        if key in self.cache.splittings:
+            return self.cache.splittings[key]
         obj = self.object(key)
-        k = obj.n
         vac = associated_vacant(obj)
-        if k <= 1:
-            data = {}
-            for c in obj.charts:
-                for p in c.domain:
-                    comps = {}
-                    if k == 1:
-                        single = IndexSet([1])
-                        comps[(single, Partition([single]))] = MultiTensor.identity(
-                            obj.dims.dim(single))
-                    data[(c.id, p)] = Gauge(vac.dims, obj.dims, comps)
-            morphism = Splitting(vac, obj, data, parent=obj)
-            self._splittings[key] = morphism
-            return morphism
-
-        face_tensors = self._face_tensors(key, obj)
-        top_can = self._paste_top(obj, face_tensors)
-
-        family = {}
-        for p in self.A.base:
-            can = obj.canonical_chart(p)
-            comps = {}
-            for nu in nonempty_subsets(full_set(k)):
-                singles = Partition([[i] for i in nu])
-                if len(nu) == k:
-                    comps[(nu, singles)] = top_can[p]
-                else:
-                    comps[(nu, singles)] = face_tensors[(nu, can, p)]
-            family[p] = Gauge(vac.dims, obj.dims, comps)
-        morphism = Splitting(
-            vac, obj, morphism_from_canonical(vac, obj, family).data, parent=obj,
-        )
-        self._splittings[key] = morphism
+        if obj.n <= 1:
+            inclusion = identity_gauge(vac.dims, obj.dims)
+            data = {(c.id, p): inclusion for c in obj.charts for p in c.domain}
+        else:
+            faces = [
+                ((nu, Partition([[i] for i in nu])), _top_key(len(nu)),
+                 self.splitting(self.subkey(key, nu)))
+                for nu in nonempty_subsets(full_set(obj.n)) if 1 < len(nu) < obj.n
+            ]
+            family = {p: self._paste(obj, vac, faces, p) for p in self.A.base}
+            data = morphism_from_canonical(vac, obj, family).data
+        morphism = Splitting(vac, obj, data, parent=obj)
+        self.cache.splittings[key] = morphism
         return morphism
 
-    def _face_tensors(self, key, obj):
-        """Multilinear face components from the cached sub-splittings."""
-        k = obj.n
-        out = {}
-        for nu in nonempty_subsets(full_set(k)):
-            if len(nu) == k:
-                continue
-            if len(nu) == 1:
-                d = obj.dims.dim(nu)
-                for c in obj.charts:
-                    for p in c.domain:
-                        out[(nu, c.id, p)] = MultiTensor.identity(d)
-                continue
-            sub_split = self.splitting(self.subkey(key, nu))
-            sub_top = full_set(len(nu))
-            singles = Partition([[i] for i in sub_top])
-            for c in obj.charts:
-                for p in c.domain:
-                    out[(nu, c.id, p)] = sub_split.data[(c.id, p)].components[
-                        (sub_top, singles)]
-        return out
-
-    def _paste_top(self, obj, face_tensors):
-        """Pasted top component per point, in the canonical chart.
-
-        Per chart the zero-top right inverse is linearized over axes
-        2..k by frame interpolation; chart-local values are transported
-        to the canonical chart and combined with the strategy weights.
-        """
-        k = obj.n
-        top = full_set(k)
-        block_dims = [obj.dims.dim(IndexSet([i])) for i in range(1, k + 1)]
-        d_top = obj.dims.dim(top)
-        size = 1
-        for d in block_dims:
-            size *= d
-        out = {}
-        for p in self.A.base:
-            at = sorted(obj.charts_at(p))
-            can = at[0]
-            if self.strategy == "least-chart":
-                weights = {can: Fraction(1)}
-            else:
-                weights = {cid: Fraction(1, len(at)) for cid in at}
-
-            columns = []
-            for basis in product(*map(range, block_dims)):
-                acc = zero_vector(d_top)
-                for cid, w in weights.items():
-                    to_chart = obj.transition(cid, can, p)
-                    args = [
-                        to_chart.linear_part(IndexSet([i + 1])).apply(
-                            [unit_vector(block_dims[i], basis[i])])
-                        for i in range(k)
-                    ]
-                    local = self._local_value(obj, face_tensors, cid, p, args)
-                    moved = obj.transition(can, cid, p).evaluate(local)
-                    acc = vec_add(acc, vec_scale(w, moved[top]))
-                columns.append(acc)
-            entries = [Fraction(0)] * (d_top * size)
-            for j, col in enumerate(columns):
-                for i0 in range(d_top):
-                    entries[i0 * size + j] = col[i0]
-            out[p] = MultiTensor(d_top, tuple(block_dims), entries)
-        return out
-
-    def _local_value(self, obj, face_tensors, chart, point, args):
-        """Chart-local splitting value on singleton arguments."""
-        k = obj.n
-        top = full_set(k)
+    def _chart_splitting(self, obj, vac, faces, chart, point):
+        """The splitting gauge local to one chart: identity singleton parts,
+        the cached sub-splitting's top on every proper face, and in the
+        top slot ``theta_top`` read on basis tuples (zero without it)."""
         comps = {}
-        for nu in nonempty_subsets(top):
-            if len(nu) == k:
-                continue
-            comps[nu] = face_tensors[(nu, chart, point)].apply(
-                [args[i - 1] for i in nu])
-        comps[top] = self._linearized_top(obj, chart, point)(args)
-        return comps
+        for i in range(1, obj.n + 1):
+            single = IndexSet([i])
+            comps[(single, Partition([single]))] = MultiTensor.identity(
+                obj.dims.dim(single))
+        for face_key, sub_top, sub in faces:
+            comps[face_key] = sub.data[(chart, point)].components[sub_top]
+        if self.theta_top is not None:
+            top = _top_key(obj.n)
+            in_dims = vac.dims.block_dims(top[1])
+            d_top = obj.dims.dim(top[0])
+            bases = product(*([unit_vector(d, j) for j in range(d)] for d in in_dims))
+            values = [self.theta_top(chart, point, list(args)) for args in bases]
+            comps[top] = MultiTensor(
+                d_top, in_dims, [v[i0] for i0 in range(d_top) for v in values])
+        return Gauge(vac.dims, obj.dims, comps)
 
-    def _linearized_top(self, obj, chart, point):
-        k = obj.n
-        d_top = obj.dims.dim(full_set(k))
-        base = self.theta_top or (lambda c, p, a: zero_vector(d_top))
-        fn = lambda a: base(chart, point, a)
-        block_dims = [obj.dims.dim(IndexSet([i])) for i in range(1, k + 1)]
-        for axis in range(2, k + 1):
-            fn = _frame_interpolate(fn, axis - 1, block_dims[axis - 1], d_top)
-        return fn
+    def _paste(self, obj, vac, faces, point):
+        """The splitting gauge at a point in the canonical chart.
+
+        Every chart's local splitting is conjugated into the canonical
+        chart by the object's and the vacant model's transitions; the
+        top components are averaged with the strategy's weights.  The
+        canonical chart's own transitions are identities.
+        """
+        can = obj.canonical_chart(point)
+        own = self._chart_splitting(obj, vac, faces, can, point)
+        others = [] if self.strategy == "least-chart" else [
+            c for c in sorted(obj.charts_at(point)) if c != can]
+        if not others:
+            return own
+        top = _top_key(obj.n)
+        total = own.components[top]
+        for c in others:
+            local = self._chart_splitting(obj, vac, faces, c, point)
+            conjugated = obj.transition(can, c, point).compose(local).compose(
+                vac.transition(c, can, point))
+            total = total.plus(conjugated.components[top])
+        comps = dict(own.components)
+        comps[top] = total.scaled(Fraction(1, len(others) + 1))
+        return Gauge(vac.dims, obj.dims, comps)
 
     # -- decompositions --------------------------------------------------
 
     def decomposition(self, key):
-        if key in self._decompositions:
-            return self._decompositions[key]
+        if key in self.cache.decompositions:
+            return self.cache.decompositions[key]
         obj = self.object(key)
         model = associated_decomposed(obj)
         if obj.n <= 1:
@@ -366,25 +325,19 @@ class DecompositionBuilder:
             }
             data = _assemble(obj, model, sigma, core_decs, key[1], self.A.base)
         morphism = Decomposition(model, obj, data, parent=obj)
-        self._decompositions[key] = morphism
+        self.cache.decompositions[key] = morphism
         return morphism
 
 
-def _frame_interpolate(fn, slot, dim, out_dim):
-    def interpolated(args):
-        acc = zero_vector(out_dim)
-        for j, beta in enumerate(args[slot]):
-            if beta == 0:
-                continue
-            basis_args = list(args)
-            basis_args[slot] = unit_vector(dim, j)
-            acc = vec_add(acc, vec_scale(beta, fn(basis_args)))
-        return acc
-    return interpolated
-
-
 def find_splitting(presentation, strategy="least-chart", theta_top=None):
-    """A splitting of a valid presentation, built by the face recursion."""
+    """A splitting of a valid presentation, built by the face recursion.
+
+    ``theta_top(chart, point, args)``, when given, returns the top-slot
+    value of a chart-local right inverse on one vector per singleton
+    slot.  It is read on basis tuples only: the splitting uses the
+    multilinear map with those values, which is the hook itself when the
+    hook is multilinear.
+    """
     report = validate(presentation)
     if not report.valid:
         raise SemanticError("presentation does not validate: %r" % (report,))
@@ -496,16 +449,14 @@ def extract_splitting(presentation, decomposition):
 def extract_core_decompositions(presentation, decomposition):
     """Decompositions of the codimension-one cores, by restriction."""
     a = presentation
-    n = a.n
-    builder = DecompositionBuilder(a)
-    key = builder.top_key()
+    ground, singles = _top_key(a.n)
     out = {}
-    for mu in (s for s in nonempty_subsets(full_set(n)) if len(s) == 2):
-        merged = builder.merged_key(key, mu)
-        obj = builder.object(merged)
+    for mu in _pairs(a.n):
+        blocks = _merge_blocks(singles, mu)
+        obj = partition_core(a, ground, blocks, check=False)
         model = associated_decomposed(obj)
         data = {
-            keyp: g.diagonal_restrict(merged[1])
+            keyp: g.diagonal_restrict(blocks)
             for keyp, g in decomposition.data.items()
         }
         out[mu] = Decomposition(model, obj, data, parent=obj)
@@ -553,19 +504,13 @@ def split_pullback(presentation, strategy="least-chart"):
     """A right inverse of the pullback projection splitting every
     ultracore sequence at once, assembled from one decomposition."""
     a = presentation
-    top = full_set(a.n)
     dec = decompose(a, strategy)
     pb = pullback(a)
     p_pres = pb.presentation
 
+    inclusion = identity_gauge(p_pres.dims, dec.source.dims)
     data = {}
     for (chart, p), g in dec.data.items():
-        comps = {}
-        for subset in nonempty_subsets(top):
-            if subset != top:
-                comps[(subset, Partition([subset]))] = MultiTensor.identity(
-                    a.dims.dim(subset))
-        inclusion = Gauge(p_pres.dims, dec.source.dims, comps)
         data[(chart, p)] = g.compose(inclusion).compose(
             g.trimmed(p_pres.dims).invert())
     morphism = BundleMorphism(p_pres, a, data)

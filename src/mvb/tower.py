@@ -21,8 +21,8 @@ from .atlas import AtlasPresentation, Chart, FiniteBase
 from .cubecat import IndexSet, Partition, full_set, nonempty_subsets, partitions
 from .errors import InvalidInput
 from .exactlin import MultiTensor
-from .gauge import DimAssignment, Gauge
-from .split import DecompositionBuilder
+from .gauge import DimAssignment, Gauge, identity_gauge
+from .split import BuilderCache, DecompositionBuilder
 
 
 class StabilizingGenerator:
@@ -140,7 +140,6 @@ class RuleGenerator:
         return Gauge(dims, dims, comps)
 
     def transition(self, dst, src, point, dims):
-        from .gauge import identity_gauge
         if self.transition_rule["kind"] == "identity" or dst == src:
             return identity_gauge(dims)
         g_dst = self._frame(dst, point, dims)
@@ -197,18 +196,13 @@ class TowerDecomposition:
     def __init__(self, infinity, strategy="least-chart"):
         self.infinity = infinity
         self.strategy = strategy
-        self._objects = {}
-        self._splittings = {}
-        self._decompositions = {}
+        self.cache = BuilderCache()
         self._levels = {}
 
     def level(self, n):
         if n not in self._levels:
             presentation = self.infinity.truncate(n)
-            builder = DecompositionBuilder(presentation, self.strategy)
-            builder._objects = self._objects
-            builder._splittings = self._splittings
-            builder._decompositions = self._decompositions
+            builder = DecompositionBuilder(presentation, self.strategy, cache=self.cache)
             self._levels[n] = builder.decomposition(builder.top_key())
         return self._levels[n]
 

@@ -233,3 +233,59 @@ def test_parse_dumps_round_trip_random_gauges(seed, n, max_dim, kind):
     else:
         gauge = random_gauge(rng, source, statomorphism=kind == "statomorphism")
     assert formats.parse(formats.dumps(gauge)) == gauge
+
+
+def _element_body():
+    a = twisted_instance(304, n=2, n_points=2, n_charts=2)
+    return json.loads(formats.dumps(random_element(seeded(1), a)))
+
+
+def _morphism_body():
+    dec = decompose(twisted_instance(306, n=2, n_points=2, n_charts=2))
+    return json.loads(formats.canonical_bytes(formats.morphism_to_json(dec))), dec
+
+
+def test_element_duplicate_component_is_schema_error():
+    body = _element_body()
+    first = body["components"][0]
+    body["components"].append({"set": first["set"], "vector": first["vector"]})
+    with pytest.raises(SchemaError) as err:
+        formats.parse(json.dumps(body))
+    assert "duplicate" in str(err.value) and str(first["set"]) in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["chart", "point"])
+def test_element_non_string_label_is_schema_error(field):
+    body = _element_body()
+    body[field] = [body[field]]
+    with pytest.raises(SchemaError) as err:
+        formats.parse(json.dumps(body))
+    assert field in str(err.value)
+
+
+@pytest.mark.parametrize("data", [5, "data", {"chart": "0"}])
+def test_morphism_non_list_data_is_schema_error(data):
+    body, dec = _morphism_body()
+    body["data"] = data
+    with pytest.raises(SchemaError) as err:
+        formats.morphism_from_json(body, dec.source, dec.target)
+    assert "data" in str(err.value)
+
+
+def test_morphism_non_string_chart_is_schema_error():
+    body, dec = _morphism_body()
+    body["data"][0]["chart"] = [body["data"][0]["chart"]]
+    with pytest.raises(SchemaError) as err:
+        formats.morphism_from_json(body, dec.source, dec.target)
+    assert "chart" in str(err.value)
+
+
+def test_morphism_duplicate_entry_is_schema_error():
+    body, dec = _morphism_body()
+    entry = body["data"][0]
+    body["data"].append(dict(entry))
+    with pytest.raises(SchemaError) as err:
+        formats.morphism_from_json(body, dec.source, dec.target)
+    message = str(err.value)
+    assert "duplicate" in message
+    assert entry["chart"] in message and entry["point"] in message

@@ -37,8 +37,8 @@ SMALL = settings(max_examples=25, derandomize=True, database=None, deadline=None
 def assert_routed_matches_chain(presentation, strategy):
     builder = DecompositionBuilder(presentation, strategy)
     builder.decomposition(builder.top_key())
-    assert builder._decompositions
-    for key, dec in builder._decompositions.items():
+    assert builder.cache.decompositions
+    for key, dec in builder.cache.decompositions.items():
         assert builder_chain_data(builder, key) == dec.data, key
 
 

@@ -171,10 +171,10 @@ def test_local_split_double_with_frames():
     base = find_splitting(a, "least-chart")
     from mvb.split import DecompositionBuilder
     b1 = DecompositionBuilder(a)
-    b1._splittings[b1.top_key()] = built
+    b1.cache.splittings[b1.top_key()] = built
     d_built = b1.decomposition(b1.top_key())
     b2 = DecompositionBuilder(a)
-    b2._splittings[b2.top_key()] = base
+    b2.cache.splittings[b2.top_key()] = base
     d_base = b2.decomposition(b2.top_key())
     tau = torsor_statomorphism(d_base, d_built)
     assert any(not g.is_identity() for g in tau.data.values())

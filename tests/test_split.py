@@ -110,7 +110,7 @@ def test_decompose_n2_twisted_with_bracket_check():
     # the element chain evaluates both bracketing orders at every key
     builder = DecompositionBuilder(a)
     assert builder.decomposition(builder.top_key()).data == d.data
-    for key, dec in builder._decompositions.items():
+    for key, dec in builder.cache.decompositions.items():
         assert builder_chain_data(builder, key, check_bracketing=True) == dec.data
 
 
@@ -315,7 +315,7 @@ def test_shared_cache_reuses_core_splittings():
     builder.decomposition(builder.top_key())
     # iterated merges reach the fully merged key through several routes;
     # the cache must hold each object exactly once
-    keys = list(builder._splittings)
+    keys = list(builder.cache.splittings)
     assert len(keys) == len(set(keys))
     fully_merged = (full_set(3), Partition([full_set(3)]))
-    assert fully_merged in builder._splittings or fully_merged in builder._decompositions
+    assert fully_merged in builder.cache.splittings or fully_merged in builder.cache.decompositions

@@ -120,3 +120,17 @@ def test_negative_truncation_rejected():
     x = stabilizing_fixture()
     with pytest.raises(InvalidInput):
         x.truncate(-1)
+
+
+def test_tower_levels_share_one_cache():
+    tower = decompose_infinity(stabilizing_fixture())
+    tower.level(2)
+    cache = tower.cache
+    level2 = {name: dict(getattr(cache, name))
+              for name in ("objects", "splittings", "decompositions")}
+    tower.level(3)
+    for name, entries in level2.items():
+        grown = getattr(cache, name)
+        assert len(grown) > len(entries)
+        for key, entry in entries.items():
+            assert grown[key] is entry, (name, key)
