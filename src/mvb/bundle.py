@@ -5,8 +5,14 @@ transporting to the canonical (least) chart of its base point, which
 gives the quotient semantics a normal form.  Within a fixed chart every
 fiber operation is the coordinatewise one; all twisting lives in the
 transitions.
+
+A morphism given by one gauge per point in the canonical chart
+(``morphism_from_canonical``) keeps that family as given and computes
+its gauge in any other chart on first read, by naturality; a chart
+that is never read is never composed.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -173,13 +179,63 @@ def zero_lift(presentation, elem, node):
     return element(presentation, node, elem.chart, elem.point, comps)
 
 
+def _checked_shape(g, source, target, chart, point):
+    if g.source_dims != source.dims or g.target_dims != target.dims:
+        raise DimensionMismatch("morphism data shape mismatch at (%r, %r)" % (chart, point))
+    return g
+
+
+class _NaturalData(Mapping):
+    """Read-only (chart, point) -> gauge data of a morphism given per point
+    in the canonical chart.
+
+    The canonical entries are the family's gauges themselves.  Every
+    other entry is derived on first access as T(c<-can) . g . S(can<-c)
+    and kept; each entry's shape is checked when it is stored.  Keys
+    follow the source charts in order, then each chart's domain.
+    """
+
+    def __init__(self, source, target, family):
+        self.source = source
+        self.target = target
+        self._gauges = {}
+        for c in source.charts:
+            for p in c.domain:
+                g = None
+                if c.id == source.canonical_chart(p):
+                    g = _checked_shape(family[p], source, target, c.id, p)
+                self._gauges[(c.id, p)] = g
+
+    def __getitem__(self, key):
+        g = self._gauges[key]
+        if g is None:
+            chart, p = key
+            can = self.source.canonical_chart(p)
+            g = self.target.transition(chart, can, p).compose(
+                self._gauges[(can, p)]).compose(self.source.transition(can, chart, p))
+            self._gauges[key] = _checked_shape(g, self.source, self.target, chart, p)
+        return g
+
+    def __contains__(self, key):
+        return key in self._gauges
+
+    def __iter__(self):
+        return iter(self._gauges)
+
+    def __len__(self):
+        return len(self._gauges)
+
+
 class BundleMorphism:
     """A natural transformation stored as per-chart per-point gauges.
 
     Source and target share the base and the chart system; ``data``
-    holds, for every (chart, point) with the point in the chart domain,
-    a gauge from source dims to target dims expressing the morphism in
-    that chart on both sides.
+    maps every (chart, point) with the point in the chart domain to a
+    gauge from source dims to target dims expressing the morphism in
+    that chart on both sides.  Data from ``morphism_from_canonical`` is
+    kept as the read-only mapping it returns, whose non-canonical
+    gauges are computed on first read; any other mapping is copied into
+    a dict and checked entry by entry.
     """
 
     def __init__(self, source, target, data):
@@ -187,17 +243,17 @@ class BundleMorphism:
             raise InvalidInput("morphisms need a shared base and chart system")
         self.source = source
         self.target = target
+        if (isinstance(data, _NaturalData) and data.source.same_chart_system(source)
+                and data.source.dims == source.dims and data.target.dims == target.dims):
+            self.data = data
+            return
         self.data = dict(data)
         for c in source.charts:
             for p in c.domain:
                 g = self.data.get((c.id, p))
                 if g is None:
                     raise InvalidInput("missing morphism data at (%r, %r)" % (c.id, p))
-                if g.source_dims != source.dims or g.target_dims != target.dims:
-                    raise DimensionMismatch("morphism data shape mismatch at (%r, %r)" % (c.id, p))
-
-    def gauge_at(self, chart, point):
-        return self.data[(chart, point)]
+                _checked_shape(g, source, target, c.id, p)
 
     def apply(self, elem):
         g = self.data[(elem.chart, elem.point)]
@@ -263,18 +319,11 @@ def morphism_from_canonical(source, target, family):
     """Extend per-point canonical-chart gauges to all charts by naturality.
 
     Self-transitions of a valid presentation are identities, so the
-    canonical chart keeps its gauge as given.
+    canonical chart keeps its gauge as given.  The gauge in any other
+    chart c is T(c<-can) . g . S(can<-c); it is computed when ``data``
+    is first read there, then kept.
     """
-    data = {}
-    for c in source.charts:
-        for p in c.domain:
-            can = source.canonical_chart(p)
-            g = family[p]
-            if c.id != can:
-                g = target.transition(c.id, can, p).compose(g).compose(
-                    source.transition(can, c.id, p))
-            data[(c.id, p)] = g
-    return BundleMorphism(source, target, data)
+    return BundleMorphism(source, target, _NaturalData(source, target, family))
 
 
 def _grouped_offsets(ambient_dims, core_part, frozen_set):

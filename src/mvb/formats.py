@@ -46,13 +46,33 @@ def tensor_to_json(tensor):
     }
 
 
+def _list_value(obj, key, where):
+    """The list under ``key``.  Anything else, a string above all (which
+    would read as its characters), is a schema error naming the key."""
+    value = obj.get(key)
+    if not isinstance(value, list):
+        raise SchemaError("%s: %s must be a list, got %s"
+                          % (where, key, type(value).__name__))
+    return value
+
+
+def _index_set_value(obj, key, where):
+    """The index set under ``key``, given as a list of positive integers."""
+    try:
+        return IndexSet(_list_value(obj, key, where))
+    except (TypeError, InvalidPartition) as err:
+        raise SchemaError("%s: %s malformed: %s" % (where, key, err))
+
+
 def tensor_from_json(obj, where=""):
     if not isinstance(obj, dict):
         raise SchemaError("tensor%s must be an object" % where)
+    in_dims = _list_value(obj, "in_dims", "tensor" + where)
+    entries = _list_value(obj, "entries", "tensor" + where)
     try:
         out_dim = int(obj["out_dim"])
-        in_dims = [int(d) for d in obj["in_dims"]]
-        entries = [rational_from_str(x) for x in obj["entries"]]
+        in_dims = [int(d) for d in in_dims]
+        entries = [rational_from_str(x) for x in entries]
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise SchemaError("tensor%s malformed: %s" % (where, err))
     expected = out_dim
@@ -76,8 +96,10 @@ def dims_from_json(n, obj, where="dims"):
         raise SchemaError("%s must be a list" % where)
     out = {}
     for item in obj:
+        if not isinstance(item, dict):
+            raise SchemaError("%s entry must be an object, got %r" % (where, item))
+        key = _index_set_value(item, "set", where + " entry")
         try:
-            key = IndexSet(item["set"])
             dim = int(item["dim"])
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise SchemaError("%s entry malformed: %s" % (where, err))
@@ -143,11 +165,16 @@ def gauge_from_json(obj, where="gauge"):
     tgt = dims_from_json(n, obj.get("target_dims"), where + ".target_dims")
     components = {}
     for item in _list_field(obj, "components", where):
+        if not isinstance(item, dict):
+            raise SchemaError("%s component must be an object, got %r" % (where, item))
+        target = _index_set_value(item, "target", where + " component")
+        blocks = _list_value(item, "blocks", where + " component")
         try:
-            target = IndexSet(item["target"])
-            blocks = Partition(item["blocks"])
-        except (KeyError, TypeError, InvalidPartition) as err:
-            raise SchemaError("%s component malformed: %s" % (where, err))
+            if not all(isinstance(b, list) for b in blocks):
+                raise TypeError("each block must be a list")
+            blocks = Partition(blocks)
+        except (TypeError, InvalidPartition) as err:
+            raise SchemaError("%s component: blocks malformed: %s" % (where, err))
         label = " at (%s, %s)" % (list(target), [list(b) for b in blocks])
         if not target or target[-1] > n:
             raise SchemaError("%s component%s: target is not a nonempty subset"
@@ -155,7 +182,8 @@ def gauge_from_json(obj, where="gauge"):
         if set().union(*blocks) != set(target):
             raise SchemaError("%s component%s: blocks do not partition the target"
                               % (where, label))
-        tensor = tensor_from_json(item.get("tensor"), where=label)
+        tensor = tensor_from_json(item.get("tensor"),
+                                  where=" of %s component%s" % (where, label))
         expected_out = tgt.dim(target)
         expected_in = tuple(src.dim(b) for b in blocks)
         if tensor.out_dim != expected_out or tensor.in_dims != expected_in:
@@ -202,11 +230,15 @@ def atlas_from_json(obj):
     if obj.get("format_version") != FORMAT_VERSION:
         raise SchemaError("unsupported format_version %r" % (obj.get("format_version"),))
     n = _cube_dimension(obj, "atlas")
-    try:
-        base = FiniteBase(obj["base"])
-        charts = tuple(Chart(c["id"], tuple(c["domain"])) for c in obj["charts"])
-    except (KeyError, TypeError) as err:
-        raise SchemaError("atlas malformed: %s" % err)
+    base = FiniteBase(_list_value(obj, "base", "atlas"))
+    charts = []
+    for c in _list_value(obj, "charts", "atlas"):
+        if not isinstance(c, dict):
+            raise SchemaError("atlas: chart must be an object, got %r" % (c,))
+        try:
+            charts.append(Chart(c["id"], tuple(_list_value(c, "domain", "atlas chart"))))
+        except KeyError as err:
+            raise SchemaError("atlas chart malformed: missing %s" % err)
     dims = dims_from_json(n, obj.get("dims"))
     transitions = {}
     for item in _list_field(obj, "transitions", "atlas"):
@@ -220,7 +252,7 @@ def atlas_from_json(obj):
             raise SchemaError("duplicate %s" % where)
         transitions[(dst, src, p)] = gauge_from_json(item.get("gauge"), where=where)
     try:
-        return AtlasPresentation(n, dims, base, charts, transitions)
+        return AtlasPresentation(n, dims, base, tuple(charts), transitions)
     except Exception as err:
         raise SchemaError("atlas inconsistent: %s" % err)
 
@@ -245,16 +277,17 @@ def element_from_json(obj):
         raise SchemaError("expected an element object")
     chart = _string_field(obj, "chart", "element")
     point = _string_field(obj, "point", "element")
+    node = _index_set_value(obj, "node", "element")
     comps = {}
-    try:
-        for item in obj["components"]:
-            key = IndexSet(item["set"])
-            if key in comps:
-                raise SchemaError("element: duplicate component for %s" % (list(key),))
-            comps[key] = tuple(rational_from_str(x) for x in item["vector"])
-        return BundleElement(IndexSet(obj["node"]), chart, point, comps)
-    except (KeyError, TypeError) as err:
-        raise SchemaError("element malformed: %s" % err)
+    for item in _list_value(obj, "components", "element"):
+        if not isinstance(item, dict):
+            raise SchemaError("element component must be an object, got %r" % (item,))
+        key = _index_set_value(item, "set", "element component")
+        if key in comps:
+            raise SchemaError("element: duplicate component for %s" % (list(key),))
+        vector = _list_value(item, "vector", "element component at %s" % (list(key),))
+        comps[key] = tuple(rational_from_str(x) for x in vector)
+    return BundleElement(node, chart, point, comps)
 
 
 def morphism_to_json(morphism):
@@ -332,10 +365,13 @@ def generator_from_json(obj):
         instance = atlas_from_json(body.get("instance"))
         return InfinityPresentation(StabilizingGenerator(instance))
     if body.get("kind") == "rule":
+        base = _list_value(body, "base", "rule generator")
+        charts = _list_value(body, "charts", "rule generator")
         try:
-            charts = [(c["id"], tuple(c["domain"])) for c in body["charts"]]
+            charts = [(c["id"], tuple(_list_value(c, "domain", "rule generator chart")))
+                      for c in charts]
             return InfinityPresentation(RuleGenerator(
-                body["base"], charts, body["dim_rule"], body["transition_rule"]))
+                base, charts, body["dim_rule"], body["transition_rule"]))
         except (KeyError, TypeError) as err:
             raise SchemaError("rule generator malformed: %s" % err)
     raise SchemaError("unknown generator kind %r" % (body.get("kind"),))

@@ -25,6 +25,10 @@ and skip every term whose outer or inner component is zero, since such
 a term contributes nothing to the exact sum.  ``_sum_terms`` contracts
 the remaining terms of a key to integer numerators, adds them over the
 lcm of their denominators and builds one tensor from the sum.
+``_compose_at`` runs those sums for requested keys only: composition
+asks for every key, and a caller that reads one component of a
+composite (the uniform paste in ``split``) asks for the keys that
+component's terms read.
 """
 
 from itertools import combinations, product
@@ -265,13 +269,11 @@ class Gauge:
         """
         if other.target_dims != self.source_dims:
             raise DimensionMismatch("middle dimensions do not match")
-        plan = cube_plan(self.n)
-        components = {}
-        for key, terms in zip(plan.keys, plan.terms):
-            total_in = other.source_dims.block_dims(key[1])
-            acc = _sum_terms(terms, self._sparse, other._sparse, total_in)
-            if acc is not None:
-                components[key] = acc
+        keys = cube_plan(self.n).keys
+        composite = _compose_at(self._sparse, other._sparse, range(len(keys)),
+                                other.source_dims)
+        components = {key: tensor for key, tensor in zip(keys, composite)
+                      if tensor is not None}
         return Gauge(other.source_dims, self.target_dims, components)
 
     def invert(self):
@@ -365,6 +367,26 @@ class Gauge:
 
     def __repr__(self):
         return "Gauge(n=%d)" % self.n
+
+
+def _compose_at(outers, inners, positions, source_dims):
+    """The components of a composite at the requested plan positions only.
+
+    ``outers`` and ``inners`` hold the components of two composable
+    gauges in plan order, ``None`` for zero ones (a gauge's ``_sparse``);
+    ``source_dims`` are the inner gauge's source dimensions.  The result
+    has the same form: the component of the outer gauge after the inner
+    one at each of ``positions``, ``None`` at every other position and
+    where no term survives.  Only the terms of the requested keys are
+    contracted, so a result can be the inner side of a further
+    restricted composition whose terms read only the positions it holds.
+    """
+    plan = cube_plan(source_dims.n)
+    keys, terms = plan.keys, plan.terms
+    out = [None] * len(keys)
+    for at in positions:
+        out[at] = _sum_terms(terms[at], outers, inners, source_dims.block_dims(keys[at][1]))
+    return out
 
 
 def _sum_terms(terms, outers, inners, total_in):

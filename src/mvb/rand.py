@@ -122,14 +122,6 @@ def twisted_instance(seed, n=2, max_dim=2, n_points=2, n_charts=2, dims=None):
     return AtlasPresentation(n, dims, base, charts, transitions)
 
 
-def decomposed_instance(seed, n=2, max_dim=2, n_points=2):
-    from .atlas import decomposed, FiniteBase
-    rng = random.Random(seed)
-    points = ["p%d" % i for i in range(n_points)]
-    dims = random_dims(rng, n, max_dim=max_dim, min_dim=1)
-    return decomposed(dims, FiniteBase(points))
-
-
 def random_element(rng, presentation, node=None, point=None, chart=None, lo=-3, hi=3):
     from .bundle import element
     from .cubecat import full_set, nonempty_subsets, IndexSet

@@ -119,9 +119,6 @@ class LinearSection:
             self.base_values[p] = vec
             self.slope[p] = t
 
-    def base_section_value(self, point):
-        return self.base_values[point]
-
     def apply(self, a_elem):
         """Value on an element of the axis-1 node."""
         pres = self.presentation
@@ -329,16 +326,6 @@ class DoublyLinearSection:
         return (
             {"base": self.c_values, "slope": self.slope_f},
             {"base": self.c_values, "slope": self.slope_e},
-        )
-
-    def add_module(self, other):
-        return DoublyLinearSection(
-            self.presentation,
-            {p: vec_add(v, other.c_values[p]) for p, v in self.c_values.items()},
-            {p: t.plus(other.slope_f[p]) for p, t in self.slope_f.items()},
-            {p: t.plus(other.slope_e[p]) for p, t in self.slope_e.items()},
-            {p: t.plus(other.top_lin[p]) for p, t in self.top_lin.items()},
-            {p: t.plus(other.top_bil[p]) for p, t in self.top_bil.items()},
         )
 
     def scale_by_function(self, fn):

@@ -13,7 +13,12 @@ The pipeline follows the constructive existence proofs:
   are pasted with a partition of unity over the finite base: each is
   conjugated into the canonical chart, by the object's transition after
   it and the vacant model's before it, and the top components are
-  averaged with the strategy's weights.  No element is evaluated.
+  averaged with the strategy's weights.  Only the top component of a
+  conjugate is composed (``gauge._compose_at``), and no element is
+  evaluated.  Splittings and decompositions are stated in the canonical
+  charts; their other charts are derived when first read (see
+  ``bundle.morphism_from_canonical``), which under least-chart happens
+  only for the charts a caller reads.
 
 * A splitting plus compatible decompositions of the codimension-one
   cores determines a unique decomposition.  The chain construction
@@ -47,13 +52,14 @@ from .cores import partition_core, pullback
 from .cubecat import (
     IndexSet,
     Partition,
+    cube_plan,
     full_set,
     nonempty_subsets,
     partitions,
 )
 from .errors import InvalidInput, SemanticError
 from .exactlin import MultiTensor, unit_vector
-from .gauge import Gauge, identity_gauge
+from .gauge import Gauge, _compose_at, identity_gauge
 
 STRATEGIES = ("least-chart", "uniform-average")
 
@@ -187,6 +193,35 @@ def _assemble(obj, model, sigma, core_decs, blocks, base):
     return morphism_from_canonical(model, obj, family).data
 
 
+def _conjugated_top(outer, g, inner):
+    """The top component of ``outer . g . inner``.
+
+    Only that key is composed: its terms read ``g . inner`` on the
+    all-singleton keys alone, so those are the only inner keys composed.
+    """
+    plan = cube_plan(g.n)
+    ground, singles = top = _top_key(g.n)
+    top_at = plan.index[top]
+    singleton_keys = [at for at, (s, rho) in enumerate(plan.keys) if len(rho) == len(s)]
+    right = _compose_at(g._sparse, inner._sparse, singleton_keys, inner.source_dims)
+    tensor = _compose_at(outer._sparse, right, [top_at], inner.source_dims)[top_at]
+    if tensor is None:
+        return MultiTensor.zeros(outer.target_dims.dims[ground],
+                                 inner.source_dims.block_dims(singles))
+    return tensor
+
+
+def _top_in_chart(morphism, chart, point):
+    """The top component of a morphism's gauge in one chart, conjugated
+    from the canonical chart's gauge without deriving the whole gauge."""
+    can = morphism.source.canonical_chart(point)
+    g = morphism.data[(can, point)]
+    if chart == can:
+        return g.components[_top_key(g.n)]
+    return _conjugated_top(morphism.target.transition(chart, can, point), g,
+                           morphism.source.transition(can, chart, point))
+
+
 class BuilderCache:
     """Objects, splittings and decompositions per builder key.
 
@@ -249,8 +284,7 @@ class DecompositionBuilder:
             data = {(c.id, p): inclusion for c in obj.charts for p in c.domain}
         else:
             faces = [
-                ((nu, Partition([[i] for i in nu])), _top_key(len(nu)),
-                 self.splitting(self.subkey(key, nu)))
+                ((nu, Partition([[i] for i in nu])), self.splitting(self.subkey(key, nu)))
                 for nu in nonempty_subsets(full_set(obj.n)) if 1 < len(nu) < obj.n
             ]
             family = {p: self._paste(obj, vac, faces, p) for p in self.A.base}
@@ -261,15 +295,16 @@ class DecompositionBuilder:
 
     def _chart_splitting(self, obj, vac, faces, chart, point):
         """The splitting gauge local to one chart: identity singleton parts,
-        the cached sub-splitting's top on every proper face, and in the
-        top slot ``theta_top`` read on basis tuples (zero without it)."""
+        the cached sub-splitting's top in this chart on every proper face,
+        and in the top slot ``theta_top`` read on basis tuples (zero
+        without it)."""
         comps = {}
         for i in range(1, obj.n + 1):
             single = IndexSet([i])
             comps[(single, Partition([single]))] = MultiTensor.identity(
                 obj.dims.dim(single))
-        for face_key, sub_top, sub in faces:
-            comps[face_key] = sub.data[(chart, point)].components[sub_top]
+        for face_key, sub in faces:
+            comps[face_key] = _top_in_chart(sub, chart, point)
         if self.theta_top is not None:
             top = _top_key(obj.n)
             in_dims = vac.dims.block_dims(top[1])
@@ -286,7 +321,9 @@ class DecompositionBuilder:
         Every chart's local splitting is conjugated into the canonical
         chart by the object's and the vacant model's transitions; the
         top components are averaged with the strategy's weights.  The
-        canonical chart's own transitions are identities.
+        canonical chart's own transitions are identities.  Only the top
+        component of each conjugate is composed (``_conjugated_top``),
+        and so are the face tops of the other charts' local splittings.
         """
         can = obj.canonical_chart(point)
         own = self._chart_splitting(obj, vac, faces, can, point)
@@ -298,9 +335,8 @@ class DecompositionBuilder:
         total = own.components[top]
         for c in others:
             local = self._chart_splitting(obj, vac, faces, c, point)
-            conjugated = obj.transition(can, c, point).compose(local).compose(
-                vac.transition(c, can, point))
-            total = total.plus(conjugated.components[top])
+            total = total.plus(_conjugated_top(
+                obj.transition(can, c, point), local, vac.transition(c, can, point)))
         comps = dict(own.components)
         comps[top] = total.scaled(Fraction(1, len(others) + 1))
         return Gauge(vac.dims, obj.dims, comps)

@@ -289,3 +289,91 @@ def test_morphism_duplicate_entry_is_schema_error():
     message = str(err.value)
     assert "duplicate" in message
     assert entry["chart"] in message and entry["point"] in message
+
+
+# A list field given as a string would iterate as its characters.  On the
+# n=2 atlas with every dimension 1 over the one point "p", each of the
+# strings below reads as the list it spells, so only a type check on the
+# field itself rejects it.
+
+def _unit_atlas_body():
+    return json.loads(formats.dumps(fixture_corpus()[0]))
+
+
+def _unit_element_body():
+    return {"format_version": formats.FORMAT_VERSION, "kind": "element",
+            "node": [1], "chart": "0", "point": "p",
+            "components": [{"set": [1], "vector": ["1"]}]}
+
+
+def test_unit_bodies_parse():
+    assert validate(formats.parse(json.dumps(_unit_atlas_body()))).valid
+    assert formats.parse(json.dumps(_unit_element_body())).components == {(1,): (1,)}
+
+
+@pytest.mark.parametrize("fields", [["in_dims"], ["entries"], ["in_dims", "entries"]])
+def test_tensor_string_list_field_is_schema_error(fields):
+    tensor = {"out_dim": 1, "in_dims": [1], "entries": ["1"]}
+    for field in fields:
+        tensor[field] = "1"
+    with pytest.raises(SchemaError) as err:
+        formats.tensor_from_json(tensor)
+    assert fields[0] in str(err.value)
+
+    body = _unit_atlas_body()
+    body["transitions"][0]["gauge"]["components"][0]["tensor"] = tensor
+    with pytest.raises(SchemaError) as err:
+        formats.parse(json.dumps(body))
+    assert fields[0] in str(err.value) and "transition" in str(err.value)
+
+
+ATLAS_STRING_EDITS = {
+    "base": lambda body: body.update(base="p"),
+    "domain": lambda body: body["charts"][0].update(domain="p"),
+    "set": lambda body: body["dims"][0].update(set="1"),
+    "target": lambda body: body["transitions"][0]["gauge"]["components"][0].update(
+        target="1"),
+    "blocks": lambda body: body["transitions"][0]["gauge"]["components"][0].update(
+        blocks=["1"]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(ATLAS_STRING_EDITS))
+def test_atlas_string_list_field_is_schema_error(field):
+    body = _unit_atlas_body()
+    ATLAS_STRING_EDITS[field](body)
+    with pytest.raises(SchemaError) as err:
+        formats.parse(json.dumps(body))
+    assert field in str(err.value)
+
+
+ELEMENT_STRING_EDITS = {
+    "vector": lambda body: body["components"][0].update(vector="1"),
+    "set": lambda body: body["components"][0].update(set="1"),
+    "node": lambda body: body.update(node="1"),
+    "components": lambda body: body.update(components="1"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(ELEMENT_STRING_EDITS))
+def test_element_string_list_field_is_schema_error(field):
+    body = _unit_element_body()
+    ELEMENT_STRING_EDITS[field](body)
+    with pytest.raises(SchemaError) as err:
+        formats.parse(json.dumps(body))
+    assert field in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["base", "domain"])
+def test_rule_generator_string_list_field_is_schema_error(field):
+    body = json.loads(formats.dumps(InfinityPresentation(RuleGenerator(
+        ["p"], [("0", ("p",))],
+        {"kind": "threshold", "dim": 1, "max_card": 2}, {"kind": "identity"}))))
+    rule = body["generator"]
+    if field == "base":
+        rule["base"] = "p"
+    else:
+        rule["charts"][0]["domain"] = "p"
+    with pytest.raises(SchemaError) as err:
+        formats.parse(json.dumps(body))
+    assert field in str(err.value)

@@ -70,6 +70,31 @@ def mutated_documents(draw):
     return doc
 
 
+def _spelled(items):
+    """A list written as one string; a list of digits spells itself."""
+    return "".join(x if isinstance(x, str) else json.dumps(x) for x in items)
+
+
+def _node(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+@st.composite
+def stringified_documents(draw):
+    """The ``gen`` instance with one to three of its lists replaced by
+    strings, which iterate like lists of characters."""
+    doc = json.loads(json.dumps(BASE))
+    for _ in range(draw(st.integers(1, 3))):
+        lists = [path for path in _paths(doc)
+                 if path and isinstance(_node(doc, path), list)]
+        path = lists[draw(st.integers(0, len(lists) - 1))]
+        parent = _node(doc, path[:-1])
+        parent[path[-1]] = _spelled(parent[path[-1]])
+    return doc
+
+
 @pytest.fixture(scope="module")
 def input_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.json"
@@ -97,3 +122,10 @@ def test_validate_mutated_instance(input_path, doc):
 
 def test_unmutated_instance_validates(input_path):
     assert validate_exit(input_path, json.dumps(BASE).encode("utf-8")) == 0
+
+
+@FUZZ
+@given(stringified_documents())
+def test_validate_stringified_lists(input_path, doc):
+    data = json.dumps(doc).encode("utf-8")
+    assert validate_exit(input_path, data) == 2
