@@ -15,9 +15,11 @@ import sys
 import time
 
 from . import formats
-from .atlas import validate
+from .atlas import AtlasPresentation, validate
+from .certify import Certificate
 from .cubecat import IndexSet
 from .errors import MvbError, ParseError, SchemaError, SemanticError
+from .gauge import Gauge
 from .rand import twisted_instance
 from .split import STRATEGIES
 
@@ -40,31 +42,16 @@ def _load(path):
         return handle.read()
 
 
-def _load_atlas(path):
-    data = _load(path)
-    obj = formats.parse(data)
-    from .atlas import AtlasPresentation
-    if not isinstance(obj, AtlasPresentation):
-        raise SchemaError("%s does not hold an atlas" % path)
-    return obj, formats.fingerprint(formats.atlas_to_json(obj))
-
-
-def _load_generator(path):
-    data = _load(path)
-    obj = formats.parse(data)
-    from .tower import InfinityPresentation
-    if not isinstance(obj, InfinityPresentation):
-        raise SchemaError("%s does not hold a tower generator" % path)
-    return obj, formats.fingerprint(formats.generator_to_json(obj))
-
-
-def _load_gauge(path):
-    data = _load(path)
-    obj = formats.parse(data)
-    from .gauge import Gauge
-    if not isinstance(obj, Gauge):
-        raise SchemaError("%s does not hold a gauge" % path)
+def _load_as(path, kind, noun):
+    """The object a file holds, which must be a ``kind`` (``noun`` in errors)."""
+    obj = formats.parse(_load(path))
+    if not isinstance(obj, kind):
+        raise SchemaError("%s does not hold %s" % (path, noun))
     return obj
+
+
+def _fingerprint(obj):
+    return formats.fingerprint(formats.to_json(obj))
 
 
 def _subset(text):
@@ -85,10 +72,13 @@ class Report:
         self.started = time.monotonic()
 
     def add_certificate(self, cert):
-        self.certificates.append(cert.to_dict() if hasattr(cert, "to_dict") else cert)
-        if getattr(cert, "passed", True) is False or (
-                isinstance(cert, dict) and cert.get("status") == "fail"):
+        self.certificates.append(cert.to_dict())
+        if not cert.passed:
             self.status = "fail"
+
+    def claim(self, text, ok, witnesses=None):
+        """Certify a claim checked here: pass when ``ok``."""
+        self.add_certificate(Certificate(text, "pass" if ok else "fail", witnesses))
 
     def add_counterexample(self, item):
         self.counterexamples.append(item)
@@ -140,8 +130,7 @@ def _emit(report, args):
 def _validation_into(report, presentation):
     outcome = validate(presentation)
     if outcome.valid:
-        report.add_certificate({"claim": "atlas validates", "status": "pass",
-                                "witnesses": []})
+        report.claim("atlas validates", True)
     else:
         for violation in outcome.violations:
             report.add_counterexample(violation.to_dict())
@@ -149,16 +138,16 @@ def _validation_into(report, presentation):
 
 
 def cmd_validate(args):
-    presentation, fp = _load_atlas(args.instance)
-    report = Report("validate", fp)
+    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+    report = Report("validate", _fingerprint(presentation))
     _validation_into(report, presentation)
     return _emit(report, args)
 
 
 def cmd_face(args):
     from .bundle import face
-    presentation, fp = _load_atlas(args.instance)
-    report = Report("face", fp)
+    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+    report = Report("face", _fingerprint(presentation))
     outer = _subset(args.outer)
     inner = _subset(args.inner) if args.inner else IndexSet()
     result = face(presentation, outer, inner)
@@ -170,8 +159,8 @@ def cmd_face(args):
 
 def cmd_core(args):
     from .cores import core, core_closure_certificate
-    presentation, fp = _load_atlas(args.instance)
-    report = Report("core", fp)
+    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+    report = Report("core", _fingerprint(presentation))
     spec, pres = core(presentation, _subset(args.s), _subset(args.j), check=False)
     report.add_certificate(core_closure_certificate(
         presentation, spec.ambient, spec.reindexing.as_partition()))
@@ -182,8 +171,8 @@ def cmd_core(args):
 
 def cmd_core_stages(args):
     from .cores import core_by_stages
-    presentation, fp = _load_atlas(args.instance)
-    report = Report("core-stages", fp)
+    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+    report = Report("core-stages", _fingerprint(presentation))
     report.add_certificate(core_by_stages(
         presentation, _subset(args.s), _subset(args.j), _subset(args.k)))
     return _emit(report, args)
@@ -191,8 +180,8 @@ def cmd_core_stages(args):
 
 def cmd_pullback(args):
     from .cores import pullback
-    presentation, fp = _load_atlas(args.instance)
-    report = Report("pullback", fp)
+    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+    report = Report("pullback", _fingerprint(presentation))
     pb = pullback(presentation)
     report.add_certificate(pb.certificate)
     report.result = formats.atlas_to_json(pb.presentation)
@@ -202,8 +191,8 @@ def cmd_pullback(args):
 
 def cmd_ultracore(args):
     from .cores import ultracore_sequence
-    presentation, fp = _load_atlas(args.instance)
-    report = Report("ultracore", fp)
+    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+    report = Report("ultracore", _fingerprint(presentation))
     iota, pi, cert = ultracore_sequence(presentation, args.k)
     report.add_certificate(cert)
     report.result = {
@@ -216,12 +205,11 @@ def cmd_ultracore(args):
 
 def cmd_split(args):
     from .split import find_splitting, is_splitting
-    presentation, fp = _load_atlas(args.instance)
-    report = Report("split", fp)
+    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+    report = Report("split", _fingerprint(presentation))
     sigma = find_splitting(presentation, args.strategy)
     ok = is_splitting(sigma)
-    report.add_certificate({"claim": "output is a splitting",
-                            "status": "pass" if ok else "fail", "witnesses": []})
+    report.claim("output is a splitting", ok)
     report.result = formats.morphism_to_json(sigma)
     report.outfile = args.out
     return _emit(report, args)
@@ -229,12 +217,11 @@ def cmd_split(args):
 
 def cmd_decompose(args):
     from .split import decompose, is_decomposition
-    presentation, fp = _load_atlas(args.instance)
-    report = Report("decompose", fp)
+    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+    report = Report("decompose", _fingerprint(presentation))
     dec = decompose(presentation, args.strategy)
     ok = is_decomposition(dec)
-    report.add_certificate({"claim": "output is a decomposition",
-                            "status": "pass" if ok else "fail", "witnesses": []})
+    report.claim("output is a decomposition", ok)
     report.result = formats.morphism_to_json(dec)
     report.outfile = args.out
     return _emit(report, args)
@@ -242,14 +229,12 @@ def cmd_decompose(args):
 
 def cmd_normalize(args):
     from .split import decompose, normalize_atlas
-    presentation, fp = _load_atlas(args.instance)
-    report = Report("normalize", fp)
+    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+    report = Report("normalize", _fingerprint(presentation))
     dec = decompose(presentation, args.strategy)
     normalized = normalize_atlas(presentation, dec)
     diagonal = all(g.is_block_diagonal() for g in normalized.transitions.values())
-    report.add_certificate({"claim": "normalized transitions are one-block",
-                            "status": "pass" if diagonal else "fail",
-                            "witnesses": []})
+    report.claim("normalized transitions are one-block", diagonal)
     _validation_into(report, normalized)
     report.result = formats.atlas_to_json(normalized)
     report.outfile = args.out
@@ -258,19 +243,16 @@ def cmd_normalize(args):
 
 def cmd_torsor(args):
     from .split import decompose, torsor_statomorphism, act_by_statomorphism
-    presentation, fp = _load_atlas(args.instance)
-    report = Report("torsor", fp)
+    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+    report = Report("torsor", _fingerprint(presentation))
     d1 = decompose(presentation, args.strategy_a)
     d2 = decompose(presentation, args.strategy_b)
     tau = torsor_statomorphism(d1, d2)
     stato = all(g.is_statomorphism() for g in tau.data.values())
-    report.add_certificate({"claim": "decompositions differ by a statomorphism",
-                            "status": "pass" if stato else "fail", "witnesses": []})
+    report.claim("decompositions differ by a statomorphism", stato)
     acted = act_by_statomorphism(d1, tau)
     round_trip = acted.data == d2.data
-    report.add_certificate({"claim": "acting then extracting round-trips",
-                            "status": "pass" if round_trip else "fail",
-                            "witnesses": []})
+    report.claim("acting then extracting round-trips", round_trip)
     report.result = formats.morphism_to_json(tau)
     report.outfile = args.out
     return _emit(report, args)
@@ -279,21 +261,19 @@ def cmd_torsor(args):
 def cmd_stato(args):
     report = Report("stato-%s" % args.action, "-")
     if args.action == "check":
-        g = _load_gauge(args.gauge)
+        g = _load_as(args.gauge, Gauge, "a gauge")
         ok = g.is_statomorphism()
-        report.add_certificate({"claim": "gauge is a statomorphism",
-                                "status": "pass" if ok else "fail",
-                                "witnesses": []})
+        report.claim("gauge is a statomorphism", ok)
     elif args.action == "invert":
-        g = _load_gauge(args.gauge)
+        g = _load_as(args.gauge, Gauge, "a gauge")
         inv = g.invert()
         report.result = formats.to_json(inv)
         report.outfile = args.out
     else:
         if not args.second:
             raise SchemaError("stato compose needs two gauge files")
-        g1 = _load_gauge(args.gauge)
-        g2 = _load_gauge(args.second)
+        g1 = _load_as(args.gauge, Gauge, "a gauge")
+        g2 = _load_as(args.second, Gauge, "a gauge")
         report.result = formats.to_json(g1.compose(g2))
         report.outfile = args.out
     return _emit(report, args)
@@ -301,9 +281,9 @@ def cmd_stato(args):
 
 def cmd_hom(args):
     from .bundle import hom_bundle
-    e_pres, fp = _load_atlas(args.source)
-    f_pres, _ = _load_atlas(args.target)
-    report = Report("hom", fp)
+    e_pres = _load_as(args.source, AtlasPresentation, "an atlas")
+    f_pres = _load_as(args.target, AtlasPresentation, "an atlas")
+    report = Report("hom", _fingerprint(e_pres))
     result = hom_bundle(e_pres, f_pres)
     _validation_into(report, result)
     report.result = formats.atlas_to_json(result)
@@ -313,8 +293,8 @@ def cmd_hom(args):
 
 def cmd_tangent(args):
     from .bundle import tangent_prolongation
-    presentation, fp = _load_atlas(args.instance)
-    report = Report("tangent", fp)
+    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+    report = Report("tangent", _fingerprint(presentation))
     result = tangent_prolongation(presentation)
     _validation_into(report, result)
     report.result = formats.atlas_to_json(result)
@@ -325,13 +305,12 @@ def cmd_tangent(args):
 def cmd_lift2(args):
     from .sections import linear_module_certificate, local_split_double
     from .split import is_splitting
-    presentation, fp = _load_atlas(args.instance)
-    report = Report("lift2", fp)
+    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+    report = Report("lift2", _fingerprint(presentation))
     report.add_certificate(linear_module_certificate(presentation))
     built = local_split_double(presentation)
     ok = is_splitting(built)
-    report.add_certificate({"claim": "frame construction yields a splitting",
-                            "status": "pass" if ok else "fail", "witnesses": []})
+    report.claim("frame construction yields a splitting", ok)
     report.result = formats.morphism_to_json(built)
     report.outfile = args.out
     return _emit(report, args)
@@ -344,26 +323,24 @@ def cmd_lift3(args):
         lift_to_decomposition,
     )
     from .split import decompose
-    presentation, fp = _load_atlas(args.instance)
-    report = Report("lift3", fp)
+    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+    report = Report("lift3", _fingerprint(presentation))
     report.add_certificate(doubly_linear_sequence(presentation))
     dec = decompose(presentation)
     pieces = decomposition_to_lift(presentation, dec)
     rebuilt = lift_to_decomposition(
         presentation, pieces["split_d"], pieces["split_e"], pieces["split_f"],
         pieces["split_lde"], pieces["split_lfd"], pieces["lift"])
-    ok = rebuilt.data == dec.data
-    report.add_certificate({"claim": "horizontal lift round trip reproduces"
-                                     " the decomposition",
-                            "status": "pass" if ok else "fail", "witnesses": []})
+    report.claim("horizontal lift round trip reproduces the decomposition",
+                 rebuilt.data == dec.data)
     return _emit(report, args)
 
 
 def cmd_inf(args):
     from .split import is_decomposition
-    from .tower import decompose_infinity
-    infinity, fp = _load_generator(args.generator)
-    report = Report("inf-%s" % args.action, fp)
+    from .tower import InfinityPresentation, decompose_infinity
+    infinity = _load_as(args.generator, InfinityPresentation, "a tower generator")
+    report = Report("inf-%s" % args.action, _fingerprint(infinity))
     if args.action == "truncate":
         result = infinity.truncate(args.n)
         if args.n >= 1:
@@ -374,14 +351,11 @@ def cmd_inf(args):
         tower = decompose_infinity(infinity)
         dec = tower.level(args.n)
         ok = is_decomposition(dec)
-        report.add_certificate({"claim": "level decomposition verifies",
-                                "status": "pass" if ok else "fail",
-                                "witnesses": [{"level": args.n}]})
+        report.claim("level decomposition verifies", ok, [{"level": args.n}])
         agree = tower.node_map_agrees(
             IndexSet(range(1, args.n + 1)), args.n, args.n + 1)
-        report.add_certificate({"claim": "next level restricts to this one",
-                                "status": "pass" if agree else "fail",
-                                "witnesses": [{"levels": [args.n, args.n + 1]}]})
+        report.claim("next level restricts to this one", agree,
+                     [{"levels": [args.n, args.n + 1]}])
         report.result = formats.morphism_to_json(dec)
         report.outfile = args.out
     return _emit(report, args)

@@ -412,23 +412,17 @@ def image_contains(tensor, vector):
 
 
 def contract_slot(tensor, slot, vector):
-    """Fix one input slot of a tensor to a vector, leaving the rest."""
-    if len(vector) != tensor.in_dims[slot]:
-        raise DimensionMismatch("contraction vector has wrong length")
-    rest = tuple(d for i, d in enumerate(tensor.in_dims) if i != slot)
-    size = prod(rest)
-    entries = [ZERO] * (tensor.out_dim * size)
-    for i0 in range(tensor.out_dim):
-        for j, idx in enumerate(product(*map(range, rest))):
-            acc = ZERO
-            for t, x in enumerate(vector):
-                if x:
-                    full = list(idx[:slot]) + [t] + list(idx[slot:])
-                    e = tensor.entry(i0, full)
-                    if e:
-                        acc += e * x
-            entries[i0 * size + j] = acc
-    return MultiTensor(tensor.out_dim, rest, entries)
+    """Fix one input slot of a tensor to a vector, leaving the rest.
+
+    One composition: the fixed slot takes ``vector`` as a tensor with no
+    inputs, every other slot an identity.
+    """
+    rest = tensor.in_dims[:slot] + tensor.in_dims[slot + 1:]
+    inners = [MultiTensor.identity(d) for d in rest]
+    groups = [[i] for i in range(len(rest))]
+    inners.insert(slot, MultiTensor(len(vector), (), vector))
+    groups.insert(slot, [])
+    return compose_tensors(tensor, inners, groups, rest)
 
 
 def vec_add(u, v):

@@ -13,6 +13,12 @@ is determined per point by an axis-3 value, two mixed-slot linear maps,
 and the two top-slot pieces (linear in the {1,2}-slot, bilinear in the
 singleton slots).  These normal forms are what the exact sequences of
 sections count.
+
+Constructions that only read tensor entries are stated on the tensor
+kernels (``_stack``, ``contract_slot``, ``compose_tensors``); their
+element and unit-vector forms are test oracles.  The displayed
+seven-argument formula and the lift compatibility check keep genuine
+fiber operations as independent checks.
 """
 
 from fractions import Fraction
@@ -23,7 +29,6 @@ from .bundle import (
     canonicalize,
     element,
     morphism_from_canonical,
-    scale,
     zero_element,
 )
 from .certify import Certificate
@@ -70,6 +75,25 @@ def splitting_top(splitting, chart, point):
     top = full_set(k)
     return splitting.data[(chart, point)].components[
         (top, Partition([[i] for i in top]))]
+
+
+def _hat_slope(top_tensor, c):
+    """Partial application of a two-block top component in its last slot."""
+    return contract_slot(top_tensor, 1, c)
+
+
+def _stack(tensors, out_dim, in_dims):
+    """The tensor with one more input slot, placed last, whose k-th basis
+    vector selects ``tensors[k]`` (each of shape ``out_dim x in_dims``)."""
+    in_dims = tuple(in_dims)
+    for t in tensors:
+        if t.out_dim != out_dim or t.in_dims != in_dims:
+            raise DimensionMismatch(
+                "cannot stack a %dx%s tensor into %dx%s"
+                % (t.out_dim, list(t.in_dims), out_dim, list(in_dims)))
+    return MultiTensor(out_dim, in_dims + (len(tensors),),
+                       [x for column in zip(*(t.entries for t in tensors))
+                        for x in column])
 
 
 class BaseSection:
@@ -179,17 +203,9 @@ def hat_linear(presentation, base_section, splitting):
     slope = {}
     values = {}
     for p in presentation.base:
-        can = presentation.canonical_chart(p)
         b = base_section.at(p).components[S2]
-        top = splitting_top(splitting, can, p)
-        d1 = presentation.dims.dim(S1)
-        d12 = presentation.dims.dim(S12)
-        entries = []
-        for i0 in range(d12):
-            for j in range(d1):
-                unit = tuple(Fraction(1 if t == j else 0) for t in range(d1))
-                entries.append(top.apply([unit, b])[i0])
-        slope[p] = MultiTensor(d12, (d1,), entries)
+        top = splitting_top(splitting, presentation.canonical_chart(p), p)
+        slope[p] = _hat_slope(top, b)
         values[p] = b
     return LinearSection(presentation, values, slope)
 
@@ -233,36 +249,18 @@ def local_split_double(presentation, sigma_frames=None):
     a = presentation
     d1, d2, d12 = (a.dims.dim(s) for s in (S1, S2, S12))
     vac = associated_vacant(a)
+    given = sigma_frames or {}
+    zero = MultiTensor.zeros(d12, (d1,))
     family = {}
     for p in a.base:
         can = a.canonical_chart(p)
-        size = d12 * d1 * d2
-        entries = [Fraction(0)] * size
-        for j1 in range(d1):
-            unit_a = tuple(Fraction(1 if t == j1 else 0) for t in range(d1))
-            for j2 in range(d2):
-                acc = None
-                for frame in range(d2):
-                    frame_core = None
-                    if sigma_frames is not None:
-                        frame_core = sigma_frames.get((can, p, frame))
-                    core_vec = (frame_core.apply([unit_a])
-                                if frame_core is not None else zero_vector(d12))
-                    unit_b = tuple(
-                        Fraction(1 if t == frame else 0) for t in range(d2))
-                    term = element(a, S12, can, p, {
-                        S1: unit_a, S2: unit_b, S12: core_vec,
-                    })
-                    beta = Fraction(1 if frame == j2 else 0)
-                    term = scale(a, beta, term, 2)
-                    acc = term if acc is None else add(a, acc, term, 2)
-                vec = acc.components[S12]
-                for i0 in range(d12):
-                    entries[(i0 * d1 + j1) * d2 + j2] = vec[i0]
+        # adding over axis 2 is coordinatewise in the canonical chart, so
+        # the top slot at (a, k-th frame vector) is the k-th frame at a
+        frames = [given.get((can, p, k), zero) for k in range(d2)]
         comps = {
             (S1, Partition([S1])): MultiTensor.identity(d1),
             (S2, Partition([S2])): MultiTensor.identity(d2),
-            (S12, Partition([S1, S2])): MultiTensor(d12, (d1, d2), entries),
+            (S12, Partition([S1, S2])): _stack(frames, d12, (d1,)),
         }
         family[p] = Gauge(vac.dims, a.dims, comps)
     morphism = morphism_from_canonical(vac, a, family)
@@ -507,9 +505,7 @@ def lift_from_free_part(presentation, split_lde, split_lfd, free_lin, free_bil):
     slot last.
     """
     pres = presentation
-    dims = pres.dims
-    d1, d2, d3 = dims.dim(S1), dims.dim(S2), dims.dim(S3)
-    d12, d13, d23, d123 = (dims.dim(s) for s in (S12, S13, S23, S123))
+    d1, d2, d12, d123 = (pres.dims.dim(s) for s in (S1, S2, S12, S123))
     tops = {}
     for p in pres.base:
         can = pres.canonical_chart(p)
@@ -520,24 +516,15 @@ def lift_from_free_part(presentation, split_lde, split_lfd, free_lin, free_bil):
 
         def make_map(lam_de=lam_de, lam_fd=lam_fd, f_lin=f_lin, f_bil=f_bil):
             def the_map(c, slope_f, slope_e):
-                lin_entries = [
-                    sum((f_lin.entry(i0 * d12 + j, (t,)) * c[t]
-                         for t in range(d3)), Fraction(0))
-                    for i0 in range(d123) for j in range(d12)
-                ]
-                lin = MultiTensor(d123, (d12,), lin_entries)
+                lin = MultiTensor(d123, (d12,), contract_slot(f_lin, 0, c).entries)
                 bil = compose_tensors(
                     lam_de, [slope_f, MultiTensor.identity(d2)],
                     [[0], [1]], (d1, d2))
                 bil = bil.plus(compose_tensors(
                     lam_fd, [MultiTensor.identity(d1), slope_e],
                     [[0], [1]], (d1, d2)))
-                free_entries = [
-                    sum((f_bil.entry((i0 * d1 + j1) * d2 + j2, (t,)) * c[t]
-                         for t in range(d3)), Fraction(0))
-                    for i0 in range(d123) for j1 in range(d1) for j2 in range(d2)
-                ]
-                bil = bil.plus(MultiTensor(d123, (d1, d2), free_entries))
+                bil = bil.plus(MultiTensor(d123, (d1, d2),
+                                           contract_slot(f_bil, 0, c).entries))
                 return lin, bil
             return the_map
 
@@ -584,11 +571,6 @@ def _double_decomposition_from_splitting(pres2, splitting):
     return builder.decomposition(key)
 
 
-def _hat_slope(top_tensor, c):
-    """Partial application of a two-block top component in its last slot."""
-    return contract_slot(top_tensor, 1, c)
-
-
 def lift_to_decomposition(presentation, split_d, split_e, split_f,
                           split_lde, split_lfd, lift):
     """Assemble the decomposition determined by five double splittings
@@ -602,9 +584,7 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
     pres = presentation
     _require_n(pres, 3)
     check_lift_compatibility(pres, lift, split_lde, split_lfd)
-    dims = pres.dims
-    d1, d2, d3 = dims.dim(S1), dims.dim(S2), dims.dim(S3)
-    d12, d13, d23, d123 = (dims.dim(s) for s in (S12, S13, S23, S123))
+    d1, d2, d3, d12, d123 = (pres.dims.dim(s) for s in (S1, S2, S3, S12, S123))
 
     vac = associated_vacant(pres)
 
@@ -624,23 +604,10 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
         per_c = []
         for k3 in range(d3):
             c_vec = unit_vector(d3, k3)
-            phi_f = _hat_slope(t_f, c_vec)
-            phi_e = _hat_slope(t_e, c_vec)
-            per_c.append(lift.output(p, c_vec, phi_f, phi_e))
-
-        top_entries = [Fraction(0)] * (d123 * d1 * d2 * d3)
-        for j1 in range(d1):
-            a_vec = unit_vector(d1, j1)
-            for j2 in range(d2):
-                b_vec = unit_vector(d2, j2)
-                for k3 in range(d3):
-                    lin, bil = per_c[k3]
-                    val = vec_add(lin.apply([t_d.apply([a_vec, b_vec])]),
-                                  bil.apply([a_vec, b_vec]))
-                    for i0 in range(d123):
-                        flat = ((i0 * d1 + j1) * d2 + j2) * d3 + k3
-                        top_entries[flat] = val[i0]
-        m_top = MultiTensor(d123, (d1, d2, d3), top_entries)
+            per_c.append(lift.output(p, c_vec, _hat_slope(t_f, c_vec),
+                                     _hat_slope(t_e, c_vec)))
+        m_top = _stack([compose_tensors(lin, [t_d], [[0, 1]], (d1, d2)).plus(bil)
+                        for lin, bil in per_c], d123, (d1, d2))
 
         comps = {
             (S1, Partition([S1])): MultiTensor.identity(d1),
@@ -653,18 +620,10 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
         }
         sigma_family[p] = Gauge(vac.dims, pres.dims, comps)
 
-        lef_entries = [Fraction(0)] * (d123 * d12 * d3)
-        for j in range(d12):
-            k_vec = unit_vector(d12, j)
-            for k3 in range(d3):
-                lin, _ = per_c[k3]
-                val = lin.apply([k_vec])
-                for i0 in range(d123):
-                    lef_entries[(i0 * d12 + j) * d3 + k3] = val[i0]
         lef_family[p] = Gauge(lef_vac.dims, lef_pres.dims, {
             (S1, Partition([S1])): MultiTensor.identity(d12),
             (S2, Partition([S2])): MultiTensor.identity(d3),
-            (S12, Partition([S1, S2])): MultiTensor(d123, (d12, d3), lef_entries),
+            (S12, Partition([S1, S2])): _stack([lin for lin, _ in per_c], d123, (d12,)),
         })
 
     sigma = Splitting(

@@ -1,0 +1,219 @@
+"""Element and unit-vector forms of the section constructions, kept as
+oracles.
+
+The library states these constructions on the tensor kernels: a frame
+splitting stacks its frames, a hat slope contracts the splitting's top
+in its last slot, a free part is contracted in its axis-3 slot, and the
+triple-bundle assembly stacks the lift's values on the axis-3 unit
+vectors.  This module is what that replaces.  ``local_split_double``
+adds and scales whole elements along axis 2 in the canonical chart;
+the others push unit vectors through ``MultiTensor.apply`` and read
+the results off entry by entry, with the loop form of
+``contract_slot``.
+"""
+
+from fractions import Fraction
+
+from tensor_oracle import contract_slot
+
+from mvb.atlas import associated_vacant
+from mvb.bundle import add, element, morphism_from_canonical, scale
+from mvb.cores import core
+from mvb.cubecat import Partition
+from mvb.exactlin import MultiTensor, unit_vector, vec_add, zero_vector
+from mvb.gauge import Gauge
+from mvb.sections import (
+    S1, S2, S3, S12, S13, S23, S123,
+    HorizontalLift,
+    LinearSection,
+    _double_decomposition_from_splitting,
+    check_lift_compatibility,
+    splitting_top,
+)
+from mvb.split import Splitting, splitting_to_decomposition
+
+
+def hat_linear(presentation, base_section, splitting):
+    """The linear section through a splitting, its slope read off the
+    splitting's top on unit vectors of the axis-1 slot."""
+    slope = {}
+    values = {}
+    for p in presentation.base:
+        can = presentation.canonical_chart(p)
+        b = base_section.at(p).components[S2]
+        top = splitting_top(splitting, can, p)
+        d1 = presentation.dims.dim(S1)
+        d12 = presentation.dims.dim(S12)
+        entries = []
+        for i0 in range(d12):
+            for j in range(d1):
+                unit = tuple(Fraction(1 if t == j else 0) for t in range(d1))
+                entries.append(top.apply([unit, b])[i0])
+        slope[p] = MultiTensor(d12, (d1,), entries)
+        values[p] = b
+    return LinearSection(presentation, values, slope)
+
+
+def local_split_double(presentation, sigma_frames=None):
+    """Frame-by-frame splitting of a double bundle by fiber operations:
+    per pair of unit vectors, the frame elements are scaled and added
+    along axis 2 in the canonical chart."""
+    a = presentation
+    d1, d2, d12 = (a.dims.dim(s) for s in (S1, S2, S12))
+    vac = associated_vacant(a)
+    family = {}
+    for p in a.base:
+        can = a.canonical_chart(p)
+        size = d12 * d1 * d2
+        entries = [Fraction(0)] * size
+        for j1 in range(d1):
+            unit_a = tuple(Fraction(1 if t == j1 else 0) for t in range(d1))
+            for j2 in range(d2):
+                acc = None
+                for frame in range(d2):
+                    frame_core = None
+                    if sigma_frames is not None:
+                        frame_core = sigma_frames.get((can, p, frame))
+                    core_vec = (frame_core.apply([unit_a])
+                                if frame_core is not None else zero_vector(d12))
+                    unit_b = tuple(
+                        Fraction(1 if t == frame else 0) for t in range(d2))
+                    term = element(a, S12, can, p, {
+                        S1: unit_a, S2: unit_b, S12: core_vec,
+                    })
+                    beta = Fraction(1 if frame == j2 else 0)
+                    term = scale(a, beta, term, 2)
+                    acc = term if acc is None else add(a, acc, term, 2)
+                vec = acc.components[S12]
+                for i0 in range(d12):
+                    entries[(i0 * d1 + j1) * d2 + j2] = vec[i0]
+        comps = {
+            (S1, Partition([S1])): MultiTensor.identity(d1),
+            (S2, Partition([S2])): MultiTensor.identity(d2),
+            (S12, Partition([S1, S2])): MultiTensor(d12, (d1, d2), entries),
+        }
+        family[p] = Gauge(vac.dims, a.dims, comps)
+    morphism = morphism_from_canonical(vac, a, family)
+    return Splitting(vac, a, morphism.data, parent=a)
+
+
+def lift_from_free_part(presentation, split_lde, split_lfd, free_lin, free_bil):
+    """A compatible lift whose free part is summed coordinate by
+    coordinate of the axis-3 value."""
+    pres = presentation
+    dims = pres.dims
+    d1, d2, d3 = dims.dim(S1), dims.dim(S2), dims.dim(S3)
+    d12, d123 = dims.dim(S12), dims.dim(S123)
+    tops = {}
+    for p in pres.base:
+        can = pres.canonical_chart(p)
+        lam_de = splitting_top(split_lde, can, p)
+        lam_fd = splitting_top(split_lfd, can, p)
+        f_lin = free_lin[p]
+        f_bil = free_bil[p]
+
+        def make_map(lam_de=lam_de, lam_fd=lam_fd, f_lin=f_lin, f_bil=f_bil):
+            def the_map(c, slope_f, slope_e):
+                lin_entries = [
+                    sum((f_lin.entry(i0 * d12 + j, (t,)) * c[t]
+                         for t in range(d3)), Fraction(0))
+                    for i0 in range(d123) for j in range(d12)
+                ]
+                lin = MultiTensor(d123, (d12,), lin_entries)
+                bil_entries = []
+                for i0 in range(d123):
+                    for j1 in range(d1):
+                        a_vec = unit_vector(d1, j1)
+                        for j2 in range(d2):
+                            b_vec = unit_vector(d2, j2)
+                            bil_entries.append(
+                                lam_de.apply([slope_f.apply([a_vec]), b_vec])[i0]
+                                + lam_fd.apply([a_vec, slope_e.apply([b_vec])])[i0]
+                                + sum((f_bil.entry((i0 * d1 + j1) * d2 + j2, (t,))
+                                       * c[t] for t in range(d3)), Fraction(0)))
+                return lin, MultiTensor(d123, (d1, d2), bil_entries)
+            return the_map
+
+        tops[p] = make_map()
+    return HorizontalLift(pres, tops)
+
+
+def lift_to_decomposition(presentation, split_d, split_e, split_f,
+                          split_lde, split_lfd, lift):
+    """The decomposition of five double splittings and a compatible
+    lift, its top and {1,2}-core splittings read off unit vectors."""
+    pres = presentation
+    check_lift_compatibility(pres, lift, split_lde, split_lfd)
+    dims = pres.dims
+    d1, d2, d3 = dims.dim(S1), dims.dim(S2), dims.dim(S3)
+    d12, d123 = dims.dim(S12), dims.dim(S123)
+    vac = associated_vacant(pres)
+    _, lef_pres = core(pres, S123, S12, check=False)
+    _, lde_pres = core(pres, S123, S13, check=False)
+    _, lfd_pres = core(pres, S123, S23, check=False)
+    lef_vac = associated_vacant(lef_pres)
+
+    sigma_family = {}
+    lef_family = {}
+    for p in pres.base:
+        can = pres.canonical_chart(p)
+        t_d = splitting_top(split_d, can, p)
+        t_e = splitting_top(split_e, can, p)
+        t_f = splitting_top(split_f, can, p)
+
+        per_c = []
+        for k3 in range(d3):
+            c_vec = unit_vector(d3, k3)
+            per_c.append(lift.output(p, c_vec, contract_slot(t_f, 1, c_vec),
+                                     contract_slot(t_e, 1, c_vec)))
+
+        top_entries = [Fraction(0)] * (d123 * d1 * d2 * d3)
+        for j1 in range(d1):
+            a_vec = unit_vector(d1, j1)
+            for j2 in range(d2):
+                b_vec = unit_vector(d2, j2)
+                for k3 in range(d3):
+                    lin, bil = per_c[k3]
+                    val = vec_add(lin.apply([t_d.apply([a_vec, b_vec])]),
+                                  bil.apply([a_vec, b_vec]))
+                    for i0 in range(d123):
+                        flat = ((i0 * d1 + j1) * d2 + j2) * d3 + k3
+                        top_entries[flat] = val[i0]
+        sigma_family[p] = Gauge(vac.dims, pres.dims, {
+            (S1, Partition([S1])): MultiTensor.identity(d1),
+            (S2, Partition([S2])): MultiTensor.identity(d2),
+            (S3, Partition([S3])): MultiTensor.identity(d3),
+            (S12, Partition([S1, S2])): t_d,
+            (S13, Partition([S1, S3])): t_f,
+            (S23, Partition([S2, S3])): t_e,
+            (S123, Partition([S1, S2, S3])):
+                MultiTensor(d123, (d1, d2, d3), top_entries),
+        })
+
+        lef_entries = [Fraction(0)] * (d123 * d12 * d3)
+        for j in range(d12):
+            k_vec = unit_vector(d12, j)
+            for k3 in range(d3):
+                lin, _ = per_c[k3]
+                val = lin.apply([k_vec])
+                for i0 in range(d123):
+                    lef_entries[(i0 * d12 + j) * d3 + k3] = val[i0]
+        lef_family[p] = Gauge(lef_vac.dims, lef_pres.dims, {
+            (S1, Partition([S1])): MultiTensor.identity(d12),
+            (S2, Partition([S2])): MultiTensor.identity(d3),
+            (S12, Partition([S1, S2])): MultiTensor(d123, (d12, d3), lef_entries),
+        })
+
+    sigma = Splitting(
+        vac, pres, morphism_from_canonical(vac, pres, sigma_family).data,
+        parent=pres)
+    split_lef = Splitting(
+        lef_vac, lef_pres,
+        morphism_from_canonical(lef_vac, lef_pres, lef_family).data,
+        parent=lef_pres)
+    core_decs = {
+        S12: _double_decomposition_from_splitting(lef_pres, split_lef),
+        S13: _double_decomposition_from_splitting(lde_pres, split_lde),
+        S23: _double_decomposition_from_splitting(lfd_pres, split_lfd),
+    }
+    return splitting_to_decomposition(pres, sigma, core_decs)

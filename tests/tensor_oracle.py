@@ -1,10 +1,11 @@
 """Entry-by-entry ``Fraction`` tensor kernels, kept as oracles.
 
-These are the straightforward forms of ``MultiTensor.apply`` and
-``compose_tensors``: every product and sum is a ``Fraction`` operation,
-and the composite is rebuilt entry by entry from ``MultiTensor.entry``.
-The library runs both kernels on integer numerators over one shared
-denominator per tensor; the differential tests compare the two.
+These are the straightforward forms of ``MultiTensor.apply``,
+``compose_tensors`` and ``contract_slot``: every product and sum is a
+``Fraction`` operation, and each result is rebuilt entry by entry from
+``MultiTensor.entry``.  The library runs the kernels on integer
+numerators over one shared denominator per tensor, and contracts a slot
+with one composition; the differential tests compare the two.
 """
 
 from itertools import product
@@ -89,3 +90,23 @@ def compose_tensors(outer, inners, slot_groups, total_in_dims):
             if acc:
                 result[i0 * prod(total_in_dims) + flat_base] = acc
     return MultiTensor(out_dim, tuple(total_in_dims), result)
+
+
+def contract_slot(tensor, slot, vector):
+    """Fix one input slot of a tensor to a vector, leaving the rest."""
+    if len(vector) != tensor.in_dims[slot]:
+        raise DimensionMismatch("contraction vector has wrong length")
+    rest = tuple(d for i, d in enumerate(tensor.in_dims) if i != slot)
+    size = prod(rest)
+    entries = [ZERO] * (tensor.out_dim * size)
+    for i0 in range(tensor.out_dim):
+        for j, idx in enumerate(product(*map(range, rest))):
+            acc = ZERO
+            for t, x in enumerate(vector):
+                if x:
+                    full = list(idx[:slot]) + [t] + list(idx[slot:])
+                    e = tensor.entry(i0, full)
+                    if e:
+                        acc += e * x
+            entries[i0 * size + j] = acc
+    return MultiTensor(tensor.out_dim, rest, entries)

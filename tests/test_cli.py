@@ -348,3 +348,18 @@ def test_duplicate_entries_exit_two(tmp_path, capsys):
         code, _, err = invoke(capsys, ["validate", str(path)])
         assert code == 2, (name, err)
         assert "input error" in err and "duplicate" in err and needle in err, (name, err)
+
+
+def test_file_of_the_wrong_kind_exits_two(tmp_path, capsys):
+    a = twisted_instance(409, n=2, n_points=1, n_charts=2)
+    atlas_path = write_instance(tmp_path, "atlas.json", a)
+    gauge_path = write_instance(tmp_path, "gauge.json", a.transitions[
+        next(iter(sorted(a.transitions)))])
+    for argv, path, noun in (
+            (["stato", "check", atlas_path], atlas_path, "a gauge"),
+            (["validate", gauge_path], gauge_path, "an atlas"),
+            (["inf", "decompose", atlas_path, "--n", "1"], atlas_path,
+             "a tower generator")):
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "input error: %s does not hold %s\n" % (path, noun), argv
