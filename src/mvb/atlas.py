@@ -119,6 +119,14 @@ class AtlasPresentation:
     def node_dim(self, node):
         return self.dims.node_dim(node)
 
+    def trimmed(self, dims):
+        """The sub-presentation over ``dims`` (each slot's dimension at
+        most the ambient one): every transition is ``Gauge.trimmed``."""
+        return AtlasPresentation(
+            self.n, dims, self.base, self.charts,
+            {key: g.trimmed(dims) for key, g in self.transitions.items()},
+            self.axis_blocks)
+
     def same_chart_system(self, other):
         return self.base == other.base and tuple(
             (c.id, c.domain) for c in self.charts
@@ -345,16 +353,7 @@ def associated_decomposed(presentation):
 
 def associated_vacant(presentation):
     """The vacant model: singleton cocycles of the presentation."""
-    a = presentation
-    dims = singleton_dims(a.dims)
-    out = {}
-    for (dst, src, p), g in a.transitions.items():
-        comps = {}
-        for subset in nonempty_subsets(full_set(a.n)):
-            if len(subset) == 1:
-                comps[(subset, Partition([subset]))] = g.linear_part(subset)
-        out[(dst, src, p)] = Gauge(dims, dims, comps)
-    return AtlasPresentation(a.n, dims, a.base, a.charts, out, a.axis_blocks)
+    return presentation.trimmed(singleton_dims(presentation.dims))
 
 
 def restrict(presentation, points):

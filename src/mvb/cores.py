@@ -33,6 +33,7 @@ from .cubecat import (
     DiagonalPartition,
     IndexSet,
     Partition,
+    block_unions,
     full_set,
     is_union_of_blocks,
     nonempty_subsets,
@@ -94,34 +95,26 @@ def core(presentation, ambient, inner, check=True):
 
 def embed_core_element(presentation, blocks, core_elem):
     """View a core element as an ambient element with zero filled in."""
-    blocks = tuple(Partition(blocks))
-    node = IndexSet(i for pos in core_elem.node for i in blocks[pos - 1])
-    comps = {}
+    unions = block_unions(Partition(blocks))
+    comps = {unions[nu]: vec for nu, vec in core_elem.components.items()}
+    node = IndexSet(i for key in comps for i in key)
     for key in nonempty_subsets(node):
-        comps[key] = zero_vector(presentation.dims.dim(key))
-    for nu, vec in core_elem.components.items():
-        union = IndexSet(i for pos in nu for i in blocks[pos - 1])
-        comps[union] = vec
+        comps.setdefault(key, zero_vector(presentation.dims.dim(key)))
     return element(presentation, node, core_elem.chart, core_elem.point, comps)
 
 
 def restrict_core_element(presentation, core_pres, ambient_elem):
     """Inverse of the embedding; requires core membership."""
-    blocks = core_pres.axis_blocks
+    positions = {union: nu for nu, union in
+                 block_unions(Partition(core_pres.axis_blocks)).items()}
     e = canonicalize(presentation, ambient_elem)
     comps = {}
     for key, vec in e.components.items():
-        if is_union_of_blocks(key, blocks):
-            positions = IndexSet(
-                pos + 1 for pos, b in enumerate(blocks) if set(b) <= set(key)
-            )
-            if positions:
-                comps[positions] = vec
+        if key in positions:
+            comps[positions[key]] = vec
         elif any(x != 0 for x in vec):
             raise InvalidInput("element is not in the core: slot %s nonzero" % (list(key),))
-    node = IndexSet(
-        pos + 1 for pos, b in enumerate(blocks) if set(b) <= set(e.node)
-    )
+    node = IndexSet(i for nu in comps for i in nu)
     return element(core_pres, node, e.chart, e.point, comps)
 
 
@@ -230,10 +223,9 @@ def core_by_stages(presentation, ambient, inner, first):
     direct_spec, direct = core(a, s_set, j_set, check=False)
     stage1_spec, stage1 = core(a, s_set, k_set, check=False)
     # positions of the stage-1 axes that the second stage merges
-    merged_positions = IndexSet(
-        pos + 1 for pos, b in enumerate(stage1.axis_blocks)
-        if set(b) <= set(j_set)
-    )
+    merged_positions = next(
+        nu for nu, union in block_unions(Partition(stage1.axis_blocks)).items()
+        if union == j_set)
     stage2_spec, stage2 = core(stage1, full_set(stage1.n), merged_positions, check=False)
 
     if stage2.dims != direct.dims or stage2.transitions != direct.transitions:
@@ -358,14 +350,9 @@ def pullback(presentation):
     a = presentation
     n = a.n
     top = full_set(n)
-    dims_p = _drop_top_dims(a.dims)
+    p_pres = a.trimmed(_drop_top_dims(a.dims))
 
-    p_pres = AtlasPresentation(
-        n, dims_p, a.base, a.charts,
-        {key: g.trimmed(dims_p) for key, g in a.transitions.items()},
-    )
-
-    drop_top = identity_gauge(a.dims, dims_p)
+    drop_top = identity_gauge(a.dims, p_pres.dims)
     projection = BundleMorphism(
         a, p_pres, {(c.id, pt): drop_top for c in a.charts for pt in c.domain})
 
@@ -405,12 +392,7 @@ def ultracore_dims(dims, axis):
 
 
 def ultracore_pullback_presentation(presentation, axis):
-    a = presentation
-    dims_q = ultracore_dims(a.dims, axis)
-    return AtlasPresentation(
-        a.n, dims_q, a.base, a.charts,
-        {key: g.trimmed(dims_q) for key, g in a.transitions.items()},
-    )
+    return presentation.trimmed(ultracore_dims(presentation.dims, axis))
 
 
 def ultracore_inclusion(presentation, axis):

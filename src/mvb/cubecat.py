@@ -9,7 +9,16 @@ The enumerations depend on the index set alone, so ``subsets`` and
 ``cube_plan(n)`` goes one step further for the cube over {1..n}: it
 lists every (S, rho) component key once and, on first use, the terms of
 the chart-change composition sum of every key (see ``gauge``).
+
+A partition of an ambient node into k blocks reindexes a core onto the
+k-cube, axis i standing for the i-th block.  ``block_unions`` and
+``ambient_positions`` are that one map, on index sets and on component
+keys: every translation between a core and its ambient cube (gauge
+restriction, element embedding, routing a core decomposition's
+components, comparing two cores) reads it or inverts it.
 """
+
+from types import MappingProxyType
 
 from .errors import InvalidPartition
 
@@ -245,6 +254,30 @@ def _slot_groups(k):
 def cube_plan(n):
     """The ``CubePlan`` of {1..n}, built on first use and then shared."""
     return CubePlan(n)
+
+
+@_memoized(1024)
+def block_unions(blocks):
+    """Map each nonempty set of block positions to the union of its blocks
+    (read-only, since every caller shares it)."""
+    return MappingProxyType({
+        nu: IndexSet(i for pos in nu for i in blocks[pos - 1])
+        for nu in nonempty_subsets(full_set(len(blocks)))
+    })
+
+
+@_memoized(1024)
+def ambient_positions(n_and_blocks):
+    """For ``(n, blocks)``: per key of the blocks' cube plan, the position
+    in ``cube_plan(n)`` of the ambient key it stands for, whose sets are
+    the unions of the blocks named by the key's sets."""
+    n, blocks = n_and_blocks
+    unions = block_unions(blocks)
+    index = cube_plan(n).index
+    return tuple(
+        index[(unions[nu], Partition([unions[part] for part in sigma]))]
+        for nu, sigma in cube_plan(len(blocks)).keys
+    )
 
 
 def coarsen(partition, grouping):

@@ -363,6 +363,10 @@ def generator_from_json(obj):
         raise SchemaError("generator body missing")
     if body.get("kind") == "stabilizing":
         instance = atlas_from_json(body.get("instance"))
+        level = body.get("N")
+        if type(level) is not int or level != instance.n:
+            raise SchemaError("stabilizing generator: N must be the instance's level %d,"
+                              " got %r" % (instance.n, level))
         return InfinityPresentation(StabilizingGenerator(instance))
     if body.get("kind") == "rule":
         base = _list_value(body, "base", "rule generator")

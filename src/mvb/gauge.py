@@ -33,12 +33,12 @@ component's terms read.
 
 from itertools import combinations, product
 from math import lcm
-from types import MappingProxyType
 
 from .cubecat import (
     IndexSet,
     Partition,
-    _memoized,
+    ambient_positions,
+    block_unions,
     cube_plan,
     full_set,
     nonempty_subsets,
@@ -124,34 +124,8 @@ def diagonal_dims(dims, blocks):
     corresponding blocks.
     """
     blocks = Partition(blocks)
-    return _union_dims(dims, len(blocks), _block_unions(blocks))
-
-
-def _union_dims(dims, k, unions):
-    return DimAssignment(k, {nu: dims.dims[union] for nu, union in unions.items()})
-
-
-@_memoized(1024)
-def _block_unions(blocks):
-    """Map each nonempty set of block positions to the union of its blocks
-    (read-only, since every caller shares it)."""
-    return MappingProxyType({
-        nu: IndexSet(i for pos in nu for i in blocks[pos - 1])
-        for nu in nonempty_subsets(full_set(len(blocks)))
-    })
-
-
-@_memoized(1024)
-def _ambient_positions(n_and_blocks):
-    """For ``(n, blocks)``: per key of the blocks' cube plan, the position
-    in ``cube_plan(n)`` of the ambient component it restricts."""
-    n, blocks = n_and_blocks
-    unions = _block_unions(blocks)
-    index = cube_plan(n).index
-    return tuple(
-        index[(unions[nu], Partition([unions[part] for part in sigma]))]
-        for nu, sigma in cube_plan(len(blocks)).keys
-    )
+    return DimAssignment(len(blocks), {
+        nu: dims.dims[union] for nu, union in block_unions(blocks).items()})
 
 
 class Gauge:
@@ -326,15 +300,14 @@ class Gauge:
         restriction (singleton blocks) and core reindexing.
         """
         blocks = Partition(blocks)
-        k = len(blocks)
-        unions = _block_unions(blocks)
-        src = _union_dims(self.source_dims, k, unions)
+        src = diagonal_dims(self.source_dims, blocks)
         tgt = src if self.target_dims == self.source_dims else \
-            _union_dims(self.target_dims, k, unions)
+            diagonal_dims(self.target_dims, blocks)
         ambient = cube_plan(self.n).keys
         components = {
             key: self.components[ambient[at]]
-            for key, at in zip(cube_plan(k).keys, _ambient_positions((self.n, blocks)))
+            for key, at in zip(cube_plan(len(blocks)).keys,
+                               ambient_positions((self.n, blocks)))
         }
         return Gauge(src, tgt, components)
 

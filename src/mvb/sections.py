@@ -264,7 +264,7 @@ def local_split_double(presentation, sigma_frames=None):
         }
         family[p] = Gauge(vac.dims, a.dims, comps)
     morphism = morphism_from_canonical(vac, a, family)
-    return Splitting(vac, a, morphism.data, parent=a)
+    return Splitting(vac, a, morphism.data)
 
 
 class DoublyLinearSection:
@@ -557,8 +557,7 @@ def face_splitting(presentation, decomposition, axes):
         for keyp, g in decomposition.data.items()
     }
     face_dec = Decomposition(
-        associated_decomposed(face_pres), face_pres, face_dec_data,
-        parent=face_pres)
+        associated_decomposed(face_pres), face_pres, face_dec_data)
     return extract_splitting(face_pres, face_dec), face_dec
 
 
@@ -627,12 +626,9 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
         })
 
     sigma = Splitting(
-        vac, pres, morphism_from_canonical(vac, pres, sigma_family).data,
-        parent=pres)
+        vac, pres, morphism_from_canonical(vac, pres, sigma_family).data)
     split_lef = Splitting(
-        lef_vac, lef_pres,
-        morphism_from_canonical(lef_vac, lef_pres, lef_family).data,
-        parent=lef_pres)
+        lef_vac, lef_pres, morphism_from_canonical(lef_vac, lef_pres, lef_family).data)
 
     core_decs = {
         S12: _double_decomposition_from_splitting(lef_pres, split_lef),

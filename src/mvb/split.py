@@ -28,8 +28,12 @@ The pipeline follows the constructive existence proofs:
   result is routed rather than evaluated: all-singleton components come
   from the splitting, every other one from the core decomposition at
   the last chain stage whose pair heads one of its blocks, reindexed
-  onto the merged cube.  Face restrictions of the output agree with the
-  construction on faces by uniqueness rather than by bookkeeping.
+  onto the merged cube.  That reindexing, and the keys on which
+  ``check_compatibility`` compares a core with the splitting or with
+  another core, are ``cubecat.ambient_positions`` inverted; it depends
+  only on the number of blocks of the object.  Face restrictions of the
+  output agree with the construction on faces by uniqueness rather than
+  by bookkeeping.
 
 * Full decomposition recurses over coarsenings of the axis partition.
   Every object that appears (a core of a face, a face of a core, an
@@ -50,8 +54,11 @@ from .atlas import (
 from .bundle import BundleMorphism, morphism_from_canonical
 from .cores import partition_core, pullback
 from .cubecat import (
+    DiagonalPartition,
     IndexSet,
     Partition,
+    ambient_positions,
+    coarsen,
     cube_plan,
     full_set,
     nonempty_subsets,
@@ -67,17 +74,9 @@ STRATEGIES = ("least-chart", "uniform-average")
 class Splitting(BundleMorphism):
     """A monomorphism from the vacant model, identity on singleton slots."""
 
-    def __init__(self, source, target, data, parent=None):
-        super().__init__(source, target, data)
-        self.parent = parent or target
-
 
 class Decomposition(BundleMorphism):
     """An isomorphism from the decomposed model, identity on every building slot."""
-
-    def __init__(self, source, target, data, parent=None):
-        super().__init__(source, target, data)
-        self.parent = parent or target
 
 
 def is_splitting(morphism):
@@ -110,18 +109,6 @@ def _position_blocks(blocks, positions):
     return Partition([blocks[pos - 1] for pos in positions])
 
 
-def _merge_blocks(blocks, positions):
-    blocks = tuple(blocks)
-    merged = IndexSet()
-    rest = []
-    for pos, b in enumerate(blocks, start=1):
-        if pos in positions:
-            merged = merged.union(b)
-        else:
-            rest.append(b)
-    return Partition([merged] + rest)
-
-
 def _top_key(k):
     """The key of the whole k-cube with singleton blocks."""
     ground = full_set(k)
@@ -133,27 +120,17 @@ def _pairs(k):
     return sorted((s for s in nonempty_subsets(full_set(k)) if len(s) == 2), key=tuple)
 
 
-def _merged_slot_map(blocks, positions):
-    """Map from sets of object positions to merged-cube positions for one
-    merge: the merged pair goes to one position, every other block to
-    its own."""
-    blocks = tuple(blocks)
-    old_to_new = {}
-    for pos_new, block_new in enumerate(_merge_blocks(blocks, positions), start=1):
-        old_positions = IndexSet(
-            pos + 1 for pos, b in enumerate(blocks) if set(b) <= set(block_new)
-        )
-        old_to_new[old_positions] = pos_new
-    return old_to_new
+def _merged(k, mu):
+    """The partition of {1..k} that merges the pair ``mu``: the blocks of
+    the ``mu``-core of a k-cube object, in that object's positions."""
+    return DiagonalPartition(full_set(k), mu).as_partition()
 
 
-def _merged_component(old_to_new, subset, rho):
-    """A component key whose blocks are unions of merge pieces, rewritten
-    in merged-cube positions.  Block order is preserved, since the merge
-    keeps the order of least elements of disjoint blocks."""
-    def image(s):
-        return IndexSet(new for old, new in old_to_new.items() if old.issubset(s))
-    return image(subset), Partition([image(b) for b in rho])
+def _core_keys(k, mu):
+    """Per position in ``cube_plan(k)`` of a key the ``mu``-core covers
+    (every block a union of merged blocks), the core's own key there:
+    ``ambient_positions`` inverted."""
+    return dict(zip(ambient_positions((k, _merged(k, mu))), cube_plan(k - 1).keys))
 
 
 def _route(rho):
@@ -171,24 +148,22 @@ def _route(rho):
     return max(heads, key=tuple) if heads else None
 
 
-def _assemble(obj, model, sigma, core_decs, blocks, base):
+def _assemble(obj, model, sigma, core_decs, base):
     """Decomposition data fixed by a splitting and the codimension-one
     core decompositions.  In the canonical chart fiber addition is
     coordinatewise, so every component is copied from the splitting or
     from the core decomposition that the chain would consult for it."""
-    slot_maps = {mu: _merged_slot_map(blocks, mu) for mu in _pairs(obj.n)}
+    core_keys = {mu: _core_keys(obj.n, mu) for mu in _pairs(obj.n)}
     family = {}
     for p in base:
         can = obj.canonical_chart(p)
         comps = {}
-        for target in nonempty_subsets(full_set(obj.n)):
-            for rho in partitions(target):
-                mu = _route(rho)
-                if mu is None:
-                    comps[(target, rho)] = sigma.data[(can, p)].components[(target, rho)]
-                else:
-                    comps[(target, rho)] = core_decs[mu].data[(can, p)].components[
-                        _merged_component(slot_maps[mu], target, rho)]
+        for at, key in enumerate(cube_plan(obj.n).keys):
+            mu = _route(key[1])
+            if mu is None:
+                comps[key] = sigma.data[(can, p)].components[key]
+            else:
+                comps[key] = core_decs[mu].data[(can, p)].components[core_keys[mu][at]]
         family[p] = Gauge(model.dims, obj.dims, comps)
     return morphism_from_canonical(model, obj, family).data
 
@@ -270,7 +245,7 @@ class DecompositionBuilder:
         return (sub.ground, sub)
 
     def merged_key(self, key, positions):
-        return (key[0], _merge_blocks(key[1], positions))
+        return (key[0], coarsen(key[1], _merged(len(key[1]), positions)))
 
     # -- splittings ----------------------------------------------------
 
@@ -289,7 +264,7 @@ class DecompositionBuilder:
             ]
             family = {p: self._paste(obj, vac, faces, p) for p in self.A.base}
             data = morphism_from_canonical(vac, obj, family).data
-        morphism = Splitting(vac, obj, data, parent=obj)
+        morphism = Splitting(vac, obj, data)
         self.cache.splittings[key] = morphism
         return morphism
 
@@ -359,8 +334,8 @@ class DecompositionBuilder:
                 mu: self.decomposition(self.merged_key(key, mu))
                 for mu in _pairs(obj.n)
             }
-            data = _assemble(obj, model, sigma, core_decs, key[1], self.A.base)
-        morphism = Decomposition(model, obj, data, parent=obj)
+            data = _assemble(obj, model, sigma, core_decs, self.A.base)
+        morphism = Decomposition(model, obj, data)
         self.cache.decompositions[key] = morphism
         return morphism
 
@@ -390,25 +365,16 @@ def decompose(presentation, strategy="least-chart"):
     return builder.decomposition(builder.top_key())
 
 
-def _merged_slots(n, mu):
-    out = []
-    for s in nonempty_subsets(full_set(n)):
-        inter = s.intersection(mu)
-        if not inter or inter == mu:
-            out.append(s)
-    return out
-
-
 def check_compatibility(presentation, sigma, core_decs):
     """Verify the intersection conditions between a splitting and the
     codimension-one core decompositions.
 
     The core decomposition over each merged pair must restrict to the
-    splitting on the vacant slots away from the pair, and any two core
-    decompositions must agree on the slots supported by both cores.
-    Both are exact equalities of the components whose blocks are drawn
-    from those slots, in every chart: an element supported on disjoint
-    slots feeds exactly one partition of each target.  Raises with the
+    splitting on the all-singleton keys the core covers (the vacant
+    slots away from the pair), and any two core decompositions must
+    agree on the keys both cores cover.  Both are exact equalities of
+    components, in every chart: an element supported on disjoint slots
+    feeds exactly one partition of each target.  Raises with the
     violated intersection on failure.
     """
     a = presentation
@@ -417,32 +383,27 @@ def check_compatibility(presentation, sigma, core_decs):
     for mu in pairs:
         if mu not in core_decs:
             raise InvalidInput("missing core decomposition at %s" % (list(mu),))
-    singles = Partition([[i] for i in full_set(n)])
-    slot_maps = {mu: _merged_slot_map(singles, mu) for mu in pairs}
+    keys = cube_plan(n).keys
+    core_keys = {mu: _core_keys(n, mu) for mu in pairs}
     locations = [(c.id, p) for c in a.charts for p in c.domain]
 
-    def keys_on(slots):
-        return [(t, rho) for t in nonempty_subsets(full_set(n))
-                for rho in partitions(t) if all(b in slots for b in rho)]
-
-    def core_component(mu, location, key):
-        return core_decs[mu].data[location].components[
-            _merged_component(slot_maps[mu], *key)]
+    def core_component(mu, location, at):
+        return core_decs[mu].data[location].components[core_keys[mu][at]]
 
     for mu in pairs:
-        keys = keys_on({IndexSet([i]) for i in full_set(n).difference(mu)})
+        singles = [at for at in core_keys[mu] if len(keys[at][0]) == len(keys[at][1])]
         for location in locations:
             g = sigma.data[location]
-            if any(core_component(mu, location, key) != g.components[key]
-                   for key in keys):
+            if any(core_component(mu, location, at) != g.components[keys[at]]
+                   for at in singles):
                 raise SemanticError(
                     "core decomposition at %s violates the splitting" % (list(mu),))
     for idx, mu in enumerate(pairs):
         for nu in pairs[idx + 1:]:
-            keys = keys_on(set(_merged_slots(n, mu)) & set(_merged_slots(n, nu)))
+            shared = core_keys[mu].keys() & core_keys[nu].keys()
             for location in locations:
-                if any(core_component(mu, location, key)
-                       != core_component(nu, location, key) for key in keys):
+                if any(core_component(mu, location, at)
+                       != core_component(nu, location, at) for at in shared):
                     raise SemanticError(
                         "core decompositions at %s and %s disagree"
                         % (list(mu), list(nu)))
@@ -459,11 +420,10 @@ def splitting_to_decomposition(presentation, sigma, core_decs):
     a = presentation
     core_decs = {IndexSet(mu): dec for mu, dec in core_decs.items()}
     check_compatibility(a, sigma, core_decs)
-    blocks = Partition([[i] for i in full_set(a.n)])
-    obj = partition_core(a, full_set(a.n), blocks, check=False)
+    ground, singles = _top_key(a.n)
+    obj = partition_core(a, ground, singles, check=False)
     model = associated_decomposed(obj)
-    data = _assemble(obj, model, sigma, core_decs, blocks, a.base)
-    return Decomposition(model, obj, data, parent=obj)
+    return Decomposition(model, obj, _assemble(obj, model, sigma, core_decs, a.base))
 
 
 def extract_splitting(presentation, decomposition):
@@ -479,23 +439,23 @@ def extract_splitting(presentation, decomposition):
                 if all(len(b) == 1 for b in rho):
                     comps[(subset, rho)] = g.components[(subset, rho)]
         data[(chart, p)] = Gauge(vac.dims, a.dims, comps)
-    return Splitting(vac, a, data, parent=a)
+    return Splitting(vac, a, data)
 
 
 def extract_core_decompositions(presentation, decomposition):
     """Decompositions of the codimension-one cores, by restriction."""
     a = presentation
-    ground, singles = _top_key(a.n)
+    ground = full_set(a.n)
     out = {}
     for mu in _pairs(a.n):
-        blocks = _merge_blocks(singles, mu)
+        blocks = _merged(a.n, mu)
         obj = partition_core(a, ground, blocks, check=False)
         model = associated_decomposed(obj)
         data = {
             keyp: g.diagonal_restrict(blocks)
             for keyp, g in decomposition.data.items()
         }
-        out[mu] = Decomposition(model, obj, data, parent=obj)
+        out[mu] = Decomposition(model, obj, data)
     return out
 
 
@@ -512,7 +472,7 @@ def torsor_statomorphism(dec_a, dec_b):
 def act_by_statomorphism(dec, tau):
     """Right action of a statomorphism on a decomposition."""
     composed = dec.compose(tau)
-    return Decomposition(dec.source, dec.target, composed.data, parent=dec.parent)
+    return Decomposition(dec.source, dec.target, composed.data)
 
 
 def normalize_atlas(presentation, decomposition):

@@ -26,7 +26,50 @@ from mvb.cubecat import IndexSet, Partition, full_set, nonempty_subsets, partiti
 from mvb.errors import InvalidInput, SemanticError
 from mvb.exactlin import MultiTensor, unit_vector, zero_vector
 from mvb.gauge import Gauge
-from mvb.split import _merged_slot_map
+
+
+def _merge_blocks(blocks, positions):
+    blocks = tuple(blocks)
+    merged = IndexSet()
+    rest = []
+    for pos, b in enumerate(blocks, start=1):
+        if pos in positions:
+            merged = merged.union(b)
+        else:
+            rest.append(b)
+    return Partition([merged] + rest)
+
+
+def _merged_slot_map(blocks, positions):
+    """Map from sets of object positions to merged-cube positions for one
+    merge: the merged pair goes to one position, every other block to
+    its own."""
+    blocks = tuple(blocks)
+    old_to_new = {}
+    for pos_new, block_new in enumerate(_merge_blocks(blocks, positions), start=1):
+        old_positions = IndexSet(
+            pos + 1 for pos, b in enumerate(blocks) if set(b) <= set(block_new)
+        )
+        old_to_new[old_positions] = pos_new
+    return old_to_new
+
+
+def _merged_component(old_to_new, subset, rho):
+    """A component key whose blocks are unions of merge pieces, rewritten
+    in merged-cube positions.  Block order is preserved, since the merge
+    keeps the order of least elements of disjoint blocks."""
+    def image(s):
+        return IndexSet(new for old, new in old_to_new.items() if old.issubset(s))
+    return image(subset), Partition([image(b) for b in rho])
+
+
+def merged_slot_keys(k, mu):
+    """The component keys of the k-cube that the core merging the pair
+    ``mu`` carries: every block misses the pair or contains it."""
+    slots = {s for s in nonempty_subsets(full_set(k))
+             if not s.intersection(mu) or s.intersection(mu) == mu}
+    return [(t, rho) for t in nonempty_subsets(full_set(k))
+            for rho in partitions(t) if all(b in slots for b in rho)]
 
 
 def compose_from_canonical(source, target, family):

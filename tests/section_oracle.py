@@ -94,7 +94,7 @@ def local_split_double(presentation, sigma_frames=None):
         }
         family[p] = Gauge(vac.dims, a.dims, comps)
     morphism = morphism_from_canonical(vac, a, family)
-    return Splitting(vac, a, morphism.data, parent=a)
+    return Splitting(vac, a, morphism.data)
 
 
 def lift_from_free_part(presentation, split_lde, split_lfd, free_lin, free_bil):
@@ -205,12 +205,10 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
         })
 
     sigma = Splitting(
-        vac, pres, morphism_from_canonical(vac, pres, sigma_family).data,
-        parent=pres)
+        vac, pres, morphism_from_canonical(vac, pres, sigma_family).data)
     split_lef = Splitting(
         lef_vac, lef_pres,
-        morphism_from_canonical(lef_vac, lef_pres, lef_family).data,
-        parent=lef_pres)
+        morphism_from_canonical(lef_vac, lef_pres, lef_family).data)
     core_decs = {
         S12: _double_decomposition_from_splitting(lef_pres, split_lef),
         S13: _double_decomposition_from_splitting(lde_pres, split_lde),

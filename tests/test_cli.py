@@ -363,3 +363,21 @@ def test_file_of_the_wrong_kind_exits_two(tmp_path, capsys):
         code, out, err = invoke(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert err == "input error: %s does not hold %s\n" % (path, noun), argv
+
+
+def test_stabilizing_generator_level_must_be_the_instance_level(tmp_path, capsys):
+    # a 2-fold instance: only "N": 2 is its level; no other value may parse
+    body = json.loads(formats.dumps(InfinityPresentation(StabilizingGenerator(
+        twisted_instance(410, n=2, n_points=1, n_charts=2)))))
+    assert body["generator"]["N"] == 2
+    for level in (7, 1, 3, "x", "2", 2.0, True, None, [2], "absent"):
+        copy = json.loads(json.dumps(body))
+        if level == "absent":
+            del copy["generator"]["N"]
+        else:
+            copy["generator"]["N"] = level
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(copy))
+        code, out, err = invoke(capsys, ["inf", "decompose", str(path), "--n", "2"])
+        assert (code, out) == (2, ""), level
+        assert err.startswith("input error: ") and "N must be" in err, (level, err)

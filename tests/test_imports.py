@@ -1,8 +1,10 @@
-"""No module of the library imports a name it never uses.
+"""No module of the library, its tests or its demos imports a name it
+never uses.
 
 Every module-level ``import`` and ``from ... import`` in ``src/mvb``
-(``__init__.py`` re-exports, so it is left out) must bind a name the
-module reads somewhere.  Only the standard library ``ast`` is used.
+(``__init__.py`` re-exports, so it is left out), ``tests`` and ``demos``
+must bind a name the module reads somewhere.  Only the standard library
+``ast`` is used.
 """
 
 import ast
@@ -10,8 +12,15 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mvb"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mvb"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py")))
+
+
+def module_id(path):
+    """The file name for library modules, else the directory and file name."""
+    return path.name if path.parent == SRC else "%s/%s" % (path.parent.name, path.name)
 
 
 def unused_imports(source):
@@ -31,6 +40,6 @@ def test_the_check_sees_an_unused_import():
         (1, "os"), (2, "b")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == [], path.name

@@ -4,7 +4,10 @@ import random
 
 import pytest
 from chain_oracle import (
+    _merged_component,
+    _merged_slot_map,
     builder_chain_data,
+    merged_slot_keys,
     probe_compatibility,
     splitting_to_decomposition_data,
 )
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from test_acceptance import corpus
 
 from mvb.bundle import morphism_from_canonical
-from mvb.cubecat import IndexSet, full_set, nonempty_subsets
+from mvb.cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets
 from mvb.errors import SemanticError
 from mvb.exactlin import MultiTensor
 from mvb.gauge import DimAssignment, Gauge
@@ -22,6 +25,9 @@ from mvb.split import (
     STRATEGIES,
     Decomposition,
     DecompositionBuilder,
+    _core_keys,
+    _pairs,
+    _route,
     check_compatibility,
     decompose,
     extract_core_decompositions,
@@ -71,6 +77,26 @@ def assert_same_verdict(presentation, sigma, cores):
         check_error = str(err)
     assert check_error == probe_error
     return check_error
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_core_keys_match_the_oracle_slot_map(k):
+    # the corpus reaches k=4 only; the key maps are cheap up to k=6
+    keys = cube_plan(k).keys
+    singles = Partition([[i] for i in full_set(k)])
+    # an ambient partition with k blocks, one of them not a singleton
+    wide = Partition([[1, k + 1]] + [[i] for i in range(2, k + 1)])
+    for mu in _pairs(k):
+        core_keys = _core_keys(k, mu)
+        slot_map = _merged_slot_map(singles, mu)
+        assert _merged_slot_map(wide, mu) == slot_map
+        routed = [at for at, key in enumerate(keys) if _route(key[1]) == mu]
+        assert routed
+        for at in routed:
+            assert core_keys[at] == _merged_component(slot_map, *keys[at]), keys[at]
+        # one ambient key per core key, and exactly the oracle's keys
+        assert len(core_keys) == len(cube_plan(k - 1).keys)
+        assert {keys[at] for at in core_keys} == set(merged_slot_keys(k, mu))
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

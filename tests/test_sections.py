@@ -5,7 +5,6 @@ import pytest
 
 from mvb.atlas import FiniteBase, decomposed
 from mvb.bundle import element, elements_equal
-from mvb.cores import core
 from mvb.cubecat import full_set, nonempty_subsets
 from mvb.errors import SemanticError
 from mvb.exactlin import MultiTensor
@@ -15,7 +14,6 @@ from mvb.sections import (
     BaseSection,
     DoublyLinearSection,
     HorizontalLift,
-    LinearSection,
     check_lift_compatibility,
     decomposition_to_lift,
     doubly_linear_sequence,
