@@ -50,7 +50,6 @@ from .cubecat import (
     coarsen,
     partitions,
     subsets,
-    unions_of_blocks,
 )
 from .exactlin import MultiTensor, image_contains, kernel_basis, rank, solve_linear
 from .gauge import DimAssignment, Gauge, identity_gauge

@@ -14,7 +14,7 @@ and one orientation per unordered chart triple; all other orientations
 follow from these.
 """
 
-from .cubecat import Partition, full_set, nonempty_subsets, partitions
+from .cubecat import Partition, cube_plan, full_set, nonempty_subsets
 from .errors import InvalidInput
 from .exactlin import rank
 from .gauge import DimAssignment, Gauge, diagonal_dims, identity_gauge, singleton_dims
@@ -195,10 +195,9 @@ class ValidationReport:
 
 
 def _first_component_difference(got, expected):
-    for subset in nonempty_subsets(full_set(got.n)):
-        for rho in partitions(subset):
-            if got.components[(subset, rho)] != expected.components[(subset, rho)]:
-                return subset, rho
+    for key, a, b in zip(cube_plan(got.n).keys, got.tensors, expected.tensors):
+        if a != b:
+            return key
     return None, None
 
 
@@ -342,12 +341,11 @@ def diagonal(dims, blocks, base):
 def associated_decomposed(presentation):
     """The decomposed model sharing base, charts, and one-block cocycles."""
     a = presentation
-    out = {}
-    for (dst, src, p), g in a.transitions.items():
-        comps = {}
-        for subset in nonempty_subsets(full_set(a.n)):
-            comps[(subset, Partition([subset]))] = g.linear_part(subset)
-        out[(dst, src, p)] = Gauge(a.dims, a.dims, comps)
+    keys = cube_plan(a.n).keys
+    out = {
+        key: Gauge(a.dims, a.dims, {k: t for k, t in zip(keys, g.tensors) if len(k[1]) == 1})
+        for key, g in a.transitions.items()
+    }
     return AtlasPresentation(a.n, a.dims, a.base, a.charts, out, a.axis_blocks)
 
 

@@ -21,6 +21,7 @@ from .atlas import AtlasPresentation, decomposed
 from .cubecat import (
     IndexSet,
     Partition,
+    cube_plan,
     full_set,
     nonempty_subsets,
     partitions,
@@ -497,15 +498,8 @@ def hom_apply(e_pres, f_pres, hom_elem, elem):
         raise InvalidInput("morphism and element over different points")
     if not elem.node.issubset(hom_elem.node):
         raise InvalidInput("element node outside the morphism node")
-    tensors = hom_decode(e_pres, f_pres, hom_elem)
-    e_can = canonicalize(e_pres, elem)
-    comps = {}
-    for subset in nonempty_subsets(elem.node):
-        acc = zero_vector(f_pres.dims.dim(subset))
-        for rho in partitions(subset):
-            args = [e_can.components[b] for b in rho]
-            acc = vec_add(acc, tensors[(subset, rho)].apply(args))
-        comps[subset] = acc
+    comps = Gauge(e_pres.dims, f_pres.dims, hom_decode(e_pres, f_pres, hom_elem)).evaluate(
+        canonicalize(e_pres, elem).components)
     return element(
         f_pres, elem.node, f_pres.canonical_chart(elem.point), elem.point, comps,
     )
@@ -535,7 +529,9 @@ def tangent_prolongation(presentation):
 
     def lift_gauge(g):
         comps = {}
-        for (subset, rho), tensor in g.components.items():
+        for (subset, rho), tensor in zip(cube_plan(a.n).keys, g.tensors):
+            if tensor is None:
+                continue
             comps[(subset, rho)] = tensor
             for pos, block in enumerate(rho):
                 new_blocks = [

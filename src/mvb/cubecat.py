@@ -303,18 +303,6 @@ def coarsen(partition, grouping):
     return Partition(merged)
 
 
-def unions_of_blocks(diagonal, chosen):
-    """The union of a sub-collection of blocks of a DiagonalPartition."""
-    blocks = set(diagonal.blocks)
-    out = IndexSet()
-    for block in chosen:
-        block = IndexSet(block)
-        if block not in blocks:
-            raise InvalidPartition("%r is not a block of %r" % (block, diagonal))
-        out = out.union(block)
-    return out
-
-
 def is_union_of_blocks(index_set, blocks):
     """True iff ``index_set`` is a union of some of the given disjoint blocks."""
     remaining = set(IndexSet(index_set))

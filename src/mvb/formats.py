@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .atlas import AtlasPresentation, Chart, FiniteBase
 from .bundle import BundleElement, BundleMorphism
-from .cubecat import IndexSet, Partition, full_set, nonempty_subsets, partitions
+from .cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets
 from .errors import InvalidPartition, ParseError, SchemaError
 from .exactlin import MultiTensor
 from .gauge import DimAssignment, Gauge
@@ -53,6 +53,15 @@ def _list_value(obj, key, where):
     if not isinstance(value, list):
         raise SchemaError("%s: %s must be a list, got %s"
                           % (where, key, type(value).__name__))
+    return value
+
+
+def _integer_value(obj, key, where):
+    """The JSON integer under ``key``.  A float, a string or a boolean is
+    a schema error naming the key, never a truncated or coerced value."""
+    value = obj.get(key)
+    if type(value) is not int:
+        raise SchemaError("%s: %s must be an integer, got %r" % (where, key, value))
     return value
 
 
@@ -99,10 +108,7 @@ def dims_from_json(n, obj, where="dims"):
         if not isinstance(item, dict):
             raise SchemaError("%s entry must be an object, got %r" % (where, item))
         key = _index_set_value(item, "set", where + " entry")
-        try:
-            dim = int(item["dim"])
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
-            raise SchemaError("%s entry malformed: %s" % (where, err))
+        dim = _integer_value(item, "dim", where + " entry")
         if key in out:
             raise SchemaError("%s: duplicate entry for %s" % (where, list(key)))
         out[key] = dim
@@ -114,30 +120,20 @@ def dims_from_json(n, obj, where="dims"):
 
 def gauge_to_json(gauge):
     components = []
-    for subset in nonempty_subsets(full_set(gauge.n)):
-        for rho in partitions(subset):
-            tensor = gauge.components[(subset, rho)]
-            if len(rho) > 1 and tensor.is_zero():
-                continue
-            components.append({
-                "target": list(subset),
-                "blocks": [list(b) for b in rho],
-                "tensor": tensor_to_json(tensor),
-            })
+    for (subset, rho), tensor in zip(cube_plan(gauge.n).keys, gauge.tensors):
+        if tensor is None and len(rho) > 1:
+            continue
+        components.append({
+            "target": list(subset),
+            "blocks": [list(b) for b in rho],
+            "tensor": tensor_to_json(gauge.linear_part(subset) if tensor is None else tensor),
+        })
     return {
         "n": gauge.n,
         "source_dims": dims_to_json(gauge.source_dims),
         "target_dims": dims_to_json(gauge.target_dims),
         "components": components,
     }
-
-
-def _cube_dimension(obj, where):
-    try:
-        return int(obj["n"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise SchemaError("%s: cube dimension n must be an integer, got %r"
-                          % (where, obj.get("n")))
 
 
 def _list_field(obj, key, where):
@@ -160,7 +156,7 @@ def _string_field(obj, key, where):
 def gauge_from_json(obj, where="gauge"):
     if not isinstance(obj, dict):
         raise SchemaError("%s must be an object" % where)
-    n = _cube_dimension(obj, where)
+    n = _integer_value(obj, "n", where)
     src = dims_from_json(n, obj.get("source_dims"), where + ".source_dims")
     tgt = dims_from_json(n, obj.get("target_dims"), where + ".target_dims")
     components = {}
@@ -229,7 +225,7 @@ def atlas_from_json(obj):
         raise SchemaError("expected an atlas object")
     if obj.get("format_version") != FORMAT_VERSION:
         raise SchemaError("unsupported format_version %r" % (obj.get("format_version"),))
-    n = _cube_dimension(obj, "atlas")
+    n = _integer_value(obj, "n", "atlas")
     base = FiniteBase(_list_value(obj, "base", "atlas"))
     charts = []
     for c in _list_value(obj, "charts", "atlas"):

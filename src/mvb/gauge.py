@@ -19,18 +19,22 @@ The shape of these sums depends on n alone.  ``cubecat.cube_plan(n)``
 enumerates it once per n, on first use: the (J, rho) keys in component
 order and, per key, one term per grouping of rho's blocks, naming the
 outer key, the inner keys and the slots each inner component consumes
-by position in the key list.  A gauge records at construction which of
-its components are nonzero; composition and inversion walk the plan
-and skip every term whose outer or inner component is zero, since such
-a term contributes nothing to the exact sum.  ``_sum_terms`` contracts
-the remaining terms of a key to integer numerators, adds them over the
-lcm of their denominators and builds one tensor from the sum.
-``_compose_at`` runs those sums for requested keys only: composition
-asks for every key, and a caller that reads one component of a
-composite (the uniform paste in ``split``) asks for the keys that
-component's terms read.
+by position in the key list.  A gauge stores its components once, as
+``tensors``: one entry per plan key in plan order, ``None`` for every
+all-zero component, so no tensor is allocated for a zero component.
+``components`` is a read-only mapping view over the same store that
+reads an absent key as a zero tensor of its shape.  Composition and
+inversion walk the plan and skip every term whose outer or inner
+component is zero, since such a term contributes nothing to the exact
+sum.  ``_sum_terms`` contracts the remaining terms of a key to integer
+numerators, adds them over the lcm of their denominators and builds one
+tensor from the sum.  ``_compose_at`` runs those sums for requested
+keys only: composition asks for every key, and a caller that reads one
+component of a composite (the uniform paste in ``split``) asks for the
+keys that component's terms read.
 """
 
+from collections.abc import Mapping
 from itertools import combinations, product
 from math import lcm
 
@@ -129,12 +133,14 @@ def diagonal_dims(dims, blocks):
 
 
 class Gauge:
-    """A complete family of components from one DimAssignment to another.
+    """A family of components from one DimAssignment to another.
 
-    ``components`` holds a tensor for every key of ``cube_plan(n)``,
-    zeros included.  Alongside it the gauge keeps ``_sparse``, the same
-    tensors in plan order with ``None`` in place of every all-zero one,
-    which is what composition and inversion walk.
+    ``tensors`` is the one store: a tensor per key of ``cube_plan(n)``,
+    in plan order, with ``None`` in place of every all-zero one.  The
+    constructor takes a mapping from plan keys to tensors, checks the
+    shape of each one given and allocates nothing for absent or zero
+    components.  ``components`` reads the store as a mapping over every
+    plan key.
     """
 
     def __init__(self, source_dims, target_dims, components):
@@ -143,22 +149,17 @@ class Gauge:
         self.n = source_dims.n
         self.source_dims = source_dims
         self.target_dims = target_dims
-        plan = cube_plan(self.n)
-        for key in components:
-            if key not in plan.index:
+        index = cube_plan(self.n).index
+        tensors = [None] * len(index)
+        for key, tensor in components.items():
+            if key not in index:
                 raise DimensionMismatch(
                     "unknown component key %r: not a (nonempty subset of {1..%d},"
                     " partition of it) pair" % (key, self.n))
-        self.components = {}
-        sparse = []
-        for key in plan.keys:
+            if tensor is None:
+                continue
             out_dim = target_dims.dims[key[0]]
             in_dims = source_dims.block_dims(key[1])
-            tensor = components.get(key)
-            if tensor is None:
-                self.components[key] = MultiTensor.zeros(out_dim, in_dims)
-                sparse.append(None)
-                continue
             if tensor.out_dim != out_dim or tensor.in_dims != in_dims:
                 subset, rho = key
                 raise DimensionMismatch(
@@ -167,9 +168,14 @@ class Gauge:
                        tensor.out_dim, list(tensor.in_dims),
                        out_dim, list(in_dims))
                 )
-            self.components[key] = tensor
-            sparse.append(None if tensor.is_zero() else tensor)
-        self._sparse = tuple(sparse)
+            if not tensor.is_zero():
+                tensors[index[key]] = tensor
+        self.tensors = tuple(tensors)
+
+    @property
+    def components(self):
+        """Every component by plan key, zeros included (a read-only view)."""
+        return _Components(self)
 
     def component(self, subset, rho):
         return self.components[(IndexSet(subset), Partition(rho))]
@@ -182,29 +188,21 @@ class Gauge:
         return self.source_dims == self.target_dims
 
     def is_identity(self):
-        if not self.is_square():
-            return False
-        for (subset, rho), tensor in self.components.items():
-            if len(rho) == 1:
-                if not tensor.is_identity():
-                    return False
-            elif not tensor.is_zero():
-                return False
-        return True
+        return self.is_statomorphism() and self.is_block_diagonal()
 
     def is_statomorphism(self):
-        """Identity one-block parts over equal dims; nonlinear parts free."""
-        if not self.is_square():
-            return False
-        return all(
-            self.components[(subset, Partition([subset]))].is_identity()
-            for subset in nonempty_subsets(full_set(self.n))
+        """Identity one-block parts over equal dims; nonlinear parts free.
+        The identity on a 0-dimensional slot is the empty, zero tensor."""
+        return self.is_square() and all(
+            self.source_dims.dims[subset] == 0 if tensor is None else tensor.is_identity()
+            for (subset, rho), tensor in zip(cube_plan(self.n).keys, self.tensors)
+            if len(rho) == 1
         )
 
     def is_block_diagonal(self):
         return all(
             tensor is None
-            for (subset, rho), tensor in zip(cube_plan(self.n).keys, self._sparse)
+            for (subset, rho), tensor in zip(cube_plan(self.n).keys, self.tensors)
             if len(rho) > 1
         )
 
@@ -229,7 +227,7 @@ class Gauge:
             acc = zero_vector(self.target_dims.dim(subset))
             for rho in partitions(subset):
                 args = [support[b] for b in rho]
-                tensor = self._sparse[index[(subset, rho)]]
+                tensor = self.tensors[index[(subset, rho)]]
                 if tensor is not None:
                     acc = vec_add(acc, tensor.apply(args))
             out[subset] = acc
@@ -244,7 +242,7 @@ class Gauge:
         if other.target_dims != self.source_dims:
             raise DimensionMismatch("middle dimensions do not match")
         keys = cube_plan(self.n).keys
-        composite = _compose_at(self._sparse, other._sparse, range(len(keys)),
+        composite = _compose_at(self.tensors, other.tensors, range(len(keys)),
                                 other.source_dims)
         components = {key: tensor for key, tensor in zip(keys, composite)
                       if tensor is not None}
@@ -279,7 +277,7 @@ class Gauge:
             else:
                 total_in = self.source_dims.block_dims(rho)
                 # terms[0] holds the unknown component, solved for below
-                residue = _sum_terms(terms[1:], self._sparse, solved, total_in)
+                residue = _sum_terms(terms[1:], self.tensors, solved, total_in)
                 if residue is None:
                     continue
                 tensor = compose_tensors(
@@ -303,11 +301,11 @@ class Gauge:
         src = diagonal_dims(self.source_dims, blocks)
         tgt = src if self.target_dims == self.source_dims else \
             diagonal_dims(self.target_dims, blocks)
-        ambient = cube_plan(self.n).keys
         components = {
-            key: self.components[ambient[at]]
+            key: self.tensors[at]
             for key, at in zip(cube_plan(len(blocks)).keys,
                                ambient_positions((self.n, blocks)))
+            if self.tensors[at] is not None
         }
         return Gauge(src, tgt, components)
 
@@ -318,35 +316,59 @@ class Gauge:
         Restricts a gauge to a sub-bundle with smaller dimensions, such as
         a pullback or an ultracore.
         """
-        components = {}
-        for (subset, rho), tensor in self.components.items():
-            if (tensor.out_dim == dims.dims[subset]
-                    and tensor.in_dims == dims.block_dims(rho)):
-                components[(subset, rho)] = tensor
-        return Gauge(dims, dims, components)
+        return Gauge(dims, dims, {
+            (subset, rho): tensor
+            for (subset, rho), tensor in zip(cube_plan(self.n).keys, self.tensors)
+            if tensor is not None and tensor.out_dim == dims.dims[subset]
+            and tensor.in_dims == dims.block_dims(rho)
+        })
 
     def __eq__(self, other):
         return (
             isinstance(other, Gauge)
             and self.source_dims == other.source_dims
             and self.target_dims == other.target_dims
-            and self.components == other.components
+            and self.tensors == other.tensors
         )
 
     def __hash__(self):
-        return hash((self.source_dims, self.target_dims,
-                     tuple(sorted(self.components.items(),
-                                  key=lambda kv: (kv[0][0], kv[0][1])))))
+        return hash((self.source_dims, self.target_dims, self.tensors))
 
     def __repr__(self):
         return "Gauge(n=%d)" % self.n
+
+
+class _Components(Mapping):
+    """A gauge's components by plan key, in plan order.  An absent key
+    reads as a fresh zero tensor of its shape; a key off the plan raises
+    ``KeyError``.  The gauge returns a new view on every read and keeps
+    none, so a gauge holds no reference back to itself."""
+
+    __slots__ = ("gauge",)
+
+    def __init__(self, gauge):
+        self.gauge = gauge
+
+    def __getitem__(self, key):
+        g = self.gauge
+        tensor = g.tensors[cube_plan(g.n).index[key]]
+        if tensor is None:
+            return MultiTensor.zeros(g.target_dims.dims[key[0]],
+                                     g.source_dims.block_dims(key[1]))
+        return tensor
+
+    def __iter__(self):
+        return iter(cube_plan(self.gauge.n).keys)
+
+    def __len__(self):
+        return len(self.gauge.tensors)
 
 
 def _compose_at(outers, inners, positions, source_dims):
     """The components of a composite at the requested plan positions only.
 
     ``outers`` and ``inners`` hold the components of two composable
-    gauges in plan order, ``None`` for zero ones (a gauge's ``_sparse``);
+    gauges in plan order, ``None`` for zero ones (a gauge's ``tensors``);
     ``source_dims`` are the inner gauge's source dimensions.  The result
     has the same form: the component of the outer gauge after the inner
     one at each of ``positions``, ``None`` at every other position and
@@ -443,7 +465,9 @@ def permute_gauge(gauge, mapping):
     src = DimAssignment(n, {relabel_set(k): v for k, v in gauge.source_dims.dims.items()})
     tgt = DimAssignment(n, {relabel_set(k): v for k, v in gauge.target_dims.dims.items()})
     components = {}
-    for (subset, rho), tensor in gauge.components.items():
+    for (subset, rho), tensor in zip(cube_plan(n).keys, gauge.tensors):
+        if tensor is None:
+            continue
         new_subset = relabel_set(subset)
         images = [relabel_set(b) for b in rho]
         new_rho = Partition(images)

@@ -9,7 +9,7 @@ then hold by construction, so every generated instance validates.
 import random
 from fractions import Fraction
 
-from .cubecat import full_set, nonempty_subsets, partitions
+from .cubecat import cube_plan, full_set, nonempty_subsets
 from .exactlin import MultiTensor, rank
 from .gauge import DimAssignment, Gauge
 
@@ -40,30 +40,24 @@ def random_gauge(rng, source_dims, target_dims=None, statomorphism=False):
     """Random square gauge with invertible (or identity) linear parts."""
     target_dims = target_dims or source_dims
     components = {}
-    for subset in nonempty_subsets(full_set(source_dims.n)):
-        for rho in partitions(subset):
-            out = target_dims.dim(subset)
-            ins = source_dims.block_dims(rho)
-            if len(rho) == 1:
-                if statomorphism:
-                    components[(subset, rho)] = MultiTensor.identity(out)
-                elif out == ins[0]:
-                    components[(subset, rho)] = random_invertible_matrix(rng, out)
-                else:
-                    components[(subset, rho)] = random_tensor(rng, out, ins)
-            else:
-                components[(subset, rho)] = random_tensor(rng, out, ins)
+    for subset, rho in cube_plan(source_dims.n).keys:
+        out = target_dims.dim(subset)
+        ins = source_dims.block_dims(rho)
+        if len(rho) == 1 and statomorphism:
+            components[(subset, rho)] = MultiTensor.identity(out)
+        elif len(rho) == 1 and out == ins[0]:
+            components[(subset, rho)] = random_invertible_matrix(rng, out)
+        else:
+            components[(subset, rho)] = random_tensor(rng, out, ins)
     return Gauge(source_dims, target_dims, components)
 
 
 def random_morphism_gauge(rng, source_dims, target_dims):
     """Random gauge with unconstrained rectangular linear parts."""
-    components = {}
-    for subset in nonempty_subsets(full_set(source_dims.n)):
-        for rho in partitions(subset):
-            out = target_dims.dim(subset)
-            ins = source_dims.block_dims(rho)
-            components[(subset, rho)] = random_tensor(rng, out, ins)
+    components = {
+        (subset, rho): random_tensor(rng, target_dims.dim(subset), source_dims.block_dims(rho))
+        for subset, rho in cube_plan(source_dims.n).keys
+    }
     return Gauge(source_dims, target_dims, components)
 
 

@@ -62,7 +62,6 @@ from .cubecat import (
     cube_plan,
     full_set,
     nonempty_subsets,
-    partitions,
 )
 from .errors import InvalidInput, SemanticError
 from .exactlin import MultiTensor, unit_vector
@@ -154,6 +153,7 @@ def _assemble(obj, model, sigma, core_decs, base):
     coordinatewise, so every component is copied from the splitting or
     from the core decomposition that the chain would consult for it."""
     core_keys = {mu: _core_keys(obj.n, mu) for mu in _pairs(obj.n)}
+    core_index = cube_plan(obj.n - 1).index
     family = {}
     for p in base:
         can = obj.canonical_chart(p)
@@ -161,9 +161,10 @@ def _assemble(obj, model, sigma, core_decs, base):
         for at, key in enumerate(cube_plan(obj.n).keys):
             mu = _route(key[1])
             if mu is None:
-                comps[key] = sigma.data[(can, p)].components[key]
+                comps[key] = sigma.data[(can, p)].tensors[at]
             else:
-                comps[key] = core_decs[mu].data[(can, p)].components[core_keys[mu][at]]
+                comps[key] = core_decs[mu].data[(can, p)].tensors[
+                    core_index[core_keys[mu][at]]]
         family[p] = Gauge(model.dims, obj.dims, comps)
     return morphism_from_canonical(model, obj, family).data
 
@@ -178,8 +179,8 @@ def _conjugated_top(outer, g, inner):
     ground, singles = top = _top_key(g.n)
     top_at = plan.index[top]
     singleton_keys = [at for at, (s, rho) in enumerate(plan.keys) if len(rho) == len(s)]
-    right = _compose_at(g._sparse, inner._sparse, singleton_keys, inner.source_dims)
-    tensor = _compose_at(outer._sparse, right, [top_at], inner.source_dims)[top_at]
+    right = _compose_at(g.tensors, inner.tensors, singleton_keys, inner.source_dims)
+    tensor = _compose_at(outer.tensors, right, [top_at], inner.source_dims)[top_at]
     if tensor is None:
         return MultiTensor.zeros(outer.target_dims.dims[ground],
                                  inner.source_dims.block_dims(singles))
@@ -312,7 +313,7 @@ class DecompositionBuilder:
             local = self._chart_splitting(obj, vac, faces, c, point)
             total = total.plus(_conjugated_top(
                 obj.transition(can, c, point), local, vac.transition(c, can, point)))
-        comps = dict(own.components)
+        comps = dict(zip(cube_plan(obj.n).keys, own.tensors))
         comps[top] = total.scaled(Fraction(1, len(others) + 1))
         return Gauge(vac.dims, obj.dims, comps)
 
@@ -385,16 +386,17 @@ def check_compatibility(presentation, sigma, core_decs):
             raise InvalidInput("missing core decomposition at %s" % (list(mu),))
     keys = cube_plan(n).keys
     core_keys = {mu: _core_keys(n, mu) for mu in pairs}
+    core_index = cube_plan(n - 1).index
     locations = [(c.id, p) for c in a.charts for p in c.domain]
 
     def core_component(mu, location, at):
-        return core_decs[mu].data[location].components[core_keys[mu][at]]
+        return core_decs[mu].data[location].tensors[core_index[core_keys[mu][at]]]
 
     for mu in pairs:
         singles = [at for at in core_keys[mu] if len(keys[at][0]) == len(keys[at][1])]
         for location in locations:
             g = sigma.data[location]
-            if any(core_component(mu, location, at) != g.components[keys[at]]
+            if any(core_component(mu, location, at) != g.tensors[at]
                    for at in singles):
                 raise SemanticError(
                     "core decomposition at %s violates the splitting" % (list(mu),))
@@ -431,14 +433,12 @@ def extract_splitting(presentation, decomposition):
     inclusion, i.e. keep the all-singleton components."""
     a = presentation
     vac = associated_vacant(a)
+    keys = cube_plan(a.n).keys
     data = {}
     for (chart, p), g in decomposition.data.items():
-        comps = {}
-        for subset in nonempty_subsets(full_set(a.n)):
-            for rho in partitions(subset):
-                if all(len(b) == 1 for b in rho):
-                    comps[(subset, rho)] = g.components[(subset, rho)]
-        data[(chart, p)] = Gauge(vac.dims, a.dims, comps)
+        data[(chart, p)] = Gauge(vac.dims, a.dims, {
+            (subset, rho): tensor for (subset, rho), tensor in zip(keys, g.tensors)
+            if len(rho) == len(subset)})
     return Splitting(vac, a, data)
 
 

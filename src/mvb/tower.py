@@ -18,7 +18,7 @@ import hashlib
 from fractions import Fraction
 
 from .atlas import AtlasPresentation, Chart, FiniteBase
-from .cubecat import IndexSet, Partition, full_set, nonempty_subsets, partitions
+from .cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets, partitions
 from .errors import InvalidInput
 from .exactlin import MultiTensor
 from .gauge import DimAssignment, Gauge, identity_gauge
@@ -131,13 +131,11 @@ class RuleGenerator:
                            [Fraction(next(stream)) for _ in range(size)])
 
     def _frame(self, chart, point, dims):
-        comps = {}
-        for subset in nonempty_subsets(full_set(dims.n)):
-            for rho in partitions(subset):
-                comps[(subset, rho)] = self._frame_tensor(
-                    chart, point, subset, rho,
-                    dims.dim(subset), dims.block_dims(rho))
-        return Gauge(dims, dims, comps)
+        return Gauge(dims, dims, {
+            (subset, rho): self._frame_tensor(chart, point, subset, rho,
+                                              dims.dim(subset), dims.block_dims(rho))
+            for subset, rho in cube_plan(dims.n).keys
+        })
 
     def transition(self, dst, src, point, dims):
         if self.transition_rule["kind"] == "identity" or dst == src:
@@ -180,13 +178,10 @@ class InfinityPresentation:
                         transitions[(ca.id, cb.id, p)] = gen.transition(
                             ca.id, cb.id, p, dims)
                     else:
-                        comps = {}
-                        for subset in nonempty_subsets(full_set(n)):
-                            for rho in partitions(subset):
-                                tensor = gen.component(ca.id, cb.id, p, subset, rho)
-                                if tensor is not None:
-                                    comps[(subset, rho)] = tensor
-                        transitions[(ca.id, cb.id, p)] = Gauge(dims, dims, comps)
+                        transitions[(ca.id, cb.id, p)] = Gauge(dims, dims, {
+                            (subset, rho): gen.component(ca.id, cb.id, p, subset, rho)
+                            for subset, rho in cube_plan(n).keys
+                        })
         return AtlasPresentation(n, dims, gen.base, gen.charts, transitions)
 
 

@@ -11,7 +11,6 @@ from mvb.cubecat import (
     is_union_of_blocks,
     partitions,
     subsets,
-    unions_of_blocks,
 )
 from mvb.errors import InvalidPartition
 
@@ -118,15 +117,6 @@ def test_coarsen_bad_grouping():
 def test_diagonal_partition_blocks():
     rho = DiagonalPartition([1, 2, 3], [1, 2])
     assert [list(b) for b in rho.blocks] == [[1, 2], [3]]
-    assert unions_of_blocks(rho, [rho.distinguished, IndexSet([3])]) == IndexSet([1, 2, 3])
-    assert unions_of_blocks(rho, []) == IndexSet()
-
-
-def test_unions_of_blocks_four_elements():
-    rho = DiagonalPartition([1, 2, 3, 4], [2, 3])
-    assert unions_of_blocks(rho, [IndexSet([1]), IndexSet([4])]) == IndexSet([1, 4])
-    with pytest.raises(InvalidPartition):
-        unions_of_blocks(rho, [IndexSet([2])])
 
 
 def test_is_union_of_blocks():

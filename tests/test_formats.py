@@ -188,6 +188,39 @@ def test_non_integer_n_is_schema_error():
     assert "'x'" in str(err.value) and "transition" in str(err.value)
 
 
+def _coerced_forms(value):
+    """A float, a string and a boolean that ``int`` reads back as ``value``
+    (the boolean only for 1)."""
+    forms = [value + 0.5, str(value)]
+    return forms + [True] if value == 1 else forms
+
+
+@pytest.mark.parametrize("where", ["atlas", "gauge"])
+def test_cube_dimension_must_be_a_json_integer(where):
+    n = fixture_corpus()[2].n
+    for bad in _coerced_forms(n) + [True]:
+        def edit(body):
+            target = body if where == "atlas" else body["transitions"][0]["gauge"]
+            target["n"] = bad
+        with pytest.raises(SchemaError) as err:
+            formats.parse(_edited_atlas(edit))
+        assert "n must be an integer, got %r" % (bad,) in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["dims", "source_dims", "target_dims"])
+def test_slot_dimension_must_be_a_json_integer(field):
+    body = formats.atlas_to_json(fixture_corpus()[2])
+    for at, entry in enumerate(body["dims"]):
+        for bad in _coerced_forms(entry["dim"]):
+            def edit(body):
+                owner = body if field == "dims" else body["transitions"][0]["gauge"]
+                owner[field][at]["dim"] = bad
+            with pytest.raises(SchemaError) as err:
+                formats.parse(_edited_atlas(edit))
+            assert "%s entry: dim must be an integer, got %r" % (field, bad) \
+                in str(err.value)
+
+
 def test_component_target_outside_cube_is_schema_error():
     with pytest.raises(SchemaError) as err:
         formats.parse(_edited_atlas(_append_component([3], [[3]], 1, (1,))))

@@ -1,9 +1,11 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from mvb.cubecat import IndexSet, Partition, full_set, nonempty_subsets
+from mvb.cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets
 from mvb.errors import DimensionMismatch, SingularMatrix
 from mvb.exactlin import MultiTensor
 from mvb.gauge import (
@@ -14,7 +16,7 @@ from mvb.gauge import (
     permute_gauge,
     singleton_dims,
 )
-from mvb.rand import random_dims, random_vectors
+from mvb.rand import random_dims, random_gauge, random_vectors
 
 J1 = IndexSet([1])
 J2 = IndexSet([2])
@@ -291,3 +293,54 @@ def test_gauge_accepts_plain_tuple_keys():
     assert g.component(J1, [J1]).entries == (Fraction(2),)
     assert g.component(J12, SPLIT12).entries == (Fraction(3),)
     assert g.linear_part(J2).is_zero()
+
+
+def test_explicit_zero_components_are_stored_as_absent():
+    rng = random.Random(7)
+    src, tgt = random_dims(rng, 3, max_dim=2), random_dims(rng, 3, max_dim=2)
+    zeros = {(s, rho): MultiTensor.zeros(tgt.dims[s], src.block_dims(rho))
+             for s, rho in cube_plan(3).keys}
+    explicit = Gauge(src, tgt, zeros)
+    empty = Gauge(src, tgt, {})
+    assert explicit == empty and hash(explicit) == hash(empty)
+    assert explicit.tensors == empty.tensors == (None,) * len(cube_plan(3).keys)
+    g = random_gauge(rng, src)
+    for key, tensor in zip(cube_plan(3).keys, g.tensors):
+        assert (tensor is None) == g.components[key].is_zero()
+
+
+def test_components_view_covers_the_plan():
+    rng = random.Random(8)
+    d = random_dims(rng, 3, max_dim=2)
+    g = Gauge(d, d, {(J1, Partition([J1])): MultiTensor.identity(d.dims[J1])})
+    view = g.components
+    keys = cube_plan(3).keys
+    assert list(view) == list(keys) and len(view) == len(keys)
+    for subset, rho in keys[1:]:
+        tensor = view[(subset, rho)]
+        assert tensor.is_zero()
+        assert (tensor.out_dim, tensor.in_dims) == (d.dims[subset], d.block_dims(rho))
+    assert dict(view) == view and (J12, SPLIT12) in view
+    with pytest.raises(KeyError):
+        view[(J12, Partition([[1, 2, 3]]))]
+    assert (IndexSet([4]), Partition([[4]])) not in view
+
+
+def test_gauge_is_freed_by_reference_counting_alone():
+    g = scalar_gauge_n2(2, 3, 5, 7)
+    assert g.components[(J12, SPLIT12)].entries == (Fraction(7),)
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_zero_dimensional_slot_identity():
+    d = DimAssignment(2, {J1: 1, J2: 0, J12: 2})
+    g = identity_gauge(d)
+    assert g.tensors[cube_plan(2).index[(J2, Partition([J2]))]] is None
+    assert g.is_identity() and g.is_statomorphism()
+    assert not Gauge(d, d, {}).is_identity()
