@@ -14,7 +14,7 @@ and one orientation per unordered chart triple; all other orientations
 follow from these.
 """
 
-from .cubecat import Partition, cube_plan, full_set, nonempty_subsets
+from .cubecat import Partition, cube_plan
 from .errors import InvalidInput
 from .exactlin import rank
 from .gauge import DimAssignment, Gauge, diagonal_dims, identity_gauge, singleton_dims
@@ -252,13 +252,14 @@ def validate(presentation):
                     "identity", (cid,), p, subset, rho,
                     "self-transition is not the identity"))
 
-    # invertibility of every transition's one-block parts
+    # invertibility of every transition's one-block parts (square: the
+    # dims were checked above)
+    plan = cube_plan(a.n)
     for (dst, src, p), g in sorted(a.transitions.items()):
-        for subset in nonempty_subsets(full_set(a.n)):
-            lin = g.linear_part(subset)
-            if lin.out_dim != lin.in_dims[0] or rank(lin) != lin.out_dim:
+        for (subset, rho), lin, (dim, _) in zip(plan.keys, g.tensors, a.dims.shapes):
+            if len(rho) == 1 and dim and (lin is None or rank(lin) != dim):
                 violations.append(Violation(
-                    "invertibility", (dst, src), p, subset, Partition([subset]),
+                    "invertibility", (dst, src), p, subset, rho,
                     "one-block part not invertible"))
 
     if violations:

@@ -267,6 +267,9 @@ class BundleMorphism:
             at = self.source.charts_at(p)
             for ca in at:
                 for cb in at:
+                    if (cb == ca and self.target.transition(ca, ca, p).is_identity()
+                            and self.source.transition(ca, ca, p).is_identity()):
+                        continue  # both sides are data[(ca, p)]
                     left = self.target.transition(cb, ca, p).compose(self.data[(ca, p)])
                     right = self.data[(cb, p)].compose(self.source.transition(cb, ca, p))
                     if left != right:

@@ -458,10 +458,16 @@ def build_parser():
     return parser
 
 
+# The parser, built on the first run and reused; filled in place, so the
+# module's attributes keep their identity.
+_PARSER = []
+
+
 def run(argv):
-    parser = build_parser()
+    if not _PARSER:
+        _PARSER.append(build_parser())
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER[0].parse_args(argv)
     except SystemExit as err:
         return 2 if err.code else 0
     try:

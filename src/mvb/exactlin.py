@@ -7,21 +7,30 @@ intermediate entries from blowing up at the scales this package
 targets.
 
 The two tensor kernels, ``MultiTensor.apply`` and ``compose_tensors``,
-run on Python integers.  A tensor's integer form (computed once, on
-first use) is its entries as numerators over one common denominator,
-the lcm of the entry denominators, plus the list of its nonzero
-numerators by position.  Applying a tensor multiplies and adds only
-those numerators and the arguments' cleared numerators; the composite
-of ``compose_tensors`` at an input index is the outer tensor applied to
-the inner tensors' columns at that index, so both run the same integer
-contraction.  One ``Fraction`` is built per nonzero result entry, from
-the integer sum and the product of the denominators.
+run on Python integers.  A tensor's integer form is its entries as
+numerators over one common denominator, the lcm of the entry
+denominators; a tensor also caches the list of its nonzero numerators
+by position.  Applying a tensor multiplies and adds only those
+numerators and the arguments' cleared numerators; the composite of
+``compose_tensors`` at an input index is the outer tensor applied to
+the inner tensors' columns at that index's slots, so both run the same
+integer contraction.  Which inner column feeds which composite index
+depends on the shapes alone and is memoized per ``(total_in_dims, slot
+group)``.
+
+A tensor made by a kernel stays in integer form: the numerators of a
+sum of composites are added into one integer list over the lcm of the
+terms' denominators and divided by their gcd with it, which is the
+form the same entries as ``Fraction``s give.  Its ``entries``, a tuple
+of ``Fraction``s, are built only when read.  Equality and hashing
+compare values, so they agree however a tensor was built.
 """
 
 from fractions import Fraction
 from itertools import product, repeat
-from math import lcm, prod
+from math import gcd, lcm, prod
 
+from .cubecat import _memoized
 from .errors import DimensionMismatch, SingularMatrix
 
 ZERO = Fraction(0)
@@ -44,22 +53,22 @@ def _numerators(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def _contract(nonzero, out_dim, columns):
-    """Integer numerators of a tensor applied to one vector per block.
+def _contract(nonzero, columns, total, at):
+    """Add a tensor applied to one integer vector per input block into
+    ``total``.
 
-    ``nonzero`` lists the tensor's nonzero numerators as ``(i0, j, num)``
-    with ``j`` the flat input index; ``columns`` holds one integer
-    vector per input block.
+    ``nonzero`` lists the tensor's nonzero numerators as ``(offset, j,
+    num)``, ``j`` being the flat input index; ``num`` times the product
+    of the vectors' coordinates at ``j`` is added to ``total[offset +
+    at]``.
     """
     weights = [1]
     for column in columns:
         weights = [w * x for w in weights for x in column]
-    out = [0] * out_dim
-    for i0, j, num in nonzero:
+    for offset, j, num in nonzero:
         w = weights[j]
         if w:
-            out[i0] += num * w
-    return out
+            total[offset + at] += num * w
 
 
 def _rationals(numerators, den):
@@ -75,7 +84,7 @@ class MultiTensor:
     coordinate ``i0`` on basis inputs ``(i1, ..., ik)``.
     """
 
-    __slots__ = ("out_dim", "in_dims", "entries", "_ints")
+    __slots__ = ("out_dim", "in_dims", "_entries", "_ints", "_nonzero")
 
     def __init__(self, out_dim, in_dims, entries):
         self.out_dim = int(out_dim)
@@ -89,24 +98,54 @@ class MultiTensor:
                 "tensor %dx%s needs %d entries, got %d"
                 % (self.out_dim, list(self.in_dims), expected, len(entries))
             )
-        self.entries = entries
-        self._ints = None
+        self._entries = entries
+        self._ints = self._nonzero = None
+
+    @classmethod
+    def _from_integers(cls, out_dim, in_dims, nums, den):
+        """The tensor with entries ``nums[k] / den``; the shape is trusted.
+
+        Numerators and denominator are divided by their gcd, which makes
+        them the integer form the same entries as ``Fraction``s give.
+        """
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        tensor = cls.__new__(cls)
+        tensor.out_dim = out_dim
+        tensor.in_dims = in_dims
+        tensor._entries = tensor._nonzero = None
+        tensor._ints = (nums, den)
+        return tensor
+
+    @property
+    def entries(self):
+        """The entries as a tuple of ``Fraction``s, built on first read for
+        a tensor made in integer form."""
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = tuple(_rationals(*self._ints))
+        return entries
 
     def _integer_form(self):
-        """``(numerators, denominator, nonzero)``, computed on first use.
+        """``(numerators, denominator)``: the entries over their one common
+        denominator, computed on first use."""
+        ints = self._ints
+        if ints is None:
+            ints = self._ints = _numerators(self._entries)
+        return ints
 
-        ``numerators`` are the entries over the one common denominator;
-        ``nonzero`` lists ``(i0, j, numerator)`` for every nonzero entry,
-        ``j`` being the flat input index.
-        """
-        form = self._ints
-        if form is None:
-            nums, den = _numerators(self.entries)
+    def _nonzero_terms(self):
+        """``(i0, j, numerator)`` for every nonzero entry, ``j`` being the
+        flat input index; computed on first use."""
+        nonzero = self._nonzero
+        if nonzero is None:
             in_size = prod(self.in_dims)
-            nonzero = tuple((k // in_size, k % in_size, x)
-                            for k, x in enumerate(nums) if x)
-            form = self._ints = (nums, den, nonzero)
-        return form
+            nonzero = self._nonzero = tuple(
+                (k // in_size, k % in_size, x)
+                for k, x in enumerate(self._integer_form()[0]) if x)
+        return nonzero
 
     @classmethod
     def zeros(cls, out_dim, in_dims):
@@ -114,8 +153,8 @@ class MultiTensor:
 
     @classmethod
     def identity(cls, dim):
-        entries = [ONE if i == j else ZERO for i in range(dim) for j in range(dim)]
-        return cls(dim, (dim,), entries)
+        return cls._from_integers(
+            dim, (dim,), [int(i == j) for i in range(dim) for j in range(dim)], 1)
 
     @classmethod
     def from_rows(cls, rows):
@@ -127,17 +166,15 @@ class MultiTensor:
         return cls(len(rows), (n_cols,), [x for row in rows for x in row])
 
     def is_zero(self):
-        return not any(self.entries)
+        entries = self._entries
+        return not any(self._ints[0] if entries is None else entries)
 
     def is_identity(self):
         if len(self.in_dims) != 1 or self.in_dims[0] != self.out_dim:
             return False
         n = self.out_dim
-        return all(
-            self.entries[i * n + j] == (1 if i == j else 0)
-            for i in range(n)
-            for j in range(n)
-        )
+        nums, den = self._integer_form()
+        return den == 1 and nums == [int(i == j) for i in range(n) for j in range(n)]
 
     def rows(self):
         """Rows of a one-block tensor, as tuples."""
@@ -165,13 +202,15 @@ class MultiTensor:
                 )
         if self.out_dim == 0 or any(d == 0 for d in self.in_dims):
             return (ZERO,) * self.out_dim
-        _, den, nonzero = self._integer_form()
+        den = self._integer_form()[1]
         columns = []
         for arg in args:
             nums, arg_den = _numerators(arg)
             columns.append(nums)
             den *= arg_den
-        return tuple(_rationals(_contract(nonzero, self.out_dim, columns), den))
+        out = [0] * self.out_dim
+        _contract(self._nonzero_terms(), columns, out, 0)
+        return tuple(_rationals(out, den))
 
     def scaled(self, scalar):
         scalar = _frac(scalar)
@@ -186,15 +225,16 @@ class MultiTensor:
         )
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MultiTensor)
-            and self.out_dim == other.out_dim
-            and self.in_dims == other.in_dims
-            and self.entries == other.entries
-        )
+        if not (isinstance(other, MultiTensor) and self.out_dim == other.out_dim
+                and self.in_dims == other.in_dims):
+            return False
+        if self._entries is not None and other._entries is not None:
+            return self._entries == other._entries
+        return self._integer_form() == other._integer_form()
 
     def __hash__(self):
-        return hash((self.out_dim, self.in_dims, self.entries))
+        nums, den = self._integer_form()
+        return hash((self.out_dim, self.in_dims, den, tuple(nums)))
 
     def __repr__(self):
         return "MultiTensor(out=%d, ins=%s)" % (self.out_dim, list(self.in_dims))
@@ -207,16 +247,6 @@ def compose_tensors(outer, inners, slot_groups, total_in_dims):
     composite input list that feed its blocks (in order).  The composite
     has inputs ``total_in_dims``.
     """
-    nums, den = _compose_numerators(outer, inners, slot_groups, total_in_dims)
-    return MultiTensor(outer.out_dim, total_in_dims, _rationals(nums, den))
-
-
-def _compose_numerators(outer, inners, slot_groups, total_in_dims):
-    """``compose_tensors`` as integer numerators over one denominator.
-
-    At each composite input index the result is ``outer`` applied to
-    the inner tensors' columns at that index's slots.
-    """
     if len(inners) != len(outer.in_dims):
         raise DimensionMismatch("one inner tensor per outer block required")
     for inner, mid in zip(inners, outer.in_dims):
@@ -225,30 +255,51 @@ def _compose_numerators(outer, inners, slot_groups, total_in_dims):
     for inner, group in zip(inners, slot_groups):
         if tuple(inner.in_dims) != tuple(total_in_dims[g] for g in group):
             raise DimensionMismatch("slot group does not match inner tensor shape")
+    return _sum_of_composites([(outer, inners, slot_groups)], outer.out_dim,
+                              tuple(total_in_dims))
 
-    out_dim = outer.out_dim
+
+def _sum_of_composites(terms, out_dim, total_in_dims):
+    """The sum of ``compose_tensors(outer, inners, slot_groups,
+    total_in_dims)`` over ``terms``, one ``(outer, inners, slot_groups)``
+    triple each, whose shapes are trusted; made in integer form.
+
+    Each term is added into one integer list, scaled to the lcm of the
+    terms' denominators.
+    """
+    dens = [prod([outer._integer_form()[1]] + [t._integer_form()[1] for t in inners])
+            for outer, inners, _ in terms]
+    den = lcm(*dens)
     size = prod(total_in_dims)
-    if out_dim == 0 or size == 0:
-        return [0] * (out_dim * size), 1
-    _, den, nonzero = outer._integer_form()
-    indices = list(product(*map(range, total_in_dims)))
-    # per inner tensor, its column at every composite input index
-    picked = []
-    for inner, group in zip(inners, slot_groups):
-        nums, inner_den, _ = inner._integer_form()
-        den *= inner_den
-        in_size = prod(inner.in_dims)
-        columns = [nums[j::in_size] for j in range(in_size)]
-        at = []
-        for full in indices:
-            j = 0
-            for g in group:
-                j = j * total_in_dims[g] + full[g]
-            at.append(columns[j])
-        picked.append(at)
-    outs = [_contract(nonzero, out_dim, cols)
-            for cols in (zip(*picked) if picked else repeat((), size))]
-    return [out[i0] for i0 in range(out_dim) for out in outs], den
+    total = [0] * (out_dim * size)
+    if total:
+        for (outer, inners, slot_groups), term_den in zip(terms, dens):
+            scale = den // term_den
+            nonzero = [(i0 * size, j, num * scale) for i0, j, num in outer._nonzero_terms()]
+            # per inner tensor, its column at every composite input index
+            picked = []
+            for inner, group in zip(inners, slot_groups):
+                nums, in_size = inner._integer_form()[0], prod(inner.in_dims)
+                columns = [nums[j::in_size] for j in range(in_size)]
+                picked.append([columns[j] for j in _routing((total_in_dims, tuple(group)))])
+            for at, columns in enumerate(zip(*picked) if picked else repeat((), size)):
+                _contract(nonzero, columns, total, at)
+    return MultiTensor._from_integers(out_dim, total_in_dims, total, den)
+
+
+@_memoized(4096)
+def _routing(dims_and_group):
+    """For ``(total_in_dims, group)``: per composite input index, in
+    row-major order, the flat input index of the inner tensor whose
+    blocks are the composite slots ``group``."""
+    total_in_dims, group = dims_and_group
+    route = []
+    for full in product(*map(range, total_in_dims)):
+        j = 0
+        for g in group:
+            j = j * total_in_dims[g] + full[g]
+        route.append(j)
+    return tuple(route)
 
 
 def _as_matrix(tensor):

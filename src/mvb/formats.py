@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .atlas import AtlasPresentation, Chart, FiniteBase
 from .bundle import BundleElement, BundleMorphism
-from .cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets
+from .cubecat import IndexSet, Partition, cube_plan
 from .errors import InvalidPartition, ParseError, SchemaError
 from .exactlin import MultiTensor
 from .gauge import DimAssignment, Gauge
@@ -56,10 +56,10 @@ def _list_value(obj, key, where):
     return value
 
 
-def _integer_value(obj, key, where):
-    """The JSON integer under ``key``.  A float, a string or a boolean is
-    a schema error naming the key, never a truncated or coerced value."""
-    value = obj.get(key)
+def _integer_value(value, key, where):
+    """``value``, read from the field ``key``, as a JSON integer.  A float,
+    a string or a boolean is a schema error naming the field, never a
+    truncated or coerced value."""
     if type(value) is not int:
         raise SchemaError("%s: %s must be an integer, got %r" % (where, key, value))
     return value
@@ -78,12 +78,9 @@ def tensor_from_json(obj, where=""):
         raise SchemaError("tensor%s must be an object" % where)
     in_dims = _list_value(obj, "in_dims", "tensor" + where)
     entries = _list_value(obj, "entries", "tensor" + where)
-    try:
-        out_dim = int(obj["out_dim"])
-        in_dims = [int(d) for d in in_dims]
-        entries = [rational_from_str(x) for x in entries]
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise SchemaError("tensor%s malformed: %s" % (where, err))
+    out_dim = _integer_value(obj.get("out_dim"), "out_dim", "tensor" + where)
+    in_dims = [_integer_value(d, "in_dims entry", "tensor" + where) for d in in_dims]
+    entries = [rational_from_str(x) for x in entries]
     expected = out_dim
     for d in in_dims:
         expected *= d
@@ -108,7 +105,7 @@ def dims_from_json(n, obj, where="dims"):
         if not isinstance(item, dict):
             raise SchemaError("%s entry must be an object, got %r" % (where, item))
         key = _index_set_value(item, "set", where + " entry")
-        dim = _integer_value(item, "dim", where + " entry")
+        dim = _integer_value(item.get("dim"), "dim", where + " entry")
         if key in out:
             raise SchemaError("%s: duplicate entry for %s" % (where, list(key)))
         out[key] = dim
@@ -156,47 +153,73 @@ def _string_field(obj, key, where):
 def gauge_from_json(obj, where="gauge"):
     if not isinstance(obj, dict):
         raise SchemaError("%s must be an object" % where)
-    n = _integer_value(obj, "n", where)
+    n = _integer_value(obj.get("n"), "n", where)
     src = dims_from_json(n, obj.get("source_dims"), where + ".source_dims")
     tgt = dims_from_json(n, obj.get("target_dims"), where + ".target_dims")
-    components = {}
+    plan = cube_plan(n)
+    tensors = [None] * len(plan.keys)
     for item in _list_field(obj, "components", where):
         if not isinstance(item, dict):
             raise SchemaError("%s component must be an object, got %r" % (where, item))
-        target = _index_set_value(item, "target", where + " component")
-        blocks = _list_value(item, "blocks", where + " component")
+        at = _component_position(plan, item, where)
+        raw = item.get("tensor")
         try:
-            if not all(isinstance(b, list) for b in blocks):
-                raise TypeError("each block must be a list")
-            blocks = Partition(blocks)
-        except (TypeError, InvalidPartition) as err:
-            raise SchemaError("%s component: blocks malformed: %s" % (where, err))
-        label = " at (%s, %s)" % (list(target), [list(b) for b in blocks])
-        if not target or target[-1] > n:
-            raise SchemaError("%s component%s: target is not a nonempty subset"
-                              " of the cube {1..%d}" % (where, label, n))
-        if set().union(*blocks) != set(target):
-            raise SchemaError("%s component%s: blocks do not partition the target"
-                              % (where, label))
-        tensor = tensor_from_json(item.get("tensor"),
-                                  where=" of %s component%s" % (where, label))
-        expected_out = tgt.dim(target)
-        expected_in = tuple(src.dim(b) for b in blocks)
+            tensor = tensor_from_json(raw)
+        except SchemaError:
+            # read again for the error located at the component
+            tensor_from_json(raw, where=" of %s component%s" % (where, _label(*plan.keys[at])))
+            raise
+        expected_out, expected_in = tgt.shapes[at][0], src.shapes[at][1]
         if tensor.out_dim != expected_out or tensor.in_dims != expected_in:
             raise SchemaError(
                 "%s component%s has shape %dx%s, expected %dx%s"
-                % (where, label, tensor.out_dim, list(tensor.in_dims),
+                % (where, _label(*plan.keys[at]), tensor.out_dim, list(tensor.in_dims),
                    expected_out, list(expected_in)))
-        if (target, blocks) in components:
-            raise SchemaError("%s: duplicate component%s" % (where, label))
-        components[(target, blocks)] = tensor
-    for subset in nonempty_subsets(full_set(n)):
-        trivial = Partition([subset])
-        if (subset, trivial) not in components:
+        if tensors[at] is not None:
+            raise SchemaError("%s: duplicate component%s" % (where, _label(*plan.keys[at])))
+        tensors[at] = tensor
+    for tensor, (subset, rho) in zip(tensors, plan.keys):
+        if tensor is None and len(rho) == 1:
             raise SchemaError(
                 "%s missing explicit one-block component at %s"
                 % (where, list(subset)))
-    return Gauge(src, tgt, components)
+    return Gauge.from_tensors(src, tgt, tensors)
+
+
+def _component_position(plan, item, where):
+    """The plan position of a gauge component's ``target`` and ``blocks``.
+
+    Index sets and partitions are tuples, so JSON integer lists in
+    canonical form are found in the plan index as they stand.  Any other
+    form is read and checked as an index set and a partition of it.
+    """
+    target, blocks = item.get("target"), item.get("blocks")
+    if (type(target) is list and type(blocks) is list
+            and all(type(i) is int for i in target)
+            and all(type(b) is list and all(type(i) is int for i in b) for b in blocks)):
+        at = plan.index.get((tuple(target), tuple(map(tuple, blocks))))
+        if at is not None:
+            return at
+    target = _index_set_value(item, "target", where + " component")
+    blocks = _list_value(item, "blocks", where + " component")
+    try:
+        if not all(isinstance(b, list) for b in blocks):
+            raise TypeError("each block must be a list")
+        blocks = Partition(blocks)
+    except (TypeError, InvalidPartition) as err:
+        raise SchemaError("%s component: blocks malformed: %s" % (where, err))
+    label = _label(target, blocks)
+    if not target or target[-1] > plan.n:
+        raise SchemaError("%s component%s: target is not a nonempty subset"
+                          " of the cube {1..%d}" % (where, label, plan.n))
+    if set().union(*blocks) != set(target):
+        raise SchemaError("%s component%s: blocks do not partition the target"
+                          % (where, label))
+    return plan.index[(target, blocks)]
+
+
+def _label(target, blocks):
+    return " at (%s, %s)" % (list(target), [list(b) for b in blocks])
 
 
 def atlas_to_json(presentation):
@@ -225,7 +248,7 @@ def atlas_from_json(obj):
         raise SchemaError("expected an atlas object")
     if obj.get("format_version") != FORMAT_VERSION:
         raise SchemaError("unsupported format_version %r" % (obj.get("format_version"),))
-    n = _integer_value(obj, "n", "atlas")
+    n = _integer_value(obj.get("n"), "n", "atlas")
     base = FiniteBase(_list_value(obj, "base", "atlas"))
     charts = []
     for c in _list_value(obj, "charts", "atlas"):

@@ -23,12 +23,18 @@ by position in the key list.  A gauge stores its components once, as
 ``tensors``: one entry per plan key in plan order, ``None`` for every
 all-zero component, so no tensor is allocated for a zero component.
 ``components`` is a read-only mapping view over the same store that
-reads an absent key as a zero tensor of its shape.  Composition and
-inversion walk the plan and skip every term whose outer or inner
-component is zero, since such a term contributes nothing to the exact
-sum.  ``_sum_terms`` contracts the remaining terms of a key to integer
-numerators, adds them over the lcm of their denominators and builds one
-tensor from the sum.  ``_compose_at`` runs those sums for requested
+reads an absent key as a zero tensor of its shape.  The shape of the
+component at each plan position comes from ``DimAssignment.shapes``, a
+table by plan position built once per distinct dimension assignment
+and shared; construction, composition, inversion and restriction read
+it, and ``Gauge.from_tensors`` takes components already in plan order.
+
+Composition and inversion walk the plan and skip every term whose
+outer or inner component is zero, since such a term contributes
+nothing to the exact sum.  ``_sum_terms`` adds the remaining terms of a
+key into one list of integer numerators over the lcm of their
+denominators, and the tensor made from the sum stays in that integer
+form (see ``exactlin``).  ``_compose_at`` runs those sums for requested
 keys only: composition asks for every key, and a caller that reads one
 component of a composite (the uniform paste in ``split``) asks for the
 keys that component's terms read.
@@ -36,11 +42,11 @@ keys that component's terms read.
 
 from collections.abc import Mapping
 from itertools import combinations, product
-from math import lcm
 
 from .cubecat import (
     IndexSet,
     Partition,
+    _memoized,
     ambient_positions,
     block_unions,
     cube_plan,
@@ -51,8 +57,7 @@ from .cubecat import (
 from .errors import DimensionMismatch, SingularMatrix
 from .exactlin import (
     MultiTensor,
-    _compose_numerators,
-    _rationals,
+    _sum_of_composites,
     compose_tensors,
     invert_matrix,
     vec_add,
@@ -83,6 +88,17 @@ class DimAssignment:
             for subset in combinations(range(1, self.n + 1), size):
                 if subset not in self.dims:
                     raise DimensionMismatch("missing dimension for %s" % (list(subset),))
+        self._shapes = None
+
+    @property
+    def shapes(self):
+        """Per ``cube_plan(n)`` position (S, rho), the pair ``(dim of S,
+        dims of rho's blocks)``: one table per distinct assignment, built
+        on first use and shared."""
+        if self._shapes is None:
+            self._shapes = _shape_table(
+                (self.n, tuple(self.dims[s] for s in nonempty_subsets(full_set(self.n)))))
+        return self._shapes
 
     def dim(self, subset):
         return self.dims[IndexSet(subset)]
@@ -112,6 +128,19 @@ class DimAssignment:
         )
 
 
+@_memoized(64)
+def _shape_table(n_and_dims):
+    """``DimAssignment.shapes`` for ``(n, dims in subset order)``; equal
+    shapes are one shared tuple."""
+    n, dims = n_and_dims
+    by_subset = dict(zip(nonempty_subsets(full_set(n)), dims))
+    shared = {}
+    return tuple(
+        shared.setdefault(shape, shape)
+        for shape in ((by_subset[s], tuple(by_subset[b] for b in rho))
+                      for s, rho in cube_plan(n).keys))
+
+
 def singleton_dims(dims):
     """Copy of ``dims`` with every non-singleton dimension set to zero."""
     return DimAssignment(
@@ -137,39 +166,57 @@ class Gauge:
 
     ``tensors`` is the one store: a tensor per key of ``cube_plan(n)``,
     in plan order, with ``None`` in place of every all-zero one.  The
-    constructor takes a mapping from plan keys to tensors, checks the
-    shape of each one given and allocates nothing for absent or zero
-    components.  ``components`` reads the store as a mapping over every
-    plan key.
+    constructor takes a mapping from plan keys to tensors and
+    ``from_tensors`` a sequence in plan order; both check the shape of
+    each tensor given against the dims' ``shapes`` and allocate nothing
+    for absent or zero components.  ``components`` reads the store as a
+    mapping over every plan key.
     """
 
     def __init__(self, source_dims, target_dims, components):
+        index = cube_plan(source_dims.n).index
+        tensors = [None] * len(index)
+        for key, tensor in components.items():
+            at = index.get(key)
+            if at is None:
+                raise DimensionMismatch(
+                    "unknown component key %r: not a (nonempty subset of {1..%d},"
+                    " partition of it) pair" % (key, source_dims.n))
+            tensors[at] = tensor
+        self._store(source_dims, target_dims, tensors)
+
+    @classmethod
+    def from_tensors(cls, source_dims, target_dims, tensors):
+        """The gauge whose components in plan order are ``tensors``
+        (``None`` for a zero one), checked as the constructor checks."""
+        gauge = cls.__new__(cls)
+        gauge._store(source_dims, target_dims, list(tensors))
+        return gauge
+
+    def _store(self, source_dims, target_dims, tensors):
         if source_dims.n != target_dims.n:
             raise DimensionMismatch("source and target live over different cubes")
         self.n = source_dims.n
         self.source_dims = source_dims
         self.target_dims = target_dims
-        index = cube_plan(self.n).index
-        tensors = [None] * len(index)
-        for key, tensor in components.items():
-            if key not in index:
-                raise DimensionMismatch(
-                    "unknown component key %r: not a (nonempty subset of {1..%d},"
-                    " partition of it) pair" % (key, self.n))
+        out_shapes, in_shapes = target_dims.shapes, source_dims.shapes
+        if len(tensors) != len(in_shapes):
+            raise DimensionMismatch("expected %d components in plan order, got %d"
+                                    % (len(in_shapes), len(tensors)))
+        for at, tensor in enumerate(tensors):
             if tensor is None:
                 continue
-            out_dim = target_dims.dims[key[0]]
-            in_dims = source_dims.block_dims(key[1])
+            out_dim, in_dims = out_shapes[at][0], in_shapes[at][1]
             if tensor.out_dim != out_dim or tensor.in_dims != in_dims:
-                subset, rho = key
+                subset, rho = cube_plan(self.n).keys[at]
                 raise DimensionMismatch(
                     "component (%s, %s) has shape %dx%s, expected %dx%s"
                     % (list(subset), [list(b) for b in rho],
                        tensor.out_dim, list(tensor.in_dims),
                        out_dim, list(in_dims))
                 )
-            if not tensor.is_zero():
-                tensors[index[key]] = tensor
+            if tensor.is_zero():
+                tensors[at] = None
         self.tensors = tuple(tensors)
 
     @property
@@ -241,12 +288,9 @@ class Gauge:
         """
         if other.target_dims != self.source_dims:
             raise DimensionMismatch("middle dimensions do not match")
-        keys = cube_plan(self.n).keys
-        composite = _compose_at(self.tensors, other.tensors, range(len(keys)),
+        composite = _compose_at(self.tensors, other.tensors, range(len(self.tensors)),
                                 other.source_dims)
-        components = {key: tensor for key, tensor in zip(keys, composite)
-                      if tensor is not None}
-        return Gauge(other.source_dims, self.target_dims, components)
+        return Gauge.from_tensors(other.source_dims, self.target_dims, composite)
 
     def invert(self):
         """Two-sided inverse; requires invertible one-block parts.
@@ -257,37 +301,30 @@ class Gauge:
         """
         if not self.is_square():
             raise DimensionMismatch("only square gauges invert")
-        inv_linear = {}
-        for subset in nonempty_subsets(full_set(self.n)):
-            tensor = self.linear_part(subset)
-            try:
-                inv_linear[subset] = invert_matrix(tensor)
-            except SingularMatrix:
-                raise SingularMatrix(
-                    "one-block part at %s is singular" % (list(subset),)
-                )
         plan = cube_plan(self.n)
+        shapes = self.source_dims.shapes
+        negated = {}  # minus the inverse of the one-block part, per subset
         solved = [None] * len(plan.keys)
-        components = {}
-        for at, (key, terms) in enumerate(zip(plan.keys, plan.terms)):
-            subset, rho = key
-            k = len(rho)
-            if k == 1:
-                tensor = inv_linear[subset]
+        for at, ((subset, rho), terms) in enumerate(zip(plan.keys, plan.terms)):
+            if len(rho) == 1:
+                try:
+                    tensor = invert_matrix(self.tensors[at] or MultiTensor.zeros(*shapes[at]))
+                except SingularMatrix:
+                    raise SingularMatrix(
+                        "one-block part at %s is singular" % (list(subset),)
+                    )
+                negated[subset] = tensor.scaled(-1)
             else:
-                total_in = self.source_dims.block_dims(rho)
+                total_in = shapes[at][1]
                 # terms[0] holds the unknown component, solved for below
                 residue = _sum_terms(terms[1:], self.tensors, solved, total_in)
                 if residue is None:
                     continue
-                tensor = compose_tensors(
-                    inv_linear[subset].scaled(-1), [residue],
-                    [list(range(k))], total_in,
-                )
-            components[key] = tensor
+                tensor = compose_tensors(negated[subset], [residue],
+                                         [range(len(rho))], total_in)
             if not tensor.is_zero():
                 solved[at] = tensor
-        return Gauge(self.source_dims, self.target_dims, components)
+        return Gauge.from_tensors(self.source_dims, self.target_dims, solved)
 
     def diagonal_restrict(self, blocks):
         """Restrict to targets and partitions built from unions of blocks.
@@ -301,13 +338,8 @@ class Gauge:
         src = diagonal_dims(self.source_dims, blocks)
         tgt = src if self.target_dims == self.source_dims else \
             diagonal_dims(self.target_dims, blocks)
-        components = {
-            key: self.tensors[at]
-            for key, at in zip(cube_plan(len(blocks)).keys,
-                               ambient_positions((self.n, blocks)))
-            if self.tensors[at] is not None
-        }
-        return Gauge(src, tgt, components)
+        return Gauge.from_tensors(
+            src, tgt, [self.tensors[at] for at in ambient_positions((self.n, blocks))])
 
     def trimmed(self, dims):
         """The gauge from ``dims`` to ``dims`` keeping every component whose
@@ -316,12 +348,10 @@ class Gauge:
         Restricts a gauge to a sub-bundle with smaller dimensions, such as
         a pullback or an ultracore.
         """
-        return Gauge(dims, dims, {
-            (subset, rho): tensor
-            for (subset, rho), tensor in zip(cube_plan(self.n).keys, self.tensors)
-            if tensor is not None and tensor.out_dim == dims.dims[subset]
-            and tensor.in_dims == dims.block_dims(rho)
-        })
+        return Gauge.from_tensors(dims, dims, [
+            tensor if tensor is not None and (tensor.out_dim, tensor.in_dims) == shape
+            else None
+            for tensor, shape in zip(self.tensors, dims.shapes)])
 
     def __eq__(self, other):
         return (
@@ -351,10 +381,10 @@ class _Components(Mapping):
 
     def __getitem__(self, key):
         g = self.gauge
-        tensor = g.tensors[cube_plan(g.n).index[key]]
+        at = cube_plan(g.n).index[key]
+        tensor = g.tensors[at]
         if tensor is None:
-            return MultiTensor.zeros(g.target_dims.dims[key[0]],
-                                     g.source_dims.block_dims(key[1]))
+            return MultiTensor.zeros(g.target_dims.shapes[at][0], g.source_dims.shapes[at][1])
         return tensor
 
     def __iter__(self):
@@ -376,39 +406,27 @@ def _compose_at(outers, inners, positions, source_dims):
     contracted, so a result can be the inner side of a further
     restricted composition whose terms read only the positions it holds.
     """
-    plan = cube_plan(source_dims.n)
-    keys, terms = plan.keys, plan.terms
-    out = [None] * len(keys)
+    terms, shapes = cube_plan(source_dims.n).terms, source_dims.shapes
+    out = [None] * len(terms)
     for at in positions:
-        out[at] = _sum_terms(terms[at], outers, inners, source_dims.block_dims(keys[at][1]))
+        out[at] = _sum_terms(terms[at], outers, inners, shapes[at][1])
     return out
 
 
 def _sum_terms(terms, outers, inners, total_in):
     """Sum of the composition terms whose outer and inner components are
-    all nonzero; ``None`` when there is no such term.  ``outers`` and
-    ``inners`` hold tensors in plan order, ``None`` for zero ones.
-
-    The terms are added as integer numerators over the lcm of their
-    denominators, and one tensor is built from the sum."""
-    parts = []
+    all nonzero, made in integer form; ``None`` when there is no such
+    term.  ``outers`` and ``inners`` hold tensors in plan order, ``None``
+    for zero ones."""
+    live = []
     for outer_at, inner_at, slot_groups in terms:
         outer = outers[outer_at]
         if outer is None:
             continue
         args = [inners[i] for i in inner_at]
-        if not all(args):
-            continue
-        parts.append(_compose_numerators(outer, args, slot_groups, total_in))
-        out_dim = outer.out_dim
-    if not parts:
-        return None
-    den = lcm(*(part_den for _, part_den in parts))
-    total = [0] * len(parts[0][0])
-    for nums, part_den in parts:
-        scale = den // part_den
-        total = [a + x * scale for a, x in zip(total, nums)]
-    return MultiTensor(out_dim, total_in, _rationals(total, den))
+        if all(args):
+            live.append((outer, args, slot_groups))
+    return _sum_of_composites(live, live[0][0].out_dim, total_in) if live else None
 
 
 def identity_gauge(source_dims, target_dims=None):
@@ -422,12 +440,9 @@ def identity_gauge(source_dims, target_dims=None):
     """
     if target_dims is None:
         target_dims = source_dims
-    components = {}
-    for subset in nonempty_subsets(full_set(source_dims.n)):
-        dim = source_dims.dims[subset]
-        if dim == target_dims.dims[subset]:
-            components[(subset, Partition([subset]))] = MultiTensor.identity(dim)
-    return Gauge(source_dims, target_dims, components)
+    return Gauge.from_tensors(source_dims, target_dims, [
+        MultiTensor.identity(src[0]) if len(src[1]) == 1 and src[0] == tgt[0] else None
+        for src, tgt in zip(source_dims.shapes, target_dims.shapes)])
 
 
 def reorder_inputs(tensor, new_to_old):

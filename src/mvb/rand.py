@@ -9,7 +9,7 @@ then hold by construction, so every generated instance validates.
 import random
 from fractions import Fraction
 
-from .cubecat import cube_plan, full_set, nonempty_subsets
+from .cubecat import full_set, nonempty_subsets
 from .exactlin import MultiTensor, rank
 from .gauge import DimAssignment, Gauge
 
@@ -39,26 +39,22 @@ def random_dims(rng, n, max_dim=2, min_dim=0):
 def random_gauge(rng, source_dims, target_dims=None, statomorphism=False):
     """Random square gauge with invertible (or identity) linear parts."""
     target_dims = target_dims or source_dims
-    components = {}
-    for subset, rho in cube_plan(source_dims.n).keys:
-        out = target_dims.dim(subset)
-        ins = source_dims.block_dims(rho)
-        if len(rho) == 1 and statomorphism:
-            components[(subset, rho)] = MultiTensor.identity(out)
-        elif len(rho) == 1 and out == ins[0]:
-            components[(subset, rho)] = random_invertible_matrix(rng, out)
+    tensors = []
+    for (out, _), (_, ins) in zip(target_dims.shapes, source_dims.shapes):
+        if len(ins) == 1 and statomorphism:
+            tensors.append(MultiTensor.identity(out))
+        elif len(ins) == 1 and out == ins[0]:
+            tensors.append(random_invertible_matrix(rng, out))
         else:
-            components[(subset, rho)] = random_tensor(rng, out, ins)
-    return Gauge(source_dims, target_dims, components)
+            tensors.append(random_tensor(rng, out, ins))
+    return Gauge.from_tensors(source_dims, target_dims, tensors)
 
 
 def random_morphism_gauge(rng, source_dims, target_dims):
     """Random gauge with unconstrained rectangular linear parts."""
-    components = {
-        (subset, rho): random_tensor(rng, target_dims.dim(subset), source_dims.block_dims(rho))
-        for subset, rho in cube_plan(source_dims.n).keys
-    }
-    return Gauge(source_dims, target_dims, components)
+    return Gauge.from_tensors(source_dims, target_dims, [
+        random_tensor(rng, out, ins)
+        for (out, _), (_, ins) in zip(target_dims.shapes, source_dims.shapes)])
 
 
 def random_vectors(rng, dims, node=None, lo=-3, hi=3):
@@ -106,12 +102,13 @@ def twisted_instance(seed, n=2, max_dim=2, n_points=2, n_charts=2, dims=None):
     for c in charts:
         for p in c.domain:
             frames[(c.id, p)] = random_gauge(rng, dims)
+    inverses = {key: frame.invert() for key, frame in frames.items()}
     transitions = {}
     for ca in charts:
         for cb in charts:
             for p in ca.domain:
                 if p in cb.domain:
-                    g = frames[(ca.id, p)].compose(frames[(cb.id, p)].invert())
+                    g = frames[(ca.id, p)].compose(inverses[(cb.id, p)])
                     transitions[(ca.id, cb.id, p)] = g
     return AtlasPresentation(n, dims, base, charts, transitions)
 

@@ -176,14 +176,13 @@ def _conjugated_top(outer, g, inner):
     all-singleton keys alone, so those are the only inner keys composed.
     """
     plan = cube_plan(g.n)
-    ground, singles = top = _top_key(g.n)
-    top_at = plan.index[top]
+    top_at = plan.index[_top_key(g.n)]
     singleton_keys = [at for at, (s, rho) in enumerate(plan.keys) if len(rho) == len(s)]
     right = _compose_at(g.tensors, inner.tensors, singleton_keys, inner.source_dims)
     tensor = _compose_at(outer.tensors, right, [top_at], inner.source_dims)[top_at]
     if tensor is None:
-        return MultiTensor.zeros(outer.target_dims.dims[ground],
-                                 inner.source_dims.block_dims(singles))
+        return MultiTensor.zeros(outer.target_dims.shapes[top_at][0],
+                                 inner.source_dims.shapes[top_at][1])
     return tensor
 
 

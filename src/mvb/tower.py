@@ -131,11 +131,9 @@ class RuleGenerator:
                            [Fraction(next(stream)) for _ in range(size)])
 
     def _frame(self, chart, point, dims):
-        return Gauge(dims, dims, {
-            (subset, rho): self._frame_tensor(chart, point, subset, rho,
-                                              dims.dim(subset), dims.block_dims(rho))
-            for subset, rho in cube_plan(dims.n).keys
-        })
+        return Gauge.from_tensors(dims, dims, [
+            self._frame_tensor(chart, point, subset, rho, *shape)
+            for (subset, rho), shape in zip(cube_plan(dims.n).keys, dims.shapes)])
 
     def transition(self, dst, src, point, dims):
         if self.transition_rule["kind"] == "identity" or dst == src:

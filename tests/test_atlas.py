@@ -17,7 +17,8 @@ from mvb.atlas import (
 )
 from mvb.cubecat import IndexSet, Partition, full_set, nonempty_subsets
 from mvb.errors import InvalidInput
-from mvb.gauge import DimAssignment, identity_gauge
+from mvb.exactlin import MultiTensor
+from mvb.gauge import DimAssignment, Gauge, identity_gauge
 from mvb.rand import random_gauge, twisted_instance
 
 
@@ -220,3 +221,26 @@ def test_canonical_chart_is_least():
     for p in a.base:
         at = a.charts_at(p)
         assert a.canonical_chart(p) == sorted(at)[0]
+
+
+def test_singular_one_block_parts_are_invertibility_violations():
+    instance = twisted_instance(21, n=2, max_dim=2, n_points=1, n_charts=2)
+    key = ("0", "1", "p0")
+    gauge = instance.transitions[key]
+    one_blocks = [(s, rho) for s, rho in gauge.components if len(rho) == 1
+                  and instance.dims.dim(s) > 0]
+    # a zero one-block part (absent from the store) and a rank-one one
+    zero_key, low_key = one_blocks[0], one_blocks[-1]
+    d = instance.dims.dim(low_key[0])
+    low = MultiTensor(d, (d,), [1] * (d * d))
+    comps = dict(gauge.components)
+    comps.pop(zero_key)
+    comps[low_key] = low
+    transitions = dict(instance.transitions)
+    transitions[key] = Gauge(instance.dims, instance.dims, comps)
+    report = validate(AtlasPresentation(instance.n, instance.dims, instance.base,
+                                        instance.charts, transitions))
+    found = [(v.kind, v.charts, v.point, v.subset, v.rho) for v in report.violations]
+    expected = [("invertibility", ("0", "1"), "p0", s, rho) for s, rho in [zero_key]
+                + ([low_key] if d > 1 else [])]
+    assert found == expected

@@ -309,6 +309,38 @@ def test_random_natural_morphism():
             assert elements_equal(b, tau.apply(transport(a, e, other)), out)
 
 
+def test_naturality_skips_only_identity_self_transitions(monkeypatch):
+    """Data under an identity self-transition on both sides commutes with
+    it, so only the other pairs are composed; a self-transition that is
+    not the identity is still checked."""
+    from mvb.atlas import AtlasPresentation, Chart
+    from mvb.bundle import BundleMorphism
+    from mvb.gauge import Gauge
+    rng = random.Random(9)
+    a = twisted_instance(44, n=2, n_points=2, n_charts=3)
+    tau = morphism_from_canonical(a, a, {
+        p: random_morphism_gauge(rng, a.dims, a.dims) for p in a.base})
+    for c in a.charts:  # derive every chart's data before counting
+        for p in c.domain:
+            tau.data[(c.id, p)]
+    calls = []
+    compose = Gauge.compose
+    monkeypatch.setattr(Gauge, "compose", lambda g, f: calls.append(1) or compose(g, f))
+    assert tau.is_natural()
+    pairs = sum(len(a.charts_at(p)) * (len(a.charts_at(p)) - 1) for p in a.base)
+    assert len(calls) == 2 * pairs > 0
+
+    # over unit dims: a self-transition with bilinear part 1 and data
+    # scaling every slot by 2 give bilinear parts 4 and 2 on the two sides
+    d = dims_of(2)
+    linear = {(s, (s,)): MultiTensor.identity(1) for s in nonempty_subsets(full_set(2))}
+    bilinear = {((1, 2), ((1,), (2,))): MultiTensor(1, (1, 1), [1])}
+    twisted = AtlasPresentation(2, d, FiniteBase(["p"]), (Chart("0", ("p",)),), {
+        ("0", "0", "p"): Gauge(d, d, {**linear, **bilinear})})
+    data = {("0", "p"): Gauge(d, d, {key: t.scaled(2) for key, t in linear.items()})}
+    assert not BundleMorphism(twisted, twisted, data).is_natural()
+
+
 def test_hom_dims_ordinary_case():
     e = dims_of(1, 3)
     f = dims_of(1, 2)

@@ -196,6 +196,18 @@ def test_text_output(tmp_path, capsys):
     assert "status: ok" in out
 
 
+def test_consecutive_runs_do_not_share_flags(tmp_path, capsys):
+    path = write_instance(tmp_path, "a.json", twisted_instance(412, n=2))
+    code, out, _ = invoke(capsys, ["validate", "--output", "text", path])
+    assert code == 0 and "status: ok" in out
+    code, out, _ = invoke(capsys, ["validate", path])
+    assert code == 0 and report_of(out)["status"] == "ok"
+    out_file = str(tmp_path / "g3.json")
+    assert invoke(capsys, ["gen", "--seed", "5", "--n", "3", "-o", out_file])[0] == 0
+    code, out, _ = invoke(capsys, ["gen", "--seed", "5"])
+    assert code == 0 and formats.parse(json.dumps(report_of(out)["result"])).n == 2
+
+
 def test_malformed_atlases_exit_two(tmp_path, capsys):
     instance = twisted_instance(403, n=2, n_points=2, n_charts=2)
     body = formats.atlas_to_json(instance)

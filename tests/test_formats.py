@@ -410,3 +410,78 @@ def test_rule_generator_string_list_field_is_schema_error(field):
     with pytest.raises(SchemaError) as err:
         formats.parse(json.dumps(body))
     assert field in str(err.value)
+
+
+def _unit_gauge_body():
+    return _unit_atlas_body()["transitions"][0]["gauge"]
+
+
+@pytest.mark.parametrize("field", ["target", "blocks"])
+@pytest.mark.parametrize("bad", [[True], [1.0], [[1.0]], [[True]]])
+def test_component_keys_hold_json_integers(field, bad):
+    """``True`` and ``1.0`` equal 1 and hash like it, so they must be
+    rejected before a component key is looked up."""
+    body = _unit_gauge_body()
+    component = body["components"][0]
+    assert (component["target"], component["blocks"]) == ([1], [[1]])
+    component[field] = bad
+    with pytest.raises(SchemaError) as err:
+        formats.gauge_from_json(body)
+    assert field in str(err.value)
+
+
+def test_duplicate_gauge_component_is_schema_error():
+    body = _unit_gauge_body()
+    body["components"].append(json.loads(json.dumps(body["components"][0])))
+    with pytest.raises(SchemaError) as err:
+        formats.gauge_from_json(body)
+    assert "duplicate component at ([1], [[1]])" in str(err.value)
+
+
+def test_non_canonical_component_keys_parse_to_the_canonical_key():
+    body = _unit_gauge_body()
+    body["components"].append({
+        "target": [2, 1], "blocks": [[2], [1]],
+        "tensor": {"out_dim": 1, "in_dims": [1, 1], "entries": ["3"]}})
+    gauge = formats.gauge_from_json(body)
+    assert gauge.component([1, 2], [[1], [2]]).entries == (3,)
+    body["components"].append({
+        "target": [1, 2], "blocks": [[1], [2]],
+        "tensor": {"out_dim": 1, "in_dims": [1, 1], "entries": ["3"]}})
+    with pytest.raises(SchemaError) as err:
+        formats.gauge_from_json(body)
+    assert "duplicate component at ([1, 2], [[1], [2]])" in str(err.value)
+
+
+@pytest.mark.parametrize("edit", [
+    {"out_dim": 1.5}, {"out_dim": "1"}, {"out_dim": True},
+    {"in_dims": [1.5]}, {"in_dims": ["1"]}, {"in_dims": [True]}])
+def test_tensor_shape_must_be_json_integers(edit):
+    tensor = {"out_dim": 1, "in_dims": [1], "entries": ["2"], **edit}
+    field = next(iter(edit))
+    with pytest.raises(SchemaError) as err:
+        formats.tensor_from_json(tensor)
+    assert field in str(err.value) and "must be an integer" in str(err.value)
+
+    body = _unit_gauge_body()
+    body["components"][0]["tensor"] = tensor
+    with pytest.raises(SchemaError) as err:
+        formats.gauge_from_json(body)
+    assert field in str(err.value) and "at ([1], [[1]])" in str(err.value)
+
+
+@ROUND_TRIP
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(0, 3), max_dim=st.integers(0, 2),
+       kind=st.sampled_from(["gauge", "composite", "inverse"]))
+def test_gauge_json_round_trip(seed, n, max_dim, kind):
+    """Composites and inverses are made in integer form; they serialize
+    and parse back to equal gauges like drawn ones."""
+    rng = seeded(seed)
+    dims = random_dims(rng, n, max_dim=max_dim)
+    gauge = random_gauge(rng, dims)
+    if kind == "composite":
+        gauge = gauge.compose(random_gauge(rng, dims))
+    elif kind == "inverse":
+        gauge = gauge.invert()
+    parsed = formats.gauge_from_json(formats.gauge_to_json(gauge))
+    assert parsed == gauge and hash(parsed) == hash(gauge)

@@ -19,7 +19,7 @@ from mvb.cubecat import (
     partitions,
     subsets,
 )
-from mvb.gauge import Gauge
+from mvb.gauge import Gauge, identity_gauge
 from mvb.rand import random_dims, random_gauge, random_morphism_gauge, random_vectors
 
 SMALL = settings(max_examples=30, derandomize=True, database=None, deadline=None,
@@ -69,6 +69,22 @@ def test_random_gauges_match_dense_oracle(seed, n, max_dim, mode_f, mode_g):
     assert f.evaluate(v) == dense_evaluate(f, v)
     assert g.is_block_diagonal() == all(
         tensor.is_zero() for (_, rho), tensor in g.components.items() if len(rho) > 1)
+
+
+@SMALL
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 3), max_dim=st.integers(0, 2))
+def test_composites_as_inputs_match_dense_oracle(seed, n, max_dim):
+    """Gauges whose components were made in integer form, by composition
+    and inversion, compose and invert as the oracle does."""
+    rng = random.Random(seed)
+    d = random_dims(rng, n, max_dim=max_dim)
+    a, b = random_gauge(rng, d), random_gauge(rng, d)
+    f = b.invert()
+    g = a.compose(f)
+    assert g.compose(f) == dense_compose(g, f)
+    assert hash(g.compose(f)) == hash(dense_compose(g, f))
+    assert g.invert() == dense_invert(g)
+    assert dense_compose(g, g.invert()) == identity_gauge(d) == g.compose(g.invert())
 
 
 def test_plan_keys_and_terms_follow_coarsening():

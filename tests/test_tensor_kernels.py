@@ -1,5 +1,6 @@
 """The integer tensor kernels against the entry-by-entry Fraction oracles."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
@@ -85,3 +86,55 @@ def test_equality_and_hash_ignore_the_integer_form():
     assert used == fresh and fresh == used
     assert hash(used) == hash(fresh) == hash_before
     assert len({used, fresh}) == 1
+
+
+def integer_built(tensor, factor=1):
+    """``tensor`` remade in integer form from its cleared numerators, each
+    numerator and the denominator first multiplied by ``factor``."""
+    nums, den = tensor._integer_form()
+    return MultiTensor._from_integers(tensor.out_dim, tensor.in_dims,
+                                      [x * factor for x in nums], den * factor)
+
+
+def assert_same_value(a, b):
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert a.entries == b.entries
+    assert a._integer_form() == b._integer_form()
+
+
+def test_integer_built_tensors_reduce_their_numerators():
+    half_one = MultiTensor._from_integers(1, (2,), [2, 4], 4)
+    assert half_one._integer_form() == ([1, 2], 2)
+    assert_same_value(half_one, MultiTensor(1, (2,), [Fraction(1, 2), 1]))
+    zero = MultiTensor._from_integers(2, (1,), [0, 0], 6)
+    assert zero.is_zero() and zero._integer_form() == ([0, 0], 1)
+    assert_same_value(zero, MultiTensor.zeros(2, (1,)))
+    for out_dim, in_dims in [(0, (3,)), (2, (0,)), (0, ()), (2, ())]:
+        size = out_dim * math.prod(in_dims)
+        empty = MultiTensor._from_integers(out_dim, in_dims, [0] * size, 5)
+        assert_same_value(empty, MultiTensor.zeros(out_dim, in_dims))
+
+
+@st.composite
+def shaped_tensors(draw):
+    return draw(tensors(draw(DIMS), tuple(draw(st.lists(DIMS, max_size=3)))))
+
+
+@KERNELS
+@given(shaped_tensors(), st.integers(1, 12))
+def test_integer_and_fraction_built_tensors_agree(tensor, factor):
+    assert_same_value(integer_built(tensor, factor), tensor)
+    assert_same_value(integer_built(tensor, factor), integer_built(tensor))
+    assert integer_built(tensor, factor).is_zero() == tensor.is_zero()
+
+
+@KERNELS
+@given(compositions(), st.integers(1, 6))
+def test_compose_tensors_of_integer_built_tensors_matches_fraction_oracle(case, factor):
+    outer, inners, groups, total_in = case
+    got = compose_tensors(integer_built(outer, factor),
+                          [integer_built(t, factor) for t in inners], groups, total_in)
+    want = oracle_compose(outer, inners, groups, total_in)
+    assert_same_value(got, want)
+    assert got.is_identity() == want.is_identity()
