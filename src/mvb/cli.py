@@ -3,12 +3,15 @@
 Every run prints one machine-readable report: the command, a content
 fingerprint of the primary input, a status, certificates, and any
 counterexamples.  Reports are deterministic for fixed input, flags, and
-seed; the timing field is excluded from the report hash.  Exit codes:
+seed; the timing field is excluded from the report hash.  A result is
+encoded to canonical JSON text once; the report hash, stdout and the
+``-o`` file reuse that text, streamed piece by piece.  Exit codes:
 0 success, 1 semantic failure (references a counterexample), 2 usage or
 input errors.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -68,7 +71,7 @@ class Report:
         self.status = "ok"
         self.certificates = []
         self.counterexamples = []
-        self.result = None
+        self.result = self.outfile = None
         self.started = time.monotonic()
 
     def add_certificate(self, cert):
@@ -84,45 +87,62 @@ class Report:
         self.counterexamples.append(item)
         self.status = "fail"
 
-    def to_dict(self):
-        body = {
-            "command": self.command,
-            "fingerprint": self.fingerprint,
-            "status": self.status,
-            "certificates": self.certificates,
-            "counterexamples": self.counterexamples,
-        }
+    def set_result(self, result, outfile):
+        """Keep the result as its canonical JSON text, encoded once here:
+        the report hash, stdout and the ``-o`` file all read this text."""
+        self.result = formats.canonical_text(result)
+        self.outfile = outfile
+
+    def fields(self):
+        """``(key, canonical JSON text)`` of every hashed field, in key
+        order: the report hash is taken over exactly these."""
+        fields = [(key, formats.canonical_text(value)) for key, value in (
+            ("certificates", self.certificates), ("command", self.command),
+            ("counterexamples", self.counterexamples),
+            ("fingerprint", self.fingerprint))]
         if self.result is not None:
-            body["result"] = self.result
-        body["report_hash"] = formats.fingerprint(body)
-        body["timing_ms"] = int((time.monotonic() - self.started) * 1000)
-        return body
+            fields.append(("result", self.result))
+        fields.append(("status", formats.canonical_text(self.status)))
+        return fields
+
+
+def _write_object(write, fields):
+    """Write a JSON object from canonical ``(key, text)`` pieces, piece by
+    piece, never joining them."""
+    for i, (key, text) in enumerate(fields):
+        write('%s"%s":' % ("," if i else "{", key))
+        write(text)
+    write("}")
 
 
 def _emit(report, args):
-    body = report.to_dict()
+    fields = report.fields()
+    digest = hashlib.sha256()
+    _write_object(lambda text: digest.update(text.encode()), fields)
+    report_hash = digest.hexdigest()
+    timing_ms = int((time.monotonic() - report.started) * 1000)
     if args.output == "json":
-        sys.stdout.write(json.dumps(body, sort_keys=True, separators=(",", ":")))
+        fields += [("report_hash", '"%s"' % report_hash), ("timing_ms", str(timing_ms))]
+        _write_object(sys.stdout.write, sorted(fields))
         sys.stdout.write("\n")
     else:
         lines = [
-            "command: %s" % body["command"],
-            "fingerprint: %s" % body["fingerprint"],
-            "status: %s" % body["status"],
+            "command: %s" % report.command,
+            "fingerprint: %s" % report.fingerprint,
+            "status: %s" % report.status,
         ]
-        for cert in body["certificates"]:
+        for cert in report.certificates:
             lines.append("certificate: %s: %s" % (cert.get("claim"), cert.get("status")))
-        for ce in body["counterexamples"]:
+        for ce in report.counterexamples:
             lines.append("counterexample: %s" % json.dumps(ce, sort_keys=True))
-        if "result" in body:
-            lines.append("result: %s" % json.dumps(body["result"], sort_keys=True,
-                                                   separators=(",", ":")))
-        lines.append("report_hash: %s" % body["report_hash"])
-        lines.append("timing_ms: %d" % body["timing_ms"])
+        if report.result is not None:
+            lines.append("result: %s" % report.result)
+        lines.append("report_hash: %s" % report_hash)
+        lines.append("timing_ms: %d" % timing_ms)
         sys.stdout.write("\n".join(lines) + "\n")
-    if getattr(report, "outfile", None) and report.result is not None:
+    if report.outfile and report.result is not None:
         with open(report.outfile, "wb") as handle:
-            handle.write(formats.canonical_bytes(report.result))
+            handle.write(report.result.encode())
             handle.write(b"\n")
     return 0 if report.status == "ok" else 1
 
@@ -151,8 +171,7 @@ def cmd_face(args):
     outer = _subset(args.outer)
     inner = _subset(args.inner) if args.inner else IndexSet()
     result = face(presentation, outer, inner)
-    report.result = formats.atlas_to_json(result)
-    report.outfile = args.out
+    report.set_result(formats.atlas_to_json(result), args.out)
     _validation_into(report, result)
     return _emit(report, args)
 
@@ -164,8 +183,7 @@ def cmd_core(args):
     spec, pres = core(presentation, _subset(args.s), _subset(args.j), check=False)
     report.add_certificate(core_closure_certificate(
         presentation, spec.ambient, spec.reindexing.as_partition()))
-    report.result = formats.atlas_to_json(pres)
-    report.outfile = args.out
+    report.set_result(formats.atlas_to_json(pres), args.out)
     return _emit(report, args)
 
 
@@ -184,8 +202,7 @@ def cmd_pullback(args):
     report = Report("pullback", _fingerprint(presentation))
     pb = pullback(presentation)
     report.add_certificate(pb.certificate)
-    report.result = formats.atlas_to_json(pb.presentation)
-    report.outfile = args.out
+    report.set_result(formats.atlas_to_json(pb.presentation), args.out)
     return _emit(report, args)
 
 
@@ -195,11 +212,10 @@ def cmd_ultracore(args):
     report = Report("ultracore", _fingerprint(presentation))
     iota, pi, cert = ultracore_sequence(presentation, args.k)
     report.add_certificate(cert)
-    report.result = {
+    report.set_result({
         "inclusion": formats.morphism_to_json(iota),
         "projection": formats.morphism_to_json(pi),
-    }
-    report.outfile = args.out
+    }, args.out)
     return _emit(report, args)
 
 
@@ -210,8 +226,7 @@ def cmd_split(args):
     sigma = find_splitting(presentation, args.strategy)
     ok = is_splitting(sigma)
     report.claim("output is a splitting", ok)
-    report.result = formats.morphism_to_json(sigma)
-    report.outfile = args.out
+    report.set_result(formats.morphism_to_json(sigma), args.out)
     return _emit(report, args)
 
 
@@ -222,8 +237,7 @@ def cmd_decompose(args):
     dec = decompose(presentation, args.strategy)
     ok = is_decomposition(dec)
     report.claim("output is a decomposition", ok)
-    report.result = formats.morphism_to_json(dec)
-    report.outfile = args.out
+    report.set_result(formats.morphism_to_json(dec), args.out)
     return _emit(report, args)
 
 
@@ -236,8 +250,7 @@ def cmd_normalize(args):
     diagonal = all(g.is_block_diagonal() for g in normalized.transitions.values())
     report.claim("normalized transitions are one-block", diagonal)
     _validation_into(report, normalized)
-    report.result = formats.atlas_to_json(normalized)
-    report.outfile = args.out
+    report.set_result(formats.atlas_to_json(normalized), args.out)
     return _emit(report, args)
 
 
@@ -253,8 +266,7 @@ def cmd_torsor(args):
     acted = act_by_statomorphism(d1, tau)
     round_trip = acted.data == d2.data
     report.claim("acting then extracting round-trips", round_trip)
-    report.result = formats.morphism_to_json(tau)
-    report.outfile = args.out
+    report.set_result(formats.morphism_to_json(tau), args.out)
     return _emit(report, args)
 
 
@@ -267,15 +279,13 @@ def cmd_stato(args):
     elif args.action == "invert":
         g = _load_as(args.gauge, Gauge, "a gauge")
         inv = g.invert()
-        report.result = formats.to_json(inv)
-        report.outfile = args.out
+        report.set_result(formats.to_json(inv), args.out)
     else:
         if not args.second:
             raise SchemaError("stato compose needs two gauge files")
         g1 = _load_as(args.gauge, Gauge, "a gauge")
         g2 = _load_as(args.second, Gauge, "a gauge")
-        report.result = formats.to_json(g1.compose(g2))
-        report.outfile = args.out
+        report.set_result(formats.to_json(g1.compose(g2)), args.out)
     return _emit(report, args)
 
 
@@ -286,8 +296,7 @@ def cmd_hom(args):
     report = Report("hom", _fingerprint(e_pres))
     result = hom_bundle(e_pres, f_pres)
     _validation_into(report, result)
-    report.result = formats.atlas_to_json(result)
-    report.outfile = args.out
+    report.set_result(formats.atlas_to_json(result), args.out)
     return _emit(report, args)
 
 
@@ -297,8 +306,7 @@ def cmd_tangent(args):
     report = Report("tangent", _fingerprint(presentation))
     result = tangent_prolongation(presentation)
     _validation_into(report, result)
-    report.result = formats.atlas_to_json(result)
-    report.outfile = args.out
+    report.set_result(formats.atlas_to_json(result), args.out)
     return _emit(report, args)
 
 
@@ -311,8 +319,7 @@ def cmd_lift2(args):
     built = local_split_double(presentation)
     ok = is_splitting(built)
     report.claim("frame construction yields a splitting", ok)
-    report.result = formats.morphism_to_json(built)
-    report.outfile = args.out
+    report.set_result(formats.morphism_to_json(built), args.out)
     return _emit(report, args)
 
 
@@ -345,8 +352,7 @@ def cmd_inf(args):
         result = infinity.truncate(args.n)
         if args.n >= 1:
             _validation_into(report, result)
-        report.result = formats.atlas_to_json(result)
-        report.outfile = args.out
+        report.set_result(formats.atlas_to_json(result), args.out)
     else:
         tower = decompose_infinity(infinity)
         dec = tower.level(args.n)
@@ -356,8 +362,7 @@ def cmd_inf(args):
             IndexSet(range(1, args.n + 1)), args.n, args.n + 1)
         report.claim("next level restricts to this one", agree,
                      [{"levels": [args.n, args.n + 1]}])
-        report.result = formats.morphism_to_json(dec)
-        report.outfile = args.out
+        report.set_result(formats.morphism_to_json(dec), args.out)
     return _emit(report, args)
 
 
@@ -365,11 +370,11 @@ def cmd_gen(args):
     instance = twisted_instance(
         args.seed, n=args.n, max_dim=args.max_dim,
         n_points=args.points, n_charts=args.charts)
-    body = formats.atlas_to_json(instance)
-    report = Report("gen", formats.fingerprint(body))
+    report = Report("gen", None)
+    report.set_result(formats.atlas_to_json(instance), args.out)
+    # gen reads no input file: it fingerprints the atlas it generates
+    report.fingerprint = hashlib.sha256(report.result.encode()).hexdigest()
     _validation_into(report, instance)
-    report.result = body
-    report.outfile = args.out
     return _emit(report, args)
 
 

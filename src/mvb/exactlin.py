@@ -1,10 +1,10 @@
 """Exact rational multilinear tensors and linear algebra.
 
 All scalars are ``fractions.Fraction``; every identity downstream is
-checked with zero tolerance.  The elimination core is fraction-free
-(Bareiss) on a denominator-cleared integer copy, which keeps
-intermediate entries from blowing up at the scales this package
-targets.
+checked with zero tolerance.  ``rank``, ``kernel_basis`` and
+``image_contains`` run fraction-free (Bareiss) elimination on the rows
+of a matrix's integer form, which keeps intermediate entries from
+blowing up at the scales this package targets.
 
 The two tensor kernels, ``MultiTensor.apply`` and ``compose_tensors``,
 run on Python integers.  A tensor's integer form is its entries as
@@ -22,8 +22,11 @@ A tensor made by a kernel stays in integer form: the numerators of a
 sum of composites are added into one integer list over the lcm of the
 terms' denominators and divided by their gcd with it, which is the
 form the same entries as ``Fraction``s give.  Its ``entries``, a tuple
-of ``Fraction``s, are built only when read.  Equality and hashing
-compare values, so they agree however a tensor was built.
+of ``Fraction``s, are built only when read.  ``from_integers`` makes a
+tensor from such a form (the parser does), and ``lowest_terms`` reads
+the entries from whichever form a tensor holds (the writer does).
+Equality and hashing compare values, so they agree however a tensor
+was built.
 """
 
 from fractions import Fraction
@@ -102,8 +105,9 @@ class MultiTensor:
         self._ints = self._nonzero = None
 
     @classmethod
-    def _from_integers(cls, out_dim, in_dims, nums, den):
-        """The tensor with entries ``nums[k] / den``; the shape is trusted.
+    def from_integers(cls, out_dim, in_dims, nums, den):
+        """The tensor with entries ``nums[k] / den``, ``den`` positive; the
+        caller checks that ``nums`` fits the shape.
 
         Numerators and denominator are divided by their gcd, which makes
         them the integer form the same entries as ``Fraction``s give.
@@ -128,13 +132,23 @@ class MultiTensor:
             entries = self._entries = tuple(_rationals(*self._ints))
         return entries
 
-    def _integer_form(self):
+    def integer_form(self):
         """``(numerators, denominator)``: the entries over their one common
         denominator, computed on first use."""
         ints = self._ints
         if ints is None:
             ints = self._ints = _numerators(self._entries)
         return ints
+
+    def lowest_terms(self):
+        """Each entry as ``(numerator, denominator)`` in lowest terms, read
+        from the form the tensor holds; nothing is built to be kept."""
+        if self._entries is not None:
+            return ((x.numerator, x.denominator) for x in self._entries)
+        nums, den = self._ints
+        if den == 1:
+            return zip(nums, repeat(1))
+        return ((x // g, den // g) for x in nums for g in (gcd(x, den),))
 
     def _nonzero_terms(self):
         """``(i0, j, numerator)`` for every nonzero entry, ``j`` being the
@@ -144,7 +158,7 @@ class MultiTensor:
             in_size = prod(self.in_dims)
             nonzero = self._nonzero = tuple(
                 (k // in_size, k % in_size, x)
-                for k, x in enumerate(self._integer_form()[0]) if x)
+                for k, x in enumerate(self.integer_form()[0]) if x)
         return nonzero
 
     @classmethod
@@ -153,7 +167,7 @@ class MultiTensor:
 
     @classmethod
     def identity(cls, dim):
-        return cls._from_integers(
+        return cls.from_integers(
             dim, (dim,), [int(i == j) for i in range(dim) for j in range(dim)], 1)
 
     @classmethod
@@ -173,7 +187,7 @@ class MultiTensor:
         if len(self.in_dims) != 1 or self.in_dims[0] != self.out_dim:
             return False
         n = self.out_dim
-        nums, den = self._integer_form()
+        nums, den = self.integer_form()
         return den == 1 and nums == [int(i == j) for i in range(n) for j in range(n)]
 
     def rows(self):
@@ -202,7 +216,7 @@ class MultiTensor:
                 )
         if self.out_dim == 0 or any(d == 0 for d in self.in_dims):
             return (ZERO,) * self.out_dim
-        den = self._integer_form()[1]
+        den = self.integer_form()[1]
         columns = []
         for arg in args:
             nums, arg_den = _numerators(arg)
@@ -230,10 +244,10 @@ class MultiTensor:
             return False
         if self._entries is not None and other._entries is not None:
             return self._entries == other._entries
-        return self._integer_form() == other._integer_form()
+        return self.integer_form() == other.integer_form()
 
     def __hash__(self):
-        nums, den = self._integer_form()
+        nums, den = self.integer_form()
         return hash((self.out_dim, self.in_dims, den, tuple(nums)))
 
     def __repr__(self):
@@ -267,7 +281,7 @@ def _sum_of_composites(terms, out_dim, total_in_dims):
     Each term is added into one integer list, scaled to the lcm of the
     terms' denominators.
     """
-    dens = [prod([outer._integer_form()[1]] + [t._integer_form()[1] for t in inners])
+    dens = [prod([outer.integer_form()[1]] + [t.integer_form()[1] for t in inners])
             for outer, inners, _ in terms]
     den = lcm(*dens)
     size = prod(total_in_dims)
@@ -279,12 +293,12 @@ def _sum_of_composites(terms, out_dim, total_in_dims):
             # per inner tensor, its column at every composite input index
             picked = []
             for inner, group in zip(inners, slot_groups):
-                nums, in_size = inner._integer_form()[0], prod(inner.in_dims)
+                nums, in_size = inner.integer_form()[0], prod(inner.in_dims)
                 columns = [nums[j::in_size] for j in range(in_size)]
                 picked.append([columns[j] for j in _routing((total_in_dims, tuple(group)))])
             for at, columns in enumerate(zip(*picked) if picked else repeat((), size)):
                 _contract(nonzero, columns, total, at)
-    return MultiTensor._from_integers(out_dim, total_in_dims, total, den)
+    return MultiTensor.from_integers(out_dim, total_in_dims, total, den)
 
 
 @_memoized(4096)
@@ -302,15 +316,13 @@ def _routing(dims_and_group):
     return tuple(route)
 
 
-def _as_matrix(tensor):
+def _integer_rows(tensor):
+    """The rows of a matrix's integer form: the matrix times one nonzero
+    scalar, which changes no rank, pivot column or nullspace."""
     if len(tensor.in_dims) != 1:
         raise DimensionMismatch("expected a one-block tensor (matrix)")
-    return tensor.rows()
-
-
-def _integer_rows(rows):
-    """Clear denominators row by row; rank and pivots are unchanged."""
-    return [_numerators(row)[0] for row in rows]
+    nums, n = tensor.integer_form()[0], tensor.in_dims[0]
+    return [nums[i * n:(i + 1) * n] for i in range(tensor.out_dim)]
 
 
 def _bareiss_echelon(rows):
@@ -347,11 +359,10 @@ def _bareiss_echelon(rows):
 
 
 def rank(tensor):
-    rows = _as_matrix(tensor)
+    rows = _integer_rows(tensor)
     if not rows or not rows[0]:
         return 0
-    _, pivots = _bareiss_echelon(_integer_rows(rows))
-    return len(pivots)
+    return len(_bareiss_echelon(rows)[1])
 
 
 def _gauss_jordan(aug, n):
@@ -382,7 +393,7 @@ def _gauss_jordan(aug, n):
 
 def solve_linear(tensor, rhs):
     """Exact solution of A x = b for square invertible A."""
-    rows = _as_matrix(tensor)
+    rows = tensor.rows()
     n = tensor.out_dim
     if tensor.in_dims[0] != n:
         raise DimensionMismatch("matrix is not square")
@@ -416,7 +427,7 @@ def kernel_basis(tensor):
     One vector per free column, in ascending column order, with a 1 in
     the free slot.
     """
-    rows = _as_matrix(tensor)
+    rows = _integer_rows(tensor)
     n_cols = tensor.in_dims[0]
     if n_cols == 0:
         return []
@@ -427,7 +438,7 @@ def kernel_basis(tensor):
             v[j] = ONE
             basis.append(tuple(v))
         return basis
-    echelon, pivots = _bareiss_echelon(_integer_rows(rows))
+    echelon, pivots = _bareiss_echelon(rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(n_cols) if c not in pivot_set]
     basis = []
@@ -452,13 +463,14 @@ def image_contains(tensor, vector):
     One echelon form of [A | v]: the vector lies in the image exactly
     when its column carries no pivot.
     """
-    rows = _as_matrix(tensor)
+    rows = _integer_rows(tensor)
     if len(vector) != tensor.out_dim:
         raise DimensionMismatch("vector has wrong length")
-    augmented = [list(r) + [_frac(v)] for r, v in zip(rows, vector)]
-    if not augmented:
+    if not rows:
         return True
-    _, pivots = _bareiss_echelon(_integer_rows(augmented))
+    # the vector's column is scaled by its own denominator
+    column = _numerators([_frac(v) for v in vector])[0]
+    _, pivots = _bareiss_echelon([row + [v] for row, v in zip(rows, column)])
     return tensor.in_dims[0] not in pivots
 
 

@@ -7,12 +7,17 @@ non-trivial components omitted (one-block components are always
 explicit).  Parsing distinguishes syntax errors (with byte positions),
 schema errors (wrong shapes or missing fields, located by component
 coordinates), and semantic errors (invariant violations found by
-validation).
+validation).  Tensors have one integer form between text and kernels:
+entries are read with one strict grammar straight into numerators over
+their common denominator, and written in lowest terms from whichever
+form a tensor holds, with no ``Fraction`` made on either path.
 """
 
 import hashlib
 import json
+import re
 from fractions import Fraction
+from math import lcm, prod
 
 from .atlas import AtlasPresentation, Chart, FiniteBase
 from .bundle import BundleElement, BundleMorphism
@@ -24,25 +29,33 @@ from .gauge import DimAssignment, Gauge
 FORMAT_VERSION = 1
 
 
-def rational_to_str(x):
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+# a rational "p" or "p/q": optional sign, ASCII digits, at most as many
+# digits per part as int() converts by default
+_RATIONAL = re.compile(r"([+-]?[0-9]{1,4300})(?:/([0-9]{1,4300}))?").fullmatch
 
 
-def rational_from_str(text):
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as err:
-        raise SchemaError("bad rational %r: %s" % (text, err))
+def rational_from_str(text, where, index):
+    """``(p, q)``, not reduced, for entry ``index`` of ``where`` written
+    ``"p"`` (``q`` is 1) or ``"p/q"`` with ``q`` nonzero.  Any other text,
+    and any JSON value other than a string, is a schema error naming the
+    entry."""
+    match = _RATIONAL(text) if type(text) is str else None
+    if match is not None:
+        num, den = match.groups()
+        if den is None:
+            return int(num), 1
+        if den.strip("0"):
+            return int(num), int(den)
+    raise SchemaError('%s entry %d must be a rational "p" or "p/q", got %.40r'
+                      % (where, index, text))
 
 
 def tensor_to_json(tensor):
     return {
         "out_dim": tensor.out_dim,
         "in_dims": list(tensor.in_dims),
-        "entries": [rational_to_str(x) for x in tensor.entries],
+        "entries": [str(p) if q == 1 else "%d/%d" % (p, q)
+                    for p, q in tensor.lowest_terms()],
     }
 
 
@@ -76,18 +89,19 @@ def _index_set_value(obj, key, where):
 def tensor_from_json(obj, where=""):
     if not isinstance(obj, dict):
         raise SchemaError("tensor%s must be an object" % where)
-    in_dims = _list_value(obj, "in_dims", "tensor" + where)
-    entries = _list_value(obj, "entries", "tensor" + where)
-    out_dim = _integer_value(obj.get("out_dim"), "out_dim", "tensor" + where)
-    in_dims = [_integer_value(d, "in_dims entry", "tensor" + where) for d in in_dims]
-    entries = [rational_from_str(x) for x in entries]
-    expected = out_dim
-    for d in in_dims:
-        expected *= d
-    if len(entries) != expected:
-        raise SchemaError(
-            "tensor%s has %d entries, expected %d" % (where, len(entries), expected))
-    return MultiTensor(out_dim, in_dims, entries)
+    where = "tensor" + where
+    in_dims = _list_value(obj, "in_dims", where)
+    entries = _list_value(obj, "entries", where)
+    out_dim = _integer_value(obj.get("out_dim"), "out_dim", where)
+    in_dims = tuple(_integer_value(d, "in_dims entry", where) for d in in_dims)
+    expected = out_dim * prod(in_dims)
+    if len(entries) != expected or out_dim < 0 or min(in_dims, default=0) < 0:
+        raise SchemaError("%s has %d entries, expected %d for shape %dx%s"
+                          % (where, len(entries), expected, out_dim, list(in_dims)))
+    pairs = [rational_from_str(x, where, k) for k, x in enumerate(entries)]
+    den = lcm(*{d for _, d in pairs})
+    return MultiTensor.from_integers(
+        out_dim, in_dims, [x * (den // d) for x, d in pairs], den)
 
 
 def dims_to_json(dims):
@@ -284,7 +298,7 @@ def element_to_json(elem):
         "chart": elem.chart,
         "point": elem.point,
         "components": [
-            {"set": list(key), "vector": [rational_to_str(x) for x in vec]}
+            {"set": list(key), "vector": [str(x) for x in vec]}
             for key, vec in sorted(elem.components.items(),
                                    key=lambda kv: (len(kv[0]), tuple(kv[0])))
         ],
@@ -304,8 +318,9 @@ def element_from_json(obj):
         key = _index_set_value(item, "set", "element component")
         if key in comps:
             raise SchemaError("element: duplicate component for %s" % (list(key),))
-        vector = _list_value(item, "vector", "element component at %s" % (list(key),))
-        comps[key] = tuple(rational_from_str(x) for x in vector)
+        where = "element component at %s" % (list(key),)
+        comps[key] = tuple(Fraction(*rational_from_str(x, where, k))
+                           for k, x in enumerate(_list_value(item, "vector", where)))
     return BundleElement(node, chart, point, comps)
 
 
@@ -419,9 +434,14 @@ def to_json(value):
     raise SchemaError("cannot serialize %r" % (type(value),))
 
 
+def canonical_text(obj):
+    """Canonical serialization: sorted keys, compact separators, ASCII."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_bytes(obj):
-    """Canonical serialization: sorted keys, compact separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """The canonical serialization as UTF-8 bytes."""
+    return canonical_text(obj).encode("utf-8")
 
 
 def dumps(value):

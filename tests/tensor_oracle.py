@@ -5,11 +5,14 @@ These are the straightforward forms of ``MultiTensor.apply``,
 ``Fraction`` operation, and each result is rebuilt entry by entry from
 ``MultiTensor.entry``.  The library runs the kernels on integer
 numerators over one shared denominator per tensor, and contracts a slot
-with one composition; the differential tests compare the two.
+with one composition; the differential tests compare the two.  ``rank``
+is the elimination on ``Fraction`` rows, each cleared of its own
+denominators, that the library replaced by elimination on the rows of
+the integer form.
 """
 
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 from mvb.errors import DimensionMismatch
 from mvb.exactlin import ONE, ZERO, MultiTensor
@@ -110,3 +113,26 @@ def contract_slot(tensor, slot, vector):
                         acc += e * x
             entries[i0 * size + j] = acc
     return MultiTensor(tensor.out_dim, rest, entries)
+
+
+def rank(tensor):
+    """Rank of a matrix by Bareiss elimination on its ``Fraction`` rows,
+    each row first multiplied by the lcm of its denominators."""
+    rows = []
+    for row in tensor.rows():
+        den = lcm(*(x.denominator for x in row))
+        rows.append([int(x * den) for x in row])
+    n_cols = tensor.in_dims[0]
+    prev, r = 1, 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            for j in range(c + 1, n_cols):
+                rows[i][j] = (rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]) // prev
+            rows[i][c] = 0
+        prev = rows[r][c]
+        r += 1
+    return r

@@ -1,12 +1,20 @@
+import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 
-from mvb import formats
+import pytest
+import report_oracle
+
+from mvb import cli, formats
+from mvb.atlas import AtlasPresentation, FiniteBase, decomposed, perturb_transition
 from mvb.cli import run
 from mvb.exactlin import MultiTensor
-from mvb.rand import twisted_instance
+from mvb.gauge import DimAssignment, identity_gauge
+from mvb.rand import random_gauge, twisted_instance
 from mvb.tower import InfinityPresentation, StabilizingGenerator
 
 
@@ -393,3 +401,99 @@ def test_stabilizing_generator_level_must_be_the_instance_level(tmp_path, capsys
         code, out, err = invoke(capsys, ["inf", "decompose", str(path), "--n", "2"])
         assert (code, out) == (2, ""), level
         assert err.startswith("input error: ") and "N must be" in err, (level, err)
+
+
+# Entries outside the rational grammar "p" / "p/q" (ASCII digits, an
+# optional sign, a nonzero denominator, at most 4300 digits per part).
+# Each used to parse (exponent, decimal, padded, underscored, non-ASCII
+# digits, a JSON number) or to fail with a message that named no entry;
+# "1e5000" then raised ValueError out of cli.run while the report was
+# serialized.
+BAD_RATIONALS = {
+    "exponent": "1e5000", "decimal": "1.5", "space": " 1", "underscore": "1_0",
+    "arabic-indic": "٣", "hex": "0x10", "zero-denominator": "1/0",
+    "sign-only": "+", "empty": "", "json-number": 2, "4301-digits": "1" * 4301,
+}
+
+
+@pytest.mark.parametrize("entry", list(BAD_RATIONALS.values()), ids=list(BAD_RATIONALS))
+@pytest.mark.parametrize("command", ["validate", "stato-invert"])
+def test_entries_outside_the_rational_grammar_exit_two(tmp_path, capsys, command, entry):
+    dims = DimAssignment(1, {(1,): 1})
+    if command == "validate":
+        body = formats.atlas_to_json(decomposed(dims, FiniteBase(["p"])))
+        gauge = body["transitions"][0]["gauge"]
+        argv = ["validate"]
+    else:
+        body = gauge = formats.to_json(identity_gauge(dims))
+        argv = ["stato", "invert"]
+    gauge["components"][0]["tensor"]["entries"] = [entry]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    code, out, err = invoke(capsys, argv + [str(path)])
+    assert code == 2 and out == ""
+    assert "input error" in err and "component at ([1], [[1]]) entry 0" in err, err
+    assert len(err) < 400
+
+
+def _inverse_pair_broken(instance):
+    """``instance`` with one transition replaced by its perturbation, so
+    that its pair is no longer mutually inverse: validate reports it."""
+    p = next(p for p in instance.base if len(instance.charts_at(p)) >= 2)
+    tau = random_gauge(random.Random(0), instance.dims, statomorphism=True)
+    broken = perturb_transition(instance, "1", "0", p, tau)
+    transitions = dict(instance.transitions)
+    transitions[("1", "0", p)] = broken.transitions[("1", "0", p)]
+    return AtlasPresentation(instance.n, instance.dims, instance.base, instance.charts,
+                             transitions)
+
+
+REPORTED = {
+    "validate": ["validate", "{atlas}"],
+    "validate-fail": ["validate", "{broken}"],
+    "gen": ["gen", "--seed", "5", "--n", "2", "-o", "{out}"],
+    "stato-compose": ["stato", "compose", "{g}", "{h}", "-o", "{out}"],
+    "stato-invert": ["stato", "invert", "{g}", "-o", "{out}"],
+    "decompose": ["decompose", "{atlas}", "-o", "{out}"],
+    "face": ["face", "{atlas}", "--outer", "1,2", "--inner", "1", "-o", "{out}"],
+}
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+@pytest.mark.parametrize("name", list(REPORTED))
+def test_reports_match_the_oracle_encoder(tmp_path, capsys, monkeypatch, name, output):
+    """stdout (timing masked) and ``-o`` bytes equal those of the encoder
+    that built the report as one dict and encoded it per use."""
+    atlas = twisted_instance(410, n=2, n_points=2, n_charts=2)
+    gauges = [g for key, g in sorted(atlas.transitions.items()) if key[0] != key[1]]
+    paths = {"atlas": write_instance(tmp_path, "a.json", atlas),
+             "broken": write_instance(tmp_path, "b.json", _inverse_pair_broken(atlas)),
+             "g": write_instance(tmp_path, "g.json", gauges[0]),
+             "h": write_instance(tmp_path, "h.json", gauges[1]),
+             "out": str(tmp_path / "out.json")}
+    argv = [arg.format(**paths) for arg in REPORTED[name]]
+
+    results, oracle_out = [], io.StringIO()
+    set_result, emit = cli.Report.set_result, cli._emit
+
+    def keep_result(report, result, outfile):
+        results.append(result)
+        set_result(report, result, outfile)
+
+    def emit_both(report, args):
+        report_oracle.emit(report, results[0] if results else None, args.output,
+                           args.out and args.out + ".oracle", oracle_out.write)
+        return emit(report, args)
+
+    monkeypatch.setattr(cli.Report, "set_result", keep_result)
+    monkeypatch.setattr(cli, "_emit", emit_both)
+    code = run(["--output", output] + argv)
+    assert code == (1 if name == "validate-fail" else 0)
+
+    def masked(text):
+        return re.sub(r'(timing_ms"?:) ?\d+', r"\1", text)
+    out = capsys.readouterr().out
+    assert out.count("\n") >= 1 and masked(out) == masked(oracle_out.getvalue())
+    if "-o" in argv:
+        with open(paths["out"], "rb") as new, open(paths["out"] + ".oracle", "rb") as old:
+            assert new.read() == old.read()

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -485,3 +486,60 @@ def test_gauge_json_round_trip(seed, n, max_dim, kind):
         gauge = gauge.invert()
     parsed = formats.gauge_from_json(formats.gauge_to_json(gauge))
     assert parsed == gauge and hash(parsed) == hash(gauge)
+
+
+def test_element_entries_use_the_rational_grammar():
+    a = twisted_instance(304, n=2, n_points=2, n_charts=2)
+    body = formats.element_to_json(random_element(seeded(1), a))
+    component = next(c for c in body["components"] if c["vector"])
+    component["vector"][0] = "1e5000"
+    with pytest.raises(SchemaError) as err:
+        formats.parse(formats.canonical_bytes(body))
+    assert "element component at %s entry 0" % component["set"] in str(err.value)
+
+
+GRAMMAR = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=40)
+# "p" or "p/q": signs, leading zeros and non-lowest terms included
+RATIONAL_TEXTS = st.builds(
+    lambda sign, num, den: sign + num + ("/" + den if den else ""),
+    st.sampled_from(["", "+", "-"]), DIGITS,
+    st.none() | DIGITS.filter(lambda d: d.strip("0")))
+
+
+@GRAMMAR
+@given(text=RATIONAL_TEXTS)
+def test_rational_parser_agrees_with_fraction(text):
+    assert Fraction(*formats.rational_from_str(text, "tensor", 0)) == Fraction(text)
+
+
+@GRAMMAR
+@given(texts=st.lists(RATIONAL_TEXTS, max_size=6))
+def test_parsed_integer_form_is_the_fraction_form(texts):
+    parsed = formats.tensor_from_json({"out_dim": len(texts), "in_dims": [],
+                                       "entries": texts})
+    oracle = MultiTensor(len(texts), (), [Fraction(x) for x in texts])
+    assert parsed.integer_form() == oracle.integer_form()
+    assert parsed == oracle and hash(parsed) == hash(oracle)
+    assert parsed.entries == oracle.entries
+
+
+@GRAMMAR
+@given(values=st.lists(st.fractions(), max_size=6), scale=st.integers(1, 12),
+       built=st.sampled_from(["fractions", "integers"]), wide=st.booleans())
+def test_tensor_json_round_trip(values, scale, built, wide):
+    """Fraction-built and integer-built tensors (unreduced numerators
+    included) are written in lowest terms from the form they hold, without
+    building or keeping the other form, and parse back to equal tensors."""
+    out_dim, in_dims = (1, (len(values),)) if wide else (len(values), ())
+    if built == "fractions":
+        tensor = MultiTensor(out_dim, in_dims, values)
+    else:
+        den = math.lcm(*(v.denominator for v in values)) * scale
+        tensor = MultiTensor.from_integers(
+            out_dim, in_dims, [int(v * den) for v in values], den)
+    body = formats.tensor_to_json(tensor)
+    assert (tensor._ints if built == "fractions" else tensor._entries) is None
+    assert [str(Fraction(x)) for x in body["entries"]] == body["entries"]
+    parsed = formats.tensor_from_json(body)
+    assert parsed == tensor and hash(parsed) == hash(tensor)

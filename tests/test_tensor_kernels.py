@@ -7,8 +7,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from tensor_oracle import apply as oracle_apply
 from tensor_oracle import compose_tensors as oracle_compose
+from tensor_oracle import rank as oracle_rank
 
-from mvb.exactlin import MultiTensor, compose_tensors
+from mvb.exactlin import MultiTensor, compose_tensors, rank
 
 KERNELS = settings(max_examples=200, derandomize=True, database=None, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -91,8 +92,8 @@ def test_equality_and_hash_ignore_the_integer_form():
 def integer_built(tensor, factor=1):
     """``tensor`` remade in integer form from its cleared numerators, each
     numerator and the denominator first multiplied by ``factor``."""
-    nums, den = tensor._integer_form()
-    return MultiTensor._from_integers(tensor.out_dim, tensor.in_dims,
+    nums, den = tensor.integer_form()
+    return MultiTensor.from_integers(tensor.out_dim, tensor.in_dims,
                                       [x * factor for x in nums], den * factor)
 
 
@@ -100,19 +101,19 @@ def assert_same_value(a, b):
     assert a == b and b == a
     assert hash(a) == hash(b)
     assert a.entries == b.entries
-    assert a._integer_form() == b._integer_form()
+    assert a.integer_form() == b.integer_form()
 
 
 def test_integer_built_tensors_reduce_their_numerators():
-    half_one = MultiTensor._from_integers(1, (2,), [2, 4], 4)
-    assert half_one._integer_form() == ([1, 2], 2)
+    half_one = MultiTensor.from_integers(1, (2,), [2, 4], 4)
+    assert half_one.integer_form() == ([1, 2], 2)
     assert_same_value(half_one, MultiTensor(1, (2,), [Fraction(1, 2), 1]))
-    zero = MultiTensor._from_integers(2, (1,), [0, 0], 6)
-    assert zero.is_zero() and zero._integer_form() == ([0, 0], 1)
+    zero = MultiTensor.from_integers(2, (1,), [0, 0], 6)
+    assert zero.is_zero() and zero.integer_form() == ([0, 0], 1)
     assert_same_value(zero, MultiTensor.zeros(2, (1,)))
     for out_dim, in_dims in [(0, (3,)), (2, (0,)), (0, ()), (2, ())]:
         size = out_dim * math.prod(in_dims)
-        empty = MultiTensor._from_integers(out_dim, in_dims, [0] * size, 5)
+        empty = MultiTensor.from_integers(out_dim, in_dims, [0] * size, 5)
         assert_same_value(empty, MultiTensor.zeros(out_dim, in_dims))
 
 
@@ -138,3 +139,24 @@ def test_compose_tensors_of_integer_built_tensors_matches_fraction_oracle(case, 
     want = oracle_compose(outer, inners, groups, total_in)
     assert_same_value(got, want)
     assert got.is_identity() == want.is_identity()
+
+
+@st.composite
+def matrices(draw):
+    """Matrices up to 5x5, 0xk and kx0 included, with zero rows, zero
+    columns and a dependent last row drawn often."""
+    n_rows, n_cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    zero_rows, zero_cols = draw(st.sets(st.integers(0, 4))), draw(st.sets(st.integers(0, 4)))
+    rows = [[Fraction(0) if i in zero_rows or j in zero_cols else draw(RATIONALS)
+             for j in range(n_cols)] for i in range(n_rows)]
+    if n_rows >= 3 and draw(st.booleans()):
+        rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+    return MultiTensor(n_rows, (n_cols,), [x for row in rows for x in row])
+
+
+@KERNELS
+@given(matrices(), st.integers(1, 12))
+def test_rank_on_the_integer_form_matches_fraction_oracle(matrix, factor):
+    want = oracle_rank(matrix)
+    assert rank(matrix) == want
+    assert rank(integer_built(matrix, factor)) == want
