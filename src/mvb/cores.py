@@ -40,7 +40,7 @@ from .cubecat import (
     partitions,
 )
 from .errors import InvalidInput
-from .exactlin import MultiTensor, kernel_basis, rank, zero_vector
+from .exactlin import MultiTensor, compose_tensors, kernel_basis, rank, zero_vector
 from .gauge import DimAssignment, diagonal_dims, identity_gauge
 from .rand import random_element
 
@@ -118,36 +118,30 @@ def restrict_core_element(presentation, core_pres, ambient_elem):
     return element(core_pres, node, e.chart, e.point, comps)
 
 
+def _zero_outside(presentation, elem, allowed):
+    """Whether the canonical form of ``elem`` vanishes at every slot
+    ``key`` with ``allowed(key)`` false."""
+    e = canonicalize(presentation, elem)
+    return all(allowed(key) or not any(vec) for key, vec in e.components.items())
+
+
 def is_core_member(presentation, elem, inner):
     """Membership of an S-node element in the (S, inner)-core."""
     inner = IndexSet(inner)
-    e = canonicalize(presentation, elem)
-    for key, vec in e.components.items():
-        meets = not key.isdisjoint(inner)
-        contains = inner.issubset(key)
-        if meets and not contains and any(x != 0 for x in vec):
-            return False
-    return True
+    return _zero_outside(presentation, elem,
+                         lambda key: key.isdisjoint(inner) or inner.issubset(key))
 
 
 def is_diagonal_core_member(presentation, elem, blocks):
     """Membership in the sub-bundle of union-of-blocks slots."""
     blocks = Partition(blocks)
-    e = canonicalize(presentation, elem)
-    for key, vec in e.components.items():
-        if not is_union_of_blocks(key, blocks) and any(x != 0 for x in vec):
-            return False
-    return True
+    return _zero_outside(presentation, elem, lambda key: is_union_of_blocks(key, blocks))
 
 
 def in_zero_image(presentation, elem, kept):
     """Membership in the image of the zero section from the kept node."""
     kept = IndexSet(kept)
-    e = canonicalize(presentation, elem)
-    for key, vec in e.components.items():
-        if not key.issubset(kept) and any(x != 0 for x in vec):
-            return False
-    return True
+    return _zero_outside(presentation, elem, lambda key: key.issubset(kept))
 
 
 def core_closure_certificate(presentation, ambient, blocks):
@@ -335,10 +329,8 @@ def fiber_matrix(morphism, axis, base_elem):
         for tslot, i in tgt_rows:
             col.append(image.components[tslot][i])
         columns.append(col)
-    rows = [[columns[c][r] for c in range(len(src_cols))] for r in range(len(tgt_rows))]
-    if not rows:
-        return MultiTensor.zeros(0, (len(src_cols),))
-    return MultiTensor.from_rows(rows)
+    return MultiTensor(len(tgt_rows), (len(src_cols),),
+                       [col[r] for r in range(len(tgt_rows)) for col in columns])
 
 
 def pullback(presentation):
@@ -473,13 +465,10 @@ def ultracore_sequence(presentation, axis):
                     return iota, pi, Certificate.failing(
                         "ultracore sequence exact",
                         {"chart": c.id, "point": pt, "reason": "projection not surjective"})
-                columns = [tuple(r) for r in zip(*m_iota.rows())] if m_iota.out_dim else []
-                for col in columns:
-                    if any(x != 0 for x in m_pi.apply([col])):
-                        return iota, pi, Certificate.failing(
-                            "ultracore sequence exact",
-                            {"chart": c.id, "point": pt,
-                             "reason": "image not inside kernel"})
+                if not compose_tensors(m_pi, [m_iota], [[0]], m_iota.in_dims).is_zero():
+                    return iota, pi, Certificate.failing(
+                        "ultracore sequence exact",
+                        {"chart": c.id, "point": pt, "reason": "image not inside kernel"})
                 kernel_dim = len(kernel_basis(m_pi))
                 if kernel_dim != d_ultra:
                     return iota, pi, Certificate.failing(

@@ -1,32 +1,31 @@
 """Exact rational multilinear tensors and linear algebra.
 
-All scalars are ``fractions.Fraction``; every identity downstream is
-checked with zero tolerance.  ``rank``, ``kernel_basis`` and
-``image_contains`` run fraction-free (Bareiss) elimination on the rows
-of a matrix's integer form, which keeps intermediate entries from
-blowing up at the scales this package targets.
+A tensor stores one form: its entries as integer numerators over one
+positive common denominator, the lcm of the entry denominators, so that
+no factor divides the denominator and every numerator.  Every identity
+downstream is checked on it with zero tolerance.  ``entries``, a tuple
+of ``fractions.Fraction``s, is a view built on each read and never kept;
+``lowest_terms`` gives each entry as a reduced pair.  Equality and
+hashing compare the one form, which is the same however a tensor was
+built.
 
 The two tensor kernels, ``MultiTensor.apply`` and ``compose_tensors``,
-run on Python integers.  A tensor's integer form is its entries as
-numerators over one common denominator, the lcm of the entry
-denominators; a tensor also caches the list of its nonzero numerators
-by position.  Applying a tensor multiplies and adds only those
-numerators and the arguments' cleared numerators; the composite of
-``compose_tensors`` at an input index is the outer tensor applied to
-the inner tensors' columns at that index's slots, so both run the same
-integer contraction.  Which inner column feeds which composite index
-depends on the shapes alone and is memoized per ``(total_in_dims, slot
-group)``.
+run on these integers.  Applying a tensor multiplies and adds only its
+cached nonzero numerators and the arguments' cleared numerators; the
+composite of ``compose_tensors`` at an input index is the outer tensor
+applied to the inner tensors' columns at that index's slots, so both
+run the same integer contraction.  Which inner column feeds which
+composite index depends on the shapes alone and is memoized per
+``(total_in_dims, slot group)``.  A sum of composites is added into one
+integer list over the lcm of the terms' denominators.
 
-A tensor made by a kernel stays in integer form: the numerators of a
-sum of composites are added into one integer list over the lcm of the
-terms' denominators and divided by their gcd with it, which is the
-form the same entries as ``Fraction``s give.  Its ``entries``, a tuple
-of ``Fraction``s, are built only when read.  ``from_integers`` makes a
-tensor from such a form (the parser does), and ``lowest_terms`` reads
-the entries from whichever form a tensor holds (the writer does).
-Equality and hashing compare values, so they agree however a tensor
-was built.
+Every linear solve (``rank``, ``kernel_basis``, ``image_contains``,
+``solve_linear`` and ``invert_matrix``) runs one fraction-free
+Gauss-Jordan elimination on the integer rows of a matrix, augmented by
+a vector or the identity where the solve needs one.  Each step divides
+exactly by the previous pivot, and the rows end as one integer ``d``
+times the reduced row echelon form, so solutions are integers over
+``d``.
 """
 
 from fractions import Fraction
@@ -45,11 +44,8 @@ def _frac(x):
 
 
 def _numerators(values):
-    """Integer numerators of rationals over one common denominator.
-
-    Returns ``(numerators, denominator)``; the denominator is the lcm of
-    the values' denominators (1 for no values).
-    """
+    """``(numerators, denominator)`` of rationals over the lcm of their
+    denominators (1 for no values)."""
     den = lcm(*{x.denominator for x in values})
     if den == 1:
         return [x.numerator for x in values], 1
@@ -87,7 +83,7 @@ class MultiTensor:
     coordinate ``i0`` on basis inputs ``(i1, ..., ik)``.
     """
 
-    __slots__ = ("out_dim", "in_dims", "_entries", "_ints", "_nonzero")
+    __slots__ = ("out_dim", "in_dims", "_ints", "_nonzero")
 
     def __init__(self, out_dim, in_dims, entries):
         self.out_dim = int(out_dim)
@@ -95,14 +91,14 @@ class MultiTensor:
         if self.out_dim < 0 or any(d < 0 for d in self.in_dims):
             raise DimensionMismatch("negative dimension")
         expected = self.out_dim * prod(self.in_dims)
-        entries = tuple(_frac(x) for x in entries)
+        entries = [_frac(x) for x in entries]
         if len(entries) != expected:
             raise DimensionMismatch(
                 "tensor %dx%s needs %d entries, got %d"
                 % (self.out_dim, list(self.in_dims), expected, len(entries))
             )
-        self._entries = entries
-        self._ints = self._nonzero = None
+        self._ints = _numerators(entries)
+        self._nonzero = None
 
     @classmethod
     def from_integers(cls, out_dim, in_dims, nums, den):
@@ -119,32 +115,22 @@ class MultiTensor:
         tensor = cls.__new__(cls)
         tensor.out_dim = out_dim
         tensor.in_dims = in_dims
-        tensor._entries = tensor._nonzero = None
         tensor._ints = (nums, den)
+        tensor._nonzero = None
         return tensor
 
     @property
     def entries(self):
-        """The entries as a tuple of ``Fraction``s, built on first read for
-        a tensor made in integer form."""
-        entries = self._entries
-        if entries is None:
-            entries = self._entries = tuple(_rationals(*self._ints))
-        return entries
+        """The entries as a tuple of ``Fraction``s, built on each read."""
+        return tuple(_rationals(*self._ints))
 
     def integer_form(self):
         """``(numerators, denominator)``: the entries over their one common
-        denominator, computed on first use."""
-        ints = self._ints
-        if ints is None:
-            ints = self._ints = _numerators(self._entries)
-        return ints
+        denominator, which shares no factor with all the numerators."""
+        return self._ints
 
     def lowest_terms(self):
-        """Each entry as ``(numerator, denominator)`` in lowest terms, read
-        from the form the tensor holds; nothing is built to be kept."""
-        if self._entries is not None:
-            return ((x.numerator, x.denominator) for x in self._entries)
+        """Each entry as ``(numerator, denominator)`` in lowest terms."""
         nums, den = self._ints
         if den == 1:
             return zip(nums, repeat(1))
@@ -158,12 +144,12 @@ class MultiTensor:
             in_size = prod(self.in_dims)
             nonzero = self._nonzero = tuple(
                 (k // in_size, k % in_size, x)
-                for k, x in enumerate(self.integer_form()[0]) if x)
+                for k, x in enumerate(self._ints[0]) if x)
         return nonzero
 
     @classmethod
     def zeros(cls, out_dim, in_dims):
-        return cls(out_dim, in_dims, (ZERO,) * (out_dim * prod(in_dims)))
+        return cls.from_integers(out_dim, tuple(in_dims), [0] * (out_dim * prod(in_dims)), 1)
 
     @classmethod
     def identity(cls, dim):
@@ -173,35 +159,31 @@ class MultiTensor:
     @classmethod
     def from_rows(cls, rows):
         """Matrix from a list of rows (possibly empty rows for 0 columns)."""
-        rows = [tuple(_frac(x) for x in row) for row in rows]
+        rows = [tuple(row) for row in rows]
         n_cols = len(rows[0]) if rows else 0
         if any(len(r) != n_cols for r in rows):
             raise DimensionMismatch("ragged rows")
         return cls(len(rows), (n_cols,), [x for row in rows for x in row])
 
     def is_zero(self):
-        entries = self._entries
-        return not any(self._ints[0] if entries is None else entries)
+        return not any(self._ints[0])
 
     def is_identity(self):
-        if len(self.in_dims) != 1 or self.in_dims[0] != self.out_dim:
-            return False
-        n = self.out_dim
-        nums, den = self.integer_form()
-        return den == 1 and nums == [int(i == j) for i in range(n) for j in range(n)]
+        return self == MultiTensor.identity(self.out_dim)
 
     def rows(self):
         """Rows of a one-block tensor, as tuples."""
         if len(self.in_dims) != 1:
             raise DimensionMismatch("rows() is for one-block tensors")
-        n = self.in_dims[0]
-        return [self.entries[i * n:(i + 1) * n] for i in range(self.out_dim)]
+        n, entries = self.in_dims[0], self.entries
+        return [entries[i * n:(i + 1) * n] for i in range(self.out_dim)]
 
     def entry(self, out_index, in_indices):
         flat = out_index
         for d, i in zip(self.in_dims, in_indices):
             flat = flat * d + i
-        return self.entries[flat]
+        nums, den = self._ints
+        return Fraction(nums[flat], den) if nums[flat] else ZERO
 
     def apply(self, args):
         """Evaluate on one vector per input block; exact."""
@@ -216,7 +198,7 @@ class MultiTensor:
                 )
         if self.out_dim == 0 or any(d == 0 for d in self.in_dims):
             return (ZERO,) * self.out_dim
-        den = self.integer_form()[1]
+        den = self._ints[1]
         columns = []
         for arg in args:
             nums, arg_den = _numerators(arg)
@@ -228,26 +210,27 @@ class MultiTensor:
 
     def scaled(self, scalar):
         scalar = _frac(scalar)
-        return MultiTensor(self.out_dim, self.in_dims, [scalar * x for x in self.entries])
+        nums, den = self._ints
+        return MultiTensor.from_integers(
+            self.out_dim, self.in_dims, [scalar.numerator * x for x in nums],
+            den * scalar.denominator)
 
     def plus(self, other):
         if self.out_dim != other.out_dim or self.in_dims != other.in_dims:
             raise DimensionMismatch("tensor shape mismatch in addition")
-        return MultiTensor(
+        (a, a_den), (b, b_den) = self._ints, other._ints
+        den = lcm(a_den, b_den)
+        a_scale, b_scale = den // a_den, den // b_den
+        return MultiTensor.from_integers(
             self.out_dim, self.in_dims,
-            [a + b for a, b in zip(self.entries, other.entries)],
-        )
+            [x * a_scale + y * b_scale for x, y in zip(a, b)], den)
 
     def __eq__(self, other):
-        if not (isinstance(other, MultiTensor) and self.out_dim == other.out_dim
-                and self.in_dims == other.in_dims):
-            return False
-        if self._entries is not None and other._entries is not None:
-            return self._entries == other._entries
-        return self.integer_form() == other.integer_form()
+        return (isinstance(other, MultiTensor) and self.out_dim == other.out_dim
+                and self.in_dims == other.in_dims and self._ints == other._ints)
 
     def __hash__(self):
-        nums, den = self.integer_form()
+        nums, den = self._ints
         return hash((self.out_dim, self.in_dims, den, tuple(nums)))
 
     def __repr__(self):
@@ -325,100 +308,73 @@ def _integer_rows(tensor):
     return [nums[i * n:(i + 1) * n] for i in range(tensor.out_dim)]
 
 
-def _bareiss_echelon(rows):
-    """Fraction-free row echelon form of an integer matrix.
+def _gauss_jordan(rows, n_cols):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
-    Returns (echelon rows, pivot column list).  Entries stay integral
-    throughout; pivots are the leading nonzero entries.
+    Pivots are sought left to right in the first ``n_cols`` columns; any
+    further columns are carried along.  Every step divides exactly by the
+    previous pivot.  Returns ``(pivots, d)``: the rows end as ``d`` times
+    the reduced row echelon form, row ``r`` holding ``d`` at column
+    ``pivots[r]``, and the rows past the last pivot are zero in the first
+    ``n_cols`` columns.
     """
-    m = [list(r) for r in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    pivots = []
-    prev = 1
-    r = 0
+    pivots, prev = [], 1
     for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and (f or p != prev):  # otherwise the update keeps the row
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
+        prev = p
+    return pivots, prev
 
 
 def rank(tensor):
-    rows = _integer_rows(tensor)
-    if not rows or not rows[0]:
-        return 0
-    return len(_bareiss_echelon(rows)[1])
+    return len(_gauss_jordan(_integer_rows(tensor), tensor.in_dims[0])[0])
 
 
-def _gauss_jordan(aug, n):
-    """Reduce the first ``n`` columns of an augmented system to the identity.
-
-    ``aug`` is a list of n row lists of Fractions with any number of
-    extra columns; it is reduced in place and returned, the extra
-    columns then holding the solutions.  Raises SingularMatrix at the
-    first column without a pivot.
-    """
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if aug[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise SingularMatrix("matrix is singular at column %d" % col)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return aug
+def _inverse_times(tensor, columns):
+    """``(R, s)``, ``s`` positive, with ``A^-1 B = R / s`` for a square
+    one-block tensor ``A`` and the integer rows ``B``, one per row of ``A``,
+    from one elimination of ``[A | B]``; SingularMatrix at the first
+    column of ``A`` without a pivot."""
+    n = tensor.out_dim
+    if len(tensor.in_dims) != 1 or tensor.in_dims[0] != n:
+        raise DimensionMismatch("matrix is not square")
+    if len(columns) != n:
+        raise DimensionMismatch("right-hand side has wrong length")
+    nums, den = tensor.integer_form()
+    rows = [nums[i * n:(i + 1) * n] + row for i, row in enumerate(columns)]
+    pivots, d = _gauss_jordan(rows, n)
+    if len(pivots) < n:
+        col = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
+        raise SingularMatrix("matrix is singular at column %d" % col)
+    # the rows end as d [I | C^-1 B] for the integer form C = den A
+    if d < 0:
+        d, den = -d, -den
+    return [[den * x for x in row[n:]] for row in rows], d
 
 
 def solve_linear(tensor, rhs):
     """Exact solution of A x = b for square invertible A."""
-    rows = tensor.rows()
-    n = tensor.out_dim
-    if tensor.in_dims[0] != n:
-        raise DimensionMismatch("matrix is not square")
-    if len(rhs) != n:
-        raise DimensionMismatch("right-hand side has wrong length")
-    if n == 0:
-        return ()
-    # Fraction elimination on the augmented system; small sizes only.
-    aug = _gauss_jordan([list(row) + [_frac(b)] for row, b in zip(rows, rhs)], n)
-    return tuple(aug[i][n] for i in range(n))
+    column, rhs_den = _numerators([_frac(b) for b in rhs])
+    solution, d = _inverse_times(tensor, [[b] for b in column])
+    return tuple(Fraction(x, d * rhs_den) for x, in solution)
 
 
 def invert_matrix(tensor):
-    """Exact inverse of a square invertible one-block tensor.
-
-    One Gauss-Jordan elimination on [A | I]; the right half ends as the
-    inverse.
-    """
+    """Exact inverse of a square invertible one-block tensor, from one
+    elimination of [A | I]."""
     n = tensor.out_dim
-    if len(tensor.in_dims) != 1 or tensor.in_dims[0] != n:
-        raise DimensionMismatch("matrix is not square")
-    aug = _gauss_jordan(
-        [list(row) + [ONE if i == j else ZERO for j in range(n)]
-         for i, row in enumerate(tensor.rows())], n)
-    return MultiTensor(n, (n,), [x for row in aug for x in row[n:]])
+    inverse, d = _inverse_times(tensor, [[int(i == j) for j in range(n)] for i in range(n)])
+    return MultiTensor.from_integers(n, (n,), [x for row in inverse for x in row], d)
 
 
 def kernel_basis(tensor):
@@ -429,30 +385,13 @@ def kernel_basis(tensor):
     """
     rows = _integer_rows(tensor)
     n_cols = tensor.in_dims[0]
-    if n_cols == 0:
-        return []
-    if not rows:
-        basis = []
-        for j in range(n_cols):
-            v = [ZERO] * n_cols
-            v[j] = ONE
-            basis.append(tuple(v))
-        return basis
-    echelon, pivots = _bareiss_echelon(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
+    pivots, d = _gauss_jordan(rows, n_cols)
     basis = []
-    for free in free_cols:
-        v = [ZERO] * n_cols
-        v[free] = ONE
-        # back-substitute pivot coordinates, bottom pivot first
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = ZERO
-            for j in range(c + 1, n_cols):
-                if echelon[r][j]:
-                    s += _frac(echelon[r][j]) * v[j]
-            v[c] = -s / echelon[r][c]
+    for free in sorted(set(range(n_cols)).difference(pivots)):
+        v = list(unit_vector(n_cols, free))
+        for row, c in zip(rows, pivots):
+            if row[free]:
+                v[c] = Fraction(-row[free], d)
         basis.append(tuple(v))
     return basis
 
@@ -460,18 +399,16 @@ def kernel_basis(tensor):
 def image_contains(tensor, vector):
     """Membership of ``vector`` in the column space of a matrix.
 
-    One echelon form of [A | v]: the vector lies in the image exactly
+    One elimination of [A | v]: the vector lies in the image exactly
     when its column carries no pivot.
     """
     rows = _integer_rows(tensor)
     if len(vector) != tensor.out_dim:
         raise DimensionMismatch("vector has wrong length")
-    if not rows:
-        return True
     # the vector's column is scaled by its own denominator
     column = _numerators([_frac(v) for v in vector])[0]
-    _, pivots = _bareiss_echelon([row + [v] for row, v in zip(rows, column)])
-    return tensor.in_dims[0] not in pivots
+    n = tensor.in_dims[0]
+    return n not in _gauss_jordan([row + [v] for row, v in zip(rows, column)], n + 1)[0]
 
 
 def contract_slot(tensor, slot, vector):

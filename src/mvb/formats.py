@@ -7,10 +7,12 @@ non-trivial components omitted (one-block components are always
 explicit).  Parsing distinguishes syntax errors (with byte positions),
 schema errors (wrong shapes or missing fields, located by component
 coordinates), and semantic errors (invariant violations found by
-validation).  Tensors have one integer form between text and kernels:
-entries are read with one strict grammar straight into numerators over
-their common denominator, and written in lowest terms from whichever
-form a tensor holds, with no ``Fraction`` made on either path.
+validation).  A tensor's one stored form, integer numerators over a
+common denominator, is also its form between text and kernels: entries
+are read with one strict grammar straight into it and written from it
+in lowest terms, with no ``Fraction`` made on either path.  Both ways a
+numerator or denominator has at most ``MAX_DIGITS`` digits; a result
+with a longer part is an error naming its component, not a longer text.
 """
 
 import hashlib
@@ -22,16 +24,19 @@ from math import lcm, prod
 from .atlas import AtlasPresentation, Chart, FiniteBase
 from .bundle import BundleElement, BundleMorphism
 from .cubecat import IndexSet, Partition, cube_plan
-from .errors import InvalidPartition, ParseError, SchemaError
+from .errors import InvalidInput, InvalidPartition, ParseError, SchemaError
 from .exactlin import MultiTensor
 from .gauge import DimAssignment, Gauge
 
 FORMAT_VERSION = 1
 
 
-# a rational "p" or "p/q": optional sign, ASCII digits, at most as many
-# digits per part as int() converts by default
-_RATIONAL = re.compile(r"([+-]?[0-9]{1,4300})(?:/([0-9]{1,4300}))?").fullmatch
+# digits in a numerator or denominator, read or written, at most
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10 ** MAX_DIGITS
+# a rational "p" or "p/q": optional sign, ASCII digits
+_RATIONAL = re.compile(r"([+-]?[0-9]{1,%d})(?:/([0-9]{1,%d}))?"
+                       % (MAX_DIGITS, MAX_DIGITS)).fullmatch
 
 
 def rational_from_str(text, where, index):
@@ -50,7 +55,19 @@ def rational_from_str(text, where, index):
                       % (where, index, text))
 
 
+def _check_digits(pairs, where):
+    """An error naming the first ``(p, q)`` with over MAX_DIGITS digits."""
+    for k, (p, q) in enumerate(pairs):
+        if abs(p) >= _DIGIT_BOUND or q >= _DIGIT_BOUND:
+            raise InvalidInput("%s entry %d has a part of more than %d digits,"
+                               " the format's limit" % (where, k, MAX_DIGITS))
+
+
 def tensor_to_json(tensor):
+    nums, den = tensor.integer_form()
+    # lowest terms only shrink the parts of the integer form
+    if den >= _DIGIT_BOUND or max(map(abs, nums), default=0) >= _DIGIT_BOUND:
+        _check_digits(tensor.lowest_terms(), "tensor")
     return {
         "out_dim": tensor.out_dim,
         "in_dims": list(tensor.in_dims),
@@ -129,15 +146,20 @@ def dims_from_json(n, obj, where="dims"):
         raise SchemaError("%s incomplete: %s" % (where, err))
 
 
-def gauge_to_json(gauge):
+def gauge_to_json(gauge, where="gauge"):
     components = []
     for (subset, rho), tensor in zip(cube_plan(gauge.n).keys, gauge.tensors):
         if tensor is None and len(rho) > 1:
             continue
+        tensor = gauge.linear_part(subset) if tensor is None else tensor
+        try:
+            body = tensor_to_json(tensor)
+        except InvalidInput as err:
+            raise InvalidInput("%s component%s: %s" % (where, _label(subset, rho), err))
         components.append({
             "target": list(subset),
             "blocks": [list(b) for b in rho],
-            "tensor": tensor_to_json(gauge.linear_part(subset) if tensor is None else tensor),
+            "tensor": body,
         })
     return {
         "n": gauge.n,
@@ -250,7 +272,7 @@ def atlas_to_json(presentation):
                 "from": src,
                 "to": dst,
                 "point": p,
-                "gauge": gauge_to_json(g),
+                "gauge": gauge_to_json(g, "transition %s<-%s at %s" % (dst, src, p)),
             }
             for (dst, src, p), g in sorted(a.transitions.items())
         ],
@@ -291,6 +313,9 @@ def atlas_from_json(obj):
 
 
 def element_to_json(elem):
+    for key, vec in elem.components.items():
+        _check_digits(((x.numerator, x.denominator) for x in vec),
+                      "element component at %s" % (list(key),))
     return {
         "format_version": FORMAT_VERSION,
         "kind": "element",
@@ -333,7 +358,8 @@ def morphism_to_json(morphism):
         "source_dims": dims_to_json(morphism.source.dims),
         "target_dims": dims_to_json(morphism.target.dims),
         "data": [
-            {"chart": chart, "point": p, "gauge": gauge_to_json(g)}
+            {"chart": chart, "point": p,
+             "gauge": gauge_to_json(g, "morphism data at (%s, %s)" % (chart, p))}
             for (chart, p), g in sorted(morphism.data.items())
         ],
     }

@@ -42,6 +42,8 @@ keys that component's terms read.
 
 from collections.abc import Mapping
 from itertools import combinations, product
+from math import prod
+from operator import mul
 
 from .cubecat import (
     IndexSet,
@@ -453,14 +455,13 @@ def reorder_inputs(tensor, new_to_old):
     k = len(tensor.in_dims)
     assert sorted(new_to_old) == list(range(k))
     new_in = tuple(tensor.in_dims[o] for o in new_to_old)
-    entries = []
-    for i0 in range(tensor.out_dim):
-        for new_idx in product(*map(range, new_in)):
-            old_idx = [0] * k
-            for m, o in enumerate(new_to_old):
-                old_idx[o] = new_idx[m]
-            entries.append(tensor.entry(i0, old_idx))
-    return MultiTensor(tensor.out_dim, new_in, entries)
+    nums, den = tensor.integer_form()
+    # the flat stride of the old block feeding each new slot
+    strides = [prod(tensor.in_dims[o + 1:]) for o in new_to_old]
+    in_size = prod(new_in)
+    picked = [nums[i0 * in_size + sum(map(mul, strides, new_idx))]
+              for i0 in range(tensor.out_dim) for new_idx in product(*map(range, new_in))]
+    return MultiTensor.from_integers(tensor.out_dim, new_in, picked, den)
 
 
 def permute_gauge(gauge, mapping):

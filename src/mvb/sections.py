@@ -22,6 +22,7 @@ fiber operations as independent checks.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .atlas import associated_decomposed, associated_vacant
 from .bundle import (
@@ -91,9 +92,11 @@ def _stack(tensors, out_dim, in_dims):
             raise DimensionMismatch(
                 "cannot stack a %dx%s tensor into %dx%s"
                 % (t.out_dim, list(t.in_dims), out_dim, list(in_dims)))
-    return MultiTensor(out_dim, in_dims + (len(tensors),),
-                       [x for column in zip(*(t.entries for t in tensors))
-                        for x in column])
+    forms = [t.integer_form() for t in tensors]
+    den = lcm(*(d for _, d in forms))
+    columns = zip(*([x * (den // d) for x in nums] for nums, d in forms))
+    return MultiTensor.from_integers(out_dim, in_dims + (len(tensors),),
+                                     [x for column in columns for x in column], den)
 
 
 class BaseSection:
@@ -446,11 +449,9 @@ class HorizontalLift:
 
 
 def _basis_matrices(out_dim, in_dim):
-    for i in range(out_dim):
-        for j in range(in_dim):
-            entries = [Fraction(1 if (a, b) == (i, j) else 0)
-                       for a in range(out_dim) for b in range(in_dim)]
-            yield MultiTensor(out_dim, (in_dim,), entries)
+    size = out_dim * in_dim
+    for k in range(size):
+        yield MultiTensor.from_integers(out_dim, (in_dim,), [int(j == k) for j in range(size)], 1)
 
 
 def check_lift_compatibility(presentation, lift, split_lde, split_lfd):
@@ -516,15 +517,16 @@ def lift_from_free_part(presentation, split_lde, split_lfd, free_lin, free_bil):
 
         def make_map(lam_de=lam_de, lam_fd=lam_fd, f_lin=f_lin, f_bil=f_bil):
             def the_map(c, slope_f, slope_e):
-                lin = MultiTensor(d123, (d12,), contract_slot(f_lin, 0, c).entries)
+                lin = MultiTensor.from_integers(
+                    d123, (d12,), *contract_slot(f_lin, 0, c).integer_form())
                 bil = compose_tensors(
                     lam_de, [slope_f, MultiTensor.identity(d2)],
                     [[0], [1]], (d1, d2))
                 bil = bil.plus(compose_tensors(
                     lam_fd, [MultiTensor.identity(d1), slope_e],
                     [[0], [1]], (d1, d2)))
-                bil = bil.plus(MultiTensor(d123, (d1, d2),
-                                           contract_slot(f_bil, 0, c).entries))
+                bil = bil.plus(MultiTensor.from_integers(
+                    d123, (d1, d2), *contract_slot(f_bil, 0, c).integer_form()))
                 return lin, bil
             return the_map
 

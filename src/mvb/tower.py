@@ -15,7 +15,6 @@ level n by construction.
 """
 
 import hashlib
-from fractions import Fraction
 
 from .atlas import AtlasPresentation, Chart, FiniteBase
 from .cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets, partitions
@@ -117,18 +116,12 @@ class RuleGenerator:
         for d in in_dims:
             size *= d
         if len(rho) == 1:
-            entries = []
-            for i in range(out_dim):
-                for j in range(out_dim):
-                    if i == j:
-                        entries.append(Fraction(1))
-                    elif i < j:
-                        entries.append(Fraction(next(stream)))
-                    else:
-                        entries.append(Fraction(0))
-            return MultiTensor(out_dim, in_dims, entries)
-        return MultiTensor(out_dim, in_dims,
-                           [Fraction(next(stream)) for _ in range(size)])
+            # unit upper triangular
+            nums = [int(i == j) if i >= j else next(stream)
+                    for i in range(out_dim) for j in range(out_dim)]
+        else:
+            nums = [next(stream) for _ in range(size)]
+        return MultiTensor.from_integers(out_dim, tuple(in_dims), nums, 1)
 
     def _frame(self, chart, point, dims):
         return Gauge.from_tensors(dims, dims, [

@@ -5,16 +5,21 @@ These are the straightforward forms of ``MultiTensor.apply``,
 ``Fraction`` operation, and each result is rebuilt entry by entry from
 ``MultiTensor.entry``.  The library runs the kernels on integer
 numerators over one shared denominator per tensor, and contracts a slot
-with one composition; the differential tests compare the two.  ``rank``
-is the elimination on ``Fraction`` rows, each cleared of its own
-denominators, that the library replaced by elimination on the rows of
-the integer form.
+with one composition; the differential tests compare the two.
+
+The linear solvers are the two eliminations the library replaced by one
+fraction-free Gauss-Jordan on the rows of the integer form: ``rank``,
+``kernel_basis`` (back-substituted in ``Fraction``s) and
+``image_contains`` run Bareiss echelon elimination on ``Fraction`` rows,
+each cleared of its own denominators; ``solve_linear`` and
+``invert_matrix`` run Gauss-Jordan on ``Fraction`` rows.
 """
 
+from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 
-from mvb.errors import DimensionMismatch
+from mvb.errors import DimensionMismatch, SingularMatrix
 from mvb.exactlin import ONE, ZERO, MultiTensor
 
 
@@ -115,16 +120,17 @@ def contract_slot(tensor, slot, vector):
     return MultiTensor(tensor.out_dim, rest, entries)
 
 
-def rank(tensor):
-    """Rank of a matrix by Bareiss elimination on its ``Fraction`` rows,
-    each row first multiplied by the lcm of its denominators."""
+def _echelon(tensor):
+    """Bareiss echelon form of a matrix's ``Fraction`` rows, each row first
+    multiplied by the lcm of its denominators: ``(rows, pivot columns)``."""
     rows = []
     for row in tensor.rows():
         den = lcm(*(x.denominator for x in row))
         rows.append([int(x * den) for x in row])
     n_cols = tensor.in_dims[0]
-    prev, r = 1, 0
+    pivots, prev = [], 1
     for c in range(n_cols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
@@ -134,5 +140,65 @@ def rank(tensor):
                 rows[i][j] = (rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]) // prev
             rows[i][c] = 0
         prev = rows[r][c]
-        r += 1
-    return r
+        pivots.append(c)
+    return rows, pivots
+
+
+def rank(tensor):
+    return len(_echelon(tensor)[1])
+
+
+def kernel_basis(tensor):
+    """One nullspace vector per free column, ascending, with a 1 in the
+    free slot; pivot coordinates back-substituted bottom pivot first."""
+    echelon, pivots = _echelon(tensor)
+    n_cols = tensor.in_dims[0]
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        v = [ZERO] * n_cols
+        v[free] = ONE
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            s = sum((echelon[r][j] * v[j] for j in range(c + 1, n_cols)), ZERO)
+            v[c] = -s / echelon[r][c]
+        basis.append(tuple(v))
+    return basis
+
+
+def image_contains(tensor, vector):
+    """Whether ``vector``'s column carries no pivot in the echelon form of
+    ``[A | v]``."""
+    n_cols = tensor.in_dims[0]
+    augmented = MultiTensor.from_rows(
+        [list(row) + [v] for row, v in zip(tensor.rows(), vector)])
+    return n_cols not in _echelon(augmented)[1]
+
+
+def _gauss_jordan(aug, n):
+    """Reduce the first ``n`` columns of ``Fraction`` rows to the identity,
+    in place; SingularMatrix at the first column without a pivot."""
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrix("matrix is singular at column %d" % col)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = ONE / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return aug
+
+
+def solve_linear(tensor, rhs):
+    n = tensor.out_dim
+    aug = _gauss_jordan([list(row) + [Fraction(b)] for row, b in zip(tensor.rows(), rhs)], n)
+    return tuple(aug[i][n] for i in range(n))
+
+
+def invert_matrix(tensor):
+    n = tensor.out_dim
+    aug = _gauss_jordan([list(row) + [ONE if i == j else ZERO for j in range(n)]
+                         for i, row in enumerate(tensor.rows())], n)
+    return MultiTensor(n, (n,), [x for row in aug for x in row[n:]])

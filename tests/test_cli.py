@@ -436,6 +436,46 @@ def test_entries_outside_the_rational_grammar_exit_two(tmp_path, capsys, command
     assert len(err) < 400
 
 
+def _one_fold_gauge(tmp_path, name, rows):
+    """A 1-fold gauge file whose one component is the matrix ``rows`` of
+    entry texts."""
+    body = formats.to_json(identity_gauge(DimAssignment(1, {(1,): len(rows)})))
+    body["components"][0]["tensor"]["entries"] = [x for row in rows for x in row]
+    path = tmp_path / name
+    path.write_text(json.dumps(body))
+    return str(path)
+
+
+def test_results_beyond_the_digit_limit_exit_two(tmp_path, capsys):
+    """The 8000-digit product of two 4000-digit entries is an error naming
+    the component and the limit; it was a ValueError out of cli.run."""
+    big = _one_fold_gauge(tmp_path, "big.json", [["9" * 4000]])
+    out_path = tmp_path / "out.json"
+    code, out, err = invoke(capsys, ["stato", "compose", big, big, "-o", str(out_path)])
+    assert (code, out) == (2, "") and not out_path.exists()
+    assert err == ("error: gauge component at ([1], [[1]]): tensor entry 0 has a part"
+                   " of more than 4300 digits, the format's limit\n")
+
+
+P, Q = 10 ** 2499 + 1, 10 ** 2499 + 3
+
+
+@pytest.mark.parametrize("rows, inverse", [
+    ([["1/1" + "0" * 4299]], ["1" + "0" * 4299]),
+    # the entries 1/P and 1/Q are written although their common
+    # denominator P*Q has 4999 digits
+    ([[str(P), "0"], ["0", str(Q)]], ["1/%d" % P, "0", "0", "1/%d" % Q]),
+], ids=["4300-digits", "long-common-denominator"])
+def test_results_within_the_digit_limit_are_written(tmp_path, capsys, rows, inverse):
+    gauge = _one_fold_gauge(tmp_path, "g.json", rows)
+    out_path = tmp_path / "out.json"
+    code, _, err = invoke(capsys, ["stato", "invert", gauge, "-o", str(out_path)])
+    assert (code, err) == (0, "")
+    body = json.loads(out_path.read_text())
+    assert body["components"][0]["tensor"]["entries"] == inverse
+    assert formats.dumps(formats.parse(out_path.read_bytes())) + b"\n" == out_path.read_bytes()
+
+
 def _inverse_pair_broken(instance):
     """``instance`` with one transition replaced by its perturbation, so
     that its pair is no longer mutually inverse: validate reports it."""

@@ -7,11 +7,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mvb import formats
-from mvb.atlas import decomposed, FiniteBase, validate
+from mvb.atlas import AtlasPresentation, decomposed, FiniteBase, validate
 from mvb.cubecat import full_set, nonempty_subsets
-from mvb.errors import ParseError, SchemaError
+from mvb.errors import InvalidInput, ParseError, SchemaError
 from mvb.exactlin import MultiTensor
-from mvb.gauge import DimAssignment
+from mvb.gauge import DimAssignment, Gauge
 from mvb.rand import (
     random_dims,
     random_element,
@@ -529,8 +529,8 @@ def test_parsed_integer_form_is_the_fraction_form(texts):
        built=st.sampled_from(["fractions", "integers"]), wide=st.booleans())
 def test_tensor_json_round_trip(values, scale, built, wide):
     """Fraction-built and integer-built tensors (unreduced numerators
-    included) are written in lowest terms from the form they hold, without
-    building or keeping the other form, and parse back to equal tensors."""
+    included) are written in lowest terms and parse back to equal
+    tensors."""
     out_dim, in_dims = (1, (len(values),)) if wide else (len(values), ())
     if built == "fractions":
         tensor = MultiTensor(out_dim, in_dims, values)
@@ -539,7 +539,29 @@ def test_tensor_json_round_trip(values, scale, built, wide):
         tensor = MultiTensor.from_integers(
             out_dim, in_dims, [int(v * den) for v in values], den)
     body = formats.tensor_to_json(tensor)
-    assert (tensor._ints if built == "fractions" else tensor._entries) is None
     assert [str(Fraction(x)) for x in body["entries"]] == body["entries"]
     parsed = formats.tensor_from_json(body)
     assert parsed == tensor and hash(parsed) == hash(tensor)
+
+
+def test_writers_name_the_component_of_a_part_beyond_the_digit_limit():
+    long = Fraction(1, 10 ** formats.MAX_DIGITS)
+    a = twisted_instance(304, n=2, n_points=2, n_charts=2)
+    elem = random_element(seeded(1), a)
+    key = max(elem.components, key=len)
+    elem.components[key] = (long,) + elem.components[key][1:]
+    with pytest.raises(InvalidInput, match=r"^element component at \[1, 2\] entry 0 has"
+                       r" a part of more than 4300 digits, the format's limit$"):
+        formats.element_to_json(elem)
+    key, gauge = sorted(a.transitions.items())[0]
+    dst, src, p = key
+    tensors = list(gauge.tensors)
+    top = tensors[2]  # the one-block component at [1, 2]
+    tensors[2] = top.plus(MultiTensor(top.out_dim, top.in_dims,
+                                      [long] + [0] * (len(top.entries) - 1)))
+    transitions = dict(a.transitions)
+    transitions[key] = Gauge.from_tensors(gauge.source_dims, gauge.target_dims, tensors)
+    with pytest.raises(InvalidInput, match=r"^transition %s<-%s at %s component at"
+                       r" \(\[1, 2\], \[\[1, 2\]\]\): tensor entry 0 has"
+                       % (dst, src, p)):
+        formats.atlas_to_json(AtlasPresentation(a.n, a.dims, a.base, a.charts, transitions))

@@ -7,9 +7,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from tensor_oracle import apply as oracle_apply
 from tensor_oracle import compose_tensors as oracle_compose
+from tensor_oracle import image_contains as oracle_image_contains
+from tensor_oracle import invert_matrix as oracle_invert_matrix
+from tensor_oracle import kernel_basis as oracle_kernel_basis
 from tensor_oracle import rank as oracle_rank
+from tensor_oracle import solve_linear as oracle_solve_linear
 
-from mvb.exactlin import MultiTensor, compose_tensors, rank
+from mvb.errors import SingularMatrix
+from mvb.exactlin import (
+    MultiTensor,
+    compose_tensors,
+    image_contains,
+    invert_matrix,
+    kernel_basis,
+    rank,
+    solve_linear,
+)
 
 KERNELS = settings(max_examples=200, derandomize=True, database=None, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -83,7 +96,6 @@ def test_equality_and_hash_ignore_the_integer_form():
     fresh = MultiTensor(2, (2,), entries)
     hash_before = hash(used)
     used.apply([(Fraction(1, 3), Fraction(2))])
-    assert used._ints is not None and fresh._ints is None
     assert used == fresh and fresh == used
     assert hash(used) == hash(fresh) == hash_before
     assert len({used, fresh}) == 1
@@ -160,3 +172,66 @@ def test_rank_on_the_integer_form_matches_fraction_oracle(matrix, factor):
     want = oracle_rank(matrix)
     assert rank(matrix) == want
     assert rank(integer_built(matrix, factor)) == want
+
+
+@st.composite
+def defective_matrices(draw, square=False):
+    """Matrices up to 5x5, 0xk and kx0 included: dense ones, and ones with
+    a zero row, a zero column or a dependent last row."""
+    n_rows = draw(st.integers(0, 5))
+    n_cols = n_rows if square else draw(st.integers(0, 5))
+    rows = [[draw(RATIONALS) for _ in range(n_cols)] for _ in range(n_rows)]
+    defect = draw(st.sampled_from([None, None, "zero row", "zero column", "dependent row"]))
+    if n_rows and defect == "zero row":
+        rows[draw(st.integers(0, n_rows - 1))] = [Fraction(0)] * n_cols
+    elif n_cols and defect == "zero column":
+        j = draw(st.integers(0, n_cols - 1))
+        for row in rows:
+            row[j] = Fraction(0)
+    elif n_rows >= 2 and defect == "dependent row":
+        rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+    return MultiTensor(n_rows, (n_cols,), [x for row in rows for x in row])
+
+
+def outcome(solver, *args):
+    """The solver's value, or the text of the SingularMatrix it raises."""
+    try:
+        return solver(*args)
+    except SingularMatrix as err:
+        return "SingularMatrix: %s" % err
+
+
+@KERNELS
+@given(st.one_of(matrices(), defective_matrices()), st.integers(1, 12), st.data())
+def test_kernel_and_image_match_fraction_oracles(matrix, factor, data):
+    n_rows, n_cols = matrix.out_dim, matrix.in_dims[0]
+    point = data.draw(st.lists(RATIONALS, min_size=n_cols, max_size=n_cols))
+    vectors = [oracle_apply(matrix, [point]), (Fraction(0),) * n_rows,
+               data.draw(st.lists(RATIONALS, min_size=n_rows, max_size=n_rows))]
+    for built in (matrix, integer_built(matrix, factor)):
+        assert rank(built) == oracle_rank(matrix)
+        basis = kernel_basis(built)
+        assert basis == oracle_kernel_basis(matrix)
+        assert all(type(x) is Fraction for v in basis for x in v)
+        for vector in vectors:
+            assert image_contains(built, vector) == oracle_image_contains(matrix, vector)
+    assert image_contains(matrix, vectors[0])
+
+
+@KERNELS
+@given(defective_matrices(square=True), st.integers(1, 12), st.data())
+def test_inverse_and_solve_match_fraction_oracles(matrix, factor, data):
+    n = matrix.out_dim
+    rhs = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
+    want_inverse = outcome(oracle_invert_matrix, matrix)
+    want_solution = outcome(oracle_solve_linear, matrix, rhs)
+    for built in (matrix, integer_built(matrix, factor)):
+        got = outcome(invert_matrix, built)
+        assert got == want_inverse
+        if isinstance(want_inverse, MultiTensor):
+            assert got.integer_form() == want_inverse.integer_form()
+            assert got.entries == want_inverse.entries
+        solution = outcome(solve_linear, built, rhs)
+        assert solution == want_solution
+        if not isinstance(solution, str):
+            assert all(type(x) is Fraction for x in solution)
