@@ -9,15 +9,15 @@ of ``fractions.Fraction``s, is a view built on each read and never kept;
 hashing compare the one form, which is the same however a tensor was
 built.
 
-The two tensor kernels, ``MultiTensor.apply`` and ``compose_tensors``,
-run on these integers.  Applying a tensor multiplies and adds only its
-cached nonzero numerators and the arguments' cleared numerators; the
-composite of ``compose_tensors`` at an input index is the outer tensor
-applied to the inner tensors' columns at that index's slots, so both
-run the same integer contraction.  Which inner column feeds which
-composite index depends on the shapes alone and is memoized per
-``(total_in_dims, slot group)``.  A sum of composites is added into one
-integer list over the lcm of the terms' denominators.
+Every exact contraction is one sum of composition terms in integer form,
+``_sum_of_composites``: ``compose_tensors`` is one term, ``apply`` one
+term whose inner tensors are its arguments as tensors with no inputs,
+and a gauge component the sum of its live terms.  Each term's shape is
+compiled once into a gather program (``_program``, a memo bounded by the
+rows it holds in all) naming, per outer input index and composite input
+index, the inner numerators to multiply.  The kernel walks the nonzero
+outer numerators, multiplies the named inner numerators, skipping zeros,
+and adds into one integer list over the lcm of the terms' denominators.
 
 Every linear solve (``rank``, ``kernel_basis``, ``image_contains``,
 ``solve_linear`` and ``invert_matrix``) runs one fraction-free
@@ -38,6 +38,9 @@ from .errors import DimensionMismatch, SingularMatrix
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# the most gather-program rows the program memo keeps in all
+_PROGRAM_ENTRIES = 1 << 15
+
 
 def _frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -52,28 +55,6 @@ def _numerators(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def _contract(nonzero, columns, total, at):
-    """Add a tensor applied to one integer vector per input block into
-    ``total``.
-
-    ``nonzero`` lists the tensor's nonzero numerators as ``(offset, j,
-    num)``, ``j`` being the flat input index; ``num`` times the product
-    of the vectors' coordinates at ``j`` is added to ``total[offset +
-    at]``.
-    """
-    weights = [1]
-    for column in columns:
-        weights = [w * x for w in weights for x in column]
-    for offset, j, num in nonzero:
-        w = weights[j]
-        if w:
-            total[offset + at] += num * w
-
-
-def _rationals(numerators, den):
-    return [Fraction(x, den) if x else ZERO for x in numerators]
-
-
 class MultiTensor:
     """A multilinear map between rational vector spaces with a fixed layout.
 
@@ -83,7 +64,7 @@ class MultiTensor:
     coordinate ``i0`` on basis inputs ``(i1, ..., ik)``.
     """
 
-    __slots__ = ("out_dim", "in_dims", "_ints", "_nonzero")
+    __slots__ = ("out_dim", "in_dims", "_ints")
 
     def __init__(self, out_dim, in_dims, entries):
         self.out_dim = int(out_dim)
@@ -98,7 +79,6 @@ class MultiTensor:
                 % (self.out_dim, list(self.in_dims), expected, len(entries))
             )
         self._ints = _numerators(entries)
-        self._nonzero = None
 
     @classmethod
     def from_integers(cls, out_dim, in_dims, nums, den):
@@ -116,13 +96,13 @@ class MultiTensor:
         tensor.out_dim = out_dim
         tensor.in_dims = in_dims
         tensor._ints = (nums, den)
-        tensor._nonzero = None
         return tensor
 
     @property
     def entries(self):
         """The entries as a tuple of ``Fraction``s, built on each read."""
-        return tuple(_rationals(*self._ints))
+        nums, den = self._ints
+        return tuple(Fraction(x, den) if x else ZERO for x in nums)
 
     def integer_form(self):
         """``(numerators, denominator)``: the entries over their one common
@@ -135,17 +115,6 @@ class MultiTensor:
         if den == 1:
             return zip(nums, repeat(1))
         return ((x // g, den // g) for x in nums for g in (gcd(x, den),))
-
-    def _nonzero_terms(self):
-        """``(i0, j, numerator)`` for every nonzero entry, ``j`` being the
-        flat input index; computed on first use."""
-        nonzero = self._nonzero
-        if nonzero is None:
-            in_size = prod(self.in_dims)
-            nonzero = self._nonzero = tuple(
-                (k // in_size, k % in_size, x)
-                for k, x in enumerate(self._ints[0]) if x)
-        return nonzero
 
     @classmethod
     def zeros(cls, out_dim, in_dims):
@@ -189,24 +158,15 @@ class MultiTensor:
         """Evaluate on one vector per input block; exact."""
         if len(args) != len(self.in_dims):
             raise DimensionMismatch(
-                "expected %d arguments, got %d" % (len(self.in_dims), len(args))
-            )
+                "expected %d arguments, got %d" % (len(self.in_dims), len(args)))
         for arg, d in zip(args, self.in_dims):
             if len(arg) != d:
                 raise DimensionMismatch(
-                    "argument of length %d for block of dimension %d" % (len(arg), d)
-                )
-        if self.out_dim == 0 or any(d == 0 for d in self.in_dims):
-            return (ZERO,) * self.out_dim
-        den = self._ints[1]
-        columns = []
-        for arg in args:
-            nums, arg_den = _numerators(arg)
-            columns.append(nums)
-            den *= arg_den
-        out = [0] * self.out_dim
-        _contract(self._nonzero_terms(), columns, out, 0)
-        return tuple(_rationals(out, den))
+                    "argument of length %d for block of dimension %d" % (len(arg), d))
+        inners = [MultiTensor.from_integers(d, (), *_numerators([_frac(x) for x in arg]))
+                  for arg, d in zip(args, self.in_dims)]
+        return _sum_of_composites([(self, inners, ((),) * len(args))], self.out_dim,
+                                  ()).entries
 
     def scaled(self, scalar):
         scalar = _frac(scalar)
@@ -249,54 +209,93 @@ def compose_tensors(outer, inners, slot_groups, total_in_dims):
     for inner, mid in zip(inners, outer.in_dims):
         if inner.out_dim != mid:
             raise DimensionMismatch("inner output does not match outer block")
+    slot_groups, total_in_dims = tuple(map(tuple, slot_groups)), tuple(total_in_dims)
     for inner, group in zip(inners, slot_groups):
         if tuple(inner.in_dims) != tuple(total_in_dims[g] for g in group):
             raise DimensionMismatch("slot group does not match inner tensor shape")
-    return _sum_of_composites([(outer, inners, slot_groups)], outer.out_dim,
-                              tuple(total_in_dims))
+    return _sum_of_composites([(outer, inners, slot_groups)], outer.out_dim, total_in_dims)
 
 
 def _sum_of_composites(terms, out_dim, total_in_dims):
     """The sum of ``compose_tensors(outer, inners, slot_groups,
     total_in_dims)`` over ``terms``, one ``(outer, inners, slot_groups)``
-    triple each, whose shapes are trusted; made in integer form.
-
-    Each term is added into one integer list, scaled to the lcm of the
-    terms' denominators.
-    """
-    dens = [prod([outer.integer_form()[1]] + [t.integer_form()[1] for t in inners])
-            for outer, inners, _ in terms]
+    triple each, with trusted shapes and tuple slot groups; made in
+    integer form, every term added into one list over the lcm of the
+    terms' denominators."""
+    dens = [prod([outer._ints[1]] + [t._ints[1] for t in inners]) for outer, inners, _ in terms]
     den = lcm(*dens)
     size = prod(total_in_dims)
     total = [0] * (out_dim * size)
-    if total:
-        for (outer, inners, slot_groups), term_den in zip(terms, dens):
-            scale = den // term_den
-            nonzero = [(i0 * size, j, num * scale) for i0, j, num in outer._nonzero_terms()]
-            # per inner tensor, its column at every composite input index
-            picked = []
-            for inner, group in zip(inners, slot_groups):
-                nums, in_size = inner.integer_form()[0], prod(inner.in_dims)
-                columns = [nums[j::in_size] for j in range(in_size)]
-                picked.append([columns[j] for j in _routing((total_in_dims, tuple(group)))])
-            for at, columns in enumerate(zip(*picked) if picked else repeat((), size)):
-                _contract(nonzero, columns, total, at)
+    for (outer, inners, slot_groups), term_den in zip(terms, dens):
+        _gather(total, size, outer._ints[0], den // term_den,
+                _program((outer.in_dims, slot_groups, total_in_dims)),
+                [t._ints[0] for t in inners])
     return MultiTensor.from_integers(out_dim, total_in_dims, total, den)
 
 
-@_memoized(4096)
-def _routing(dims_and_group):
-    """For ``(total_in_dims, group)``: per composite input index, in
-    row-major order, the flat input index of the inner tensor whose
-    blocks are the composite slots ``group``."""
-    total_in_dims, group = dims_and_group
-    route = []
-    for full in product(*map(range, total_in_dims)):
-        j = 0
-        for g in group:
-            j = j * total_in_dims[g] + full[g]
-        route.append(j)
-    return tuple(route)
+def _gather(total, size, outer, scale, program, inners):
+    """Add ``scale`` times one term into ``total``: each nonzero outer
+    numerator times the inner numerators its program rows name."""
+    in_size = len(program)
+    if len(inners) == 1:
+        (first,) = inners
+        for k, x in enumerate(outer):
+            if x:
+                x *= scale
+                base = k // in_size * size
+                for at, a in program[k % in_size]:
+                    y = first[a]
+                    if y:
+                        total[base + at] += x * y
+    elif len(inners) == 2:
+        first, second = inners
+        for k, x in enumerate(outer):
+            if x:
+                x *= scale
+                base = k // in_size * size
+                for at, a, b in program[k % in_size]:
+                    y = first[a]
+                    if y:
+                        z = second[b]
+                        if z:
+                            total[base + at] += x * y * z
+    else:
+        # a row's product of inner numerators serves every output coordinate
+        factors = tuple(enumerate(inners, 1))
+        for j, rows in enumerate(program):
+            column = [(i0 * size, x * scale) for i0, x in enumerate(outer[j::in_size]) if x]
+            if column:
+                for row in rows:
+                    w = 1
+                    for m, nums in factors:
+                        w *= nums[row[m]]
+                        if not w:
+                            break
+                    else:
+                        for base, x in column:
+                            total[base + row[0]] += x * w
+
+
+@_memoized(_PROGRAM_ENTRIES, weight=lambda program: sum(map(len, program)))
+def _program(shape):
+    """The gather program of a term's shape ``(outer in_dims, slot groups,
+    total_in_dims)``: per flat input index of the outer tensor, with
+    block indices ``(b_1, ..., b_k)``, one row ``(J, i_1, ..., i_k)`` per
+    flat composite input index ``J``, ``i_m`` being the flat index of
+    inner tensor ``m``'s numerator at output ``b_m`` and at the inputs
+    ``J`` assigns to its slot group."""
+    outer_in, slot_groups, total_in_dims = shape
+    composite = list(product(*map(range, total_in_dims)))
+    # per inner tensor: its input size and its flat input index at each J
+    routes = []
+    for group in slot_groups:
+        dims = [total_in_dims[g] for g in group]
+        index = {inputs: i for i, inputs in enumerate(product(*map(range, dims)))}
+        routes.append((len(index), [index[tuple(full[g] for g in group)] for full in composite]))
+    return tuple(
+        tuple(zip(range(len(composite)), *[[b * in_size + i for i in route]
+                                           for b, (in_size, route) in zip(mids, routes)]))
+        for mids in product(*map(range, outer_in)))
 
 
 def _integer_rows(tensor):

@@ -31,13 +31,15 @@ it, and ``Gauge.from_tensors`` takes components already in plan order.
 
 Composition and inversion walk the plan and skip every term whose
 outer or inner component is zero, since such a term contributes
-nothing to the exact sum.  ``_sum_terms`` adds the remaining terms of a
-key into one list of integer numerators over the lcm of their
-denominators, and the tensor made from the sum stays in that integer
-form (see ``exactlin``).  ``_compose_at`` runs those sums for requested
-keys only: composition asks for every key, and a caller that reads one
-component of a composite (the uniform paste in ``split``) asks for the
-keys that component's terms read.
+nothing to the exact sum.  ``_sum_terms`` hands the remaining terms of a
+key to the one contraction kernel of ``exactlin``, which runs each
+term's gather program, compiled once per term shape, and adds every
+term into one list of integer numerators over the lcm of their
+denominators; the tensor made from the sum stays in that integer form.
+``_compose_at`` runs those sums for requested keys only: composition
+asks for every key, and a caller that reads one component of a
+composite (the uniform paste in ``split``) asks for the keys that
+component's terms read.
 """
 
 from collections.abc import Mapping

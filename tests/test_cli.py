@@ -476,6 +476,35 @@ def test_results_within_the_digit_limit_are_written(tmp_path, capsys, rows, inve
     assert formats.dumps(formats.parse(out_path.read_bytes())) + b"\n" == out_path.read_bytes()
 
 
+def test_long_entries_do_not_depend_on_the_int_to_string_limit(tmp_path, capsys):
+    """Parts of up to 4300 digits are read and written 640 digits at a
+    time, so under CPython's lowest int-to-string limit every command
+    gives the exit code, report and output bytes of the default limit;
+    they raised ValueError out of cli.run."""
+    gauge = _one_fold_gauge(tmp_path, "g.json", [["7" * 1000, "3/" + "1" * 1500],
+                                                 ["0", "-" + "2" * 999]])
+    out_path = tmp_path / "out.json"
+    commands = [["stato", "check", gauge], ["stato", "invert", gauge, "-o", str(out_path)],
+                ["stato", "compose", gauge, gauge, "-o", str(out_path)]]
+    seen = {}
+    default = sys.get_int_max_str_digits()
+    for limit in (default, 640):
+        sys.set_int_max_str_digits(limit)
+        try:
+            for argv in commands:
+                out_path.unlink(missing_ok=True)
+                code, out, err = invoke(capsys, argv)
+                report = report_of(out)
+                del report["timing_ms"]
+                written = out_path.read_bytes() if "-o" in argv else None
+                seen.setdefault(argv[1], []).append((code, report, err, written))
+        finally:
+            sys.set_int_max_str_digits(default)
+    assert [runs[0][0] for runs in seen.values()] == [1, 0, 0]
+    for runs in seen.values():
+        assert runs[0] == runs[1]
+
+
 def _inverse_pair_broken(instance):
     """``instance`` with one transition replaced by its perturbation, so
     that its pair is no longer mutually inverse: validate reports it."""

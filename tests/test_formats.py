@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -542,6 +543,31 @@ def test_tensor_json_round_trip(values, scale, built, wide):
     assert [str(Fraction(x)) for x in body["entries"]] == body["entries"]
     parsed = formats.tensor_from_json(body)
     assert parsed == tensor and hash(parsed) == hash(tensor)
+
+
+def test_long_parts_are_read_and_written_under_the_lowest_int_to_string_limit():
+    """Tensor and element entries with parts of 641 to 4300 digits, signs
+    included, read and write the same texts under CPython's lowest
+    int-to-string limit as under the default one."""
+    texts = ["-" + "9" * 4300, "1" * 641 + "/" + "3" * 4300, "-1/" + "7" * 1281, "5"]
+    a = twisted_instance(304, n=2, n_points=2, n_charts=2)
+    elem = random_element(seeded(1), a)
+    key = max(elem.components, key=len)
+    default = sys.get_int_max_str_digits()
+    written = []
+    for limit in (default, 640):
+        sys.set_int_max_str_digits(limit)
+        try:
+            tensor = formats.tensor_from_json({"out_dim": 4, "in_dims": [], "entries": texts})
+            elem.components[key] = tensor.entries[:len(elem.components[key])]
+            body = formats.element_to_json(elem)
+            written.append((tensor.integer_form(), formats.tensor_to_json(tensor), body,
+                            formats.element_from_json(body).components))
+        finally:
+            sys.set_int_max_str_digits(default)
+    assert written[0] == written[1]
+    assert written[0][1]["entries"] == texts
+    assert written[0][3] == elem.components
 
 
 def test_writers_name_the_component_of_a_part_beyond_the_digit_limit():

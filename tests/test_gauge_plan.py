@@ -19,8 +19,16 @@ from mvb.cubecat import (
     partitions,
     subsets,
 )
-from mvb.gauge import Gauge, identity_gauge
-from mvb.rand import random_dims, random_gauge, random_morphism_gauge, random_vectors
+from mvb import exactlin
+from mvb.exactlin import MultiTensor
+from mvb.gauge import DimAssignment, Gauge, identity_gauge
+from mvb.rand import (
+    random_dims,
+    random_gauge,
+    random_morphism_gauge,
+    random_tensor,
+    random_vectors,
+)
 
 SMALL = settings(max_examples=30, derandomize=True, database=None, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -126,3 +134,34 @@ def test_plans_are_built_on_first_use_not_at_import():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["0", "1"]
+
+
+def test_the_program_memo_keeps_at_most_its_bound_in_rows():
+    """Gauges on n = 3 whose one multi-block component is the all-singleton
+    top, on singleton dims 5 and 6: the gather program of its
+    all-singleton term has 180 * 180 rows (kept), then 216 * 216 (more
+    than the bound, never kept), then 180 * 180 again (so the memo must
+    be emptied first).  After each composition and inversion the kept
+    programs hold at most the bound in rows, and the top components of
+    a composite add up."""
+    plan = cube_plan(3)
+    top = plan.index[(full_set(3), Partition([[1], [2], [3]]))]
+    memo, bound = exactlin._program.memo, exactlin._PROGRAM_ENTRIES
+    rng = random.Random(7)
+    for singletons in [(6, 6, 5), (6, 6, 6), (5, 6, 6)]:
+        dims = DimAssignment(3, {s: singletons[s[0] - 1] if len(s) == 1 else 2
+                                 for s in nonempty_subsets(full_set(3))})
+
+        def gauge():
+            tensors = [MultiTensor.identity(out) if len(ins) == 1 else None
+                       for out, ins in dims.shapes]
+            tensors[top] = random_tensor(rng, *dims.shapes[top])
+            return Gauge.from_tensors(dims, dims, tensors)
+
+        g, f = gauge(), gauge()
+        assert g.compose(f).tensors[top] == g.tensors[top].plus(f.tensors[top])
+        assert g.compose(g.invert()).is_identity()
+        held = sum(sum(map(len, program)) for program in memo.values())
+        assert held <= bound
+        if 5 in singletons:
+            assert held >= 180 * 180

@@ -1,6 +1,7 @@
 """The integer tensor kernels against the entry-by-entry Fraction oracles."""
 
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +17,7 @@ from tensor_oracle import solve_linear as oracle_solve_linear
 from mvb.errors import SingularMatrix
 from mvb.exactlin import (
     MultiTensor,
+    _sum_of_composites,
     compose_tensors,
     image_contains,
     invert_matrix,
@@ -151,6 +153,79 @@ def test_compose_tensors_of_integer_built_tensors_matches_fraction_oracle(case, 
     want = oracle_compose(outer, inners, groups, total_in)
     assert_same_value(got, want)
     assert got.is_identity() == want.is_identity()
+
+
+def oracle_sum(terms, out_dim, total_in):
+    total = MultiTensor.zeros(out_dim, total_in)
+    for outer, inners, groups in terms:
+        total = total.plus(oracle_compose(outer, inners, groups, total_in))
+    return total
+
+
+@st.composite
+def composition_sums(draw):
+    """Two to four composition terms into one composite shape.  Each term
+    has its own outer tensor and 0 to 4 inner tensors, whose slot groups
+    hand every composite input position to one inner in any order, so
+    groups interleave; with no inner the outer is constant along every
+    position.  Each tensor is remade from its integers times its own
+    factor, so the terms' denominators differ and the inputs are not
+    reduced; all-zero tensors and 0 dims are drawn often."""
+    total_in = tuple(draw(st.lists(DIMS, max_size=4)))
+    out_dim = draw(DIMS)
+    terms = []
+    for _ in range(draw(st.integers(2, 4))):
+        k = draw(st.integers(1 if total_in else 0, 4)) if draw(st.booleans()) else 0
+        owner = [draw(st.integers(0, k - 1)) for _ in total_in] if k else []
+        order = draw(st.permutations(range(len(total_in))))
+        groups = tuple(tuple(pos for pos in order if owner[pos] == m) for m in range(k))
+        mids = tuple(draw(DIMS) for _ in range(k))
+        factor = st.integers(1, 6)
+        outer = integer_built(draw(tensors(out_dim, mids)), draw(factor))
+        inners = [integer_built(draw(tensors(mid, tuple(total_in[g] for g in group))),
+                                draw(factor))
+                  for mid, group in zip(mids, groups)]
+        terms.append((outer, inners, groups))
+    return terms, out_dim, total_in
+
+
+@KERNELS
+@given(composition_sums())
+def test_sums_of_composites_match_the_sum_of_fraction_oracles(case):
+    terms, out_dim, total_in = case
+    assert_same_value(_sum_of_composites(terms, out_dim, total_in),
+                      oracle_sum(terms, out_dim, total_in))
+
+
+def test_sums_of_composites_cover_every_kernel_loop():
+    """One term per loop of the kernel (no inner, one, two, three with
+    interleaved slot groups), over different denominators, then the same
+    with an all-zero outer and with a 0-dim input."""
+    rng = random.Random(5)
+
+    def tensor(out_dim, in_dims, den):
+        size = out_dim * math.prod(in_dims)
+        return MultiTensor.from_integers(
+            out_dim, in_dims, [rng.randint(-4, 4) * 2 for _ in range(size)], den * 2)
+
+    for total_in, zero_outer in [((2, 3, 2, 2), False), ((2, 3, 2, 2), True),
+                                 ((2, 0, 2, 2), False)]:
+        d = total_in
+        terms = [
+            (tensor(2, (), 3), [], ()),
+            (tensor(2, (3,), 5), [tensor(3, d, 1)], ((0, 1, 2, 3),)),
+            (tensor(2, (2, 3), 7), [tensor(2, (d[2], d[0]), 2), tensor(3, (d[1], d[3]), 1)],
+             ((2, 0), (1, 3))),
+            (tensor(2, (2, 2, 3), 1),
+             [tensor(2, (d[0], d[3]), 3), tensor(2, (d[1],), 1), tensor(3, (d[2],), 4)],
+             ((0, 3), (1,), (2,))),
+        ]
+        if zero_outer:
+            outer, inners, groups = terms[3]
+            terms[3] = (MultiTensor.zeros(2, outer.in_dims), inners, groups)
+        got = _sum_of_composites(terms, 2, total_in)
+        assert_same_value(got, oracle_sum(terms, 2, total_in))
+        assert got.is_zero() == (0 in total_in)
 
 
 @st.composite
