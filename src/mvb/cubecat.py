@@ -23,35 +23,24 @@ from types import MappingProxyType
 from .errors import InvalidPartition
 
 
-def _memoized(limit, weight=None):
+def _memoized(limit):
     """Remember the answers of a one-argument function of index data.
 
     At most ``limit`` answers are kept; the memo is emptied when full.
-    With ``weight``, a function of an answer, ``limit`` bounds the sum of
-    the kept answers' weights instead: the memo is emptied before an
-    answer that would take it past ``limit``, and an answer heavier than
-    ``limit`` on its own is handed out without being kept.  Answers must
-    be immutable, since every caller shares them.  The memo dict is
-    exposed as the function's ``memo`` attribute.
+    Answers must be immutable, since every caller shares them.  The memo
+    dict is exposed as the function's ``memo`` attribute.
     """
     def decorate(fn):
         memo = {}
-        held = 0  # the kept answers' weight, each 1 without ``weight``
 
         def memoized(arg):
-            nonlocal held
             try:
                 return memo[arg]
             except KeyError:
                 pass
-            answer = fn(arg)
-            w = 1 if weight is None else weight(answer)
-            if w <= limit:
-                if held + w > limit or not memo:
-                    memo.clear()
-                    held = 0
-                memo[arg] = answer
-                held += w
+            if len(memo) >= limit:
+                memo.clear()
+            answer = memo[arg] = fn(arg)
             return answer
         memoized.__doc__ = fn.__doc__
         memoized.memo = memo

@@ -13,11 +13,11 @@ Every exact contraction is one sum of composition terms in integer form,
 ``_sum_of_composites``: ``compose_tensors`` is one term, ``apply`` one
 term whose inner tensors are its arguments as tensors with no inputs,
 and a gauge component the sum of its live terms.  Each term's shape is
-compiled once into a gather program (``_program``, a memo bounded by the
-rows it holds in all) naming, per outer input index and composite input
-index, the inner numerators to multiply.  The kernel walks the nonzero
-outer numerators, multiplies the named inner numerators, skipping zeros,
-and adds into one integer list over the lcm of the terms' denominators.
+compiled once into a gather program (``_program``, a memo of at most
+4096 programs, each linear in its shape's sizes): every inner tensor's
+flat input index at each composite input index, and the block offsets
+of each outer input index.  ``_gather`` runs a term's program and adds
+it into one integer list over the lcm of the terms' denominators.
 
 Every linear solve (``rank``, ``kernel_basis``, ``image_contains``,
 ``solve_linear`` and ``invert_matrix``) runs one fraction-free
@@ -31,6 +31,7 @@ times the reduced row echelon form, so solutions are integers over
 from fractions import Fraction
 from itertools import product, repeat
 from math import gcd, lcm, prod
+from operator import mul
 
 from .cubecat import _memoized
 from .errors import DimensionMismatch, SingularMatrix
@@ -38,8 +39,9 @@ from .errors import DimensionMismatch, SingularMatrix
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# the most gather-program rows the program memo keeps in all
-_PROGRAM_ENTRIES = 1 << 15
+# the most numerators of an outer tensor that the kernel walks one by one;
+# past about this many, dense terms run faster as dot products
+_WALKED = 32
 
 
 def _frac(x):
@@ -53,6 +55,10 @@ def _numerators(values):
     if den == 1:
         return [x.numerator for x in values], 1
     return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _rationals(numerators, den):
+    return [Fraction(x, den) if x else ZERO for x in numerators]
 
 
 class MultiTensor:
@@ -101,8 +107,7 @@ class MultiTensor:
     @property
     def entries(self):
         """The entries as a tuple of ``Fraction``s, built on each read."""
-        nums, den = self._ints
-        return tuple(Fraction(x, den) if x else ZERO for x in nums)
+        return tuple(_rationals(*self._ints))
 
     def integer_form(self):
         """``(numerators, denominator)``: the entries over their one common
@@ -158,15 +163,24 @@ class MultiTensor:
         """Evaluate on one vector per input block; exact."""
         if len(args) != len(self.in_dims):
             raise DimensionMismatch(
-                "expected %d arguments, got %d" % (len(self.in_dims), len(args)))
+                "expected %d arguments, got %d" % (len(self.in_dims), len(args))
+            )
         for arg, d in zip(args, self.in_dims):
             if len(arg) != d:
                 raise DimensionMismatch(
-                    "argument of length %d for block of dimension %d" % (len(arg), d))
-        inners = [MultiTensor.from_integers(d, (), *_numerators([_frac(x) for x in arg]))
-                  for arg, d in zip(args, self.in_dims)]
-        return _sum_of_composites([(self, inners, ((),) * len(args))], self.out_dim,
-                                  ()).entries
+                    "argument of length %d for block of dimension %d" % (len(arg), d)
+                )
+        # one composition term whose inner tensors have no inputs
+        den = self._ints[1]
+        columns = []
+        for arg in args:
+            nums, arg_den = _numerators(arg)
+            columns.append(nums)
+            den *= arg_den
+        out = [0] * self.out_dim
+        _gather(out, 1, self._ints[0], 1, columns,
+                _program((self.in_dims, ((),) * len(args), ())))
+        return tuple(_rationals(out, den))
 
     def scaled(self, scalar):
         scalar = _frac(scalar)
@@ -219,83 +233,94 @@ def compose_tensors(outer, inners, slot_groups, total_in_dims):
 def _sum_of_composites(terms, out_dim, total_in_dims):
     """The sum of ``compose_tensors(outer, inners, slot_groups,
     total_in_dims)`` over ``terms``, one ``(outer, inners, slot_groups)``
-    triple each, with trusted shapes and tuple slot groups; made in
-    integer form, every term added into one list over the lcm of the
-    terms' denominators."""
+    triple each, whose shapes are trusted and slot groups tuples; made in
+    integer form.
+
+    Each term is added into one integer list, scaled to the lcm of the
+    terms' denominators.
+    """
     dens = [prod([outer._ints[1]] + [t._ints[1] for t in inners]) for outer, inners, _ in terms]
     den = lcm(*dens)
     size = prod(total_in_dims)
     total = [0] * (out_dim * size)
     for (outer, inners, slot_groups), term_den in zip(terms, dens):
-        _gather(total, size, outer._ints[0], den // term_den,
-                _program((outer.in_dims, slot_groups, total_in_dims)),
-                [t._ints[0] for t in inners])
+        _gather(total, size, outer._ints[0], den // term_den, [t._ints[0] for t in inners],
+                _program((outer.in_dims, slot_groups, total_in_dims)))
     return MultiTensor.from_integers(out_dim, total_in_dims, total, den)
 
 
-def _gather(total, size, outer, scale, program, inners):
-    """Add ``scale`` times one term into ``total``: each nonzero outer
-    numerator times the inner numerators its program rows name."""
-    in_size = len(program)
-    if len(inners) == 1:
+def _gather(total, size, nums, scale, inners, program):
+    """Add ``scale`` times one composition term into ``total``, ``size``
+    numerators per output coordinate: the outer numerators ``nums``
+    contracted with the inner numerator lists ``inners``.
+
+    An outer tensor of at most ``_WALKED`` numerators with one or two
+    inner tensors is walked one nonzero numerator at a time, multiplying
+    per program row the inner numerators at its block offsets.  Any
+    other term builds per row the Kronecker product of the inner columns
+    there and takes its dot product with each nonzero outer row.
+    """
+    sizes, offsets, rows = program
+    in_size = len(offsets)
+    walk = len(nums) <= _WALKED
+    if walk and len(inners) == 1:
         (first,) = inners
-        for k, x in enumerate(outer):
+        for k, x in enumerate(nums):
             if x:
                 x *= scale
                 base = k // in_size * size
-                for at, a in program[k % in_size]:
-                    y = first[a]
+                (o,) = offsets[k % in_size]
+                for at, a in rows:
+                    y = first[o + a]
                     if y:
                         total[base + at] += x * y
-    elif len(inners) == 2:
+    elif walk and len(inners) == 2:
         first, second = inners
-        for k, x in enumerate(outer):
+        for k, x in enumerate(nums):
             if x:
                 x *= scale
                 base = k // in_size * size
-                for at, a, b in program[k % in_size]:
-                    y = first[a]
+                o, p = offsets[k % in_size]
+                for at, a, b in rows:
+                    y = first[o + a]
                     if y:
-                        z = second[b]
+                        z = second[p + b]
                         if z:
                             total[base + at] += x * y * z
     else:
-        # a row's product of inner numerators serves every output coordinate
-        factors = tuple(enumerate(inners, 1))
-        for j, rows in enumerate(program):
-            column = [(i0 * size, x * scale) for i0, x in enumerate(outer[j::in_size]) if x]
-            if column:
-                for row in rows:
-                    w = 1
-                    for m, nums in factors:
-                        w *= nums[row[m]]
-                        if not w:
-                            break
-                    else:
-                        for base, x in column:
-                            total[base + row[0]] += x * w
+        live = [(k // in_size * size, nums[k:k + in_size])
+                for k in range(0, len(nums), in_size or 1) if any(nums[k:k + in_size])]
+        factors = tuple(zip(inners, sizes))
+        for row in rows if live else ():
+            weights = [1]
+            for (inner, s), a in zip(factors, row[1:]):
+                weights = [w * y for w in weights for y in inner[a::s]]
+            at = row[0]
+            for base, outer_row in live:
+                x = sum(map(mul, outer_row, weights))
+                if x:
+                    total[base + at] += x * scale
 
 
-@_memoized(_PROGRAM_ENTRIES, weight=lambda program: sum(map(len, program)))
+@_memoized(4096)
 def _program(shape):
     """The gather program of a term's shape ``(outer in_dims, slot groups,
-    total_in_dims)``: per flat input index of the outer tensor, with
-    block indices ``(b_1, ..., b_k)``, one row ``(J, i_1, ..., i_k)`` per
-    flat composite input index ``J``, ``i_m`` being the flat index of
-    inner tensor ``m``'s numerator at output ``b_m`` and at the inputs
-    ``J`` assigns to its slot group."""
+    total_in_dims)``: ``(sizes, offsets, rows)``, ``sizes[m]`` being the
+    input size of inner tensor ``m``, ``offsets`` holding ``(b_1 *
+    sizes[1], ..., b_k * sizes[k])`` per flat outer input index with
+    block indices ``(b_1, ..., b_k)``, and ``rows`` one ``(J, i_1, ...,
+    i_k)`` per flat composite input index ``J``, ``i_m`` being inner
+    tensor ``m``'s flat input index at the inputs ``J`` gives its slots."""
     outer_in, slot_groups, total_in_dims = shape
     composite = list(product(*map(range, total_in_dims)))
-    # per inner tensor: its input size and its flat input index at each J
-    routes = []
+    sizes, routes = [], []
     for group in slot_groups:
-        dims = [total_in_dims[g] for g in group]
-        index = {inputs: i for i, inputs in enumerate(product(*map(range, dims)))}
-        routes.append((len(index), [index[tuple(full[g] for g in group)] for full in composite]))
-    return tuple(
-        tuple(zip(range(len(composite)), *[[b * in_size + i for i in route]
-                                           for b, (in_size, route) in zip(mids, routes)]))
-        for mids in product(*map(range, outer_in)))
+        index = {inputs: i for i, inputs in
+                 enumerate(product(*[range(total_in_dims[g]) for g in group]))}
+        sizes.append(len(index))
+        routes.append([index[tuple(full[g] for g in group)] for full in composite])
+    offsets = tuple(tuple(map(mul, blocks, sizes)) for blocks in product(*map(range, outer_in)))
+    return tuple(sizes), offsets, tuple(zip(range(len(composite)), *routes))
 
 
 def _integer_rows(tensor):

@@ -34,7 +34,7 @@ FORMAT_VERSION = 1
 # digits in a numerator or denominator, read or written, at most
 MAX_DIGITS = 4300
 _DIGIT_BOUND = 10 ** MAX_DIGITS
-# longer parts are converted in chunks of this many digits, the lowest
+# parts are converted in chunks of at most this many digits, the lowest
 # int-to-string limit CPython lets a user set, so that no setting of it
 # (PYTHONINTMAXSTRDIGITS, sys.set_int_max_str_digits) changes a result
 _CHUNK = 640
@@ -52,39 +52,36 @@ def rational_from_str(text, where, index):
     match = _RATIONAL(text) if type(text) is str else None
     if match is not None:
         num, den = match.groups()
-        num = int(num) if len(num) <= _CHUNK else _long_int(num)
         if den is None:
-            return num, 1
+            return _int_from_text(num), 1
         if den.strip("0"):
-            return num, int(den) if len(den) <= _CHUNK else _long_int(den)
+            return _int_from_text(num), _int_from_text(den)
     raise SchemaError('%s entry %d must be a rational "p" or "p/q", got %.40r'
                       % (where, index, text))
 
 
-def _long_int(text):
+def _int_from_text(text):
     """``int(text)`` for a sign and ASCII digits, read ``_CHUNK`` digits
-    at a time."""
-    digits = text.lstrip("+-")
-    head = len(digits) % _CHUNK or _CHUNK
-    value = int(digits[:head])
-    for start in range(head, len(digits), _CHUNK):
-        value = value * _CHUNK_BOUND + int(digits[start:start + _CHUNK])
-    return -value if text[0] == "-" else value
+    at a time after the first piece, which carries the sign."""
+    value = int(text[:_CHUNK])
+    for start in range(_CHUNK, len(text), _CHUNK):
+        piece = text[start:start + _CHUNK]
+        value = value * 10 ** len(piece) + (-int(piece) if text[0] == "-" else int(piece))
+    return value
 
 
-def _long_str(x):
+def _int_text(x):
     """``str(x)`` for an integer, written ``_CHUNK`` digits at a time."""
-    rest, chunks = abs(x), []
+    rest, tail = abs(x), ""
     while rest >= _CHUNK_BOUND:
-        rest, chunk = divmod(rest, _CHUNK_BOUND)
-        chunks.append(str(chunk).zfill(_CHUNK))
-    chunks.append(str(rest))
-    return "-"[:x < 0] + "".join(reversed(chunks))
+        rest, piece = divmod(rest, _CHUNK_BOUND)
+        tail = str(piece).zfill(_CHUNK) + tail
+    return ("-" if x < 0 else "") + str(rest) + tail
 
 
-def _long_rational(p, q):
-    """``"p"`` or ``"p/q"`` for a reduced pair with long parts."""
-    return _long_str(p) if q == 1 else _long_str(p) + "/" + _long_str(q)
+def _rational_text(p, q):
+    """``"p"`` or ``"p/q"`` for a reduced pair."""
+    return _int_text(p) if q == 1 else _int_text(p) + "/" + _int_text(q)
 
 
 def _check_digits(pairs, where):
@@ -98,18 +95,12 @@ def _check_digits(pairs, where):
 def tensor_to_json(tensor):
     nums, den = tensor.integer_form()
     # lowest terms only shrink the parts of the integer form
-    largest = max(den, max(map(abs, nums), default=0))
-    if largest >= _DIGIT_BOUND:
+    if den >= _DIGIT_BOUND or max(map(abs, nums), default=0) >= _DIGIT_BOUND:
         _check_digits(tensor.lowest_terms(), "tensor")
-    if largest < _CHUNK_BOUND:
-        entries = [str(p) if q == 1 else "%d/%d" % (p, q)
-                   for p, q in tensor.lowest_terms()]
-    else:
-        entries = [_long_rational(p, q) for p, q in tensor.lowest_terms()]
     return {
         "out_dim": tensor.out_dim,
         "in_dims": list(tensor.in_dims),
-        "entries": entries,
+        "entries": [_rational_text(p, q) for p, q in tensor.lowest_terms()],
     }
 
 
@@ -360,19 +351,12 @@ def element_to_json(elem):
         "chart": elem.chart,
         "point": elem.point,
         "components": [
-            {"set": list(key), "vector": _vector_texts(vec)}
+            {"set": list(key),
+             "vector": [_rational_text(x.numerator, x.denominator) for x in vec]}
             for key, vec in sorted(elem.components.items(),
                                    key=lambda kv: (len(kv[0]), tuple(kv[0])))
         ],
     }
-
-
-def _vector_texts(vec):
-    """The texts of an element vector's entries, long parts in chunks."""
-    if all(-_CHUNK_BOUND < x.numerator < _CHUNK_BOUND and x.denominator < _CHUNK_BOUND
-           for x in vec):
-        return [str(x) for x in vec]
-    return [_long_rational(x.numerator, x.denominator) for x in vec]
 
 
 def element_from_json(obj):

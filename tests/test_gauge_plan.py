@@ -1,5 +1,6 @@
 """Per-n cube plans and sparse composition against the dense oracles."""
 
+import math
 import os
 import random
 import subprocess
@@ -136,32 +137,32 @@ def test_plans_are_built_on_first_use_not_at_import():
     assert out == ["0", "1"]
 
 
-def test_the_program_memo_keeps_at_most_its_bound_in_rows():
+def test_gather_programs_grow_with_their_shape_not_its_square():
     """Gauges on n = 3 whose one multi-block component is the all-singleton
-    top, on singleton dims 5 and 6: the gather program of its
-    all-singleton term has 180 * 180 rows (kept), then 216 * 216 (more
-    than the bound, never kept), then 180 * 180 again (so the memo must
-    be emptied first).  After each composition and inversion the kept
-    programs hold at most the bound in rows, and the top components of
-    a composite add up."""
+    top, on singleton dims 6: the top's all-singleton term has 216 outer
+    and 216 composite input indices.  Each kept gather program holds one
+    offset per inner tensor and outer input index and one row of k + 1
+    indices per composite input index, never one per pair of them, and
+    the memo keeps at most 4096 programs; the composites stay exact."""
     plan = cube_plan(3)
     top = plan.index[(full_set(3), Partition([[1], [2], [3]]))]
-    memo, bound = exactlin._program.memo, exactlin._PROGRAM_ENTRIES
+    dims = DimAssignment(3, {s: 6 if len(s) == 1 else 2 for s in nonempty_subsets(full_set(3))})
     rng = random.Random(7)
-    for singletons in [(6, 6, 5), (6, 6, 6), (5, 6, 6)]:
-        dims = DimAssignment(3, {s: singletons[s[0] - 1] if len(s) == 1 else 2
-                                 for s in nonempty_subsets(full_set(3))})
 
-        def gauge():
-            tensors = [MultiTensor.identity(out) if len(ins) == 1 else None
-                       for out, ins in dims.shapes]
-            tensors[top] = random_tensor(rng, *dims.shapes[top])
-            return Gauge.from_tensors(dims, dims, tensors)
+    def gauge():
+        tensors = [MultiTensor.identity(out) if len(ins) == 1 else None
+                   for out, ins in dims.shapes]
+        tensors[top] = random_tensor(rng, *dims.shapes[top])
+        return Gauge.from_tensors(dims, dims, tensors)
 
-        g, f = gauge(), gauge()
-        assert g.compose(f).tensors[top] == g.tensors[top].plus(f.tensors[top])
-        assert g.compose(g.invert()).is_identity()
-        held = sum(sum(map(len, program)) for program in memo.values())
-        assert held <= bound
-        if 5 in singletons:
-            assert held >= 180 * 180
+    g, f = gauge(), gauge()
+    assert g.compose(f).tensors[top] == g.tensors[top].plus(f.tensors[top])
+    assert g.compose(g.invert()).is_identity()
+    memo = exactlin._program.memo
+    assert ((6, 6, 6), ((0,), (1,), (2,)), (6, 6, 6)) in memo
+    assert 0 < len(memo) <= 4096
+    for (outer_in, groups, total_in), (sizes, offsets, rows) in memo.items():
+        k = len(groups)
+        assert len(sizes) == k
+        assert len(offsets) == math.prod(outer_in) and {len(o) for o in offsets} <= {k}
+        assert len(rows) == math.prod(total_in) and {len(r) for r in rows} <= {k + 1}

@@ -198,9 +198,11 @@ def test_sums_of_composites_match_the_sum_of_fraction_oracles(case):
 
 
 def test_sums_of_composites_cover_every_kernel_loop():
-    """One term per loop of the kernel (no inner, one, two, three with
-    interleaved slot groups), over different denominators, then the same
-    with an all-zero outer and with a 0-dim input."""
+    """One term per loop of the kernel: one and two inner tensors walked,
+    then no inner, three inners with interleaved slot groups, and one and
+    two inners on outer tensors of more than 32 numerators as dot
+    products; over different denominators, then the same with an
+    all-zero outer and with a 0-dim input."""
     rng = random.Random(5)
 
     def tensor(out_dim, in_dims, den):
@@ -212,13 +214,16 @@ def test_sums_of_composites_cover_every_kernel_loop():
                                  ((2, 0, 2, 2), False)]:
         d = total_in
         terms = [
-            (tensor(2, (), 3), [], ()),
             (tensor(2, (3,), 5), [tensor(3, d, 1)], ((0, 1, 2, 3),)),
             (tensor(2, (2, 3), 7), [tensor(2, (d[2], d[0]), 2), tensor(3, (d[1], d[3]), 1)],
              ((2, 0), (1, 3))),
+            (tensor(2, (), 3), [], ()),
             (tensor(2, (2, 2, 3), 1),
              [tensor(2, (d[0], d[3]), 3), tensor(2, (d[1],), 1), tensor(3, (d[2],), 4)],
              ((0, 3), (1,), (2,))),
+            (tensor(2, (17,), 1), [tensor(17, (d[3], d[1]), 3)], ((3, 1),)),
+            (tensor(2, (4, 5), 9), [tensor(4, (d[2],), 1), tensor(5, (d[0], d[1], d[3]), 2)],
+             ((2,), (0, 1, 3))),
         ]
         if zero_outer:
             outer, inners, groups = terms[3]
