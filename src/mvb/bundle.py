@@ -357,7 +357,6 @@ def face(presentation, outer, inner):
         raise InvalidInput("need inner <= outer <= full cube")
     free = sorted(outer.difference(inner))
     m = len(free)
-    relabel = {axis: pos + 1 for pos, axis in enumerate(free)}
     unlabel = {pos + 1: axis for pos, axis in enumerate(free)}
     if m == 0:
         dims0 = DimAssignment(0, {})
@@ -536,7 +535,7 @@ def tangent_prolongation(presentation):
             if tensor is None:
                 continue
             comps[(subset, rho)] = tensor
-            for pos, block in enumerate(rho):
+            for pos in range(len(rho)):
                 new_blocks = [
                     b if i != pos else b.union([new_axis]) for i, b in enumerate(rho)
                 ]

@@ -19,12 +19,24 @@ import time
 
 from . import formats
 from .atlas import AtlasPresentation, validate
+from .bundle import face, hom_bundle, tangent_prolongation
 from .certify import Certificate
+from .cores import core, core_by_stages, core_closure_certificate, pullback, ultracore_sequence
 from .cubecat import IndexSet
 from .errors import MvbError, ParseError, SchemaError, SemanticError
 from .gauge import Gauge
 from .rand import twisted_instance
-from .split import STRATEGIES
+from .split import (
+    STRATEGIES,
+    act_by_statomorphism,
+    decompose,
+    find_splitting,
+    is_decomposition,
+    is_splitting,
+    normalize_atlas,
+    torsor_statomorphism,
+)
+from .tower import InfinityPresentation, decompose_infinity
 
 FIXTURE_ENV = "MVB_FIXTURES"
 
@@ -154,132 +166,83 @@ def _validation_into(report, presentation):
     else:
         for violation in outcome.violations:
             report.add_counterexample(violation.to_dict())
-    return outcome.valid
 
 
-def cmd_validate(args):
-    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-    report = Report("validate", _fingerprint(presentation))
+def cmd_validate(report, presentation, args):
     _validation_into(report, presentation)
-    return _emit(report, args)
 
 
-def cmd_face(args):
-    from .bundle import face
-    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-    report = Report("face", _fingerprint(presentation))
-    outer = _subset(args.outer)
-    inner = _subset(args.inner) if args.inner else IndexSet()
-    result = face(presentation, outer, inner)
+def cmd_face(report, presentation, args):
+    result = face(presentation, _subset(args.outer), _subset(args.inner or ""))
     report.set_result(formats.atlas_to_json(result), args.out)
     _validation_into(report, result)
-    return _emit(report, args)
 
 
-def cmd_core(args):
-    from .cores import core, core_closure_certificate
-    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-    report = Report("core", _fingerprint(presentation))
+def cmd_core(report, presentation, args):
     spec, pres = core(presentation, _subset(args.s), _subset(args.j), check=False)
-    report.add_certificate(core_closure_certificate(
-        presentation, spec.ambient, spec.reindexing.as_partition()))
+    report.add_certificate(core_closure_certificate(presentation, spec.ambient, spec.blocks))
     report.set_result(formats.atlas_to_json(pres), args.out)
-    return _emit(report, args)
 
 
-def cmd_core_stages(args):
-    from .cores import core_by_stages
-    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-    report = Report("core-stages", _fingerprint(presentation))
+def cmd_core_stages(report, presentation, args):
     report.add_certificate(core_by_stages(
         presentation, _subset(args.s), _subset(args.j), _subset(args.k)))
-    return _emit(report, args)
 
 
-def cmd_pullback(args):
-    from .cores import pullback
-    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-    report = Report("pullback", _fingerprint(presentation))
+def cmd_pullback(report, presentation, args):
     pb = pullback(presentation)
     report.add_certificate(pb.certificate)
     report.set_result(formats.atlas_to_json(pb.presentation), args.out)
-    return _emit(report, args)
 
 
-def cmd_ultracore(args):
-    from .cores import ultracore_sequence
-    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-    report = Report("ultracore", _fingerprint(presentation))
+def cmd_ultracore(report, presentation, args):
     iota, pi, cert = ultracore_sequence(presentation, args.k)
     report.add_certificate(cert)
     report.set_result({
         "inclusion": formats.morphism_to_json(iota),
         "projection": formats.morphism_to_json(pi),
     }, args.out)
-    return _emit(report, args)
 
 
-def cmd_split(args):
-    from .split import find_splitting, is_splitting
-    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-    report = Report("split", _fingerprint(presentation))
+def cmd_split(report, presentation, args):
     sigma = find_splitting(presentation, args.strategy)
-    ok = is_splitting(sigma)
-    report.claim("output is a splitting", ok)
+    report.claim("output is a splitting", is_splitting(sigma))
     report.set_result(formats.morphism_to_json(sigma), args.out)
-    return _emit(report, args)
 
 
-def cmd_decompose(args):
-    from .split import decompose, is_decomposition
-    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-    report = Report("decompose", _fingerprint(presentation))
+def cmd_decompose(report, presentation, args):
     dec = decompose(presentation, args.strategy)
-    ok = is_decomposition(dec)
-    report.claim("output is a decomposition", ok)
+    report.claim("output is a decomposition", is_decomposition(dec))
     report.set_result(formats.morphism_to_json(dec), args.out)
-    return _emit(report, args)
 
 
-def cmd_normalize(args):
-    from .split import decompose, normalize_atlas
-    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-    report = Report("normalize", _fingerprint(presentation))
-    dec = decompose(presentation, args.strategy)
-    normalized = normalize_atlas(presentation, dec)
+def cmd_normalize(report, presentation, args):
+    normalized = normalize_atlas(presentation, decompose(presentation, args.strategy))
     diagonal = all(g.is_block_diagonal() for g in normalized.transitions.values())
     report.claim("normalized transitions are one-block", diagonal)
     _validation_into(report, normalized)
     report.set_result(formats.atlas_to_json(normalized), args.out)
-    return _emit(report, args)
 
 
-def cmd_torsor(args):
-    from .split import decompose, torsor_statomorphism, act_by_statomorphism
-    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-    report = Report("torsor", _fingerprint(presentation))
+def cmd_torsor(report, presentation, args):
     d1 = decompose(presentation, args.strategy_a)
     d2 = decompose(presentation, args.strategy_b)
     tau = torsor_statomorphism(d1, d2)
     stato = all(g.is_statomorphism() for g in tau.data.values())
     report.claim("decompositions differ by a statomorphism", stato)
-    acted = act_by_statomorphism(d1, tau)
-    round_trip = acted.data == d2.data
+    round_trip = act_by_statomorphism(d1, tau).data == d2.data
     report.claim("acting then extracting round-trips", round_trip)
     report.set_result(formats.morphism_to_json(tau), args.out)
-    return _emit(report, args)
 
 
 def cmd_stato(args):
     report = Report("stato-%s" % args.action, "-")
     if args.action == "check":
         g = _load_as(args.gauge, Gauge, "a gauge")
-        ok = g.is_statomorphism()
-        report.claim("gauge is a statomorphism", ok)
+        report.claim("gauge is a statomorphism", g.is_statomorphism())
     elif args.action == "invert":
         g = _load_as(args.gauge, Gauge, "a gauge")
-        inv = g.invert()
-        report.set_result(formats.to_json(inv), args.out)
+        report.set_result(formats.to_json(g.invert()), args.out)
     else:
         if not args.second:
             raise SchemaError("stato compose needs two gauge files")
@@ -290,7 +253,6 @@ def cmd_stato(args):
 
 
 def cmd_hom(args):
-    from .bundle import hom_bundle
     e_pres = _load_as(args.source, AtlasPresentation, "an atlas")
     f_pres = _load_as(args.target, AtlasPresentation, "an atlas")
     report = Report("hom", _fingerprint(e_pres))
@@ -300,38 +262,24 @@ def cmd_hom(args):
     return _emit(report, args)
 
 
-def cmd_tangent(args):
-    from .bundle import tangent_prolongation
-    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-    report = Report("tangent", _fingerprint(presentation))
+def cmd_tangent(report, presentation, args):
     result = tangent_prolongation(presentation)
     _validation_into(report, result)
     report.set_result(formats.atlas_to_json(result), args.out)
-    return _emit(report, args)
 
 
-def cmd_lift2(args):
+def cmd_lift2(report, presentation, args):
+    # sections is imported here, not at the top: only lift2 and lift3
+    # read it, and every other run would pay for compiling it
     from .sections import linear_module_certificate, local_split_double
-    from .split import is_splitting
-    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-    report = Report("lift2", _fingerprint(presentation))
     report.add_certificate(linear_module_certificate(presentation))
     built = local_split_double(presentation)
-    ok = is_splitting(built)
-    report.claim("frame construction yields a splitting", ok)
+    report.claim("frame construction yields a splitting", is_splitting(built))
     report.set_result(formats.morphism_to_json(built), args.out)
-    return _emit(report, args)
 
 
-def cmd_lift3(args):
-    from .sections import (
-        decomposition_to_lift,
-        doubly_linear_sequence,
-        lift_to_decomposition,
-    )
-    from .split import decompose
-    presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-    report = Report("lift3", _fingerprint(presentation))
+def cmd_lift3(report, presentation, args):
+    from .sections import decomposition_to_lift, doubly_linear_sequence, lift_to_decomposition
     report.add_certificate(doubly_linear_sequence(presentation))
     dec = decompose(presentation)
     pieces = decomposition_to_lift(presentation, dec)
@@ -340,12 +288,9 @@ def cmd_lift3(args):
         pieces["split_lde"], pieces["split_lfd"], pieces["lift"])
     report.claim("horizontal lift round trip reproduces the decomposition",
                  rebuilt.data == dec.data)
-    return _emit(report, args)
 
 
 def cmd_inf(args):
-    from .split import is_decomposition
-    from .tower import InfinityPresentation, decompose_infinity
     infinity = _load_as(args.generator, InfinityPresentation, "a tower generator")
     report = Report("inf-%s" % args.action, _fingerprint(infinity))
     if args.action == "truncate":
@@ -391,19 +336,26 @@ def build_parser():
                         default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def instance_command(name, fn, **extra):
+    def instance_command(name, body, **extra):
+        """A subcommand on one atlas file: ``body(report, presentation,
+        args)`` does its own work on the report named ``name``."""
         p = sub.add_parser(name, parents=[shared])
         p.add_argument("instance")
         p.add_argument("-o", "--out", default=None)
         for flag, kwargs in extra.items():
             p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
 
+        def fn(args):
+            presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+            report = Report(name, _fingerprint(presentation))
+            body(report, presentation, args)
+            return _emit(report, args)
+        p.set_defaults(fn=fn)
+
+    strategy = {"default": "least-chart", "choices": STRATEGIES}
     instance_command("validate", cmd_validate)
     instance_command("face", cmd_face,
-                     **{"--outer": {"required": True},
-                        "--inner": {"default": None}})
+                     **{"--outer": {"required": True}, "--inner": {"default": None}})
     instance_command("core", cmd_core,
                      **{"--s": {"required": True}, "--j": {"required": True}})
     instance_command("core-stages", cmd_core_stages,
@@ -412,20 +364,12 @@ def build_parser():
     instance_command("pullback", cmd_pullback)
     instance_command("ultracore", cmd_ultracore,
                      **{"--k": {"type": int, "required": True}})
-    instance_command("split", cmd_split,
-                     **{"--strategy": {"default": "least-chart",
-                                       "choices": STRATEGIES}})
-    instance_command("decompose", cmd_decompose,
-                     **{"--strategy": {"default": "least-chart",
-                                       "choices": STRATEGIES}})
-    instance_command("normalize", cmd_normalize,
-                     **{"--strategy": {"default": "least-chart",
-                                       "choices": STRATEGIES}})
+    instance_command("split", cmd_split, **{"--strategy": strategy})
+    instance_command("decompose", cmd_decompose, **{"--strategy": strategy})
+    instance_command("normalize", cmd_normalize, **{"--strategy": strategy})
     instance_command("torsor", cmd_torsor,
-                     **{"--strategy-a": {"default": "least-chart",
-                                         "choices": STRATEGIES},
-                        "--strategy-b": {"default": "uniform-average",
-                                         "choices": STRATEGIES}})
+                     **{"--strategy-a": strategy,
+                        "--strategy-b": dict(strategy, default="uniform-average")})
 
     stato = sub.add_parser("stato", parents=[shared])
     stato.add_argument("action", choices=("compose", "invert", "check"))

@@ -41,7 +41,7 @@ from .cubecat import (
 )
 from .errors import InvalidInput
 from .exactlin import MultiTensor, compose_tensors, kernel_basis, rank, zero_vector
-from .gauge import DimAssignment, diagonal_dims, identity_gauge
+from .gauge import diagonal_dims, identity_gauge
 from .rand import random_element
 
 
@@ -215,12 +215,12 @@ def core_by_stages(presentation, ambient, inner, first):
         raise InvalidInput("need nonempty first <= inner <= ambient")
 
     direct_spec, direct = core(a, s_set, j_set, check=False)
-    stage1_spec, stage1 = core(a, s_set, k_set, check=False)
+    _, stage1 = core(a, s_set, k_set, check=False)
     # positions of the stage-1 axes that the second stage merges
     merged_positions = next(
         nu for nu, union in block_unions(Partition(stage1.axis_blocks)).items()
         if union == j_set)
-    stage2_spec, stage2 = core(stage1, full_set(stage1.n), merged_positions, check=False)
+    _, stage2 = core(stage1, full_set(stage1.n), merged_positions, check=False)
 
     if stage2.dims != direct.dims or stage2.transitions != direct.transitions:
         return Certificate.failing(
@@ -288,14 +288,6 @@ class PullbackPresentation:
         self.certificate = certificate
 
 
-def _drop_top_dims(dims):
-    top = full_set(dims.n)
-    return DimAssignment(
-        dims.n,
-        {key: (0 if key == top else value) for key, value in dims.dims.items()},
-    )
-
-
 def fiber_matrix(morphism, axis, base_elem):
     """Matrix of the morphism between the fibers over a base element.
 
@@ -342,7 +334,7 @@ def pullback(presentation):
     a = presentation
     n = a.n
     top = full_set(n)
-    p_pres = a.trimmed(_drop_top_dims(a.dims))
+    p_pres = a.trimmed(a.dims.zeroed(lambda key: key != top))
 
     drop_top = identity_gauge(a.dims, p_pres.dims)
     projection = BundleMorphism(
@@ -373,14 +365,7 @@ def pullback(presentation):
 
 def ultracore_dims(dims, axis):
     """Dims of the ultracore pulled back over the axis-dropped node."""
-    top = full_set(dims.n)
-    out = {}
-    for key, value in dims.dims.items():
-        if axis not in key or key == top:
-            out[key] = value
-        else:
-            out[key] = 0
-    return DimAssignment(dims.n, out)
+    return dims.zeroed(lambda key: axis not in key or len(key) == dims.n)
 
 
 def ultracore_pullback_presentation(presentation, axis):

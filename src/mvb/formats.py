@@ -286,6 +286,15 @@ def _label(target, blocks):
     return " at (%s, %s)" % (list(target), [list(b) for b in blocks])
 
 
+def _check_header(obj, kind, noun):
+    """Every top-level object names its ``kind`` and carries this
+    format's version; ``noun`` names the kind in the error."""
+    if not isinstance(obj, dict) or obj.get("kind") != kind:
+        raise SchemaError("expected %s object" % noun)
+    if obj.get("format_version") != FORMAT_VERSION:
+        raise SchemaError("unsupported format_version %r" % (obj.get("format_version"),))
+
+
 def atlas_to_json(presentation):
     a = presentation
     return {
@@ -308,10 +317,7 @@ def atlas_to_json(presentation):
 
 
 def atlas_from_json(obj):
-    if not isinstance(obj, dict) or obj.get("kind") != "atlas":
-        raise SchemaError("expected an atlas object")
-    if obj.get("format_version") != FORMAT_VERSION:
-        raise SchemaError("unsupported format_version %r" % (obj.get("format_version"),))
+    _check_header(obj, "atlas", "an atlas")
     n = _integer_value(obj.get("n"), "n", "atlas")
     base = FiniteBase(_list_value(obj, "base", "atlas"))
     charts = []
@@ -360,8 +366,7 @@ def element_to_json(elem):
 
 
 def element_from_json(obj):
-    if not isinstance(obj, dict) or obj.get("kind") != "element":
-        raise SchemaError("expected an element object")
+    _check_header(obj, "element", "an element")
     chart = _string_field(obj, "chart", "element")
     point = _string_field(obj, "point", "element")
     node = _index_set_value(obj, "node", "element")
@@ -396,8 +401,7 @@ def morphism_to_json(morphism):
 
 def morphism_from_json(obj, source, target):
     """Bind serialized morphism data to source and target presentations."""
-    if not isinstance(obj, dict) or obj.get("kind") != "morphism":
-        raise SchemaError("expected a morphism object")
+    _check_header(obj, "morphism", "a morphism")
     data = {}
     for item in _list_field(obj, "data", "morphism"):
         if not isinstance(item, dict):
@@ -445,8 +449,7 @@ def generator_to_json(infinity):
 
 def generator_from_json(obj):
     from .tower import InfinityPresentation, RuleGenerator, StabilizingGenerator
-    if not isinstance(obj, dict) or obj.get("kind") != "generator":
-        raise SchemaError("expected a generator object")
+    _check_header(obj, "generator", "a generator")
     body = obj.get("generator")
     if not isinstance(body, dict):
         raise SchemaError("generator body missing")
@@ -531,6 +534,7 @@ def parse(data):
     if kind == "element":
         return element_from_json(obj)
     if kind == "gauge":
+        _check_header(obj, "gauge", "a gauge")
         return gauge_from_json(obj)
     if kind == "generator":
         return generator_from_json(obj)

@@ -107,6 +107,15 @@ class DimAssignment:
     def dim(self, subset):
         return self.dims[IndexSet(subset)]
 
+    def zeroed(self, keep):
+        """These dims with every slot whose key fails ``keep`` set to 0;
+        the keys are unchanged, so nothing is checked again."""
+        out = DimAssignment.__new__(DimAssignment)
+        out.n = self.n
+        out.dims = {key: (value if keep(key) else 0) for key, value in self.dims.items()}
+        out._shapes = None
+        return out
+
     def node_dim(self, node):
         """Total fiber dimension of the node over the absolute base."""
         node = IndexSet(node)
@@ -147,10 +156,7 @@ def _shape_table(n_and_dims):
 
 def singleton_dims(dims):
     """Copy of ``dims`` with every non-singleton dimension set to zero."""
-    return DimAssignment(
-        dims.n,
-        {key: (value if len(key) == 1 else 0) for key, value in dims.dims.items()},
-    )
+    return dims.zeroed(lambda key: len(key) == 1)
 
 
 def diagonal_dims(dims, blocks):
@@ -253,7 +259,7 @@ class Gauge:
     def is_block_diagonal(self):
         return all(
             tensor is None
-            for (subset, rho), tensor in zip(cube_plan(self.n).keys, self.tensors)
+            for (_, rho), tensor in zip(cube_plan(self.n).keys, self.tensors)
             if len(rho) > 1
         )
 

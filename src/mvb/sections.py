@@ -464,7 +464,7 @@ def check_lift_compatibility(presentation, lift, split_lde, split_lfd):
     pres = presentation
     dims = pres.dims
     d1, d2, d3 = dims.dim(S1), dims.dim(S2), dims.dim(S3)
-    d12, d13, d23, d123 = (dims.dim(s) for s in (S12, S13, S23, S123))
+    d13, d23 = dims.dim(S13), dims.dim(S23)
     for p in pres.base:
         can = pres.canonical_chart(p)
         zero_c = zero_vector(d3)
@@ -646,17 +646,14 @@ def decomposition_to_lift(presentation, decomposition):
     pres = presentation
     _require_n(pres, 3)
     dec = decomposition
-    dims = pres.dims
-    d1, d2, d3 = dims.dim(S1), dims.dim(S2), dims.dim(S3)
-    d12, d13, d23, d123 = (dims.dim(s) for s in (S12, S13, S23, S123))
 
     split_d, _ = face_splitting(pres, dec, S12)
     split_e, _ = face_splitting(pres, dec, S23)
     split_f, _ = face_splitting(pres, dec, S13)
 
     cores = extract_core_decompositions(pres, dec)
-    spec_lde, lde_pres = core(pres, S123, S13, check=False)
-    spec_lfd, lfd_pres = core(pres, S123, S23, check=False)
+    _, lde_pres = core(pres, S123, S13, check=False)
+    _, lfd_pres = core(pres, S123, S23, check=False)
     split_lde = extract_splitting(lde_pres, cores[S13])
     split_lfd = extract_splitting(lfd_pres, cores[S23])
 

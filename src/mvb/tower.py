@@ -17,7 +17,15 @@ level n by construction.
 import hashlib
 
 from .atlas import AtlasPresentation, Chart, FiniteBase
-from .cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets, partitions
+from .cubecat import (
+    IndexSet,
+    Partition,
+    ambient_positions,
+    cube_plan,
+    full_set,
+    nonempty_subsets,
+    partitions,
+)
 from .errors import InvalidInput
 from .exactlin import MultiTensor
 from .gauge import DimAssignment, Gauge, identity_gauge
@@ -47,12 +55,23 @@ class StabilizingGenerator:
             return self.instance.dims.dim(subset)
         return 0
 
-    def component(self, dst, src, point, subset, rho):
-        subset = IndexSet(subset)
-        if subset.issubset(full_set(self.level)):
-            return self.instance.transition(dst, src, point).components[
-                (subset, Partition(rho))]
-        return None
+    def transition(self, dst, src, point, dims):
+        """The instance's transition read over the cube of ``dims``: its
+        face on {1..n} at or below the level, else its components placed
+        at their keys in the larger cube, every other one zero."""
+        g = self.instance.transition(dst, src, point)
+        if dims.n <= self.level:
+            return g.diagonal_restrict(_singletons(dims.n))
+        tensors = [None] * len(cube_plan(dims.n).keys)
+        for at, tensor in zip(ambient_positions((dims.n, _singletons(self.level))),
+                              g.tensors):
+            tensors[at] = tensor
+        return Gauge.from_tensors(dims, dims, tensors)
+
+
+def _singletons(n):
+    """The partition of {1..n} into singletons."""
+    return Partition([i] for i in range(1, n + 1))
 
 
 def _hash_ints(*labels):
@@ -165,14 +184,7 @@ class InfinityPresentation:
                 for p in ca.domain:
                     if p not in cb.domain:
                         continue
-                    if isinstance(gen, RuleGenerator):
-                        transitions[(ca.id, cb.id, p)] = gen.transition(
-                            ca.id, cb.id, p, dims)
-                    else:
-                        transitions[(ca.id, cb.id, p)] = Gauge(dims, dims, {
-                            (subset, rho): gen.component(ca.id, cb.id, p, subset, rho)
-                            for subset, rho in cube_plan(n).keys
-                        })
+                    transitions[(ca.id, cb.id, p)] = gen.transition(ca.id, cb.id, p, dims)
         return AtlasPresentation(n, dims, gen.base, gen.charts, transitions)
 
 

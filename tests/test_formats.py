@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from mvb import formats
 from mvb.atlas import AtlasPresentation, decomposed, FiniteBase, validate
+from mvb.cli import run
 from mvb.cubecat import full_set, nonempty_subsets
 from mvb.errors import InvalidInput, ParseError, SchemaError
 from mvb.exactlin import MultiTensor
-from mvb.gauge import DimAssignment, Gauge
+from mvb.gauge import DimAssignment, Gauge, identity_gauge
 from mvb.rand import (
     random_dims,
     random_element,
@@ -344,6 +345,49 @@ def _unit_element_body():
 def test_unit_bodies_parse():
     assert validate(formats.parse(json.dumps(_unit_atlas_body()))).valid
     assert formats.parse(json.dumps(_unit_element_body())).components == {(1,): (1,)}
+
+
+# Every top-level object carries format_version 1; any other value, or
+# none, is an input error for every kind, not for atlases alone.
+
+def _with_version(body, version):
+    """``body`` with its format_version set to ``version``; dropped for None."""
+    body = dict(body)
+    body.pop("format_version")
+    if version is not None:
+        body["format_version"] = version
+    return body
+
+
+def _unit_gauge_file_body():
+    return json.loads(formats.dumps(identity_gauge(fixture_corpus()[0].dims)))
+
+
+def _unit_generator_body():
+    return json.loads(formats.dumps(
+        InfinityPresentation(StabilizingGenerator(fixture_corpus()[0]))))
+
+
+@pytest.mark.parametrize("version", [2, None, "1"])
+@pytest.mark.parametrize("body", [_unit_element_body, _unit_generator_body,
+                                  _unit_gauge_file_body],
+                         ids=["element", "generator", "gauge"])
+def test_every_kind_needs_format_version_1(body, version):
+    with pytest.raises(SchemaError) as err:
+        formats.parse(json.dumps(_with_version(body(), version)))
+    assert "format_version" in str(err.value)
+
+
+@pytest.mark.parametrize("version", [2, None])
+@pytest.mark.parametrize("argv, body", [
+    (["stato", "check"], _unit_gauge_file_body),
+    (["inf", "truncate", "--n", "2"], _unit_generator_body),
+], ids=["stato-check", "inf-truncate"])
+def test_cli_rejects_a_file_of_another_format_version(tmp_path, capsys, argv, body, version):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_with_version(body(), version)))
+    assert run(argv[:2] + [str(path)] + argv[2:]) == 2
+    assert "format_version" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fields", [["in_dims"], ["entries"], ["in_dims", "entries"]])
