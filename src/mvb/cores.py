@@ -63,7 +63,7 @@ class CoreSpec:
         return "CoreSpec(S=%s, J=%s)" % (list(self.ambient), list(self.inner))
 
 
-def partition_core(presentation, ambient, blocks, check=False):
+def partition_core(presentation, ambient, blocks):
     """The sub-bundle of union-of-blocks slots, as a presentation over
     the cube with one axis per block (canonical order)."""
     a = presentation
@@ -77,19 +77,29 @@ def partition_core(presentation, ambient, blocks, check=False):
     transitions = {
         key: g.diagonal_restrict(blocks) for key, g in a.transitions.items()
     }
-    out = AtlasPresentation(len(blocks), dims, a.base, a.charts, transitions,
-                            axis_blocks=tuple(blocks))
-    if check:
-        cert = core_closure_certificate(a, ambient, blocks)
-        if not cert.passed:
-            raise InvalidInput("core restriction failed to match ambient evaluation")
-    return out
+    return AtlasPresentation(len(blocks), dims, a.base, a.charts, transitions,
+                             axis_blocks=tuple(blocks))
+
+
+def partition_core_morphism(morphism, ambient, blocks):
+    """Restrict a morphism to the (ambient, blocks) partition cores of
+    its source and target, keeping its class.  A restricted decomposition
+    starts at the decomposed model of the core: a core's one-block
+    components are the ambient ones at the unions of the blocks."""
+    blocks = Partition(blocks)
+    return type(morphism)(
+        partition_core(morphism.source, ambient, blocks),
+        partition_core(morphism.target, ambient, blocks),
+        {key: g.diagonal_restrict(blocks) for key, g in morphism.data.items()})
 
 
 def core(presentation, ambient, inner, check=True):
-    """The (ambient, inner)-core presentation with its CoreSpec."""
+    """The (ambient, inner)-core presentation with its CoreSpec; ``check``
+    certifies the restriction against ambient evaluation."""
     spec = CoreSpec(ambient, inner)
-    pres = partition_core(presentation, spec.ambient, spec.blocks, check=check)
+    pres = partition_core(presentation, spec.ambient, spec.blocks)
+    if check and not core_closure_certificate(presentation, spec.ambient, spec.blocks).passed:
+        raise InvalidInput("core restriction failed to match ambient evaluation")
     return spec, pres
 
 
@@ -271,12 +281,7 @@ def core_morphism(tau, ambient, inner):
     if not tau.is_natural():
         raise InvalidInput("core restriction needs a natural morphism")
     spec = CoreSpec(ambient, inner)
-    src = partition_core(tau.source, spec.ambient, spec.blocks, check=False)
-    tgt = partition_core(tau.target, spec.ambient, spec.blocks, check=False)
-    data = {
-        key: g.diagonal_restrict(spec.blocks) for key, g in tau.data.items()
-    }
-    return BundleMorphism(src, tgt, data)
+    return partition_core_morphism(tau, spec.ambient, spec.blocks)
 
 
 class PullbackPresentation:

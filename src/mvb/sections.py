@@ -19,12 +19,16 @@ kernels (``_stack``, ``contract_slot``, ``compose_tensors``); their
 element and unit-vector forms are test oracles.  The displayed
 seven-argument formula and the lift compatibility check keep genuine
 fiber operations as independent checks.
+
+The triple-bundle round trip reads the face and core splittings off
+decomposition restrictions (``cores.partition_core_morphism``); the way
+back seeds one ``DecompositionBuilder`` with the three core splittings.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from .atlas import associated_decomposed, associated_vacant
+from .atlas import associated_vacant
 from .bundle import (
     add,
     canonicalize,
@@ -33,8 +37,8 @@ from .bundle import (
     zero_element,
 )
 from .certify import Certificate
-from .cores import core, partition_core
-from .cubecat import IndexSet, Partition, full_set, nonempty_subsets
+from .cores import partition_core_morphism
+from .cubecat import IndexSet, Partition, nonempty_subsets
 from .errors import DimensionMismatch, InvalidInput, SemanticError
 from .exactlin import (
     MultiTensor,
@@ -47,13 +51,13 @@ from .exactlin import (
 )
 from .gauge import Gauge
 from .split import (
-    Decomposition,
     DecompositionBuilder,
     Splitting,
     extract_core_decompositions,
     extract_splitting,
     is_splitting,
     splitting_to_decomposition,
+    splitting_top,
 )
 
 S1 = IndexSet([1])
@@ -68,14 +72,6 @@ S123 = IndexSet([1, 2, 3])
 def _require_n(presentation, n):
     if presentation.n != n:
         raise InvalidInput("operation needs a %d-fold presentation" % n)
-
-
-def splitting_top(splitting, chart, point):
-    """Top multilinear component of a splitting in one chart."""
-    k = splitting.target.n
-    top = full_set(k)
-    return splitting.data[(chart, point)].components[
-        (top, Partition([[i] for i in top]))]
 
 
 def _hat_slope(top_tensor, c):
@@ -545,31 +541,11 @@ def zero_free_part(presentation):
     return free_lin, free_bil
 
 
-def _face_presentation(presentation, axes):
-    return partition_core(presentation, IndexSet(axes),
-                          Partition([[i] for i in IndexSet(axes)]), check=False)
-
-
-def face_splitting(presentation, decomposition, axes):
+def face_splitting(decomposition, axes):
     """Splitting of a coordinate face induced by a decomposition."""
     axes = IndexSet(axes)
-    face_pres = _face_presentation(presentation, axes)
-    face_dec_data = {
-        keyp: g.diagonal_restrict(Partition([[i] for i in axes]))
-        for keyp, g in decomposition.data.items()
-    }
-    face_dec = Decomposition(
-        associated_decomposed(face_pres), face_pres, face_dec_data)
-    return extract_splitting(face_pres, face_dec), face_dec
-
-
-def _double_decomposition_from_splitting(pres2, splitting):
-    """The unique decomposition of a double presentation with the given
-    splitting (its one iterated core is an ordinary bundle)."""
-    builder = DecompositionBuilder(pres2)
-    key = builder.top_key()
-    builder.cache.splittings[key] = splitting
-    return builder.decomposition(key)
+    face_dec = partition_core_morphism(decomposition, axes, [[i] for i in axes])
+    return extract_splitting(face_dec.target, face_dec)
 
 
 def lift_to_decomposition(presentation, split_d, split_e, split_f,
@@ -579,8 +555,10 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
 
     The top splitting rides the lift along the hat sections of the side
     splittings; the third core splitting is the lift's value on hat
-    pairs read off in the core slot; ``splitting_to_decomposition`` then
-    assembles the unique decomposition with these restrictions.
+    pairs read off in the core slot.  One builder holds the three cores
+    and, seeded with their splittings, decomposes them;
+    ``splitting_to_decomposition`` then assembles the unique
+    decomposition with these restrictions.
     """
     pres = presentation
     _require_n(pres, 3)
@@ -588,10 +566,9 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
     d1, d2, d3, d12, d123 = (pres.dims.dim(s) for s in (S1, S2, S3, S12, S123))
 
     vac = associated_vacant(pres)
-
-    _, lef_pres = core(pres, S123, S12, check=False)
-    _, lde_pres = core(pres, S123, S13, check=False)
-    _, lfd_pres = core(pres, S123, S23, check=False)
+    builder = DecompositionBuilder(pres)
+    core_keys = {mu: builder.merged_key(builder.top_key(), mu) for mu in (S12, S13, S23)}
+    lef_pres = builder.object(core_keys[S12])
     lef_vac = associated_vacant(lef_pres)
 
     sigma_family = {}
@@ -632,11 +609,10 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
     split_lef = Splitting(
         lef_vac, lef_pres, morphism_from_canonical(lef_vac, lef_pres, lef_family).data)
 
-    core_decs = {
-        S12: _double_decomposition_from_splitting(lef_pres, split_lef),
-        S13: _double_decomposition_from_splitting(lde_pres, split_lde),
-        S23: _double_decomposition_from_splitting(lfd_pres, split_lfd),
-    }
+    splittings = {S12: split_lef, S13: split_lde, S23: split_lfd}
+    for mu, key in core_keys.items():
+        builder.cache.splittings[key] = splittings[mu]
+    core_decs = {mu: builder.decomposition(key) for mu, key in core_keys.items()}
     return splitting_to_decomposition(pres, sigma, core_decs)
 
 
@@ -647,15 +623,13 @@ def decomposition_to_lift(presentation, decomposition):
     _require_n(pres, 3)
     dec = decomposition
 
-    split_d, _ = face_splitting(pres, dec, S12)
-    split_e, _ = face_splitting(pres, dec, S23)
-    split_f, _ = face_splitting(pres, dec, S13)
+    split_d = face_splitting(dec, S12)
+    split_e = face_splitting(dec, S23)
+    split_f = face_splitting(dec, S13)
 
     cores = extract_core_decompositions(pres, dec)
-    _, lde_pres = core(pres, S123, S13, check=False)
-    _, lfd_pres = core(pres, S123, S23, check=False)
-    split_lde = extract_splitting(lde_pres, cores[S13])
-    split_lfd = extract_splitting(lfd_pres, cores[S23])
+    split_lde = extract_splitting(cores[S13].target, cores[S13])
+    split_lfd = extract_splitting(cores[S23].target, cores[S23])
 
     maps = {}
     for p in pres.base:

@@ -39,7 +39,8 @@ The pipeline follows the constructive existence proofs:
   Every object that appears (a core of a face, a face of a core, an
   intersection of cores) is identified by the pair (ambient node, block
   partition) and split exactly once; this sharing is what makes the
-  staged core decompositions compatible.
+  staged core decompositions compatible.  The other way, a decomposition
+  restricts to its cores by ``cores.partition_core_morphism``.
 """
 
 from fractions import Fraction
@@ -52,7 +53,7 @@ from .atlas import (
     validate,
 )
 from .bundle import BundleMorphism, morphism_from_canonical
-from .cores import partition_core, pullback
+from .cores import partition_core, partition_core_morphism, pullback
 from .cubecat import (
     DiagonalPartition,
     IndexSet,
@@ -186,7 +187,7 @@ def _conjugated_top(outer, g, inner):
     return tensor
 
 
-def _top_in_chart(morphism, chart, point):
+def splitting_top(morphism, chart, point):
     """The top component of a morphism's gauge in one chart, conjugated
     from the canonical chart's gauge without deriving the whole gauge."""
     can = morphism.source.canonical_chart(point)
@@ -237,7 +238,7 @@ class DecompositionBuilder:
         objects = self.cache.objects
         if key not in objects:
             ambient, blocks = key
-            objects[key] = partition_core(self.A, ambient, blocks, check=False)
+            objects[key] = partition_core(self.A, ambient, blocks)
         return objects[key]
 
     def subkey(self, key, positions):
@@ -279,7 +280,7 @@ class DecompositionBuilder:
             comps[(single, Partition([single]))] = MultiTensor.identity(
                 obj.dims.dim(single))
         for face_key, sub in faces:
-            comps[face_key] = _top_in_chart(sub, chart, point)
+            comps[face_key] = splitting_top(sub, chart, point)
         if self.theta_top is not None:
             top = _top_key(obj.n)
             in_dims = vac.dims.block_dims(top[1])
@@ -322,7 +323,8 @@ class DecompositionBuilder:
         if key in self.cache.decompositions:
             return self.cache.decompositions[key]
         obj = self.object(key)
-        model = associated_decomposed(obj)
+        # every component of a one-fold gauge is one-block
+        model = obj if obj.n <= 1 else associated_decomposed(obj)
         if obj.n <= 1:
             data = {
                 (c.id, p): identity_gauge(obj.dims)
@@ -422,7 +424,7 @@ def splitting_to_decomposition(presentation, sigma, core_decs):
     core_decs = {IndexSet(mu): dec for mu, dec in core_decs.items()}
     check_compatibility(a, sigma, core_decs)
     ground, singles = _top_key(a.n)
-    obj = partition_core(a, ground, singles, check=False)
+    obj = partition_core(a, ground, singles)
     model = associated_decomposed(obj)
     return Decomposition(model, obj, _assemble(obj, model, sigma, core_decs, a.base))
 
@@ -443,19 +445,9 @@ def extract_splitting(presentation, decomposition):
 
 def extract_core_decompositions(presentation, decomposition):
     """Decompositions of the codimension-one cores, by restriction."""
-    a = presentation
-    ground = full_set(a.n)
-    out = {}
-    for mu in _pairs(a.n):
-        blocks = _merged(a.n, mu)
-        obj = partition_core(a, ground, blocks, check=False)
-        model = associated_decomposed(obj)
-        data = {
-            keyp: g.diagonal_restrict(blocks)
-            for keyp, g in decomposition.data.items()
-        }
-        out[mu] = Decomposition(model, obj, data)
-    return out
+    n = presentation.n
+    return {mu: partition_core_morphism(decomposition, full_set(n), _merged(n, mu))
+            for mu in _pairs(n)}
 
 
 def torsor_statomorphism(dec_a, dec_b):

@@ -35,8 +35,6 @@ from .split import BuilderCache, DecompositionBuilder
 class StabilizingGenerator:
     """Explicit data up to a fixed level, zero slots beyond it."""
 
-    kind = "stabilizing"
-
     def __init__(self, instance):
         self.instance = instance
         self.level = instance.n
@@ -96,8 +94,6 @@ class RuleGenerator:
     integer entries elsewhere; transitions are frame conjugates, so all
     cocycle conditions hold at every level.
     """
-
-    kind = "rule"
 
     def __init__(self, points, chart_specs, dim_rule, transition_rule):
         self._base = FiniteBase(points)
@@ -203,12 +199,6 @@ class TowerDecomposition:
             builder = DecompositionBuilder(presentation, self.strategy, cache=self.cache)
             self._levels[n] = builder.decomposition(builder.top_key())
         return self._levels[n]
-
-    def component(self, n, subset, rho, chart, point):
-        """One gauge component of the level-n decomposition."""
-        dec = self.level(n)
-        return dec.data[(chart, point)].components[
-            (IndexSet(subset), Partition(rho))]
 
     def node_map_agrees(self, node, n1, n2):
         """Level-independence of the decomposition on one node."""

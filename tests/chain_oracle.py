@@ -253,7 +253,7 @@ def splitting_to_decomposition_data(presentation, sigma, core_decs,
     codimension-one core decompositions of the top object."""
     ground = full_set(presentation.n)
     blocks = Partition([[i] for i in ground])
-    obj = partition_core(presentation, ground, blocks, check=False)
+    obj = partition_core(presentation, ground, blocks)
     core_decs = {IndexSet(mu): dec for mu, dec in core_decs.items()}
     return chain_data(obj, sigma, core_decs, blocks, presentation.base,
                       check_bracketing=check_bracketing)

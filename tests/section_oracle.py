@@ -26,11 +26,10 @@ from mvb.sections import (
     S1, S2, S3, S12, S13, S23, S123,
     HorizontalLift,
     LinearSection,
-    _double_decomposition_from_splitting,
     check_lift_compatibility,
     splitting_top,
 )
-from mvb.split import Splitting, splitting_to_decomposition
+from mvb.split import DecompositionBuilder, Splitting, splitting_to_decomposition
 
 
 def hat_linear(presentation, base_section, splitting):
@@ -136,6 +135,15 @@ def lift_from_free_part(presentation, split_lde, split_lfd, free_lin, free_bil):
 
         tops[p] = make_map()
     return HorizontalLift(pres, tops)
+
+
+def _double_decomposition_from_splitting(pres2, splitting):
+    """The unique decomposition of a double presentation with the given
+    splitting (its one iterated core is an ordinary bundle)."""
+    builder = DecompositionBuilder(pres2)
+    key = builder.top_key()
+    builder.cache.splittings[key] = splitting
+    return builder.decomposition(key)
 
 
 def lift_to_decomposition(presentation, split_d, split_e, split_f,

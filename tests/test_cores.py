@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvb.atlas import FiniteBase, decomposed, validate
+from mvb.atlas import FiniteBase, associated_decomposed, decomposed, validate
 from mvb.bundle import (
     canonicalize,
     element,
@@ -21,14 +23,16 @@ from mvb.cores import (
     include_by_nested_sums,
     is_core_member,
     partition_core,
+    partition_core_morphism,
     pullback,
     restrict_core_element,
     ultracore_sequence,
 )
-from mvb.cubecat import IndexSet, Partition, full_set, nonempty_subsets
+from mvb.cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets
 from mvb.errors import InvalidInput
 from mvb.gauge import DimAssignment
 from mvb.rand import random_element, random_gauge, twisted_instance
+from mvb.split import decompose
 
 
 def dims_of(n, value=1):
@@ -157,6 +161,21 @@ def test_core_morphism_zero_linear_part():
                for g in restricted.data.values() for key in g.components)
 
 
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4))
+def test_restricted_decomposition_starts_at_the_core_model(seed, n):
+    # the restricted source of a decomposition is the partition core of
+    # its decomposed model, which is the decomposed model of the core
+    a = twisted_instance(seed, n=n, n_points=2, n_charts=2)
+    dec = decompose(a)
+    for ambient, blocks in cube_plan(n).keys:
+        restricted = partition_core_morphism(dec, ambient, blocks)
+        model = associated_decomposed(partition_core(a, ambient, blocks))
+        assert restricted.source.transitions == model.transitions, (ambient, blocks)
+        assert dict(restricted.data) == {
+            key: g.diagonal_restrict(blocks) for key, g in dec.data.items()}
+
+
 def test_pullback_dims_and_surjectivity():
     a = twisted_instance(60, n=3, n_points=2, n_charts=2)
     pb = pullback(a)
@@ -230,8 +249,7 @@ def test_cores_of_faces_equal_faces_of_cores():
     # same presentation as taking the core inside the full cube
     a = twisted_instance(66, n=4, n_points=2, n_charts=2)
     s_set = IndexSet([1, 2, 3])
-    face_pres = partition_core(
-        a, s_set, Partition([[i] for i in s_set]), check=False)
+    face_pres = partition_core(a, s_set, Partition([[i] for i in s_set]))
     # core of the face: the face axes are 1..3 in the same order
     spec_direct, direct = core(a, s_set, [1, 2], check=False)
     spec_via, via = core(face_pres, full_set(3), [1, 2], check=False)

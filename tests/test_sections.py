@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from mvb.bundle import element, elements_equal
 from mvb.cubecat import full_set, nonempty_subsets
 from mvb.errors import SemanticError
 from mvb.exactlin import MultiTensor
+from mvb.formats import atlas_to_json, fingerprint
 from mvb.gauge import DimAssignment
 from mvb.rand import random_element, twisted_instance
 from mvb.sections import (
@@ -252,6 +254,39 @@ def test_lift_round_trip_from_decomposition():
     rebuilt = lift_to_decomposition(
         t, pieces["split_d"], pieces["split_e"], pieces["split_f"],
         pieces["split_lde"], pieces["split_lfd"], pieces["lift"])
+    assert rebuilt.data == dec.data
+
+
+def record_built_presentations(monkeypatch):
+    """Wrap ``partition_core``, ``associated_decomposed`` and
+    ``associated_vacant`` wherever the library binds them; the returned
+    list receives the fingerprint of every presentation they build."""
+    built = []
+    for owner, name in (("mvb.cores", "partition_core"),
+                        ("mvb.atlas", "associated_decomposed"),
+                        ("mvb.atlas", "associated_vacant")):
+        original = getattr(sys.modules[owner], name)
+
+        def wrapper(*args, original=original, **kwargs):
+            out = original(*args, **kwargs)
+            built.append(fingerprint(atlas_to_json(out)))
+            return out
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "mvb" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return built
+
+
+def test_lift_round_trip_builds_each_presentation_once(monkeypatch):
+    t = twisted_instance(505, n=3, max_dim=2, n_points=3, n_charts=3)
+    dec = decompose(t)
+    built = record_built_presentations(monkeypatch)
+    pieces = decomposition_to_lift(t, dec)
+    assert built and len(set(built)) == len(built)
+    built.clear()
+    rebuilt = lift_to_decomposition(t, **pieces)
+    assert built and len(set(built)) == len(built)
     assert rebuilt.data == dec.data
 
 
