@@ -13,6 +13,14 @@ are read with one strict grammar straight into it and written from it
 in lowest terms, with no ``Fraction`` made on either path.  Both ways a
 numerator or denominator has at most ``MAX_DIGITS`` digits; a result
 with a longer part is an error naming its component, not a longer text.
+
+One top-level read (``parse``, ``morphism_from_json``) decodes each
+distinct tensor and dims list once: an interning table that lives for
+that read maps each one's key, made only of exact JSON types, to the
+object decoded from it, so every place it appears holds that object.
+One serialization writes each distinct tensor once: a cache that lives
+for that call keeps each tensor's entries text by identity, and every
+place in the output gets containers of its own.
 """
 
 import hashlib
@@ -92,15 +100,34 @@ def _check_digits(pairs, where):
                                " the format's limit" % (where, k, MAX_DIGITS))
 
 
-def tensor_to_json(tensor):
+def _entries_text(tensor):
+    """A tensor's entries as written, in lowest terms."""
     nums, den = tensor.integer_form()
     # lowest terms only shrink the parts of the integer form
     if den >= _DIGIT_BOUND or max(map(abs, nums), default=0) >= _DIGIT_BOUND:
         _check_digits(tensor.lowest_terms(), "tensor")
+    return tuple(_rational_text(p, q) for p, q in tensor.lowest_terms())
+
+
+def _written(memo, obj, write):
+    """``write(obj)``, made once per object in one serialization: ``memo``
+    keeps it by identity, beside the object itself, so that no other
+    object takes that identity while the memo lives."""
+    kept = memo.get(id(obj))
+    if kept is None:
+        kept = memo[id(obj)] = (obj, write(obj))
+    return kept[1]
+
+
+def tensor_to_json(tensor, memo=None):
+    """A tensor's JSON form.  ``memo`` is the cache of one serialization
+    (a fresh one when not given): a tensor found in many places is
+    written once, and each place gets lists of its own."""
+    entries = _written({} if memo is None else memo, tensor, _entries_text)
     return {
         "out_dim": tensor.out_dim,
         "in_dims": list(tensor.in_dims),
-        "entries": [_rational_text(p, q) for p, q in tensor.lowest_terms()],
+        "entries": list(entries),
     }
 
 
@@ -149,6 +176,56 @@ def tensor_from_json(obj, where=""):
         out_dim, in_dims, [x * (den // d) for x, d in pairs], den)
 
 
+_INT, _STR = {int}, {str}
+
+
+def _tensor_key(obj):
+    """The interning key of a tensor's JSON form, ``(out_dim, in_dims,
+    entries)`` as tuples, when ``out_dim`` and every in-dim are JSON
+    integers and every entry is a string; None for any other form, which
+    is read and checked as it stands.  ``True`` and ``1.0`` equal 1 and
+    hash like it, and a list does not hash at all, so the key is made
+    only of exact types."""
+    if type(obj) is dict:
+        out_dim, in_dims, entries = obj.get("out_dim"), obj.get("in_dims"), obj.get("entries")
+        if (type(out_dim) is int and type(in_dims) is list and type(entries) is list
+                and _INT.issuperset(map(type, in_dims))
+                and _STR.issuperset(map(type, entries))):
+            return out_dim, tuple(in_dims), tuple(entries)
+    return None
+
+
+def _dims_key(n, obj):
+    """The interning key of a dims list read over ``n`` axes: ``n`` and the
+    ``(set, dim)`` pairs in order, under the type rules of
+    ``_tensor_key``, or None.  It has two parts and a tensor key three,
+    so one table holds both."""
+    if type(obj) is not list:
+        return None
+    pairs = []
+    for item in obj:
+        if type(item) is not dict:
+            return None
+        subset, dim = item.get("set"), item.get("dim")
+        if (type(dim) is not int or type(subset) is not list
+                or not _INT.issuperset(map(type, subset))):
+            return None
+        pairs.append((tuple(subset), dim))
+    return n, tuple(pairs)
+
+
+def _interned(memo, key, read, *args):
+    """``read(*args)``, or the object that an earlier read under an equal
+    ``key`` made.  ``memo`` is the interning table of one top-level read;
+    a key of None is never kept, and a read that raises keeps nothing."""
+    found = memo.get(key)
+    if found is None:
+        found = read(*args)
+        if key is not None:
+            memo[key] = found
+    return found
+
+
 def dims_to_json(dims):
     return [
         {"set": list(key), "dim": dims.dims[key]}
@@ -174,14 +251,17 @@ def dims_from_json(n, obj, where="dims"):
         raise SchemaError("%s incomplete: %s" % (where, err))
 
 
-def gauge_to_json(gauge, where="gauge"):
+def gauge_to_json(gauge, where="gauge", memo=None):
+    """A gauge's JSON form; ``memo`` as in ``tensor_to_json``."""
+    if memo is None:
+        memo = {}
     components = []
     for (subset, rho), tensor in zip(cube_plan(gauge.n).keys, gauge.tensors):
         if tensor is None and len(rho) > 1:
             continue
         tensor = gauge.linear_part(subset) if tensor is None else tensor
         try:
-            body = tensor_to_json(tensor)
+            body = tensor_to_json(tensor, memo)
         except InvalidInput as err:
             raise InvalidInput("%s component%s: %s" % (where, _label(subset, rho), err))
         components.append({
@@ -214,12 +294,18 @@ def _string_field(obj, key, where):
     return value
 
 
-def gauge_from_json(obj, where="gauge"):
+def gauge_from_json(obj, where="gauge", memo=None):
+    """The gauge ``obj`` holds.  ``memo`` is the interning table of the
+    top-level read this gauge is part of (a fresh one when not given):
+    each distinct tensor and dims list is decoded once, and every place
+    it appears holds the one object."""
+    if memo is None:
+        memo = {}
     if not isinstance(obj, dict):
         raise SchemaError("%s must be an object" % where)
     n = _integer_value(obj.get("n"), "n", where)
-    src = dims_from_json(n, obj.get("source_dims"), where + ".source_dims")
-    tgt = dims_from_json(n, obj.get("target_dims"), where + ".target_dims")
+    src = _read_dims(n, obj.get("source_dims"), where + ".source_dims", memo)
+    tgt = _read_dims(n, obj.get("target_dims"), where + ".target_dims", memo)
     plan = cube_plan(n)
     tensors = [None] * len(plan.keys)
     for item in _list_field(obj, "components", where):
@@ -227,12 +313,7 @@ def gauge_from_json(obj, where="gauge"):
             raise SchemaError("%s component must be an object, got %r" % (where, item))
         at = _component_position(plan, item, where)
         raw = item.get("tensor")
-        try:
-            tensor = tensor_from_json(raw)
-        except SchemaError:
-            # read again for the error located at the component
-            tensor_from_json(raw, where=" of %s component%s" % (where, _label(*plan.keys[at])))
-            raise
+        tensor = _interned(memo, _tensor_key(raw), _component_tensor, raw, where, plan.keys[at])
         expected_out, expected_in = tgt.shapes[at][0], src.shapes[at][1]
         if tensor.out_dim != expected_out or tensor.in_dims != expected_in:
             raise SchemaError(
@@ -248,6 +329,22 @@ def gauge_from_json(obj, where="gauge"):
                 "%s missing explicit one-block component at %s"
                 % (where, list(subset)))
     return Gauge.from_tensors(src, tgt, tensors)
+
+
+def _read_dims(n, obj, where, memo):
+    """``dims_from_json``, interned in ``memo``."""
+    return _interned(memo, _dims_key(n, obj), dims_from_json, n, obj, where)
+
+
+def _component_tensor(raw, where, key):
+    """The tensor of the gauge component at plan key ``key``; an error in
+    it names the component."""
+    try:
+        return tensor_from_json(raw)
+    except SchemaError:
+        # read again for the error located at the component
+        tensor_from_json(raw, where=" of %s component%s" % (where, _label(*key)))
+        raise
 
 
 def _component_position(plan, item, where):
@@ -297,6 +394,7 @@ def _check_header(obj, kind, noun):
 
 def atlas_to_json(presentation):
     a = presentation
+    memo = {}
     return {
         "format_version": FORMAT_VERSION,
         "kind": "atlas",
@@ -309,7 +407,7 @@ def atlas_to_json(presentation):
                 "from": src,
                 "to": dst,
                 "point": p,
-                "gauge": gauge_to_json(g, "transition %s<-%s at %s" % (dst, src, p)),
+                "gauge": gauge_to_json(g, "transition %s<-%s at %s" % (dst, src, p), memo),
             }
             for (dst, src, p), g in sorted(a.transitions.items())
         ],
@@ -328,7 +426,8 @@ def atlas_from_json(obj):
             charts.append(Chart(c["id"], tuple(_list_value(c, "domain", "atlas chart"))))
         except KeyError as err:
             raise SchemaError("atlas chart malformed: missing %s" % err)
-    dims = dims_from_json(n, obj.get("dims"))
+    memo = {}
+    dims = _read_dims(n, obj.get("dims"), "dims", memo)
     transitions = {}
     for item in _list_field(obj, "transitions", "atlas"):
         try:
@@ -339,7 +438,7 @@ def atlas_from_json(obj):
         where = "transition %s<-%s at %s" % (dst, src, p)
         if (dst, src, p) in transitions:
             raise SchemaError("duplicate %s" % where)
-        transitions[(dst, src, p)] = gauge_from_json(item.get("gauge"), where=where)
+        transitions[(dst, src, p)] = gauge_from_json(item.get("gauge"), where, memo)
     try:
         return AtlasPresentation(n, dims, base, tuple(charts), transitions)
     except Exception as err:
@@ -384,6 +483,7 @@ def element_from_json(obj):
 
 
 def morphism_to_json(morphism):
+    memo = {}
     return {
         "format_version": FORMAT_VERSION,
         "kind": "morphism",
@@ -393,7 +493,7 @@ def morphism_to_json(morphism):
         "target_dims": dims_to_json(morphism.target.dims),
         "data": [
             {"chart": chart, "point": p,
-             "gauge": gauge_to_json(g, "morphism data at (%s, %s)" % (chart, p))}
+             "gauge": gauge_to_json(g, "morphism data at (%s, %s)" % (chart, p), memo)}
             for (chart, p), g in sorted(morphism.data.items())
         ],
     }
@@ -402,6 +502,7 @@ def morphism_to_json(morphism):
 def morphism_from_json(obj, source, target):
     """Bind serialized morphism data to source and target presentations."""
     _check_header(obj, "morphism", "a morphism")
+    memo = {}
     data = {}
     for item in _list_field(obj, "data", "morphism"):
         if not isinstance(item, dict):
@@ -411,7 +512,7 @@ def morphism_from_json(obj, source, target):
         where = "morphism data at (%s, %s)" % (chart, p)
         if (chart, p) in data:
             raise SchemaError("duplicate %s" % where)
-        data[(chart, p)] = gauge_from_json(item.get("gauge"), where=where)
+        data[(chart, p)] = gauge_from_json(item.get("gauge"), where, memo)
     try:
         return BundleMorphism(source, target, data)
     except Exception as err:

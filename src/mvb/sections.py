@@ -627,7 +627,7 @@ def decomposition_to_lift(presentation, decomposition):
     split_e = face_splitting(dec, S23)
     split_f = face_splitting(dec, S13)
 
-    cores = extract_core_decompositions(pres, dec)
+    cores = extract_core_decompositions(dec)
     split_lde = extract_splitting(cores[S13].target, cores[S13])
     split_lfd = extract_splitting(cores[S23].target, cores[S23])
 

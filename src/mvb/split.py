@@ -443,9 +443,9 @@ def extract_splitting(presentation, decomposition):
     return Splitting(vac, a, data)
 
 
-def extract_core_decompositions(presentation, decomposition):
+def extract_core_decompositions(decomposition):
     """Decompositions of the codimension-one cores, by restriction."""
-    n = presentation.n
+    n = decomposition.target.n
     return {mu: partition_core_morphism(decomposition, full_set(n), _merged(n, mu))
             for mu in _pairs(n)}
 

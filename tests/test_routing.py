@@ -110,7 +110,7 @@ def test_statomorphism_twisted_core_routes_like_chain():
     a = twisted_instance(81, n=3, n_points=2, n_charts=2)
     d = decompose(a)
     sigma = extract_splitting(a, d)
-    cores = extract_core_decompositions(a, d)
+    cores = extract_core_decompositions(d)
     mu = IndexSet([1, 2])
     cores[mu] = twist_core(a, cores, mu, 5)
     assert cores[mu] is not None
@@ -132,7 +132,7 @@ def test_corrupted_core_rejected_like_the_probes(seed, n, max_dim, n_points, mu)
     a = twisted_instance(seed, n=n, max_dim=max_dim, n_points=n_points, n_charts=2)
     d = decompose(a)
     sigma = extract_splitting(a, d)
-    cores = extract_core_decompositions(a, d)
+    cores = extract_core_decompositions(d)
     mu = IndexSet(mu)
     core = cores[mu]
     rejected = 0
@@ -174,7 +174,7 @@ def test_twisted_cores_route_like_chain(presentation, seed):
     a = presentation
     d = decompose(a)
     sigma = extract_splitting(a, d)
-    cores = extract_core_decompositions(a, d)
+    cores = extract_core_decompositions(d)
     if cores:
         pairs = sorted(cores, key=tuple)
         mu = pairs[seed % len(pairs)]

@@ -154,7 +154,7 @@ def test_decomposition_round_trip_through_parts():
     d = decompose(a)
     sigma = extract_splitting(a, d)
     assert is_splitting(sigma)
-    cores = extract_core_decompositions(a, d)
+    cores = extract_core_decompositions(d)
     rebuilt = splitting_to_decomposition(a, sigma, cores)
     assert rebuilt.data == d.data
     chained = splitting_to_decomposition_data(a, sigma, cores, check_bracketing=True)
@@ -169,7 +169,7 @@ def test_statomorphism_twisted_core_is_compatible_and_changes_output():
     a = twisted_instance(81, n=3, n_points=2, n_charts=2)
     d = decompose(a)
     sigma = extract_splitting(a, d)
-    cores = extract_core_decompositions(a, d)
+    cores = extract_core_decompositions(d)
     mu = IndexSet([1, 2])
     bad = cores[mu]
     rngg = random.Random(5)
@@ -194,7 +194,7 @@ def test_splitting_to_decomposition_rejects_incompatible():
     a = twisted_instance(81, n=3, n_points=2, n_charts=2)
     d = decompose(a)
     sigma = extract_splitting(a, d)
-    cores = extract_core_decompositions(a, d)
+    cores = extract_core_decompositions(d)
     mu = IndexSet([1, 2])
     bad = cores[mu]
     corrupt = {}
