@@ -24,18 +24,14 @@ diag = diagonal(dims, Partition([[1, 2], [3]]), base)
 print("diagonal cube over blocks {1,2},{3}: n =", diag.n,
       " top dimension =", diag.node_dim(full_set(2)))
 
-twisted = twisted_instance(2024, n=2, n_points=2, n_charts=3)
+twisted = twisted_instance(2025, n=2, n_points=2, n_charts=3)
 report = validate(twisted)
 print("\ngenerated 3-chart instance valid?", report.valid)
 
-triple_points = [p for p in twisted.base if len(twisted.charts_at(p)) >= 3]
-if triple_points:
-    rng = random.Random(0)
-    tau = random_gauge(rng, twisted.dims, statomorphism=True)
-    broken = perturb_transition(twisted, "2", "1", triple_points[0], tau)
-    bad = validate(broken)
-    print("after one coherent twist of t[2<-1]:", len(bad.violations),
-          "violation:", bad.violations[0].kind, "at charts",
-          bad.violations[0].charts, "point", bad.violations[0].point)
-else:
-    print("(no triple overlap in this layout)")
+# every point of this layout lies in all three charts
+point = twisted.base.points[0]
+tau = random_gauge(random.Random(0), twisted.dims, statomorphism=True)
+bad = validate(perturb_transition(twisted, "2", "1", point, tau))
+print("after one coherent twist of t[2<-1]:", len(bad.violations),
+      "violation:", bad.violations[0].kind, "at charts",
+      bad.violations[0].charts, "point", bad.violations[0].point)

@@ -14,6 +14,7 @@ from mvb.bundle import (
     face,
     hom_bundle,
     project,
+    scale,
     tangent_prolongation,
     transport,
     zero_lift,
@@ -35,6 +36,9 @@ d1, d2, d3, d4 = interchange_quadruple(rng, a, full_set(2), 1, 2)
 left = add(a, add(a, d1, d2, 1), add(a, d3, d4, 1), 2)
 right = add(a, add(a, d1, d3, 2), add(a, d2, d4, 2), 1)
 print("interchange law (sum over axis 1 then 2 = 2 then 1)?", left == right)
+print("scaling over axis 1 distributes over the sum over axis 1?",
+      scale(a, 3, add(a, d1, d2, 1), 1)
+      == add(a, scale(a, 3, d1, 1), scale(a, 3, d2, 1), 1))
 
 small = random_element(rng, a, node=IndexSet([1]))
 print("zero lift then project recovers the element?",

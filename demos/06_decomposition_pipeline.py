@@ -50,3 +50,17 @@ print("normalized atlas: nonlinear tails remaining:", tails,
 section = split_pullback(a)
 print("simultaneous section of the pullback projection is natural:",
       section.is_natural())
+
+# the top slot of each chart's local right inverse is a free choice; on
+# a double bundle a hook read on basis tuples sets it
+b = twisted_instance(2718, n=2, n_points=2, n_charts=2)
+
+
+def theta(chart, point, args):
+    """Linear in each argument: the product of their first coordinates."""
+    return (args[0][0] * args[1][0],) * b.dims.dim(full_set(2))
+
+
+hooked = find_splitting(b, "least-chart", theta_top=theta)
+print("\na top-slot hook on a double bundle gives another splitting:",
+      is_splitting(hooked) and hooked.data != find_splitting(b, "least-chart").data)

@@ -14,7 +14,6 @@ from .atlas import (
     associated_vacant,
     decomposed,
     diagonal,
-    restrict,
     vacant,
     validate,
 )
@@ -26,7 +25,6 @@ from .bundle import (
     element,
     elements_equal,
     face,
-    hom_apply,
     hom_bundle,
     project,
     scale,
@@ -51,7 +49,7 @@ from .cubecat import (
     partitions,
     subsets,
 )
-from .exactlin import MultiTensor, image_contains, kernel_basis, rank, solve_linear
+from .exactlin import MultiTensor, kernel_basis, rank, solve_linear
 from .gauge import DimAssignment, Gauge, identity_gauge
 from .split import (
     Decomposition,

@@ -182,12 +182,6 @@ class ValidationReport:
     def valid(self):
         return not self.violations
 
-    def to_dict(self):
-        return {
-            "valid": self.valid,
-            "violations": [v.to_dict() for v in self.violations],
-        }
-
     def __repr__(self):
         return "ValidationReport(valid=%s, violations=%d)" % (
             self.valid, len(self.violations),
@@ -353,24 +347,6 @@ def associated_decomposed(presentation):
 def associated_vacant(presentation):
     """The vacant model: singleton cocycles of the presentation."""
     return presentation.trimmed(singleton_dims(presentation.dims))
-
-
-def restrict(presentation, points):
-    """Restrict to a nonempty subset of base points."""
-    a = presentation
-    points = [p for p in a.base if p in set(points)]
-    if not points:
-        raise InvalidInput("restriction to an empty point set")
-    base = FiniteBase(points)
-    charts = tuple(
-        Chart(c.id, tuple(p for p in c.domain if p in base))
-        for c in a.charts
-        if any(p in base for p in c.domain)
-    )
-    transitions = {
-        key: g for key, g in a.transitions.items() if key[2] in base.points
-    }
-    return AtlasPresentation(a.n, a.dims, base, charts, transitions, a.axis_blocks)
 
 
 def perturb_transition(presentation, dst, src, point, statomorphism):

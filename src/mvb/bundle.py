@@ -29,7 +29,7 @@ from .cubecat import (
 )
 from .errors import DimensionMismatch, InvalidInput
 from .exactlin import MultiTensor, rank, vec_add, vec_scale, zero_vector
-from .gauge import DimAssignment, Gauge, identity_gauge
+from .gauge import DimAssignment, Gauge
 
 
 class BundleElement:
@@ -49,9 +49,6 @@ class BundleElement:
             if key not in comps:
                 raise InvalidInput("missing component at %s" % (list(key),))
         self.components = comps
-
-    def component(self, subset):
-        return self.components[IndexSet(subset)]
 
     def __eq__(self, other):
         """Chart-literal equality; use ``elements_equal`` for quotient equality."""
@@ -311,14 +308,6 @@ class BundleMorphism:
         return "BundleMorphism(n=%d, entries=%d)" % (self.source.n, len(self.data))
 
 
-def identity_morphism(presentation):
-    ident = identity_gauge(presentation.dims)
-    data = {
-        (c.id, p): ident for c in presentation.charts for p in c.domain
-    }
-    return BundleMorphism(presentation, presentation, data)
-
-
 def morphism_from_canonical(source, target, family):
     """Extend per-point canonical-chart gauges to all charts by naturality.
 
@@ -463,48 +452,6 @@ def hom_bundle(e_pres, f_pres):
     if e_pres.n != f_pres.n:
         raise InvalidInput("morphism bundle needs equal cube dimension")
     return decomposed(hom_dims(e_pres.dims, f_pres.dims), e_pres.base)
-
-
-def hom_decode(e_pres, f_pres, hom_elem):
-    """Per-subset tensors encoded in a morphism-bundle element."""
-    out = {}
-    for subset in nonempty_subsets(hom_elem.node):
-        vec = hom_elem.components[subset]
-        pos = 0
-        for rho in partitions(subset):
-            o = f_pres.dims.dim(subset)
-            ins = e_pres.dims.block_dims(rho)
-            size = o * prod(ins)
-            out[(subset, rho)] = MultiTensor(o, ins, vec[pos:pos + size])
-            pos += size
-        if pos != len(vec):
-            raise DimensionMismatch("morphism slot at %s has wrong length" % (list(subset),))
-    return out
-
-
-def hom_encode(e_pres, f_pres, node, point, tensors):
-    """Inverse of ``hom_decode``; builds the morphism-bundle element."""
-    h = hom_bundle(e_pres, f_pres)
-    comps = {}
-    for subset in nonempty_subsets(IndexSet(node)):
-        vec = []
-        for rho in partitions(subset):
-            vec.extend(tensors[(subset, rho)].entries)
-        comps[subset] = tuple(vec)
-    return element(h, node, h.charts[0].id, point, comps)
-
-
-def hom_apply(e_pres, f_pres, hom_elem, elem):
-    """Evaluate a pointwise morphism on an element of the source bundle."""
-    if elem.point != hom_elem.point:
-        raise InvalidInput("morphism and element over different points")
-    if not elem.node.issubset(hom_elem.node):
-        raise InvalidInput("element node outside the morphism node")
-    comps = Gauge(e_pres.dims, f_pres.dims, hom_decode(e_pres, f_pres, hom_elem)).evaluate(
-        canonicalize(e_pres, elem).components)
-    return element(
-        f_pres, elem.node, f_pres.canonical_chart(elem.point), elem.point, comps,
-    )
 
 
 def tangent_prolongation(presentation):

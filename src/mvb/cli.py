@@ -76,6 +76,20 @@ def _subset(text):
         raise SchemaError("bad index set %r (expected e.g. 1,2)" % (text,))
 
 
+def _at_least(low):
+    """An argparse type: an integer of at least ``low``; argparse names
+    the flag in the error and exits 2."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % (text,))
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+    return parse
+
+
 class Report:
     def __init__(self, command, fingerprint):
         self.command = command
@@ -397,10 +411,10 @@ def build_parser():
 
     gen = sub.add_parser("gen", parents=[shared])
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--n", type=int, default=2)
-    gen.add_argument("--points", type=int, default=2)
-    gen.add_argument("--charts", type=int, default=2)
-    gen.add_argument("--max-dim", type=int, default=2)
+    gen.add_argument("--n", type=_at_least(0), default=2)
+    gen.add_argument("--points", type=_at_least(1), default=2)
+    gen.add_argument("--charts", type=_at_least(1), default=2)
+    gen.add_argument("--max-dim", type=_at_least(1), default=2)
     gen.add_argument("-o", "--out", default=None)
     gen.set_defaults(fn=cmd_gen)
 

@@ -103,31 +103,6 @@ def core(presentation, ambient, inner, check=True):
     return spec, pres
 
 
-def embed_core_element(presentation, blocks, core_elem):
-    """View a core element as an ambient element with zero filled in."""
-    unions = block_unions(Partition(blocks))
-    comps = {unions[nu]: vec for nu, vec in core_elem.components.items()}
-    node = IndexSet(i for key in comps for i in key)
-    for key in nonempty_subsets(node):
-        comps.setdefault(key, zero_vector(presentation.dims.dim(key)))
-    return element(presentation, node, core_elem.chart, core_elem.point, comps)
-
-
-def restrict_core_element(presentation, core_pres, ambient_elem):
-    """Inverse of the embedding; requires core membership."""
-    positions = {union: nu for nu, union in
-                 block_unions(Partition(core_pres.axis_blocks)).items()}
-    e = canonicalize(presentation, ambient_elem)
-    comps = {}
-    for key, vec in e.components.items():
-        if key in positions:
-            comps[positions[key]] = vec
-        elif any(x != 0 for x in vec):
-            raise InvalidInput("element is not in the core: slot %s nonzero" % (list(key),))
-    node = IndexSet(i for nu in comps for i in nu)
-    return element(core_pres, node, e.chart, e.point, comps)
-
-
 def _zero_outside(presentation, elem, allowed):
     """Whether the canonical form of ``elem`` vanishes at every slot
     ``key`` with ``allowed(key)`` false."""
@@ -140,12 +115,6 @@ def is_core_member(presentation, elem, inner):
     inner = IndexSet(inner)
     return _zero_outside(presentation, elem,
                          lambda key: key.isdisjoint(inner) or inner.issubset(key))
-
-
-def is_diagonal_core_member(presentation, elem, blocks):
-    """Membership in the sub-bundle of union-of-blocks slots."""
-    blocks = Partition(blocks)
-    return _zero_outside(presentation, elem, lambda key: is_union_of_blocks(key, blocks))
 
 
 def in_zero_image(presentation, elem, kept):

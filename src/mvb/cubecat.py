@@ -14,8 +14,8 @@ A partition of an ambient node into k blocks reindexes a core onto the
 k-cube, axis i standing for the i-th block.  ``block_unions`` and
 ``ambient_positions`` are that one map, on index sets and on component
 keys: every translation between a core and its ambient cube (gauge
-restriction, element embedding, routing a core decomposition's
-components, comparing two cores) reads it or inverts it.
+restriction, routing a core decomposition's components, comparing two
+cores) reads it or inverts it.
 """
 
 from types import MappingProxyType
@@ -62,10 +62,6 @@ class IndexSet(tuple):
 
     def union(self, other):
         return IndexSet(tuple(self) + tuple(other))
-
-    def intersection(self, other):
-        other = set(other)
-        return IndexSet(i for i in self if i in other)
 
     def difference(self, other):
         other = set(other)

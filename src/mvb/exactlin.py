@@ -19,10 +19,10 @@ flat input index at each composite input index, and the block offsets
 of each outer input index.  ``_gather`` runs a term's program and adds
 it into one integer list over the lcm of the terms' denominators.
 
-Every linear solve (``rank``, ``kernel_basis``, ``image_contains``,
-``solve_linear`` and ``invert_matrix``) runs one fraction-free
-Gauss-Jordan elimination on the integer rows of a matrix, augmented by
-a vector or the identity where the solve needs one.  Each step divides
+Every linear solve (``rank``, ``kernel_basis``, ``solve_linear`` and
+``invert_matrix``) runs one fraction-free Gauss-Jordan elimination on
+the integer rows of a matrix, augmented by a vector or the identity
+where the solve needs one.  Each step divides
 exactly by the previous pivot, and the rows end as one integer ``d``
 times the reduced row echelon form, so solutions are integers over
 ``d``.
@@ -144,13 +144,6 @@ class MultiTensor:
 
     def is_identity(self):
         return self == MultiTensor.identity(self.out_dim)
-
-    def rows(self):
-        """Rows of a one-block tensor, as tuples."""
-        if len(self.in_dims) != 1:
-            raise DimensionMismatch("rows() is for one-block tensors")
-        n, entries = self.in_dims[0], self.entries
-        return [entries[i * n:(i + 1) * n] for i in range(self.out_dim)]
 
     def entry(self, out_index, in_indices):
         flat = out_index
@@ -418,21 +411,6 @@ def kernel_basis(tensor):
                 v[c] = Fraction(-row[free], d)
         basis.append(tuple(v))
     return basis
-
-
-def image_contains(tensor, vector):
-    """Membership of ``vector`` in the column space of a matrix.
-
-    One elimination of [A | v]: the vector lies in the image exactly
-    when its column carries no pivot.
-    """
-    rows = _integer_rows(tensor)
-    if len(vector) != tensor.out_dim:
-        raise DimensionMismatch("vector has wrong length")
-    # the vector's column is scaled by its own denominator
-    column = _numerators([_frac(v) for v in vector])[0]
-    n = tensor.in_dims[0]
-    return n not in _gauss_jordan([row + [v] for row, v in zip(rows, column)], n + 1)[0]
 
 
 def contract_slot(tensor, slot, vector):

@@ -150,6 +150,14 @@ def _integer_value(value, key, where):
     return value
 
 
+def _cube_dimension(obj, where):
+    """The cube dimension ``n`` of ``obj``: a JSON integer, at least 0."""
+    n = _integer_value(obj.get("n"), "n", where)
+    if n < 0:
+        raise SchemaError("%s: n must be at least 0, got %d" % (where, n))
+    return n
+
+
 def _index_set_value(obj, key, where):
     """The index set under ``key``, given as a list of positive integers."""
     try:
@@ -303,7 +311,7 @@ def gauge_from_json(obj, where="gauge", memo=None):
         memo = {}
     if not isinstance(obj, dict):
         raise SchemaError("%s must be an object" % where)
-    n = _integer_value(obj.get("n"), "n", where)
+    n = _cube_dimension(obj, where)
     src = _read_dims(n, obj.get("source_dims"), where + ".source_dims", memo)
     tgt = _read_dims(n, obj.get("target_dims"), where + ".target_dims", memo)
     plan = cube_plan(n)
@@ -416,7 +424,7 @@ def atlas_to_json(presentation):
 
 def atlas_from_json(obj):
     _check_header(obj, "atlas", "an atlas")
-    n = _integer_value(obj.get("n"), "n", "atlas")
+    n = _cube_dimension(obj, "atlas")
     base = FiniteBase(_list_value(obj, "base", "atlas"))
     charts = []
     for c in _list_value(obj, "charts", "atlas"):

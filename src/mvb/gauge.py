@@ -43,9 +43,7 @@ component's terms read.
 """
 
 from collections.abc import Mapping
-from itertools import combinations, product
-from math import prod
-from operator import mul
+from itertools import combinations
 
 from .cubecat import (
     IndexSet,
@@ -454,48 +452,3 @@ def identity_gauge(source_dims, target_dims=None):
         MultiTensor.identity(src[0]) if len(src[1]) == 1 and src[0] == tgt[0] else None
         for src, tgt in zip(source_dims.shapes, target_dims.shapes)])
 
-
-def reorder_inputs(tensor, new_to_old):
-    """Permute the input blocks of a tensor.
-
-    ``new_to_old[m]`` is the old position feeding new slot ``m``.
-    """
-    k = len(tensor.in_dims)
-    assert sorted(new_to_old) == list(range(k))
-    new_in = tuple(tensor.in_dims[o] for o in new_to_old)
-    nums, den = tensor.integer_form()
-    # the flat stride of the old block feeding each new slot
-    strides = [prod(tensor.in_dims[o + 1:]) for o in new_to_old]
-    in_size = prod(new_in)
-    picked = [nums[i0 * in_size + sum(map(mul, strides, new_idx))]
-              for i0 in range(tensor.out_dim) for new_idx in product(*map(range, new_in))]
-    return MultiTensor.from_integers(tensor.out_dim, new_in, picked, den)
-
-
-def permute_gauge(gauge, mapping):
-    """Relabel the cube axes of a square-shaped index permutation.
-
-    ``mapping`` is a bijection on {1..n}.  Canonical block order may
-    change under relabeling, so tensor input slots are reordered to
-    match.
-    """
-    n = gauge.n
-    assert sorted(mapping) == list(range(1, n + 1))
-    assert sorted(mapping.values()) == list(range(1, n + 1))
-
-    def relabel_set(subset):
-        return IndexSet(mapping[i] for i in subset)
-
-    src = DimAssignment(n, {relabel_set(k): v for k, v in gauge.source_dims.dims.items()})
-    tgt = DimAssignment(n, {relabel_set(k): v for k, v in gauge.target_dims.dims.items()})
-    components = {}
-    for (subset, rho), tensor in zip(cube_plan(n).keys, gauge.tensors):
-        if tensor is None:
-            continue
-        new_subset = relabel_set(subset)
-        images = [relabel_set(b) for b in rho]
-        new_rho = Partition(images)
-        # position in new canonical order -> position among images
-        new_to_old = [images.index(block) for block in new_rho]
-        components[(new_subset, new_rho)] = reorder_inputs(tensor, new_to_old)
-    return Gauge(src, tgt, components)

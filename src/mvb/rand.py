@@ -50,25 +50,6 @@ def random_gauge(rng, source_dims, target_dims=None, statomorphism=False):
     return Gauge.from_tensors(source_dims, target_dims, tensors)
 
 
-def random_morphism_gauge(rng, source_dims, target_dims):
-    """Random gauge with unconstrained rectangular linear parts."""
-    return Gauge.from_tensors(source_dims, target_dims, [
-        random_tensor(rng, out, ins)
-        for (out, _), (_, ins) in zip(target_dims.shapes, source_dims.shapes)])
-
-
-def random_vectors(rng, dims, node=None, lo=-3, hi=3):
-    node = node if node is not None else full_set(dims.n)
-    return {
-        s: tuple(Fraction(rng.randint(lo, hi)) for _ in range(dims.dim(s)))
-        for s in nonempty_subsets(node)
-    }
-
-
-def seeded(seed):
-    return random.Random(seed)
-
-
 def _chart_layout(rng, points, n_charts):
     """Random domains covering the base, every domain nonempty."""
     from .atlas import Chart

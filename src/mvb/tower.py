@@ -158,10 +158,6 @@ class InfinityPresentation:
         self.generator = generator
         self._truncations = {}
 
-    @property
-    def base(self):
-        return self.generator.base
-
     def truncate(self, n):
         if n < 0:
             raise InvalidInput("negative truncation level")

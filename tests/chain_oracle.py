@@ -67,7 +67,7 @@ def merged_slot_keys(k, mu):
     """The component keys of the k-cube that the core merging the pair
     ``mu`` carries: every block misses the pair or contains it."""
     slots = {s for s in nonempty_subsets(full_set(k))
-             if not s.intersection(mu) or s.intersection(mu) == mu}
+             if s.isdisjoint(mu) or mu.issubset(s)}
     return [(t, rho) for t in nonempty_subsets(full_set(k))
             for rho in partitions(t) if all(b in slots for b in rho)]
 
@@ -293,7 +293,7 @@ def probe_compatibility(presentation, sigma, core_decs):
 
     def merged_slots(mu):
         return [s for s in nonempty_subsets(ground)
-                if not s.intersection(mu) or s.intersection(mu) == mu]
+                if s.isdisjoint(mu) or mu.issubset(s)]
 
     def probes(slots):
         for family in _disjoint_families(slots):

@@ -23,6 +23,7 @@ from mvb.formats import (
     _check_digits,
     _check_header,
     _component_position,
+    _cube_dimension,
     _DIGIT_BOUND,
     _index_set_value,
     _integer_value,
@@ -77,7 +78,7 @@ def dims_from_json(n, obj, where="dims"):
 def gauge_from_json(obj, where="gauge"):
     if not isinstance(obj, dict):
         raise SchemaError("%s must be an object" % where)
-    n = _integer_value(obj.get("n"), "n", where)
+    n = _cube_dimension(obj, where)
     src = dims_from_json(n, obj.get("source_dims"), where + ".source_dims")
     tgt = dims_from_json(n, obj.get("target_dims"), where + ".target_dims")
     plan = cube_plan(n)
@@ -111,7 +112,7 @@ def gauge_from_json(obj, where="gauge"):
 
 def atlas_from_json(obj):
     _check_header(obj, "atlas", "an atlas")
-    n = _integer_value(obj.get("n"), "n", "atlas")
+    n = _cube_dimension(obj, "atlas")
     base = FiniteBase(_list_value(obj, "base", "atlas"))
     charts = []
     for c in _list_value(obj, "charts", "atlas"):

@@ -8,11 +8,11 @@ numerators over one shared denominator per tensor, and contracts a slot
 with one composition; the differential tests compare the two.
 
 The linear solvers are the two eliminations the library replaced by one
-fraction-free Gauss-Jordan on the rows of the integer form: ``rank``,
-``kernel_basis`` (back-substituted in ``Fraction``s) and
-``image_contains`` run Bareiss echelon elimination on ``Fraction`` rows,
-each cleared of its own denominators; ``solve_linear`` and
-``invert_matrix`` run Gauss-Jordan on ``Fraction`` rows.
+fraction-free Gauss-Jordan on the rows of the integer form: ``rank`` and
+``kernel_basis`` (back-substituted in ``Fraction``s) run Bareiss echelon
+elimination on ``Fraction`` rows, each cleared of its own denominators;
+``solve_linear`` and ``invert_matrix`` run Gauss-Jordan on ``Fraction``
+rows.  ``matrix_rows`` reads a matrix's ``Fraction`` rows.
 """
 
 from fractions import Fraction
@@ -120,11 +120,19 @@ def contract_slot(tensor, slot, vector):
     return MultiTensor(tensor.out_dim, rest, entries)
 
 
+def matrix_rows(tensor):
+    """Rows of a one-block tensor, as tuples."""
+    if len(tensor.in_dims) != 1:
+        raise DimensionMismatch("matrix_rows() is for one-block tensors")
+    n, entries = tensor.in_dims[0], tensor.entries
+    return [entries[i * n:(i + 1) * n] for i in range(tensor.out_dim)]
+
+
 def _echelon(tensor):
     """Bareiss echelon form of a matrix's ``Fraction`` rows, each row first
     multiplied by the lcm of its denominators: ``(rows, pivot columns)``."""
     rows = []
-    for row in tensor.rows():
+    for row in matrix_rows(tensor):
         den = lcm(*(x.denominator for x in row))
         rows.append([int(x * den) for x in row])
     n_cols = tensor.in_dims[0]
@@ -165,15 +173,6 @@ def kernel_basis(tensor):
     return basis
 
 
-def image_contains(tensor, vector):
-    """Whether ``vector``'s column carries no pivot in the echelon form of
-    ``[A | v]``."""
-    n_cols = tensor.in_dims[0]
-    augmented = MultiTensor.from_rows(
-        [list(row) + [v] for row, v in zip(tensor.rows(), vector)])
-    return n_cols not in _echelon(augmented)[1]
-
-
 def _gauss_jordan(aug, n):
     """Reduce the first ``n`` columns of ``Fraction`` rows to the identity,
     in place; SingularMatrix at the first column without a pivot."""
@@ -193,12 +192,12 @@ def _gauss_jordan(aug, n):
 
 def solve_linear(tensor, rhs):
     n = tensor.out_dim
-    aug = _gauss_jordan([list(row) + [Fraction(b)] for row, b in zip(tensor.rows(), rhs)], n)
+    aug = _gauss_jordan([list(row) + [Fraction(b)] for row, b in zip(matrix_rows(tensor), rhs)], n)
     return tuple(aug[i][n] for i in range(n))
 
 
 def invert_matrix(tensor):
     n = tensor.out_dim
     aug = _gauss_jordan([list(row) + [ONE if i == j else ZERO for j in range(n)]
-                         for i, row in enumerate(tensor.rows())], n)
+                         for i, row in enumerate(matrix_rows(tensor))], n)
     return MultiTensor(n, (n,), [x for row in aug for x in row[n:]])

@@ -10,6 +10,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from helpers import random_vectors
+
 from mvb.atlas import (
     FiniteBase,
     associated_decomposed,
@@ -32,7 +34,6 @@ from mvb.rand import (
     random_dims,
     random_element,
     random_gauge,
-    random_vectors,
     twisted_instance,
 )
 from mvb.sections import (

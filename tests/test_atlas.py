@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from mvb.atlas import (
     AtlasPresentation,
     Chart,
@@ -11,12 +9,10 @@ from mvb.atlas import (
     decomposed,
     diagonal,
     perturb_transition,
-    restrict,
     vacant,
     validate,
 )
 from mvb.cubecat import IndexSet, Partition, full_set, nonempty_subsets
-from mvb.errors import InvalidInput
 from mvb.exactlin import MultiTensor
 from mvb.gauge import DimAssignment, Gauge, identity_gauge
 from mvb.rand import random_gauge, twisted_instance
@@ -170,27 +166,6 @@ def test_perturbation_detected_at_exactly_one_triple():
     assert len(cocycle) == 1
     assert cocycle[0].charts == ("2", "1", "0")
     assert cocycle[0].point == p
-
-
-def test_restrict_full_base_is_identity():
-    a = twisted_instance(5, n=2, n_points=3, n_charts=2)
-    b = restrict(a, list(a.base))
-    assert b.base == a.base
-    assert b.transitions == a.transitions
-
-
-def test_restrict_single_point_valid():
-    a = twisted_instance(5, n=2, n_points=3, n_charts=2)
-    p = a.base.points[0]
-    b = restrict(a, [p])
-    assert len(b.base) == 1
-    assert validate(b).valid
-
-
-def test_restrict_empty_rejected():
-    a = twisted_instance(5, n=2, n_points=2, n_charts=2)
-    with pytest.raises(InvalidInput):
-        restrict(a, [])
 
 
 def test_associated_models_validate_and_are_diagonal():

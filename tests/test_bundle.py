@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 from chain_oracle import compose_from_canonical
+from gauge_oracle import permute_gauge
+from helpers import hom_apply, identity_morphism, random_morphism_gauge
 
 from mvb.atlas import FiniteBase, associated_decomposed, decomposed, validate
 from mvb.bundle import (
@@ -10,10 +12,8 @@ from mvb.bundle import (
     element,
     elements_equal,
     face,
-    hom_apply,
     hom_bundle,
     hom_dims,
-    identity_morphism,
     morphism_from_canonical,
     project,
     scale,
@@ -26,12 +26,11 @@ from mvb.cores import partition_core
 from mvb.cubecat import IndexSet, full_set, nonempty_subsets
 from mvb.errors import InvalidInput
 from mvb.exactlin import MultiTensor
-from mvb.gauge import DimAssignment, permute_gauge
+from mvb.gauge import DimAssignment
 from mvb.rand import (
     interchange_quadruple,
     random_element,
     random_gauge,
-    random_morphism_gauge,
     twisted_instance,
 )
 from mvb.split import decompose
@@ -382,7 +381,7 @@ def test_hom_section_defines_natural_morphism_compatible_with_cores():
     # core restriction of that morphism is again well-defined
     rng = random.Random(10)
     e_pres = twisted_instance(48, n=2, n_points=2, n_charts=2)
-    from mvb.bundle import hom_encode
+    from helpers import hom_encode
     from mvb.cores import core_morphism
     from mvb.cubecat import partitions as all_partitions
     family = {}
@@ -417,7 +416,7 @@ def test_hom_section_defines_natural_morphism_compatible_with_cores():
 def test_hom_encode_decode_round_trip():
     rng = random.Random(12)
     e_pres = twisted_instance(51, n=2, n_points=2, n_charts=2)
-    from mvb.bundle import hom_encode, hom_decode
+    from helpers import hom_encode, hom_decode
     from mvb.cubecat import partitions as all_partitions
     g = random_morphism_gauge(rng, e_pres.dims, e_pres.dims)
     tensors = {

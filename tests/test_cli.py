@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import pathlib
 import random
 import re
+import shlex
 import subprocess
 import sys
 
@@ -87,6 +89,47 @@ def test_gen_then_validate_round_trip(tmp_path, capsys):
     assert report_of(out)["status"] == "ok"
     code, out, _ = invoke(capsys, ["validate", out_path])
     assert code == 0
+
+
+@pytest.mark.parametrize("flag, value, low", [
+    ("--charts", "0", 1), ("--max-dim", "0", 1), ("--max-dim", "-1", 1),
+    ("--n", "-1", 0), ("--points", "0", 1)])
+def test_gen_rejects_a_count_below_its_floor(capsys, flag, value, low):
+    code, out, err = invoke(capsys, ["gen", "--seed", "1", flag, value])
+    assert code == 2 and out == ""
+    assert "argument %s: must be at least %d, got %s" % (flag, low, value) in err
+
+
+def test_negative_cube_dimension_exits_two(tmp_path, capsys):
+    path = write_instance(tmp_path, "negative.json", twisted_instance(1, n=-1))
+    code, out, err = invoke(capsys, ["validate", path])
+    assert code == 2 and out == ""
+    assert "atlas: n must be at least 0, got -1" in err
+
+
+def readme_quickstart():
+    """The lines of the ``sh`` block under "Command line" in README.md."""
+    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
+    # the three inputs the block reads but does not make
+    monkeypatch.chdir(tmp_path)
+    write_instance(tmp_path, "gauge.json",
+                   random_gauge(random.Random(1), twisted_instance(1, n=2).dims,
+                                statomorphism=True))
+    write_instance(tmp_path, "double.json", twisted_instance(2, n=2))
+    write_instance(tmp_path, "gen.json",
+                   InfinityPresentation(StabilizingGenerator(twisted_instance(3, n=2))))
+    lines = readme_quickstart()
+    assert lines
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "mvb"
+        assert invoke(capsys, argv[1:])[0] == 0, line
 
 
 def test_gen_deterministic_reports(tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import embed_core_element, identity_morphism, restrict_core_element
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,6 @@ from mvb.bundle import (
     canonicalize,
     element,
     elements_equal,
-    identity_morphism,
     morphism_from_canonical,
     zero_element,
 )
@@ -19,13 +19,11 @@ from mvb.cores import (
     core_by_stages,
     core_closure_certificate,
     core_morphism,
-    embed_core_element,
     include_by_nested_sums,
     is_core_member,
     partition_core,
     partition_core_morphism,
     pullback,
-    restrict_core_element,
     ultracore_sequence,
 )
 from mvb.cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets
@@ -258,7 +256,7 @@ def test_cores_of_faces_equal_faces_of_cores():
 
 
 def test_disjoint_core_intersection_is_merged_diagonal():
-    from mvb.cores import is_diagonal_core_member
+    from helpers import is_diagonal_core_member
     rng = random.Random(6)
     a = twisted_instance(67, n=4, n_points=2, n_charts=2)
     s_set = full_set(4)
@@ -273,7 +271,7 @@ def test_disjoint_core_intersection_is_merged_diagonal():
         e = random_element(rng, a, node=s_set)
         comps = {
             key: (vec if all(
-                key.intersection(b) in (IndexSet(), b) for b in merged)
+                key.isdisjoint(b) or b.issubset(key) for b in merged)
                 else tuple(0 * x for x in vec))
             for key, vec in e.components.items()
         }

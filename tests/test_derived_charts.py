@@ -14,6 +14,7 @@ import random
 import pytest
 from chain_oracle import compose_from_canonical
 from gauge_oracle import dense_compose
+from helpers import random_morphism_gauge
 from hypothesis import given
 from hypothesis import strategies as st
 from test_gauge_plan import SMALL, thinned
@@ -25,7 +26,7 @@ from mvb.cubecat import cube_plan
 from mvb.errors import DimensionMismatch
 from mvb.exactlin import MultiTensor
 from mvb.gauge import DimAssignment, Gauge, _compose_at
-from mvb.rand import random_dims, random_gauge, random_morphism_gauge, twisted_instance
+from mvb.rand import random_dims, random_gauge, twisted_instance
 from mvb.split import _conjugated_top, _top_key, decompose, is_decomposition
 
 MODES = st.sampled_from(["dense", "linear", "sparse"])

@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import tensor_oracle
 
 from mvb.errors import DimensionMismatch, SingularMatrix
 from mvb.exactlin import (
     MultiTensor,
     compose_tensors,
-    image_contains,
     invert_matrix,
     kernel_basis,
     rank,
@@ -140,16 +140,10 @@ def test_kernel_vectors_annihilate():
             assert a.apply([v]) == zero
 
 
-def test_image_contains():
-    a = mat([[1, 0], [0, 0]])
-    assert image_contains(a, (Fraction(5), Fraction(0)))
-    assert not image_contains(a, (Fraction(0), Fraction(1)))
-
-
 def test_invert_matrix():
     a = mat([[1, 1], [0, 1]])
     inv = invert_matrix(a)
-    assert inv.rows() == [(Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1))]
+    assert tensor_oracle.matrix_rows(inv) == [(Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1))]
 
 
 def test_compose_tensors_matches_pointwise_evaluation():
@@ -183,14 +177,6 @@ def invert_by_columns(tensor):
     cols = [solve_linear(tensor, [Fraction(int(i == j)) for i in range(n)])
             for j in range(n)]
     return MultiTensor(n, (n,), [cols[j][i] for i in range(n) for j in range(n)])
-
-
-def image_contains_by_ranks(tensor, vector):
-    """Column-space membership as rank(A) == rank([A | v])."""
-    augmented = [list(r) + [v] for r, v in zip(tensor.rows(), vector)]
-    if not augmented:
-        return True
-    return rank(MultiTensor.from_rows(augmented)) == rank(tensor)
 
 
 def random_matrix(rng, n_rows, n_cols, singular=False):
@@ -229,15 +215,3 @@ def test_invert_singular_matrix_still_raises():
     for n in (2, 3, 4):
         with pytest.raises(SingularMatrix):
             invert_matrix(random_matrix(rng, n, n, singular=True))
-
-
-def test_image_contains_equals_rank_comparison():
-    rng = random.Random(61)
-    for n_rows in (0, 1, 2, 3, 4):
-        for n_cols in (0, 1, 2, 3):
-            for singular in (False, True):
-                a = random_matrix(rng, n_rows, n_cols, singular=singular)
-                inside = a.apply([tuple(Fraction(rng.randint(-2, 2)) for _ in range(n_cols))])
-                outside = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n_rows))
-                for v in (inside, outside, (Fraction(0),) * n_rows):
-                    assert image_contains(a, v) == image_contains_by_ranks(a, v)

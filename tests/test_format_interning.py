@@ -25,10 +25,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import format_oracle as oracle
+from helpers import seeded
 from mvb import cli, formats
 from mvb.atlas import AtlasPresentation, validate
 from mvb.errors import SchemaError
-from mvb.rand import random_dims, random_gauge, seeded, twisted_instance
+from mvb.rand import random_dims, random_gauge, twisted_instance
 from mvb.split import decompose
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")

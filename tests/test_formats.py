@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from helpers import random_morphism_gauge, seeded
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +19,6 @@ from mvb.rand import (
     random_dims,
     random_element,
     random_gauge,
-    random_morphism_gauge,
-    seeded,
     twisted_instance,
 )
 from mvb.split import decompose
@@ -208,6 +207,18 @@ def test_cube_dimension_must_be_a_json_integer(where):
         with pytest.raises(SchemaError) as err:
             formats.parse(_edited_atlas(edit))
         assert "n must be an integer, got %r" % (bad,) in str(err.value)
+
+
+@pytest.mark.parametrize("where", ["atlas", "gauge"])
+def test_negative_cube_dimension_is_schema_error(where):
+    def build(n):
+        if where == "atlas":
+            return twisted_instance(1, n=n)
+        return identity_gauge(DimAssignment(n, {}))
+    with pytest.raises(SchemaError) as err:
+        formats.parse(formats.dumps(build(-1)))
+    assert "%s: n must be at least 0, got -1" % where in str(err.value)
+    assert formats.parse(formats.dumps(build(0))).n == 0
 
 
 @pytest.mark.parametrize("field", ["dims", "source_dims", "target_dims"])

@@ -4,6 +4,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from gauge_oracle import permute_gauge
+from helpers import random_vectors
 
 from mvb.cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets
 from mvb.errors import DimensionMismatch, SingularMatrix
@@ -13,10 +15,9 @@ from mvb.gauge import (
     Gauge,
     diagonal_dims,
     identity_gauge,
-    permute_gauge,
     singleton_dims,
 )
-from mvb.rand import random_dims, random_gauge, random_vectors
+from mvb.rand import random_dims, random_gauge
 
 J1 = IndexSet([1])
 J2 = IndexSet([2])

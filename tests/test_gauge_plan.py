@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 from gauge_oracle import dense_compose, dense_evaluate, dense_invert
+from helpers import random_morphism_gauge, random_vectors
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_acceptance import corpus
@@ -26,9 +27,7 @@ from mvb.gauge import DimAssignment, Gauge, identity_gauge
 from mvb.rand import (
     random_dims,
     random_gauge,
-    random_morphism_gauge,
     random_tensor,
-    random_vectors,
 )
 
 SMALL = settings(max_examples=30, derandomize=True, database=None, deadline=None,

@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from tensor_oracle import apply as oracle_apply
 from tensor_oracle import compose_tensors as oracle_compose
-from tensor_oracle import image_contains as oracle_image_contains
 from tensor_oracle import invert_matrix as oracle_invert_matrix
 from tensor_oracle import kernel_basis as oracle_kernel_basis
 from tensor_oracle import rank as oracle_rank
@@ -19,7 +18,6 @@ from mvb.exactlin import (
     MultiTensor,
     _sum_of_composites,
     compose_tensors,
-    image_contains,
     invert_matrix,
     kernel_basis,
     rank,
@@ -282,20 +280,13 @@ def outcome(solver, *args):
 
 
 @KERNELS
-@given(st.one_of(matrices(), defective_matrices()), st.integers(1, 12), st.data())
-def test_kernel_and_image_match_fraction_oracles(matrix, factor, data):
-    n_rows, n_cols = matrix.out_dim, matrix.in_dims[0]
-    point = data.draw(st.lists(RATIONALS, min_size=n_cols, max_size=n_cols))
-    vectors = [oracle_apply(matrix, [point]), (Fraction(0),) * n_rows,
-               data.draw(st.lists(RATIONALS, min_size=n_rows, max_size=n_rows))]
+@given(st.one_of(matrices(), defective_matrices()), st.integers(1, 12))
+def test_kernel_and_image_match_fraction_oracles(matrix, factor):
     for built in (matrix, integer_built(matrix, factor)):
         assert rank(built) == oracle_rank(matrix)
         basis = kernel_basis(built)
         assert basis == oracle_kernel_basis(matrix)
         assert all(type(x) is Fraction for v in basis for x in v)
-        for vector in vectors:
-            assert image_contains(built, vector) == oracle_image_contains(matrix, vector)
-    assert image_contains(matrix, vectors[0])
 
 
 @KERNELS

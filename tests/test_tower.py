@@ -42,7 +42,7 @@ def test_truncate_zero_is_base_only():
     x = stabilizing_fixture()
     t0 = x.truncate(0)
     assert t0.n == 0
-    assert t0.base == x.base
+    assert t0.base == x.generator.base
 
 
 def test_stabilizing_dims_pad_with_zeros():
