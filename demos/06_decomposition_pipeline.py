@@ -21,7 +21,7 @@ from mvb.split import (
     torsor_statomorphism,
 )
 
-a = twisted_instance(2718, n=3, n_points=2, n_charts=2)
+a = twisted_instance(2718, n=3, n_points=2, n_charts=3)
 
 sigma = find_splitting(a, "least-chart")
 print("splitting found (least-chart):", is_splitting(sigma))
@@ -32,8 +32,8 @@ print("decompositions verify:", is_decomposition(d1), is_decomposition(d2))
 
 tau = torsor_statomorphism(d1, d2)
 nontrivial = sum(1 for g in tau.data.values() if not g.is_identity())
-print("strategies differ by a statomorphism; nontrivial at",
-      nontrivial, "of", len(tau.data), "chart points")
+print("strategies differ by a nontrivial statomorphism:", nontrivial > 0,
+      "(at", nontrivial, "of", len(tau.data), "chart points)")
 print("acting on the first by it recovers the second:",
       act_by_statomorphism(d1, tau).data == d2.data)
 
@@ -51,16 +51,14 @@ section = split_pullback(a)
 print("simultaneous section of the pullback projection is natural:",
       section.is_natural())
 
-# the top slot of each chart's local right inverse is a free choice; on
-# a double bundle a hook read on basis tuples sets it
-b = twisted_instance(2718, n=2, n_points=2, n_charts=2)
 
-
+# the top slot of each chart's local right inverse is a free choice; a
+# hook read on basis tuples sets it (the faces keep their zero tops)
 def theta(chart, point, args):
     """Linear in each argument: the product of their first coordinates."""
-    return (args[0][0] * args[1][0],) * b.dims.dim(full_set(2))
+    return (args[0][0] * args[1][0] * args[2][0],) * a.dims.dim(full_set(3))
 
 
-hooked = find_splitting(b, "least-chart", theta_top=theta)
-print("\na top-slot hook on a double bundle gives another splitting:",
-      is_splitting(hooked) and hooked.data != find_splitting(b, "least-chart").data)
+hooked = find_splitting(a, "least-chart", theta_top=theta)
+print("\na top-slot hook gives another splitting:",
+      is_splitting(hooked) and hooked.data != sigma.data)

@@ -65,10 +65,6 @@ def _load_as(path, kind, noun):
     return obj
 
 
-def _fingerprint(obj):
-    return formats.fingerprint(formats.to_json(obj))
-
-
 def _subset(text):
     try:
         return IndexSet(int(x) for x in str(text).split(",") if x != "")
@@ -113,10 +109,10 @@ class Report:
         self.counterexamples.append(item)
         self.status = "fail"
 
-    def set_result(self, result, outfile):
-        """Keep the result as its canonical JSON text, encoded once here:
-        the report hash, stdout and the ``-o`` file all read this text."""
-        self.result = formats.canonical_text(result)
+    def set_result(self, text, outfile):
+        """Keep the result's canonical JSON text, written once by the
+        caller: the report hash, stdout and the ``-o`` file all read it."""
+        self.result = text
         self.outfile = outfile
 
     def fields(self):
@@ -188,14 +184,14 @@ def cmd_validate(report, presentation, args):
 
 def cmd_face(report, presentation, args):
     result = face(presentation, _subset(args.outer), _subset(args.inner or ""))
-    report.set_result(formats.atlas_to_json(result), args.out)
+    report.set_result(formats.to_text(result), args.out)
     _validation_into(report, result)
 
 
 def cmd_core(report, presentation, args):
     spec, pres = core(presentation, _subset(args.s), _subset(args.j), check=False)
     report.add_certificate(core_closure_certificate(presentation, spec.ambient, spec.blocks))
-    report.set_result(formats.atlas_to_json(pres), args.out)
+    report.set_result(formats.to_text(pres), args.out)
 
 
 def cmd_core_stages(report, presentation, args):
@@ -206,28 +202,26 @@ def cmd_core_stages(report, presentation, args):
 def cmd_pullback(report, presentation, args):
     pb = pullback(presentation)
     report.add_certificate(pb.certificate)
-    report.set_result(formats.atlas_to_json(pb.presentation), args.out)
+    report.set_result(formats.to_text(pb.presentation), args.out)
 
 
 def cmd_ultracore(report, presentation, args):
     iota, pi, cert = ultracore_sequence(presentation, args.k)
     report.add_certificate(cert)
-    report.set_result({
-        "inclusion": formats.morphism_to_json(iota),
-        "projection": formats.morphism_to_json(pi),
-    }, args.out)
+    report.set_result('{"inclusion":%s,"projection":%s}'
+                      % (formats.to_text(iota), formats.to_text(pi)), args.out)
 
 
 def cmd_split(report, presentation, args):
     sigma = find_splitting(presentation, args.strategy)
     report.claim("output is a splitting", is_splitting(sigma))
-    report.set_result(formats.morphism_to_json(sigma), args.out)
+    report.set_result(formats.to_text(sigma), args.out)
 
 
 def cmd_decompose(report, presentation, args):
     dec = decompose(presentation, args.strategy)
     report.claim("output is a decomposition", is_decomposition(dec))
-    report.set_result(formats.morphism_to_json(dec), args.out)
+    report.set_result(formats.to_text(dec), args.out)
 
 
 def cmd_normalize(report, presentation, args):
@@ -235,7 +229,7 @@ def cmd_normalize(report, presentation, args):
     diagonal = all(g.is_block_diagonal() for g in normalized.transitions.values())
     report.claim("normalized transitions are one-block", diagonal)
     _validation_into(report, normalized)
-    report.set_result(formats.atlas_to_json(normalized), args.out)
+    report.set_result(formats.to_text(normalized), args.out)
 
 
 def cmd_torsor(report, presentation, args):
@@ -246,7 +240,7 @@ def cmd_torsor(report, presentation, args):
     report.claim("decompositions differ by a statomorphism", stato)
     round_trip = act_by_statomorphism(d1, tau).data == d2.data
     report.claim("acting then extracting round-trips", round_trip)
-    report.set_result(formats.morphism_to_json(tau), args.out)
+    report.set_result(formats.to_text(tau), args.out)
 
 
 def cmd_stato(args):
@@ -256,30 +250,30 @@ def cmd_stato(args):
         report.claim("gauge is a statomorphism", g.is_statomorphism())
     elif args.action == "invert":
         g = _load_as(args.gauge, Gauge, "a gauge")
-        report.set_result(formats.to_json(g.invert()), args.out)
+        report.set_result(formats.to_text(g.invert()), args.out)
     else:
         if not args.second:
             raise SchemaError("stato compose needs two gauge files")
         g1 = _load_as(args.gauge, Gauge, "a gauge")
         g2 = _load_as(args.second, Gauge, "a gauge")
-        report.set_result(formats.to_json(g1.compose(g2)), args.out)
+        report.set_result(formats.to_text(g1.compose(g2)), args.out)
     return _emit(report, args)
 
 
 def cmd_hom(args):
     e_pres = _load_as(args.source, AtlasPresentation, "an atlas")
     f_pres = _load_as(args.target, AtlasPresentation, "an atlas")
-    report = Report("hom", _fingerprint(e_pres))
+    report = Report("hom", formats.fingerprint(e_pres))
     result = hom_bundle(e_pres, f_pres)
     _validation_into(report, result)
-    report.set_result(formats.atlas_to_json(result), args.out)
+    report.set_result(formats.to_text(result), args.out)
     return _emit(report, args)
 
 
 def cmd_tangent(report, presentation, args):
     result = tangent_prolongation(presentation)
     _validation_into(report, result)
-    report.set_result(formats.atlas_to_json(result), args.out)
+    report.set_result(formats.to_text(result), args.out)
 
 
 def cmd_lift2(report, presentation, args):
@@ -289,7 +283,7 @@ def cmd_lift2(report, presentation, args):
     report.add_certificate(linear_module_certificate(presentation))
     built = local_split_double(presentation)
     report.claim("frame construction yields a splitting", is_splitting(built))
-    report.set_result(formats.morphism_to_json(built), args.out)
+    report.set_result(formats.to_text(built), args.out)
 
 
 def cmd_lift3(report, presentation, args):
@@ -306,12 +300,12 @@ def cmd_lift3(report, presentation, args):
 
 def cmd_inf(args):
     infinity = _load_as(args.generator, InfinityPresentation, "a tower generator")
-    report = Report("inf-%s" % args.action, _fingerprint(infinity))
+    report = Report("inf-%s" % args.action, formats.fingerprint(infinity))
     if args.action == "truncate":
         result = infinity.truncate(args.n)
         if args.n >= 1:
             _validation_into(report, result)
-        report.set_result(formats.atlas_to_json(result), args.out)
+        report.set_result(formats.to_text(result), args.out)
     else:
         tower = decompose_infinity(infinity)
         dec = tower.level(args.n)
@@ -321,7 +315,7 @@ def cmd_inf(args):
             IndexSet(range(1, args.n + 1)), args.n, args.n + 1)
         report.claim("next level restricts to this one", agree,
                      [{"levels": [args.n, args.n + 1]}])
-        report.set_result(formats.morphism_to_json(dec), args.out)
+        report.set_result(formats.to_text(dec), args.out)
     return _emit(report, args)
 
 
@@ -330,7 +324,7 @@ def cmd_gen(args):
         args.seed, n=args.n, max_dim=args.max_dim,
         n_points=args.points, n_charts=args.charts)
     report = Report("gen", None)
-    report.set_result(formats.atlas_to_json(instance), args.out)
+    report.set_result(formats.to_text(instance), args.out)
     # gen reads no input file: it fingerprints the atlas it generates
     report.fingerprint = hashlib.sha256(report.result.encode()).hexdigest()
     _validation_into(report, instance)
@@ -361,7 +355,7 @@ def build_parser():
 
         def fn(args):
             presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-            report = Report(name, _fingerprint(presentation))
+            report = Report(name, formats.fingerprint(presentation))
             body(report, presentation, args)
             return _emit(report, args)
         p.set_defaults(fn=fn)

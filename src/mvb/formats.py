@@ -18,9 +18,11 @@ One top-level read (``parse``, ``morphism_from_json``) decodes each
 distinct tensor and dims list once: an interning table that lives for
 that read maps each one's key, made only of exact JSON types, to the
 object decoded from it, so every place it appears holds that object.
-One serialization writes each distinct tensor once: a cache that lives
-for that call keeps each tensor's entries text by identity, and every
-place in the output gets containers of its own.
+One serialization (``to_text``) writes canonical text straight from the
+objects, with no JSON tree between: a memo that lives for that call
+keeps the text of each distinct tensor and dims list by value, so equal
+pieces are written once, and the text around each gauge component is
+made once per cube dimension.  ``to_json`` is that text read back.
 """
 
 import hashlib
@@ -31,7 +33,7 @@ from math import lcm, prod
 
 from .atlas import AtlasPresentation, Chart, FiniteBase
 from .bundle import BundleElement, BundleMorphism
-from .cubecat import IndexSet, Partition, cube_plan
+from .cubecat import IndexSet, Partition, _memoized, cube_plan
 from .errors import InvalidInput, InvalidPartition, ParseError, SchemaError
 from .exactlin import MultiTensor
 from .gauge import DimAssignment, Gauge
@@ -98,37 +100,6 @@ def _check_digits(pairs, where):
         if abs(p) >= _DIGIT_BOUND or q >= _DIGIT_BOUND:
             raise InvalidInput("%s entry %d has a part of more than %d digits,"
                                " the format's limit" % (where, k, MAX_DIGITS))
-
-
-def _entries_text(tensor):
-    """A tensor's entries as written, in lowest terms."""
-    nums, den = tensor.integer_form()
-    # lowest terms only shrink the parts of the integer form
-    if den >= _DIGIT_BOUND or max(map(abs, nums), default=0) >= _DIGIT_BOUND:
-        _check_digits(tensor.lowest_terms(), "tensor")
-    return tuple(_rational_text(p, q) for p, q in tensor.lowest_terms())
-
-
-def _written(memo, obj, write):
-    """``write(obj)``, made once per object in one serialization: ``memo``
-    keeps it by identity, beside the object itself, so that no other
-    object takes that identity while the memo lives."""
-    kept = memo.get(id(obj))
-    if kept is None:
-        kept = memo[id(obj)] = (obj, write(obj))
-    return kept[1]
-
-
-def tensor_to_json(tensor, memo=None):
-    """A tensor's JSON form.  ``memo`` is the cache of one serialization
-    (a fresh one when not given): a tensor found in many places is
-    written once, and each place gets lists of its own."""
-    entries = _written({} if memo is None else memo, tensor, _entries_text)
-    return {
-        "out_dim": tensor.out_dim,
-        "in_dims": list(tensor.in_dims),
-        "entries": list(entries),
-    }
 
 
 def _list_value(obj, key, where):
@@ -234,13 +205,6 @@ def _interned(memo, key, read, *args):
     return found
 
 
-def dims_to_json(dims):
-    return [
-        {"set": list(key), "dim": dims.dims[key]}
-        for key in sorted(dims.dims, key=lambda s: (len(s), tuple(s)))
-    ]
-
-
 def dims_from_json(n, obj, where="dims"):
     if not isinstance(obj, list):
         raise SchemaError("%s must be a list" % where)
@@ -257,32 +221,6 @@ def dims_from_json(n, obj, where="dims"):
         return DimAssignment(n, out)
     except Exception as err:
         raise SchemaError("%s incomplete: %s" % (where, err))
-
-
-def gauge_to_json(gauge, where="gauge", memo=None):
-    """A gauge's JSON form; ``memo`` as in ``tensor_to_json``."""
-    if memo is None:
-        memo = {}
-    components = []
-    for (subset, rho), tensor in zip(cube_plan(gauge.n).keys, gauge.tensors):
-        if tensor is None and len(rho) > 1:
-            continue
-        tensor = gauge.linear_part(subset) if tensor is None else tensor
-        try:
-            body = tensor_to_json(tensor, memo)
-        except InvalidInput as err:
-            raise InvalidInput("%s component%s: %s" % (where, _label(subset, rho), err))
-        components.append({
-            "target": list(subset),
-            "blocks": [list(b) for b in rho],
-            "tensor": body,
-        })
-    return {
-        "n": gauge.n,
-        "source_dims": dims_to_json(gauge.source_dims),
-        "target_dims": dims_to_json(gauge.target_dims),
-        "components": components,
-    }
 
 
 def _list_field(obj, key, where):
@@ -400,28 +338,6 @@ def _check_header(obj, kind, noun):
         raise SchemaError("unsupported format_version %r" % (obj.get("format_version"),))
 
 
-def atlas_to_json(presentation):
-    a = presentation
-    memo = {}
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "atlas",
-        "n": a.n,
-        "base": list(a.base.points),
-        "dims": dims_to_json(a.dims),
-        "charts": [{"id": c.id, "domain": list(c.domain)} for c in a.charts],
-        "transitions": [
-            {
-                "from": src,
-                "to": dst,
-                "point": p,
-                "gauge": gauge_to_json(g, "transition %s<-%s at %s" % (dst, src, p), memo),
-            }
-            for (dst, src, p), g in sorted(a.transitions.items())
-        ],
-    }
-
-
 def atlas_from_json(obj):
     _check_header(obj, "atlas", "an atlas")
     n = _cube_dimension(obj, "atlas")
@@ -453,25 +369,6 @@ def atlas_from_json(obj):
         raise SchemaError("atlas inconsistent: %s" % err)
 
 
-def element_to_json(elem):
-    for key, vec in elem.components.items():
-        _check_digits(((x.numerator, x.denominator) for x in vec),
-                      "element component at %s" % (list(key),))
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "element",
-        "node": list(elem.node),
-        "chart": elem.chart,
-        "point": elem.point,
-        "components": [
-            {"set": list(key),
-             "vector": [_rational_text(x.numerator, x.denominator) for x in vec]}
-            for key, vec in sorted(elem.components.items(),
-                                   key=lambda kv: (len(kv[0]), tuple(kv[0])))
-        ],
-    }
-
-
 def element_from_json(obj):
     _check_header(obj, "element", "an element")
     chart = _string_field(obj, "chart", "element")
@@ -488,23 +385,6 @@ def element_from_json(obj):
         comps[key] = tuple(Fraction(*rational_from_str(x, where, k))
                            for k, x in enumerate(_list_value(item, "vector", where)))
     return BundleElement(node, chart, point, comps)
-
-
-def morphism_to_json(morphism):
-    memo = {}
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "morphism",
-        "n": morphism.source.n,
-        "base": list(morphism.source.base.points),
-        "source_dims": dims_to_json(morphism.source.dims),
-        "target_dims": dims_to_json(morphism.target.dims),
-        "data": [
-            {"chart": chart, "point": p,
-             "gauge": gauge_to_json(g, "morphism data at (%s, %s)" % (chart, p), memo)}
-            for (chart, p), g in sorted(morphism.data.items())
-        ],
-    }
 
 
 def morphism_from_json(obj, source, target):
@@ -525,35 +405,6 @@ def morphism_from_json(obj, source, target):
         return BundleMorphism(source, target, data)
     except Exception as err:
         raise SchemaError("morphism inconsistent with presentations: %s" % err)
-
-
-def generator_to_json(infinity):
-    from .tower import RuleGenerator, StabilizingGenerator
-    gen = infinity.generator
-    if isinstance(gen, StabilizingGenerator):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "generator",
-            "generator": {
-                "kind": "stabilizing",
-                "N": gen.level,
-                "instance": atlas_to_json(gen.instance),
-            },
-        }
-    if isinstance(gen, RuleGenerator):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "generator",
-            "generator": {
-                "kind": "rule",
-                "base": list(gen.base.points),
-                "charts": [{"id": cid, "domain": list(dom)}
-                           for cid, dom in gen.chart_specs],
-                "dim_rule": gen.dim_rule,
-                "transition_rule": gen.transition_rule,
-            },
-        }
-    raise SchemaError("unknown generator type %r" % (type(gen),))
 
 
 def generator_from_json(obj):
@@ -582,42 +433,177 @@ def generator_from_json(obj):
     raise SchemaError("unknown generator kind %r" % (body.get("kind"),))
 
 
-def to_json(value):
-    """Serialize any supported object to its JSON form."""
+# canonical JSON text of a JSON value: sorted keys, compact separators,
+# ASCII; values taken from input (ids, points, rule bodies) are written
+# with it, so their escaping is the JSON encoder's
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _ints(values):
+    return "[%s]" % ",".join(map(str, values))
+
+
+def _tensor_text(tensor):
+    """A tensor's text, its entries in lowest terms."""
+    nums, den = tensor.integer_form()
+    # lowest terms only shrink the parts of the integer form
+    if den >= _DIGIT_BOUND or max(map(abs, nums), default=0) >= _DIGIT_BOUND:
+        _check_digits(tensor.lowest_terms(), "tensor")
+    return '{"entries":[%s],"in_dims":%s,"out_dim":%d}' % (
+        ",".join(['"%s"' % _rational_text(p, q) for p, q in tensor.lowest_terms()]),
+        _ints(tensor.in_dims), tensor.out_dim)
+
+
+def _dims_text(dims, memo):
+    """A dims list's text, written once per distinct value in ``memo``."""
+    text = memo.get(dims)
+    if text is None:
+        text = memo[dims] = "[%s]" % ",".join(
+            '{"dim":%d,"set":%s}' % (dims.dims[key], _ints(key))
+            for key in sorted(dims.dims, key=lambda s: (len(s), tuple(s))))
+    return text
+
+
+@_memoized(16)
+def _component_heads(n):
+    """The text before the tensor of each gauge component over ``n`` axes,
+    in plan order."""
+    return tuple('{"blocks":%s,"target":%s,"tensor":' % (_ENCODE(rho), _ints(subset))
+                 for subset, rho in cube_plan(n).keys)
+
+
+def _gauge_text(gauge, where, memo, header=""):
+    """A gauge's text.  ``memo`` holds the text of each distinct tensor
+    and dims list written so far in this serialization; an error names
+    the component at ``where``.  ``header`` goes before ``n``: a gauge
+    file's format fields."""
+    components = []
+    for head, (subset, rho), tensor in zip(
+            _component_heads(gauge.n), cube_plan(gauge.n).keys, gauge.tensors):
+        if tensor is None:
+            if len(rho) > 1:
+                continue
+            tensor = gauge.linear_part(subset)
+        text = memo.get(tensor)
+        if text is None:
+            try:
+                text = memo[tensor] = _tensor_text(tensor)
+            except InvalidInput as err:
+                raise InvalidInput("%s component%s: %s" % (where, _label(subset, rho), err))
+        components.append(head + text + "}")
+    return '{"components":[%s],%s"n":%d,"source_dims":%s,"target_dims":%s}' % (
+        ",".join(components), header, gauge.n,
+        _dims_text(gauge.source_dims, memo), _dims_text(gauge.target_dims, memo))
+
+
+def _charts_text(charts):
+    """The text of a charts list given as ``(id, domain)`` pairs."""
+    return "[%s]" % ",".join('{"domain":%s,"id":%s}' % (_ENCODE(list(domain)), _ENCODE(cid))
+                             for cid, domain in charts)
+
+
+def _atlas_text(a):
+    memo = {}
+    return ('{"base":%s,"charts":%s,"dims":%s,"format_version":%d,"kind":"atlas",'
+            '"n":%d,"transitions":[%s]}') % (
+        _ENCODE(list(a.base.points)), _charts_text((c.id, c.domain) for c in a.charts),
+        _dims_text(a.dims, memo), FORMAT_VERSION, a.n, ",".join(
+            '{"from":%s,"gauge":%s,"point":%s,"to":%s}' % (
+                _ENCODE(src), _gauge_text(g, "transition %s<-%s at %s" % (dst, src, p), memo),
+                _ENCODE(p), _ENCODE(dst))
+            for (dst, src, p), g in sorted(a.transitions.items())))
+
+
+def _element_text(elem):
+    for key, vec in elem.components.items():
+        _check_digits(((x.numerator, x.denominator) for x in vec),
+                      "element component at %s" % (list(key),))
+    return ('{"chart":%s,"components":[%s],"format_version":%d,"kind":"element",'
+            '"node":%s,"point":%s}') % (
+        _ENCODE(elem.chart), ",".join(
+            '{"set":%s,"vector":[%s]}' % (_ints(key), ",".join(
+                '"%s"' % _rational_text(x.numerator, x.denominator) for x in vec))
+            for key, vec in sorted(elem.components.items(),
+                                   key=lambda kv: (len(kv[0]), tuple(kv[0])))),
+        FORMAT_VERSION, _ints(elem.node), _ENCODE(elem.point))
+
+
+def _morphism_text(morphism):
+    memo = {}
+    return ('{"base":%s,"data":[%s],"format_version":%d,"kind":"morphism","n":%d,'
+            '"source_dims":%s,"target_dims":%s}') % (
+        _ENCODE(list(morphism.source.base.points)), ",".join(
+            '{"chart":%s,"gauge":%s,"point":%s}' % (
+                _ENCODE(chart), _gauge_text(g, "morphism data at (%s, %s)" % (chart, p), memo),
+                _ENCODE(p))
+            for (chart, p), g in sorted(morphism.data.items())),
+        FORMAT_VERSION, morphism.source.n,
+        _dims_text(morphism.source.dims, memo), _dims_text(morphism.target.dims, memo))
+
+
+def _generator_text(gen):
+    from .tower import RuleGenerator, StabilizingGenerator
+    if isinstance(gen, StabilizingGenerator):
+        body = '{"N":%d,"instance":%s,"kind":"stabilizing"}' % (
+            gen.level, _atlas_text(gen.instance))
+    elif isinstance(gen, RuleGenerator):
+        body = '{"base":%s,"charts":%s,"dim_rule":%s,"kind":"rule","transition_rule":%s}' % (
+            _ENCODE(list(gen.base.points)), _charts_text(gen.chart_specs),
+            _ENCODE(gen.dim_rule), _ENCODE(gen.transition_rule))
+    else:
+        raise SchemaError("unknown generator type %r" % (type(gen),))
+    return '{"format_version":%d,"generator":%s,"kind":"generator"}' % (FORMAT_VERSION, body)
+
+
+def to_text(value):
+    """The canonical JSON text of any supported object, written straight
+    from it: one serialization writes each distinct tensor and dims list
+    once."""
     from .tower import InfinityPresentation
     if isinstance(value, AtlasPresentation):
-        return atlas_to_json(value)
-    if isinstance(value, BundleElement):
-        return element_to_json(value)
+        return _atlas_text(value)
     if isinstance(value, BundleMorphism):
-        return morphism_to_json(value)
+        return _morphism_text(value)
     if isinstance(value, Gauge):
-        out = gauge_to_json(value)
-        out["format_version"] = FORMAT_VERSION
-        out["kind"] = "gauge"
-        return out
+        return _gauge_text(value, "gauge", {},
+                           '"format_version":%d,"kind":"gauge",' % FORMAT_VERSION)
+    if isinstance(value, BundleElement):
+        return _element_text(value)
     if isinstance(value, InfinityPresentation):
-        return generator_to_json(value)
+        return _generator_text(value.generator)
     raise SchemaError("cannot serialize %r" % (type(value),))
 
 
+def dumps(value):
+    return to_text(value).encode()
+
+
+def fingerprint(value):
+    """Content hash of the canonical serialization of a supported object."""
+    return hashlib.sha256(dumps(value)).hexdigest()
+
+
+def to_json(value):
+    """The JSON tree of ``to_text(value)``, for a caller that edits one."""
+    return json.loads(to_text(value))
+
+
+def atlas_to_json(presentation):
+    return json.loads(_atlas_text(presentation))
+
+
+def tensor_to_json(tensor):
+    return json.loads(_tensor_text(tensor))
+
+
 def canonical_text(obj):
-    """Canonical serialization: sorted keys, compact separators, ASCII."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical serialization of a JSON value."""
+    return _ENCODE(obj)
 
 
 def canonical_bytes(obj):
     """The canonical serialization as UTF-8 bytes."""
-    return canonical_text(obj).encode("utf-8")
-
-
-def dumps(value):
-    return canonical_bytes(to_json(value))
-
-
-def fingerprint(obj):
-    """Content hash of the canonical serialization of a JSON object."""
-    return hashlib.sha256(canonical_bytes(obj)).hexdigest()
+    return _ENCODE(obj).encode("utf-8")
 
 
 def parse_json_bytes(data):

@@ -7,13 +7,14 @@ The pipeline follows the constructive existence proofs:
   every face splitting is fetched from a shared cache).  Per chart and
   point a local splitting gauge then has identity singleton parts, the
   face splittings' top components on the proper faces, and in the top
-  slot the ``theta_top`` hook read on basis tuples, or zero without
-  one: over a discrete base the zero-top right inverse of the pullback
-  projection is already multilinear in its own chart.  The local gauges
-  are pasted with a partition of unity over the finite base: each is
-  conjugated into the canonical chart, by the object's transition after
-  it and the vacant model's before it, and the top components are
-  averaged with the strategy's weights.  Only the top component of a
+  slot the ``theta_top`` hook read on basis tuples (at the top of the
+  presentation itself), or zero without one: over a discrete base the
+  zero-top right inverse of the pullback projection is already
+  multilinear in its own chart.  The local gauges are pasted with a
+  partition of unity over the finite base: each is conjugated into the
+  canonical chart, by the object's transition after it and the vacant
+  model's before it, and the top components are averaged with the
+  strategy's weights.  Only the top component of a
   conjugate is composed (``gauge._compose_at``), and no element is
   evaluated.  Splittings and decompositions are stated in the canonical
   charts; their other charts are derived when first read (see
@@ -263,17 +264,19 @@ class DecompositionBuilder:
                 ((nu, Partition([[i] for i in nu])), self.splitting(self.subkey(key, nu)))
                 for nu in nonempty_subsets(full_set(obj.n)) if 1 < len(nu) < obj.n
             ]
-            family = {p: self._paste(obj, vac, faces, p) for p in self.A.base}
+            # the hook gives the top slot of the presentation itself only
+            hook = self.theta_top if key == self.top_key() else None
+            family = {p: self._paste(obj, vac, faces, p, hook) for p in self.A.base}
             data = morphism_from_canonical(vac, obj, family).data
         morphism = Splitting(vac, obj, data)
         self.cache.splittings[key] = morphism
         return morphism
 
-    def _chart_splitting(self, obj, vac, faces, chart, point):
+    def _chart_splitting(self, obj, vac, faces, chart, point, hook):
         """The splitting gauge local to one chart: identity singleton parts,
         the cached sub-splitting's top in this chart on every proper face,
-        and in the top slot ``theta_top`` read on basis tuples (zero
-        without it)."""
+        and in the top slot ``hook`` read on basis tuples (zero without
+        it)."""
         comps = {}
         for i in range(1, obj.n + 1):
             single = IndexSet([i])
@@ -281,17 +284,21 @@ class DecompositionBuilder:
                 obj.dims.dim(single))
         for face_key, sub in faces:
             comps[face_key] = splitting_top(sub, chart, point)
-        if self.theta_top is not None:
+        if hook is not None:
             top = _top_key(obj.n)
             in_dims = vac.dims.block_dims(top[1])
             d_top = obj.dims.dim(top[0])
             bases = product(*([unit_vector(d, j) for j in range(d)] for d in in_dims))
-            values = [self.theta_top(chart, point, list(args)) for args in bases]
+            values = [hook(chart, point, list(args)) for args in bases]
+            wrong = next((v for v in values if len(v) != d_top), None)
+            if wrong is not None:
+                raise InvalidInput("theta_top at chart %r, point %r returned %d values,"
+                                   " expected %d" % (chart, point, len(wrong), d_top))
             comps[top] = MultiTensor(
                 d_top, in_dims, [v[i0] for i0 in range(d_top) for v in values])
         return Gauge(vac.dims, obj.dims, comps)
 
-    def _paste(self, obj, vac, faces, point):
+    def _paste(self, obj, vac, faces, point, hook):
         """The splitting gauge at a point in the canonical chart.
 
         Every chart's local splitting is conjugated into the canonical
@@ -302,7 +309,7 @@ class DecompositionBuilder:
         and so are the face tops of the other charts' local splittings.
         """
         can = obj.canonical_chart(point)
-        own = self._chart_splitting(obj, vac, faces, can, point)
+        own = self._chart_splitting(obj, vac, faces, can, point, hook)
         others = [] if self.strategy == "least-chart" else [
             c for c in sorted(obj.charts_at(point)) if c != can]
         if not others:
@@ -310,7 +317,7 @@ class DecompositionBuilder:
         top = _top_key(obj.n)
         total = own.components[top]
         for c in others:
-            local = self._chart_splitting(obj, vac, faces, c, point)
+            local = self._chart_splitting(obj, vac, faces, c, point, hook)
             total = total.plus(_conjugated_top(
                 obj.transition(can, c, point), local, vac.transition(c, can, point)))
         comps = dict(zip(cube_plan(obj.n).keys, own.tensors))
@@ -349,7 +356,9 @@ def find_splitting(presentation, strategy="least-chart", theta_top=None):
     value of a chart-local right inverse on one vector per singleton
     slot.  It is read on basis tuples only: the splitting uses the
     multilinear map with those values, which is the hook itself when the
-    hook is multilinear.
+    hook is multilinear.  It sets the top slot of the presentation itself;
+    the splittings of its faces keep a zero top.  A value of another
+    length than the top fiber dimension is an ``InvalidInput``.
     """
     report = validate(presentation)
     if not report.valid:

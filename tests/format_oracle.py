@@ -1,20 +1,23 @@
-"""The eager JSON reader and writer, kept as differential oracles.
+"""The eager JSON reader and tree writer, kept as differential oracles.
 
 Before the reader interned repeated pieces, every tensor and every dims
 list of an input was decoded again wherever it appeared.  Before the
-writer cached tensor text, every component was written out again,
-shared or not.  These copies of that code are the reference that
-``tests/test_format_interning.py`` compares ``mvb.formats`` against:
-the same object or the same exception class and message for every
-input, and the same JSON tree for every object.  They reuse the
-unchanged helpers of ``mvb.formats``.
+writer wrote text straight from the objects, it built a JSON tree of
+every object, writing every component out again, shared or not, and
+encoded the tree with ``json.dumps``.  These copies of that code are
+the reference that ``tests/test_format_interning.py`` compares
+``mvb.formats`` against: the same object or the same exception class
+and message for every input, and the same bytes (``canonical_bytes``
+of the tree) for every object.  They reuse the unchanged helpers of
+``mvb.formats``.
 """
 
+import json
 from math import lcm, prod
 
 from mvb import formats
 from mvb.atlas import AtlasPresentation, Chart, FiniteBase
-from mvb.bundle import BundleMorphism
+from mvb.bundle import BundleElement, BundleMorphism
 from mvb.cubecat import cube_plan
 from mvb.errors import InvalidInput, SchemaError
 from mvb.exactlin import MultiTensor
@@ -32,11 +35,10 @@ from mvb.formats import (
     _list_value,
     _rational_text,
     _string_field,
-    dims_to_json,
     rational_from_str,
 )
 from mvb.gauge import DimAssignment, Gauge
-from mvb.tower import InfinityPresentation, StabilizingGenerator
+from mvb.tower import InfinityPresentation, RuleGenerator, StabilizingGenerator
 
 
 def tensor_from_json(obj, where=""):
@@ -166,7 +168,18 @@ def from_json(obj):
     if kind == "gauge":
         _check_header(obj, "gauge", "a gauge")
         return gauge_from_json(obj)
-    return formats.parse(formats.canonical_bytes(obj))
+    return formats.parse(canonical_bytes(obj))
+
+
+def canonical_bytes(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def dims_to_json(dims):
+    return [
+        {"set": list(key), "dim": dims.dims[key]}
+        for key in sorted(dims.dims, key=lambda s: (len(s), tuple(s)))
+    ]
 
 
 def tensor_to_json(tensor):
@@ -240,11 +253,47 @@ def morphism_to_json(morphism):
     }
 
 
+def element_to_json(elem):
+    for key, vec in elem.components.items():
+        _check_digits(((x.numerator, x.denominator) for x in vec),
+                      "element component at %s" % (list(key),))
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": "element",
+        "node": list(elem.node),
+        "chart": elem.chart,
+        "point": elem.point,
+        "components": [
+            {"set": list(key),
+             "vector": [_rational_text(x.numerator, x.denominator) for x in vec]}
+            for key, vec in sorted(elem.components.items(),
+                                   key=lambda kv: (len(kv[0]), tuple(kv[0])))
+        ],
+    }
+
+
+def generator_to_json(gen):
+    if isinstance(gen, StabilizingGenerator):
+        body = {"kind": "stabilizing", "N": gen.level, "instance": atlas_to_json(gen.instance)}
+    elif isinstance(gen, RuleGenerator):
+        body = {
+            "kind": "rule",
+            "base": list(gen.base.points),
+            "charts": [{"id": cid, "domain": list(dom)} for cid, dom in gen.chart_specs],
+            "dim_rule": gen.dim_rule,
+            "transition_rule": gen.transition_rule,
+        }
+    else:
+        raise SchemaError("unknown generator type %r" % (type(gen),))
+    return {"format_version": FORMAT_VERSION, "kind": "generator", "generator": body}
+
+
 def to_json(value):
-    """The eager serialization of an atlas, a morphism, a gauge or a
-    stabilizing generator; other kinds go to ``formats``."""
+    """The eager serialization of any supported object, as a JSON tree."""
     if isinstance(value, AtlasPresentation):
         return atlas_to_json(value)
+    if isinstance(value, BundleElement):
+        return element_to_json(value)
     if isinstance(value, BundleMorphism):
         return morphism_to_json(value)
     if isinstance(value, Gauge):
@@ -252,15 +301,6 @@ def to_json(value):
         out["format_version"] = FORMAT_VERSION
         out["kind"] = "gauge"
         return out
-    if isinstance(value, InfinityPresentation) \
-            and isinstance(value.generator, StabilizingGenerator):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "generator",
-            "generator": {
-                "kind": "stabilizing",
-                "N": value.generator.level,
-                "instance": atlas_to_json(value.generator.instance),
-            },
-        }
-    return formats.to_json(value)
+    if isinstance(value, InfinityPresentation):
+        return generator_to_json(value.generator)
+    raise SchemaError("cannot serialize %r" % (type(value),))

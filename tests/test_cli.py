@@ -588,9 +588,9 @@ def test_reports_match_the_oracle_encoder(tmp_path, capsys, monkeypatch, name, o
     results, oracle_out = [], io.StringIO()
     set_result, emit = cli.Report.set_result, cli._emit
 
-    def keep_result(report, result, outfile):
-        results.append(result)
-        set_result(report, result, outfile)
+    def keep_result(report, text, outfile):
+        results.append(json.loads(text))
+        set_result(report, text, outfile)
 
     def emit_both(report, args):
         report_oracle.emit(report, results[0] if results else None, args.output,

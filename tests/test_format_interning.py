@@ -2,15 +2,16 @@
 serialization writes each distinct tensor once.
 
 ``formats`` interns, for the length of one top-level read, every tensor
-and dims list under a key of exact JSON types, and caches, for the
-length of one ``to_json`` call, each tensor's entries text by identity.
-These tests compare both with the eager reader and writer kept in
-``format_oracle`` (the same object or the same error, the same tree),
-and pin what the interning promises: shared dims, shared equal tensors,
-no shared mutable container in an output tree, and an unchanged input
-fingerprint.
+and dims list under a key of exact JSON types, and writes canonical
+text straight from the objects, keeping for the length of one
+``to_text`` call the text of each distinct tensor and dims list by
+value.  These tests compare both with the eager reader and tree writer
+kept in ``format_oracle`` (the same object or the same error, the same
+bytes), and pin what the interning promises: shared dims, shared equal
+tensors, each distinct tensor written once, no shared mutable
+container in a ``to_json`` tree, and an input fingerprint that depends
+only on the values an input holds.
 """
-
 import contextlib
 import copy
 import hashlib
@@ -20,6 +21,8 @@ import os
 import sys
 from math import prod
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,9 +31,16 @@ import format_oracle as oracle
 from helpers import seeded
 from mvb import cli, formats
 from mvb.atlas import AtlasPresentation, validate
-from mvb.errors import SchemaError
-from mvb.rand import random_dims, random_gauge, twisted_instance
-from mvb.split import decompose
+from mvb.bundle import BundleMorphism
+from mvb.cores import ultracore_sequence
+from mvb.cubecat import Partition, cube_plan, full_set, nonempty_subsets
+from mvb.errors import InvalidInput, SchemaError
+from mvb.exactlin import MultiTensor
+from mvb.gauge import DimAssignment, Gauge
+from mvb.rand import random_dims, random_element, random_gauge, twisted_instance
+from mvb.split import decompose, find_splitting
+from mvb.tower import InfinityPresentation, RuleGenerator, StabilizingGenerator
+from test_routing import SMALL, small_instances
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
@@ -53,6 +63,19 @@ def gen_atlas(seed=602):
     """The atlas ``mvb gen`` writes for one of the ingest workload's seeds."""
     seed, n, points, charts, max_dim = next(g for g in workloads.INGEST_GEN if g[0] == seed)
     return twisted_instance(seed, n=n, max_dim=max_dim, n_points=points, n_charts=charts)
+
+
+def eager_bytes(value):
+    """The bytes the eager tree writer gives for ``value``."""
+    return oracle.canonical_bytes(oracle.to_json(value))
+
+
+def written(write, value):
+    """``write(value)``, or the class and message of what it raised."""
+    try:
+        return write(value)
+    except Exception as err:
+        return type(err), str(err)
 
 
 def gauges_of(body):
@@ -298,6 +321,7 @@ def test_the_writer_writes_as_the_eager_one(value):
     parsed = formats.parse(formats.dumps(value))
     assert formats.to_json(value) == oracle.to_json(value)
     assert formats.to_json(parsed) == oracle.to_json(parsed)
+    assert formats.dumps(value) == formats.dumps(parsed) == eager_bytes(value)
 
 
 def test_the_writer_of_a_morphism_writes_as_the_eager_one():
@@ -336,5 +360,194 @@ def test_the_fingerprint_is_the_hash_of_the_eager_serialization(tmp_path, name):
     inputs = workload_inputs(tmp_path, name)
     assert len(inputs) >= 10
     for file_name, value in inputs.items():
-        expected = hashlib.sha256(formats.canonical_bytes(oracle.to_json(value))).hexdigest()
-        assert cli._fingerprint(value) == expected, file_name
+        assert formats.dumps(value) == eager_bytes(value), file_name
+        expected = hashlib.sha256(eager_bytes(value)).hexdigest()
+        assert formats.fingerprint(value) == expected, file_name
+
+
+@SMALL
+@given(small_instances())
+def test_the_writer_writes_small_instances_as_the_eager_one(presentation):
+    parsed = formats.parse(formats.dumps(presentation))
+    for value in (presentation, parsed, decompose(parsed),
+                  random_element(seeded(len(parsed.transitions)), parsed)):
+        assert formats.dumps(value) == eager_bytes(value)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_writer_writes_rational_gauges_with_empty_slots_as_the_eager_one(seed):
+    rng = seeded(seed)
+    dims = DimAssignment(3, {s: 0 if s in ((1, 2), (3,)) else rng.randint(1, 2)
+                             for s in nonempty_subsets(full_set(3))})
+    gauge = random_gauge(rng, dims)
+    values = (gauge, gauge.invert(), gauge.compose(random_gauge(rng, dims)).invert())
+    for value in values:
+        assert formats.dumps(value) == eager_bytes(value)
+    texts = [formats.to_text(value) for value in values]
+    assert all('"dim":0' in text for text in texts) and any("/" in text for text in texts)
+
+
+def test_the_writer_writes_every_kind_as_the_eager_one():
+    a = twisted_instance(27, n=3, n_points=2, n_charts=3)
+    values = [
+        decompose(a), find_splitting(a, "uniform-average"), random_element(seeded(28), a),
+        InfinityPresentation(StabilizingGenerator(a)),
+        InfinityPresentation(RuleGenerator(
+            ["p", "q"], [("0", ("p",)), ("1", ("p", "q"))],
+            {"kind": "threshold", "dim": 1, "max_card": 2},
+            {"kind": "conjugate", "seed": 3})),
+    ]
+    for value in values:
+        assert formats.dumps(value) == eager_bytes(value), type(value)
+
+
+def test_the_ultracore_result_is_its_two_morphisms_as_the_eager_writer_writes_them(tmp_path):
+    a = twisted_instance(29, n=3, n_points=2, n_charts=2)
+    path, out = tmp_path / "a.json", tmp_path / "u.json"
+    path.write_bytes(formats.dumps(a))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["ultracore", str(path), "--k", "1", "-o", str(out)]) == 0
+    iota, pi, _ = ultracore_sequence(formats.parse(path.read_bytes()), 1)
+    expected = {"inclusion": oracle.to_json(iota), "projection": oracle.to_json(pi)}
+    assert out.read_bytes() == oracle.canonical_bytes(expected) + b"\n"
+
+
+def _with_long_entry(gauge):
+    """``gauge`` with a part of MAX_DIGITS + 1 digits in its top one-block
+    component."""
+    tensors = list(gauge.tensors)
+    top_set = full_set(gauge.n)
+    at = cube_plan(gauge.n).index[(top_set, Partition([top_set]))]
+    top = tensors[at]
+    long = MultiTensor(top.out_dim, top.in_dims,
+                       [Fraction(1, 10 ** formats.MAX_DIGITS)] + [0] * (len(top.entries) - 1))
+    tensors[at] = top.plus(long)
+    return Gauge.from_tensors(gauge.source_dims, gauge.target_dims, tensors)
+
+
+def test_the_writer_fails_on_long_parts_as_the_eager_one():
+    a = twisted_instance(304, n=2, n_points=2, n_charts=2)
+    key, gauge = sorted(a.transitions.items())[1]
+    transitions = dict(a.transitions)
+    transitions[key] = _with_long_entry(gauge)
+    atlas = AtlasPresentation(a.n, a.dims, a.base, a.charts, transitions)
+    dec = decompose(a)
+    location = sorted(dec.data)[-1]
+    data = dict(dec.data)
+    data[location] = _with_long_entry(data[location])
+    elem = random_element(seeded(1), a)
+    elem.components[(1,)] = (Fraction(10 ** formats.MAX_DIGITS),) + elem.components[(1,)][1:]
+    values = [atlas, _with_long_entry(gauge), BundleMorphism(dec.source, dec.target, data),
+              elem, InfinityPresentation(StabilizingGenerator(atlas))]
+    for value in values:
+        got = written(formats.dumps, value)
+        assert got == written(eager_bytes, value), type(value)
+        assert got[0] is InvalidInput and "more than 4300 digits" in got[1]
+
+
+def test_gen_writes_each_distinct_tensor_text_once(tmp_path, monkeypatch):
+    calls = []
+    write = formats._tensor_text
+    monkeypatch.setattr(formats, "_tensor_text",
+                        lambda tensor: calls.append(tensor) or write(tensor))
+    out = tmp_path / "gen.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["gen", "--seed", "602", "--n", "4", "--points", "4", "--charts", "3",
+                        "--max-dim", "1", "-o", str(out)]) == 0
+    assert len(calls) == len(set(calls)) == 114
+    assert len(tensors_of(json.loads(out.read_bytes()))) > 9 * 114
+
+
+def _rewrite_entries(body, rewrite):
+    for tensor in tensors_of(body):
+        tensor["entries"] = [rewrite(Fraction(x)) for x in tensor["entries"]]
+    return body
+
+
+def _unreduced(body):
+    return _rewrite_entries(body, lambda x: "%d/%d" % (2 * x.numerator, 2 * x.denominator))
+
+
+def _plus_signs(body):
+    return _rewrite_entries(body, lambda x: ("+" if x >= 0 else "") + str(x))
+
+
+def _reversed_keys(value):
+    if isinstance(value, dict):
+        return {key: _reversed_keys(value[key]) for key in sorted(value, reverse=True)}
+    return [_reversed_keys(v) for v in value] if isinstance(value, list) else value
+
+
+def _shuffled(body):
+    """Keys in reverse order, and transitions, dims and components (whose
+    order carries nothing) reversed."""
+    body["transitions"].reverse()
+    body["dims"].reverse()
+    for gauge in gauges_of(body):
+        for field in ("components", "source_dims", "target_dims"):
+            gauge[field].reverse()
+    return _reversed_keys(body)
+
+
+def _explicit_zeros(body):
+    """Every absent multi-block component written as an all-zero tensor."""
+    dims = {tuple(d["set"]): d["dim"] for d in body["dims"]}
+    for gauge in gauges_of(body):
+        present = {(tuple(c["target"]), tuple(map(tuple, c["blocks"])))
+                   for c in gauge["components"]}
+        for subset, rho in cube_plan(body["n"]).keys:
+            if len(rho) > 1 and (tuple(subset), tuple(map(tuple, rho))) not in present:
+                tensor = MultiTensor.zeros(dims[subset], [dims[b] for b in rho])
+                gauge["components"].append({"target": list(subset),
+                                            "blocks": [list(b) for b in rho],
+                                            "tensor": formats.tensor_to_json(tensor)})
+    return body
+
+
+def validate_fingerprint(capsys, path):
+    cli.run(["validate", str(path)])
+    return json.loads(capsys.readouterr().out)["fingerprint"]
+
+
+def test_inputs_that_write_the_same_values_differently_share_one_fingerprint(
+        tmp_path, capsys):
+    atlas = twisted_instance(31, n=3, n_points=2, n_charts=3)
+    canonical = formats.dumps(atlas)
+    assert b"/" in canonical
+    path = tmp_path / "canonical.json"
+    path.write_bytes(canonical)
+    expected = validate_fingerprint(capsys, path)
+    assert expected == hashlib.sha256(canonical).hexdigest()
+    for edit in (_unreduced, _plus_signs, _shuffled, _explicit_zeros):
+        body = edit(json.loads(canonical))
+        assert formats.canonical_bytes(body) != canonical, edit.__name__
+        for text in (json.dumps(body), json.dumps(body, indent=2) + "\n"):
+            variant = tmp_path / "variant.json"
+            variant.write_text(text)
+            assert validate_fingerprint(capsys, variant) == expected, edit.__name__
+
+
+def test_ids_and_points_with_escapes_are_written_as_the_eager_writer_writes_them(
+        tmp_path, capsys):
+    atlas = twisted_instance(32, n=2, n_points=2, n_charts=2)
+    names = {}
+    for k, chart in enumerate(atlas.charts):
+        names[chart.id] = ['été "q"', "back\\slash", "☃/\t"][k]
+    for k, point in enumerate(atlas.base.points):
+        names[point] = ['p"0"\\', "üß\U0001d11e"][k]
+    body = json.loads(formats.dumps(atlas))
+    body["base"] = [names[p] for p in body["base"]]
+    for chart in body["charts"]:
+        chart["id"], chart["domain"] = names[chart["id"]], [names[p] for p in chart["domain"]]
+    for transition in body["transitions"]:
+        for field in ("from", "to", "point"):
+            transition[field] = names[transition[field]]
+    escaped, raw = tmp_path / "escaped.json", tmp_path / "raw.json"
+    escaped.write_text(json.dumps(body))
+    raw.write_bytes(json.dumps(body, ensure_ascii=False).encode("utf-8"))
+    parsed = formats.parse(raw.read_bytes())
+    assert {c.id for c in parsed.charts} == {names[c.id] for c in atlas.charts}
+    for value in (parsed, decompose(parsed)):
+        assert formats.dumps(value) == eager_bytes(value)
+    assert validate_fingerprint(capsys, raw) == validate_fingerprint(capsys, escaped) \
+        == hashlib.sha256(eager_bytes(parsed)).hexdigest()

@@ -40,8 +40,11 @@ REASONS = (ENTRY_POINT, BENCH, FORMAT, UNTRIGGERED)
 # module-qualified names of the functions no demo or subcommand enters
 KEPT = {
     "cli.main": ENTRY_POINT,
-    "formats.dumps": BENCH,
-    "formats.element_to_json": FORMAT,
+    "formats.atlas_to_json": BENCH,
+    "formats.canonical_bytes": BENCH,
+    "formats.tensor_to_json": BENCH,
+    "formats.to_json": FORMAT,
+    "formats._element_text": FORMAT,
     "formats.element_from_json": FORMAT,
     "formats.morphism_from_json": FORMAT,
     "formats._string_field": FORMAT,

@@ -52,7 +52,7 @@ def instance(seed, n):
 
 
 def as_bytes(morphism):
-    return formats.canonical_bytes(formats.morphism_to_json(morphism))
+    return formats.dumps(morphism)
 
 
 @SMALL

@@ -9,7 +9,7 @@ from mvb.bundle import element, elements_equal
 from mvb.cubecat import full_set, nonempty_subsets
 from mvb.errors import SemanticError
 from mvb.exactlin import MultiTensor
-from mvb.formats import atlas_to_json, fingerprint
+from mvb.formats import fingerprint
 from mvb.gauge import DimAssignment
 from mvb.rand import random_element, twisted_instance
 from mvb.sections import (
@@ -269,7 +269,7 @@ def record_built_presentations(monkeypatch):
 
         def wrapper(*args, original=original, **kwargs):
             out = original(*args, **kwargs)
-            built.append(fingerprint(atlas_to_json(out)))
+            built.append(fingerprint(out))
             return out
 
         for module_name, module in list(sys.modules.items()):

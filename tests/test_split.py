@@ -13,7 +13,7 @@ from mvb.atlas import (
 )
 from mvb.bundle import element, elements_equal
 from mvb.cubecat import IndexSet, Partition, full_set, nonempty_subsets
-from mvb.errors import SemanticError
+from mvb.errors import InvalidInput, SemanticError
 from mvb.gauge import DimAssignment, Gauge
 from mvb.rand import random_element, random_gauge, twisted_instance
 from mvb.split import (
@@ -87,6 +87,36 @@ def test_frame_interpolation_repairs_nonlinear_right_inverse():
     # nonlinearity must have been averaged into a genuine tensor
     sl = find_splitting(a, "least-chart")
     assert s.data != sl.data
+
+
+def _scaled_product_hook(length):
+    """A trilinear hook: the product of the first coordinates, times
+    1..length."""
+    def theta(chart, point, args):
+        value = args[0][0] * args[1][0] * args[2][0]
+        return tuple(value * (i + 1) for i in range(length))
+    return theta
+
+
+def test_theta_top_sets_only_the_top_slot_of_a_triple_bundle():
+    # the top fiber has dim 1 and the face {1, 2} dim 2: a hook read at
+    # the face tops too raised IndexError there
+    a = twisted_instance(2718, n=3, n_points=2, n_charts=2)
+    hooked = find_splitting(a, theta_top=_scaled_product_hook(a.dims.dim(full_set(3))))
+    plain = find_splitting(a)
+    assert is_splitting(hooked) and hooked.data != plain.data
+    top = (full_set(3), Partition([[1], [2], [3]]))
+    for location, gauge in hooked.data.items():
+        for key, tensor in gauge.components.items():
+            if key != top:
+                assert tensor == plain.data[location].components[key], (location, key)
+
+
+def test_theta_top_of_the_wrong_length_names_chart_point_and_length():
+    a = twisted_instance(2718, n=3, n_points=2, n_charts=2)
+    with pytest.raises(InvalidInput, match=r"^theta_top at chart '\w+', point 'p0'"
+                       r" returned 2 values, expected 1$"):
+        find_splitting(a, theta_top=_scaled_product_hook(2))
 
 
 def test_decompose_identity_on_decomposed():
