@@ -28,7 +28,7 @@ from .cubecat import (
     subsets,
 )
 from .errors import DimensionMismatch, InvalidInput
-from .exactlin import MultiTensor, rank, vec_add, vec_scale, zero_vector
+from .exactlin import MultiTensor, vec_add, vec_scale, zero_vector
 from .gauge import DimAssignment, Gauge
 
 
@@ -287,14 +287,6 @@ class BundleMorphism:
     def invert(self):
         data = {key: g.invert() for key, g in self.data.items()}
         return BundleMorphism(self.target, self.source, data)
-
-    def is_fiberwise_bijective(self):
-        for g in self.data.values():
-            for subset in nonempty_subsets(full_set(self.source.n)):
-                lin = g.linear_part(subset)
-                if lin.out_dim != lin.in_dims[0] or rank(lin) != lin.out_dim:
-                    return False
-        return True
 
     def __eq__(self, other):
         return (

@@ -33,7 +33,6 @@ from .cubecat import (
     DiagonalPartition,
     IndexSet,
     Partition,
-    block_unions,
     full_set,
     is_union_of_blocks,
     nonempty_subsets,
@@ -74,9 +73,10 @@ def partition_core(presentation, ambient, blocks):
     if not ambient.issubset(full_set(a.n)):
         raise InvalidInput("ambient node outside the cube")
     dims = diagonal_dims(a.dims, blocks)
-    transitions = {
-        key: g.diagonal_restrict(blocks) for key, g in a.transitions.items()
-    }
+    # a transition of other dims (an unvalidated input) is restricted by its own
+    transitions = {key: g.diagonal_restrict(
+        blocks, (dims, dims) if g.source_dims == a.dims == g.target_dims else None)
+        for key, g in a.transitions.items()}
     return AtlasPresentation(len(blocks), dims, a.base, a.charts, transitions,
                              axis_blocks=tuple(blocks))
 
@@ -87,10 +87,12 @@ def partition_core_morphism(morphism, ambient, blocks):
     starts at the decomposed model of the core: a core's one-block
     components are the ambient ones at the unions of the blocks."""
     blocks = Partition(blocks)
-    return type(morphism)(
-        partition_core(morphism.source, ambient, blocks),
-        partition_core(morphism.target, ambient, blocks),
-        {key: g.diagonal_restrict(blocks) for key, g in morphism.data.items()})
+    source = partition_core(morphism.source, ambient, blocks)
+    target = partition_core(morphism.target, ambient, blocks)
+    # every gauge of a morphism maps the source dims to the target dims
+    return type(morphism)(source, target, {
+        key: g.diagonal_restrict(blocks, (source.dims, target.dims))
+        for key, g in morphism.data.items()})
 
 
 def core(presentation, ambient, inner, check=True):
@@ -196,9 +198,8 @@ def core_by_stages(presentation, ambient, inner, first):
     direct_spec, direct = core(a, s_set, j_set, check=False)
     _, stage1 = core(a, s_set, k_set, check=False)
     # positions of the stage-1 axes that the second stage merges
-    merged_positions = next(
-        nu for nu, union in block_unions(Partition(stage1.axis_blocks)).items()
-        if union == j_set)
+    merged_positions = IndexSet(
+        pos for pos, block in enumerate(stage1.axis_blocks, 1) if block.issubset(j_set))
     _, stage2 = core(stage1, full_set(stage1.n), merged_positions, check=False)
 
     if stage2.dims != direct.dims or stage2.transitions != direct.transitions:

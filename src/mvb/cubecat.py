@@ -10,15 +10,19 @@ The enumerations depend on the index set alone, so ``subsets`` and
 lists every (S, rho) component key once and, on first use, the terms of
 the chart-change composition sum of every key (see ``gauge``).
 
-A partition of an ambient node into k blocks reindexes a core onto the
-k-cube, axis i standing for the i-th block.  ``block_unions`` and
-``ambient_positions`` are that one map, on index sets and on component
-keys: every translation between a core and its ambient cube (gauge
-restriction, routing a core decomposition's components, comparing two
-cores) reads it or inverts it.
-"""
+``IndexSet`` and ``Partition`` are the public key types, built once per
+plan.  Inside a plan a set is an int bitmask (bit i - 1 for i) and a
+partition the tuple of its block masks ordered by lowest bit, the
+canonical order; terms and ambient positions take one OR per union and
+one dict lookup per key.
 
-from types import MappingProxyType
+A partition of an ambient node into k blocks reindexes a core onto the
+k-cube, axis i standing for the i-th block.  ``ambient_positions`` is
+that one map, from each key of the k-cube plan to the position of the
+ambient key it stands for: every translation between a core and its
+ambient cube (gauge restriction, core dimensions, routing a core
+decomposition's components, comparing two cores) reads it or inverts it.
+"""
 
 from .errors import InvalidPartition
 
@@ -77,6 +81,7 @@ class IndexSet(tuple):
         return "IndexSet(%s)" % (list(self),)
 
 
+@_memoized(64)
 def full_set(n):
     """The set {1, ..., n}."""
     return IndexSet(range(1, n + 1))
@@ -204,11 +209,14 @@ class CubePlan:
 
     ``keys`` lists every (S, rho), S a nonempty subset of {1..n} and rho
     a partition of S, in the order gauges store their components;
-    ``index`` maps each key to its position.  ``terms`` (built on first
-    use) lists, per key, one ``(outer, inners, slot_groups)`` triple for
-    every grouping of rho's blocks, the one-group grouping first:
-    ``outer`` is the position of (S, coarsened rho), ``inners`` the
-    positions of (union of the group, the group's blocks) per group, and
+    ``index`` maps each key to its position, and ``mask_index`` each
+    key's block masks (``masks``).  ``top`` is the position of the last
+    key, {1..n} cut into singletons; ``singletons`` lists the positions
+    of every all-singleton key.  ``terms`` (built on first use) lists,
+    per key, one ``(outer, inners, slot_groups)`` triple for every
+    grouping of rho's blocks, the one-group grouping first: ``outer`` is
+    the position of (S, coarsened rho), ``inners`` the positions of
+    (union of the group, the group's blocks) per group, and
     ``slot_groups`` the block positions of rho feeding each group.
     """
 
@@ -217,26 +225,39 @@ class CubePlan:
         self.keys = tuple((s, rho) for s in _subsets(full_set(n))[1:]
                           for rho in _partitions(s))
         self.index = {key: i for i, key in enumerate(self.keys)}
+        self.masks = tuple(tuple(_mask(b) for b in rho) for _, rho in self.keys)
+        self.mask_index = {parts: i for i, parts in enumerate(self.masks)}
+        self.top = len(self.keys) - 1
+        self.singletons = tuple(at for at, (s, rho) in enumerate(self.keys)
+                                if len(rho) == len(s))
         self._terms = None
 
     @property
     def terms(self):
         if self._terms is None:
-            self._terms = tuple(self._key_terms(subset, rho) for subset, rho in self.keys)
+            self._terms = tuple(self._key_terms(parts) for parts in self.masks)
         return self._terms
 
-    def _key_terms(self, subset, rho):
+    def _key_terms(self, parts):
+        # groups list positions in increasing order and come by least
+        # position, so blocks and unions keep the lowest-bit order
+        # (disjoint masks add as they OR)
+        index = self.mask_index
         out = []
-        for slot_groups in _slot_groups(len(rho)):
+        for slot_groups in _slot_groups(len(parts)):
             inners = []
             merged = []
             for positions in slot_groups:
-                group_blocks = Partition([rho[pos] for pos in positions])
-                union = group_blocks.ground
-                inners.append(self.index[(union, group_blocks)])
-                merged.append(union)
-            out.append((self.index[(subset, Partition(merged))], tuple(inners), slot_groups))
+                group = tuple(parts[pos] for pos in positions)
+                inners.append(index[group])
+                merged.append(sum(group))
+            out.append((index[tuple(merged)], tuple(inners), slot_groups))
         return tuple(out)
+
+
+def _mask(index_set):
+    """The bitmask of an index set: bit i - 1 for each element i."""
+    return sum(1 << (i - 1) for i in index_set)
 
 
 @_memoized(16)
@@ -253,27 +274,20 @@ def cube_plan(n):
 
 
 @_memoized(1024)
-def block_unions(blocks):
-    """Map each nonempty set of block positions to the union of its blocks
-    (read-only, since every caller shares it)."""
-    return MappingProxyType({
-        nu: IndexSet(i for pos in nu for i in blocks[pos - 1])
-        for nu in nonempty_subsets(full_set(len(blocks)))
-    })
-
-
-@_memoized(1024)
 def ambient_positions(n_and_blocks):
     """For ``(n, blocks)``: per key of the blocks' cube plan, the position
     in ``cube_plan(n)`` of the ambient key it stands for, whose sets are
     the unions of the blocks named by the key's sets."""
     n, blocks = n_and_blocks
-    unions = block_unions(blocks)
-    index = cube_plan(n).index
-    return tuple(
-        index[(unions[nu], Partition([unions[part] for part in sigma]))]
-        for nu, sigma in cube_plan(len(blocks)).keys
-    )
+    # unions[m] is the mask of the union of the blocks at the set bits of m
+    unions = [0]
+    for bit in map(_mask, blocks):
+        unions += [u | bit for u in unions]
+    # a part with a smaller least position holds the block with the
+    # smaller least element, so the unions keep the canonical order
+    index = cube_plan(n).mask_index
+    return tuple(index[tuple(unions[part] for part in parts)]
+                 for parts in cube_plan(len(blocks)).masks)
 
 
 def coarsen(partition, grouping):

@@ -28,6 +28,8 @@ component at each plan position comes from ``DimAssignment.shapes``, a
 table by plan position built once per distinct dimension assignment
 and shared; construction, composition, inversion and restriction read
 it, and ``Gauge.from_tensors`` takes components already in plan order.
+Restriction and trimming take the tensors of a checked gauge by
+position and check none of them again.
 
 Composition and inversion walk the plan and skip every term whose
 outer or inner component is zero, since such a term contributes
@@ -50,11 +52,9 @@ from .cubecat import (
     Partition,
     _memoized,
     ambient_positions,
-    block_unions,
     cube_plan,
     full_set,
     nonempty_subsets,
-    partitions,
 )
 from .errors import DimensionMismatch, SingularMatrix
 from .exactlin import (
@@ -108,22 +108,16 @@ class DimAssignment:
     def zeroed(self, keep):
         """These dims with every slot whose key fails ``keep`` set to 0;
         the keys are unchanged, so nothing is checked again."""
-        out = DimAssignment.__new__(DimAssignment)
-        out.n = self.n
-        out.dims = {key: (value if keep(key) else 0) for key, value in self.dims.items()}
-        out._shapes = None
-        return out
+        return _derived_dims(
+            self.n, {key: (value if keep(key) else 0) for key, value in self.dims.items()})
 
     def node_dim(self, node):
         """Total fiber dimension of the node over the absolute base."""
         node = IndexSet(node)
         return sum(d for key, d in self.dims.items() if key.issubset(node))
 
-    def block_dims(self, partition):
-        return tuple(self.dims[b] for b in Partition(partition))
-
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, DimAssignment)
             and self.n == other.n
             and self.dims == other.dims
@@ -137,6 +131,13 @@ class DimAssignment:
             self.n,
             {tuple(k): v for k, v in sorted(self.dims.items())},
         )
+
+
+def _derived_dims(n, dims):
+    """The ``DimAssignment`` of ``dims``, derived from checked dims, unchecked."""
+    out = DimAssignment.__new__(DimAssignment)
+    out.n, out.dims, out._shapes = n, dims, None
+    return out
 
 
 @_memoized(64)
@@ -162,11 +163,15 @@ def diagonal_dims(dims, blocks):
 
     Axis positions follow the canonical block order; the dimension of a
     set of positions is the ambient dimension of the union of the
-    corresponding blocks.
+    corresponding blocks, read at the ambient position of its one-block key.
     """
     blocks = Partition(blocks)
-    return DimAssignment(len(blocks), {
-        nu: dims.dims[union] for nu, union in block_unions(blocks).items()})
+    shapes = dims.shapes
+    return _derived_dims(len(blocks), {
+        nu: shapes[at][0]
+        for (nu, rho), at in zip(cube_plan(len(blocks)).keys,
+                                 ambient_positions((dims.n, blocks)))
+        if len(rho) == 1})
 
 
 class Gauge:
@@ -276,16 +281,10 @@ class Gauge:
                     "input at %s has length %d, expected %d"
                     % (list(subset), len(vec), self.source_dims.dim(subset))
                 )
-        index = cube_plan(self.n).index
-        out = {}
-        for subset in support:
-            acc = zero_vector(self.target_dims.dim(subset))
-            for rho in partitions(subset):
-                args = [support[b] for b in rho]
-                tensor = self.tensors[index[(subset, rho)]]
-                if tensor is not None:
-                    acc = vec_add(acc, tensor.apply(args))
-            out[subset] = acc
+        out = {subset: zero_vector(self.target_dims.dim(subset)) for subset in support}
+        for (subset, rho), tensor in zip(cube_plan(self.n).keys, self.tensors):
+            if tensor is not None and subset in out:
+                out[subset] = vec_add(out[subset], tensor.apply([support[b] for b in rho]))
         return out
 
     def compose(self, other):
@@ -334,20 +333,28 @@ class Gauge:
                 solved[at] = tensor
         return Gauge.from_tensors(self.source_dims, self.target_dims, solved)
 
-    def diagonal_restrict(self, blocks):
+    def diagonal_restrict(self, blocks, dims=None):
         """Restrict to targets and partitions built from unions of blocks.
 
         The result is a gauge over the cube whose axis i is the i-th
         block in canonical order; components come from the ambient
         components at the corresponding unions.  This realizes both face
         restriction (singleton blocks) and core reindexing.
+
+        ``dims`` may give the restricted (source, target) dims that
+        ``diagonal_dims`` makes of this gauge's, for a caller restricting
+        many gauges of the same dims.  Nothing is checked again: the
+        ambient component a restricted key (nu, sigma) stands for has its
+        shape under the restricted dims, and zero ones are already ``None``.
         """
         blocks = Partition(blocks)
-        src = diagonal_dims(self.source_dims, blocks)
-        tgt = src if self.target_dims == self.source_dims else \
-            diagonal_dims(self.target_dims, blocks)
-        return Gauge.from_tensors(
-            src, tgt, [self.tensors[at] for at in ambient_positions((self.n, blocks))])
+        if dims is None:
+            src = diagonal_dims(self.source_dims, blocks)
+            dims = src, (src if self.target_dims == self.source_dims
+                         else diagonal_dims(self.target_dims, blocks))
+        tensors = self.tensors
+        return _trusted_gauge(
+            *dims, tuple(tensors[at] for at in ambient_positions((self.n, blocks))))
 
     def trimmed(self, dims):
         """The gauge from ``dims`` to ``dims`` keeping every component whose
@@ -356,10 +363,10 @@ class Gauge:
         Restricts a gauge to a sub-bundle with smaller dimensions, such as
         a pullback or an ultracore.
         """
-        return Gauge.from_tensors(dims, dims, [
+        return _trusted_gauge(dims, dims, tuple(
             tensor if tensor is not None and (tensor.out_dim, tensor.in_dims) == shape
             else None
-            for tensor, shape in zip(self.tensors, dims.shapes)])
+            for tensor, shape in zip(self.tensors, dims.shapes)))
 
     def __eq__(self, other):
         return (
@@ -374,6 +381,14 @@ class Gauge:
 
     def __repr__(self):
         return "Gauge(n=%d)" % self.n
+
+
+def _trusted_gauge(source_dims, target_dims, tensors):
+    """The gauge of ``tensors``, taken by position from checked gauges, unchecked."""
+    gauge = Gauge.__new__(Gauge)
+    gauge.n, gauge.source_dims, gauge.target_dims = source_dims.n, source_dims, target_dims
+    gauge.tensors = tensors
+    return gauge
 
 
 class _Components(Mapping):

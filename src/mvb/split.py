@@ -59,6 +59,7 @@ from .cubecat import (
     DiagonalPartition,
     IndexSet,
     Partition,
+    _memoized,
     ambient_positions,
     coarsen,
     cube_plan,
@@ -82,34 +83,20 @@ class Decomposition(BundleMorphism):
 
 def is_splitting(morphism):
     """Naturality plus identity singleton components, checked exactly."""
-    if not morphism.is_natural():
-        return False
-    n = morphism.source.n
-    for g in morphism.data.values():
-        for i in range(1, n + 1):
-            single = IndexSet([i])
-            if not g.components[(single, Partition([single]))].is_identity():
-                return False
-    return True
+    singles = [key for key in cube_plan(morphism.source.n).keys if len(key[0]) == 1]
+    return morphism.is_natural() and all(
+        g.components[key].is_identity() for g in morphism.data.values() for key in singles)
 
 
 def is_decomposition(morphism):
-    """Naturality, identity building components, fiberwise bijectivity."""
-    if not morphism.is_natural():
-        return False
-    n = morphism.source.n
-    for g in morphism.data.values():
-        for subset in nonempty_subsets(full_set(n)):
-            if not g.linear_part(subset).is_identity():
-                return False
-    return morphism.is_fiberwise_bijective()
+    """Naturality and identity building components, checked exactly; the
+    latter make every gauge, so the morphism, fiberwise bijective."""
+    linear = [key for key in cube_plan(morphism.source.n).keys if len(key[1]) == 1]
+    return morphism.is_natural() and all(
+        g.components[key].is_identity() for g in morphism.data.values() for key in linear)
 
 
-def _position_blocks(blocks, positions):
-    blocks = tuple(blocks)
-    return Partition([blocks[pos - 1] for pos in positions])
-
-
+@_memoized(16)
 def _top_key(k):
     """The key of the whole k-cube with singleton blocks."""
     ground = full_set(k)
@@ -127,11 +114,12 @@ def _merged(k, mu):
     return DiagonalPartition(full_set(k), mu).as_partition()
 
 
-def _core_keys(k, mu):
+def _core_positions(k, mu):
     """Per position in ``cube_plan(k)`` of a key the ``mu``-core covers
-    (every block a union of merged blocks), the core's own key there:
-    ``ambient_positions`` inverted."""
-    return dict(zip(ambient_positions((k, _merged(k, mu))), cube_plan(k - 1).keys))
+    (every block a union of merged blocks), the position of the core's
+    own key in ``cube_plan(k - 1)``: ``ambient_positions`` inverted."""
+    return {at: core_at
+            for core_at, at in enumerate(ambient_positions((k, _merged(k, mu))))}
 
 
 def _route(rho):
@@ -149,25 +137,26 @@ def _route(rho):
     return max(heads, key=tuple) if heads else None
 
 
+@_memoized(16)
+def _routes(k):
+    """``_route`` of every key of ``cube_plan(k)``, by position."""
+    return tuple(_route(rho) for _, rho in cube_plan(k).keys)
+
+
 def _assemble(obj, model, sigma, core_decs, base):
     """Decomposition data fixed by a splitting and the codimension-one
     core decompositions.  In the canonical chart fiber addition is
     coordinatewise, so every component is copied from the splitting or
     from the core decomposition that the chain would consult for it."""
-    core_keys = {mu: _core_keys(obj.n, mu) for mu in _pairs(obj.n)}
-    core_index = cube_plan(obj.n - 1).index
+    core_at = {mu: _core_positions(obj.n, mu) for mu in _pairs(obj.n)}
     family = {}
     for p in base:
         can = obj.canonical_chart(p)
-        comps = {}
-        for at, key in enumerate(cube_plan(obj.n).keys):
-            mu = _route(key[1])
-            if mu is None:
-                comps[key] = sigma.data[(can, p)].tensors[at]
-            else:
-                comps[key] = core_decs[mu].data[(can, p)].tensors[
-                    core_index[core_keys[mu][at]]]
-        family[p] = Gauge(model.dims, obj.dims, comps)
+        own = sigma.data[(can, p)].tensors
+        by_core = {mu: core_decs[mu].data[(can, p)].tensors for mu in core_at}
+        family[p] = Gauge.from_tensors(model.dims, obj.dims, [
+            own[at] if mu is None else by_core[mu][core_at[mu][at]]
+            for at, mu in enumerate(_routes(obj.n))])
     return morphism_from_canonical(model, obj, family).data
 
 
@@ -178,9 +167,8 @@ def _conjugated_top(outer, g, inner):
     all-singleton keys alone, so those are the only inner keys composed.
     """
     plan = cube_plan(g.n)
-    top_at = plan.index[_top_key(g.n)]
-    singleton_keys = [at for at, (s, rho) in enumerate(plan.keys) if len(rho) == len(s)]
-    right = _compose_at(g.tensors, inner.tensors, singleton_keys, inner.source_dims)
+    top_at = plan.top
+    right = _compose_at(g.tensors, inner.tensors, plan.singletons, inner.source_dims)
     tensor = _compose_at(outer.tensors, right, [top_at], inner.source_dims)[top_at]
     if tensor is None:
         return MultiTensor.zeros(outer.target_dims.shapes[top_at][0],
@@ -243,7 +231,7 @@ class DecompositionBuilder:
         return objects[key]
 
     def subkey(self, key, positions):
-        sub = _position_blocks(key[1], positions)
+        sub = Partition([key[1][pos - 1] for pos in positions])
         return (sub.ground, sub)
 
     def merged_key(self, key, positions):
@@ -260,9 +248,10 @@ class DecompositionBuilder:
             inclusion = identity_gauge(vac.dims, obj.dims)
             data = {(c.id, p): inclusion for c in obj.charts for p in c.domain}
         else:
+            keys = cube_plan(obj.n).keys
             faces = [
-                ((nu, Partition([[i] for i in nu])), self.splitting(self.subkey(key, nu)))
-                for nu in nonempty_subsets(full_set(obj.n)) if 1 < len(nu) < obj.n
+                (at, self.splitting(self.subkey(key, keys[at][0])))
+                for at in cube_plan(obj.n).singletons if 1 < len(keys[at][0]) < obj.n
             ]
             # the hook gives the top slot of the presentation itself only
             hook = self.theta_top if key == self.top_key() else None
@@ -277,26 +266,24 @@ class DecompositionBuilder:
         the cached sub-splitting's top in this chart on every proper face,
         and in the top slot ``hook`` read on basis tuples (zero without
         it)."""
-        comps = {}
-        for i in range(1, obj.n + 1):
-            single = IndexSet([i])
-            comps[(single, Partition([single]))] = MultiTensor.identity(
-                obj.dims.dim(single))
-        for face_key, sub in faces:
-            comps[face_key] = splitting_top(sub, chart, point)
+        top = cube_plan(obj.n).top
+        # the singleton keys come first, in axis order
+        tensors = [MultiTensor.identity(shape[0]) for shape in obj.dims.shapes[:obj.n]]
+        tensors += [None] * (top + 1 - obj.n)
+        for at, sub in faces:
+            tensors[at] = splitting_top(sub, chart, point)
         if hook is not None:
-            top = _top_key(obj.n)
-            in_dims = vac.dims.block_dims(top[1])
-            d_top = obj.dims.dim(top[0])
+            in_dims = vac.dims.shapes[top][1]
+            d_top = obj.dims.shapes[top][0]
             bases = product(*([unit_vector(d, j) for j in range(d)] for d in in_dims))
             values = [hook(chart, point, list(args)) for args in bases]
             wrong = next((v for v in values if len(v) != d_top), None)
             if wrong is not None:
                 raise InvalidInput("theta_top at chart %r, point %r returned %d values,"
                                    " expected %d" % (chart, point, len(wrong), d_top))
-            comps[top] = MultiTensor(
+            tensors[top] = MultiTensor(
                 d_top, in_dims, [v[i0] for i0 in range(d_top) for v in values])
-        return Gauge(vac.dims, obj.dims, comps)
+        return Gauge.from_tensors(vac.dims, obj.dims, tensors)
 
     def _paste(self, obj, vac, faces, point, hook):
         """The splitting gauge at a point in the canonical chart.
@@ -314,15 +301,15 @@ class DecompositionBuilder:
             c for c in sorted(obj.charts_at(point)) if c != can]
         if not others:
             return own
-        top = _top_key(obj.n)
-        total = own.components[top]
+        top = cube_plan(obj.n).top
+        total = own.components[_top_key(obj.n)]
         for c in others:
             local = self._chart_splitting(obj, vac, faces, c, point, hook)
             total = total.plus(_conjugated_top(
                 obj.transition(can, c, point), local, vac.transition(c, can, point)))
-        comps = dict(zip(cube_plan(obj.n).keys, own.tensors))
-        comps[top] = total.scaled(Fraction(1, len(others) + 1))
-        return Gauge(vac.dims, obj.dims, comps)
+        tensors = list(own.tensors)
+        tensors[top] = total.scaled(Fraction(1, len(others) + 1))
+        return Gauge.from_tensors(vac.dims, obj.dims, tensors)
 
     # -- decompositions --------------------------------------------------
 
@@ -394,16 +381,14 @@ def check_compatibility(presentation, sigma, core_decs):
     for mu in pairs:
         if mu not in core_decs:
             raise InvalidInput("missing core decomposition at %s" % (list(mu),))
-    keys = cube_plan(n).keys
-    core_keys = {mu: _core_keys(n, mu) for mu in pairs}
-    core_index = cube_plan(n - 1).index
+    core_at = {mu: _core_positions(n, mu) for mu in pairs}
     locations = [(c.id, p) for c in a.charts for p in c.domain]
 
     def core_component(mu, location, at):
-        return core_decs[mu].data[location].tensors[core_index[core_keys[mu][at]]]
+        return core_decs[mu].data[location].tensors[core_at[mu][at]]
 
     for mu in pairs:
-        singles = [at for at in core_keys[mu] if len(keys[at][0]) == len(keys[at][1])]
+        singles = [at for at in cube_plan(n).singletons if at in core_at[mu]]
         for location in locations:
             g = sigma.data[location]
             if any(core_component(mu, location, at) != g.tensors[at]
@@ -412,7 +397,7 @@ def check_compatibility(presentation, sigma, core_decs):
                     "core decomposition at %s violates the splitting" % (list(mu),))
     for idx, mu in enumerate(pairs):
         for nu in pairs[idx + 1:]:
-            shared = core_keys[mu].keys() & core_keys[nu].keys()
+            shared = core_at[mu].keys() & core_at[nu].keys()
             for location in locations:
                 if any(core_component(mu, location, at)
                        != core_component(nu, location, at) for at in shared):
@@ -443,13 +428,11 @@ def extract_splitting(presentation, decomposition):
     inclusion, i.e. keep the all-singleton components."""
     a = presentation
     vac = associated_vacant(a)
-    keys = cube_plan(a.n).keys
-    data = {}
-    for (chart, p), g in decomposition.data.items():
-        data[(chart, p)] = Gauge(vac.dims, a.dims, {
-            (subset, rho): tensor for (subset, rho), tensor in zip(keys, g.tensors)
-            if len(rho) == len(subset)})
-    return Splitting(vac, a, data)
+    singles = set(cube_plan(a.n).singletons)
+    return Splitting(vac, a, {
+        location: Gauge.from_tensors(vac.dims, a.dims, [
+            tensor if at in singles else None for at, tensor in enumerate(g.tensors)])
+        for location, g in decomposition.data.items()})
 
 
 def extract_core_decompositions(decomposition):

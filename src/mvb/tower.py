@@ -19,7 +19,6 @@ import hashlib
 from .atlas import AtlasPresentation, Chart, FiniteBase
 from .cubecat import (
     IndexSet,
-    Partition,
     ambient_positions,
     cube_plan,
     full_set,
@@ -29,7 +28,7 @@ from .cubecat import (
 from .errors import InvalidInput
 from .exactlin import MultiTensor
 from .gauge import DimAssignment, Gauge, identity_gauge
-from .split import BuilderCache, DecompositionBuilder
+from .split import BuilderCache, DecompositionBuilder, _top_key
 
 
 class StabilizingGenerator:
@@ -59,17 +58,12 @@ class StabilizingGenerator:
         at their keys in the larger cube, every other one zero."""
         g = self.instance.transition(dst, src, point)
         if dims.n <= self.level:
-            return g.diagonal_restrict(_singletons(dims.n))
+            return g.diagonal_restrict(_top_key(dims.n)[1])
         tensors = [None] * len(cube_plan(dims.n).keys)
-        for at, tensor in zip(ambient_positions((dims.n, _singletons(self.level))),
+        for at, tensor in zip(ambient_positions((dims.n, _top_key(self.level)[1])),
                               g.tensors):
             tensors[at] = tensor
         return Gauge.from_tensors(dims, dims, tensors)
-
-
-def _singletons(n):
-    """The partition of {1..n} into singletons."""
-    return Partition([i] for i in range(1, n + 1))
 
 
 def _hash_ints(*labels):

@@ -20,6 +20,7 @@ from itertools import product
 from math import prod
 from operator import mul
 
+from helpers import block_dims
 from tensor_oracle import apply, compose_tensors
 
 from mvb.cubecat import (
@@ -44,7 +45,7 @@ def dense_compose(g, f):
     for subset in nonempty_subsets(full_set(g.n)):
         for rho in partitions(subset):
             k = len(rho)
-            total_in = f.source_dims.block_dims(rho)
+            total_in = block_dims(f.source_dims, rho)
             acc = MultiTensor.zeros(g.target_dims.dim(subset), total_in)
             for grouping in partitions(full_set(k)):
                 coarse = coarsen(rho, grouping)
@@ -81,7 +82,7 @@ def dense_invert(g):
             k = len(rho)
             if k == 1:
                 continue
-            total_in = g.source_dims.block_dims(rho)
+            total_in = block_dims(g.source_dims, rho)
             residue = MultiTensor.zeros(g.target_dims.dim(subset), total_in)
             for grouping in partitions(full_set(k)):
                 if len(grouping) == 1:

@@ -5,11 +5,13 @@ The library holds what the CLI, the demos and the bench reach
 about that code from the outside:
 
 - the element maps between a partition core and its ambient bundle, and
-  membership in the sub-bundle of union-of-blocks slots;
+  membership in the sub-bundle of union-of-blocks slots, through the
+  union of the blocks at each set of block positions;
 - the identity morphism of a presentation;
 - the encoding of pointwise morphisms as elements of ``hom_bundle``, the
   oracle for the morphism bundle the ``mvb hom`` command builds;
-- seeded random morphism gauges and component vectors.
+- seeded random morphism gauges and component vectors;
+- the dimensions of a partition's blocks, read by key.
 """
 
 import random
@@ -20,7 +22,6 @@ from mvb.bundle import BundleMorphism, canonicalize, element, hom_bundle
 from mvb.cubecat import (
     IndexSet,
     Partition,
-    block_unions,
     full_set,
     is_union_of_blocks,
     nonempty_subsets,
@@ -30,6 +31,20 @@ from mvb.errors import DimensionMismatch, InvalidInput
 from mvb.exactlin import MultiTensor, zero_vector
 from mvb.gauge import Gauge, identity_gauge
 from mvb.rand import random_tensor
+
+
+def block_unions(blocks):
+    """Map each nonempty set of block positions to the union of its blocks
+    (the library reads the same map as ``cubecat.ambient_positions``)."""
+    return {nu: IndexSet(i for pos in nu for i in blocks[pos - 1])
+            for nu in nonempty_subsets(full_set(len(blocks)))}
+
+
+def block_dims(dims, partition):
+    """The dimensions of the blocks of ``partition`` under ``dims``, in
+    canonical block order (the library reads them from
+    ``DimAssignment.shapes`` by plan position)."""
+    return tuple(dims.dims[b] for b in Partition(partition))
 
 
 def embed_core_element(presentation, blocks, core_elem):
@@ -81,7 +96,7 @@ def hom_decode(e_pres, f_pres, hom_elem):
         pos = 0
         for rho in partitions(subset):
             o = f_pres.dims.dim(subset)
-            ins = e_pres.dims.block_dims(rho)
+            ins = block_dims(e_pres.dims, rho)
             size = o * prod(ins)
             out[(subset, rho)] = MultiTensor(o, ins, vec[pos:pos + size])
             pos += size

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from gauge_oracle import permute_gauge
-from helpers import random_vectors
+from helpers import block_dims, random_vectors
 
 from mvb.cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets
 from mvb.errors import DimensionMismatch, SingularMatrix
@@ -299,7 +299,7 @@ def test_gauge_accepts_plain_tuple_keys():
 def test_explicit_zero_components_are_stored_as_absent():
     rng = random.Random(7)
     src, tgt = random_dims(rng, 3, max_dim=2), random_dims(rng, 3, max_dim=2)
-    zeros = {(s, rho): MultiTensor.zeros(tgt.dims[s], src.block_dims(rho))
+    zeros = {(s, rho): MultiTensor.zeros(tgt.dims[s], block_dims(src, rho))
              for s, rho in cube_plan(3).keys}
     explicit = Gauge(src, tgt, zeros)
     empty = Gauge(src, tgt, {})
@@ -320,7 +320,7 @@ def test_components_view_covers_the_plan():
     for subset, rho in keys[1:]:
         tensor = view[(subset, rho)]
         assert tensor.is_zero()
-        assert (tensor.out_dim, tensor.in_dims) == (d.dims[subset], d.block_dims(rho))
+        assert (tensor.out_dim, tensor.in_dims) == (d.dims[subset], block_dims(d, rho))
     assert dict(view) == view and (J12, SPLIT12) in view
     with pytest.raises(KeyError):
         view[(J12, Partition([[1, 2, 3]]))]

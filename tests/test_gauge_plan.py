@@ -7,13 +7,14 @@ import subprocess
 import sys
 
 from gauge_oracle import dense_compose, dense_evaluate, dense_invert
-from helpers import random_morphism_gauge, random_vectors
+from helpers import block_unions, random_morphism_gauge, random_vectors
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_acceptance import corpus
 
 from mvb.cubecat import (
     Partition,
+    ambient_positions,
     coarsen,
     cube_plan,
     full_set,
@@ -96,11 +97,18 @@ def test_composites_as_inputs_match_dense_oracle(seed, n, max_dim):
 
 
 def test_plan_keys_and_terms_follow_coarsening():
-    for n in range(5):
+    for n in range(7):
         plan = cube_plan(n)
         expected = [(s, rho) for s in nonempty_subsets(full_set(n)) for rho in partitions(s)]
         assert list(plan.keys) == expected
         assert all(plan.index[key] == i for i, key in enumerate(plan.keys))
+        assert [tuple(sum(1 << (i - 1) for i in b) for b in rho) for _, rho in expected] \
+            == list(plan.masks)
+        assert all(plan.mask_index[parts] == i for i, parts in enumerate(plan.masks))
+        assert list(plan.singletons) == [i for i, (s, rho) in enumerate(expected)
+                                         if len(rho) == len(s)]
+        if n:
+            assert plan.keys[plan.top] == (full_set(n), Partition([[i] for i in full_set(n)]))
         for (subset, rho), terms in zip(plan.keys, plan.terms):
             groupings = partitions(full_set(len(rho)))
             assert len(terms) == len(groupings)
@@ -112,6 +120,21 @@ def test_plan_keys_and_terms_follow_coarsening():
                     blocks = Partition([rho[pos] for pos in group])
                     assert plan.keys[inner] == (blocks.ground, blocks)
     assert cube_plan(3) is cube_plan(3)
+
+
+def test_ambient_positions_match_the_key_built_oracle():
+    """For every partition of every nonempty subset of {1..n}, n <= 6, each
+    key of the blocks' cube stands for the ambient key whose sets are the
+    unions of the blocks it names."""
+    for n in range(1, 7):
+        index = cube_plan(n).index
+        for ambient in nonempty_subsets(full_set(n)):
+            for blocks in partitions(ambient):
+                unions = block_unions(blocks)
+                expected = tuple(
+                    index[(unions[nu], Partition([unions[part] for part in sigma]))]
+                    for nu, sigma in cube_plan(len(blocks)).keys)
+                assert ambient_positions((n, blocks)) == expected, (n, blocks)
 
 
 def test_memoized_enumerations_hand_out_copies():

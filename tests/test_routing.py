@@ -25,7 +25,7 @@ from mvb.split import (
     STRATEGIES,
     Decomposition,
     DecompositionBuilder,
-    _core_keys,
+    _core_positions,
     _pairs,
     _route,
     check_compatibility,
@@ -87,7 +87,8 @@ def test_core_keys_match_the_oracle_slot_map(k):
     # an ambient partition with k blocks, one of them not a singleton
     wide = Partition([[1, k + 1]] + [[i] for i in range(2, k + 1)])
     for mu in _pairs(k):
-        core_keys = _core_keys(k, mu)
+        core_keys = {at: cube_plan(k - 1).keys[core_at]
+                     for at, core_at in _core_positions(k, mu).items()}
         slot_map = _merged_slot_map(singles, mu)
         assert _merged_slot_map(wide, mu) == slot_map
         routed = [at for at, key in enumerate(keys) if _route(key[1]) == mu]
