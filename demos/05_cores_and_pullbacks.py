@@ -18,8 +18,8 @@ from mvb.rand import random_gauge, twisted_instance
 dims = DimAssignment(3, {s: 1 for s in nonempty_subsets(full_set(3))})
 plain = decomposed(dims, FiniteBase(["p"]))
 
-spec, pres = core(plain, [1, 2, 3], [1, 2])
-print("core at (S, J) = ({1,2,3}, {1,2}): axes", [list(b) for b in pres.axis_blocks],
+blocks, pres = core(plain, [1, 2, 3], [1, 2])
+print("core at (S, J) = ({1,2,3}, {1,2}): axes", [list(b) for b in blocks],
       " total fiber dim:", pres.node_dim(full_set(2)))
 print("core presentation validates?", validate(pres).valid)
 

@@ -34,7 +34,6 @@ from .bundle import (
     zero_lift,
 )
 from .cores import (
-    CoreSpec,
     core,
     core_by_stages,
     core_morphism,
@@ -42,7 +41,6 @@ from .cores import (
     ultracore_sequence,
 )
 from .cubecat import (
-    DiagonalPartition,
     IndexSet,
     Partition,
     coarsen,

@@ -189,8 +189,8 @@ def cmd_face(report, presentation, args):
 
 
 def cmd_core(report, presentation, args):
-    spec, pres = core(presentation, _subset(args.s), _subset(args.j), check=False)
-    report.add_certificate(core_closure_certificate(presentation, spec.ambient, spec.blocks))
+    blocks, pres = core(presentation, _subset(args.s), _subset(args.j), check=False)
+    report.add_certificate(core_closure_certificate(presentation, blocks))
     report.set_result(formats.to_text(pres), args.out)
 
 

@@ -2,9 +2,11 @@
 
 A core at (S, J) consists of the elements of the S-node whose chart
 coordinates vanish on every slot that meets J without containing it;
-the surviving slots are exactly the unions of blocks of the diagonal
-partition {J, singletons of S minus J}.  Since disjoint unions of such
-slots are again such slots, transitions preserve the core
+the surviving slots are exactly the unions of blocks of the partition
+{J, singletons of S minus J} of S.  Any partition of a node names a
+core this way, over the cube of its blocks, and its ground is the node:
+``partition_core`` takes that partition alone.  Since disjoint unions of
+such slots are again such slots, transitions preserve the core
 componentwise; the restriction is nevertheless re-checked against
 ambient evaluation on basis elements rather than assumed.
 
@@ -30,7 +32,6 @@ from .bundle import (
 )
 from .certify import Certificate
 from .cubecat import (
-    DiagonalPartition,
     IndexSet,
     Partition,
     full_set,
@@ -44,33 +45,22 @@ from .gauge import diagonal_dims, identity_gauge
 from .rand import random_element
 
 
-class CoreSpec:
-    """The pair (S, J) with its diagonal reindexing."""
-
-    def __init__(self, ambient, inner):
-        self.ambient = IndexSet(ambient)
-        self.inner = IndexSet(inner)
-        if not self.inner or not self.inner.issubset(self.ambient):
-            raise InvalidInput("core needs a nonempty inner subset of the ambient node")
-        self.reindexing = DiagonalPartition(self.ambient, self.inner)
-
-    @property
-    def blocks(self):
-        return self.reindexing.blocks
-
-    def __repr__(self):
-        return "CoreSpec(S=%s, J=%s)" % (list(self.ambient), list(self.inner))
+def _core_blocks(ambient, inner):
+    """The blocks of the (ambient, inner)-core: inner and the singletons
+    of the rest of the ambient node."""
+    ambient, inner = IndexSet(ambient), IndexSet(inner)
+    if not inner or not inner.issubset(ambient):
+        raise InvalidInput("core needs a nonempty inner subset of the ambient node")
+    return Partition([inner] + [[i] for i in ambient.difference(inner)])
 
 
-def partition_core(presentation, ambient, blocks):
+def partition_core(presentation, blocks):
     """The sub-bundle of union-of-blocks slots, as a presentation over
-    the cube with one axis per block (canonical order)."""
+    the cube with one axis per block (canonical order); the ambient node
+    is the ground of ``blocks``."""
     a = presentation
-    ambient = IndexSet(ambient)
     blocks = Partition(blocks)
-    if blocks.ground != ambient:
-        raise InvalidInput("blocks must partition the ambient node")
-    if not ambient.issubset(full_set(a.n)):
+    if not blocks.ground.issubset(full_set(a.n)):
         raise InvalidInput("ambient node outside the cube")
     dims = diagonal_dims(a.dims, blocks)
     # a transition of other dims (an unvalidated input) is restricted by its own
@@ -81,14 +71,14 @@ def partition_core(presentation, ambient, blocks):
                              axis_blocks=tuple(blocks))
 
 
-def partition_core_morphism(morphism, ambient, blocks):
-    """Restrict a morphism to the (ambient, blocks) partition cores of
-    its source and target, keeping its class.  A restricted decomposition
-    starts at the decomposed model of the core: a core's one-block
-    components are the ambient ones at the unions of the blocks."""
+def partition_core_morphism(morphism, blocks):
+    """Restrict a morphism to the ``blocks`` partition cores of its source
+    and target, keeping its class.  A restricted decomposition starts at
+    the decomposed model of the core: a core's one-block components are
+    the ambient ones at the unions of the blocks."""
     blocks = Partition(blocks)
-    source = partition_core(morphism.source, ambient, blocks)
-    target = partition_core(morphism.target, ambient, blocks)
+    source = partition_core(morphism.source, blocks)
+    target = partition_core(morphism.target, blocks)
     # every gauge of a morphism maps the source dims to the target dims
     return type(morphism)(source, target, {
         key: g.diagonal_restrict(blocks, (source.dims, target.dims))
@@ -96,13 +86,13 @@ def partition_core_morphism(morphism, ambient, blocks):
 
 
 def core(presentation, ambient, inner, check=True):
-    """The (ambient, inner)-core presentation with its CoreSpec; ``check``
+    """The (ambient, inner)-core as ``(blocks, presentation)``; ``check``
     certifies the restriction against ambient evaluation."""
-    spec = CoreSpec(ambient, inner)
-    pres = partition_core(presentation, spec.ambient, spec.blocks)
-    if check and not core_closure_certificate(presentation, spec.ambient, spec.blocks).passed:
+    blocks = _core_blocks(ambient, inner)
+    pres = partition_core(presentation, blocks)
+    if check and not core_closure_certificate(presentation, blocks).passed:
         raise InvalidInput("core restriction failed to match ambient evaluation")
-    return spec, pres
+    return blocks, pres
 
 
 def _zero_outside(presentation, elem, allowed):
@@ -125,7 +115,7 @@ def in_zero_image(presentation, elem, kept):
     return _zero_outside(presentation, elem, lambda key: key.issubset(kept))
 
 
-def core_closure_certificate(presentation, ambient, blocks):
+def core_closure_certificate(presentation, blocks):
     """Check that restricted transitions reproduce ambient evaluation.
 
     For every transition and every component of the core gauge, basis
@@ -195,7 +185,7 @@ def core_by_stages(presentation, ambient, inner, first):
     if not (k_set and k_set.issubset(j_set) and j_set.issubset(s_set)):
         raise InvalidInput("need nonempty first <= inner <= ambient")
 
-    direct_spec, direct = core(a, s_set, j_set, check=False)
+    direct_blocks, direct = core(a, s_set, j_set, check=False)
     _, stage1 = core(a, s_set, k_set, check=False)
     # positions of the stage-1 axes that the second stage merges
     merged_positions = IndexSet(
@@ -215,7 +205,7 @@ def core_by_stages(presentation, ambient, inner, first):
     for _ in range(12):
         e = random_element(rng, a, node=s_set)
         comps = {
-            key: (vec if is_union_of_blocks(key, direct_spec.blocks)
+            key: (vec if is_union_of_blocks(key, direct_blocks)
                   else zero_vector(len(vec)))
             for key, vec in e.components.items()
         }
@@ -250,8 +240,7 @@ def core_morphism(tau, ambient, inner):
     """Restrict a natural morphism to the (ambient, inner)-cores."""
     if not tau.is_natural():
         raise InvalidInput("core restriction needs a natural morphism")
-    spec = CoreSpec(ambient, inner)
-    return partition_core_morphism(tau, spec.ambient, spec.blocks)
+    return partition_core_morphism(tau, _core_blocks(ambient, inner))
 
 
 class PullbackPresentation:

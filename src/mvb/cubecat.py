@@ -2,7 +2,7 @@
 
 Finite subsets of the positive integers serve as cube-category objects,
 set partitions index the multilinear components of chart changes, and
-diagonal partitions reindex cores onto smaller cubes.
+a partition of a node names the core over the cube of its blocks.
 
 The enumerations depend on the index set alone, so ``subsets`` and
 ``partitions`` compute each answer once and hand out copies.
@@ -114,45 +114,6 @@ class Partition(tuple):
 
     def __repr__(self):
         return "Partition(%s)" % ([list(b) for b in self],)
-
-
-class DiagonalPartition:
-    """A partition of S into one distinguished block J and singletons.
-
-    This is the reindexing device for cores: the core of an S-node at J
-    lives over the cube whose axes are J and the points of S minus J.
-    """
-
-    def __init__(self, ground, distinguished):
-        self.ground = IndexSet(ground)
-        self.distinguished = IndexSet(distinguished)
-        if len(self.distinguished) == 0:
-            raise InvalidPartition("distinguished block must be nonempty")
-        if not self.distinguished.issubset(self.ground):
-            raise InvalidPartition("distinguished block not inside ground set")
-        self.singletons = tuple(
-            IndexSet([i]) for i in self.ground.difference(self.distinguished)
-        )
-
-    def as_partition(self):
-        return Partition((self.distinguished,) + self.singletons)
-
-    @property
-    def blocks(self):
-        return tuple(self.as_partition())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiagonalPartition)
-            and self.ground == other.ground
-            and self.distinguished == other.distinguished
-        )
-
-    def __hash__(self):
-        return hash((self.ground, self.distinguished))
-
-    def __repr__(self):
-        return "DiagonalPartition(%s, %s)" % (list(self.ground), list(self.distinguished))
 
 
 def subsets(index_set):
@@ -311,6 +272,15 @@ def coarsen(partition, grouping):
             union = union.union(partition[pos - 1])
         merged.append(union)
     return Partition(merged)
+
+
+def merge_blocks(partition, positions):
+    """``partition`` with its blocks at the 1-based ``positions`` merged
+    into one block and the others kept: the blocks of the core of a
+    ``partition``-object at those axes."""
+    merged = [i for pos in positions for i in partition[pos - 1]]
+    return Partition([merged] + [b for pos, b in enumerate(partition, 1)
+                                 if pos not in positions])
 
 
 def is_union_of_blocks(index_set, blocks):

@@ -362,7 +362,10 @@ def atlas_from_json(obj):
         where = "transition %s<-%s at %s" % (dst, src, p)
         if (dst, src, p) in transitions:
             raise SchemaError("duplicate %s" % where)
-        transitions[(dst, src, p)] = gauge_from_json(item.get("gauge"), where, memo)
+        g = gauge_from_json(item.get("gauge"), where, memo)
+        if g.source_dims != dims or g.target_dims != dims:
+            raise SchemaError("%s: gauge dims differ from the atlas dims" % where)
+        transitions[(dst, src, p)] = g
     try:
         return AtlasPresentation(n, dims, base, tuple(charts), transitions)
     except Exception as err:

@@ -544,7 +544,7 @@ def zero_free_part(presentation):
 def face_splitting(decomposition, axes):
     """Splitting of a coordinate face induced by a decomposition."""
     axes = IndexSet(axes)
-    face_dec = partition_core_morphism(decomposition, axes, [[i] for i in axes])
+    face_dec = partition_core_morphism(decomposition, [[i] for i in axes])
     return extract_splitting(face_dec.target, face_dec)
 
 

@@ -38,10 +38,11 @@ The pipeline follows the constructive existence proofs:
 
 * Full decomposition recurses over coarsenings of the axis partition.
   Every object that appears (a core of a face, a face of a core, an
-  intersection of cores) is identified by the pair (ambient node, block
-  partition) and split exactly once; this sharing is what makes the
-  staged core decompositions compatible.  The other way, a decomposition
-  restricts to its cores by ``cores.partition_core_morphism``.
+  intersection of cores) is identified by its block partition, whose
+  ground is its ambient node, and split exactly once; this sharing is
+  what makes the staged core decompositions compatible.  The other way,
+  a decomposition restricts to its cores by
+  ``cores.partition_core_morphism``.
 """
 
 from fractions import Fraction
@@ -56,14 +57,13 @@ from .atlas import (
 from .bundle import BundleMorphism, morphism_from_canonical
 from .cores import partition_core, partition_core_morphism, pullback
 from .cubecat import (
-    DiagonalPartition,
     IndexSet,
     Partition,
     _memoized,
     ambient_positions,
-    coarsen,
     cube_plan,
     full_set,
+    merge_blocks,
     nonempty_subsets,
 )
 from .errors import InvalidInput, SemanticError
@@ -98,9 +98,8 @@ def is_decomposition(morphism):
 
 @_memoized(16)
 def _top_key(k):
-    """The key of the whole k-cube with singleton blocks."""
-    ground = full_set(k)
-    return (ground, Partition([[i] for i in ground]))
+    """The key of the whole k-cube: {1..k} in singleton blocks."""
+    return Partition([[i] for i in full_set(k)])
 
 
 def _pairs(k):
@@ -111,7 +110,7 @@ def _pairs(k):
 def _merged(k, mu):
     """The partition of {1..k} that merges the pair ``mu``: the blocks of
     the ``mu``-core of a k-cube object, in that object's positions."""
-    return DiagonalPartition(full_set(k), mu).as_partition()
+    return merge_blocks(_top_key(k), mu)
 
 
 def _core_positions(k, mu):
@@ -182,7 +181,7 @@ def splitting_top(morphism, chart, point):
     can = morphism.source.canonical_chart(point)
     g = morphism.data[(can, point)]
     if chart == can:
-        return g.components[_top_key(g.n)]
+        return g.components[cube_plan(g.n).keys[-1]]
     return _conjugated_top(morphism.target.transition(chart, can, point), g,
                            morphism.source.transition(can, chart, point))
 
@@ -204,11 +203,12 @@ class BuilderCache:
 class DecompositionBuilder:
     """Shared-cache recursion over the coarsening lattice of one atlas.
 
-    A key is a pair (ambient node, partition of it); the object of a
-    key is the corresponding diagonal core presentation.  The top-level
-    bundle is the key (full cube, singleton partition).  Splittings and
-    decompositions are memoized per key in ``cache``, so any object
-    reached twice is split exactly once.
+    A key is a partition of a node, the object of a key the core it
+    names (``cores.partition_core``).  The top-level bundle is the key
+    {1..n} in singletons; ``subkey`` picks blocks of a key (a face of
+    its object) and ``merged_key`` merges some (a core of it).
+    Splittings and decompositions are memoized per key in ``cache``, so
+    any object reached twice is split exactly once.
     """
 
     def __init__(self, presentation, strategy="least-chart", theta_top=None,
@@ -226,16 +226,14 @@ class DecompositionBuilder:
     def object(self, key):
         objects = self.cache.objects
         if key not in objects:
-            ambient, blocks = key
-            objects[key] = partition_core(self.A, ambient, blocks)
+            objects[key] = partition_core(self.A, key)
         return objects[key]
 
     def subkey(self, key, positions):
-        sub = Partition([key[1][pos - 1] for pos in positions])
-        return (sub.ground, sub)
+        return Partition([key[pos - 1] for pos in positions])
 
     def merged_key(self, key, positions):
-        return (key[0], coarsen(key[1], _merged(len(key[1]), positions)))
+        return merge_blocks(key, positions)
 
     # -- splittings ----------------------------------------------------
 
@@ -302,7 +300,7 @@ class DecompositionBuilder:
         if not others:
             return own
         top = cube_plan(obj.n).top
-        total = own.components[_top_key(obj.n)]
+        total = own.components[cube_plan(obj.n).keys[top]]
         for c in others:
             local = self._chart_splitting(obj, vac, faces, c, point, hook)
             total = total.plus(_conjugated_top(
@@ -417,8 +415,7 @@ def splitting_to_decomposition(presentation, sigma, core_decs):
     a = presentation
     core_decs = {IndexSet(mu): dec for mu, dec in core_decs.items()}
     check_compatibility(a, sigma, core_decs)
-    ground, singles = _top_key(a.n)
-    obj = partition_core(a, ground, singles)
+    obj = partition_core(a, _top_key(a.n))
     model = associated_decomposed(obj)
     return Decomposition(model, obj, _assemble(obj, model, sigma, core_decs, a.base))
 
@@ -438,7 +435,7 @@ def extract_splitting(presentation, decomposition):
 def extract_core_decompositions(decomposition):
     """Decompositions of the codimension-one cores, by restriction."""
     n = decomposition.target.n
-    return {mu: partition_core_morphism(decomposition, full_set(n), _merged(n, mu))
+    return {mu: partition_core_morphism(decomposition, _merged(n, mu))
             for mu in _pairs(n)}
 
 

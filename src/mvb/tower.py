@@ -9,9 +9,9 @@ zeros, and a rule generator derives slot dimensions and per-chart
 conjugation frames from a deterministic hash of a seed.
 
 Tower decompositions share one splitting cache across levels, keyed by
-(ambient node, block partition); since those keys never mention the
-level, the decomposition of level n+1 restricts to the decomposition of
-level n by construction.
+the block partition that names each core; since those keys never
+mention the level, the decomposition of level n+1 restricts to the
+decomposition of level n by construction.
 """
 
 import hashlib
@@ -58,9 +58,9 @@ class StabilizingGenerator:
         at their keys in the larger cube, every other one zero."""
         g = self.instance.transition(dst, src, point)
         if dims.n <= self.level:
-            return g.diagonal_restrict(_top_key(dims.n)[1])
+            return g.diagonal_restrict(_top_key(dims.n))
         tensors = [None] * len(cube_plan(dims.n).keys)
-        for at, tensor in zip(ambient_positions((dims.n, _top_key(self.level)[1])),
+        for at, tensor in zip(ambient_positions((dims.n, _top_key(self.level))),
                               g.tensors):
             tensors[at] = tensor
         return Gauge.from_tensors(dims, dims, tensors)

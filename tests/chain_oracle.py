@@ -243,7 +243,7 @@ def builder_chain_data(builder, key, check_bracketing=False):
         mu: builder.decomposition(builder.merged_key(key, mu))
         for mu in nonempty_subsets(full_set(obj.n)) if len(mu) == 2
     }
-    return chain_data(obj, builder.splitting(key), core_decs, key[1],
+    return chain_data(obj, builder.splitting(key), core_decs, key,
                       builder.A.base, check_bracketing=check_bracketing)
 
 
@@ -251,9 +251,8 @@ def splitting_to_decomposition_data(presentation, sigma, core_decs,
                                     check_bracketing=False):
     """Chain-evaluated data of the decomposition fixed by a splitting and
     codimension-one core decompositions of the top object."""
-    ground = full_set(presentation.n)
-    blocks = Partition([[i] for i in ground])
-    obj = partition_core(presentation, ground, blocks)
+    blocks = Partition([[i] for i in full_set(presentation.n)])
+    obj = partition_core(presentation, blocks)
     core_decs = {IndexSet(mu): dec for mu, dec in core_decs.items()}
     return chain_data(obj, sigma, core_decs, blocks, presentation.base,
                       check_bracketing=check_bracketing)

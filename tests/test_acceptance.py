@@ -236,7 +236,7 @@ def test_criterion_6_cores():
             (2, 3): [(1,), (2, 3)],
         }
         for inner, axis_sets in expectations.items():
-            spec, pres = core(reference, [1, 2, 3], list(inner))
+            _, pres = core(reference, [1, 2, 3], list(inner))
             assert pres.n == 2
             assert pres.node_dim(full_set(2)) == 3
             blocks = [tuple(b) for b in pres.axis_blocks]

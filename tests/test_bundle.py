@@ -480,7 +480,7 @@ def test_morphism_from_canonical_matches_composing_at_every_chart():
         (model, a, {p: d.data[(a.canonical_chart(p), p)] for p in a.base}),
         (a, a, {p: random_gauge(rng, a.dims, statomorphism=True) for p in a.base}),
     ]
-    core = partition_core(a, full_set(3), [[1, 2], [3]])
+    core = partition_core(a, [[1, 2], [3]])
     families.append(
         (core, core, {p: random_gauge(rng, core.dims) for p in a.base}))
     for source, target, family in families:

@@ -153,6 +153,31 @@ def test_core_and_stages(tmp_path, capsys):
     assert code == 0
 
 
+NOT_INNER = "core needs a nonempty inner subset of the ambient node"
+OUTSIDE = "ambient node outside the cube"
+NOT_NESTED = "need nonempty first <= inner <= ambient"
+CORE_ARGUMENT_ERRORS = [
+    (["core", "--s", "1,2,3", "--j", "4"], NOT_INNER),
+    (["core", "--s", "1,2,3", "--j", ""], NOT_INNER),
+    (["core", "--s", "1,2,5", "--j", "1,2"], OUTSIDE),
+    (["core", "--s", "1,2", "--j", "1,3"], NOT_INNER),
+    (["core-stages", "--s", "1,2,3", "--j", "1,2", "--k", "3"], NOT_NESTED),
+    (["core-stages", "--s", "1,2,3", "--j", "4", "--k", "1"], NOT_NESTED),
+    (["core-stages", "--s", "1,2,3", "--j", "", "--k", "1"], NOT_NESTED),
+    (["core-stages", "--s", "1,2,5", "--j", "1,2", "--k", "1"], OUTSIDE),
+    (["core-stages", "--s", "1,2", "--j", "1,3", "--k", "1"], NOT_NESTED),
+]
+
+
+@pytest.mark.parametrize("argv, message", CORE_ARGUMENT_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in CORE_ARGUMENT_ERRORS])
+def test_core_argument_errors_exit_two(tmp_path, capsys, argv, message):
+    path = write_instance(tmp_path, "a.json", twisted_instance(403, n=3))
+    code, _, err = invoke(capsys, argv[:1] + [path] + argv[1:])
+    assert code == 2, err
+    assert err.strip() == "error: " + message, err
+
+
 def test_pullback_and_ultracore(tmp_path, capsys):
     path = write_instance(tmp_path, "a.json", twisted_instance(404, n=3))
     code, out, _ = invoke(capsys, ["pullback", path])

@@ -41,9 +41,10 @@ def test_core_of_decomposed_triple_matches_identification():
     # (S, J) = ({1,2,3}, {1,2}): a double bundle with slots for the
     # {3}-factor, the {1,2}-factor, and the full factor
     a = decomposed(dims_of(3), FiniteBase(["p"]))
-    spec, c = core(a, [1, 2, 3], [1, 2])
+    blocks, c = core(a, [1, 2, 3], [1, 2])
     assert c.n == 2
     assert [list(b) for b in c.axis_blocks] == [[1, 2], [3]]
+    assert blocks == Partition([[1, 2], [3]])
     assert c.dims.dim(IndexSet([1])) == 1   # ambient {1,2}
     assert c.dims.dim(IndexSet([2])) == 1   # ambient {3}
     assert c.dims.dim(IndexSet([1, 2])) == 1  # ambient {1,2,3}
@@ -53,7 +54,7 @@ def test_core_of_decomposed_triple_matches_identification():
 
 def test_core_at_singleton_is_whole_face():
     a = twisted_instance(51, n=3, n_points=2, n_charts=2)
-    spec, c = core(a, [1, 2, 3], [2])
+    _, c = core(a, [1, 2, 3], [2])
     assert c.n == 3
     # singleton core keeps every slot, relabeled along its blocks
     assert c.node_dim(full_set(3)) == a.node_dim(full_set(3))
@@ -62,7 +63,7 @@ def test_core_at_singleton_is_whole_face():
 
 def test_core_at_whole_node_is_plain_bundle():
     a = twisted_instance(52, n=3, n_points=2, n_charts=2)
-    spec, c = core(a, [1, 2, 3], [1, 2, 3])
+    _, c = core(a, [1, 2, 3], [1, 2, 3])
     assert c.n == 1
     assert c.dims.dim(IndexSet([1])) == a.dims.dim(full_set(3))
     assert validate(c).valid
@@ -70,25 +71,25 @@ def test_core_at_whole_node_is_plain_bundle():
 
 def test_core_closure_certificate_twisted():
     a = twisted_instance(53, n=3, n_points=2, n_charts=2)
-    cert = core_closure_certificate(a, full_set(3), Partition([[1, 2], [3]]))
+    cert = core_closure_certificate(a, Partition([[1, 2], [3]]))
     assert cert.passed
 
 
 def test_cores_validate_on_twisted():
     a = twisted_instance(54, n=3, n_points=2, n_charts=3)
     for inner in ([1, 2], [2, 3], [1, 3], [1, 2, 3]):
-        spec, c = core(a, [1, 2, 3], inner)
+        _, c = core(a, [1, 2, 3], inner)
         assert validate(c).valid
 
 
 def test_core_membership_and_embedding_round_trip():
     rng = random.Random(1)
     a = twisted_instance(55, n=3, n_points=2, n_charts=2)
-    spec, c = core(a, [1, 2, 3], [1, 2])
+    blocks, c = core(a, [1, 2, 3], [1, 2])
     for _ in range(8):
         small = random_element(rng, c)
-        big = embed_core_element(a, spec.blocks, small)
-        assert is_core_member(a, big, spec.inner)
+        big = embed_core_element(a, blocks, small)
+        assert is_core_member(a, big, [1, 2])
         back = restrict_core_element(a, c, canonicalize(a, big))
         assert elements_equal(c, small, back)
 
@@ -96,14 +97,14 @@ def test_core_membership_and_embedding_round_trip():
 def test_core_membership_is_chart_independent():
     rng = random.Random(2)
     a = twisted_instance(56, n=2, n_points=1, n_charts=2)
-    spec, c = core(a, [1, 2], [1, 2])
+    blocks, c = core(a, [1, 2], [1, 2])
     p = a.base.points[0]
     charts = a.charts_at(p)
     small = random_element(rng, c, point=p, chart=charts[0])
-    big = embed_core_element(a, spec.blocks, small)
+    big = embed_core_element(a, blocks, small)
     from mvb.bundle import transport
-    assert is_core_member(a, big, spec.inner)
-    assert is_core_member(a, transport(a, big, charts[1]), spec.inner)
+    assert is_core_member(a, big, [1, 2])
+    assert is_core_member(a, transport(a, big, charts[1]), [1, 2])
 
 
 def test_core_by_stages_trivial_and_decomposed():
@@ -166,10 +167,10 @@ def test_restricted_decomposition_starts_at_the_core_model(seed, n):
     # its decomposed model, which is the decomposed model of the core
     a = twisted_instance(seed, n=n, n_points=2, n_charts=2)
     dec = decompose(a)
-    for ambient, blocks in cube_plan(n).keys:
-        restricted = partition_core_morphism(dec, ambient, blocks)
-        model = associated_decomposed(partition_core(a, ambient, blocks))
-        assert restricted.source.transitions == model.transitions, (ambient, blocks)
+    for _, blocks in cube_plan(n).keys:
+        restricted = partition_core_morphism(dec, blocks)
+        model = associated_decomposed(partition_core(a, blocks))
+        assert restricted.source.transitions == model.transitions, blocks
         assert dict(restricted.data) == {
             key: g.diagonal_restrict(blocks) for key, g in dec.data.items()}
 
@@ -247,10 +248,10 @@ def test_cores_of_faces_equal_faces_of_cores():
     # same presentation as taking the core inside the full cube
     a = twisted_instance(66, n=4, n_points=2, n_charts=2)
     s_set = IndexSet([1, 2, 3])
-    face_pres = partition_core(a, s_set, Partition([[i] for i in s_set]))
+    face_pres = partition_core(a, Partition([[i] for i in s_set]))
     # core of the face: the face axes are 1..3 in the same order
-    spec_direct, direct = core(a, s_set, [1, 2], check=False)
-    spec_via, via = core(face_pres, full_set(3), [1, 2], check=False)
+    _, direct = core(a, s_set, [1, 2], check=False)
+    _, via = core(face_pres, full_set(3), [1, 2], check=False)
     assert direct.dims == via.dims
     assert direct.transitions == via.transitions
 

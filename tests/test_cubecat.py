@@ -3,12 +3,13 @@ import itertools
 import pytest
 
 from mvb.cubecat import (
-    DiagonalPartition,
     IndexSet,
     Partition,
     coarsen,
     full_set,
     is_union_of_blocks,
+    merge_blocks,
+    nonempty_subsets,
     partitions,
     subsets,
 )
@@ -114,9 +115,15 @@ def test_coarsen_bad_grouping():
         coarsen(Partition([[1], [2]]), Partition([[1, 3]]))
 
 
-def test_diagonal_partition_blocks():
-    rho = DiagonalPartition([1, 2, 3], [1, 2])
-    assert [list(b) for b in rho.blocks] == [[1, 2], [3]]
+def test_merge_blocks_equals_coarsen():
+    # coarsen is the oracle: merging the blocks at some positions is
+    # coarsening by that group plus the singletons of the other positions
+    for k in range(1, 6):
+        for rho in partitions(full_set(k)):
+            positions = full_set(len(rho))
+            for merged in nonempty_subsets(positions):
+                grouping = Partition([merged] + [[pos] for pos in positions.difference(merged)])
+                assert merge_blocks(rho, merged) == coarsen(rho, grouping), (rho, merged)
 
 
 def test_is_union_of_blocks():

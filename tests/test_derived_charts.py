@@ -27,7 +27,7 @@ from mvb.errors import DimensionMismatch
 from mvb.exactlin import MultiTensor
 from mvb.gauge import DimAssignment, Gauge, _compose_at
 from mvb.rand import random_dims, random_gauge, twisted_instance
-from mvb.split import _conjugated_top, _top_key, decompose, is_decomposition
+from mvb.split import _conjugated_top, decompose, is_decomposition
 
 MODES = st.sampled_from(["dense", "linear", "sparse"])
 
@@ -54,7 +54,7 @@ def test_restricted_composite_matches_dense_oracle(seed, n, max_dim, mode_f, mod
             assert dense.components[key].is_zero()
         else:
             assert got[at] == dense.components[key]
-    top = _top_key(n)
+    top = keys[-1]
     assert _conjugated_top(h, g, f) == dense_compose(h, dense).components[top]
 
 

@@ -30,8 +30,8 @@ SMALL = settings(max_examples=20, derandomize=True, database=None, deadline=None
 
 
 def every_core_key(n):
-    """(ambient, blocks) for every partition of every nonempty subset of {1..n}."""
-    return [(s, blocks) for s in nonempty_subsets(full_set(n)) for blocks in partitions(s)]
+    """Every partition of every nonempty subset of {1..n}."""
+    return [blocks for s in nonempty_subsets(full_set(n)) for blocks in partitions(s)]
 
 
 def assert_restricts_as_checked(ambient_gauge, restricted, blocks):
@@ -51,8 +51,8 @@ def assert_restricts_as_checked(ambient_gauge, restricted, blocks):
 
 def assert_cores_restrict_as_checked(presentation):
     a = presentation
-    for ambient, blocks in every_core_key(a.n):
-        core = partition_core(a, ambient, blocks)
+    for blocks in every_core_key(a.n):
+        core = partition_core(a, blocks)
         unions = block_unions(blocks)
         assert core.dims == DimAssignment(len(blocks), {
             nu: a.dims.dim(unions[nu]) for nu in unions})
@@ -90,8 +90,8 @@ def test_restricted_morphisms_restrict_as_the_checked_path(seed, n):
     a = twisted_instance(seed, n=n, n_points=2, n_charts=2)
     dec = decompose(a)
     for morphism in (dec, extract_splitting(a, dec)):
-        for ambient, blocks in every_core_key(n):
-            restricted = partition_core_morphism(morphism, ambient, blocks)
+        for blocks in every_core_key(n):
+            restricted = partition_core_morphism(morphism, blocks)
             for location, g in restricted.data.items():
                 assert g.source_dims == restricted.source.dims
                 assert g.target_dims == restricted.target.dims
@@ -113,9 +113,9 @@ def test_one_diagonal_dims_per_core_not_per_transition(monkeypatch):
     a = twisted_instance(9, n=4, max_dim=1, n_points=2, n_charts=3)
     assert len(a.transitions) > 4
     calls = count_diagonal_dims(monkeypatch)
-    for ambient, blocks in every_core_key(4):
+    for blocks in every_core_key(4):
         before = len(calls)
-        partition_core(a, ambient, blocks)
+        partition_core(a, blocks)
         assert calls[before:] == [blocks]
 
     # the builder makes one core object per key and nothing else restricts
@@ -131,18 +131,25 @@ def test_one_diagonal_dims_per_core_not_per_transition(monkeypatch):
     assert len(objects) == len(builder.cache.objects) == len(calls)
 
 
-def test_a_transition_of_other_dims_is_restricted_by_its_own():
-    """An unvalidated presentation may hold a transition whose dims are not
-    the presentation's; it is restricted by its own dims, as every
-    transition was before the dims were made once per core."""
+def atlas_with_a_transition_of_other_dims():
+    """An atlas built in code whose second transition has dims of its own,
+    with that transition's key and dims."""
     a = twisted_instance(31, n=3, max_dim=1, n_points=1, n_charts=2)
     other = random_dims(random.Random(5), 3, max_dim=2, min_dim=2)
     odd_key = sorted(a.transitions)[1]
     transitions = dict(a.transitions)
     transitions[odd_key] = random_gauge(random.Random(6), other)
-    b = AtlasPresentation(a.n, a.dims, a.base, a.charts, transitions)
+    return AtlasPresentation(a.n, a.dims, a.base, a.charts, transitions), odd_key, other
+
+
+def test_a_transition_of_other_dims_is_restricted_by_its_own():
+    """An unvalidated presentation may hold a transition whose dims are not
+    the presentation's; it is restricted by its own dims, as every
+    transition was before the dims were made once per core."""
+    b, odd_key, other = atlas_with_a_transition_of_other_dims()
+    transitions = b.transitions
     blocks = Partition([[1, 3], [2]])
-    core = partition_core(b, full_set(3), blocks)
+    core = partition_core(b, blocks)
     odd = core.transitions[odd_key]
     assert odd.source_dims == diagonal_dims(other, blocks) != core.dims
     assert_restricts_as_checked(transitions[odd_key], odd, blocks)
@@ -167,3 +174,20 @@ def test_a_wrongly_shaped_component_exits_two_naming_it(tmp_path, capsys):
         assert code == 2, (argv, err)
         assert "component at ([1, 2], [[1], [2]]) has shape 2x[1, 1], expected 1x[1, 1]" \
             in err, (argv, err)
+
+
+def test_a_transition_of_other_dims_in_a_file_exits_two_naming_it(tmp_path, capsys):
+    """Read from a file, the same atlas is an input error of every command,
+    raised by the reader and naming the transition, not a validation
+    failure, a length error deep in a certificate, or a silent pass."""
+    b, odd_key, _ = atlas_with_a_transition_of_other_dims()
+    assert odd_key == ("0", "1", "p0")
+    path = tmp_path / "other-dims.json"
+    path.write_text(json.dumps(formats.atlas_to_json(b)))
+    for argv in (["validate"], ["core", "--s", "1,2,3", "--j", "1,2"], ["pullback"],
+                 ["face", "--outer", "1,2"]):
+        code = cli.run(argv[:1] + [str(path)] + argv[1:])
+        err = capsys.readouterr().err
+        assert code == 2, (argv, err)
+        assert "transition 0<-1 at p0: gauge dims differ from the atlas dims" in err, \
+            (argv, err)

@@ -347,5 +347,5 @@ def test_shared_cache_reuses_core_splittings():
     # the cache must hold each object exactly once
     keys = list(builder.cache.splittings)
     assert len(keys) == len(set(keys))
-    fully_merged = (full_set(3), Partition([full_set(3)]))
+    fully_merged = Partition([full_set(3)])
     assert fully_merged in builder.cache.splittings or fully_merged in builder.cache.decompositions

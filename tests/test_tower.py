@@ -61,7 +61,7 @@ def test_truncations_are_compatible_restrictions():
         t4 = x.truncate(4)
         t3 = x.truncate(3)
         blocks = Partition([[i] for i in full_set(3)])
-        restricted = partition_core(t4, full_set(3), blocks)
+        restricted = partition_core(t4, blocks)
         assert restricted.dims == t3.dims
         assert restricted.transitions == t3.transitions
 
@@ -70,7 +70,7 @@ def test_stabilized_levels_equal_beyond_level():
     x = stabilizing_fixture(n=2)
     t3, t4 = x.truncate(3), x.truncate(4)
     blocks = Partition([[i] for i in full_set(3)])
-    assert partition_core(t4, full_set(3), blocks).transitions == t3.transitions
+    assert partition_core(t4, blocks).transitions == t3.transitions
 
 
 def test_tower_decomposition_identity_on_rule_identity_generator():
