@@ -172,13 +172,13 @@ class CubePlan:
     a partition of S, in the order gauges store their components;
     ``index`` maps each key to its position, and ``mask_index`` each
     key's block masks (``masks``).  ``top`` is the position of the last
-    key, {1..n} cut into singletons; ``singletons`` lists the positions
-    of every all-singleton key.  ``terms`` (built on first use) lists,
-    per key, one ``(outer, inners, slot_groups)`` triple for every
-    grouping of rho's blocks, the one-group grouping first: ``outer`` is
-    the position of (S, coarsened rho), ``inners`` the positions of
-    (union of the group, the group's blocks) per group, and
-    ``slot_groups`` the block positions of rho feeding each group.
+    key, {1..n} cut into singletons; ``singletons`` and ``one_block``
+    list the positions of every all-singleton and every (S, {S}) key.
+    ``terms`` (built on first use) lists, per key, one ``(outer,
+    inners, slot_groups)`` triple per grouping of rho's blocks, the
+    one-group grouping first: ``outer`` is the position of (S, coarsened
+    rho), ``inners`` the positions of (group union, group blocks) per
+    group, and ``slot_groups`` the block positions of rho feeding each.
     """
 
     def __init__(self, n):
@@ -191,6 +191,7 @@ class CubePlan:
         self.top = len(self.keys) - 1
         self.singletons = tuple(at for at, (s, rho) in enumerate(self.keys)
                                 if len(rho) == len(s))
+        self.one_block = tuple(at for at, (_, rho) in enumerate(self.keys) if len(rho) == 1)
         self._terms = None
 
     @property
@@ -202,17 +203,16 @@ class CubePlan:
     def _key_terms(self, parts):
         # groups list positions in increasing order and come by least
         # position, so blocks and unions keep the lowest-bit order
-        # (disjoint masks add as they OR)
+        # (disjoint masks add as they OR); each group is looked up once
         index = self.mask_index
+        groups = {}
+        for s in _subsets(full_set(len(parts)))[1:]:
+            group = tuple(parts[i - 1] for i in s)
+            groups[tuple(i - 1 for i in s)] = index[group], sum(group)
         out = []
         for slot_groups in _slot_groups(len(parts)):
-            inners = []
-            merged = []
-            for positions in slot_groups:
-                group = tuple(parts[pos] for pos in positions)
-                inners.append(index[group])
-                merged.append(sum(group))
-            out.append((index[tuple(merged)], tuple(inners), slot_groups))
+            inners, merged = zip(*map(groups.__getitem__, slot_groups))
+            out.append((index[merged], inners, slot_groups))
         return tuple(out)
 
 

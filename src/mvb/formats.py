@@ -36,7 +36,7 @@ from .bundle import BundleElement, BundleMorphism
 from .cubecat import IndexSet, Partition, _memoized, cube_plan
 from .errors import InvalidInput, InvalidPartition, ParseError, SchemaError
 from .exactlin import MultiTensor
-from .gauge import DimAssignment, Gauge
+from .gauge import DimAssignment, Gauge, _shaped_gauge
 
 FORMAT_VERSION = 1
 
@@ -274,7 +274,7 @@ def gauge_from_json(obj, where="gauge", memo=None):
             raise SchemaError(
                 "%s missing explicit one-block component at %s"
                 % (where, list(subset)))
-    return Gauge.from_tensors(src, tgt, tensors)
+    return _shaped_gauge(src, tgt, tensors)
 
 
 def _read_dims(n, obj, where, memo):

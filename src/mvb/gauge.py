@@ -34,18 +34,22 @@ position and check none of them again.
 Composition and inversion walk the plan and skip every term whose
 outer or inner component is zero, since such a term contributes
 nothing to the exact sum.  ``_sum_terms`` hands the remaining terms of a
-key to the one contraction kernel of ``exactlin``, which runs each
-term's gather program, compiled once per term shape, and adds every
-term into one list of integer numerators over the lcm of their
-denominators; the tensor made from the sum stays in that integer form.
-``_compose_at`` runs those sums for requested keys only: composition
-asks for every key, and a caller that reads one component of a
-composite (the uniform paste in ``split``) asks for the keys that
+key to the one contraction kernel of ``exactlin``, which adds them, each
+run by its gather program, into integer numerators over the lcm of
+their denominators.  When every dimension on both sides is 0 or 1
+(``DimAssignment.unit``), a nonzero component is one rational, and the
+walk adds each key's term products of ``(numerator, denominator)``
+pairs (read by ``integer_form``) over their lcm instead: the same
+integers, as a one-entry tensor's integer form is its entry in lowest
+terms.  ``_compose_at`` runs those sums for requested keys only:
+composition asks for every key, and a caller that reads one component
+of a composite (the uniform paste in ``split``) asks for the keys that
 component's terms read.
 """
 
 from collections.abc import Mapping
 from itertools import combinations
+from math import gcd, lcm
 
 from .cubecat import (
     IndexSet,
@@ -91,6 +95,7 @@ class DimAssignment:
                 if subset not in self.dims:
                     raise DimensionMismatch("missing dimension for %s" % (list(subset),))
         self._shapes = None
+        self.unit = all(d <= 1 for d in self.dims.values())
 
     @property
     def shapes(self):
@@ -137,6 +142,7 @@ def _derived_dims(n, dims):
     """The ``DimAssignment`` of ``dims``, derived from checked dims, unchecked."""
     out = DimAssignment.__new__(DimAssignment)
     out.n, out.dims, out._shapes = n, dims, None
+    out.unit = all(d <= 1 for d in dims.values())
     return out
 
 
@@ -166,12 +172,10 @@ def diagonal_dims(dims, blocks):
     corresponding blocks, read at the ambient position of its one-block key.
     """
     blocks = Partition(blocks)
-    shapes = dims.shapes
+    shapes, plan = dims.shapes, cube_plan(len(blocks))
+    ambient = ambient_positions((dims.n, blocks))
     return _derived_dims(len(blocks), {
-        nu: shapes[at][0]
-        for (nu, rho), at in zip(cube_plan(len(blocks)).keys,
-                                 ambient_positions((dims.n, blocks)))
-        if len(rho) == 1})
+        plan.keys[at][0]: shapes[ambient[at]][0] for at in plan.one_block})
 
 
 class Gauge:
@@ -253,11 +257,10 @@ class Gauge:
     def is_statomorphism(self):
         """Identity one-block parts over equal dims; nonlinear parts free.
         The identity on a 0-dimensional slot is the empty, zero tensor."""
+        plan, tensors, dims = cube_plan(self.n), self.tensors, self.source_dims.dims
         return self.is_square() and all(
-            self.source_dims.dims[subset] == 0 if tensor is None else tensor.is_identity()
-            for (subset, rho), tensor in zip(cube_plan(self.n).keys, self.tensors)
-            if len(rho) == 1
-        )
+            dims[plan.keys[at][0]] == 0 if tensors[at] is None else tensors[at].is_identity()
+            for at in plan.one_block)
 
     def is_block_diagonal(self):
         return all(
@@ -288,16 +291,11 @@ class Gauge:
         return out
 
     def compose(self, other):
-        """The gauge acting as ``self`` after ``other``.
-
-        Terms whose outer or inner component is zero contribute nothing
-        and are skipped.
-        """
+        """The gauge acting as ``self`` after ``other``."""
         if other.target_dims != self.source_dims:
             raise DimensionMismatch("middle dimensions do not match")
-        composite = _compose_at(self.tensors, other.tensors, range(len(self.tensors)),
-                                other.source_dims)
-        return Gauge.from_tensors(other.source_dims, self.target_dims, composite)
+        return _shaped_gauge(other.source_dims, self.target_dims,
+                             _compose_at(self, other, range(len(self.tensors))))
 
     def invert(self):
         """Two-sided inverse; requires invertible one-block parts.
@@ -308,6 +306,8 @@ class Gauge:
         """
         if not self.is_square():
             raise DimensionMismatch("only square gauges invert")
+        if self.source_dims.unit:
+            return _invert_scalars(self)
         plan = cube_plan(self.n)
         shapes = self.source_dims.shapes
         negated = {}  # minus the inverse of the one-block part, per subset
@@ -417,22 +417,29 @@ class _Components(Mapping):
         return len(self.gauge.tensors)
 
 
-def _compose_at(outers, inners, positions, source_dims):
-    """The components of a composite at the requested plan positions only.
+def _shaped_gauge(source_dims, target_dims, tensors):
+    """The gauge of shape-checked ``tensors``, all-zero ones made ``None``."""
+    return _trusted_gauge(source_dims, target_dims, tuple(
+        None if tensor is None or tensor.is_zero() else tensor for tensor in tensors))
 
-    ``outers`` and ``inners`` hold the components of two composable
-    gauges in plan order, ``None`` for zero ones (a gauge's ``tensors``);
-    ``source_dims`` are the inner gauge's source dimensions.  The result
-    has the same form: the component of the outer gauge after the inner
-    one at each of ``positions``, ``None`` at every other position and
-    where no term survives.  Only the terms of the requested keys are
-    contracted, so a result can be the inner side of a further
-    restricted composition whose terms read only the positions it holds.
-    """
-    terms, shapes = cube_plan(source_dims.n).terms, source_dims.shapes
+
+def _compose_at(outer, inner, positions):
+    """The components of ``outer`` after ``inner`` at the requested plan
+    positions, in plan order as a gauge's ``tensors``; ``None`` at every
+    other position and where no term survives.  A result can be the
+    inner side of a further restricted composition whose terms read only
+    the positions it holds."""
+    terms, shapes = cube_plan(inner.n).terms, inner.source_dims.shapes
     out = [None] * len(terms)
-    for at in positions:
-        out[at] = _sum_terms(terms[at], outers, inners, shapes[at][1])
+    if outer.target_dims.unit and inner.target_dims.unit and inner.source_dims.unit:
+        outers, inners = _scalars(outer.tensors), _scalars(inner.tensors)
+        for at in positions:
+            num, den = _scalar_sum(terms[at], outers, inners)
+            if num:
+                out[at] = MultiTensor.from_integers(1, shapes[at][1], [num], den)
+    else:
+        for at in positions:
+            out[at] = _sum_terms(terms[at], outer.tensors, inner.tensors, shapes[at][1])
     return out
 
 
@@ -450,6 +457,55 @@ def _sum_terms(terms, outers, inners, total_in):
         if all(args):
             live.append((outer, args, slot_groups))
     return _sum_of_composites(live, live[0][0].out_dim, total_in) if live else None
+
+
+def _invert_scalars(gauge):
+    """``Gauge.invert`` over unit dims, on ``_scalars``."""
+    plan, shapes = cube_plan(gauge.n), gauge.source_dims.shapes
+    given, solved = _scalars(gauge.tensors), [None] * len(shapes)
+    for at, ((subset, rho), terms) in enumerate(zip(plan.keys, plan.terms)):
+        if len(rho) > 1:
+            # terms[0] reads the unknown and the one-block part of subset
+            num, den = _scalar_sum(terms[1:], given, solved)
+            if num:
+                p, q = solved[terms[0][0]]
+                g = gcd(p * num, q * den)
+                solved[at] = -p * num // g, q * den // g
+        elif shapes[at][0]:
+            if given[at] is None:
+                raise SingularMatrix("one-block part at %s is singular" % (list(subset),))
+            p, q = given[at]
+            solved[at] = (q, p) if p > 0 else (-q, -p)
+    return _trusted_gauge(gauge.source_dims, gauge.target_dims, tuple(
+        MultiTensor.from_integers(1, shape[1], [pair[0]], pair[1]) if pair else None
+        for pair, shape in zip(solved, shapes)))
+
+
+def _scalars(tensors):
+    """A ``(numerator, denominator)`` pair per one-entry tensor, or ``None``."""
+    forms = [((0,), 1) if tensor is None else tensor.integer_form() for tensor in tensors]
+    return [(nums[0], den) if any(nums) else None for nums, den in forms]
+
+
+def _scalar_sum(terms, outers, inners):
+    """``_sum_terms`` over ``_scalars`` as an unreduced ``(numerator,
+    denominator)``: the live terms' pair products over their lcm."""
+    num, den = 0, 1
+    for outer_at, inner_at, _ in terms:
+        outer = outers[outer_at]
+        if outer is None:
+            continue
+        p, q = outer
+        for i in inner_at:
+            inner = inners[i]
+            if inner is None:
+                break
+            p *= inner[0]
+            q *= inner[1]
+        else:
+            common = lcm(den, q)
+            num, den = num * (common // den) + p * (common // q), common
+    return num, den
 
 
 def identity_gauge(source_dims, target_dims=None):

@@ -47,6 +47,7 @@ The pipeline follows the constructive existence proofs:
 
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 
 from .atlas import (
     AtlasPresentation,
@@ -68,7 +69,7 @@ from .cubecat import (
 )
 from .errors import InvalidInput, SemanticError
 from .exactlin import MultiTensor, unit_vector
-from .gauge import Gauge, _compose_at, identity_gauge
+from .gauge import Gauge, _compose_at, _trusted_gauge, identity_gauge
 
 STRATEGIES = ("least-chart", "uniform-average")
 
@@ -107,18 +108,20 @@ def _pairs(k):
     return sorted((s for s in nonempty_subsets(full_set(k)) if len(s) == 2), key=tuple)
 
 
-def _merged(k, mu):
-    """The partition of {1..k} that merges the pair ``mu``: the blocks of
-    the ``mu``-core of a k-cube object, in that object's positions."""
-    return merge_blocks(_top_key(k), mu)
+@_memoized(256)
+def _merged(k_and_mu):
+    """For ``(k, mu)``, the partition of {1..k} merging the pair ``mu``:
+    the blocks of the ``mu``-core of a k-cube object."""
+    return merge_blocks(_top_key(k_and_mu[0]), k_and_mu[1])
 
 
-def _core_positions(k, mu):
-    """Per position in ``cube_plan(k)`` of a key the ``mu``-core covers
-    (every block a union of merged blocks), the position of the core's
-    own key in ``cube_plan(k - 1)``: ``ambient_positions`` inverted."""
-    return {at: core_at
-            for core_at, at in enumerate(ambient_positions((k, _merged(k, mu))))}
+@_memoized(256)
+def _core_positions(k_and_mu):
+    """For ``(k, mu)``, read-only: per position in ``cube_plan(k)`` of a
+    key the ``mu``-core covers (every block a union of merged blocks),
+    the position of the core's own key in ``cube_plan(k - 1)``."""
+    ambient = ambient_positions((k_and_mu[0], _merged(k_and_mu)))
+    return MappingProxyType({at: core_at for core_at, at in enumerate(ambient)})
 
 
 def _route(rho):
@@ -147,7 +150,7 @@ def _assemble(obj, model, sigma, core_decs, base):
     core decompositions.  In the canonical chart fiber addition is
     coordinatewise, so every component is copied from the splitting or
     from the core decomposition that the chain would consult for it."""
-    core_at = {mu: _core_positions(obj.n, mu) for mu in _pairs(obj.n)}
+    core_at = {mu: _core_positions((obj.n, mu)) for mu in _pairs(obj.n)}
     family = {}
     for p in base:
         can = obj.canonical_chart(p)
@@ -167,8 +170,9 @@ def _conjugated_top(outer, g, inner):
     """
     plan = cube_plan(g.n)
     top_at = plan.top
-    right = _compose_at(g.tensors, inner.tensors, plan.singletons, inner.source_dims)
-    tensor = _compose_at(outer.tensors, right, [top_at], inner.source_dims)[top_at]
+    right = _trusted_gauge(inner.source_dims, g.target_dims,
+                           _compose_at(g, inner, plan.singletons))
+    tensor = _compose_at(outer, right, [top_at])[top_at]
     if tensor is None:
         return MultiTensor.zeros(outer.target_dims.shapes[top_at][0],
                                  inner.source_dims.shapes[top_at][1])
@@ -379,7 +383,7 @@ def check_compatibility(presentation, sigma, core_decs):
     for mu in pairs:
         if mu not in core_decs:
             raise InvalidInput("missing core decomposition at %s" % (list(mu),))
-    core_at = {mu: _core_positions(n, mu) for mu in pairs}
+    core_at = {mu: _core_positions((n, mu)) for mu in pairs}
     locations = [(c.id, p) for c in a.charts for p in c.domain]
 
     def core_component(mu, location, at):
@@ -435,7 +439,7 @@ def extract_splitting(presentation, decomposition):
 def extract_core_decompositions(decomposition):
     """Decompositions of the codimension-one cores, by restriction."""
     n = decomposition.target.n
-    return {mu: partition_core_morphism(decomposition, _merged(n, mu))
+    return {mu: partition_core_morphism(decomposition, _merged((n, mu)))
             for mu in _pairs(n)}
 
 

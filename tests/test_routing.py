@@ -87,8 +87,12 @@ def test_core_keys_match_the_oracle_slot_map(k):
     # an ambient partition with k blocks, one of them not a singleton
     wide = Partition([[1, k + 1]] + [[i] for i in range(2, k + 1)])
     for mu in _pairs(k):
-        core_keys = {at: cube_plan(k - 1).keys[core_at]
-                     for at, core_at in _core_positions(k, mu).items()}
+        # one shared answer per (k, mu), so no caller may write to it
+        positions = _core_positions((k, mu))
+        assert _core_positions((k, mu)) is positions
+        with pytest.raises(TypeError):
+            positions[0] = 0
+        core_keys = {at: cube_plan(k - 1).keys[core_at] for at, core_at in positions.items()}
         slot_map = _merged_slot_map(singles, mu)
         assert _merged_slot_map(wide, mu) == slot_map
         routed = [at for at, key in enumerate(keys) if _route(key[1]) == mu]
