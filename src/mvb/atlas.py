@@ -14,6 +14,8 @@ and one orientation per unordered chart triple; all other orientations
 follow from these.
 """
 
+from collections.abc import Mapping
+
 from .cubecat import Partition, cube_plan
 from .errors import InvalidInput
 from .exactlin import rank
@@ -66,6 +68,33 @@ class Chart:
         return "Chart(%r, %s)" % (self.id, list(self.domain))
 
 
+class DerivedMapping(Mapping):
+    """A read-only mapping over the collection ``keys``, in its order,
+    whose value at a key is ``derive(key)``, made on the first read of
+    that key and kept; ``made`` may give some values up front."""
+
+    __slots__ = ("_keys", "_derive", "_made")
+
+    def __init__(self, keys, derive, made=None):
+        self._keys, self._derive, self._made = keys, derive, made or {}
+
+    def __getitem__(self, key):
+        if key not in self._made:
+            if key not in self._keys:
+                raise KeyError(key)
+            self._made[key] = self._derive(key)
+        return self._made[key]
+
+    def __contains__(self, key):
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
 class AtlasPresentation:
     """Finite-model data of an n-fold vector bundle.
 
@@ -73,6 +102,12 @@ class AtlasPresentation:
     into chart-a coordinates.  ``axis_blocks`` optionally records what
     each cube axis stands for when the presentation arose from a core
     or diagonal construction.
+
+    A presentation made by ``derived`` (a core, a vacant or decomposed
+    model) shares its parent's ``base`` and ``charts`` objects and the
+    canonical chart of each point, computed once per chart system.  Its
+    ``transitions`` is a read-only ``DerivedMapping`` whose entries are
+    made from the parent's on first read.
     """
 
     def __init__(self, n, dims, base, charts, transitions, axis_blocks=None):
@@ -91,6 +126,18 @@ class AtlasPresentation:
             raise InvalidInput("duplicate chart ids")
         self.transitions = dict(transitions)
         self.axis_blocks = tuple(axis_blocks) if axis_blocks else None
+        self._canonical = {}
+
+    def derived(self, n, dims, derive, axis_blocks=None):
+        """The presentation over this one's base and charts (not checked
+        again) with ``dims``, whose transition at each of this one's keys
+        is ``derive(key)``, made on first read."""
+        out = AtlasPresentation.__new__(AtlasPresentation)
+        out.n, out.dims, out.base, out.charts = n, dims, self.base, self.charts
+        out.transitions = DerivedMapping(self.transitions.keys(), derive)
+        out.axis_blocks = tuple(axis_blocks) if axis_blocks else None
+        out._canonical = self._canonical
+        return out
 
     def chart(self, chart_id):
         for c in self.charts:
@@ -103,10 +150,13 @@ class AtlasPresentation:
 
     def canonical_chart(self, point):
         """The lexicographically least chart containing the point."""
-        at = sorted(self.charts_at(point))
-        if not at:
-            raise InvalidInput("point %r not covered" % (point,))
-        return at[0]
+        chart = self._canonical.get(point)
+        if chart is None:
+            at = self.charts_at(point)
+            if not at:
+                raise InvalidInput("point %r not covered" % (point,))
+            chart = self._canonical[point] = min(at)
+        return chart
 
     def transition(self, dst, src, point):
         try:
@@ -121,16 +171,15 @@ class AtlasPresentation:
 
     def trimmed(self, dims):
         """The sub-presentation over ``dims`` (each slot's dimension at
-        most the ambient one): every transition is ``Gauge.trimmed``."""
-        return AtlasPresentation(
-            self.n, dims, self.base, self.charts,
-            {key: g.trimmed(dims) for key, g in self.transitions.items()},
-            self.axis_blocks)
+        most the ambient one): every transition is ``Gauge.trimmed``, on
+        first read."""
+        return self.derived(
+            self.n, dims, lambda key: self.transitions[key].trimmed(dims), self.axis_blocks)
 
     def same_chart_system(self, other):
-        return self.base == other.base and tuple(
-            (c.id, c.domain) for c in self.charts
-        ) == tuple((c.id, c.domain) for c in other.charts)
+        # derived presentations share one canonical-chart memo
+        return self._canonical is other._canonical or (
+            self.base == other.base and self.charts == other.charts)
 
     def __repr__(self):
         return "AtlasPresentation(n=%d, charts=%d, points=%d)" % (
@@ -334,14 +383,15 @@ def diagonal(dims, blocks, base):
 
 
 def associated_decomposed(presentation):
-    """The decomposed model sharing base, charts, and one-block cocycles."""
+    """The decomposed model sharing base, charts, and one-block cocycles;
+    each transition is made on first read."""
     a = presentation
-    keys = cube_plan(a.n).keys
-    out = {
-        key: Gauge(a.dims, a.dims, {k: t for k, t in zip(keys, g.tensors) if len(k[1]) == 1})
-        for key, g in a.transitions.items()
-    }
-    return AtlasPresentation(a.n, a.dims, a.base, a.charts, out, a.axis_blocks)
+    keys, transitions = cube_plan(a.n).keys, a.transitions
+
+    def linear(key):
+        return Gauge.from_tensors(a.dims, a.dims, [
+            t if len(rho) == 1 else None for (_, rho), t in zip(keys, transitions[key].tensors)])
+    return a.derived(a.n, a.dims, linear, a.axis_blocks)
 
 
 def associated_vacant(presentation):

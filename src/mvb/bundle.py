@@ -12,12 +12,11 @@ its gauge in any other chart on first read, by naturality; a chart
 that is never read is never composed.
 """
 
-from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .atlas import AtlasPresentation, decomposed
+from .atlas import AtlasPresentation, DerivedMapping, decomposed
 from .cubecat import (
     IndexSet,
     Partition,
@@ -183,7 +182,7 @@ def _checked_shape(g, source, target, chart, point):
     return g
 
 
-class _NaturalData(Mapping):
+class _NaturalData(DerivedMapping):
     """Read-only (chart, point) -> gauge data of a morphism given per point
     in the canonical chart.
 
@@ -196,32 +195,17 @@ class _NaturalData(Mapping):
     def __init__(self, source, target, family):
         self.source = source
         self.target = target
-        self._gauges = {}
-        for c in source.charts:
-            for p in c.domain:
-                g = None
-                if c.id == source.canonical_chart(p):
-                    g = _checked_shape(family[p], source, target, c.id, p)
-                self._gauges[(c.id, p)] = g
+        keys = {(c.id, p): None for c in source.charts for p in c.domain}
+        made = {(chart, p): _checked_shape(family[p], source, target, chart, p)
+                for chart, p in keys if chart == source.canonical_chart(p)}
 
-    def __getitem__(self, key):
-        g = self._gauges[key]
-        if g is None:
+        def conjugated(key):
             chart, p = key
-            can = self.source.canonical_chart(p)
-            g = self.target.transition(chart, can, p).compose(
-                self._gauges[(can, p)]).compose(self.source.transition(can, chart, p))
-            self._gauges[key] = _checked_shape(g, self.source, self.target, chart, p)
-        return g
-
-    def __contains__(self, key):
-        return key in self._gauges
-
-    def __iter__(self):
-        return iter(self._gauges)
-
-    def __len__(self):
-        return len(self._gauges)
+            can = source.canonical_chart(p)
+            g = target.transition(chart, can, p).compose(made[(can, p)]).compose(
+                source.transition(can, chart, p))
+            return _checked_shape(g, source, target, chart, p)
+        super().__init__(keys.keys(), conjugated, made)
 
 
 class BundleMorphism:

@@ -10,15 +10,16 @@ such slots are again such slots, transitions preserve the core
 componentwise; the restriction is nevertheless re-checked against
 ambient evaluation on basis elements rather than assumed.
 
-Core presentations reuse the ambient charts, which keeps the induced
-morphism of a core a literal restriction of the ambient data.
+A core presentation is a view of the ambient one: it shares the ambient
+base and charts, which keeps the induced morphism of a core a literal
+restriction of the ambient data, and its ``transitions`` is a read-only
+mapping whose entries are restricted from the ambient ones on first read.
 """
 
 import random
 from fractions import Fraction
 from itertools import permutations, product
 
-from .atlas import AtlasPresentation
 from .bundle import (
     BundleMorphism,
     add,
@@ -57,18 +58,20 @@ def _core_blocks(ambient, inner):
 def partition_core(presentation, blocks):
     """The sub-bundle of union-of-blocks slots, as a presentation over
     the cube with one axis per block (canonical order); the ambient node
-    is the ground of ``blocks``."""
+    is the ground of ``blocks``.  Each transition is restricted from the
+    ambient one on its first read."""
     a = presentation
     blocks = Partition(blocks)
     if not blocks.ground.issubset(full_set(a.n)):
         raise InvalidInput("ambient node outside the cube")
     dims = diagonal_dims(a.dims, blocks)
-    # a transition of other dims (an unvalidated input) is restricted by its own
-    transitions = {key: g.diagonal_restrict(
-        blocks, (dims, dims) if g.source_dims == a.dims == g.target_dims else None)
-        for key, g in a.transitions.items()}
-    return AtlasPresentation(len(blocks), dims, a.base, a.charts, transitions,
-                             axis_blocks=tuple(blocks))
+
+    def restrict(key):
+        g = a.transitions[key]
+        # a transition of other dims (an unvalidated input) is restricted by its own
+        return g.diagonal_restrict(
+            blocks, (dims, dims) if g.source_dims == a.dims == g.target_dims else None)
+    return a.derived(len(blocks), dims, restrict, blocks)
 
 
 def partition_core_morphism(morphism, blocks):
@@ -125,11 +128,11 @@ def core_closure_certificate(presentation, blocks):
     """
     a = presentation
     blocks = Partition(blocks)
-    core_dims = diagonal_dims(a.dims, blocks)
-    k = len(blocks)
+    core = partition_core(a, blocks)
+    core_dims, k = core.dims, core.n
     witnesses = []
     for (dst, src, p), g in sorted(a.transitions.items()):
-        sub = g.diagonal_restrict(blocks)
+        sub = core.transitions[(dst, src, p)]
         for nu in nonempty_subsets(full_set(k)):
             for rho in partitions(nu):
                 for basis in _basis_tuples(core_dims, rho):

@@ -20,8 +20,9 @@ A partition of an ambient node into k blocks reindexes a core onto the
 k-cube, axis i standing for the i-th block.  ``ambient_positions`` is
 that one map, from each key of the k-cube plan to the position of the
 ambient key it stands for: every translation between a core and its
-ambient cube (gauge restriction, core dimensions, routing a core
-decomposition's components, comparing two cores) reads it or inverts it.
+ambient cube (gauge restriction, routing a core decomposition's
+components, comparing two cores) reads it or inverts it.  Core
+dimensions read the same block unions at the one-block keys alone.
 """
 
 from .errors import InvalidPartition
@@ -240,15 +241,20 @@ def ambient_positions(n_and_blocks):
     in ``cube_plan(n)`` of the ambient key it stands for, whose sets are
     the unions of the blocks named by the key's sets."""
     n, blocks = n_and_blocks
-    # unions[m] is the mask of the union of the blocks at the set bits of m
-    unions = [0]
-    for bit in map(_mask, blocks):
-        unions += [u | bit for u in unions]
+    unions = _unions(blocks)
     # a part with a smaller least position holds the block with the
     # smaller least element, so the unions keep the canonical order
     index = cube_plan(n).mask_index
     return tuple(index[tuple(unions[part] for part in parts)]
                  for parts in cube_plan(len(blocks)).masks)
+
+
+def _unions(blocks):
+    """``unions[m]``: the mask of the union of the blocks at the set bits of m."""
+    unions = [0]
+    for bit in map(_mask, blocks):
+        unions += [u | bit for u in unions]
+    return unions
 
 
 def coarsen(partition, grouping):

@@ -29,6 +29,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from math import lcm, prod
 
 from .atlas import AtlasPresentation, Chart, FiniteBase
@@ -155,7 +156,7 @@ def tensor_from_json(obj, where=""):
         out_dim, in_dims, [x * (den // d) for x, d in pairs], den)
 
 
-_INT, _STR = {int}, {str}
+_INT, _STR, _LIST = {int}, {str}, {list}
 
 
 def _tensor_key(obj):
@@ -301,9 +302,8 @@ def _component_position(plan, item, where):
     form is read and checked as an index set and a partition of it.
     """
     target, blocks = item.get("target"), item.get("blocks")
-    if (type(target) is list and type(blocks) is list
-            and all(type(i) is int for i in target)
-            and all(type(b) is list and all(type(i) is int for i in b) for b in blocks)):
+    if (type(target) is list and type(blocks) is list and _LIST.issuperset(map(type, blocks))
+            and _INT.issuperset(map(type, chain(target, *blocks)))):
         at = plan.index.get((tuple(target), tuple(map(tuple, blocks))))
         if at is not None:
             return at

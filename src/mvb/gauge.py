@@ -55,6 +55,7 @@ from .cubecat import (
     IndexSet,
     Partition,
     _memoized,
+    _unions,
     ambient_positions,
     cube_plan,
     full_set,
@@ -113,8 +114,8 @@ class DimAssignment:
     def zeroed(self, keep):
         """These dims with every slot whose key fails ``keep`` set to 0;
         the keys are unchanged, so nothing is checked again."""
-        return _derived_dims(
-            self.n, {key: (value if keep(key) else 0) for key, value in self.dims.items()})
+        return _derived_dims((self.n, tuple(
+            self.dims[s] if keep(s) else 0 for s in nonempty_subsets(full_set(self.n)))))
 
     def node_dim(self, node):
         """Total fiber dimension of the node over the absolute base."""
@@ -138,11 +139,14 @@ class DimAssignment:
         )
 
 
-def _derived_dims(n, dims):
-    """The ``DimAssignment`` of ``dims``, derived from checked dims, unchecked."""
+@_memoized(256)
+def _derived_dims(n_and_dims):
+    """The ``DimAssignment`` of ``(n, dims in subset order)``, derived from
+    checked dims, unchecked; equal ones are one shared object."""
+    n, dims = n_and_dims
     out = DimAssignment.__new__(DimAssignment)
-    out.n, out.dims, out._shapes = n, dims, None
-    out.unit = all(d <= 1 for d in dims.values())
+    out.n, out.dims, out._shapes = n, dict(zip(nonempty_subsets(full_set(n)), dims)), None
+    out.unit = all(d <= 1 for d in dims)
     return out
 
 
@@ -173,9 +177,10 @@ def diagonal_dims(dims, blocks):
     """
     blocks = Partition(blocks)
     shapes, plan = dims.shapes, cube_plan(len(blocks))
-    ambient = ambient_positions((dims.n, blocks))
-    return _derived_dims(len(blocks), {
-        plan.keys[at][0]: shapes[ambient[at]][0] for at in plan.one_block})
+    index, unions = cube_plan(dims.n).mask_index, _unions(blocks)
+    # the one-block keys come in subset order
+    return _derived_dims((len(blocks), tuple(
+        shapes[index[(unions[plan.masks[at][0]],)]][0] for at in plan.one_block)))
 
 
 class Gauge:

@@ -8,6 +8,7 @@ then hold by construction, so every generated instance validates.
 
 import random
 from fractions import Fraction
+from math import prod
 
 from .cubecat import full_set, nonempty_subsets
 from .exactlin import MultiTensor, rank
@@ -18,16 +19,14 @@ def random_invertible_matrix(rng, n):
     if n == 0:
         return MultiTensor.zeros(0, (0,))
     while True:
-        t = MultiTensor(n, (n,), [Fraction(rng.randint(-2, 2)) for _ in range(n * n)])
+        t = MultiTensor.from_integers(n, (n,), [rng.randint(-2, 2) for _ in range(n * n)], 1)
         if rank(t) == n:
             return t
 
 
 def random_tensor(rng, out_dim, in_dims, lo=-2, hi=2):
-    size = out_dim
-    for d in in_dims:
-        size *= d
-    return MultiTensor(out_dim, in_dims, [Fraction(rng.randint(lo, hi)) for _ in range(size)])
+    return MultiTensor.from_integers(out_dim, tuple(in_dims), [
+        rng.randint(lo, hi) for _ in range(prod(in_dims, start=out_dim))], 1)
 
 
 def random_dims(rng, n, max_dim=2, min_dim=0):

@@ -234,7 +234,8 @@ class DecompositionBuilder:
         return objects[key]
 
     def subkey(self, key, positions):
-        return Partition([key[pos - 1] for pos in positions])
+        # blocks at increasing positions keep the canonical order
+        return tuple.__new__(Partition, [key[pos - 1] for pos in positions])
 
     def merged_key(self, key, positions):
         return merge_blocks(key, positions)

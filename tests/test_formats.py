@@ -484,6 +484,26 @@ def test_component_keys_hold_json_integers(field, bad):
     assert field in str(err.value)
 
 
+@pytest.mark.parametrize("field", ["target", "blocks"])
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_a_non_integer_in_a_component_key_exits_two_naming_it(field, bad, tmp_path, capsys):
+    """A ``true`` or ``1.0`` inside a key that would otherwise be found in
+    the plan index is an input error of the command line, with the
+    message of the checked reader."""
+    body = _unit_atlas_body()
+    transition = body["transitions"][0]
+    component = transition["gauge"]["components"][0]
+    assert (component["target"], component["blocks"]) == ([1], [[1]])
+    component[field] = [bad] if field == "target" else [[bad]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    assert run(["validate", str(path)]) == 2
+    assert ("input error: transition %s<-%s at %s component: %s malformed: index sets"
+            " hold positive integers, got %r\n" % (
+                transition["to"], transition["from"], transition["point"], field, bad)
+            ) == capsys.readouterr().err
+
+
 def test_duplicate_gauge_component_is_schema_error():
     body = _unit_gauge_body()
     body["components"].append(json.loads(json.dumps(body["components"][0])))
