@@ -30,6 +30,7 @@ from .split import (
     STRATEGIES,
     act_by_statomorphism,
     decompose,
+    decompositions,
     find_splitting,
     is_decomposition,
     is_splitting,
@@ -233,8 +234,7 @@ def cmd_normalize(report, presentation, args):
 
 
 def cmd_torsor(report, presentation, args):
-    d1 = decompose(presentation, args.strategy_a)
-    d2 = decompose(presentation, args.strategy_b)
+    d1, d2 = decompositions(presentation, [args.strategy_a, args.strategy_b])
     tau = torsor_statomorphism(d1, d2)
     stato = all(g.is_statomorphism() for g in tau.data.values())
     report.claim("decompositions differ by a statomorphism", stato)

@@ -12,12 +12,19 @@ built.
 Every exact contraction is one sum of composition terms in integer form,
 ``_sum_of_composites``: ``compose_tensors`` is one term, ``apply`` one
 term whose inner tensors are its arguments as tensors with no inputs,
-and a gauge component the sum of its live terms.  Each term's shape is
-compiled once into a gather program (``_program``, a memo of at most
-4096 programs, each linear in its shape's sizes): every inner tensor's
-flat input index at each composite input index, and the block offsets
-of each outer input index.  ``_gather`` runs a term's program and adds
-it into one integer list over the lcm of the terms' denominators.
+and a gauge component the sum of its live terms.  A term that
+multiplies by identities only, every inner tensor an identity matrix or
+a one-block outer an identity, copies the other tensor's numerators to
+the composite positions they feed (``_copied``, ``_moves``); a sum of
+one such term that moves nothing is that tensor itself.  Every other
+term's shape is compiled once into a gather program (``_program``, a
+memo of at most 4096 programs, each linear in its shape's sizes): every
+inner tensor's flat input index at each composite input index, and the
+block offsets of each outer input index.  ``_gather`` runs a term's
+program, walking a small outer tensor's nonzero numerators with one to
+four inner tensors and taking dot products with Kronecker products of
+inner columns past a measured crossover or with more inner tensors.  Every term is added into
+one integer list over the lcm of the terms' denominators.
 
 Every linear solve (``rank``, ``kernel_basis``, ``solve_linear`` and
 ``invert_matrix``) runs one fraction-free Gauss-Jordan elimination on
@@ -31,7 +38,7 @@ times the reduced row echelon form, so solutions are integers over
 from fractions import Fraction
 from itertools import product, repeat
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .cubecat import _memoized
 from .errors import DimensionMismatch, SingularMatrix
@@ -39,8 +46,10 @@ from .errors import DimensionMismatch, SingularMatrix
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# the most numerators of an outer tensor that the kernel walks one by one;
-# past about this many, dense terms run faster as dot products
+# the most numerators of an outer tensor that the kernel walks one by one,
+# with one to four inner tensors; past about this many, dense terms run
+# faster as dot products (crossovers measured on random terms of density
+# 1.0 and 0.3)
 _WALKED = 32
 
 
@@ -143,7 +152,7 @@ class MultiTensor:
         return not any(self._ints[0])
 
     def is_identity(self):
-        return self == MultiTensor.identity(self.out_dim)
+        return _is_identity(self)
 
     def entry(self, out_index, in_indices):
         flat = out_index
@@ -204,6 +213,16 @@ class MultiTensor:
         return "MultiTensor(out=%d, ins=%s)" % (self.out_dim, list(self.in_dims))
 
 
+def _is_identity(tensor):
+    return tensor.in_dims == (tensor.out_dim,) and tensor._ints == _identity_form(tensor.out_dim)
+
+
+@_memoized(64)
+def _identity_form(dim):
+    """The integer form of the ``dim`` x ``dim`` identity; shared, never changed."""
+    return MultiTensor.identity(dim).integer_form()
+
+
 def compose_tensors(outer, inners, slot_groups, total_in_dims):
     """Contract ``outer`` with one inner tensor per slot.
 
@@ -230,16 +249,76 @@ def _sum_of_composites(terms, out_dim, total_in_dims):
     integer form.
 
     Each term is added into one integer list, scaled to the lcm of the
-    terms' denominators.
+    terms' denominators.  A term that multiplies by identities only
+    (``_copied``) adds the numerators of its other tensor, moved to the
+    composite positions they feed; any other term runs its gather
+    program.  A sum of one term that copies a tensor in place is that
+    tensor.
     """
-    dens = [prod([outer._ints[1]] + [t._ints[1] for t in inners]) for outer, inners, _ in terms]
+    copies = [_copied(term, total_in_dims) for term in terms]
+    if len(terms) == 1 and copies[0] is not None and copies[0][1] is None:
+        return copies[0][0]
+    dens = []
+    for outer, inners, _ in terms:
+        term_den = outer._ints[1]
+        for inner in inners:
+            term_den *= inner._ints[1]
+        dens.append(term_den)
     den = lcm(*dens)
     size = prod(total_in_dims)
     total = [0] * (out_dim * size)
-    for (outer, inners, slot_groups), term_den in zip(terms, dens):
-        _gather(total, size, outer._ints[0], den // term_den, [t._ints[0] for t in inners],
-                _program((outer.in_dims, slot_groups, total_in_dims)))
+    for (outer, inners, slot_groups), term_den, copy in zip(terms, dens, copies):
+        scale = den // term_den
+        if copy is None:
+            _gather(total, size, outer._ints[0], scale, [t._ints[0] for t in inners],
+                    _program((outer.in_dims, slot_groups, total_in_dims)))
+            continue
+        nums, targets = copy[0]._ints[0], copy[1]
+        if targets is None:
+            total[:] = map(add, total, map(mul, nums, repeat(scale)) if scale > 1 else nums)
+            continue
+        for k, x in enumerate(nums):
+            if x:
+                total[k // size * size + targets[k % size]] += x * scale
     return MultiTensor.from_integers(out_dim, total_in_dims, total, den)
+
+
+def _copied(term, total_in_dims):
+    """``(tensor, targets)`` for a term that only moves one tensor's
+    numerators, ``None`` for any other: with every inner tensor an
+    identity the composite is the outer tensor, and with a one-block
+    identity outer it is the one inner tensor.  Either way the tensor's
+    input slots feed the composite positions of the slot groups in
+    order; ``targets`` is ``_moves`` of that, ``None`` when nothing
+    moves."""
+    outer, inners, slot_groups = term
+    tensor = outer
+    for inner in inners:
+        if not _is_identity(inner):
+            if len(inners) > 1 or not _is_identity(outer):
+                return None
+            tensor = inner
+            break
+    targets = _moves((slot_groups, total_in_dims))
+    return None if targets is False else (tensor, targets)
+
+
+@_memoized(4096)
+def _moves(shape):
+    """For ``(slot_groups, total_in_dims)``, a tensor whose input slots
+    feed the composite positions of the slot groups in order: ``False``
+    unless those hold each composite position once, ``None`` when every
+    slot feeds its own position, and otherwise the composite flat input
+    index of each flat input index."""
+    slot_groups, total_in = shape
+    positions = [pos for group in slot_groups for pos in group]
+    if sorted(positions) != list(range(len(total_in))):
+        return False
+    if positions == sorted(positions):
+        return None
+    strides = [prod(total_in[pos + 1:]) for pos in positions]
+    return tuple(sum(map(mul, index, strides))
+                 for index in product(*[range(total_in[pos]) for pos in positions]))
 
 
 def _gather(total, size, nums, scale, inners, program):
@@ -247,40 +326,16 @@ def _gather(total, size, nums, scale, inners, program):
     numerators per output coordinate: the outer numerators ``nums``
     contracted with the inner numerator lists ``inners``.
 
-    An outer tensor of at most ``_WALKED`` numerators with one or two
+    An outer tensor of at most ``_WALKED`` numerators with one to four
     inner tensors is walked one nonzero numerator at a time, multiplying
-    per program row the inner numerators at its block offsets.  Any
-    other term builds per row the Kronecker product of the inner columns
-    there and takes its dot product with each nonzero outer row.
+    per program row the inner numerators at its block offsets and
+    stopping at the first zero, one loop per number of inner tensors.
+    Any other term builds per row the Kronecker product of the inner
+    columns there and takes its dot product with each nonzero outer row.
     """
     sizes, offsets, rows = program
     in_size = len(offsets)
-    walk = len(nums) <= _WALKED
-    if walk and len(inners) == 1:
-        (first,) = inners
-        for k, x in enumerate(nums):
-            if x:
-                x *= scale
-                base = k // in_size * size
-                (o,) = offsets[k % in_size]
-                for at, a in rows:
-                    y = first[o + a]
-                    if y:
-                        total[base + at] += x * y
-    elif walk and len(inners) == 2:
-        first, second = inners
-        for k, x in enumerate(nums):
-            if x:
-                x *= scale
-                base = k // in_size * size
-                o, p = offsets[k % in_size]
-                for at, a, b in rows:
-                    y = first[o + a]
-                    if y:
-                        z = second[p + b]
-                        if z:
-                            total[base + at] += x * y * z
-    else:
+    if not inners or len(inners) > 4 or len(nums) > _WALKED:
         live = [(k // in_size * size, nums[k:k + in_size])
                 for k in range(0, len(nums), in_size or 1) if any(nums[k:k + in_size])]
         factors = tuple(zip(inners, sizes))
@@ -293,6 +348,62 @@ def _gather(total, size, nums, scale, inners, program):
                 x = sum(map(mul, outer_row, weights))
                 if x:
                     total[base + at] += x * scale
+    elif len(inners) == 1:
+        (first,) = inners
+        for k, x in enumerate(nums):
+            if x:
+                x *= scale
+                base = k // in_size * size
+                (o,) = offsets[k % in_size]
+                for at, a in rows:
+                    y = first[o + a]
+                    if y:
+                        total[base + at] += x * y
+    elif len(inners) == 2:
+        first, second = inners
+        for k, x in enumerate(nums):
+            if x:
+                x *= scale
+                base = k // in_size * size
+                o, p = offsets[k % in_size]
+                for at, a, b in rows:
+                    y = first[o + a]
+                    if y:
+                        z = second[p + b]
+                        if z:
+                            total[base + at] += x * y * z
+    elif len(inners) == 3:
+        first, second, third = inners
+        for k, x in enumerate(nums):
+            if x:
+                x *= scale
+                base = k // in_size * size
+                o, p, q = offsets[k % in_size]
+                for at, a, b, c in rows:
+                    y = first[o + a]
+                    if y:
+                        z = second[p + b]
+                        if z:
+                            w = third[q + c]
+                            if w:
+                                total[base + at] += x * y * z * w
+    elif len(inners) == 4:
+        first, second, third, fourth = inners
+        for k, x in enumerate(nums):
+            if x:
+                x *= scale
+                base = k // in_size * size
+                o, p, q, r = offsets[k % in_size]
+                for at, a, b, c, d in rows:
+                    y = first[o + a]
+                    if y:
+                        z = second[p + b]
+                        if z:
+                            w = third[q + c]
+                            if w:
+                                v = fourth[r + d]
+                                if v:
+                                    total[base + at] += x * y * z * w * v
 
 
 @_memoized(4096)

@@ -69,7 +69,7 @@ from .cubecat import (
 )
 from .errors import InvalidInput, SemanticError
 from .exactlin import MultiTensor, unit_vector
-from .gauge import Gauge, _compose_at, _trusted_gauge, identity_gauge
+from .gauge import Gauge, _compose_at, _shaped_gauge, _trusted_gauge, identity_gauge
 
 STRATEGIES = ("least-chart", "uniform-average")
 
@@ -156,9 +156,9 @@ def _assemble(obj, model, sigma, core_decs, base):
         can = obj.canonical_chart(p)
         own = sigma.data[(can, p)].tensors
         by_core = {mu: core_decs[mu].data[(can, p)].tensors for mu in core_at}
-        family[p] = Gauge.from_tensors(model.dims, obj.dims, [
+        family[p] = _trusted_gauge(model.dims, obj.dims, tuple(
             own[at] if mu is None else by_core[mu][core_at[mu][at]]
-            for at, mu in enumerate(_routes(obj.n))])
+            for at, mu in enumerate(_routes(obj.n))))
     return morphism_from_canonical(model, obj, family).data
 
 
@@ -179,15 +179,27 @@ def _conjugated_top(outer, g, inner):
     return tensor
 
 
-def splitting_top(morphism, chart, point):
-    """The top component of a morphism's gauge in one chart, conjugated
-    from the canonical chart's gauge without deriving the whole gauge."""
+def _top_in_chart(morphism, chart, point):
+    """The top component of a morphism's gauge in one chart.  In the
+    canonical chart it is read by position, ``None`` when it is zero; in
+    any other chart it is conjugated from there without deriving the
+    whole gauge, a zero tensor when it is zero."""
     can = morphism.source.canonical_chart(point)
     g = morphism.data[(can, point)]
     if chart == can:
-        return g.components[cube_plan(g.n).keys[-1]]
+        return g.tensors[cube_plan(g.n).top]
     return _conjugated_top(morphism.target.transition(chart, can, point), g,
                            morphism.source.transition(can, chart, point))
+
+
+def splitting_top(morphism, chart, point):
+    """``_top_in_chart`` as a tensor in every chart, a zero one for a
+    zero top."""
+    top = _top_in_chart(morphism, chart, point)
+    if top is None:
+        return MultiTensor.zeros(morphism.target.dims.shapes[-1][0],
+                                 morphism.source.dims.shapes[-1][1])
+    return top
 
 
 class BuilderCache:
@@ -268,13 +280,14 @@ class DecompositionBuilder:
         """The splitting gauge local to one chart: identity singleton parts,
         the cached sub-splitting's top in this chart on every proper face,
         and in the top slot ``hook`` read on basis tuples (zero without
-        it)."""
+        it).  Only the hook's tensor is new, so only a gauge holding one
+        is checked."""
         top = cube_plan(obj.n).top
         # the singleton keys come first, in axis order
         tensors = [MultiTensor.identity(shape[0]) for shape in obj.dims.shapes[:obj.n]]
         tensors += [None] * (top + 1 - obj.n)
         for at, sub in faces:
-            tensors[at] = splitting_top(sub, chart, point)
+            tensors[at] = _top_in_chart(sub, chart, point)
         if hook is not None:
             in_dims = vac.dims.shapes[top][1]
             d_top = obj.dims.shapes[top][0]
@@ -286,7 +299,8 @@ class DecompositionBuilder:
                                    " expected %d" % (chart, point, len(wrong), d_top))
             tensors[top] = MultiTensor(
                 d_top, in_dims, [v[i0] for i0 in range(d_top) for v in values])
-        return Gauge.from_tensors(vac.dims, obj.dims, tensors)
+            return Gauge.from_tensors(vac.dims, obj.dims, tensors)
+        return _shaped_gauge(vac.dims, obj.dims, tensors)
 
     def _paste(self, obj, vac, faces, point, hook):
         """The splitting gauge at a point in the canonical chart.
@@ -305,14 +319,15 @@ class DecompositionBuilder:
         if not others:
             return own
         top = cube_plan(obj.n).top
-        total = own.components[cube_plan(obj.n).keys[top]]
+        total = own.tensors[top]
         for c in others:
             local = self._chart_splitting(obj, vac, faces, c, point, hook)
-            total = total.plus(_conjugated_top(
-                obj.transition(can, c, point), local, vac.transition(c, can, point)))
+            conjugated = _conjugated_top(
+                obj.transition(can, c, point), local, vac.transition(c, can, point))
+            total = conjugated if total is None else total.plus(conjugated)
         tensors = list(own.tensors)
         tensors[top] = total.scaled(Fraction(1, len(others) + 1))
-        return Gauge.from_tensors(vac.dims, obj.dims, tensors)
+        return _shaped_gauge(vac.dims, obj.dims, tensors)
 
     # -- decompositions --------------------------------------------------
 
@@ -350,20 +365,31 @@ def find_splitting(presentation, strategy="least-chart", theta_top=None):
     the splittings of its faces keep a zero top.  A value of another
     length than the top fiber dimension is an ``InvalidInput``.
     """
-    report = validate(presentation)
-    if not report.valid:
-        raise SemanticError("presentation does not validate: %r" % (report,))
+    _require_valid(presentation)
     builder = DecompositionBuilder(presentation, strategy, theta_top=theta_top)
     return builder.splitting(builder.top_key())
 
 
-def decompose(presentation, strategy="least-chart"):
-    """A decomposition of a valid presentation via the staged pipeline."""
+def _require_valid(presentation):
     report = validate(presentation)
     if not report.valid:
         raise SemanticError("presentation does not validate: %r" % (report,))
-    builder = DecompositionBuilder(presentation, strategy)
-    return builder.decomposition(builder.top_key())
+
+
+def decompositions(presentation, strategies):
+    """One decomposition of a valid presentation per strategy, via the
+    staged pipeline; the presentation is validated once."""
+    _require_valid(presentation)
+    out = []
+    for strategy in strategies:
+        builder = DecompositionBuilder(presentation, strategy)
+        out.append(builder.decomposition(builder.top_key()))
+    return out
+
+
+def decompose(presentation, strategy="least-chart"):
+    """A decomposition of a valid presentation via the staged pipeline."""
+    return decompositions(presentation, [strategy])[0]
 
 
 def check_compatibility(presentation, sigma, core_decs):

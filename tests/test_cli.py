@@ -634,3 +634,21 @@ def test_reports_match_the_oracle_encoder(tmp_path, capsys, monkeypatch, name, o
     if "-o" in argv:
         with open(paths["out"], "rb") as new, open(paths["out"] + ".oracle", "rb") as old:
             assert new.read() == old.read()
+
+
+def test_torsor_validates_its_atlas_once(tmp_path, capsys, monkeypatch):
+    """Both strategies decompose one validated atlas; an invalid atlas
+    exits 1 with the same message as ``decompose`` gives."""
+    from mvb import split
+    atlas = twisted_instance(410, n=2, n_points=2, n_charts=2)
+    good = write_instance(tmp_path, "a.json", atlas)
+    bad = write_instance(tmp_path, "b.json", _inverse_pair_broken(atlas))
+    calls = []
+    validate = split.validate
+    monkeypatch.setattr(split, "validate", lambda a: calls.append(1) or validate(a))
+    code, out, _ = invoke(capsys, ["torsor", good])
+    assert code == 0 and report_of(out)["status"] == "ok"
+    assert len(calls) == 1
+    code, _, decompose_err = invoke(capsys, ["decompose", bad])
+    assert code == 1 and decompose_err.startswith("semantic failure: presentation does not")
+    assert invoke(capsys, ["torsor", bad])[::2] == (1, decompose_err)

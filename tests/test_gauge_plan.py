@@ -161,24 +161,26 @@ def test_plans_are_built_on_first_use_not_at_import():
 
 def test_gather_programs_grow_with_their_shape_not_its_square():
     """Gauges on n = 3 whose one multi-block component is the all-singleton
-    top, on singleton dims 6: the top's all-singleton term has 216 outer
-    and 216 composite input indices.  Each kept gather program holds one
-    offset per inner tensor and outer input index and one row of k + 1
-    indices per composite input index, never one per pair of them, and
-    the memo keeps at most 4096 programs; the composites stay exact."""
+    top, on singleton dims 6, with one-block parts twice the identity (an
+    identity would be copied, not gathered): the top's all-singleton term
+    has 216 outer and 216 composite input indices.  Each kept gather
+    program holds one offset per inner tensor and outer input index and
+    one row of k + 1 indices per composite input index, never one per
+    pair of them, and the memo keeps at most 4096 programs; the
+    composites stay exact."""
     plan = cube_plan(3)
     top = plan.index[(full_set(3), Partition([[1], [2], [3]]))]
     dims = DimAssignment(3, {s: 6 if len(s) == 1 else 2 for s in nonempty_subsets(full_set(3))})
     rng = random.Random(7)
 
     def gauge():
-        tensors = [MultiTensor.identity(out) if len(ins) == 1 else None
+        tensors = [MultiTensor.identity(out).scaled(2) if len(ins) == 1 else None
                    for out, ins in dims.shapes]
         tensors[top] = random_tensor(rng, *dims.shapes[top])
         return Gauge.from_tensors(dims, dims, tensors)
 
     g, f = gauge(), gauge()
-    assert g.compose(f).tensors[top] == g.tensors[top].plus(f.tensors[top])
+    assert g.compose(f).tensors[top] == g.tensors[top].scaled(8).plus(f.tensors[top].scaled(2))
     assert g.compose(g.invert()).is_identity()
     memo = exactlin._program.memo
     assert ((6, 6, 6), ((0,), (1,), (2,)), (6, 6, 6)) in memo

@@ -119,6 +119,22 @@ def test_theta_top_of_the_wrong_length_names_chart_point_and_length():
         find_splitting(a, theta_top=_scaled_product_hook(2))
 
 
+@pytest.mark.parametrize("strategy", ["least-chart", "uniform-average"])
+def test_unit_decompose_checks_only_the_gauges_it_makes_new(strategy, monkeypatch):
+    """On the n = 5 unit-dims decompose every pasted splitting gauge and
+    every assembled decomposition gauge takes its tensors by position
+    from checked gauges, so none is shape-checked again: the only checked
+    gauges are identities, one made by validate and one per chart of a
+    one-fold object's decomposition."""
+    a = twisted_instance(9, n=5, max_dim=1, n_points=1, n_charts=2)
+    calls = []
+    store = Gauge._store
+    monkeypatch.setattr(Gauge, "_store", lambda g, *args: calls.append(1) or store(g, *args))
+    dec = decompose(a, strategy)
+    assert len(calls) == 3
+    assert is_decomposition(dec)
+
+
 def test_decompose_identity_on_decomposed():
     a = decomposed(dims_of(3), FiniteBase(["p"]))
     d = decompose(a)

@@ -174,17 +174,25 @@ def composition_sums(draw):
     terms = []
     for _ in range(draw(st.integers(2, 4))):
         k = draw(st.integers(1 if total_in else 0, 4)) if draw(st.booleans()) else 0
-        owner = [draw(st.integers(0, k - 1)) for _ in total_in] if k else []
-        order = draw(st.permutations(range(len(total_in))))
-        groups = tuple(tuple(pos for pos in order if owner[pos] == m) for m in range(k))
-        mids = tuple(draw(DIMS) for _ in range(k))
-        factor = st.integers(1, 6)
-        outer = integer_built(draw(tensors(out_dim, mids)), draw(factor))
-        inners = [integer_built(draw(tensors(mid, tuple(total_in[g] for g in group))),
-                                draw(factor))
-                  for mid, group in zip(mids, groups)]
-        terms.append((outer, inners, groups))
+        terms.append(draw(terms_of(out_dim, total_in, k, DIMS)))
     return terms, out_dim, total_in
+
+
+@st.composite
+def terms_of(draw, out_dim, total_in, k, mid_dims):
+    """One composition term into ``total_in`` with ``k`` inner tensors,
+    whose slot groups hand every position to one inner in any order;
+    each tensor remade from its integers times its own factor."""
+    owner = [draw(st.integers(0, k - 1)) for _ in total_in] if k else []
+    order = draw(st.permutations(range(len(total_in))))
+    groups = tuple(tuple(pos for pos in order if owner[pos] == m) for m in range(k))
+    mids = tuple(draw(mid_dims) for _ in range(k))
+    factor = st.integers(1, 6)
+    outer = integer_built(draw(tensors(out_dim, mids)), draw(factor))
+    inners = [integer_built(draw(tensors(mid, tuple(total_in[g] for g in group))),
+                            draw(factor))
+              for mid, group in zip(mids, groups)]
+    return outer, inners, groups
 
 
 @KERNELS
@@ -195,12 +203,90 @@ def test_sums_of_composites_match_the_sum_of_fraction_oracles(case):
                       oracle_sum(terms, out_dim, total_in))
 
 
+@st.composite
+def many_inner_sums(draw):
+    """One to three terms of three to six inner tensors into one composite
+    shape of three to six positions, every dim 1 or 2 (the 0-dim cases
+    are in ``test_sums_of_composites_cover_every_kernel_loop``), so most
+    terms of three or four inner tensors are small enough to be walked,
+    and the rest, five or six inner tensors among them, take the dot
+    products."""
+    dims = st.integers(1, 2)
+    total_in = tuple(draw(st.lists(dims, min_size=3, max_size=6)))
+    out_dim = draw(dims)
+    terms = [draw(terms_of(out_dim, total_in, draw(st.integers(3, 6)), dims))
+             for _ in range(draw(st.integers(1, 3)))]
+    return terms, out_dim, total_in
+
+
+@KERNELS
+@given(many_inner_sums())
+def test_sums_of_many_inner_tensors_match_the_sum_of_fraction_oracles(case):
+    terms, out_dim, total_in = case
+    assert_same_value(_sum_of_composites(terms, out_dim, total_in),
+                      oracle_sum(terms, out_dim, total_in))
+
+
+@st.composite
+def sums_with_identity_terms(draw):
+    """One to four terms into one composite shape, each an ordinary term
+    or one that only multiplies by identities: an outer tensor on identity
+    inner tensors, one per composite position in any order, or a one-block
+    identity outer on one inner tensor fed by every position in any
+    order."""
+    total_in = tuple(draw(st.lists(DIMS, max_size=4)))
+    out_dim = draw(DIMS)
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["ordinary", "identity inners", "identity outer"]))
+        order = tuple(draw(st.permutations(range(len(total_in)))))
+        shape = tuple(total_in[pos] for pos in order)
+        moved = integer_built(draw(tensors(out_dim, shape)), draw(st.integers(1, 6)))
+        if kind == "identity inners":
+            terms.append((moved, [MultiTensor.identity(d) for d in shape],
+                          tuple((pos,) for pos in order)))
+        elif kind == "identity outer":
+            terms.append((MultiTensor.identity(out_dim), [moved], (order,)))
+        else:
+            k = draw(st.integers(1 if total_in else 0, 4))
+            terms.append(draw(terms_of(out_dim, total_in, k, DIMS)))
+    return terms, out_dim, total_in
+
+
+@KERNELS
+@given(sums_with_identity_terms())
+def test_sums_with_identity_terms_match_the_sum_of_fraction_oracles(case):
+    terms, out_dim, total_in = case
+    assert_same_value(_sum_of_composites(terms, out_dim, total_in),
+                      oracle_sum(terms, out_dim, total_in))
+
+
+def test_a_sum_of_one_term_that_copies_in_place_is_that_tensor():
+    """Identities that leave every input where it is make the composite
+    the other tensor itself; moved inputs make a new tensor."""
+    rng = random.Random(3)
+    outer = MultiTensor(2, (2, 3), [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                    for _ in range(12)])
+    inner = MultiTensor(2, (3, 2), [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                    for _ in range(12)])
+    i2, i3 = MultiTensor.identity(2), MultiTensor.identity(3)
+    for term, total_in, kept in [((outer, [i2, i3], ((0,), (1,))), (2, 3), outer),
+                                 ((i2, [inner], ((0, 1),)), (3, 2), inner),
+                                 ((outer, [i2, i3], ((1,), (0,))), (3, 2), None),
+                                 ((i2, [inner], ((1, 0),)), (2, 3), None)]:
+        got = _sum_of_composites([term], 2, total_in)
+        assert got is kept if kept is not None else got is not outer and got is not inner
+        assert_same_value(got, oracle_sum([term], 2, total_in))
+
+
 def test_sums_of_composites_cover_every_kernel_loop():
-    """One term per loop of the kernel: one and two inner tensors walked,
-    then no inner, three inners with interleaved slot groups, and one and
-    two inners on outer tensors of more than 32 numerators as dot
-    products; over different denominators, then the same with an
-    all-zero outer and with a 0-dim input."""
+    """One term per loop of the kernel: one, two, three (with interleaved
+    slot groups) and four inner tensors walked; no inner, five inners on
+    a small outer tensor, and one, two and three inners on outer tensors
+    of more than 32 numerators, as dot products; identity inners, whose term copies the outer tensor
+    with its inputs moved, and a one-block identity outer, whose term
+    copies the inner tensor in place.  Over different denominators, then
+    the same with an all-zero outer and with a 0-dim input."""
     rng = random.Random(5)
 
     def tensor(out_dim, in_dims, den):
@@ -222,6 +308,20 @@ def test_sums_of_composites_cover_every_kernel_loop():
             (tensor(2, (17,), 1), [tensor(17, (d[3], d[1]), 3)], ((3, 1),)),
             (tensor(2, (4, 5), 9), [tensor(4, (d[2],), 1), tensor(5, (d[0], d[1], d[3]), 2)],
              ((2,), (0, 1, 3))),
+            (tensor(2, (1, 2, 2, 2), 5),
+             [tensor(1, (d[3],), 1), tensor(2, (d[0],), 3), tensor(2, (d[2],), 1),
+              tensor(2, (d[1],), 2)], ((3,), (0,), (2,), (1,))),
+            (tensor(2, (2, 1, 2, 1, 2), 3),
+             [tensor(2, (d[1],), 1), tensor(1, (), 5), tensor(2, (d[2], d[0]), 1),
+              tensor(1, (d[3],), 2), tensor(2, (), 1)], ((1,), (), (2, 0), (3,), ())),
+            (tensor(2, (3, 3, 2), 1),
+             [tensor(3, (d[1],), 2), tensor(3, (d[3], d[0]), 1), tensor(2, (d[2],), 1)],
+             ((1,), (3, 0), (2,))),
+            (tensor(2, (d[2], d[0], d[3], d[1]), 3),
+             [MultiTensor.identity(d[2]), MultiTensor.identity(d[0]),
+              MultiTensor.identity(d[3]), MultiTensor.identity(d[1])],
+             ((2,), (0,), (3,), (1,))),
+            (MultiTensor.identity(2), [tensor(2, d, 7)], ((0, 1, 2, 3),)),
         ]
         if zero_outer:
             outer, inners, groups = terms[3]
