@@ -11,7 +11,6 @@ from mvb.atlas import validate
 from mvb.bundle import (
     add,
     elements_equal,
-    face,
     hom_bundle,
     project,
     scale,
@@ -19,6 +18,7 @@ from mvb.bundle import (
     transport,
     zero_lift,
 )
+from mvb.cores import face
 from mvb.cubecat import IndexSet, full_set
 from mvb.rand import interchange_quadruple, random_element, twisted_instance
 

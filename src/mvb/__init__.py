@@ -24,7 +24,6 @@ from .bundle import (
     canonicalize,
     element,
     elements_equal,
-    face,
     hom_bundle,
     project,
     scale,
@@ -37,6 +36,7 @@ from .cores import (
     core,
     core_by_stages,
     core_morphism,
+    face,
     pullback,
     ultracore_sequence,
 )

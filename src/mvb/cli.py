@@ -19,9 +19,16 @@ import time
 
 from . import formats
 from .atlas import AtlasPresentation, validate
-from .bundle import face, hom_bundle, tangent_prolongation
+from .bundle import hom_bundle, tangent_prolongation
 from .certify import Certificate
-from .cores import core, core_by_stages, core_closure_certificate, pullback, ultracore_sequence
+from .cores import (
+    core,
+    core_by_stages,
+    core_closure_certificate,
+    face,
+    pullback,
+    ultracore_sequence,
+)
 from .cubecat import IndexSet
 from .errors import MvbError, ParseError, SchemaError, SemanticError
 from .gauge import Gauge

@@ -14,11 +14,19 @@ A core presentation is a view of the ambient one: it shares the ambient
 base and charts, which keeps the induced morphism of a core a literal
 restriction of the ambient data, and its ``transitions`` is a read-only
 mapping whose entries are restricted from the ambient ones on first read.
+
+A face, the sub-bundle on the nodes between ``inner`` and ``outer``, is
+the core of the singletons of ``outer`` when ``inner`` is empty.  Over
+a nonempty ``inner``, frozen along the zero section, its axes are the
+free ones (``outer`` minus ``inner``): its slot at a set of free axes
+groups the ambient slots with those free axes, one per subset of
+``inner``, and its components hold copies of the ambient ones.
 """
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
+from math import lcm, prod
 
 from .bundle import (
     BundleMorphism,
@@ -35,14 +43,17 @@ from .certify import Certificate
 from .cubecat import (
     IndexSet,
     Partition,
+    _memoized,
+    cube_plan,
     full_set,
     is_union_of_blocks,
     nonempty_subsets,
     partitions,
+    subsets,
 )
 from .errors import InvalidInput
 from .exactlin import MultiTensor, compose_tensors, kernel_basis, rank, zero_vector
-from .gauge import diagonal_dims, identity_gauge
+from .gauge import DimAssignment, Gauge, diagonal_dims, identity_gauge
 from .rand import random_element
 
 
@@ -72,6 +83,77 @@ def partition_core(presentation, blocks):
         return g.diagonal_restrict(
             blocks, (dims, dims) if g.source_dims == a.dims == g.target_dims else None)
     return a.derived(len(blocks), dims, restrict, blocks)
+
+
+def face(presentation, outer, inner):
+    """The face between ``inner`` and ``outer`` (see the module notes);
+    each transition is made on first read, grouped by its own dims."""
+    a = presentation
+    outer, inner = IndexSet(outer), IndexSet(inner)
+    if not inner.issubset(outer) or not outer.issubset(full_set(a.n)):
+        raise InvalidInput("need inner <= outer <= full cube")
+    if not inner:
+        return partition_core(a, Partition([[i] for i in outer]))
+    layout = _face_layout((a.n, outer, inner))
+    return a.derived(layout[0], _grouped_dims(layout, a.dims)[1],
+                     lambda key: _grouped_gauge(a.transitions[key], layout),
+                     [IndexSet([i]) for i in outer.difference(inner)])
+
+
+@_memoized(256)
+def _face_layout(n_outer_inner):
+    """For ``(n, outer, inner)``: the number of free axes; each face set
+    (axis i the i-th free axis) with the ambient sets it groups, in order;
+    and each face position with the ambient keys copied into it: their
+    positions, and their target and blocks, each with its face axis."""
+    n, outer, inner = n_outer_inner
+    free = outer.difference(inner)
+    label = {axis: pos for pos, axis in enumerate(free, 1)}
+    slots = tuple((nu, tuple(IndexSet(free[i - 1] for i in nu).union(s) for s in subsets(inner)))
+                  for nu in nonempty_subsets(full_set(len(free))))
+    index, copies = cube_plan(len(free)).index, {}
+    for at, (s, rho) in enumerate(cube_plan(n).keys):
+        if s.issubset(outer) and not any(b.issubset(inner) for b in rho):
+            blocks = [IndexSet(map(label.get, b.difference(inner))) for b in rho]
+            sigma = Partition(blocks)
+            axes = (0,) + tuple(1 + sigma.index(b) for b in blocks)
+            copies.setdefault(index[(sigma.ground, sigma)], []).append(
+                (at, tuple(zip((s,) + rho, axes))))
+    return len(free), slots, tuple((at, tuple(keys)) for at, keys in copies.items())
+
+
+def _grouped_dims(layout, dims):
+    """``(offsets, face dims)`` of ambient ``dims``: ``offsets`` gives each
+    ambient set's first coordinate in the face slot grouping it."""
+    offsets, totals = {}, {}
+    for nu, summands in layout[1]:
+        *starts, totals[nu] = accumulate(map(dims.dim, summands), initial=0)
+        offsets.update(zip(summands, starts))
+    return offsets, DimAssignment(layout[0], totals)
+
+
+def _grouped_gauge(g, layout):
+    """The face gauge of ``g``, grouped by its own dims: a face component
+    holds the numerators of the ambient ones it groups, over their lcm,
+    at their offsets."""
+    (in_offsets, in_dims), (out_offsets, out_dims) = (
+        _grouped_dims(layout, dims) for dims in (g.source_dims, g.target_dims))
+    tensors = [None] * len(in_dims.shapes)
+    for face_at, keys in layout[2]:
+        copies = [(g.tensors[at], sets) for at, sets in keys if g.tensors[at] is not None]
+        shape = (out_dims.shapes[face_at][0],) + in_dims.shapes[face_at][1]
+        den = lcm(*(tensor.integer_form()[1] for tensor, _ in copies))
+        nums = [0] * prod(shape)
+        for tensor, sets in copies:
+            ints, own = tensor.integer_form()
+            # per axis of the ambient tensor, each coordinate's face index times its stride
+            steps = [[((in_offsets if axis else out_offsets)[s] + i) * prod(shape[axis + 1:])
+                      for i in range(size)]
+                     for (s, axis), size in zip(sets, (tensor.out_dim,) + tensor.in_dims)]
+            for flat, x in zip(map(sum, product(*steps)), ints):
+                nums[flat] = x * (den // own)
+        tensors[face_at] = MultiTensor.from_integers(shape[0], shape[1:], nums, den)
+    return Gauge.from_tensors(in_dims, out_dims, tensors)
 
 
 def partition_core_morphism(morphism, blocks):
@@ -138,8 +220,7 @@ def core_closure_certificate(presentation, blocks):
                 for basis in _basis_tuples(core_dims, rho):
                     small = {s: zero_vector(core_dims.dim(s))
                              for s in nonempty_subsets(full_set(k))}
-                    for block_nu, vec in basis:
-                        small[block_nu] = vec
+                    small.update(basis)
                     big = {s: zero_vector(a.dims.dim(s))
                            for s in nonempty_subsets(full_set(a.n))}
                     for s_small, vec in small.items():
@@ -149,10 +230,8 @@ def core_closure_certificate(presentation, blocks):
                     out_big = g.evaluate(big)
                     for s_big, vec in out_big.items():
                         if is_union_of_blocks(s_big, blocks):
-                            positions = IndexSet(
-                                pos + 1 for pos, b in enumerate(blocks)
-                                if set(b) <= set(s_big)
-                            )
+                            positions = IndexSet(pos for pos, b in enumerate(blocks, 1)
+                                                 if b.issubset(s_big))
                             if out_small[positions] != vec:
                                 return Certificate.failing(
                                     "core restriction reproduces ambient evaluation",
@@ -262,19 +341,11 @@ def fiber_matrix(morphism, axis, base_elem):
     coordinate block per slot containing the axis; morphisms are linear
     on these blocks once the base slots are fixed.
     """
-    src = morphism.source
-    tgt = morphism.target
-    n = src.n
-    top = full_set(n)
+    src, tgt = morphism.source, morphism.target
+    top = full_set(src.n)
     fiber_slots = [s for s in nonempty_subsets(top) if axis in s]
-    src_cols = []
-    for slot in fiber_slots:
-        for j in range(src.dims.dim(slot)):
-            src_cols.append((slot, j))
-    tgt_rows = []
-    for slot in fiber_slots:
-        for i in range(tgt.dims.dim(slot)):
-            tgt_rows.append((slot, i))
+    src_cols = [(slot, j) for slot in fiber_slots for j in range(src.dims.dim(slot))]
+    tgt_rows = [(slot, i) for slot in fiber_slots for i in range(tgt.dims.dim(slot))]
 
     lifted = zero_lift(src, base_elem, top)
     columns = []
@@ -284,10 +355,7 @@ def fiber_matrix(morphism, axis, base_elem):
         v[j] = 1
         comps[slot] = tuple(v)
         image = morphism.apply(element(src, top, lifted.chart, lifted.point, comps))
-        col = []
-        for tslot, i in tgt_rows:
-            col.append(image.components[tslot][i])
-        columns.append(col)
+        columns.append([image.components[tslot][i] for tslot, i in tgt_rows])
     return MultiTensor(len(tgt_rows), (len(src_cols),),
                        [col[r] for r in range(len(tgt_rows)) for col in columns])
 

@@ -154,13 +154,6 @@ class MultiTensor:
     def is_identity(self):
         return _is_identity(self)
 
-    def entry(self, out_index, in_indices):
-        flat = out_index
-        for d, i in zip(self.in_dims, in_indices):
-            flat = flat * d + i
-        nums, den = self._ints
-        return Fraction(nums[flat], den) if nums[flat] else ZERO
-
     def apply(self, args):
         """Evaluate on one vector per input block; exact."""
         if len(args) != len(self.in_dims):

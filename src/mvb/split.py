@@ -378,13 +378,12 @@ def _require_valid(presentation):
 
 def decompositions(presentation, strategies):
     """One decomposition of a valid presentation per strategy, via the
-    staged pipeline; the presentation is validated once."""
+    staged pipeline, validated once; the strategies share each key's core."""
     _require_valid(presentation)
-    out = []
-    for strategy in strategies:
-        builder = DecompositionBuilder(presentation, strategy)
-        out.append(builder.decomposition(builder.top_key()))
-    return out
+    builders = [DecompositionBuilder(presentation, strategy) for strategy in strategies]
+    for builder in builders[1:]:
+        builder.cache.objects = builders[0].cache.objects
+    return [builder.decomposition(builder.top_key()) for builder in builders]
 
 
 def decompose(presentation, strategy="least-chart"):

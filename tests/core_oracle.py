@@ -7,11 +7,32 @@ gauge, the decomposed one through the checked constructor.  These copies
 of that code are the reference that ``tests/test_core_views.py``
 compares the views against: the same dims, axis blocks and keys, and at
 every key the same gauge or the same exception class and message.
+
+``face`` is the face builder from before a face became a core: it builds
+every face component entry by entry from the ambient components it
+groups, one ``Fraction`` at a time.  ``tests/test_face.py`` compares
+``cores.face`` against it.
 """
 
+from fractions import Fraction
+from itertools import product
+from math import prod
+
+from tensor_oracle import entry
+
 from mvb.atlas import AtlasPresentation
-from mvb.cubecat import Partition, cube_plan
-from mvb.gauge import Gauge, diagonal_dims, singleton_dims
+from mvb.cubecat import (
+    IndexSet,
+    Partition,
+    cube_plan,
+    full_set,
+    nonempty_subsets,
+    partitions,
+    subsets,
+)
+from mvb.errors import InvalidInput
+from mvb.exactlin import MultiTensor
+from mvb.gauge import DimAssignment, Gauge, diagonal_dims, singleton_dims
 
 
 def eager_partition_core(presentation, blocks):
@@ -51,3 +72,108 @@ def eager_decomposed(presentation):
     return AtlasPresentation(a.n, a.dims, a.base, a.charts,
                              {key: eager_linear(a, key) for key in a.transitions},
                              a.axis_blocks)
+
+
+def _grouped_offsets(ambient_dims, core_part, frozen_set):
+    """Offsets of the frozen-slot summands inside a grouped dimension."""
+    offsets = {}
+    total = 0
+    for sub in subsets(frozen_set):
+        offsets[sub] = total
+        total += ambient_dims.dim(core_part.union(sub))
+    return offsets, total
+
+
+def face(presentation, outer, inner):
+    """The sub-bundle on nodes between ``inner`` and ``outer``.
+
+    With ``inner`` empty this is the literal restriction to the
+    sub-cube: slots and transitions indexed by subsets of ``outer``.
+    With ``inner`` nonempty the face is an (#outer - #inner)-fold
+    bundle over the inner node, whose fiber coordinates along the free
+    axes group every ambient slot meeting them; the inner coordinates
+    are frozen parameters, modeled here along the zero section, so all
+    transition terms fed by purely inner slots drop out.
+    """
+    a = presentation
+    outer, inner = IndexSet(outer), IndexSet(inner)
+    if not inner.issubset(outer) or not outer.issubset(full_set(a.n)):
+        raise InvalidInput("need inner <= outer <= full cube")
+    free = sorted(outer.difference(inner))
+    m = len(free)
+    unlabel = {pos + 1: axis for pos, axis in enumerate(free)}
+    if m == 0:
+        dims0 = DimAssignment(0, {})
+        empty = Gauge(dims0, dims0, {})
+        transitions = {key: empty for key in a.transitions}
+        return AtlasPresentation(0, dims0, a.base, a.charts, transitions)
+
+    frozen_subsets = subsets(inner)
+
+    new_dims = {}
+    for nu in nonempty_subsets(full_set(m)):
+        core_part = IndexSet(unlabel[i] for i in nu)
+        new_dims[nu] = sum(a.dims.dim(core_part.union(s)) for s in frozen_subsets)
+    face_dims = DimAssignment(m, new_dims)
+
+    def face_gauge(ambient):
+        components = {}
+        for nu in nonempty_subsets(full_set(m)):
+            target_core = IndexSet(unlabel[i] for i in nu)
+            out_offsets, out_dim = _grouped_offsets(a.dims, target_core, inner)
+            for sigma in partitions(nu):
+                blocks_core = [IndexSet(unlabel[i] for i in b) for b in sigma]
+                in_offsets = []
+                in_dims = []
+                for bc in blocks_core:
+                    offs, total = _grouped_offsets(a.dims, bc, inner)
+                    in_offsets.append(offs)
+                    in_dims.append(total)
+                entries = [Fraction(0)] * (out_dim * prod(in_dims))
+                for out_sub in frozen_subsets:
+                    target_full = target_core.union(out_sub)
+                    d_out = a.dims.dim(target_full)
+                    if d_out == 0:
+                        continue
+                    for in_subs in _disjoint_covers(out_sub, len(sigma), frozen_subsets):
+                        blocks_full = [bc.union(s) for bc, s in zip(blocks_core, in_subs)]
+                        amb = ambient.components[(target_full, Partition(blocks_full))]
+                        order = list(Partition(blocks_full))
+                        slot_of = [order.index(b) for b in blocks_full]
+                        dims_full = [a.dims.dim(b) for b in blocks_full]
+                        if any(d == 0 for d in dims_full):
+                            continue
+                        for o in range(d_out):
+                            for idx in product(*map(range, dims_full)):
+                                amb_idx = [0] * len(blocks_full)
+                                for pos, b in enumerate(idx):
+                                    amb_idx[slot_of[pos]] = b
+                                val = entry(amb, o, amb_idx)
+                                if not val:
+                                    continue
+                                flat = out_offsets[out_sub] + o
+                                for pos in range(len(sigma)):
+                                    flat = flat * in_dims[pos] + (
+                                        in_offsets[pos][in_subs[pos]] + idx[pos])
+                                entries[flat] += val
+                components[(nu, sigma)] = MultiTensor(out_dim, in_dims, entries)
+        return Gauge(face_dims, face_dims, components)
+
+    transitions = {key: face_gauge(g) for key, g in a.transitions.items()}
+    return AtlasPresentation(
+        m, face_dims, a.base, a.charts, transitions,
+        axis_blocks=tuple(IndexSet([axis]) for axis in free),
+    )
+
+
+def _disjoint_covers(target, count, pool):
+    """All assignments of ``count`` disjoint pool members covering target."""
+    if count == 0:
+        if not target:
+            yield ()
+        return
+    for first in pool:
+        if first.issubset(target):
+            rest = target.difference(first)
+            for tail in _disjoint_covers(rest, count - 1, pool):
+                yield (first,) + tail

@@ -14,7 +14,7 @@ the results off entry by entry, with the loop form of
 
 from fractions import Fraction
 
-from tensor_oracle import contract_slot
+from tensor_oracle import contract_slot, entry
 
 from mvb.atlas import associated_vacant
 from mvb.bundle import add, element, morphism_from_canonical, scale
@@ -114,7 +114,7 @@ def lift_from_free_part(presentation, split_lde, split_lfd, free_lin, free_bil):
         def make_map(lam_de=lam_de, lam_fd=lam_fd, f_lin=f_lin, f_bil=f_bil):
             def the_map(c, slope_f, slope_e):
                 lin_entries = [
-                    sum((f_lin.entry(i0 * d12 + j, (t,)) * c[t]
+                    sum((entry(f_lin, i0 * d12 + j, (t,)) * c[t]
                          for t in range(d3)), Fraction(0))
                     for i0 in range(d123) for j in range(d12)
                 ]
@@ -128,7 +128,7 @@ def lift_from_free_part(presentation, split_lde, split_lfd, free_lin, free_bil):
                             bil_entries.append(
                                 lam_de.apply([slope_f.apply([a_vec]), b_vec])[i0]
                                 + lam_fd.apply([a_vec, slope_e.apply([b_vec])])[i0]
-                                + sum((f_bil.entry((i0 * d1 + j1) * d2 + j2, (t,))
+                                + sum((entry(f_bil, (i0 * d1 + j1) * d2 + j2, (t,))
                                        * c[t] for t in range(d3)), Fraction(0)))
                 return lin, MultiTensor(d123, (d1, d2), bil_entries)
             return the_map

@@ -3,9 +3,10 @@
 These are the straightforward forms of ``MultiTensor.apply``,
 ``compose_tensors`` and ``contract_slot``: every product and sum is a
 ``Fraction`` operation, and each result is rebuilt entry by entry from
-``MultiTensor.entry``.  The library runs the kernels on integer
-numerators over one shared denominator per tensor, and contracts a slot
-with one composition; the differential tests compare the two.
+``entry``, which reads one entry of a tensor as a ``Fraction``.  The
+library runs the kernels on integer numerators over one shared
+denominator per tensor, and contracts a slot with one composition; the
+differential tests compare the two.
 
 The linear solvers are the two eliminations the library replaced by one
 fraction-free Gauss-Jordan on the rows of the integer form: ``rank`` and
@@ -21,6 +22,15 @@ from math import lcm, prod
 
 from mvb.errors import DimensionMismatch, SingularMatrix
 from mvb.exactlin import ONE, ZERO, MultiTensor
+
+
+def entry(tensor, out_index, in_indices):
+    """The entry of ``tensor`` at an output index and one index per input."""
+    flat = out_index
+    for d, i in zip(tensor.in_dims, in_indices):
+        flat = flat * d + i
+    nums, den = tensor.integer_form()
+    return Fraction(nums[flat], den) if nums[flat] else ZERO
 
 
 def apply(tensor, args):
@@ -86,12 +96,12 @@ def compose_tensors(outer, inners, slot_groups, total_in_dims):
         for i0 in range(out_dim):
             acc = ZERO
             for mid in mids:
-                coeff = outer.entry(i0, mid)
+                coeff = entry(outer, i0, mid)
                 if not coeff:
                     continue
                 term = coeff
                 for inner, b, args in zip(inners, mid, inner_args):
-                    term *= inner.entry(b, args)
+                    term *= entry(inner, b, args)
                     if not term:
                         break
                 acc += term
@@ -113,7 +123,7 @@ def contract_slot(tensor, slot, vector):
             for t, x in enumerate(vector):
                 if x:
                     full = list(idx[:slot]) + [t] + list(idx[slot:])
-                    e = tensor.entry(i0, full)
+                    e = entry(tensor, i0, full)
                     if e:
                         acc += e * x
             entries[i0 * size + j] = acc

@@ -5,13 +5,13 @@ import pytest
 from chain_oracle import compose_from_canonical
 from gauge_oracle import permute_gauge
 from helpers import hom_apply, identity_morphism, random_morphism_gauge
+from tensor_oracle import entry
 
 from mvb.atlas import FiniteBase, associated_decomposed, decomposed, validate
 from mvb.bundle import (
     add,
     element,
     elements_equal,
-    face,
     hom_bundle,
     hom_dims,
     morphism_from_canonical,
@@ -22,7 +22,7 @@ from mvb.bundle import (
     zero_element,
     zero_lift,
 )
-from mvb.cores import partition_core
+from mvb.cores import face, partition_core
 from mvb.cubecat import IndexSet, full_set, nonempty_subsets
 from mvb.errors import InvalidInput
 from mvb.exactlin import MultiTensor
@@ -191,7 +191,7 @@ def test_face_frozen_axis_transitions_match_ambient_evaluation():
     # grouped face coordinates embed as ambient elements with zero
     # frozen slots; the face transition must agree with the ambient one
     # under that embedding, slot by slot
-    from mvb.bundle import _grouped_offsets
+    from core_oracle import _grouped_offsets
     from mvb.cubecat import subsets
     rng = random.Random(11)
     a = twisted_instance(49, n=3, n_points=2, n_charts=2)
@@ -250,14 +250,14 @@ def test_face_frozen_axis_block_structure_n2():
         t12 = amb.linear_part(full_set(2))
         for i in range(d1):
             for j in range(d1):
-                assert block.entry(i, (j,)) == t1.entry(i, (j,))
+                assert entry(block, i, (j,)) == entry(t1, i, (j,))
             for j in range(d12):
-                assert block.entry(i, (d1 + j,)) == 0
+                assert entry(block, i, (d1 + j,)) == 0
         for i in range(d12):
             for j in range(d1):
-                assert block.entry(d1 + i, (j,)) == 0
+                assert entry(block, d1 + i, (j,)) == 0
             for j in range(d12):
-                assert block.entry(d1 + i, (d1 + j,)) == t12.entry(i, (j,))
+                assert entry(block, d1 + i, (d1 + j,)) == entry(t12, i, (j,))
 
 
 def test_face_everything_frozen_is_zero_fold():

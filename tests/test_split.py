@@ -12,6 +12,7 @@ from mvb.atlas import (
     validate,
 )
 from mvb.bundle import element, elements_equal
+from mvb.cores import partition_core
 from mvb.cubecat import IndexSet, Partition, full_set, nonempty_subsets
 from mvb.errors import InvalidInput, SemanticError
 from mvb.gauge import DimAssignment, Gauge
@@ -20,6 +21,7 @@ from mvb.split import (
     DecompositionBuilder,
     act_by_statomorphism,
     decompose,
+    decompositions,
     extract_core_decompositions,
     extract_splitting,
     find_splitting,
@@ -365,3 +367,19 @@ def test_shared_cache_reuses_core_splittings():
     assert len(keys) == len(set(keys))
     fully_merged = Partition([full_set(3)])
     assert fully_merged in builder.cache.splittings or fully_merged in builder.cache.decompositions
+
+
+def test_strategies_share_one_object_per_key(monkeypatch):
+    """Both strategies read each key's core from one map: the corpus
+    fixture tw-n3b has 8 keys and builds 8 cores, not one set per strategy."""
+    keys = []
+
+    def counted(presentation, blocks):
+        keys.append(blocks)
+        return partition_core(presentation, blocks)
+    monkeypatch.setattr("mvb.split.partition_core", counted)
+    a = twisted_instance(505, n=3, n_points=3, n_charts=3)
+    least, average = decompositions(a, ["least-chart", "uniform-average"])
+    assert len(keys) == len(set(keys)) == 8
+    assert least == decompose(a, "least-chart")
+    assert average == decompose(a, "uniform-average")
