@@ -107,7 +107,9 @@ class AtlasPresentation:
     model) shares its parent's ``base`` and ``charts`` objects and the
     canonical chart of each point, computed once per chart system.  Its
     ``transitions`` is a read-only ``DerivedMapping`` whose entries are
-    made from the parent's on first read.
+    made from the parent's on first read.  Each presentation object
+    keeps its vacant and decomposed models once made; a derived view
+    starts with none.
     """
 
     def __init__(self, n, dims, base, charts, transitions, axis_blocks=None):
@@ -127,6 +129,7 @@ class AtlasPresentation:
         self.transitions = dict(transitions)
         self.axis_blocks = tuple(axis_blocks) if axis_blocks else None
         self._canonical = {}
+        self._vacant = self._decomposed = None
 
     def derived(self, n, dims, derive, axis_blocks=None):
         """The presentation over this one's base and charts (not checked
@@ -137,6 +140,7 @@ class AtlasPresentation:
         out.transitions = DerivedMapping(self.transitions.keys(), derive)
         out.axis_blocks = tuple(axis_blocks) if axis_blocks else None
         out._canonical = self._canonical
+        out._vacant = out._decomposed = None
         return out
 
     def chart(self, chart_id):
@@ -172,9 +176,11 @@ class AtlasPresentation:
     def trimmed(self, dims):
         """The sub-presentation over ``dims`` (each slot's dimension at
         most the ambient one): every transition is ``Gauge.trimmed``, on
-        first read."""
+        first read.  The view holds this one's transitions, not this one,
+        which keeps its vacant model."""
+        transitions = self.transitions
         return self.derived(
-            self.n, dims, lambda key: self.transitions[key].trimmed(dims), self.axis_blocks)
+            self.n, dims, lambda key: transitions[key].trimmed(dims), self.axis_blocks)
 
     def same_chart_system(self, other):
         # derived presentations share one canonical-chart memo
@@ -384,19 +390,27 @@ def diagonal(dims, blocks, base):
 
 def associated_decomposed(presentation):
     """The decomposed model sharing base, charts, and one-block cocycles;
-    each transition is made on first read."""
+    each transition is made on first read, the model once per
+    presentation."""
     a = presentation
-    keys, transitions = cube_plan(a.n).keys, a.transitions
+    if a._decomposed is None:
+        keys, transitions, dims = cube_plan(a.n).keys, a.transitions, a.dims
 
-    def linear(key):
-        return Gauge.from_tensors(a.dims, a.dims, [
-            t if len(rho) == 1 else None for (_, rho), t in zip(keys, transitions[key].tensors)])
-    return a.derived(a.n, a.dims, linear, a.axis_blocks)
+        def linear(key):
+            return Gauge.from_tensors(dims, dims, [
+                t if len(rho) == 1 else None
+                for (_, rho), t in zip(keys, transitions[key].tensors)])
+        a._decomposed = a.derived(a.n, dims, linear, a.axis_blocks)
+    return a._decomposed
 
 
 def associated_vacant(presentation):
-    """The vacant model: singleton cocycles of the presentation."""
-    return presentation.trimmed(singleton_dims(presentation.dims))
+    """The vacant model: singleton cocycles of the presentation, made
+    once per presentation."""
+    a = presentation
+    if a._vacant is None:
+        a._vacant = a.trimmed(singleton_dims(a.dims))
+    return a._vacant
 
 
 def perturb_transition(presentation, dst, src, point, statomorphism):

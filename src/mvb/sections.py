@@ -14,15 +14,20 @@ and the two top-slot pieces (linear in the {1,2}-slot, bilinear in the
 singleton slots).  These normal forms are what the exact sequences of
 sections count.
 
+A horizontal lift compatible with the two core splittings is stored
+as their tops and its free part, its value on pure axis-3 data; its
+compatibility is the equality of those tops.  The triple-bundle round
+trip reads the face and core splittings off decomposition restrictions
+(``cores.partition_core_morphism``) and the free part off the top
+component less the terms it does not hold (``_side_terms``); the way
+back adds those terms again and seeds one ``DecompositionBuilder`` with
+the three core splittings.
+
 Constructions that only read tensor entries are stated on the tensor
 kernels (``_stack``, ``contract_slot``, ``compose_tensors``); their
-element and unit-vector forms are test oracles.  The displayed
-seven-argument formula and the lift compatibility check keep genuine
-fiber operations as independent checks.
-
-The triple-bundle round trip reads the face and core splittings off
-decomposition restrictions (``cores.partition_core_morphism``); the way
-back seeds one ``DecompositionBuilder`` with the three core splittings.
+element, unit-vector and closure forms are test oracles.  The displayed
+seven-argument formula keeps genuine fiber operations as an independent
+check.
 """
 
 from fractions import Fraction
@@ -44,7 +49,6 @@ from .exactlin import (
     MultiTensor,
     compose_tensors,
     contract_slot,
-    unit_vector,
     vec_add,
     vec_scale,
     zero_vector,
@@ -74,11 +78,6 @@ def _require_n(presentation, n):
         raise InvalidInput("operation needs a %d-fold presentation" % n)
 
 
-def _hat_slope(top_tensor, c):
-    """Partial application of a two-block top component in its last slot."""
-    return contract_slot(top_tensor, 1, c)
-
-
 def _stack(tensors, out_dim, in_dims):
     """The tensor with one more input slot, placed last, whose k-th basis
     vector selects ``tensors[k]`` (each of shape ``out_dim x in_dims``)."""
@@ -93,6 +92,11 @@ def _stack(tensors, out_dim, in_dims):
     columns = zip(*([x * (den // d) for x in nums] for nums, d in forms))
     return MultiTensor.from_integers(out_dim, in_dims + (len(tensors),),
                                      [x for column in columns for x in column], den)
+
+
+def _regroup(tensor, out_dim, in_dims):
+    """The tensor with the same numerators read as ``out_dim x in_dims``."""
+    return MultiTensor.from_integers(out_dim, in_dims, *tensor.integer_form())
 
 
 class BaseSection:
@@ -204,7 +208,7 @@ def hat_linear(presentation, base_section, splitting):
     for p in presentation.base:
         b = base_section.at(p).components[S2]
         top = splitting_top(splitting, presentation.canonical_chart(p), p)
-        slope[p] = _hat_slope(top, b)
+        slope[p] = contract_slot(top, 1, b)
         values[p] = b
     return LinearSection(presentation, values, slope)
 
@@ -408,137 +412,111 @@ def doubly_linear_sequence(presentation):
 
 
 class HorizontalLift:
-    """A module splitting of the doubly-linear-section sequence.
+    """A module splitting of the doubly-linear-section sequence that is
+    compatible with two core splittings.
 
-    Per point, a linear map from side data (axis-3 value, two mixed
-    slopes) to top data (top linear and bilinear parts).  Linearity
-    makes it a module map; the compatibility conditions against the
-    chosen core splittings are checked separately.
+    A compatible lift is fixed by the tops of the {1,3}- and {2,3}-core
+    splittings it reproduces and by its free part, its top parts on pure
+    axis-3 data as linear functions of the axis-3 value.  ``parts[p]``
+    is ``(lam_de, lam_fd, free_lin, free_bil)``: the two core tops, of
+    shapes d123 x (d13, d2) and d123 x (d1, d23), and the free part,
+    flattened into tensors (d123*d12) x (d3,) and (d123*d1*d2) x (d3,)
+    with the axis-3 slot last.
     """
 
-    def __init__(self, presentation, maps):
+    def __init__(self, presentation, parts):
         _require_n(presentation, 3)
         self.presentation = presentation
-        self.maps = dict(maps)
+        d1, d2, d3, d12, d13, d23, d123 = (
+            presentation.dims.dim(s) for s in (S1, S2, S3, S12, S13, S23, S123))
+        shapes = {"lam_de": (d123, (d13, d2)), "lam_fd": (d123, (d1, d23)),
+                  "free_lin": (d123 * d12, (d3,)), "free_bil": (d123 * d1 * d2, (d3,))}
+        self.parts = {}
         for p in presentation.base:
-            if p not in self.maps:
+            if p not in parts:
                 raise InvalidInput("lift missing point %r" % (p,))
+            self.parts[p] = tuple(parts[p])
+            for (name, (out_dim, in_dims)), t in zip(shapes.items(), self.parts[p]):
+                if t.out_dim != out_dim or t.in_dims != in_dims:
+                    raise DimensionMismatch(
+                        "lift part %s at %r is %dx%s, expected %dx%s"
+                        % (name, p, t.out_dim, list(t.in_dims), out_dim, list(in_dims)))
 
     def output(self, point, c, slope_f, slope_e):
         """Top parts (linear, bilinear) for given side data at a point."""
-        return self.maps[point](c, slope_f, slope_e)
+        lam_de, lam_fd, free_lin, free_bil = self.parts[point]
+        d1, d2, d12, d123 = (self.presentation.dims.dim(s) for s in (S1, S2, S12, S123))
+        bil = compose_tensors(lam_de, [slope_f, MultiTensor.identity(d2)], [[0], [1]], (d1, d2))
+        bil = bil.plus(compose_tensors(
+            lam_fd, [MultiTensor.identity(d1), slope_e], [[0], [1]], (d1, d2)))
+        bil = bil.plus(_regroup(contract_slot(free_bil, 0, c), d123, (d1, d2)))
+        return _regroup(contract_slot(free_lin, 0, c), d123, (d12,)), bil
 
     def apply(self, pair_f, pair_e):
         if pair_f["base"] != pair_e["base"]:
             raise InvalidInput("side sections must share their axis-3 section")
         pres = self.presentation
-        top_lin = {}
-        top_bil = {}
-        for p in pres.base:
-            lin, bil = self.output(p, pair_f["base"][p], pair_f["slope"][p],
-                                   pair_e["slope"][p])
-            top_lin[p] = lin
-            top_bil[p] = bil
+        tops = {p: self.output(p, pair_f["base"][p], pair_f["slope"][p], pair_e["slope"][p])
+                for p in pres.base}
         return DoublyLinearSection(pres, dict(pair_f["base"]),
                                    dict(pair_f["slope"]), dict(pair_e["slope"]),
-                                   top_lin, top_bil)
+                                   {p: lin for p, (lin, _) in tops.items()},
+                                   {p: bil for p, (_, bil) in tops.items()})
 
 
-def _basis_matrices(out_dim, in_dim):
-    size = out_dim * in_dim
-    for k in range(size):
-        yield MultiTensor.from_integers(out_dim, (in_dim,), [int(j == k) for j in range(size)], 1)
+def _side_terms(lin, lam_de, lam_fd, t_d, t_e, t_f):
+    """The terms of a decomposition's top component that its lift's free
+    part does not hold, with inputs (axis 1, axis 2, axis 3):
+    ``lin o (t_d x id) + lam_de o (t_f x id) + lam_fd o (id x t_e)``,
+    ``lin`` being the {1,2}-core splitting's top d123 x (d12, d3)."""
+    (d1, d2), d3 = t_d.in_dims, t_f.in_dims[1]
+    dims = (d1, d2, d3)
+    side = compose_tensors(lin, [t_d, MultiTensor.identity(d3)], [[0, 1], [2]], dims)
+    side = side.plus(compose_tensors(
+        lam_de, [t_f, MultiTensor.identity(d2)], [[0, 2], [1]], dims))
+    return side.plus(compose_tensors(
+        lam_fd, [MultiTensor.identity(d1), t_e], [[0], [1, 2]], dims))
 
 
 def check_lift_compatibility(presentation, lift, split_lde, split_lfd):
     """The lift must reproduce the two core splittings on tilde inputs.
 
-    On a pair (tilde of a {1,3}-slope, zero) the top bilinear part must
-    be the {1,3}-core splitting contracted with the slope, with zero
-    top linear part; symmetrically for the {2,3} side.
+    On a pair (tilde of a {1,3}-slope, zero) its top parts are zero and
+    its {1,3}-core top contracted with the slope, so it must hold the
+    splitting's top; symmetrically for the {2,3} side.
     """
-    pres = presentation
-    dims = pres.dims
-    d1, d2, d3 = dims.dim(S1), dims.dim(S2), dims.dim(S3)
-    d13, d23 = dims.dim(S13), dims.dim(S23)
-    for p in pres.base:
-        can = pres.canonical_chart(p)
-        zero_c = zero_vector(d3)
-        zero_f = MultiTensor.zeros(d13, (d1,))
-        zero_e = MultiTensor.zeros(d23, (d2,))
-        lam_de = splitting_top(split_lde, can, p)   # inputs ({1,3}-slot, {2}-slot)
-        lam_fd = splitting_top(split_lfd, can, p)   # inputs ({1}-slot, {2,3}-slot)
-        for phi in _basis_matrices(d13, d1):
-            lin, bil = lift.output(p, zero_c, phi, zero_e)
-            if not lin.is_zero():
-                raise SemanticError(
-                    "lift has a top linear part on a {1,3}-tilde input at %r"
-                    % (p,))
-            expected = compose_tensors(
-                lam_de, [phi, MultiTensor.identity(d2)], [[0], [1]], (d1, d2))
-            if bil != expected:
-                raise SemanticError(
-                    "lift disagrees with the {1,3}-core splitting at %r" % (p,))
-        for phi in _basis_matrices(d23, d2):
-            lin, bil = lift.output(p, zero_c, zero_f, phi)
-            if not lin.is_zero():
-                raise SemanticError(
-                    "lift has a top linear part on a {2,3}-tilde input at %r"
-                    % (p,))
-            expected = compose_tensors(
-                lam_fd, [MultiTensor.identity(d1), phi], [[0], [1]], (d1, d2))
-            if bil != expected:
-                raise SemanticError(
-                    "lift disagrees with the {2,3}-core splitting at %r" % (p,))
+    for p in presentation.base:
+        can = presentation.canonical_chart(p)
+        lam_de, lam_fd = lift.parts[p][:2]
+        if lam_de != splitting_top(split_lde, can, p):
+            raise SemanticError(
+                "lift disagrees with the {1,3}-core splitting at %r" % (p,))
+        if lam_fd != splitting_top(split_lfd, can, p):
+            raise SemanticError(
+                "lift disagrees with the {2,3}-core splitting at %r" % (p,))
     return True
 
 
 def lift_from_free_part(presentation, split_lde, split_lfd, free_lin, free_bil):
-    """Assemble a compatible lift from its value on pure axis-3 data.
+    """The compatible lift with the given free part.
 
     ``free_lin[p]`` and ``free_bil[p]`` give the top parts as linear
     functions of the axis-3 value: shapes (d123 x d12) x d3 and
     (d123 x d1 x d2) x d3, flattened into one tensor with the axis-3
     slot last.
     """
-    pres = presentation
-    d1, d2, d12, d123 = (pres.dims.dim(s) for s in (S1, S2, S12, S123))
-    tops = {}
-    for p in pres.base:
-        can = pres.canonical_chart(p)
-        lam_de = splitting_top(split_lde, can, p)
-        lam_fd = splitting_top(split_lfd, can, p)
-        f_lin = free_lin[p]
-        f_bil = free_bil[p]
-
-        def make_map(lam_de=lam_de, lam_fd=lam_fd, f_lin=f_lin, f_bil=f_bil):
-            def the_map(c, slope_f, slope_e):
-                lin = MultiTensor.from_integers(
-                    d123, (d12,), *contract_slot(f_lin, 0, c).integer_form())
-                bil = compose_tensors(
-                    lam_de, [slope_f, MultiTensor.identity(d2)],
-                    [[0], [1]], (d1, d2))
-                bil = bil.plus(compose_tensors(
-                    lam_fd, [MultiTensor.identity(d1), slope_e],
-                    [[0], [1]], (d1, d2)))
-                bil = bil.plus(MultiTensor.from_integers(
-                    d123, (d1, d2), *contract_slot(f_bil, 0, c).integer_form()))
-                return lin, bil
-            return the_map
-
-        tops[p] = make_map()
-    return HorizontalLift(pres, tops)
+    parts = {}
+    for p in presentation.base:
+        can = presentation.canonical_chart(p)
+        parts[p] = (splitting_top(split_lde, can, p), splitting_top(split_lfd, can, p),
+                    free_lin[p], free_bil[p])
+    return HorizontalLift(presentation, parts)
 
 
 def zero_free_part(presentation):
-    dims = presentation.dims
-    d3 = dims.dim(S3)
-    d12, d123 = dims.dim(S12), dims.dim(S123)
-    d1, d2 = dims.dim(S1), dims.dim(S2)
-    free_lin = {p: MultiTensor.zeros(d123 * d12, (d3,)) for p in presentation.base}
-    free_bil = {p: MultiTensor.zeros(d123 * d1 * d2, (d3,))
-                for p in presentation.base}
-    return free_lin, free_bil
+    d1, d2, d3, d12, d123 = (presentation.dims.dim(s) for s in (S1, S2, S3, S12, S123))
+    return ({p: MultiTensor.zeros(d123 * d12, (d3,)) for p in presentation.base},
+            {p: MultiTensor.zeros(d123 * d1 * d2, (d3,)) for p in presentation.base})
 
 
 def face_splitting(decomposition, axes):
@@ -553,9 +531,9 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
     """Assemble the decomposition determined by five double splittings
     and a compatible horizontal lift.
 
-    The top splitting rides the lift along the hat sections of the side
-    splittings; the third core splitting is the lift's value on hat
-    pairs read off in the core slot.  One builder holds the three cores
+    The top splitting's top is the lift's free bilinear part plus the
+    terms it does not hold (``_side_terms``); the {1,2}-core splitting's
+    top is the free linear part, regrouped.  One builder holds the three cores
     and, seeded with their splittings, decomposes them;
     ``splitting_to_decomposition`` then assembles the unique
     decomposition with these restrictions.
@@ -575,17 +553,11 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
     lef_family = {}
     for p in pres.base:
         can = pres.canonical_chart(p)
-        t_d = splitting_top(split_d, can, p)
-        t_e = splitting_top(split_e, can, p)
-        t_f = splitting_top(split_f, can, p)
-
-        per_c = []
-        for k3 in range(d3):
-            c_vec = unit_vector(d3, k3)
-            per_c.append(lift.output(p, c_vec, _hat_slope(t_f, c_vec),
-                                     _hat_slope(t_e, c_vec)))
-        m_top = _stack([compose_tensors(lin, [t_d], [[0, 1]], (d1, d2)).plus(bil)
-                        for lin, bil in per_c], d123, (d1, d2))
+        t_d, t_e, t_f = (splitting_top(s, can, p) for s in (split_d, split_e, split_f))
+        lam_de, lam_fd, free_lin, free_bil = lift.parts[p]
+        lin = _regroup(free_lin, d123, (d12, d3))
+        m_top = _regroup(free_bil, d123, (d1, d2, d3)).plus(
+            _side_terms(lin, lam_de, lam_fd, t_d, t_e, t_f))
 
         comps = {
             (S1, Partition([S1])): MultiTensor.identity(d1),
@@ -601,7 +573,7 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
         lef_family[p] = Gauge(lef_vac.dims, lef_pres.dims, {
             (S1, Partition([S1])): MultiTensor.identity(d12),
             (S2, Partition([S2])): MultiTensor.identity(d3),
-            (S12, Partition([S1, S2])): _stack([lin for lin, _ in per_c], d123, (d12,)),
+            (S12, Partition([S1, S2])): lin,
         })
 
     sigma = Splitting(
@@ -631,43 +603,24 @@ def decomposition_to_lift(presentation, decomposition):
     split_lde = extract_splitting(cores[S13].target, cores[S13])
     split_lfd = extract_splitting(cores[S23].target, cores[S23])
 
-    maps = {}
+    d1, d2, d3, d12, d123 = (pres.dims.dim(s) for s in (S1, S2, S3, S12, S123))
+    parts = {}
     for p in pres.base:
-        can = pres.canonical_chart(p)
-        g = dec.data[(can, p)]
-        t_1_2_3 = g.components[(S123, Partition([S1, S2, S3]))]
-        t_12_3 = g.components[(S123, Partition([S12, S3]))]
-        t_13_2 = g.components[(S123, Partition([S13, S2]))]
-        t_23_1 = g.components[(S123, Partition([S23, S1]))]
-        t_d = g.components[(S12, Partition([S1, S2]))]
-        t_f = g.components[(S13, Partition([S1, S3]))]
-        t_e = g.components[(S23, Partition([S2, S3]))]
+        g = dec.data[(pres.canonical_chart(p), p)]
 
-        def make_map(t_1_2_3=t_1_2_3, t_12_3=t_12_3, t_13_2=t_13_2,
-                     t_23_1=t_23_1, t_d=t_d, t_f=t_f, t_e=t_e):
-            def the_map(c, slope_f, slope_e):
-                lin = contract_slot(t_12_3, 1, c)
-                dev_f = slope_f.plus(contract_slot(t_f, 1, c).scaled(-1))
-                dev_e = slope_e.plus(contract_slot(t_e, 1, c).scaled(-1))
-                d1_, d2_ = t_d.in_dims
-                bil = contract_slot(t_1_2_3, 2, c)
-                bil = bil.plus(compose_tensors(
-                    contract_slot(t_12_3, 1, c), [t_d], [[0, 1]],
-                    (d1_, d2_)).scaled(-1))
-                # component partitions are in canonical block order:
-                # ({1,3},{2}) consumes (dev_f(a), b) and ({1},{2,3})
-                # consumes (a, dev_e(b))
-                bil = bil.plus(compose_tensors(
-                    t_13_2, [dev_f, MultiTensor.identity(d2_)],
-                    [[0], [1]], (d1_, d2_)))
-                bil = bil.plus(compose_tensors(
-                    t_23_1, [MultiTensor.identity(d1_), dev_e],
-                    [[0], [1]], (d1_, d2_)))
-                return lin, bil
-            return the_map
+        def comp(target, blocks):
+            return g.components[(target, Partition(blocks))]
 
-        maps[p] = make_map()
-    lift = HorizontalLift(pres, maps)
+        # component partitions are in canonical block order: ({1,3},{2})
+        # consumes ({1,3}-slot, {2}-slot), ({1},{2,3}) ({1}-slot, {2,3}-slot)
+        lam_de, lam_fd = comp(S123, [S13, S2]), comp(S123, [S1, S23])
+        lin = comp(S123, [S12, S3])
+        side = _side_terms(lin, lam_de, lam_fd, comp(S12, [S1, S2]),
+                           comp(S23, [S2, S3]), comp(S13, [S1, S3]))
+        free_bil = comp(S123, [S1, S2, S3]).plus(side.scaled(-1))
+        parts[p] = (lam_de, lam_fd, _regroup(lin, d123 * d12, (d3,)),
+                    _regroup(free_bil, d123 * d1 * d2, (d3,)))
+    lift = HorizontalLift(pres, parts)
     return {
         "split_d": split_d,
         "split_e": split_e,

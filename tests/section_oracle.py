@@ -3,13 +3,17 @@ oracles.
 
 The library states these constructions on the tensor kernels: a frame
 splitting stacks its frames, a hat slope contracts the splitting's top
-in its last slot, a free part is contracted in its axis-3 slot, and the
-triple-bundle assembly stacks the lift's values on the axis-3 unit
-vectors.  This module is what that replaces.  ``local_split_double``
-adds and scales whole elements along axis 2 in the canonical chart;
-the others push unit vectors through ``MultiTensor.apply`` and read
-the results off entry by entry, with the loop form of
-``contract_slot``.
+in its last slot, and a horizontal lift is stored as its two core tops
+and its free part, from which the triple-bundle assembly composes the
+top splitting's top in one step.  This module is what that replaces.
+``local_split_double`` adds and scales whole elements along axis 2 in
+the canonical chart; a lift here is a per-point closure
+(``CallableLift``), checked by probing it on every basis matrix
+(``check_lift_compatibility``) and read once per axis-3 unit vector
+(``lift_to_decomposition``); the others push unit vectors through
+``MultiTensor.apply`` and read the results off entry by entry, with the
+loop form of ``contract_slot``.  The oracle lift and check accept the
+library's lifts too, which have the same ``output``.
 """
 
 from fractions import Fraction
@@ -20,16 +24,29 @@ from mvb.atlas import associated_vacant
 from mvb.bundle import add, element, morphism_from_canonical, scale
 from mvb.cores import core
 from mvb.cubecat import Partition
-from mvb.exactlin import MultiTensor, unit_vector, vec_add, zero_vector
+from mvb.errors import SemanticError
+from mvb.exactlin import (
+    MultiTensor,
+    compose_tensors,
+    unit_vector,
+    vec_add,
+    zero_vector,
+)
+from mvb.exactlin import contract_slot as kernel_contract_slot
 from mvb.gauge import Gauge
 from mvb.sections import (
     S1, S2, S3, S12, S13, S23, S123,
-    HorizontalLift,
     LinearSection,
-    check_lift_compatibility,
+    face_splitting,
     splitting_top,
 )
-from mvb.split import DecompositionBuilder, Splitting, splitting_to_decomposition
+from mvb.split import (
+    DecompositionBuilder,
+    Splitting,
+    extract_core_decompositions,
+    extract_splitting,
+    splitting_to_decomposition,
+)
 
 
 def hat_linear(presentation, base_section, splitting):
@@ -96,6 +113,109 @@ def local_split_double(presentation, sigma_frames=None):
     return Splitting(vac, a, morphism.data)
 
 
+class CallableLift:
+    """A horizontal lift as one closure per point from side data
+    ``(c, slope_f, slope_e)`` to top parts ``(lin, bil)``."""
+
+    def __init__(self, presentation, maps):
+        self.presentation = presentation
+        self.maps = dict(maps)
+
+    def output(self, point, c, slope_f, slope_e):
+        return self.maps[point](c, slope_f, slope_e)
+
+
+def _basis_matrices(out_dim, in_dim):
+    size = out_dim * in_dim
+    for k in range(size):
+        yield MultiTensor.from_integers(out_dim, (in_dim,), [int(j == k) for j in range(size)], 1)
+
+
+def check_lift_compatibility(presentation, lift, split_lde, split_lfd):
+    """Probe the lift on every basis matrix of each mixed slope: on a
+    pair (tilde of a {1,3}-slope, zero) the top linear part must vanish
+    and the bilinear part be the {1,3}-core splitting contracted with
+    the slope; symmetrically for the {2,3} side."""
+    pres = presentation
+    dims = pres.dims
+    d1, d2, d3 = dims.dim(S1), dims.dim(S2), dims.dim(S3)
+    d13, d23 = dims.dim(S13), dims.dim(S23)
+    for p in pres.base:
+        can = pres.canonical_chart(p)
+        zero_c = zero_vector(d3)
+        zero_f = MultiTensor.zeros(d13, (d1,))
+        zero_e = MultiTensor.zeros(d23, (d2,))
+        lam_de = splitting_top(split_lde, can, p)
+        lam_fd = splitting_top(split_lfd, can, p)
+        for phi in _basis_matrices(d13, d1):
+            lin, bil = lift.output(p, zero_c, phi, zero_e)
+            if not lin.is_zero():
+                raise SemanticError(
+                    "lift has a top linear part on a {1,3}-tilde input at %r" % (p,))
+            expected = compose_tensors(
+                lam_de, [phi, MultiTensor.identity(d2)], [[0], [1]], (d1, d2))
+            if bil != expected:
+                raise SemanticError(
+                    "lift disagrees with the {1,3}-core splitting at %r" % (p,))
+        for phi in _basis_matrices(d23, d2):
+            lin, bil = lift.output(p, zero_c, zero_f, phi)
+            if not lin.is_zero():
+                raise SemanticError(
+                    "lift has a top linear part on a {2,3}-tilde input at %r" % (p,))
+            expected = compose_tensors(
+                lam_fd, [MultiTensor.identity(d1), phi], [[0], [1]], (d1, d2))
+            if bil != expected:
+                raise SemanticError(
+                    "lift disagrees with the {2,3}-core splitting at %r" % (p,))
+    return True
+
+
+def decomposition_to_lift(presentation, decomposition):
+    """The five double splittings and the lift of a decomposition, the
+    lift as closures that contract the decomposition's components with
+    the side data's deviation from the side splittings."""
+    pres = presentation
+    dec = decomposition
+    cores = extract_core_decompositions(dec)
+    maps = {}
+    for p in pres.base:
+        g = dec.data[(pres.canonical_chart(p), p)]
+        t_1_2_3 = g.components[(S123, Partition([S1, S2, S3]))]
+        t_12_3 = g.components[(S123, Partition([S12, S3]))]
+        t_13_2 = g.components[(S123, Partition([S13, S2]))]
+        t_23_1 = g.components[(S123, Partition([S23, S1]))]
+        t_d = g.components[(S12, Partition([S1, S2]))]
+        t_f = g.components[(S13, Partition([S1, S3]))]
+        t_e = g.components[(S23, Partition([S2, S3]))]
+
+        def make_map(t_1_2_3=t_1_2_3, t_12_3=t_12_3, t_13_2=t_13_2,
+                     t_23_1=t_23_1, t_d=t_d, t_f=t_f, t_e=t_e):
+            def the_map(c, slope_f, slope_e):
+                lin = kernel_contract_slot(t_12_3, 1, c)
+                dev_f = slope_f.plus(kernel_contract_slot(t_f, 1, c).scaled(-1))
+                dev_e = slope_e.plus(kernel_contract_slot(t_e, 1, c).scaled(-1))
+                d1_, d2_ = t_d.in_dims
+                bil = kernel_contract_slot(t_1_2_3, 2, c)
+                bil = bil.plus(compose_tensors(
+                    lin, [t_d], [[0, 1]], (d1_, d2_)).scaled(-1))
+                bil = bil.plus(compose_tensors(
+                    t_13_2, [dev_f, MultiTensor.identity(d2_)], [[0], [1]], (d1_, d2_)))
+                bil = bil.plus(compose_tensors(
+                    t_23_1, [MultiTensor.identity(d1_), dev_e], [[0], [1]], (d1_, d2_)))
+                return lin, bil
+            return the_map
+
+        maps[p] = make_map()
+    return {
+        "split_d": face_splitting(dec, S12),
+        "split_e": face_splitting(dec, S23),
+        "split_f": face_splitting(dec, S13),
+        "split_lde": extract_splitting(cores[S13].target, cores[S13]),
+        "split_lfd": extract_splitting(cores[S23].target, cores[S23]),
+        "lift": CallableLift(pres, maps),
+    }
+
+
 def lift_from_free_part(presentation, split_lde, split_lfd, free_lin, free_bil):
     """A compatible lift whose free part is summed coordinate by
     coordinate of the axis-3 value."""
@@ -134,7 +254,7 @@ def lift_from_free_part(presentation, split_lde, split_lfd, free_lin, free_bil):
             return the_map
 
         tops[p] = make_map()
-    return HorizontalLift(pres, tops)
+    return CallableLift(pres, tops)
 
 
 def _double_decomposition_from_splitting(pres2, splitting):

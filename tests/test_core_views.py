@@ -5,8 +5,12 @@ and ``associated_decomposed`` share their parent's base and charts and
 make each transition from the parent's on its first read.  These tests
 compare the views with the eager builders kept in ``core_oracle``, count
 the restrictions a decomposition makes, and pin that a derived
-transition is made once and cannot be replaced.
+transition is made once and cannot be replaced, and that a presentation
+keeps its models without a reference cycle.
 """
+
+import gc
+import weakref
 
 import pytest
 from core_oracle import eager_decomposed, eager_linear, eager_partition_core, eager_vacant
@@ -122,3 +126,21 @@ def test_a_derived_transition_is_made_once_and_shares_the_charts():
     assert data[("0", "p0")] is data[("0", "p0")]
     with pytest.raises(KeyError):
         data[("0", "nowhere")]
+
+
+def test_models_are_kept_once_and_freed_with_their_presentation():
+    """A presentation keeps its vacant and decomposed models; they hold
+    its transitions, not it, so dropping it frees all three without the
+    cyclic collector."""
+    a = twisted_instance(3, n=3, n_points=2, n_charts=2)
+    vacant, model = associated_vacant(a), associated_decomposed(a)
+    assert associated_vacant(a) is vacant and associated_decomposed(a) is model
+    for key in a.transitions:
+        assert vacant.transitions[key] is not None and model.transitions[key] is not None
+    refs = [weakref.ref(x) for x in (a, vacant, model)]
+    gc.disable()
+    try:
+        del a, vacant, model
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()

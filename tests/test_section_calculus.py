@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 import section_oracle
 import tensor_oracle
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from test_gauge_plan import SMALL
 
@@ -26,6 +26,7 @@ from mvb.rand import random_dims, random_element, twisted_instance
 from mvb.sections import (
     S1, S2, S3, S12, S13, S23, S123,
     BaseSection,
+    HorizontalLift,
     _stack,
     decomposition_to_lift,
     hat_linear,
@@ -127,10 +128,71 @@ def test_triple_assembly_matches_unit_vector_oracle(seed):
         slope_e = small(rng, dims.dim(S23), (d2,))
         assert free.output(p, c, slope_f, slope_e) == oracle_free.output(
             p, c, slope_f, slope_e)
-    for lift, oracle_lift in ((pieces["lift"], pieces["lift"]), (free, oracle_free)):
+    oracle_lift = section_oracle.decomposition_to_lift(t, decompose(t))["lift"]
+    for lift, oracle_lift in ((pieces["lift"], oracle_lift), (free, oracle_free)):
         rebuilt = lift_to_decomposition(t, *splits, lift)
         assert as_bytes(rebuilt) == as_bytes(
             section_oracle.lift_to_decomposition(t, *splits, oracle_lift))
+
+
+TRIPLE_SETS = (S1, S2, S3, S12, S13, S23, S123)
+
+
+@SMALL
+@given(seed=st.integers(0, 2 ** 16),
+       dims=st.lists(st.integers(0, 2), min_size=7, max_size=7))
+@example(seed=5, dims=[1, 2, 1, 2, 1, 2, 0])
+@example(seed=6, dims=[2, 0, 2, 1, 2, 1, 2])
+def test_lifts_match_closure_oracle(seed, dims):
+    """Both library lifts, stored as core tops and free part, give the
+    closure lifts' top parts on random side data and pass the probing
+    check; the examples have an empty top and an empty axis-2 slot."""
+    t = twisted_instance(seed, n=3, n_points=2, n_charts=3,
+                         dims=DimAssignment(3, dict(zip(TRIPLE_SETS, dims))))
+    rng = random.Random(seed)
+    d1, d2, d3, d12, d13, d23, d123 = dims
+    dec = decompose(t)
+    pieces = decomposition_to_lift(t, dec)
+    oracle = section_oracle.decomposition_to_lift(t, dec)
+    for key in ("split_d", "split_e", "split_f", "split_lde", "split_lfd"):
+        assert as_bytes(pieces[key]) == as_bytes(oracle[key])
+    free_lin = {p: small(rng, d123 * d12, (d3,)) for p in t.base}
+    free_bil = {p: small(rng, d123 * d1 * d2, (d3,)) for p in t.base}
+    args = (t, pieces["split_lde"], pieces["split_lfd"], free_lin, free_bil)
+    for lift, oracle_lift in ((pieces["lift"], oracle["lift"]),
+                              (lift_from_free_part(*args),
+                               section_oracle.lift_from_free_part(*args))):
+        assert section_oracle.check_lift_compatibility(
+            t, lift, pieces["split_lde"], pieces["split_lfd"])
+        for p in t.base:
+            c = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d3))
+            slope_f, slope_e = small(rng, d13, (d1,)), small(rng, d23, (d2,))
+            assert lift.output(p, c, slope_f, slope_e) == oracle_lift.output(
+                p, c, slope_f, slope_e)
+
+
+def test_free_part_of_the_wrong_shape_is_rejected():
+    """Each lift part is read by its shape, so a free part with an extra
+    row, or a core top of another shape, names the part and the point."""
+    t = twisted_instance(113, n=3, n_points=2, n_charts=2)
+    d1, d2, d3, d12, d123 = (t.dims.dim(s) for s in (S1, S2, S3, S12, S123))
+    pieces = decomposition_to_lift(t, decompose(t))
+    free_lin = {p: MultiTensor.zeros(d123 * d12, (d3,)) for p in t.base}
+    free_bil = {p: MultiTensor.zeros(d123 * d1 * d2, (d3,)) for p in t.base}
+    p = t.base.points[-1]
+    for part, wrong in ((free_lin, MultiTensor.zeros(d123 * d12 + 1, (d3,))),
+                        (free_bil, MultiTensor.zeros(d123 * d1 * d2, (d3 + 1,)))):
+        args = (t, pieces["split_lde"], pieces["split_lfd"],
+                free_lin, free_bil)
+        right, part[p] = part[p], wrong
+        with pytest.raises(DimensionMismatch, match=r"free_(lin|bil) at %r" % (p,)):
+            lift_from_free_part(*args)
+        part[p] = right
+    parts = dict(pieces["lift"].parts)
+    lam_de, lam_fd, f_lin, f_bil = parts[p]
+    parts[p] = (lam_fd, lam_de, f_lin, f_bil)  # 2x[1, 1] and 2x[2, 2] here
+    with pytest.raises(DimensionMismatch, match=r"lam_de at %r" % (p,)):
+        HorizontalLift(t, parts)
 
 
 def test_frame_of_the_wrong_shape_is_rejected():

@@ -329,23 +329,24 @@ def test_decomposed_instance_gives_identity_pipeline():
 
 
 def test_incompatible_lift_rejected():
-    rng = random.Random(9)
+    """A lift whose {1,3}-core top, or in a second case its {2,3}-core
+    top, differs from the core splitting's at one point is rejected,
+    naming the side and the point."""
     t = twisted_instance(114, n=3, n_points=2, n_charts=2)
     dec = decompose(t)
     pieces = decomposition_to_lift(t, dec)
-    dims = t.dims
-    d123, d1, d2 = dims.dim(S123), dims.dim(S1), dims.dim(S2)
-
-    def bad_map(c, sf, se, p=None):
-        lin, bil = pieces["lift"].output("p0", c, sf, se)
-        bump = MultiTensor(d123, (d1, d2),
-                           [Fraction(1)] * (d123 * d1 * d2))
-        return lin, bil.plus(bump)
-
-    bad = HorizontalLift(t, {p: (lambda c, sf, se: bad_map(c, sf, se))
-                             for p in t.base})
-    with pytest.raises(SemanticError):
-        check_lift_compatibility(t, bad, pieces["split_lde"], pieces["split_lfd"])
+    p = t.base.points[-1]
+    for position, side in ((0, r"\{1,3\}"), (1, r"\{2,3\}")):
+        parts = dict(pieces["lift"].parts)
+        lam = parts[p][position]
+        bump = MultiTensor(lam.out_dim, lam.in_dims, [Fraction(1)] * len(lam.entries))
+        parts[p] = parts[p][:position] + (lam.plus(bump),) + parts[p][position + 1:]
+        bad = HorizontalLift(t, parts)
+        with pytest.raises(SemanticError, match=r"disagrees with the %s-core splitting at %r"
+                           % (side, p)):
+            check_lift_compatibility(t, bad, pieces["split_lde"], pieces["split_lfd"])
+        with pytest.raises(SemanticError, match=side):
+            lift_to_decomposition(t, **dict(pieces, lift=bad))
 
 
 def test_explicit_seven_argument_formula_matches_pipeline():

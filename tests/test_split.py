@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from chain_oracle import builder_chain_data, splitting_to_decomposition_data
 
+from mvb import split
 from mvb.atlas import (
     FiniteBase,
     associated_decomposed,
@@ -383,3 +384,19 @@ def test_strategies_share_one_object_per_key(monkeypatch):
     assert len(keys) == len(set(keys)) == 8
     assert least == decompose(a, "least-chart")
     assert average == decompose(a, "uniform-average")
+
+
+def test_strategies_share_one_model_per_core(monkeypatch):
+    """Each core keeps its vacant and decomposed models: on tw-n3b the
+    two strategies make 7 vacant models and 4 decomposed ones, one per
+    core that needs them, not one set per strategy."""
+    made = {"associated_vacant": [], "associated_decomposed": []}
+    for name, models in made.items():
+        def counted(presentation, original=getattr(split, name), models=models):
+            models.append(original(presentation))
+            return models[-1]
+        monkeypatch.setattr(split, name, counted)
+    a = twisted_instance(505, n=3, n_points=3, n_charts=3)
+    decompositions(a, ["least-chart", "uniform-average"])
+    assert len(set(map(id, made["associated_vacant"]))) == 7
+    assert len(set(map(id, made["associated_decomposed"]))) == 4
