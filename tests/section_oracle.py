@@ -32,7 +32,6 @@ from mvb.exactlin import (
     vec_add,
     zero_vector,
 )
-from mvb.exactlin import contract_slot as kernel_contract_slot
 from mvb.gauge import Gauge
 from mvb.sections import (
     S1, S2, S3, S12, S13, S23, S123,
@@ -191,11 +190,11 @@ def decomposition_to_lift(presentation, decomposition):
         def make_map(t_1_2_3=t_1_2_3, t_12_3=t_12_3, t_13_2=t_13_2,
                      t_23_1=t_23_1, t_d=t_d, t_f=t_f, t_e=t_e):
             def the_map(c, slope_f, slope_e):
-                lin = kernel_contract_slot(t_12_3, 1, c)
-                dev_f = slope_f.plus(kernel_contract_slot(t_f, 1, c).scaled(-1))
-                dev_e = slope_e.plus(kernel_contract_slot(t_e, 1, c).scaled(-1))
+                lin = contract_slot(t_12_3, 1, c)
+                dev_f = slope_f.plus(contract_slot(t_f, 1, c).scaled(-1))
+                dev_e = slope_e.plus(contract_slot(t_e, 1, c).scaled(-1))
                 d1_, d2_ = t_d.in_dims
-                bil = kernel_contract_slot(t_1_2_3, 2, c)
+                bil = contract_slot(t_1_2_3, 2, c)
                 bil = bil.plus(compose_tensors(
                     lin, [t_d], [[0, 1]], (d1_, d2_)).scaled(-1))
                 bil = bil.plus(compose_tensors(
