@@ -251,6 +251,9 @@ def cmd_torsor(report, presentation, args):
 
 
 def cmd_stato(args):
+    if args.action != "compose" and args.second is not None:
+        raise SchemaError("stato %s reads one gauge file, got the extra argument %r"
+                          % (args.action, args.second))
     report = Report("stato-%s" % args.action, "-")
     if args.action == "check":
         g = _load_as(args.gauge, Gauge, "a gauge")

@@ -219,6 +219,17 @@ def test_stato_commands(tmp_path, capsys):
     assert parsed.is_identity()
 
 
+@pytest.mark.parametrize("action", ["invert", "check"])
+def test_stato_rejects_a_second_file(tmp_path, capsys, action):
+    # only compose reads a second gauge; the other actions used to ignore it
+    a = twisted_instance(406, n=2, n_points=1, n_charts=2)
+    gauge_path = tmp_path / "g.json"
+    gauge_path.write_bytes(formats.dumps(a.transitions[sorted(a.transitions)[0]]))
+    code, out, err = invoke(capsys, ["stato", action, str(gauge_path), "nosuchfile.json"])
+    assert code == 2 and out == ""
+    assert "extra argument 'nosuchfile.json'" in err
+
+
 def test_hom_tangent_lift2_lift3(tmp_path, capsys):
     p2 = write_instance(tmp_path, "a.json", twisted_instance(407, n=2))
     p3 = write_instance(tmp_path, "b.json", twisted_instance(408, n=3))

@@ -1,9 +1,11 @@
-"""``mvb validate`` on arbitrary and mutated input files.
+"""The file readers of the CLI on arbitrary and mutated input files.
 
-Whatever the file holds, ``validate`` returns 0 (valid), 1 (a semantic
-failure) or 2 (an input error) and raises nothing.  The mutated inputs
-start from a small ``gen`` instance and replace, delete, duplicate or
-nudge a few of its JSON nodes.
+Whatever the file holds, ``validate`` on an atlas, ``stato invert`` and
+``stato check`` on a gauge and ``inf truncate`` on a tower generator
+return 0 (success), 1 (a semantic failure) or 2 (an input error) and
+raise nothing.  The mutated inputs start from a small ``gen`` instance,
+one of its transitions or a stabilizing generator around it, and
+replace, delete, duplicate or nudge a few of their JSON nodes.
 """
 
 import contextlib
@@ -17,11 +19,16 @@ from hypothesis import strategies as st
 from mvb import formats
 from mvb.cli import run
 from mvb.rand import twisted_instance
+from mvb.tower import InfinityPresentation, StabilizingGenerator
 
 FUZZ = settings(max_examples=150, derandomize=True, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
-BASE = json.loads(formats.dumps(twisted_instance(7, n=2, n_points=2, n_charts=2)))
+INSTANCE = twisted_instance(7, n=2, n_points=2, n_charts=2)
+BASE = json.loads(formats.dumps(INSTANCE))
+GAUGE = json.loads(formats.dumps(
+    next(g for (dst, src, _), g in sorted(INSTANCE.transitions.items()) if dst != src)))
+GENERATOR = json.loads(formats.dumps(InfinityPresentation(StabilizingGenerator(INSTANCE))))
 
 LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
@@ -46,8 +53,8 @@ def _paths(node, path=()):
 
 
 @st.composite
-def mutated_documents(draw):
-    doc = json.loads(json.dumps(BASE))
+def mutated_documents(draw, base=BASE):
+    doc = json.loads(json.dumps(base))
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(doc))
         path = paths[draw(st.integers(0, len(paths) - 1))]
@@ -100,11 +107,15 @@ def input_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.json"
 
 
-def validate_exit(path, data):
+def exit_code(path, data, command, *flags):
     path.write_bytes(data)
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        return run(["validate", str(path)])
+        return run(command + [str(path)] + list(flags))
+
+
+def validate_exit(path, data):
+    return exit_code(path, data, ["validate"])
 
 
 @FUZZ
@@ -129,3 +140,36 @@ def test_unmutated_instance_validates(input_path):
 def test_validate_stringified_lists(input_path, doc):
     data = json.dumps(doc).encode("utf-8")
     assert validate_exit(input_path, data) == 2
+
+
+READERS = [(["stato", "invert"], ()), (["stato", "check"], ()),
+           (["inf", "truncate"], ("--n", "3"))]
+
+
+@FUZZ
+@given(st.binary(max_size=300), st.sampled_from(READERS))
+def test_other_readers_on_arbitrary_bytes(input_path, data, reader):
+    command, flags = reader
+    assert exit_code(input_path, data, command, *flags) in (0, 1, 2)
+
+
+@FUZZ
+@given(mutated_documents(GAUGE), st.sampled_from(["invert", "check"]))
+def test_stato_mutated_gauge(input_path, doc, action):
+    data = json.dumps(doc).encode("utf-8")
+    assert exit_code(input_path, data, ["stato", action]) in (0, 1, 2)
+
+
+@FUZZ
+@given(mutated_documents(GENERATOR))
+def test_inf_truncate_mutated_generator(input_path, doc):
+    data = json.dumps(doc).encode("utf-8")
+    assert exit_code(input_path, data, ["inf", "truncate"], "--n", "3") in (0, 1, 2)
+
+
+@pytest.mark.parametrize("doc, command, flags", [
+    (GAUGE, ["stato", "invert"], ()),
+    (GENERATOR, ["inf", "truncate"], ("--n", "3")),
+], ids=["gauge", "generator"])
+def test_unmutated_inputs_are_read(input_path, doc, command, flags):
+    assert exit_code(input_path, json.dumps(doc).encode("utf-8"), command, *flags) == 0
