@@ -43,7 +43,7 @@ from .bundle import (
 )
 from .certify import Certificate
 from .cores import partition_core_morphism
-from .cubecat import IndexSet, Partition, nonempty_subsets
+from .cubecat import IndexSet, Partition, merge_blocks, nonempty_subsets
 from .errors import DimensionMismatch, InvalidInput, SemanticError
 from .exactlin import (
     MultiTensor,
@@ -207,7 +207,7 @@ def hat_linear(presentation, base_section, splitting):
     values = {}
     for p in presentation.base:
         b = base_section.at(p).components[S2]
-        top = splitting_top(splitting, presentation.canonical_chart(p), p)
+        top = splitting_top(splitting, p)
         slope[p] = contract_slot(top, 1, b)
         values[p] = b
     return LinearSection(presentation, values, slope)
@@ -486,12 +486,11 @@ def check_lift_compatibility(presentation, lift, split_lde, split_lfd):
     splitting's top; symmetrically for the {2,3} side.
     """
     for p in presentation.base:
-        can = presentation.canonical_chart(p)
         lam_de, lam_fd = lift.parts[p][:2]
-        if lam_de != splitting_top(split_lde, can, p):
+        if lam_de != splitting_top(split_lde, p):
             raise SemanticError(
                 "lift disagrees with the {1,3}-core splitting at %r" % (p,))
-        if lam_fd != splitting_top(split_lfd, can, p):
+        if lam_fd != splitting_top(split_lfd, p):
             raise SemanticError(
                 "lift disagrees with the {2,3}-core splitting at %r" % (p,))
     return True
@@ -507,8 +506,7 @@ def lift_from_free_part(presentation, split_lde, split_lfd, free_lin, free_bil):
     """
     parts = {}
     for p in presentation.base:
-        can = presentation.canonical_chart(p)
-        parts[p] = (splitting_top(split_lde, can, p), splitting_top(split_lfd, can, p),
+        parts[p] = (splitting_top(split_lde, p), splitting_top(split_lfd, p),
                     free_lin[p], free_bil[p])
     return HorizontalLift(presentation, parts)
 
@@ -545,15 +543,14 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
 
     vac = associated_vacant(pres)
     builder = DecompositionBuilder(pres)
-    core_keys = {mu: builder.merged_key(builder.top_key(), mu) for mu in (S12, S13, S23)}
+    core_keys = {mu: merge_blocks(builder.top_key(), mu) for mu in (S12, S13, S23)}
     lef_pres = builder.object(core_keys[S12])
     lef_vac = associated_vacant(lef_pres)
 
     sigma_family = {}
     lef_family = {}
     for p in pres.base:
-        can = pres.canonical_chart(p)
-        t_d, t_e, t_f = (splitting_top(s, can, p) for s in (split_d, split_e, split_f))
+        t_d, t_e, t_f = (splitting_top(s, p) for s in (split_d, split_e, split_f))
         lam_de, lam_fd, free_lin, free_bil = lift.parts[p]
         lin = _regroup(free_lin, d123, (d12, d3))
         m_top = _regroup(free_bil, d123, (d1, d2, d3)).plus(
@@ -583,7 +580,7 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
 
     splittings = {S12: split_lef, S13: split_lde, S23: split_lfd}
     for mu, key in core_keys.items():
-        builder.cache.splittings[key] = splittings[mu]
+        builder.seed(key, splittings[mu])
     core_decs = {mu: builder.decomposition(key) for mu, key in core_keys.items()}
     return splitting_to_decomposition(pres, sigma, core_decs)
 

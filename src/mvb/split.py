@@ -2,47 +2,39 @@
 
 The pipeline follows the constructive existence proofs:
 
-* Splittings are built by recursion over the cube and pasted from gauge
-  components.  All proper faces are split first (compatibly, because
-  every face splitting is fetched from a shared cache).  Per chart and
-  point a local splitting gauge then has identity singleton parts, the
-  face splittings' top components on the proper faces, and in the top
-  slot the ``theta_top`` hook read on basis tuples (at the top of the
+* A splitting of a core is its faces' splittings plus a top component.
+  Per chart and point the local splitting gauge has identity singleton
+  parts, the faces' tops in that chart, and in the top slot the
+  ``theta_top`` hook read on basis tuples (at the top of the
   presentation itself), or zero without one: over a discrete base the
   zero-top right inverse of the pullback projection is already
   multilinear in its own chart.  The local gauges are pasted with a
   partition of unity over the finite base: each is conjugated into the
-  canonical chart, by the object's transition after it and the vacant
+  canonical chart, by the core's transition after it and its vacant
   model's before it, and the top components are averaged with the
-  strategy's weights.  Only the top component of a
-  conjugate is composed (``gauge._compose_at``), and no element is
-  evaluated.  Splittings and decompositions are stated in the canonical
-  charts; their other charts are derived when first read (see
-  ``bundle.morphism_from_canonical``), which under least-chart happens
-  only for the charts a caller reads.
+  strategy's weights.  Only the top component of a conjugate is
+  composed (``gauge._compose_at``), and no element is evaluated.
 
 * A splitting plus compatible decompositions of the codimension-one
-  cores determines a unique decomposition.  The chain construction
-  handles one pair of merged axes at a time, writing each element as a
-  sum of an already-handled part and a core part.  In the canonical
-  chart fiber addition is coordinatewise, so each component of the
-  result is routed rather than evaluated: all-singleton components come
-  from the splitting, every other one from the core decomposition at
-  the last chain stage whose pair heads one of its blocks, reindexed
-  onto the merged cube.  That reindexing, and the keys on which
-  ``check_compatibility`` compares a core with the splitting or with
-  another core, are ``cubecat.ambient_positions`` inverted; it depends
-  only on the number of blocks of the object.  Face restrictions of the
-  output agree with the construction on faces by uniqueness rather than
-  by bookkeeping.
+  cores determines a unique decomposition.  In the canonical chart
+  fiber addition is coordinatewise, so ``_assemble`` routes each
+  component instead of running the chain construction: all-singleton
+  ones come from the splitting, every other one from the core
+  decomposition at the last chain stage whose pair heads one of its
+  blocks, through ``cubecat.ambient_positions`` inverted.
 
-* Full decomposition recurses over coarsenings of the axis partition.
-  Every object that appears (a core of a face, a face of a core, an
-  intersection of cores) is identified by its block partition, whose
-  ground is its ambient node, and split exactly once; this sharing is
-  what makes the staged core decompositions compatible.  The other way,
-  a decomposition restricts to its cores by
-  ``cores.partition_core_morphism``.
+* Unrolled over the lattice of cores, that uniqueness is a closed form.
+  ``DecompositionBuilder`` makes each splitting top once per (core key,
+  chart, point), a core key being the core's block partition over the
+  atlas axes: in the canonical chart by the paste, in any other by
+  conjugating the key's canonical splitting gauge.  A decomposition's
+  canonical component at (T, rho) is the identity on a one-block rho,
+  else the top at the key of the core rho names, which
+  ``cubecat.ambient_positions`` finds.  ``seed`` writes a given
+  splitting's tops into the table.  Core keys do not mention the level,
+  so a tower's levels share one table.  Results are stated in the
+  canonical charts and derive the others when first read
+  (``bundle.morphism_from_canonical``).
 """
 
 from fractions import Fraction
@@ -179,52 +171,52 @@ def _conjugated_top(outer, g, inner):
     return tensor
 
 
-def _top_in_chart(morphism, chart, point):
-    """The top component of a morphism's gauge in one chart.  In the
-    canonical chart it is read by position, ``None`` when it is zero; in
-    any other chart it is conjugated from there without deriving the
-    whole gauge, a zero tensor when it is zero."""
-    can = morphism.source.canonical_chart(point)
-    g = morphism.data[(can, point)]
-    if chart == can:
-        return g.tensors[cube_plan(g.n).top]
-    return _conjugated_top(morphism.target.transition(chart, can, point), g,
-                           morphism.source.transition(can, chart, point))
-
-
-def splitting_top(morphism, chart, point):
-    """``_top_in_chart`` as a tensor in every chart, a zero one for a
-    zero top."""
-    top = _top_in_chart(morphism, chart, point)
+def splitting_top(morphism, point):
+    """The top component of a morphism's gauge in the point's canonical
+    chart, read by position; a zero tensor when it is zero."""
+    g = morphism.data[(morphism.source.canonical_chart(point), point)]
+    top = g.tensors[cube_plan(g.n).top]
     if top is None:
         return MultiTensor.zeros(morphism.target.dims.shapes[-1][0],
                                  morphism.source.dims.shapes[-1][1])
     return top
 
 
+def _face_key(key, positions):
+    """The key of the face of a key's core at the block ``positions``."""
+    # blocks at increasing positions keep the canonical order
+    return tuple.__new__(Partition, [key[pos - 1] for pos in positions])
+
+
 class BuilderCache:
-    """Objects, splittings and decompositions per builder key.
+    """Splitting tops per (core key, chart, point), and per core key the
+    core views, splittings and decompositions built on them.
 
     Builders handed the same cache share its entries: a tower shares one
-    across its levels, and a caller may seed a splitting before asking
-    for the decomposition it determines.
+    across its levels.  Builders of other strategies share the core
+    views alone, handed in as ``objects``.
     """
 
-    def __init__(self):
-        self.objects = {}
+    def __init__(self, objects=None):
+        self.tops = {}
+        self.objects = {} if objects is None else objects
         self.splittings = {}
         self.decompositions = {}
 
 
 class DecompositionBuilder:
-    """Shared-cache recursion over the coarsening lattice of one atlas.
+    """Splittings and decompositions of the cores of one atlas, read off
+    one table of splitting tops.
 
     A key is a partition of a node, the object of a key the core it
-    names (``cores.partition_core``).  The top-level bundle is the key
-    {1..n} in singletons; ``subkey`` picks blocks of a key (a face of
-    its object) and ``merged_key`` merges some (a core of it).
-    Splittings and decompositions are memoized per key in ``cache``, so
-    any object reached twice is split exactly once.
+    names (``cores.partition_core``); the top-level bundle is the key
+    {1..n} in singletons.  ``top(key, chart, point)`` is the top
+    component of the key's splitting in one chart, ``None`` for a zero
+    one in the canonical chart, made once per triple in ``cache.tops``.
+    A splitting reads the tops of its key and of its faces; a
+    decomposition reads, at every component, the top of the core the
+    component's partition names.  A core view is built for a result, or
+    for the transitions that uniform-average conjugates by.
     """
 
     def __init__(self, presentation, strategy="least-chart", theta_top=None,
@@ -245,113 +237,120 @@ class DecompositionBuilder:
             objects[key] = partition_core(self.A, key)
         return objects[key]
 
-    def subkey(self, key, positions):
-        # blocks at increasing positions keep the canonical order
-        return tuple.__new__(Partition, [key[pos - 1] for pos in positions])
+    def seed(self, key, splitting):
+        """Take ``splitting`` as the splitting of ``key``, before anything
+        reads the key or its faces: its canonical components at the
+        all-singleton keys become the tops of the key and of its faces."""
+        plan = cube_plan(len(key))
+        for p in self.A.base:
+            can = self.A.canonical_chart(p)
+            tensors = splitting.data[(can, p)].tensors
+            for at in plan.singletons[len(key):]:
+                self.cache.tops[(_face_key(key, plan.keys[at][0]), can, p)] = tensors[at]
+        self.cache.splittings[key] = splitting
 
-    def merged_key(self, key, positions):
-        return merge_blocks(key, positions)
+    def top(self, key, chart, point):
+        entry = (key, chart, point)
+        tops = self.cache.tops
+        if entry not in tops:
+            can = self.A.canonical_chart(point)
+            if chart == can:
+                tops[entry] = self._paste(key, point, can)
+            else:
+                obj = self.object(key)
+                vac = associated_vacant(obj)
+                own = self._local(key, obj, vac, can, point, self.top(key, can, point))
+                tops[entry] = _conjugated_top(obj.transition(chart, can, point), own,
+                                              vac.transition(can, chart, point))
+        return tops[entry]
 
-    # -- splittings ----------------------------------------------------
-
-    def splitting(self, key):
-        if key in self.cache.splittings:
-            return self.cache.splittings[key]
-        obj = self.object(key)
-        vac = associated_vacant(obj)
-        if obj.n <= 1:
-            inclusion = identity_gauge(vac.dims, obj.dims)
-            data = {(c.id, p): inclusion for c in obj.charts for p in c.domain}
-        else:
-            keys = cube_plan(obj.n).keys
-            faces = [
-                (at, self.splitting(self.subkey(key, keys[at][0])))
-                for at in cube_plan(obj.n).singletons if 1 < len(keys[at][0]) < obj.n
-            ]
-            # the hook gives the top slot of the presentation itself only
-            hook = self.theta_top if key == self.top_key() else None
-            family = {p: self._paste(obj, vac, faces, p, hook) for p in self.A.base}
-            data = morphism_from_canonical(vac, obj, family).data
-        morphism = Splitting(vac, obj, data)
-        self.cache.splittings[key] = morphism
-        return morphism
-
-    def _chart_splitting(self, obj, vac, faces, chart, point, hook):
-        """The splitting gauge local to one chart: identity singleton parts,
-        the cached sub-splitting's top in this chart on every proper face,
-        and in the top slot ``hook`` read on basis tuples (zero without
-        it).  Only the hook's tensor is new, so only a gauge holding one
-        is checked."""
-        top = cube_plan(obj.n).top
+    def _local(self, key, obj, vac, chart, point, top):
+        """The splitting gauge of the key's core local to one chart: identity
+        singleton parts, each face's top in this chart, and ``top``."""
+        plan = cube_plan(obj.n)
+        tensors = [None] * len(plan.keys)
         # the singleton keys come first, in axis order
-        tensors = [MultiTensor.identity(shape[0]) for shape in obj.dims.shapes[:obj.n]]
-        tensors += [None] * (top + 1 - obj.n)
-        for at, sub in faces:
-            tensors[at] = _top_in_chart(sub, chart, point)
-        if hook is not None:
-            in_dims = vac.dims.shapes[top][1]
-            d_top = obj.dims.shapes[top][0]
-            bases = product(*([unit_vector(d, j) for j in range(d)] for d in in_dims))
-            values = [hook(chart, point, list(args)) for args in bases]
-            wrong = next((v for v in values if len(v) != d_top), None)
-            if wrong is not None:
-                raise InvalidInput("theta_top at chart %r, point %r returned %d values,"
-                                   " expected %d" % (chart, point, len(wrong), d_top))
-            tensors[top] = MultiTensor(
-                d_top, in_dims, [v[i0] for i0 in range(d_top) for v in values])
-            return Gauge.from_tensors(vac.dims, obj.dims, tensors)
+        for at, shape in enumerate(obj.dims.shapes[:obj.n]):
+            tensors[at] = MultiTensor.identity(shape[0])
+        for at in plan.singletons[obj.n:-1]:
+            tensors[at] = self.top(_face_key(key, plan.keys[at][0]), chart, point)
+        tensors[-1] = top
         return _shaped_gauge(vac.dims, obj.dims, tensors)
 
-    def _paste(self, obj, vac, faces, point, hook):
-        """The splitting gauge at a point in the canonical chart.
+    def _hooked(self, key, chart, point):
+        """The top of the key's splitting local to one chart: ``theta_top``
+        read on basis tuples at the top key, zero (``None``) elsewhere."""
+        if self.theta_top is None or key != self.top_key():
+            return None
+        obj = self.object(key)
+        in_dims, d_top = associated_vacant(obj).dims.shapes[-1][1], obj.dims.shapes[-1][0]
+        bases = product(*([unit_vector(d, j) for j in range(d)] for d in in_dims))
+        values = [self.theta_top(chart, point, list(args)) for args in bases]
+        wrong = next((v for v in values if len(v) != d_top), None)
+        if wrong is not None:
+            raise InvalidInput("theta_top at chart %r, point %r returned %d values,"
+                               " expected %d" % (chart, point, len(wrong), d_top))
+        tensor = MultiTensor(d_top, in_dims, [v[i0] for i0 in range(d_top) for v in values])
+        return None if tensor.is_zero() else tensor
 
-        Every chart's local splitting is conjugated into the canonical
-        chart by the object's and the vacant model's transitions; the
-        top components are averaged with the strategy's weights.  The
-        canonical chart's own transitions are identities.  Only the top
-        component of each conjugate is composed (``_conjugated_top``),
-        and so are the face tops of the other charts' local splittings.
-        """
-        can = obj.canonical_chart(point)
-        own = self._chart_splitting(obj, vac, faces, can, point, hook)
+    def _paste(self, key, point, can):
+        """The key's canonical splitting top: every chart's local top
+        conjugated into the canonical chart, averaged by the strategy."""
+        total = self._hooked(key, can, point)
         others = [] if self.strategy == "least-chart" else [
-            c for c in sorted(obj.charts_at(point)) if c != can]
+            c for c in sorted(self.A.charts_at(point)) if c != can]
         if not others:
-            return own
-        top = cube_plan(obj.n).top
-        total = own.tensors[top]
+            return total
+        obj = self.object(key)
+        vac = associated_vacant(obj)
         for c in others:
-            local = self._chart_splitting(obj, vac, faces, c, point, hook)
+            local = self._local(key, obj, vac, c, point, self._hooked(key, c, point))
             conjugated = _conjugated_top(
                 obj.transition(can, c, point), local, vac.transition(c, can, point))
             total = conjugated if total is None else total.plus(conjugated)
-        tensors = list(own.tensors)
-        tensors[top] = total.scaled(Fraction(1, len(others) + 1))
-        return _shaped_gauge(vac.dims, obj.dims, tensors)
+        total = total.scaled(Fraction(1, len(others) + 1))
+        return None if total.is_zero() else total
 
-    # -- decompositions --------------------------------------------------
+    def splitting(self, key):
+        splittings = self.cache.splittings
+        if key not in splittings:
+            obj = self.object(key)
+            vac = associated_vacant(obj)
+            if obj.n <= 1:
+                inclusion = identity_gauge(vac.dims, obj.dims)
+                data = {(c.id, p): inclusion for c in obj.charts for p in c.domain}
+            else:
+                family = {}
+                for p in self.A.base:
+                    can = self.A.canonical_chart(p)
+                    family[p] = self._local(key, obj, vac, can, p, self.top(key, can, p))
+                data = morphism_from_canonical(vac, obj, family).data
+            splittings[key] = Splitting(vac, obj, data)
+        return splittings[key]
 
     def decomposition(self, key):
-        if key in self.cache.decompositions:
-            return self.cache.decompositions[key]
-        obj = self.object(key)
-        # every component of a one-fold gauge is one-block
-        model = obj if obj.n <= 1 else associated_decomposed(obj)
-        if obj.n <= 1:
-            data = {
-                (c.id, p): identity_gauge(obj.dims)
-                for c in obj.charts for p in c.domain
-            }
-        else:
-            sigma = self.splitting(key)
-            core_decs = {
-                mu: self.decomposition(self.merged_key(key, mu))
-                for mu in _pairs(obj.n)
-            }
-            data = _assemble(obj, model, sigma, core_decs, self.A.base)
-        morphism = Decomposition(model, obj, data)
-        self.cache.decompositions[key] = morphism
-        return morphism
+        """The decomposition extending the key's splitting: in the
+        canonical chart, the identity at every one-block component and
+        the top of the core its partition names at every other one."""
+        decompositions = self.cache.decompositions
+        if key not in decompositions:
+            obj = self.splitting(key).target
+            model = associated_decomposed(obj)
+            identity = identity_gauge(model.dims, obj.dims).tensors
+            keys = cube_plan(self.A.n).keys
+            cores = [(at, keys[ambient][1]) for at, ambient
+                     in enumerate(ambient_positions((self.A.n, key)))
+                     if len(keys[ambient][1]) > 1]
+            family = {}
+            for p in self.A.base:
+                can = self.A.canonical_chart(p)
+                tensors = list(identity)
+                for at, core in cores:
+                    tensors[at] = self.top(core, can, p)
+                family[p] = _trusted_gauge(model.dims, obj.dims, tuple(tensors))
+            decompositions[key] = Decomposition(
+                model, obj, morphism_from_canonical(model, obj, family).data)
+        return decompositions[key]
 
 
 def find_splitting(presentation, strategy="least-chart", theta_top=None):
@@ -380,9 +379,9 @@ def decompositions(presentation, strategies):
     """One decomposition of a valid presentation per strategy, via the
     staged pipeline, validated once; the strategies share each key's core."""
     _require_valid(presentation)
-    builders = [DecompositionBuilder(presentation, strategy) for strategy in strategies]
-    for builder in builders[1:]:
-        builder.cache.objects = builders[0].cache.objects
+    objects = {}
+    builders = [DecompositionBuilder(presentation, strategy, cache=BuilderCache(objects))
+                for strategy in strategies]
     return [builder.decomposition(builder.top_key()) for builder in builders]
 
 

@@ -22,7 +22,14 @@ from mvb.bundle import (
     zero_lift,
 )
 from mvb.cores import partition_core
-from mvb.cubecat import IndexSet, Partition, full_set, nonempty_subsets, partitions
+from mvb.cubecat import (
+    IndexSet,
+    Partition,
+    full_set,
+    merge_blocks,
+    nonempty_subsets,
+    partitions,
+)
 from mvb.errors import InvalidInput, SemanticError
 from mvb.exactlin import MultiTensor, unit_vector, zero_vector
 from mvb.gauge import Gauge
@@ -240,7 +247,7 @@ def builder_chain_data(builder, key, check_bracketing=False):
     if obj.n <= 1:
         return builder.decomposition(key).data
     core_decs = {
-        mu: builder.decomposition(builder.merged_key(key, mu))
+        mu: builder.decomposition(merge_blocks(key, mu))
         for mu in nonempty_subsets(full_set(obj.n)) if len(mu) == 2
     }
     return chain_data(obj, builder.splitting(key), core_decs, key,

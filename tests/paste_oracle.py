@@ -39,7 +39,7 @@ def _face_tensors(builder, key, obj):
                 for p in c.domain:
                     out[(nu, c.id, p)] = MultiTensor.identity(d)
             continue
-        sub_split = builder.splitting(builder.subkey(key, nu))
+        sub_split = builder.splitting(Partition([key[pos - 1] for pos in nu]))
         sub_top = full_set(len(nu))
         singles = Partition([[i] for i in sub_top])
         for c in obj.charts:

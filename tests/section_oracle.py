@@ -54,9 +54,8 @@ def hat_linear(presentation, base_section, splitting):
     slope = {}
     values = {}
     for p in presentation.base:
-        can = presentation.canonical_chart(p)
         b = base_section.at(p).components[S2]
-        top = splitting_top(splitting, can, p)
+        top = splitting_top(splitting, p)
         d1 = presentation.dims.dim(S1)
         d12 = presentation.dims.dim(S12)
         entries = []
@@ -140,12 +139,11 @@ def check_lift_compatibility(presentation, lift, split_lde, split_lfd):
     d1, d2, d3 = dims.dim(S1), dims.dim(S2), dims.dim(S3)
     d13, d23 = dims.dim(S13), dims.dim(S23)
     for p in pres.base:
-        can = pres.canonical_chart(p)
         zero_c = zero_vector(d3)
         zero_f = MultiTensor.zeros(d13, (d1,))
         zero_e = MultiTensor.zeros(d23, (d2,))
-        lam_de = splitting_top(split_lde, can, p)
-        lam_fd = splitting_top(split_lfd, can, p)
+        lam_de = splitting_top(split_lde, p)
+        lam_fd = splitting_top(split_lfd, p)
         for phi in _basis_matrices(d13, d1):
             lin, bil = lift.output(p, zero_c, phi, zero_e)
             if not lin.is_zero():
@@ -224,9 +222,8 @@ def lift_from_free_part(presentation, split_lde, split_lfd, free_lin, free_bil):
     d12, d123 = dims.dim(S12), dims.dim(S123)
     tops = {}
     for p in pres.base:
-        can = pres.canonical_chart(p)
-        lam_de = splitting_top(split_lde, can, p)
-        lam_fd = splitting_top(split_lfd, can, p)
+        lam_de = splitting_top(split_lde, p)
+        lam_fd = splitting_top(split_lfd, p)
         f_lin = free_lin[p]
         f_bil = free_bil[p]
 
@@ -261,7 +258,7 @@ def _double_decomposition_from_splitting(pres2, splitting):
     splitting (its one iterated core is an ordinary bundle)."""
     builder = DecompositionBuilder(pres2)
     key = builder.top_key()
-    builder.cache.splittings[key] = splitting
+    builder.seed(key, splitting)
     return builder.decomposition(key)
 
 
@@ -283,10 +280,9 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
     sigma_family = {}
     lef_family = {}
     for p in pres.base:
-        can = pres.canonical_chart(p)
-        t_d = splitting_top(split_d, can, p)
-        t_e = splitting_top(split_e, can, p)
-        t_f = splitting_top(split_f, can, p)
+        t_d = splitting_top(split_d, p)
+        t_e = splitting_top(split_e, p)
+        t_f = splitting_top(split_f, p)
 
         per_c = []
         for k3 in range(d3):

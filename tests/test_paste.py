@@ -9,17 +9,16 @@ from paste_oracle import paste_splitting_data
 from test_acceptance import corpus
 from test_routing import SMALL, small_instances
 
-from mvb.cubecat import full_set
+from mvb.cubecat import cube_plan, full_set
 from mvb.rand import twisted_instance
 from mvb.split import STRATEGIES, DecompositionBuilder, find_splitting, is_splitting
 
 
 def assert_paste_matches_oracle(presentation, strategy, theta_top=None):
+    # every core key: each face of each core, and each core of each face
     builder = DecompositionBuilder(presentation, strategy, theta_top=theta_top)
-    builder.splitting(builder.top_key())
-    builder.decomposition(builder.top_key())
-    for key, sigma in builder.cache.splittings.items():
-        assert paste_splitting_data(builder, key) == sigma.data, key
+    for _, key in cube_plan(presentation.n).keys:
+        assert paste_splitting_data(builder, key) == builder.splitting(key).data, key
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

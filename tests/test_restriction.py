@@ -118,17 +118,22 @@ def test_one_diagonal_dims_per_core_not_per_transition(monkeypatch):
         partition_core(a, blocks)
         assert calls[before:] == [blocks]
 
-    # the builder makes one core object per key and nothing else restricts
+    # the builder makes one core object per key it reads transitions of,
+    # and nothing else restricts: least-chart reads the top core alone,
+    # uniform-average conjugates by every core of two or more blocks
     objects = []
 
-    def counted_core(*args):
-        objects.append(args)
-        return partition_core(*args)
+    def counted_core(presentation, blocks):
+        objects.append(blocks)
+        return partition_core(presentation, blocks)
     monkeypatch.setattr("mvb.split.partition_core", counted_core)
-    del calls[:]
-    builder = DecompositionBuilder(a)
-    builder.decomposition(builder.top_key())
-    assert len(objects) == len(builder.cache.objects) == len(calls)
+    top = Partition([[i] for i in full_set(4)])
+    multi_block = [blocks for blocks in every_core_key(4) if len(blocks) > 1]
+    for strategy, needed in (("least-chart", [top]), ("uniform-average", multi_block)):
+        del calls[:], objects[:]
+        builder = DecompositionBuilder(a, strategy)
+        builder.decomposition(builder.top_key())
+        assert sorted(objects) == sorted(calls) == sorted(needed), strategy
 
 
 def atlas_with_a_transition_of_other_dims():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from test_acceptance import corpus
 
 from mvb.bundle import morphism_from_canonical
-from mvb.cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets
+from mvb.cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets, partitions
 from mvb.errors import SemanticError
 from mvb.exactlin import MultiTensor
 from mvb.gauge import DimAssignment, Gauge
@@ -41,11 +41,10 @@ SMALL = settings(max_examples=25, derandomize=True, database=None, deadline=None
 
 
 def assert_routed_matches_chain(presentation, strategy):
+    # every key the decomposition of the top key merges down to
     builder = DecompositionBuilder(presentation, strategy)
-    builder.decomposition(builder.top_key())
-    assert builder.cache.decompositions
-    for key, dec in builder.cache.decompositions.items():
-        assert builder_chain_data(builder, key) == dec.data, key
+    for key in partitions(full_set(presentation.n)):
+        assert builder_chain_data(builder, key) == builder.decomposition(key).data, key
 
 
 def twist_core(presentation, cores, mu, seed):

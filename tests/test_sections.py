@@ -97,10 +97,9 @@ def test_hat_linear_through_splitting():
     # the hat section rides the splitting: compare against the
     # splitting's top component directly
     p = e.point
-    can = a.canonical_chart(p)
     from mvb.bundle import canonicalize
     ec = canonicalize(a, e)
-    top = splitting_top(s, can, p)
+    top = splitting_top(s, p)
     assert out.components[S12] == top.apply(
         [ec.components[S1], b_sec.at(p).components[S2]])
     assert out.components[S2] == b_sec.at(p).components[S2]
@@ -171,10 +170,10 @@ def test_local_split_double_with_frames():
     base = find_splitting(a, "least-chart")
     from mvb.split import DecompositionBuilder
     b1 = DecompositionBuilder(a)
-    b1.cache.splittings[b1.top_key()] = built
+    b1.seed(b1.top_key(), built)
     d_built = b1.decomposition(b1.top_key())
     b2 = DecompositionBuilder(a)
-    b2.cache.splittings[b2.top_key()] = base
+    b2.seed(b2.top_key(), base)
     d_base = b2.decomposition(b2.top_key())
     tau = torsor_statomorphism(d_base, d_built)
     assert any(not g.is_identity() for g in tau.data.values())

@@ -14,7 +14,7 @@ from mvb.atlas import (
 )
 from mvb.bundle import element, elements_equal
 from mvb.cores import partition_core
-from mvb.cubecat import IndexSet, Partition, full_set, nonempty_subsets
+from mvb.cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets, partitions
 from mvb.errors import InvalidInput, SemanticError
 from mvb.gauge import DimAssignment, Gauge
 from mvb.rand import random_element, random_gauge, twisted_instance
@@ -127,14 +127,14 @@ def test_unit_decompose_checks_only_the_gauges_it_makes_new(strategy, monkeypatc
     """On the n = 5 unit-dims decompose every pasted splitting gauge and
     every assembled decomposition gauge takes its tensors by position
     from checked gauges, so none is shape-checked again: the only checked
-    gauges are identities, one made by validate and one per chart of a
-    one-fold object's decomposition."""
+    gauges are identities, one made by validate and one holding the
+    decomposition's one-block parts."""
     a = twisted_instance(9, n=5, max_dim=1, n_points=1, n_charts=2)
     calls = []
     store = Gauge._store
     monkeypatch.setattr(Gauge, "_store", lambda g, *args: calls.append(1) or store(g, *args))
     dec = decompose(a, strategy)
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert is_decomposition(dec)
 
 
@@ -159,8 +159,9 @@ def test_decompose_n2_twisted_with_bracket_check():
     # the element chain evaluates both bracketing orders at every key
     builder = DecompositionBuilder(a)
     assert builder.decomposition(builder.top_key()).data == d.data
-    for key, dec in builder.cache.decompositions.items():
-        assert builder_chain_data(builder, key, check_bracketing=True) == dec.data
+    for key in partitions(full_set(2)):
+        assert (builder_chain_data(builder, key, check_bracketing=True)
+                == builder.decomposition(key).data), key
 
 
 def test_decompose_n2_matches_displayed_formula():
@@ -358,21 +359,36 @@ def test_small_triple_instance_decomposes_quickly():
     assert elapsed < 1.0, "took %.2fs" % elapsed
 
 
-def test_shared_cache_reuses_core_splittings():
-    a = twisted_instance(88, n=3, n_points=2, n_charts=2)
-    builder = DecompositionBuilder(a)
+def test_shared_cache_reuses_core_splittings(monkeypatch):
+    """Faces of cores and cores of faces reach one key through several
+    routes, and each top is made once per (key, chart, point): every
+    entry of the table in a chart other than its point's canonical one is
+    conjugated once, and every canonical one conjugates each other
+    chart's local splitting once."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return conjugated_top(*args)
+    conjugated_top = split._conjugated_top
+    monkeypatch.setattr(split, "_conjugated_top", counted)
+    a = twisted_instance(88, n=4, max_dim=1, n_points=2, n_charts=3)
+    builder = DecompositionBuilder(a, "uniform-average")
     builder.decomposition(builder.top_key())
-    # iterated merges reach the fully merged key through several routes;
-    # the cache must hold each object exactly once
-    keys = list(builder.cache.splittings)
-    assert len(keys) == len(set(keys))
-    fully_merged = Partition([full_set(3)])
-    assert fully_merged in builder.cache.splittings or fully_merged in builder.cache.decompositions
+    canonical = [(key, p) for key, chart, p in builder.cache.tops
+                 if chart == a.canonical_chart(p)]
+    assert sorted(canonical) == sorted(
+        (rho, p) for _, rho in cube_plan(4).keys if len(rho) > 1 for p in a.base.points)
+    others = len(builder.cache.tops) - len(canonical)
+    assert others > 0
+    assert len(calls) == others + sum(len(a.charts_at(p)) - 1 for _, p in canonical)
 
 
 def test_strategies_share_one_object_per_key(monkeypatch):
-    """Both strategies read each key's core from one map: the corpus
-    fixture tw-n3b has 8 keys and builds 8 cores, not one set per strategy."""
+    """Both strategies read each key's core from one map: on the corpus
+    fixture tw-n3b, uniform-average conjugates by the cores of the 7 keys
+    of two or more blocks, least-chart reads the top one's again, and no
+    one-block core is built."""
     keys = []
 
     def counted(presentation, blocks):
@@ -381,15 +397,16 @@ def test_strategies_share_one_object_per_key(monkeypatch):
     monkeypatch.setattr("mvb.split.partition_core", counted)
     a = twisted_instance(505, n=3, n_points=3, n_charts=3)
     least, average = decompositions(a, ["least-chart", "uniform-average"])
-    assert len(keys) == len(set(keys)) == 8
+    assert len(keys) == len(set(keys)) == 7
     assert least == decompose(a, "least-chart")
     assert average == decompose(a, "uniform-average")
 
 
 def test_strategies_share_one_model_per_core(monkeypatch):
     """Each core keeps its vacant and decomposed models: on tw-n3b the
-    two strategies make 7 vacant models and 4 decomposed ones, one per
-    core that needs them, not one set per strategy."""
+    two strategies make 7 vacant models, one per core that
+    uniform-average conjugates by, and one decomposed model, the top
+    core's, which both decompositions read; not one set per strategy."""
     made = {"associated_vacant": [], "associated_decomposed": []}
     for name, models in made.items():
         def counted(presentation, original=getattr(split, name), models=models):
@@ -399,4 +416,5 @@ def test_strategies_share_one_model_per_core(monkeypatch):
     a = twisted_instance(505, n=3, n_points=3, n_charts=3)
     decompositions(a, ["least-chart", "uniform-average"])
     assert len(set(map(id, made["associated_vacant"]))) == 7
-    assert len(set(map(id, made["associated_decomposed"]))) == 4
+    assert len(made["associated_decomposed"]) == 2
+    assert len(set(map(id, made["associated_decomposed"]))) == 1

@@ -6,8 +6,12 @@ each point's canonical chart, the component at plan key (T, rho) is the
 top of the splitting of the core that rho names, and the identity on a
 one-block rho.  Without a ``theta_top`` hook every least-chart top is
 zero there, so the least-chart decomposition is the identity gauge.
+Both facts are checked on the recursive builder (``builder_oracle``);
+the table-backed builder, which reads every component that way, must
+agree with it at every core key.
 """
 
+from builder_oracle import RecursiveBuilder
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +48,7 @@ def zero_slot_atlas():
 
 
 def assert_components_are_tops(presentation, strategy):
-    builder = DecompositionBuilder(presentation, strategy)
+    builder = RecursiveBuilder(presentation, strategy)
     dec = builder.decomposition(builder.top_key())
     keys = cube_plan(presentation.n).keys
     for p in presentation.base:
@@ -54,15 +58,29 @@ def assert_components_are_tops(presentation, strategy):
             if len(rho) == 1:
                 assert g.components[(target, rho)].is_identity()
             else:
-                top = splitting_top(builder.splitting(rho), can, p)
+                top = splitting_top(builder.splitting(rho), p)
                 assert g.components[(target, rho)] == top, (p, target, rho)
 
 
 def assert_least_chart_is_identity(presentation):
-    builder = DecompositionBuilder(presentation, "least-chart")
+    builder = RecursiveBuilder(presentation, "least-chart")
     dec = builder.decomposition(builder.top_key())
     for p in presentation.base:
         assert dec.data[(presentation.canonical_chart(p), p)].is_identity(), p
+
+
+def assert_builders_agree(presentation, strategy):
+    table = DecompositionBuilder(presentation, strategy)
+    oracle = RecursiveBuilder(presentation, strategy)
+    for _, key in cube_plan(presentation.n).keys:
+        assert table.splitting(key).data == oracle.splitting(key).data, key
+        assert table.decomposition(key).data == oracle.decomposition(key).data, key
+
+
+@TOPS
+@given(atlases(), st.sampled_from(STRATEGIES))
+def test_table_builder_agrees_with_the_recursive_one(presentation, strategy):
+    assert_builders_agree(presentation, strategy)
 
 
 @TOPS
@@ -82,3 +100,4 @@ def test_a_zero_dimensional_slot_keeps_both_facts():
     assert_least_chart_is_identity(a)
     for strategy in STRATEGIES:
         assert_components_are_tops(a, strategy)
+        assert_builders_agree(a, strategy)
