@@ -517,17 +517,22 @@ def kernel_basis(tensor):
     return basis
 
 
-def contract_slot(tensor, slot, vector):
-    """Fix one input slot of a tensor to a vector, leaving the rest.
+def contract_slots(tensor, fixed):
+    """Fix some input slots of a tensor to vectors, leaving the rest.
 
-    One composition: the fixed slot takes ``vector`` as a tensor with no
-    inputs, every other slot an identity.
+    ``fixed`` maps slot positions to vectors.  One composition: each
+    fixed slot takes its vector as a tensor with no inputs, every other
+    slot an identity, and the open slots keep their order.
     """
-    rest = tensor.in_dims[:slot] + tensor.in_dims[slot + 1:]
-    inners = [MultiTensor.identity(d) for d in rest]
-    groups = [[i] for i in range(len(rest))]
-    inners.insert(slot, MultiTensor(len(vector), (), vector))
-    groups.insert(slot, [])
+    inners, groups, rest = [], [], []
+    for slot, d in enumerate(tensor.in_dims):
+        if slot in fixed:
+            inners.append(MultiTensor(d, (), fixed[slot]))
+            groups.append(())
+        else:
+            inners.append(MultiTensor.identity(d))
+            groups.append((len(rest),))
+            rest.append(d)
     return compose_tensors(tensor, inners, groups, rest)
 
 

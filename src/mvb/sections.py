@@ -24,7 +24,7 @@ back adds those terms again and seeds one ``DecompositionBuilder`` with
 the three core splittings.
 
 Constructions that only read tensor entries are stated on the tensor
-kernels (``_stack``, ``contract_slot``, ``compose_tensors``); their
+kernels (``_stack``, ``contract_slots``, ``compose_tensors``); their
 element, unit-vector and closure forms are test oracles.  The displayed
 seven-argument formula keeps genuine fiber operations as an independent
 check.
@@ -48,7 +48,7 @@ from .errors import DimensionMismatch, InvalidInput, SemanticError
 from .exactlin import (
     MultiTensor,
     compose_tensors,
-    contract_slot,
+    contract_slots,
     vec_add,
     vec_scale,
     zero_vector,
@@ -208,7 +208,7 @@ def hat_linear(presentation, base_section, splitting):
     for p in presentation.base:
         b = base_section.at(p).components[S2]
         top = splitting_top(splitting, p)
-        slope[p] = contract_slot(top, 1, b)
+        slope[p] = contract_slots(top, {1: b})
         values[p] = b
     return LinearSection(presentation, values, slope)
 
@@ -449,8 +449,8 @@ class HorizontalLift:
         bil = compose_tensors(lam_de, [slope_f, MultiTensor.identity(d2)], [[0], [1]], (d1, d2))
         bil = bil.plus(compose_tensors(
             lam_fd, [MultiTensor.identity(d1), slope_e], [[0], [1]], (d1, d2)))
-        bil = bil.plus(_regroup(contract_slot(free_bil, 0, c), d123, (d1, d2)))
-        return _regroup(contract_slot(free_lin, 0, c), d123, (d12,)), bil
+        bil = bil.plus(_regroup(contract_slots(free_bil, {0: c}), d123, (d1, d2)))
+        return _regroup(contract_slots(free_lin, {0: c}), d123, (d12,)), bil
 
     def apply(self, pair_f, pair_e):
         if pair_f["base"] != pair_e["base"]:

@@ -48,7 +48,7 @@ from .atlas import (
     validate,
 )
 from .bundle import BundleMorphism, morphism_from_canonical
-from .cores import partition_core, partition_core_morphism, pullback
+from .cores import _pullback_projection, partition_core, partition_core_morphism
 from .cubecat import (
     IndexSet,
     Partition,
@@ -510,8 +510,7 @@ def split_pullback(presentation, strategy="least-chart"):
     ultracore sequence at once, assembled from one decomposition."""
     a = presentation
     dec = decompose(a, strategy)
-    pb = pullback(a)
-    p_pres = pb.presentation
+    p_pres, projection = _pullback_projection(a)
 
     inclusion = identity_gauge(p_pres.dims, dec.source.dims)
     data = {}
@@ -520,7 +519,7 @@ def split_pullback(presentation, strategy="least-chart"):
             g.trimmed(p_pres.dims).invert())
     morphism = BundleMorphism(p_pres, a, data)
 
-    composite = pb.projection.compose(morphism)
+    composite = projection.compose(morphism)
     ident = identity_gauge(p_pres.dims)
     for g in composite.data.values():
         if g != ident:

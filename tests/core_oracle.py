@@ -12,6 +12,14 @@ every key the same gauge or the same exception class and message.
 every face component entry by entry from the ambient components it
 groups, one ``Fraction`` at a time.  ``tests/test_face.py`` compares
 ``cores.face`` against it.
+
+``core_closure_certificate`` and ``fiber_matrix`` are the certificates
+from before they read gauge tensors.  The closure check pushes every
+family of basis vectors on the blocks of each core key through the core
+gauge and the ambient gauge with ``Gauge.evaluate`` and compares the
+outputs slot by slot; the fiber matrix pushes one unit vector per fiber
+coordinate through ``BundleMorphism.apply``.  ``tests/test_cores.py``
+compares the library's certificates and fiber matrices against them.
 """
 
 from fractions import Fraction
@@ -21,17 +29,21 @@ from math import prod
 from tensor_oracle import entry
 
 from mvb.atlas import AtlasPresentation
+from mvb.bundle import element, zero_lift
+from mvb.certify import Certificate
+from mvb.cores import partition_core
 from mvb.cubecat import (
     IndexSet,
     Partition,
     cube_plan,
     full_set,
+    is_union_of_blocks,
     nonempty_subsets,
     partitions,
     subsets,
 )
 from mvb.errors import InvalidInput
-from mvb.exactlin import MultiTensor
+from mvb.exactlin import MultiTensor, zero_vector
 from mvb.gauge import DimAssignment, Gauge, diagonal_dims, singleton_dims
 
 
@@ -177,3 +189,84 @@ def _disjoint_covers(target, count, pool):
             rest = target.difference(first)
             for tail in _disjoint_covers(rest, count - 1, pool):
                 yield (first,) + tail
+
+
+def core_closure_certificate(presentation, blocks):
+    """Check that restricted transitions reproduce ambient evaluation.
+
+    For every transition and every component of the core gauge, basis
+    elements supported on the component's blocks are pushed through the
+    ambient gauge; the output must agree on union slots and vanish
+    elsewhere.
+    """
+    a = presentation
+    blocks = Partition(blocks)
+    core = partition_core(a, blocks)
+    core_dims, k = core.dims, core.n
+    witnesses = []
+    for (dst, src, p), g in sorted(a.transitions.items()):
+        sub = core.transitions[(dst, src, p)]
+        for nu in nonempty_subsets(full_set(k)):
+            for rho in partitions(nu):
+                for basis in _basis_tuples(core_dims, rho):
+                    small = {s: zero_vector(core_dims.dim(s))
+                             for s in nonempty_subsets(full_set(k))}
+                    small.update(basis)
+                    big = {s: zero_vector(a.dims.dim(s))
+                           for s in nonempty_subsets(full_set(a.n))}
+                    for s_small, vec in small.items():
+                        union = IndexSet(i for pos in s_small for i in blocks[pos - 1])
+                        big[union] = vec
+                    out_small = sub.evaluate(small)
+                    out_big = g.evaluate(big)
+                    for s_big, vec in out_big.items():
+                        if is_union_of_blocks(s_big, blocks):
+                            positions = IndexSet(pos for pos, b in enumerate(blocks, 1)
+                                                 if b.issubset(s_big))
+                            if out_small[positions] != vec:
+                                return Certificate.failing(
+                                    "core restriction reproduces ambient evaluation",
+                                    {"transition": [dst, src, p],
+                                     "slot": list(s_big)})
+                        elif any(x != 0 for x in vec):
+                            return Certificate.failing(
+                                "core restriction reproduces ambient evaluation",
+                                {"transition": [dst, src, p],
+                                 "slot": list(s_big), "leak": True})
+        witnesses.append({"transition": [dst, src, p]})
+    return Certificate.passing(
+        "core restriction reproduces ambient evaluation", witnesses)
+
+
+def _basis_tuples(dims, rho):
+    """Families assigning one basis vector to each block of rho."""
+    return product(*(
+        [(block, tuple(int(i == j) for i in range(dims.dim(block))))
+         for j in range(dims.dim(block))]
+        for block in rho))
+
+
+def fiber_matrix(morphism, axis, base_elem):
+    """Matrix of the morphism between the fibers over a base element.
+
+    The fiber over an element of the axis-dropped node has one
+    coordinate block per slot containing the axis; morphisms are linear
+    on these blocks once the base slots are fixed.
+    """
+    src, tgt = morphism.source, morphism.target
+    top = full_set(src.n)
+    fiber_slots = [s for s in nonempty_subsets(top) if axis in s]
+    src_cols = [(slot, j) for slot in fiber_slots for j in range(src.dims.dim(slot))]
+    tgt_rows = [(slot, i) for slot in fiber_slots for i in range(tgt.dims.dim(slot))]
+
+    lifted = zero_lift(src, base_elem, top)
+    columns = []
+    for slot, j in src_cols:
+        comps = dict(lifted.components)
+        v = [0] * src.dims.dim(slot)
+        v[j] = 1
+        comps[slot] = tuple(v)
+        image = morphism.apply(element(src, top, lifted.chart, lifted.point, comps))
+        columns.append([image.components[tslot][i] for tslot, i in tgt_rows])
+    return MultiTensor(len(tgt_rows), (len(src_cols),),
+                       [col[r] for r in range(len(tgt_rows)) for col in columns])

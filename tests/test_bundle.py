@@ -431,13 +431,13 @@ def test_hom_encode_decode_round_trip():
 
 
 def test_contract_slot():
-    from mvb.exactlin import contract_slot
+    from mvb.exactlin import contract_slots
     t = MultiTensor(1, (2, 2), [1, 2, 3, 4])
-    fixed = contract_slot(t, 1, (Fraction(1), Fraction(1)))
+    fixed = contract_slots(t, {1: (Fraction(1), Fraction(1))})
     # rows of the 2x2 block sum pairwise: [1+2, 3+4]
     assert fixed.in_dims == (2,)
     assert fixed.entries == (Fraction(3), Fraction(7))
-    fixed0 = contract_slot(t, 0, (Fraction(2), Fraction(0)))
+    fixed0 = contract_slots(t, {0: (Fraction(2), Fraction(0))})
     assert fixed0.entries == (Fraction(2), Fraction(4))
 
 

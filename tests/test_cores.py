@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import core_oracle
 import pytest
 from helpers import embed_core_element, identity_morphism, restrict_core_element
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mvb.atlas import FiniteBase, associated_decomposed, decomposed, validate
@@ -19,6 +20,7 @@ from mvb.cores import (
     core_by_stages,
     core_closure_certificate,
     core_morphism,
+    fiber_matrix,
     include_by_nested_sums,
     is_core_member,
     partition_core,
@@ -28,9 +30,12 @@ from mvb.cores import (
 )
 from mvb.cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets
 from mvb.errors import InvalidInput
-from mvb.gauge import DimAssignment
+from mvb.gauge import DimAssignment, Gauge
 from mvb.rand import random_element, random_gauge, twisted_instance
-from mvb.split import decompose
+from mvb.split import STRATEGIES, decompose
+
+ORACLE = settings(max_examples=20, derandomize=True, database=None, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
 
 
 def dims_of(n, value=1):
@@ -73,6 +78,86 @@ def test_core_closure_certificate_twisted():
     a = twisted_instance(53, n=3, n_points=2, n_charts=2)
     cert = core_closure_certificate(a, Partition([[1, 2], [3]]))
     assert cert.passed
+
+
+@st.composite
+def atlases(draw, max_n):
+    """A twisted atlas over n <= ``max_n`` axes with one 0-dim slot and
+    every other dim 1 or 2 (1 at n = 4)."""
+    # sampled_from shrinks towards its first entry: lead with the largest n
+    n = draw(st.sampled_from(range(max_n, 0, -1)))
+    slots = nonempty_subsets(full_set(n))
+    values = draw(st.lists(st.integers(1, 1 if n == 4 else 2),
+                           min_size=len(slots), max_size=len(slots)))
+    values[draw(st.integers(0, len(slots) - 1))] = 0
+    return twisted_instance(
+        draw(st.integers(0, 10 ** 6)), n=n, dims=DimAssignment(n, dict(zip(slots, values))),
+        n_points=draw(st.integers(1, 2)), n_charts=draw(st.integers(1, 3)))
+
+
+@ORACLE
+@given(atlases(4))
+def test_closure_certificate_matches_the_oracle_on_every_partition(a):
+    for _, blocks in cube_plan(a.n).keys:
+        assert (core_closure_certificate(a, blocks).to_dict()
+                == core_oracle.core_closure_certificate(a, blocks).to_dict()), blocks
+
+
+@pytest.mark.parametrize("certificate", [core_closure_certificate,
+                                         core_oracle.core_closure_certificate])
+def test_closure_certificate_names_a_doubled_component(monkeypatch, certificate):
+    # the core view of one transition gets its ({1,2}, {{1},{2}}) component,
+    # the ambient ({1,2,3}, {{1,2},{3}}) one, doubled
+    a = twisted_instance(53, n=3, n_points=2, n_charts=2)
+    blocks = Partition([[1, 2], [3]])
+    at = cube_plan(2).index[(IndexSet([1, 2]), Partition([[1], [2]]))]
+    ambient_at = cube_plan(3).index[(full_set(3), blocks)]
+    key = max(k for k, g in a.transitions.items() if g.tensors[ambient_at] is not None)
+    wrong = a.transitions[key]
+    restrict = Gauge.diagonal_restrict
+
+    def doubling(self, *args):
+        out = restrict(self, *args)
+        if self is wrong:
+            tensors = list(out.tensors)
+            tensors[at] = tensors[at].scaled(2)
+            out = Gauge.from_tensors(out.source_dims, out.target_dims, tensors)
+        return out
+    monkeypatch.setattr(Gauge, "diagonal_restrict", doubling)
+    cert = certificate(a, blocks)
+    assert not cert.passed
+    assert cert.counterexample == {"transition": list(key), "slot": [1, 2, 3]}
+
+
+@st.composite
+def fiber_morphisms(draw):
+    """A decomposition under either strategy, a canonical statomorphism
+    family, or the inverse of either, on an atlas with a 0-dim slot."""
+    a = draw(atlases(4))
+    kind = draw(st.sampled_from(STRATEGIES + ("statomorphism",)))
+    if kind == "statomorphism":
+        rng = random.Random(draw(st.integers(0, 10 ** 6)))
+        morphism = morphism_from_canonical(a, a, {
+            p: random_gauge(rng, a.dims, statomorphism=True) for p in a.base})
+    else:
+        morphism = decompose(a, kind)
+    return morphism.invert() if draw(st.booleans()) else morphism
+
+
+@ORACLE
+@given(fiber_morphisms(), st.integers(0, 10 ** 6))
+def test_fiber_matrix_matches_the_oracle(morphism, seed):
+    rng = random.Random(seed)
+    src = morphism.source
+    top = full_set(src.n)
+    for c in src.charts:
+        for pt in c.domain:
+            for axis in top:
+                node = top.difference([axis])
+                for base in (zero_element(src, node, pt, c.id),
+                             random_element(rng, src, node=node, point=pt, chart=c.id)):
+                    assert (fiber_matrix(morphism, axis, base)
+                            == core_oracle.fiber_matrix(morphism, axis, base)), (axis, base)
 
 
 def test_cores_validate_on_twisted():

@@ -3,8 +3,9 @@ unit-vector forms.
 
 ``sections`` builds frame splittings, hat slopes, free-part lifts and
 the triple-bundle assembly by stacking and contracting tensors, and
-``exactlin.contract_slot`` is one composition.  The oracles are
-``section_oracle`` and the loop form ``tensor_oracle.contract_slot``.
+``exactlin.contract_slots`` is one composition.  The oracles are
+``section_oracle`` and the loop form ``tensor_oracle.contract_slot``,
+applied once per fixed slot.
 Instances have every fiber dimension in 0..2, so empty stacks occur.
 """
 
@@ -20,7 +21,7 @@ from test_gauge_plan import SMALL
 
 from mvb import formats
 from mvb.errors import DimensionMismatch
-from mvb.exactlin import MultiTensor, contract_slot
+from mvb.exactlin import MultiTensor, contract_slots
 from mvb.gauge import DimAssignment
 from mvb.rand import random_dims, random_element, twisted_instance
 from mvb.sections import (
@@ -62,11 +63,15 @@ def as_bytes(morphism):
 def test_contract_slot_matches_loop_oracle(seed, n_in, dims):
     rng = random.Random(seed)
     tensor = small(rng, dims[0], tuple(dims[1:1 + n_in]))
-    for slot in range(n_in):
-        vector = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                       for _ in range(tensor.in_dims[slot]))
-        assert contract_slot(tensor, slot, vector) == tensor_oracle.contract_slot(
-            tensor, slot, vector)
+    vectors = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
+               for d in tensor.in_dims]
+    for mask in range(1, 2 ** n_in):
+        fixed = {slot: vectors[slot] for slot in range(n_in) if mask >> slot & 1}
+        expected = tensor
+        # the highest slot first, so the lower positions stay put
+        for slot in sorted(fixed, reverse=True):
+            expected = tensor_oracle.contract_slot(expected, slot, fixed[slot])
+        assert contract_slots(tensor, fixed) == expected
 
 
 def test_stack_places_the_new_slot_last():
@@ -76,7 +81,7 @@ def test_stack_places_the_new_slot_last():
     assert stacked.in_dims == (3, 1, 4)
     for k, part in enumerate(parts):
         unit = tuple(Fraction(int(t == k)) for t in range(4))
-        assert contract_slot(stacked, 2, unit) == part
+        assert contract_slots(stacked, {2: unit}) == part
     assert _stack([], 2, (3,)) == MultiTensor.zeros(2, (3, 0))
 
 
