@@ -20,8 +20,8 @@ A partition of an ambient node into k blocks reindexes a core onto the
 k-cube, axis i standing for the i-th block.  ``ambient_positions`` is
 that one map, from each key of the k-cube plan to the position of the
 ambient key it stands for: every translation between a core and its
-ambient cube (gauge restriction, routing a core decomposition's
-components, comparing two cores) reads it or inverts it.  Core
+ambient cube (gauge restriction, the core a decomposition component
+names, comparing two cores) reads it or inverts it.  Core
 dimensions read the same block unions at the one-block keys alone.
 """
 

@@ -16,25 +16,18 @@ The pipeline follows the constructive existence proofs:
   composed (``gauge._compose_at``), and no element is evaluated.
 
 * A splitting plus compatible decompositions of the codimension-one
-  cores determines a unique decomposition.  In the canonical chart
-  fiber addition is coordinatewise, so ``_assemble`` routes each
-  component instead of running the chain construction: all-singleton
-  ones come from the splitting, every other one from the core
-  decomposition at the last chain stage whose pair heads one of its
-  blocks, through ``cubecat.ambient_positions`` inverted.
-
-* Unrolled over the lattice of cores, that uniqueness is a closed form.
-  ``DecompositionBuilder`` makes each splitting top once per (core key,
-  chart, point), a core key being the core's block partition over the
-  atlas axes: in the canonical chart by the paste, in any other by
-  conjugating the key's canonical splitting gauge.  A decomposition's
-  canonical component at (T, rho) is the identity on a one-block rho,
-  else the top at the key of the core rho names, which
-  ``cubecat.ambient_positions`` finds.  ``seed`` writes a given
-  splitting's tops into the table.  Core keys do not mention the level,
-  so a tower's levels share one table.  Results are stated in the
-  canonical charts and derive the others when first read
-  (``bundle.morphism_from_canonical``).
+  cores determines a unique decomposition, a closed form over the
+  lattice of cores: in the canonical chart, where fiber addition is
+  coordinatewise, the component at (T, rho) is the identity on a
+  one-block rho, else the top of the splitting of the core rho names.
+  ``DecompositionBuilder`` reads it off one table of splitting tops per
+  (core key, chart, point), a core key being the core's block partition
+  over the atlas axes.  It makes each top once, by the paste in the
+  canonical chart and by conjugating the key's canonical splitting
+  gauge in any other, unless ``seed`` wrote it from a given splitting or
+  decomposition.  Core keys do not mention the level, so a tower's
+  levels share one table.  Results are stated in the canonical charts
+  and derive the others when first read (``bundle.morphism_from_canonical``).
 """
 
 from fractions import Fraction
@@ -61,7 +54,8 @@ from .cubecat import (
 )
 from .errors import InvalidInput, SemanticError
 from .exactlin import MultiTensor, unit_vector
-from .gauge import Gauge, _compose_at, _shaped_gauge, _trusted_gauge, identity_gauge
+from .gauge import (Gauge, _compose_at, _shaped_gauge, _trusted_gauge, diagonal_dims,
+                    identity_gauge, singleton_dims)
 
 STRATEGIES = ("least-chart", "uniform-average")
 
@@ -116,44 +110,6 @@ def _core_positions(k_and_mu):
     return MappingProxyType({at: core_at for core_at, at in enumerate(ambient)})
 
 
-def _route(rho):
-    """The pair whose core decomposition carries the (T, rho) component,
-    or None when the splitting carries it.
-
-    In chain order the first pair inside a block is its two least axes;
-    the chain handles rho at the last such stage over its blocks, and
-    there the already-handled part has a zero T-coordinate.  Every block
-    of rho contains or misses each head, so compatible core
-    decompositions all carry this component alike; the last head is the
-    one the chain consults.
-    """
-    heads = [IndexSet(b[:2]) for b in rho if len(b) > 1]
-    return max(heads, key=tuple) if heads else None
-
-
-@_memoized(16)
-def _routes(k):
-    """``_route`` of every key of ``cube_plan(k)``, by position."""
-    return tuple(_route(rho) for _, rho in cube_plan(k).keys)
-
-
-def _assemble(obj, model, sigma, core_decs, base):
-    """Decomposition data fixed by a splitting and the codimension-one
-    core decompositions.  In the canonical chart fiber addition is
-    coordinatewise, so every component is copied from the splitting or
-    from the core decomposition that the chain would consult for it."""
-    core_at = {mu: _core_positions((obj.n, mu)) for mu in _pairs(obj.n)}
-    family = {}
-    for p in base:
-        can = obj.canonical_chart(p)
-        own = sigma.data[(can, p)].tensors
-        by_core = {mu: core_decs[mu].data[(can, p)].tensors for mu in core_at}
-        family[p] = _trusted_gauge(model.dims, obj.dims, tuple(
-            own[at] if mu is None else by_core[mu][core_at[mu][at]]
-            for at, mu in enumerate(_routes(obj.n))))
-    return morphism_from_canonical(model, obj, family).data
-
-
 def _conjugated_top(outer, g, inner):
     """The top component of ``outer . g . inner``.
 
@@ -182,10 +138,12 @@ def splitting_top(morphism, point):
     return top
 
 
-def _face_key(key, positions):
-    """The key of the face of a key's core at the block ``positions``."""
-    # blocks at increasing positions keep the canonical order
-    return tuple.__new__(Partition, [key[pos - 1] for pos in positions])
+def _named_cores(n, key):
+    """Per position in the key's cube plan of two or more blocks, that
+    position and the key of the core it names (``ambient_positions``)."""
+    keys = cube_plan(n).keys
+    return [(at, keys[i][1]) for at, i in enumerate(ambient_positions((n, key)))
+            if len(keys[i][1]) > 1]
 
 
 class BuilderCache:
@@ -237,17 +195,21 @@ class DecompositionBuilder:
             objects[key] = partition_core(self.A, key)
         return objects[key]
 
-    def seed(self, key, splitting):
-        """Take ``splitting`` as the splitting of ``key``, before anything
-        reads the key or its faces: its canonical components at the
-        all-singleton keys become the tops of the key and of its faces."""
-        plan = cube_plan(len(key))
+    def seed(self, key, morphism):
+        """Take ``morphism`` as the key's decomposition if it is a
+        ``Decomposition``, else as its splitting, before anything reads the
+        key or its cores: its canonical component at every key of two or more
+        blocks (all-singleton, for a splitting) is the top of the core it names."""
+        decomposes = isinstance(morphism, Decomposition)
+        singles = cube_plan(len(key)).singletons
+        named = [(at, core) for at, core in _named_cores(self.A.n, key)
+                 if decomposes or at in singles]
         for p in self.A.base:
             can = self.A.canonical_chart(p)
-            tensors = splitting.data[(can, p)].tensors
-            for at in plan.singletons[len(key):]:
-                self.cache.tops[(_face_key(key, plan.keys[at][0]), can, p)] = tensors[at]
-        self.cache.splittings[key] = splitting
+            tensors = morphism.data[(can, p)].tensors
+            for at, core in named:
+                self.cache.tops[(core, can, p)] = tensors[at]
+        (self.cache.decompositions if decomposes else self.cache.splittings)[key] = morphism
 
     def top(self, key, chart, point):
         entry = (key, chart, point)
@@ -273,7 +235,9 @@ class DecompositionBuilder:
         for at, shape in enumerate(obj.dims.shapes[:obj.n]):
             tensors[at] = MultiTensor.identity(shape[0])
         for at in plan.singletons[obj.n:-1]:
-            tensors[at] = self.top(_face_key(key, plan.keys[at][0]), chart, point)
+            # a face's key: the key's blocks at increasing positions, in canonical order
+            face = tuple.__new__(Partition, [key[pos - 1] for pos in plan.keys[at][0]])
+            tensors[at] = self.top(face, chart, point)
         tensors[-1] = top
         return _shaped_gauge(vac.dims, obj.dims, tensors)
 
@@ -337,10 +301,7 @@ class DecompositionBuilder:
             obj = self.splitting(key).target
             model = associated_decomposed(obj)
             identity = identity_gauge(model.dims, obj.dims).tensors
-            keys = cube_plan(self.A.n).keys
-            cores = [(at, keys[ambient][1]) for at, ambient
-                     in enumerate(ambient_positions((self.A.n, key)))
-                     if len(keys[ambient][1]) > 1]
+            cores = _named_cores(self.A.n, key)
             family = {}
             for p in self.A.base:
                 can = self.A.canonical_chart(p)
@@ -354,7 +315,7 @@ class DecompositionBuilder:
 
 
 def find_splitting(presentation, strategy="least-chart", theta_top=None):
-    """A splitting of a valid presentation, built by the face recursion.
+    """A splitting of a valid presentation, read off a table of tops.
 
     ``theta_top(chart, point, args)``, when given, returns the top-slot
     value of a chart-local right inverse on one vector per singleton
@@ -376,8 +337,8 @@ def _require_valid(presentation):
 
 
 def decompositions(presentation, strategies):
-    """One decomposition of a valid presentation per strategy, via the
-    staged pipeline, validated once; the strategies share each key's core."""
+    """One decomposition of a valid presentation per strategy, validated
+    once, each read off a table of tops; the strategies share the cores."""
     _require_valid(presentation)
     objects = {}
     builders = [DecompositionBuilder(presentation, strategy, cache=BuilderCache(objects))
@@ -386,7 +347,7 @@ def decompositions(presentation, strategies):
 
 
 def decompose(presentation, strategy="least-chart"):
-    """A decomposition of a valid presentation via the staged pipeline."""
+    """A decomposition of a valid presentation, read off a table of tops."""
     return decompositions(presentation, [strategy])[0]
 
 
@@ -436,17 +397,39 @@ def check_compatibility(presentation, sigma, core_decs):
 
 def splitting_to_decomposition(presentation, sigma, core_decs):
     """The unique decomposition restricting to the given splitting and
-    codimension-one core decompositions.
+    codimension-one core decompositions, all seeded into one table of tops.
 
-    ``core_decs`` maps each two-element axis set to a decomposition of
-    the merged-axes core.  Compatibility is a checked precondition.
+    ``core_decs`` maps each two-element axis set once to a
+    ``Decomposition`` of the merged-axes core, else ``InvalidInput``.
+    Compatibility is a checked precondition.
     """
     a = presentation
-    core_decs = {IndexSet(mu): dec for mu, dec in core_decs.items()}
+    core_decs = _core_family(a, sigma, core_decs)
     check_compatibility(a, sigma, core_decs)
-    obj = partition_core(a, _top_key(a.n))
-    model = associated_decomposed(obj)
-    return Decomposition(model, obj, _assemble(obj, model, sigma, core_decs, a.base))
+    builder = DecompositionBuilder(a)
+    builder.seed(builder.top_key(), sigma)
+    for mu in _pairs(a.n):
+        builder.seed(_merged((a.n, mu)), core_decs[mu])
+    return builder.decomposition(builder.top_key())
+
+
+def _core_family(presentation, sigma, core_decs):
+    """``core_decs`` by ``IndexSet``, each key and every morphism's dims checked."""
+    a, family = presentation, {}
+    if (sigma.source.dims, sigma.target.dims) != (singleton_dims(a.dims), a.dims):
+        raise InvalidInput("splitting is not over the dims of the presentation")
+    for key, dec in core_decs.items():
+        mu = IndexSet(key)
+        if mu not in _pairs(a.n):
+            raise InvalidInput("core decomposition key %r is no pair of 1..%d" % (key, a.n))
+        if mu in family:
+            raise InvalidInput("core decomposition at %s is given twice" % (list(mu),))
+        dims = diagonal_dims(a.dims, _merged((a.n, mu)))
+        if not isinstance(dec, Decomposition) or {dec.source.dims, dec.target.dims} != {dims}:
+            raise InvalidInput("core decomposition at %s is no Decomposition over its"
+                               " core's dims" % (list(mu),))
+        family[mu] = dec
+    return family
 
 
 def extract_splitting(presentation, decomposition):

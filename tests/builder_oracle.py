@@ -1,15 +1,18 @@
 """The recursive decomposition builder, kept as a test oracle.
 
 The library reads every splitting and decomposition of the cores of an
-atlas off one table of splitting tops (``split.DecompositionBuilder``).
-This module is the builder it replaces: one core view, splitting and
-decomposition object per key, each splitting pasted from its faces'
-splittings and each decomposition assembled (``split._assemble``) from
-its splitting and the decompositions of its codimension-one cores, all
-memoized per key in a ``RecursiveCache``.  It exposes the same
-``splitting(key)``, ``decomposition(key)`` and ``object(key)``, plus
-``subkey`` and ``merged_key``, and takes splittings seeded into
-``cache.splittings`` directly.
+atlas off one table of splitting tops (``split.DecompositionBuilder``),
+and ``split.splitting_to_decomposition`` seeds its inputs into that
+table.  This module is the builder it replaces: one core view,
+splitting and decomposition object per key, each splitting pasted from
+its faces' splittings and each decomposition assembled (``_assemble``)
+from its splitting and the decompositions of its codimension-one cores,
+routing every component to the one source the element chain would
+consult for it (``_route``).  All are memoized per key in a
+``RecursiveCache``.  It exposes the same ``splitting(key)``,
+``decomposition(key)`` and ``object(key)``, plus ``subkey`` and
+``merged_key``, and takes splittings seeded into ``cache.splittings``
+directly.
 """
 
 from fractions import Fraction
@@ -18,19 +21,57 @@ from itertools import product
 from mvb.atlas import associated_decomposed, associated_vacant
 from mvb.bundle import morphism_from_canonical
 from mvb.cores import partition_core
-from mvb.cubecat import Partition, cube_plan, merge_blocks
+from mvb.cubecat import IndexSet, Partition, _memoized, cube_plan, merge_blocks
 from mvb.errors import InvalidInput
 from mvb.exactlin import MultiTensor, unit_vector
-from mvb.gauge import Gauge, _shaped_gauge, identity_gauge
+from mvb.gauge import Gauge, _shaped_gauge, _trusted_gauge, identity_gauge
 from mvb.split import (
     STRATEGIES,
     Decomposition,
     Splitting,
-    _assemble,
     _conjugated_top,
+    _core_positions,
     _pairs,
     _top_key,
 )
+
+
+def _route(rho):
+    """The pair whose core decomposition carries the (T, rho) component,
+    or None when the splitting carries it.
+
+    In chain order the first pair inside a block is its two least axes;
+    the chain handles rho at the last such stage over its blocks, and
+    there the already-handled part has a zero T-coordinate.  Every block
+    of rho contains or misses each head, so compatible core
+    decompositions all carry this component alike; the last head is the
+    one the chain consults.
+    """
+    heads = [IndexSet(b[:2]) for b in rho if len(b) > 1]
+    return max(heads, key=tuple) if heads else None
+
+
+@_memoized(16)
+def _routes(k):
+    """``_route`` of every key of ``cube_plan(k)``, by position."""
+    return tuple(_route(rho) for _, rho in cube_plan(k).keys)
+
+
+def _assemble(obj, model, sigma, core_decs, base):
+    """Decomposition data fixed by a splitting and the codimension-one
+    core decompositions.  In the canonical chart fiber addition is
+    coordinatewise, so every component is copied from the splitting or
+    from the core decomposition that the chain would consult for it."""
+    core_at = {mu: _core_positions((obj.n, mu)) for mu in _pairs(obj.n)}
+    family = {}
+    for p in base:
+        can = obj.canonical_chart(p)
+        own = sigma.data[(can, p)].tensors
+        by_core = {mu: core_decs[mu].data[(can, p)].tensors for mu in core_at}
+        family[p] = _trusted_gauge(model.dims, obj.dims, tuple(
+            own[at] if mu is None else by_core[mu][core_at[mu][at]]
+            for at, mu in enumerate(_routes(obj.n))))
+    return morphism_from_canonical(model, obj, family).data
 
 
 def _top_in_chart(morphism, chart, point):

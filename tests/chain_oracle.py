@@ -1,11 +1,11 @@
 """Element-level chain construction of a decomposition, kept as a test oracle.
 
-The library assembles a decomposition by routing each component from the
-splitting or from one codimension-one core decomposition.  This module is
+The library reads every component of a decomposition off a table of
+splitting tops, the top of the core the component names.  This module is
 the construction it replaces: the staged chain is evaluated on every
 basis-supported element of the decomposed model, and each component is
 read off from those evaluations.  It is slow and independent of the
-routing rule, which makes it a differential reference.
+table, which makes it a differential reference.
 """
 
 import itertools

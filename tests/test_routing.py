@@ -1,8 +1,18 @@
-"""Routed decomposition assembly against the element-chain oracle."""
+"""Decomposition assembly against the element-chain oracle.
+
+``split.DecompositionBuilder`` reads every component of a decomposition
+off a table of splitting tops, and ``split.splitting_to_decomposition``
+seeds its given splitting and core decompositions into that table; the
+chain oracle runs the chain construction on basis elements instead.
+The recursive oracle's routing (``builder_oracle._route``), which names
+the one source the chain consults per component, is checked against
+the chain oracle's slot maps.
+"""
 
 import random
 
 import pytest
+from builder_oracle import _route
 from chain_oracle import (
     _merged_component,
     _merged_slot_map,
@@ -27,7 +37,6 @@ from mvb.split import (
     DecompositionBuilder,
     _core_positions,
     _pairs,
-    _route,
     check_compatibility,
     decompose,
     extract_core_decompositions,

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,69 @@ def test_splitting_to_decomposition_rejects_incompatible():
     cores[mu] = Decomposition(bad.source, bad.target, corrupt)
     with pytest.raises(SemanticError):
         splitting_to_decomposition(a, sigma, cores)
+
+
+def parts_and_wider_twin():
+    """An n=3 atlas with d13 = 1, its splitting and core decompositions,
+    and the same draw with d13 = 2."""
+    a = twisted_instance(81, n=3, max_dim=2, n_points=2, n_charts=2)
+    assert a.dims.dim([1, 3]) == 1
+    dims = DimAssignment(3, {s: 2 if s == (1, 3) else a.dims.dim(s)
+                             for s in nonempty_subsets(full_set(3))})
+    b = twisted_instance(81, n=3, max_dim=2, n_points=2, n_charts=2, dims=dims)
+    d = decompose(a)
+    return a, extract_splitting(a, d), extract_core_decompositions(d), b
+
+
+def test_splitting_to_decomposition_rejects_a_core_of_other_dims():
+    a, sigma, cores, b = parts_and_wider_twin()
+    cores[IndexSet([1, 3])] = extract_core_decompositions(decompose(b))[IndexSet([1, 3])]
+    with pytest.raises(InvalidInput, match=r"core decomposition at \[1, 3\]"):
+        splitting_to_decomposition(a, sigma, cores)
+
+
+def test_splitting_to_decomposition_rejects_a_splitting_of_other_dims():
+    a, _, cores, b = parts_and_wider_twin()
+    with pytest.raises(InvalidInput, match="splitting"):
+        splitting_to_decomposition(a, extract_splitting(b, decompose(b)), cores)
+
+
+@pytest.mark.parametrize("key", [(1, 2, 3), (1,), (3, 4)])
+def test_splitting_to_decomposition_rejects_a_key_that_is_no_pair(key):
+    a, sigma, cores, _ = parts_and_wider_twin()
+    cores[key] = cores[IndexSet([1, 2])]
+    with pytest.raises(InvalidInput, match=re.escape(repr(key))):
+        splitting_to_decomposition(a, sigma, cores)
+
+
+def test_splitting_to_decomposition_rejects_a_pair_given_twice():
+    # (2, 1) and (1, 2) name one pair; neither may replace the other
+    a, sigma, cores, _ = parts_and_wider_twin()
+    cores[(2, 1)] = cores[IndexSet([2, 3])]
+    with pytest.raises(InvalidInput, match=r"\[1, 2\] is given twice"):
+        splitting_to_decomposition(a, sigma, cores)
+
+
+@pytest.mark.parametrize("strategy", ["least-chart", "uniform-average"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_splitting_to_decomposition_reads_only_seeded_tops(n, strategy, monkeypatch):
+    """Every top the rebuilt decomposition reads was seeded from its
+    inputs: no top is pasted or conjugated, and no core view is made.
+    Under least-chart an unseeded core would paste a zero top equal to
+    the input's, so the data alone cannot show a missed seed."""
+    a = twisted_instance(88, n=n, max_dim=1, n_points=2, n_charts=3)
+    d = decompose(a, strategy)
+    sigma, cores = extract_splitting(a, d), extract_core_decompositions(d)
+    calls = []
+
+    def counted(name, original):
+        return lambda *args: calls.append(name) or original(*args)
+    monkeypatch.setattr(split, "_conjugated_top", counted("conjugate", split._conjugated_top))
+    monkeypatch.setattr(DecompositionBuilder, "_paste",
+                        counted("paste", DecompositionBuilder._paste))
+    monkeypatch.setattr(split, "partition_core", counted("view", partition_core))
+    assert splitting_to_decomposition(a, sigma, cores).data == d.data
+    assert calls == []
 
 
 def test_both_strategies_give_decompositions_and_torsor():
