@@ -7,11 +7,14 @@ seed; the timing field is excluded from the report hash.  A result is
 encoded to canonical JSON text once; the report hash, stdout and the
 ``-o`` file reuse that text, streamed piece by piece.  Exit codes:
 0 success, 1 semantic failure (references a counterexample), 2 usage or
-input errors.
+input errors.  ``COMMANDS`` is the table of subcommands, each with its
+``fn`` and arguments; a run builds the parser of its own subcommand only.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -341,108 +344,111 @@ def cmd_gen(args):
     return _emit(report, args)
 
 
-def build_parser():
+_OUT = ("-o", "--out", {"default": None})
+_REQUIRED = {"required": True}
+_STRATEGY = {"default": "least-chart", "choices": STRATEGIES}
+
+
+def _atlas_command(body, *flags):
+    """The table entry of a subcommand on one atlas file: its ``fn`` loads
+    and fingerprints the atlas, opens a report named after the subcommand,
+    runs ``body(report, presentation, args)`` on it and emits it, so a
+    check on every atlas input is made in one place."""
+    def fn(args):
+        presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
+        report = Report(args.command, formats.fingerprint(presentation))
+        body(report, presentation, args)
+        return _emit(report, args)
+    return fn, (("instance", {}), _OUT) + flags
+
+
+# Every subcommand, in the order usage lists them: its ``fn`` and its
+# arguments, each a name or flags followed by ``add_argument``'s keywords.
+COMMANDS = {
+    "validate": _atlas_command(cmd_validate),
+    "face": _atlas_command(cmd_face, ("--outer", _REQUIRED), ("--inner", {"default": None})),
+    "core": _atlas_command(cmd_core, ("--s", _REQUIRED), ("--j", _REQUIRED)),
+    "core-stages": _atlas_command(
+        cmd_core_stages, ("--s", _REQUIRED), ("--j", _REQUIRED), ("--k", _REQUIRED)),
+    "pullback": _atlas_command(cmd_pullback),
+    "ultracore": _atlas_command(cmd_ultracore, ("--k", {"type": int, "required": True})),
+    "split": _atlas_command(cmd_split, ("--strategy", _STRATEGY)),
+    "decompose": _atlas_command(cmd_decompose, ("--strategy", _STRATEGY)),
+    "normalize": _atlas_command(cmd_normalize, ("--strategy", _STRATEGY)),
+    "torsor": _atlas_command(
+        cmd_torsor, ("--strategy-a", _STRATEGY),
+        ("--strategy-b", dict(_STRATEGY, default="uniform-average"))),
+    "stato": (cmd_stato, (("action", {"choices": ("compose", "invert", "check")}),
+                          ("gauge", {}), ("second", {"nargs": "?"}), _OUT)),
+    "hom": (cmd_hom, (("source", {}), ("target", {}), _OUT)),
+    "tangent": _atlas_command(cmd_tangent),
+    "lift2": _atlas_command(cmd_lift2),
+    "lift3": _atlas_command(cmd_lift3),
+    "inf": (cmd_inf, (("action", {"choices": ("truncate", "decompose")}), ("generator", {}),
+                      ("--n", {"type": int, "required": True}), _OUT)),
+    "gen": (cmd_gen, (("--seed", {"type": int, "required": True}),
+                      ("--n", {"type": _at_least(0), "default": 2}),
+                      ("--points", {"type": _at_least(1), "default": 2}),
+                      ("--charts", {"type": _at_least(1), "default": 2}),
+                      ("--max-dim", {"type": _at_least(1), "default": 2}), _OUT)),
+}
+
+
+def build_parser(names=COMMANDS):
+    """The ``mvb`` parser with the subparsers of ``names`` only, all of
+    them by default."""
     parser = argparse.ArgumentParser(
         prog="mvb",
         description="Exact-arithmetic toolkit for multiple vector bundles "
                     "presented over finite bases.")
     parser.add_argument("--output", choices=("json", "text"), default="json")
-    # the same flag is accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering a value parsed at the top level
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--output", choices=("json", "text"),
-                        default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def instance_command(name, body, **extra):
-        """A subcommand on one atlas file: ``body(report, presentation,
-        args)`` does its own work on the report named ``name``."""
-        p = sub.add_parser(name, parents=[shared])
-        p.add_argument("instance")
-        p.add_argument("-o", "--out", default=None)
-        for flag, kwargs in extra.items():
-            p.add_argument(flag, **kwargs)
-
-        def fn(args):
-            presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-            report = Report(name, formats.fingerprint(presentation))
-            body(report, presentation, args)
-            return _emit(report, args)
+    for name in names:
+        fn, arguments = COMMANDS[name]
+        p = sub.add_parser(name)
+        # the same flag is accepted after the subcommand; SUPPRESS keeps the
+        # subparser from clobbering a value parsed at the top level
+        p.add_argument("--output", choices=("json", "text"), default=argparse.SUPPRESS)
+        for *flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.set_defaults(fn=fn)
-
-    strategy = {"default": "least-chart", "choices": STRATEGIES}
-    instance_command("validate", cmd_validate)
-    instance_command("face", cmd_face,
-                     **{"--outer": {"required": True}, "--inner": {"default": None}})
-    instance_command("core", cmd_core,
-                     **{"--s": {"required": True}, "--j": {"required": True}})
-    instance_command("core-stages", cmd_core_stages,
-                     **{"--s": {"required": True}, "--j": {"required": True},
-                        "--k": {"required": True}})
-    instance_command("pullback", cmd_pullback)
-    instance_command("ultracore", cmd_ultracore,
-                     **{"--k": {"type": int, "required": True}})
-    instance_command("split", cmd_split, **{"--strategy": strategy})
-    instance_command("decompose", cmd_decompose, **{"--strategy": strategy})
-    instance_command("normalize", cmd_normalize, **{"--strategy": strategy})
-    instance_command("torsor", cmd_torsor,
-                     **{"--strategy-a": strategy,
-                        "--strategy-b": dict(strategy, default="uniform-average")})
-
-    stato = sub.add_parser("stato", parents=[shared])
-    stato.add_argument("action", choices=("compose", "invert", "check"))
-    stato.add_argument("gauge")
-    stato.add_argument("second", nargs="?")
-    stato.add_argument("-o", "--out", default=None)
-    stato.set_defaults(fn=cmd_stato)
-
-    hom = sub.add_parser("hom", parents=[shared])
-    hom.add_argument("source")
-    hom.add_argument("target")
-    hom.add_argument("-o", "--out", default=None)
-    hom.set_defaults(fn=cmd_hom)
-
-    instance_command("tangent", cmd_tangent)
-    instance_command("lift2", cmd_lift2)
-    instance_command("lift3", cmd_lift3)
-
-    inf = sub.add_parser("inf", parents=[shared])
-    inf.add_argument("action", choices=("truncate", "decompose"))
-    inf.add_argument("generator")
-    inf.add_argument("--n", type=int, required=True)
-    inf.add_argument("-o", "--out", default=None)
-    inf.set_defaults(fn=cmd_inf)
-
-    gen = sub.add_parser("gen", parents=[shared])
-    gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--n", type=_at_least(0), default=2)
-    gen.add_argument("--points", type=_at_least(1), default=2)
-    gen.add_argument("--charts", type=_at_least(1), default=2)
-    gen.add_argument("--max-dim", type=_at_least(1), default=2)
-    gen.add_argument("-o", "--out", default=None)
-    gen.set_defaults(fn=cmd_gen)
-
     return parser
 
 
-# The parser, built on the first run and reused; filled in place, so the
-# module's attributes keep their identity.
-_PARSER = []
+# Parsers by the subcommand they hold (None: all of them), each built on
+# first use; filled in place, so the module's attributes keep their identity.
+_PARSERS = {}
+
+
+def _parser(name):
+    if name not in _PARSERS:
+        _PARSERS[name] = build_parser(COMMANDS if name is None else (name,))
+    return _PARSERS[name]
+
+
+def _parse(argv):
+    """``argv`` parsed as by ``build_parser()``: first, silenced, by the parser
+    of the first token naming a subcommand; on a help request or an error,
+    again by the parser of all subcommands, which writes its own text."""
+    name = next((token for token in argv if token in COMMANDS), None)
+    if name is not None:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                return _parser(name).parse_args(argv)
+        except SystemExit:
+            pass
+    return _parser(None).parse_args(argv)
 
 
 def run(argv):
-    if not _PARSER:
-        _PARSER.append(build_parser())
     try:
-        args = _PARSER[0].parse_args(argv)
+        args = _parse(argv)
     except SystemExit as err:
         return 2 if err.code else 0
     try:
         return args.fn(args)
-    except (FileNotFoundError, OSError) as err:
-        sys.stderr.write("input error: %s\n" % err)
-        return 2
-    except (ParseError, SchemaError) as err:
+    except (OSError, ParseError, SchemaError) as err:
         sys.stderr.write("input error: %s\n" % err)
         return 2
     except SemanticError as err:

@@ -414,7 +414,7 @@ def splitting_to_decomposition(presentation, sigma, core_decs):
 
 
 def _core_family(presentation, sigma, core_decs):
-    """``core_decs`` by ``IndexSet``, each key and every morphism's dims checked."""
+    """``core_decs`` by ``IndexSet``, each key and every morphism's dims and locations checked."""
     a, family = presentation, {}
     if (sigma.source.dims, sigma.target.dims) != (singleton_dims(a.dims), a.dims):
         raise InvalidInput("splitting is not over the dims of the presentation")
@@ -429,6 +429,13 @@ def _core_family(presentation, sigma, core_decs):
             raise InvalidInput("core decomposition at %s is no Decomposition over its"
                                " core's dims" % (list(mu),))
         family[mu] = dec
+    locations = [(c.id, p) for c in a.charts for p in c.domain]
+    for item, morphism in [("splitting", sigma)] + [
+            ("core decomposition at %s" % (list(mu),), dec) for mu, dec in family.items()]:
+        for location in locations:
+            if location not in morphism.data:
+                raise InvalidInput("%s has no component at chart %r, point %r"
+                                   % ((item,) + location))
     return family
 
 

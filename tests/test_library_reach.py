@@ -53,8 +53,14 @@ KEPT = {
 }
 
 # every subcommand once, alternating output modes, plus the failure
-# paths small inputs reach; each with the exit code it must return
+# paths small inputs reach, and a help request and an argv error with and
+# without a subcommand name, so both parser paths of a run are entered;
+# each with the exit code it must return
 SWEEP = [
+    (["--help"], 0),
+    (["decompose", "-h"], 0),
+    (["decompose"], 2),
+    (["bogus"], 2),
     (["validate", "a3.json"], 0),
     (["--output", "text", "validate", "broken.json"], 1),
     (["face", "a3.json", "--outer", "1,2", "--inner", "1"], 0),

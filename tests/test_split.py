@@ -286,6 +286,29 @@ def test_splitting_to_decomposition_rejects_a_splitting_of_other_dims():
         splitting_to_decomposition(a, extract_splitting(b, decompose(b)), cores)
 
 
+def other_layout(a, n_charts):
+    """A decomposition of an atlas over ``a``'s dims and other charts."""
+    return decompose(twisted_instance(5, n=3, dims=a.dims, n_points=2, n_charts=n_charts))
+
+
+@pytest.mark.parametrize("n_charts", [3, 1])
+def test_splitting_to_decomposition_rejects_a_splitting_over_other_charts(n_charts):
+    a, _, cores, _ = parts_and_wider_twin()
+    d = other_layout(a, n_charts)
+    with pytest.raises(InvalidInput, match=r"^splitting has no component at chart '\d', point 'p0'$"):
+        splitting_to_decomposition(a, extract_splitting(d.target, d), cores)
+
+
+@pytest.mark.parametrize("n_charts", [3, 1])
+def test_splitting_to_decomposition_rejects_a_core_over_other_charts(n_charts):
+    a, sigma, cores, _ = parts_and_wider_twin()
+    mu = IndexSet([1, 3])
+    cores[mu] = extract_core_decompositions(other_layout(a, n_charts))[mu]
+    with pytest.raises(InvalidInput, match=r"^core decomposition at \[1, 3\] has no component"
+                                           r" at chart '\d', point 'p0'$"):
+        splitting_to_decomposition(a, sigma, cores)
+
+
 @pytest.mark.parametrize("key", [(1, 2, 3), (1,), (3, 4)])
 def test_splitting_to_decomposition_rejects_a_key_that_is_no_pair(key):
     a, sigma, cores, _ = parts_and_wider_twin()
