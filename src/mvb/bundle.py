@@ -79,7 +79,8 @@ def element(presentation, node, chart, point, components):
 
 
 def zero_element(presentation, node, point, chart=None):
-    chart = chart or presentation.canonical_chart(point)
+    if chart is None:
+        chart = presentation.canonical_chart(point)
     comps = {
         s: zero_vector(presentation.dims.dim(s))
         for s in nonempty_subsets(IndexSet(node))

@@ -12,19 +12,16 @@ built.
 Every exact contraction is one sum of composition terms in integer form,
 ``_sum_of_composites``: ``compose_tensors`` is one term, ``apply`` one
 term whose inner tensors are its arguments as tensors with no inputs,
-and a gauge component the sum of its live terms.  A term that
-multiplies by identities only, every inner tensor an identity matrix or
-a one-block outer an identity, copies the other tensor's numerators to
-the composite positions they feed (``_copied``, ``_moves``); a sum of
-one such term that moves nothing is that tensor itself.  Every other
-term's shape is compiled once into a gather program (``_program``, a
-memo of at most 4096 programs, each linear in its shape's sizes): every
-inner tensor's flat input index at each composite input index, and the
-block offsets of each outer input index.  ``_gather`` runs a term's
-program, walking a small outer tensor's nonzero numerators with one to
-four inner tensors and taking dot products with Kronecker products of
-inner columns past a measured crossover or with more inner tensors.  Every term is added into
-one integer list over the lcm of the terms' denominators.
+and a gauge component the sum of its live terms.  Each term's shape is
+compiled once into a gather program (``_program``, a memo of at most
+4096 programs, each linear in its shape's sizes): every inner tensor's
+flat input index at each composite input index, and the block offsets
+of each outer input index.  ``_gather`` runs a term's program, walking
+a small outer tensor's nonzero numerators with one to four inner
+tensors and taking dot products with Kronecker products of inner
+columns past a measured crossover or with more inner tensors.  Every
+term is added into one integer list over the lcm of the terms'
+denominators.
 
 Every linear solve (``rank``, ``kernel_basis``, ``solve_linear`` and
 ``invert_matrix``) runs one fraction-free Gauss-Jordan elimination on
@@ -38,7 +35,7 @@ times the reduced row echelon form, so solutions are integers over
 from fractions import Fraction
 from itertools import product, repeat
 from math import gcd, lcm, prod
-from operator import add, mul
+from operator import mul
 
 from .cubecat import _memoized
 from .errors import DimensionMismatch, SingularMatrix
@@ -152,7 +149,7 @@ class MultiTensor:
         return not any(self._ints[0])
 
     def is_identity(self):
-        return _is_identity(self)
+        return self.in_dims == (self.out_dim,) and self._ints == _identity_form(self.out_dim)
 
     def apply(self, args):
         """Evaluate on one vector per input block; exact."""
@@ -206,10 +203,6 @@ class MultiTensor:
         return "MultiTensor(out=%d, ins=%s)" % (self.out_dim, list(self.in_dims))
 
 
-def _is_identity(tensor):
-    return tensor.in_dims == (tensor.out_dim,) and tensor._ints == _identity_form(tensor.out_dim)
-
-
 @_memoized(64)
 def _identity_form(dim):
     """The integer form of the ``dim`` x ``dim`` identity; shared, never changed."""
@@ -241,16 +234,9 @@ def _sum_of_composites(terms, out_dim, total_in_dims):
     triple each, whose shapes are trusted and slot groups tuples; made in
     integer form.
 
-    Each term is added into one integer list, scaled to the lcm of the
-    terms' denominators.  A term that multiplies by identities only
-    (``_copied``) adds the numerators of its other tensor, moved to the
-    composite positions they feed; any other term runs its gather
-    program.  A sum of one term that copies a tensor in place is that
-    tensor.
+    Each term runs its gather program into one integer list, scaled to
+    the lcm of the terms' denominators.
     """
-    copies = [_copied(term, total_in_dims) for term in terms]
-    if len(terms) == 1 and copies[0] is not None and copies[0][1] is None:
-        return copies[0][0]
     dens = []
     for outer, inners, _ in terms:
         term_den = outer._ints[1]
@@ -260,58 +246,10 @@ def _sum_of_composites(terms, out_dim, total_in_dims):
     den = lcm(*dens)
     size = prod(total_in_dims)
     total = [0] * (out_dim * size)
-    for (outer, inners, slot_groups), term_den, copy in zip(terms, dens, copies):
-        scale = den // term_den
-        if copy is None:
-            _gather(total, size, outer._ints[0], scale, [t._ints[0] for t in inners],
-                    _program((outer.in_dims, slot_groups, total_in_dims)))
-            continue
-        nums, targets = copy[0]._ints[0], copy[1]
-        if targets is None:
-            total[:] = map(add, total, map(mul, nums, repeat(scale)) if scale > 1 else nums)
-            continue
-        for k, x in enumerate(nums):
-            if x:
-                total[k // size * size + targets[k % size]] += x * scale
+    for (outer, inners, slot_groups), term_den in zip(terms, dens):
+        _gather(total, size, outer._ints[0], den // term_den, [t._ints[0] for t in inners],
+                _program((outer.in_dims, slot_groups, total_in_dims)))
     return MultiTensor.from_integers(out_dim, total_in_dims, total, den)
-
-
-def _copied(term, total_in_dims):
-    """``(tensor, targets)`` for a term that only moves one tensor's
-    numerators, ``None`` for any other: with every inner tensor an
-    identity the composite is the outer tensor, and with a one-block
-    identity outer it is the one inner tensor.  Either way the tensor's
-    input slots feed the composite positions of the slot groups in
-    order; ``targets`` is ``_moves`` of that, ``None`` when nothing
-    moves."""
-    outer, inners, slot_groups = term
-    tensor = outer
-    for inner in inners:
-        if not _is_identity(inner):
-            if len(inners) > 1 or not _is_identity(outer):
-                return None
-            tensor = inner
-            break
-    targets = _moves((slot_groups, total_in_dims))
-    return None if targets is False else (tensor, targets)
-
-
-@_memoized(4096)
-def _moves(shape):
-    """For ``(slot_groups, total_in_dims)``, a tensor whose input slots
-    feed the composite positions of the slot groups in order: ``False``
-    unless those hold each composite position once, ``None`` when every
-    slot feeds its own position, and otherwise the composite flat input
-    index of each flat input index."""
-    slot_groups, total_in = shape
-    positions = [pos for group in slot_groups for pos in group]
-    if sorted(positions) != list(range(len(total_in))):
-        return False
-    if positions == sorted(positions):
-        return None
-    strides = [prod(total_in[pos + 1:]) for pos in positions]
-    return tuple(sum(map(mul, index, strides))
-                 for index in product(*[range(total_in[pos]) for pos in positions]))
 
 
 def _gather(total, size, nums, scale, inners, program):

@@ -426,11 +426,18 @@ def generator_from_json(obj):
     if body.get("kind") == "rule":
         base = _list_value(body, "base", "rule generator")
         charts = _list_value(body, "charts", "rule generator")
+        for key in ("dim_rule", "transition_rule"):
+            if not isinstance(body.get(key), dict):
+                raise SchemaError("rule generator: %s must be an object, got %r"
+                                  % (key, body.get(key)))
+        dim_rule = dict(body["dim_rule"])
+        for key in ("dim", "max_card"):
+            dim_rule[key] = _integer_value(dim_rule.get(key), key, "rule generator dim_rule")
         try:
             charts = [(c["id"], tuple(_list_value(c, "domain", "rule generator chart")))
                       for c in charts]
             return InfinityPresentation(RuleGenerator(
-                base, charts, body["dim_rule"], body["transition_rule"]))
+                base, charts, dim_rule, body["transition_rule"]))
         except (KeyError, TypeError) as err:
             raise SchemaError("rule generator malformed: %s" % err)
     raise SchemaError("unknown generator kind %r" % (body.get("kind"),))

@@ -34,9 +34,9 @@ position and check none of them again.
 Composition and inversion walk the plan and skip every term whose
 outer or inner component is zero, since such a term contributes
 nothing to the exact sum.  ``_sum_terms`` hands the remaining terms of a
-key to the one contraction kernel of ``exactlin``, which adds them, each
-copied (a term multiplying by identities only) or run by its gather
-program, into integer numerators over the lcm of their denominators.
+key to the one contraction kernel of ``exactlin``, which runs each by
+its gather program into integer numerators over the lcm of their
+denominators.
 When every dimension on both sides is 0 or 1
 (``DimAssignment.unit``), a nonzero component is one rational, and the
 walk adds each key's term products of ``(numerator, denominator)``

@@ -10,7 +10,8 @@ import random
 from fractions import Fraction
 from math import prod
 
-from .cubecat import full_set, nonempty_subsets
+from .bundle import element
+from .cubecat import IndexSet, full_set, nonempty_subsets
 from .exactlin import MultiTensor, rank
 from .gauge import DimAssignment, Gauge
 
@@ -94,11 +95,11 @@ def twisted_instance(seed, n=2, max_dim=2, n_points=2, n_charts=2, dims=None):
 
 
 def random_element(rng, presentation, node=None, point=None, chart=None, lo=-3, hi=3):
-    from .bundle import element
-    from .cubecat import full_set, nonempty_subsets, IndexSet
     node = IndexSet(node) if node is not None else full_set(presentation.n)
-    point = point or rng.choice(presentation.base.points)
-    chart = chart or rng.choice(presentation.charts_at(point))
+    if point is None:
+        point = rng.choice(presentation.base.points)
+    if chart is None:
+        chart = rng.choice(presentation.charts_at(point))
     comps = {
         s: tuple(Fraction(rng.randint(lo, hi)) for _ in range(presentation.dims.dim(s)))
         for s in nonempty_subsets(node)
@@ -120,7 +121,6 @@ def interchange_quadruple(rng, presentation, node, i, j, lo=-3, hi=3):
                 )
             else:
                 comps[s] = vec
-        from .bundle import element
         return element(presentation, base_elem.node, base_elem.chart,
                        base_elem.point, comps)
 
@@ -138,6 +138,5 @@ def interchange_quadruple(rng, presentation, node, i, j, lo=-3, hi=3):
             comps4[s] = d3.components[s]
         else:
             comps4[s] = d1.components[s]
-    from .bundle import element
     d4 = element(presentation, d1.node, d1.chart, d1.point, comps4)
     return d1, d2, d3, d4

@@ -22,10 +22,12 @@ from mvb.bundle import (
     zero_element,
     zero_lift,
 )
-from mvb.cores import face, partition_core
+from mvb import cores
+from mvb.cores import face, partition_core, pullback
 from mvb.cubecat import IndexSet, full_set, nonempty_subsets
 from mvb.errors import InvalidInput
 from mvb.exactlin import MultiTensor
+from mvb.formats import atlas_from_json, atlas_to_json
 from mvb.gauge import DimAssignment
 from mvb.rand import (
     interchange_quadruple,
@@ -62,6 +64,49 @@ def test_zero_projects_to_zero():
     a = twisted_instance(22, n=2, n_points=2, n_charts=2)
     z = zero_element(a, full_set(2), a.base.points[0])
     assert project(a, z, 1) == zero_element(a, IndexSet([2]), a.base.points[0])
+
+
+def with_empty_ids(a, point, chart):
+    """``a`` read back from JSON with ``point`` and ``chart`` renamed ``""``."""
+    obj = atlas_to_json(a)
+    obj["base"] = ["" if p == point else p for p in obj["base"]]
+    for c in obj["charts"]:
+        c["id"] = "" if c["id"] == chart else c["id"]
+        c["domain"] = ["" if p == point else p for p in c["domain"]]
+    for t in obj["transitions"]:
+        for field, old in (("from", chart), ("to", chart), ("point", point)):
+            t[field] = "" if t[field] == old else t[field]
+    return atlas_from_json(obj)
+
+
+def test_random_elements_keep_an_empty_point_and_chart():
+    b = with_empty_ids(twisted_instance(5, n=2), "p0", "0")
+    rng = random.Random(0)
+    for _ in range(20):
+        e = random_element(rng, b, point="", chart="")
+        assert (e.point, e.chart) == ("", "")
+
+
+def test_pullback_samples_each_chart_and_point_with_empty_ids(monkeypatch):
+    b = with_empty_ids(twisted_instance(5, n=2), "p0", "0")
+    seen = []
+    fiber_matrix = cores.fiber_matrix
+
+    def spy(morphism, axis, base_elem):
+        seen.append((base_elem.chart, base_elem.point))
+        return fiber_matrix(morphism, axis, base_elem)
+
+    monkeypatch.setattr(cores, "fiber_matrix", spy)
+    assert pullback(b).certificate.passed
+    assert seen == [(c.id, p) for c in b.charts for p in c.domain for _ in range(b.n * 3)]
+
+
+def test_zero_element_in_an_empty_chart_that_misses_the_point_is_refused():
+    b = with_empty_ids(twisted_instance(2, n=2), "p0", "0")
+    assert [c.domain for c in b.charts if c.id == ""] == [("",)]
+    assert zero_element(b, full_set(2), "", "").chart == ""
+    with pytest.raises(InvalidInput, match="outside chart"):
+        zero_element(b, full_set(2), "p1", "")
 
 
 def test_transport_round_trip_and_equality():

@@ -17,7 +17,7 @@ from mvb.cli import run
 from mvb.exactlin import MultiTensor
 from mvb.gauge import DimAssignment, identity_gauge
 from mvb.rand import random_gauge, twisted_instance
-from mvb.tower import InfinityPresentation, StabilizingGenerator
+from mvb.tower import InfinityPresentation, RuleGenerator, StabilizingGenerator
 
 
 def write_instance(tmp_path, name, instance):
@@ -480,6 +480,43 @@ def test_stabilizing_generator_level_must_be_the_instance_level(tmp_path, capsys
         code, out, err = invoke(capsys, ["inf", "decompose", str(path), "--n", "2"])
         assert (code, out) == (2, ""), level
         assert err.startswith("input error: ") and "N must be" in err, (level, err)
+
+
+# Malformed rule generator fields, each (rule, field, value): a rule
+# that is no object used to raise AttributeError, a "dim" of "x" raised
+# ValueError out of cli.run, and 1.5, true and "2" were coerced by int().
+BAD_RULE_FIELDS = {
+    "dim_rule-list": ("dim_rule", None, [1]),
+    "dim_rule-string": ("dim_rule", None, "threshold"),
+    "transition_rule-list": ("transition_rule", None, ["conjugate"]),
+    "transition_rule-string": ("transition_rule", None, "conjugate"),
+    "dim-letters": ("dim_rule", "dim", "x"),
+    "dim-float": ("dim_rule", "dim", 1.5),
+    "dim-boolean": ("dim_rule", "dim", True),
+    "dim-string": ("dim_rule", "dim", "2"),
+    "max_card-float": ("dim_rule", "max_card", 1.5),
+    "max_card-boolean": ("dim_rule", "max_card", True),
+    "max_card-string": ("dim_rule", "max_card", "2"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RULE_FIELDS.values()), ids=list(BAD_RULE_FIELDS))
+@pytest.mark.parametrize("command", ["truncate", "decompose"])
+def test_malformed_rule_generator_fields_exit_two_naming_the_field(tmp_path, capsys,
+                                                                  command, case):
+    rule, field, value = case
+    body = json.loads(formats.dumps(InfinityPresentation(RuleGenerator(
+        ["p"], [("0", ("p",))], {"kind": "threshold", "dim": 1, "max_card": 2},
+        {"kind": "conjugate", "seed": 3}))))
+    if field is None:
+        body["generator"][rule] = value
+    else:
+        body["generator"][rule][field] = value
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(body))
+    code, out, err = invoke(capsys, ["inf", command, str(path), "--n", "2"])
+    assert (code, out) == (2, ""), err
+    assert err.startswith("input error: rule generator") and (field or rule) in err, err
 
 
 # Entries outside the rational grammar "p" / "p/q" (ASCII digits, an

@@ -161,9 +161,9 @@ def test_plans_are_built_on_first_use_not_at_import():
 
 def test_gather_programs_grow_with_their_shape_not_its_square():
     """Gauges on n = 3 whose one multi-block component is the all-singleton
-    top, on singleton dims 6, with one-block parts twice the identity (an
-    identity would be copied, not gathered): the top's all-singleton term
-    has 216 outer and 216 composite input indices.  Each kept gather
+    top, on singleton dims 6, with one-block parts twice the identity:
+    the top's all-singleton term has 216 outer and 216 composite input
+    indices.  Each kept gather
     program holds one offset per inner tensor and outer input index and
     one row of k + 1 indices per composite input index, never one per
     pair of them, and the memo keeps at most 4096 programs; the
