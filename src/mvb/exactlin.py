@@ -133,8 +133,7 @@ class MultiTensor:
 
     @classmethod
     def identity(cls, dim):
-        return cls.from_integers(
-            dim, (dim,), [int(i == j) for i in range(dim) for j in range(dim)], 1)
+        return _identity(dim)
 
     @classmethod
     def from_rows(cls, rows):
@@ -149,7 +148,7 @@ class MultiTensor:
         return not any(self._ints[0])
 
     def is_identity(self):
-        return self.in_dims == (self.out_dim,) and self._ints == _identity_form(self.out_dim)
+        return self.in_dims == (self.out_dim,) and self._ints == _identity(self.out_dim)._ints
 
     def apply(self, args):
         """Evaluate on one vector per input block; exact."""
@@ -204,9 +203,10 @@ class MultiTensor:
 
 
 @_memoized(64)
-def _identity_form(dim):
-    """The integer form of the ``dim`` x ``dim`` identity; shared, never changed."""
-    return MultiTensor.identity(dim).integer_form()
+def _identity(dim):
+    """The ``dim`` x ``dim`` identity: one tensor per dim, shared, never changed."""
+    return MultiTensor.from_integers(
+        dim, (dim,), [int(i == j) for i in range(dim) for j in range(dim)], 1)
 
 
 def compose_tensors(outer, inners, slot_groups, total_in_dims):

@@ -430,14 +430,11 @@ def generator_from_json(obj):
             if not isinstance(body.get(key), dict):
                 raise SchemaError("rule generator: %s must be an object, got %r"
                                   % (key, body.get(key)))
-        dim_rule = dict(body["dim_rule"])
-        for key in ("dim", "max_card"):
-            dim_rule[key] = _integer_value(dim_rule.get(key), key, "rule generator dim_rule")
         try:
             charts = [(c["id"], tuple(_list_value(c, "domain", "rule generator chart")))
                       for c in charts]
             return InfinityPresentation(RuleGenerator(
-                base, charts, dim_rule, body["transition_rule"]))
+                base, charts, body["dim_rule"], body["transition_rule"]))
         except (KeyError, TypeError) as err:
             raise SchemaError("rule generator malformed: %s" % err)
     raise SchemaError("unknown generator kind %r" % (body.get("kind"),))

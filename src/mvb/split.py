@@ -10,10 +10,10 @@ The pipeline follows the constructive existence proofs:
   zero-top right inverse of the pullback projection is already
   multilinear in its own chart.  The local gauges are pasted with a
   partition of unity over the finite base: each is conjugated into the
-  canonical chart, by the core's transition after it and its vacant
-  model's before it, and the top components are averaged with the
-  strategy's weights.  Only the top component of a conjugate is
-  composed (``gauge._compose_at``), and no element is evaluated.
+  canonical chart, by the core's transitions after it and before it, and
+  the top components are averaged with the strategy's weights.  Only the
+  top component of a conjugate is composed (``gauge._compose_at``), and
+  no element is evaluated.
 
 * A splitting plus compatible decompositions of the codimension-one
   cores determines a unique decomposition, a closed form over the
@@ -54,8 +54,8 @@ from .cubecat import (
 )
 from .errors import InvalidInput, SemanticError
 from .exactlin import MultiTensor, unit_vector
-from .gauge import (Gauge, _compose_at, _shaped_gauge, _trusted_gauge, diagonal_dims,
-                    identity_gauge, singleton_dims)
+from .gauge import (Gauge, _compose_at, _trusted_gauge, diagonal_dims, identity_gauge,
+                    singleton_dims)
 
 STRATEGIES = ("least-chart", "uniform-average")
 
@@ -78,9 +78,7 @@ def is_splitting(morphism):
 def is_decomposition(morphism):
     """Naturality and identity building components, checked exactly; the
     latter make every gauge, so the morphism, fiberwise bijective."""
-    linear = [key for key in cube_plan(morphism.source.n).keys if len(key[1]) == 1]
-    return morphism.is_natural() and all(
-        g.components[key].is_identity() for g in morphism.data.values() for key in linear)
+    return morphism.is_natural() and all(g.is_statomorphism() for g in morphism.data.values())
 
 
 @_memoized(16)
@@ -129,13 +127,9 @@ def _conjugated_top(outer, g, inner):
 
 def splitting_top(morphism, point):
     """The top component of a morphism's gauge in the point's canonical
-    chart, read by position; a zero tensor when it is zero."""
+    chart; a zero tensor when it is zero."""
     g = morphism.data[(morphism.source.canonical_chart(point), point)]
-    top = g.tensors[cube_plan(g.n).top]
-    if top is None:
-        return MultiTensor.zeros(morphism.target.dims.shapes[-1][0],
-                                 morphism.source.dims.shapes[-1][1])
-    return top
+    return g.components[cube_plan(g.n).keys[-1]]
 
 
 def _named_cores(n, key):
@@ -170,11 +164,11 @@ class DecompositionBuilder:
     names (``cores.partition_core``); the top-level bundle is the key
     {1..n} in singletons.  ``top(key, chart, point)`` is the top
     component of the key's splitting in one chart, ``None`` for a zero
-    one in the canonical chart, made once per triple in ``cache.tops``.
-    A splitting reads the tops of its key and of its faces; a
-    decomposition reads, at every component, the top of the core the
-    component's partition names.  A core view is built for a result, or
-    for the transitions that uniform-average conjugates by.
+    one, made once per triple in ``cache.tops``.  A splitting reads the
+    tops of its key and of its faces; a decomposition reads, at every
+    component, the top of the core the component's partition names.  A
+    core view is built for a result, or for the transitions that
+    uniform-average conjugates by on both sides.
     """
 
     def __init__(self, presentation, strategy="least-chart", theta_top=None,
@@ -220,34 +214,34 @@ class DecompositionBuilder:
                 tops[entry] = self._paste(key, point, can)
             else:
                 obj = self.object(key)
-                vac = associated_vacant(obj)
-                own = self._local(key, obj, vac, can, point, self.top(key, can, point))
-                tops[entry] = _conjugated_top(obj.transition(chart, can, point), own,
-                                              vac.transition(can, chart, point))
+                own = self._local(key, can, point, self.top(key, can, point))
+                tensor = _conjugated_top(obj.transition(chart, can, point), own,
+                                         obj.transition(can, chart, point))
+                tops[entry] = None if tensor.is_zero() else tensor
         return tops[entry]
 
-    def _local(self, key, obj, vac, chart, point, top):
+    def _local(self, key, chart, point, top):
         """The splitting gauge of the key's core local to one chart: identity
         singleton parts, each face's top in this chart, and ``top``."""
+        obj = self.object(key)
         plan = cube_plan(obj.n)
         tensors = [None] * len(plan.keys)
         # the singleton keys come first, in axis order
-        for at, shape in enumerate(obj.dims.shapes[:obj.n]):
-            tensors[at] = MultiTensor.identity(shape[0])
+        for at, (dim, _) in enumerate(obj.dims.shapes[:obj.n]):
+            tensors[at] = MultiTensor.identity(dim) if dim else None
         for at in plan.singletons[obj.n:-1]:
             # a face's key: the key's blocks at increasing positions, in canonical order
             face = tuple.__new__(Partition, [key[pos - 1] for pos in plan.keys[at][0]])
             tensors[at] = self.top(face, chart, point)
         tensors[-1] = top
-        return _shaped_gauge(vac.dims, obj.dims, tensors)
+        return _trusted_gauge(associated_vacant(obj).dims, obj.dims, tuple(tensors))
 
     def _hooked(self, key, chart, point):
         """The top of the key's splitting local to one chart: ``theta_top``
         read on basis tuples at the top key, zero (``None``) elsewhere."""
         if self.theta_top is None or key != self.top_key():
             return None
-        obj = self.object(key)
-        in_dims, d_top = associated_vacant(obj).dims.shapes[-1][1], obj.dims.shapes[-1][0]
+        d_top, in_dims = self.object(key).dims.shapes[-1]
         bases = product(*([unit_vector(d, j) for j in range(d)] for d in in_dims))
         values = [self.theta_top(chart, point, list(args)) for args in bases]
         wrong = next((v for v in values if len(v) != d_top), None)
@@ -266,11 +260,10 @@ class DecompositionBuilder:
         if not others:
             return total
         obj = self.object(key)
-        vac = associated_vacant(obj)
         for c in others:
-            local = self._local(key, obj, vac, c, point, self._hooked(key, c, point))
+            local = self._local(key, c, point, self._hooked(key, c, point))
             conjugated = _conjugated_top(
-                obj.transition(can, c, point), local, vac.transition(c, can, point))
+                obj.transition(can, c, point), local, obj.transition(c, can, point))
             total = conjugated if total is None else total.plus(conjugated)
         total = total.scaled(Fraction(1, len(others) + 1))
         return None if total.is_zero() else total
@@ -287,7 +280,7 @@ class DecompositionBuilder:
                 family = {}
                 for p in self.A.base:
                     can = self.A.canonical_chart(p)
-                    family[p] = self._local(key, obj, vac, can, p, self.top(key, can, p))
+                    family[p] = self._local(key, can, p, self.top(key, can, p))
                 data = morphism_from_canonical(vac, obj, family).data
             splittings[key] = Splitting(vac, obj, data)
         return splittings[key]
@@ -482,10 +475,10 @@ def normalize_atlas(presentation, decomposition):
     normalized presentation are intertwined by the per-chart gauges.
     """
     a = presentation
+    inverse = decomposition.invert()
     transitions = {}
     for (dst, src, p), g in a.transitions.items():
-        conj = decomposition.data[(dst, p)].invert().compose(g).compose(
-            decomposition.data[(src, p)])
+        conj = inverse.data[(dst, p)].compose(g).compose(decomposition.data[(src, p)])
         if not conj.is_block_diagonal():
             raise SemanticError(
                 "normalized transition %r <- %r at %r is not block-diagonal"

@@ -25,7 +25,7 @@ from .cubecat import (
     nonempty_subsets,
     partitions,
 )
-from .errors import InvalidInput
+from .errors import InvalidInput, SchemaError
 from .exactlin import MultiTensor
 from .gauge import DimAssignment, Gauge, identity_gauge
 from .split import BuilderCache, DecompositionBuilder, _top_key
@@ -86,7 +86,8 @@ class RuleGenerator:
     The frame of a chart at a point has unit upper-triangular one-block
     parts (hence invertible with determinant one) and hashed small
     integer entries elsewhere; transitions are frame conjugates, so all
-    cocycle conditions hold at every level.
+    cocycle conditions hold at every level.  ``dim_rule`` holds two
+    nonnegative ints, ``dim`` and ``max_card``.
     """
 
     def __init__(self, points, chart_specs, dim_rule, transition_rule):
@@ -94,9 +95,11 @@ class RuleGenerator:
         self._charts = tuple(Chart(cid, domain) for cid, domain in chart_specs)
         if dim_rule.get("kind") != "threshold":
             raise InvalidInput("unknown dimension rule %r" % (dim_rule,))
-        self.dim_rule = {"kind": "threshold",
-                         "dim": int(dim_rule["dim"]),
-                         "max_card": int(dim_rule["max_card"])}
+        for field in ("dim", "max_card"):
+            if type(dim_rule.get(field)) is not int or dim_rule[field] < 0:
+                raise SchemaError("rule generator dim_rule: %s must be a nonnegative"
+                                  " integer, got %r" % (field, dim_rule.get(field)))
+        self.dim_rule = {key: dim_rule[key] for key in ("kind", "dim", "max_card")}
         kind = transition_rule.get("kind")
         if kind not in ("identity", "conjugate"):
             raise InvalidInput("unknown transition rule %r" % (transition_rule,))

@@ -12,10 +12,11 @@ import pytest
 import report_oracle
 
 from mvb import cli, formats
-from mvb.atlas import AtlasPresentation, FiniteBase, decomposed, perturb_transition
+from mvb.atlas import AtlasPresentation, FiniteBase, decomposed, perturb_transition, validate
 from mvb.cli import run
+from mvb.cubecat import IndexSet, Partition
 from mvb.exactlin import MultiTensor
-from mvb.gauge import DimAssignment, identity_gauge
+from mvb.gauge import DimAssignment, Gauge, identity_gauge
 from mvb.rand import random_gauge, twisted_instance
 from mvb.tower import InfinityPresentation, RuleGenerator, StabilizingGenerator
 
@@ -269,6 +270,61 @@ def test_inf_commands(tmp_path, capsys):
     assert all(c["status"] == "pass" for c in body["certificates"])
 
 
+def test_inf_commands_on_a_rule_generator_with_wide_frames(tmp_path, capsys):
+    """Every slot of dim 3 up to cardinality 3: the n=3 top frame tensor
+    has 81 entries, more than one hashed digest gives."""
+    gen = InfinityPresentation(RuleGenerator(
+        ["p", "q"], [("0", ("p", "q")), ("1", ("q",))],
+        {"kind": "threshold", "dim": 3, "max_card": 3}, {"kind": "conjugate", "seed": 5}))
+    path = tmp_path / "gen.json"
+    path.write_bytes(formats.dumps(gen))
+    code, out, _ = invoke(capsys, ["inf", "truncate", str(path), "--n", "3"])
+    body = report_of(out)
+    assert (code, body["status"]) == (0, "ok")
+    assert {d["dim"] for d in body["result"]["dims"]} == {3}
+    assert body["certificates"] == [
+        {"claim": "atlas validates", "status": "pass", "witnesses": []}]
+    code, out, _ = invoke(capsys, ["inf", "decompose", str(path), "--n", "2"])
+    body = report_of(out)
+    assert (code, body["status"]) == (0, "ok")
+    assert [c["status"] for c in body["certificates"]] == ["pass", "pass"]
+
+
+def test_validate_names_a_self_transition_that_is_no_identity(tmp_path, capsys):
+    """A statomorphism with a nonzero top is no identity: the counterexample
+    names the chart, the point and the first component that differs."""
+    dims = DimAssignment(2, {(1,): 1, (2,): 1, (1, 2): 1})
+    a = decomposed(dims, FiniteBase(["p"]))
+    components = dict(identity_gauge(dims).components)
+    components[(IndexSet([1, 2]), Partition([[1], [2]]))] = MultiTensor(1, (1, 1), [3])
+    tau = Gauge(dims, dims, components)
+    assert tau.is_statomorphism()
+    bad = AtlasPresentation(2, dims, a.base, a.charts, {("0", "0", "p"): tau})
+    code, out, _ = invoke(capsys, ["validate", write_instance(tmp_path, "self.json", bad)])
+    body = report_of(out)
+    assert (code, body["status"]) == (1, "fail")
+    assert body["counterexamples"] == [{
+        "kind": "identity", "charts": ["0"], "point": "p", "subset": [1, 2],
+        "partition": [[1], [2]], "detail": "self-transition is not the identity"}]
+
+
+def test_transition_of_other_dims_is_structural(tmp_path, capsys):
+    """The validator reports a transition of other dims as structural; the
+    reader refuses such a file first, naming the transition."""
+    dims = DimAssignment(2, {(1,): 1, (2,): 1, (1, 2): 1})
+    other = DimAssignment(2, {(1,): 2, (2,): 1, (1, 2): 1})
+    a = decomposed(dims, FiniteBase(["p"]))
+    bad = AtlasPresentation(2, dims, a.base, a.charts,
+                            {("0", "0", "p"): identity_gauge(other)})
+    report = validate(bad)
+    assert [v.to_dict() for v in report.violations] == [{
+        "kind": "structural", "charts": ["0", "0"], "point": "p",
+        "detail": "transition dims mismatch"}]
+    code, out, err = invoke(capsys, ["validate", write_instance(tmp_path, "dims.json", bad)])
+    assert (code, out) == (2, "")
+    assert "transition 0<-0 at p: gauge dims differ from the atlas dims" in err
+
+
 def test_fixture_env_var(tmp_path, capsys, monkeypatch):
     write_instance(tmp_path, "fix.json", twisted_instance(411, n=2))
     monkeypatch.setenv("MVB_FIXTURES", str(tmp_path))
@@ -484,7 +540,9 @@ def test_stabilizing_generator_level_must_be_the_instance_level(tmp_path, capsys
 
 # Malformed rule generator fields, each (rule, field, value): a rule
 # that is no object used to raise AttributeError, a "dim" of "x" raised
-# ValueError out of cli.run, and 1.5, true and "2" were coerced by int().
+# ValueError out of cli.run, and 1.5, true and "2" were coerced by int();
+# a "dim" of -1 was reported at a slot of the truncation, and a
+# "max_card" of -1 was accepted.
 BAD_RULE_FIELDS = {
     "dim_rule-list": ("dim_rule", None, [1]),
     "dim_rule-string": ("dim_rule", None, "threshold"),
@@ -497,6 +555,8 @@ BAD_RULE_FIELDS = {
     "max_card-float": ("dim_rule", "max_card", 1.5),
     "max_card-boolean": ("dim_rule", "max_card", True),
     "max_card-string": ("dim_rule", "max_card", "2"),
+    "dim-negative": ("dim_rule", "dim", -1),
+    "max_card-negative": ("dim_rule", "max_card", -1),
 }
 
 

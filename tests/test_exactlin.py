@@ -46,6 +46,13 @@ def test_apply_identity():
     assert t.apply([v]) == v
 
 
+def test_identity_is_one_shared_tensor_per_dim():
+    assert MultiTensor.identity(3) is MultiTensor.identity(3)
+    assert MultiTensor.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).is_identity()
+    assert not MultiTensor.from_rows([[1, 0], [1, 1]]).is_identity()
+    assert MultiTensor.identity(0).is_identity()
+
+
 def test_apply_dimension_mismatch():
     t = MultiTensor.identity(2)
     with pytest.raises(DimensionMismatch):

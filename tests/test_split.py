@@ -393,6 +393,23 @@ def test_normalize_atlas():
     assert nb.transitions == b.transitions
 
 
+def test_normalize_atlas_inverts_each_decomposition_gauge_once(monkeypatch):
+    """One inversion per (chart, point), not one per transition: tw-n3b has
+    22 transitions and 8 chart points."""
+    a = twisted_instance(505, n=3, n_points=3, n_charts=3)
+    d = decompose(a)
+    calls = []
+    original = Gauge.invert
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+    monkeypatch.setattr(Gauge, "invert", counted)
+    normalized = normalize_atlas(a, d)
+    assert len(calls) == len(d.data) == 8 < len(a.transitions)
+    assert validate(normalized).valid
+
+
 def test_normalized_atlas_is_intertwined():
     a = twisted_instance(85, n=2, n_points=2, n_charts=2)
     d = decompose(a)
@@ -492,8 +509,9 @@ def test_strategies_share_one_object_per_key(monkeypatch):
 def test_strategies_share_one_model_per_core(monkeypatch):
     """Each core keeps its vacant and decomposed models: on tw-n3b the
     two strategies make 7 vacant models, one per core that
-    uniform-average conjugates by, and one decomposed model, the top
-    core's, which both decompositions read; not one set per strategy."""
+    uniform-average builds a local splitting gauge for, as that gauge's
+    source dims, and one decomposed model, the top core's, which both
+    decompositions read; not one set per strategy."""
     made = {"associated_vacant": [], "associated_decomposed": []}
     for name, models in made.items():
         def counted(presentation, original=getattr(split, name), models=models):
@@ -505,3 +523,39 @@ def test_strategies_share_one_model_per_core(monkeypatch):
     assert len(set(map(id, made["associated_vacant"]))) == 7
     assert len(made["associated_decomposed"]) == 2
     assert len(set(map(id, made["associated_decomposed"]))) == 1
+
+
+def test_uniform_average_derives_no_vacant_transition(monkeypatch):
+    """The paste conjugates by the core's own transitions on both sides,
+    so decomposing tw-n3b trims no transition to a vacant model."""
+    calls = []
+    original = Gauge.trimmed
+
+    def counted(self, dims):
+        calls.append(dims)
+        return original(self, dims)
+    monkeypatch.setattr(Gauge, "trimmed", counted)
+    dec = decompose(twisted_instance(505, n=3, n_points=3, n_charts=3), "uniform-average")
+    assert calls == []
+    assert is_decomposition(dec)
+
+
+def test_tops_table_keeps_zero_tops_as_none():
+    """A zero top is ``None`` in every chart: on a two-chart decomposed
+    atlas every top is zero, the conjugated face tops of the other chart
+    included, and the table holds no zero tensor."""
+    a = decomposed(dims_of(3), FiniteBase(["p"]), [("a", ("p",)), ("b", ("p",))])
+    builder = DecompositionBuilder(a, "uniform-average")
+    builder.decomposition(builder.top_key())
+    tops = builder.cache.tops
+    assert any(chart != a.canonical_chart("p") for _, chart, _ in tops)
+    assert all(top is None for top in tops.values())
+
+
+def test_splitting_to_decomposition_names_a_missing_core_decomposition():
+    a = twisted_instance(91, n=3, n_points=2, n_charts=2)
+    dec = decompose(a)
+    core_decs = extract_core_decompositions(dec)
+    del core_decs[IndexSet([1, 3])]
+    with pytest.raises(InvalidInput, match=r"missing core decomposition at \[1, 3\]"):
+        splitting_to_decomposition(a, extract_splitting(a, dec), core_decs)

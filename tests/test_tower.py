@@ -3,7 +3,7 @@ import pytest
 from mvb.atlas import validate
 from mvb.cores import partition_core
 from mvb.cubecat import Partition, full_set, nonempty_subsets, partitions
-from mvb.errors import InvalidInput
+from mvb.errors import InvalidInput, SchemaError
 from mvb.rand import twisted_instance
 from mvb.split import is_decomposition
 from mvb.tower import (
@@ -134,3 +134,16 @@ def test_tower_levels_share_one_cache():
         assert len(grown) > len(entries)
         for key, entry in entries.items():
             assert grown[key] is entry, (name, key)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 1.5), ("dim", True), ("dim", -1), ("dim", None),
+    ("max_card", True), ("max_card", 1.5), ("max_card", -1), ("max_card", "2")])
+def test_rule_generator_checks_its_dim_rule_fields(field, value):
+    """A library caller gets the error the JSON reader reports, naming
+    the field; nothing is coerced with ``int()``."""
+    dim_rule = {"kind": "threshold", "dim": 1, "max_card": 2}
+    dim_rule[field] = value
+    with pytest.raises(SchemaError, match="rule generator dim_rule: %s must be a"
+                       " nonnegative integer, got %r" % (field, value)):
+        RuleGenerator(["p"], [("0", ("p",))], dim_rule, {"kind": "conjugate", "seed": 3})
