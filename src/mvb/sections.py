@@ -20,8 +20,9 @@ compatibility is the equality of those tops.  The triple-bundle round
 trip reads the face and core splittings off decomposition restrictions
 (``cores.partition_core_morphism``) and the free part off the top
 component less the terms it does not hold (``_side_terms``); the way
-back adds those terms again and seeds one ``DecompositionBuilder`` with
-the three core splittings.
+back adds them again, makes the splitting and its {1,2}-core splitting
+from their tops (``split.splitting_from_tops``) and seeds one
+``DecompositionBuilder`` with the three core splittings.
 
 Constructions that only read tensor entries are stated on the tensor
 kernels (``_stack``, ``contract_slots``, ``compose_tensors``); their
@@ -33,14 +34,7 @@ check.
 from fractions import Fraction
 from math import lcm
 
-from .atlas import associated_vacant
-from .bundle import (
-    add,
-    canonicalize,
-    element,
-    morphism_from_canonical,
-    zero_element,
-)
+from .bundle import add, canonicalize, element, zero_element
 from .certify import Certificate
 from .cores import partition_core_morphism
 from .cubecat import IndexSet, Partition, merge_blocks, nonempty_subsets
@@ -53,13 +47,12 @@ from .exactlin import (
     vec_scale,
     zero_vector,
 )
-from .gauge import Gauge
 from .split import (
     DecompositionBuilder,
-    Splitting,
     extract_core_decompositions,
     extract_splitting,
     is_splitting,
+    splitting_from_tops,
     splitting_to_decomposition,
     splitting_top,
 )
@@ -251,23 +244,16 @@ def local_split_double(presentation, sigma_frames=None):
     _require_n(presentation, 2)
     a = presentation
     d1, d2, d12 = (a.dims.dim(s) for s in (S1, S2, S12))
-    vac = associated_vacant(a)
     given = sigma_frames or {}
     zero = MultiTensor.zeros(d12, (d1,))
-    family = {}
+    tops = {}
     for p in a.base:
         can = a.canonical_chart(p)
         # adding over axis 2 is coordinatewise in the canonical chart, so
         # the top slot at (a, k-th frame vector) is the k-th frame at a
         frames = [given.get((can, p, k), zero) for k in range(d2)]
-        comps = {
-            (S1, Partition([S1])): MultiTensor.identity(d1),
-            (S2, Partition([S2])): MultiTensor.identity(d2),
-            (S12, Partition([S1, S2])): _stack(frames, d12, (d1,)),
-        }
-        family[p] = Gauge(vac.dims, a.dims, comps)
-    morphism = morphism_from_canonical(vac, a, family)
-    return Splitting(vac, a, morphism.data)
+        tops[p] = [_stack(frames, d12, (d1,))]
+    return splitting_from_tops(a, tops)
 
 
 class DoublyLinearSection:
@@ -541,42 +527,21 @@ def lift_to_decomposition(presentation, split_d, split_e, split_f,
     check_lift_compatibility(pres, lift, split_lde, split_lfd)
     d1, d2, d3, d12, d123 = (pres.dims.dim(s) for s in (S1, S2, S3, S12, S123))
 
-    vac = associated_vacant(pres)
     builder = DecompositionBuilder(pres)
     core_keys = {mu: merge_blocks(builder.top_key(), mu) for mu in (S12, S13, S23)}
-    lef_pres = builder.object(core_keys[S12])
-    lef_vac = associated_vacant(lef_pres)
-
-    sigma_family = {}
-    lef_family = {}
+    sigma_tops = {}
+    lef_tops = {}
     for p in pres.base:
         t_d, t_e, t_f = (splitting_top(s, p) for s in (split_d, split_e, split_f))
         lam_de, lam_fd, free_lin, free_bil = lift.parts[p]
         lin = _regroup(free_lin, d123, (d12, d3))
         m_top = _regroup(free_bil, d123, (d1, d2, d3)).plus(
             _side_terms(lin, lam_de, lam_fd, t_d, t_e, t_f))
-
-        comps = {
-            (S1, Partition([S1])): MultiTensor.identity(d1),
-            (S2, Partition([S2])): MultiTensor.identity(d2),
-            (S3, Partition([S3])): MultiTensor.identity(d3),
-            (S12, Partition([S1, S2])): t_d,
-            (S13, Partition([S1, S3])): t_f,
-            (S23, Partition([S2, S3])): t_e,
-            (S123, Partition([S1, S2, S3])): m_top,
-        }
-        sigma_family[p] = Gauge(vac.dims, pres.dims, comps)
-
-        lef_family[p] = Gauge(lef_vac.dims, lef_pres.dims, {
-            (S1, Partition([S1])): MultiTensor.identity(d12),
-            (S2, Partition([S2])): MultiTensor.identity(d3),
-            (S12, Partition([S1, S2])): lin,
-        })
-
-    sigma = Splitting(
-        vac, pres, morphism_from_canonical(vac, pres, sigma_family).data)
-    split_lef = Splitting(
-        lef_vac, lef_pres, morphism_from_canonical(lef_vac, lef_pres, lef_family).data)
+        # the all-singleton keys of two or more blocks, in plan order
+        sigma_tops[p] = (t_d, t_f, t_e, m_top)
+        lef_tops[p] = (lin,)
+    sigma = splitting_from_tops(pres, sigma_tops)
+    split_lef = splitting_from_tops(builder.object(core_keys[S12]), lef_tops)
 
     splittings = {S12: split_lef, S13: split_lde, S23: split_lfd}
     for mu, key in core_keys.items():

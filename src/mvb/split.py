@@ -125,6 +125,30 @@ def _conjugated_top(outer, g, inner):
     return tensor
 
 
+def _splitting_tensors(dims, tops):
+    """A splitting gauge's tensors in plan order: the identity on each
+    singleton slot, ``tops`` at the all-singleton keys of two or more
+    blocks in plan order, ``None`` for each zero one."""
+    plan = cube_plan(dims.n)
+    tensors = [None] * len(plan.keys)
+    # the singleton keys come first, in axis order
+    for at, (dim, _) in enumerate(dims.shapes[:dims.n]):
+        tensors[at] = MultiTensor.identity(dim) if dim else None
+    for at, top in zip(plan.singletons[dims.n:], tops):
+        tensors[at] = None if top is None or top.is_zero() else top
+    return tuple(tensors)
+
+
+def splitting_from_tops(presentation, tops):
+    """The splitting whose canonical gauge at each point p has the tops
+    ``tops[p]`` (``_splitting_tensors``), whose shapes the caller has checked;
+    other charts derive theirs (``bundle.morphism_from_canonical``)."""
+    a, vac = presentation, associated_vacant(presentation)
+    family = {p: _trusted_gauge(vac.dims, a.dims, _splitting_tensors(a.dims, tops[p]))
+              for p in a.base}
+    return Splitting(vac, a, morphism_from_canonical(vac, a, family).data)
+
+
 def splitting_top(morphism, point):
     """The top component of a morphism's gauge in the point's canonical
     chart; a zero tensor when it is zero."""
@@ -221,20 +245,18 @@ class DecompositionBuilder:
         return tops[entry]
 
     def _local(self, key, chart, point, top):
-        """The splitting gauge of the key's core local to one chart: identity
-        singleton parts, each face's top in this chart, and ``top``."""
+        """The splitting gauge of the key's core local to one chart."""
         obj = self.object(key)
-        plan = cube_plan(obj.n)
-        tensors = [None] * len(plan.keys)
-        # the singleton keys come first, in axis order
-        for at, (dim, _) in enumerate(obj.dims.shapes[:obj.n]):
-            tensors[at] = MultiTensor.identity(dim) if dim else None
-        for at in plan.singletons[obj.n:-1]:
-            # a face's key: the key's blocks at increasing positions, in canonical order
-            face = tuple.__new__(Partition, [key[pos - 1] for pos in plan.keys[at][0]])
-            tensors[at] = self.top(face, chart, point)
-        tensors[-1] = top
-        return _trusted_gauge(associated_vacant(obj).dims, obj.dims, tuple(tensors))
+        return _trusted_gauge(associated_vacant(obj).dims, obj.dims,
+                              _splitting_tensors(obj.dims, self._tops(key, chart, point, top)))
+
+    def _tops(self, key, chart, point, top):
+        """Each face's top in one chart, in plan order, then ``top``."""
+        plan = cube_plan(len(key))
+        # a face's key: the key's blocks at increasing positions, in canonical order
+        faces = (tuple.__new__(Partition, [key[pos - 1] for pos in plan.keys[at][0]])
+                 for at in plan.singletons[len(key):-1])
+        return [self.top(face, chart, point) for face in faces] + [top]
 
     def _hooked(self, key, chart, point):
         """The top of the key's splitting local to one chart: ``theta_top``
@@ -271,18 +293,10 @@ class DecompositionBuilder:
     def splitting(self, key):
         splittings = self.cache.splittings
         if key not in splittings:
-            obj = self.object(key)
-            vac = associated_vacant(obj)
-            if obj.n <= 1:
-                inclusion = identity_gauge(vac.dims, obj.dims)
-                data = {(c.id, p): inclusion for c in obj.charts for p in c.domain}
-            else:
-                family = {}
-                for p in self.A.base:
-                    can = self.A.canonical_chart(p)
-                    family[p] = self._local(key, can, p, self.top(key, can, p))
-                data = morphism_from_canonical(vac, obj, family).data
-            splittings[key] = Splitting(vac, obj, data)
+            cans = {p: self.A.canonical_chart(p) for p in self.A.base}
+            splittings[key] = splitting_from_tops(self.object(key), {
+                p: self._tops(key, can, p, self.top(key, can, p)) if len(key) > 1 else ()
+                for p, can in cans.items()})
         return splittings[key]
 
     def decomposition(self, key):

@@ -87,22 +87,28 @@ class RuleGenerator:
     parts (hence invertible with determinant one) and hashed small
     integer entries elsewhere; transitions are frame conjugates, so all
     cocycle conditions hold at every level.  ``dim_rule`` holds two
-    nonnegative ints, ``dim`` and ``max_card``.
+    nonnegative ints, ``dim`` and ``max_card``; ``transition_rule`` an int
+    ``seed``, 0 when absent.
     """
 
     def __init__(self, points, chart_specs, dim_rule, transition_rule):
         self._base = FiniteBase(points)
         self._charts = tuple(Chart(cid, domain) for cid, domain in chart_specs)
         if dim_rule.get("kind") != "threshold":
-            raise InvalidInput("unknown dimension rule %r" % (dim_rule,))
+            raise SchemaError("rule generator dim_rule: kind must be 'threshold', got %r"
+                              % (dim_rule.get("kind"),))
         for field in ("dim", "max_card"):
             if type(dim_rule.get(field)) is not int or dim_rule[field] < 0:
                 raise SchemaError("rule generator dim_rule: %s must be a nonnegative"
                                   " integer, got %r" % (field, dim_rule.get(field)))
         self.dim_rule = {key: dim_rule[key] for key in ("kind", "dim", "max_card")}
-        kind = transition_rule.get("kind")
-        if kind not in ("identity", "conjugate"):
-            raise InvalidInput("unknown transition rule %r" % (transition_rule,))
+        if transition_rule.get("kind") not in ("identity", "conjugate"):
+            raise SchemaError("rule generator transition_rule: kind must be 'identity' or"
+                              " 'conjugate', got %r" % (transition_rule.get("kind"),))
+        seed = transition_rule.get("seed", 0)
+        if type(seed) is not int:
+            raise SchemaError("rule generator transition_rule: seed must be an integer,"
+                              " got %r" % (seed,))
         self.transition_rule = dict(transition_rule)
         self.chart_specs = tuple((c.id, c.domain) for c in self._charts)
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from mvb.atlas import (
     AtlasPresentation,
     Chart,
@@ -13,6 +15,7 @@ from mvb.atlas import (
     validate,
 )
 from mvb.cubecat import IndexSet, Partition, full_set, nonempty_subsets
+from mvb.errors import InvalidInput
 from mvb.exactlin import MultiTensor
 from mvb.gauge import DimAssignment, Gauge, identity_gauge
 from mvb.rand import random_gauge, twisted_instance
@@ -219,3 +222,13 @@ def test_singular_one_block_parts_are_invertibility_violations():
     expected = [("invertibility", ("0", "1"), "p0", s, rho) for s, rho in [zero_key]
                 + ([low_key] if d > 1 else [])]
     assert found == expected
+
+
+def test_decomposed_rejects_a_transition_with_a_multi_block_part():
+    dims = DimAssignment(2, {(1,): 1, (2,): 1, (1, 2): 1})
+    ident = identity_gauge(dims)
+    # the top key, {1,2} in singletons, is the last in plan order
+    twisted = Gauge.from_tensors(dims, dims, ident.tensors[:-1] + (MultiTensor(1, (1, 1), [1]),))
+    charts = [("a", ("p",)), ("b", ("p",))]
+    with pytest.raises(InvalidInput, match="decomposed transitions must be one-block"):
+        decomposed(dims, ["p"], charts, {("a", "b", "p"): twisted})

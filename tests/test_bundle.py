@@ -534,3 +534,21 @@ def test_morphism_from_canonical_matches_composing_at_every_chart():
         assert kept.data == composed.data
         for p in source.base:
             assert kept.data[(source.canonical_chart(p), p)] is family[p]
+
+
+def test_add_across_charts_is_the_canonical_sum():
+    """Two summands given in different charts are both moved to the
+    point's canonical chart and added there."""
+    rng = random.Random(41)
+    a = twisted_instance(41, n=2, n_points=1, n_charts=3)
+    p = a.base.points[0]
+    can = a.canonical_chart(p)
+    c1, c2 = [c for c in a.charts_at(p) if c != can]
+    e1 = random_element(rng, a, point=p, chart=can)
+    free = random_element(rng, a, point=p, chart=can)
+    # the summands share their projection along axis 2
+    e2 = element(a, e1.node, can, p, {key: free.components[key] if 2 in key else vec
+                                      for key, vec in e1.components.items()})
+    total = add(a, transport(a, e1, c1), transport(a, e2, c2), 2)
+    assert total == add(a, e1, e2, 2)
+    assert total.chart == can

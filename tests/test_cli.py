@@ -542,7 +542,8 @@ def test_stabilizing_generator_level_must_be_the_instance_level(tmp_path, capsys
 # that is no object used to raise AttributeError, a "dim" of "x" raised
 # ValueError out of cli.run, and 1.5, true and "2" were coerced by int();
 # a "dim" of -1 was reported at a slot of the truncation, and a
-# "max_card" of -1 was accepted.
+# "max_card" of -1 was accepted.  A seed other than an integer was
+# hashed as its text, and an unknown kind was an "error:" naming no field.
 BAD_RULE_FIELDS = {
     "dim_rule-list": ("dim_rule", None, [1]),
     "dim_rule-string": ("dim_rule", None, "threshold"),
@@ -557,6 +558,13 @@ BAD_RULE_FIELDS = {
     "max_card-string": ("dim_rule", "max_card", "2"),
     "dim-negative": ("dim_rule", "dim", -1),
     "max_card-negative": ("dim_rule", "max_card", -1),
+    "seed-string": ("transition_rule", "seed", "5"),
+    "seed-float": ("transition_rule", "seed", 5.0),
+    "seed-null": ("transition_rule", "seed", None),
+    "seed-boolean": ("transition_rule", "seed", True),
+    "seed-list": ("transition_rule", "seed", [5]),
+    "dim_rule-kind": ("dim_rule", "kind", "linear"),
+    "transition_rule-kind": ("transition_rule", "kind", "shear"),
 }
 
 

@@ -17,7 +17,7 @@ from mvb.bundle import element, elements_equal
 from mvb.cores import partition_core
 from mvb.cubecat import IndexSet, Partition, cube_plan, full_set, nonempty_subsets, partitions
 from mvb.errors import InvalidInput, SemanticError
-from mvb.gauge import DimAssignment, Gauge
+from mvb.gauge import DimAssignment, Gauge, identity_gauge
 from mvb.rand import random_element, random_gauge, twisted_instance
 from mvb.split import (
     DecompositionBuilder,
@@ -559,3 +559,22 @@ def test_splitting_to_decomposition_names_a_missing_core_decomposition():
     del core_decs[IndexSet([1, 3])]
     with pytest.raises(InvalidInput, match=r"missing core decomposition at \[1, 3\]"):
         splitting_to_decomposition(a, extract_splitting(a, dec), core_decs)
+
+
+@pytest.mark.parametrize("strategy", ["least-chart", "uniform-average"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_splitting_of_at_most_one_axis_is_the_vacant_inclusion(n, strategy):
+    """With no top to paste, every chart's gauge, the derived ones too, is
+    the identity inclusion of the vacant model."""
+    a = twisted_instance(12, n=n, n_points=3, n_charts=3)
+    assert max(len(a.charts_at(p)) for p in a.base) == 3
+    sigma = find_splitting(a, strategy)
+    inclusion = identity_gauge(associated_vacant(a).dims, a.dims)
+    for c in a.charts:
+        for p in c.domain:
+            assert sigma.data[(c.id, p)] == inclusion, (c.id, p)
+
+
+def test_builder_names_an_unknown_strategy():
+    with pytest.raises(InvalidInput, match="unknown strategy 'bogus'"):
+        DecompositionBuilder(twisted_instance(3, n=2), "bogus")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mvb.atlas import validate
@@ -147,3 +149,33 @@ def test_rule_generator_checks_its_dim_rule_fields(field, value):
     with pytest.raises(SchemaError, match="rule generator dim_rule: %s must be a"
                        " nonnegative integer, got %r" % (field, value)):
         RuleGenerator(["p"], [("0", ("p",))], dim_rule, {"kind": "conjugate", "seed": 3})
+
+
+@pytest.mark.parametrize("seed", ["5", 5.0, None, True, [5]])
+def test_rule_generator_checks_its_seed(seed):
+    """A seed is an integer: "5" and 5.0 used to hash as the seed 5, and
+    null, true and [5] were taken as other seeds."""
+    with pytest.raises(SchemaError, match=re.escape(
+            "rule generator transition_rule: seed must be an integer, got %r" % (seed,))):
+        RuleGenerator(["p"], [("0", ("p",))], {"kind": "threshold", "dim": 1, "max_card": 2},
+                      {"kind": "conjugate", "seed": seed})
+
+
+def test_rule_generator_reads_an_absent_seed_as_zero():
+    gens = [RuleGenerator(["p"], [("0", ("p",)), ("1", ("p",))],
+                          {"kind": "threshold", "dim": 1, "max_card": 2}, rule)
+            for rule in ({"kind": "conjugate"}, {"kind": "conjugate", "seed": 0})]
+    a, b = (InfinityPresentation(gen).truncate(2) for gen in gens)
+    assert a.transitions == b.transitions
+
+
+@pytest.mark.parametrize("rule, kind, allowed", [
+    ("dim_rule", "linear", "'threshold'"),
+    ("transition_rule", "shear", "'identity' or 'conjugate'")])
+def test_rule_generator_names_the_field_of_an_unknown_kind(rule, kind, allowed):
+    rules = {"dim_rule": {"kind": "threshold", "dim": 1, "max_card": 2},
+             "transition_rule": {"kind": "conjugate", "seed": 3}}
+    rules[rule]["kind"] = kind
+    with pytest.raises(SchemaError, match=re.escape(
+            "rule generator %s: kind must be %s, got %r" % (rule, allowed, kind))):
+        RuleGenerator(["p"], [("0", ("p",))], **rules)
