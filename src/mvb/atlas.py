@@ -30,7 +30,7 @@ class FiniteBase:
         if not self.points:
             raise InvalidInput("base must be nonempty")
         if len(set(self.points)) != len(self.points):
-            raise InvalidInput("duplicate base points")
+            raise InvalidInput("duplicate base point %r" % max(self.points, key=self.points.count))
 
     def __iter__(self):
         return iter(self.points)
@@ -56,7 +56,8 @@ class Chart:
         self.id = str(chart_id)
         self.domain = tuple(str(p) for p in domain)
         if len(set(self.domain)) != len(self.domain):
-            raise InvalidInput("duplicate points in chart domain")
+            raise InvalidInput("duplicate point %r in the domain of chart %r"
+                               % (max(self.domain, key=self.domain.count), self.id))
 
     def __eq__(self, other):
         return isinstance(other, Chart) and self.id == other.id and self.domain == other.domain

@@ -18,6 +18,8 @@ One top-level read (``parse``, ``morphism_from_json``) decodes each
 distinct tensor and dims list once: an interning table that lives for
 that read maps each one's key, made only of exact JSON types, to the
 object decoded from it, so every place it appears holds that object.
+``parse`` reads canonical atlas and gauge text by its text, keyed by
+tensor and dims texts; any other input goes to the JSON reader.
 One serialization (``to_text``) writes canonical text straight from the
 objects, with no JSON tree between: a memo that lives for that call
 keeps the text of each distinct tensor and dims list by value, so equal
@@ -35,7 +37,7 @@ from math import lcm, prod
 from .atlas import AtlasPresentation, Chart, FiniteBase
 from .bundle import BundleElement, BundleMorphism
 from .cubecat import IndexSet, Partition, _memoized, cube_plan
-from .errors import InvalidInput, InvalidPartition, ParseError, SchemaError
+from .errors import InvalidInput, InvalidPartition, MvbError, ParseError, SchemaError
 from .exactlin import MultiTensor
 from .gauge import DimAssignment, Gauge, _shaped_gauge
 
@@ -103,10 +105,10 @@ def _check_digits(pairs, where):
                                " the format's limit" % (where, k, MAX_DIGITS))
 
 
-def _list_value(obj, key, where):
-    """The list under ``key``.  Anything else, a string above all (which
-    would read as its characters), is a schema error naming the key."""
-    value = obj.get(key)
+def _list_value(obj, key, where, default=None):
+    """The list under ``key`` (``default`` when absent).  Anything else, a
+    string above all (read as its characters), is an error naming the key."""
+    value = obj.get(key, default)
     if not isinstance(value, list):
         raise SchemaError("%s: %s must be a list, got %s"
                           % (where, key, type(value).__name__))
@@ -224,15 +226,6 @@ def dims_from_json(n, obj, where="dims"):
         raise SchemaError("%s incomplete: %s" % (where, err))
 
 
-def _list_field(obj, key, where):
-    """The list under ``key``, empty when the key is absent."""
-    items = obj.get(key, [])
-    if not isinstance(items, list):
-        raise SchemaError("%s: %s must be a list, got %s"
-                          % (where, key, type(items).__name__))
-    return items
-
-
 def _string_field(obj, key, where):
     """The string under ``key``: a chart id or a base point."""
     value = obj.get(key)
@@ -254,14 +247,26 @@ def gauge_from_json(obj, where="gauge", memo=None):
     src = _read_dims(n, obj.get("source_dims"), where + ".source_dims", memo)
     tgt = _read_dims(n, obj.get("target_dims"), where + ".target_dims", memo)
     plan = cube_plan(n)
-    tensors = [None] * len(plan.keys)
-    for item in _list_field(obj, "components", where):
+    return _assembled_gauge(src, tgt, plan, _tree_components(obj, plan, where, memo), where)
+
+
+def _tree_components(obj, plan, where, memo):
+    """``(plan position, tensor)`` of each component of a gauge's tree."""
+    for item in _list_value(obj, "components", where, []):
         if not isinstance(item, dict):
             raise SchemaError("%s component must be an object, got %r" % (where, item))
         at = _component_position(plan, item, where)
         raw = item.get("tensor")
-        tensor = _interned(memo, _tensor_key(raw), _component_tensor, raw, where, plan.keys[at])
-        expected_out, expected_in = tgt.shapes[at][0], src.shapes[at][1]
+        yield at, _interned(memo, _tensor_key(raw), _component_tensor, raw, where, plan.keys[at])
+
+
+def _assembled_gauge(src, tgt, plan, components, where):
+    """The gauge of (plan position, tensor) pairs: shapes, repeats and
+    missing one-block components checked as the pairs are read."""
+    tensors = [None] * len(plan.keys)
+    out_shapes, in_shapes = tgt.shapes, src.shapes
+    for at, tensor in components:
+        expected_out, expected_in = out_shapes[at][0], in_shapes[at][1]
         if tensor.out_dim != expected_out or tensor.in_dims != expected_in:
             raise SchemaError(
                 "%s component%s has shape %dx%s, expected %dx%s"
@@ -338,38 +343,60 @@ def _check_header(obj, kind, noun):
         raise SchemaError("unsupported format_version %r" % (obj.get("format_version"),))
 
 
-def atlas_from_json(obj):
+def _name(value, field):
+    """A point or chart id: a JSON string, or a JSON integer as its text."""
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
+    raise SchemaError("%s must be a string or an integer, got %r" % (field, value))
+
+
+def _chart_specs(items, where):
+    """``(id, domain)`` of each chart object of ``items``, read in turn."""
+    for c in items:
+        if not isinstance(c, dict):
+            raise SchemaError("%s: chart must be an object, got %r" % (where, c))
+        chart_id = _name(c.get("id"), where + " chart id")
+        yield chart_id, tuple(_name(p, "%s chart %s domain point" % (where, chart_id))
+                              for p in _list_value(c, "domain", where + " chart"))
+
+
+def _atlas(obj, memo, transitions, read_gauge):
+    """The atlas ``obj`` with ``transitions()``, each gauge read by
+    ``read_gauge(raw, where)``; ``memo`` keeps the dims, also by text."""
     _check_header(obj, "atlas", "an atlas")
     n = _cube_dimension(obj, "atlas")
-    base = FiniteBase(_list_value(obj, "base", "atlas"))
-    charts = []
-    for c in _list_value(obj, "charts", "atlas"):
-        if not isinstance(c, dict):
-            raise SchemaError("atlas: chart must be an object, got %r" % (c,))
-        try:
-            charts.append(Chart(c["id"], tuple(_list_value(c, "domain", "atlas chart"))))
-        except KeyError as err:
-            raise SchemaError("atlas chart malformed: missing %s" % err)
-    memo = {}
+    base = FiniteBase([_name(p, "atlas base point") for p in _list_value(obj, "base", "atlas")])
+    charts = tuple(Chart(*spec) for spec in _chart_specs(_list_value(obj, "charts", "atlas"),
+                                                          "atlas"))
     dims = _read_dims(n, obj.get("dims"), "dims", memo)
-    transitions = {}
-    for item in _list_field(obj, "transitions", "atlas"):
+    memo[n, _dims_text(dims, {})] = dims
+    out = {}
+    for item in transitions():
         try:
-            # read as strings, like chart ids and base points
-            src, dst, p = str(item["from"]), str(item["to"]), str(item["point"])
+            src, dst, p = item["from"], item["to"], item["point"]
         except (KeyError, TypeError) as err:
             raise SchemaError("transition malformed: %s" % err)
-        where = "transition %s<-%s at %s" % (dst, src, p)
-        if (dst, src, p) in transitions:
+        key = (_name(dst, "transition to"), _name(src, "transition from"),
+               _name(p, "transition point"))
+        where = "transition %s<-%s at %s" % key
+        if key in out:
             raise SchemaError("duplicate %s" % where)
-        g = gauge_from_json(item.get("gauge"), where, memo)
+        g = read_gauge(item.get("gauge"), where)
         if g.source_dims != dims or g.target_dims != dims:
             raise SchemaError("%s: gauge dims differ from the atlas dims" % where)
-        transitions[(dst, src, p)] = g
+        out[key] = g
     try:
-        return AtlasPresentation(n, dims, base, tuple(charts), transitions)
+        return AtlasPresentation(n, dims, base, charts, out)
     except Exception as err:
         raise SchemaError("atlas inconsistent: %s" % err)
+
+
+def atlas_from_json(obj):
+    memo = {}
+    return _atlas(obj, memo, lambda: _list_value(obj, "transitions", "atlas", []),
+                  lambda raw, where: gauge_from_json(raw, where, memo))
 
 
 def element_from_json(obj):
@@ -395,7 +422,7 @@ def morphism_from_json(obj, source, target):
     _check_header(obj, "morphism", "a morphism")
     memo = {}
     data = {}
-    for item in _list_field(obj, "data", "morphism"):
+    for item in _list_value(obj, "data", "morphism", []):
         if not isinstance(item, dict):
             raise SchemaError("morphism data entry must be an object, got %r" % (item,))
         chart = _string_field(item, "chart", "morphism data")
@@ -430,13 +457,10 @@ def generator_from_json(obj):
             if not isinstance(body.get(key), dict):
                 raise SchemaError("rule generator: %s must be an object, got %r"
                                   % (key, body.get(key)))
-        try:
-            charts = [(c["id"], tuple(_list_value(c, "domain", "rule generator chart")))
-                      for c in charts]
-            return InfinityPresentation(RuleGenerator(
-                base, charts, body["dim_rule"], body["transition_rule"]))
-        except (KeyError, TypeError) as err:
-            raise SchemaError("rule generator malformed: %s" % err)
+        return InfinityPresentation(RuleGenerator(
+            [_name(p, "rule generator base point") for p in base],
+            list(_chart_specs(charts, "rule generator")), body["dim_rule"],
+            body["transition_rule"]))
     raise SchemaError("unknown generator kind %r" % (body.get("kind"),))
 
 
@@ -444,6 +468,7 @@ def generator_from_json(obj):
 # ASCII; values taken from input (ids, points, rule bodies) are written
 # with it, so their escaping is the JSON encoder's
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_GAUGE_FIELDS = '"format_version":%d,"kind":"gauge",' % FORMAT_VERSION  # before "n"
 
 
 def _ints(values):
@@ -474,9 +499,9 @@ def _dims_text(dims, memo):
 @_memoized(16)
 def _component_heads(n):
     """The text before the tensor of each gauge component over ``n`` axes,
-    in plan order."""
-    return tuple('{"blocks":%s,"target":%s,"tensor":' % (_ENCODE(rho), _ints(subset))
-                 for subset, rho in cube_plan(n).keys)
+    in plan order, mapped to its plan position.  Never changed."""
+    return {'{"blocks":%s,"target":%s,"tensor":' % (_ENCODE(rho), _ints(subset)): at
+            for at, (subset, rho) in enumerate(cube_plan(n).keys)}
 
 
 def _gauge_text(gauge, where, memo, header=""):
@@ -572,8 +597,7 @@ def to_text(value):
     if isinstance(value, BundleMorphism):
         return _morphism_text(value)
     if isinstance(value, Gauge):
-        return _gauge_text(value, "gauge", {},
-                           '"format_version":%d,"kind":"gauge",' % FORMAT_VERSION)
+        return _gauge_text(value, "gauge", {}, _GAUGE_FIELDS)
     if isinstance(value, BundleElement):
         return _element_text(value)
     if isinstance(value, InfinityPresentation):
@@ -613,21 +637,111 @@ def canonical_bytes(obj):
     return _ENCODE(obj).encode("utf-8")
 
 
-def parse_json_bytes(data):
+# a tensor text, and its entries "p" or "p/q", parts of at most _CHUNK digits
+_TENSOR = re.compile(r'\{"entries":\[([^]]*)\],"in_dims":\[([^]]*)\],'
+                     r'"out_dim":([^}]*)\}').fullmatch
+_ENTRIES = re.compile(r'(?:"[+-]?[0-9]{1,%d}(?:/[0-9]{1,%d})?"(?:,(?=")|\Z))*'
+                      % (_CHUNK, _CHUNK)).fullmatch
+_DECODE = json.JSONDecoder().raw_decode
+_GAUGE_START = '{"components":['
+
+
+@_memoized(256)
+def _naturals(text):
+    """The JSON integers, none negative, of the comma-separated ``text``."""
+    out = tuple(map(int, text.split(","))) if text else ()
+    if ",".join(map(str, out)) != text or min(out, default=0) < 0:
+        raise ValueError("not JSON integers: %.20r" % text)
+    return out
+
+
+def _text_tensor(text):
+    """The tensor of a tensor text, built as ``tensor_from_json`` builds it."""
+    match = _TENSOR(text)
+    if match is None or not _ENTRIES(match[1]):
+        raise ValueError("not a tensor text")
+    entries, in_dims, (out_dim,) = match[1], _naturals(match[2]), _naturals(match[3])
+    parts = entries[1:-1].split('","') if entries else []
+    pairs = [(int(p), int(q or 1)) for p, _, q in (part.partition("/") for part in parts)]
+    den = lcm(*{q for _, q in pairs})
+    if len(pairs) != out_dim * prod(in_dims) or not den:
+        raise ValueError("a zero denominator, or entries that do not fit the shape")
+    return MultiTensor.from_integers(out_dim, in_dims, [p * (den // q) for p, q in pairs], den)
+
+
+def _text_gauge(text, fields, memo, where="gauge"):
+    """The gauge of a gauge text inside ``{"components":[`` and the last
+    brace, ``fields`` before its ``n``; ``n`` and dims are read before any
+    plan, and ``memo`` keeps each distinct tensor and dims text's object.
+    A tensor is a component's last field and only object: only ``},`` ends one."""
+    tail = '],%s"n":' % fields
+    body = text[:text.index(tail)]
+    at_src = text.index(',"source_dims":', len(body))
+    at_tgt = text.index(',"target_dims":', at_src)
+    (n,) = _naturals(text[len(body) + len(tail):at_src])
+    src, tgt = (_interned(memo, (n, piece), lambda: dims_from_json(n, json.loads(piece)))
+                for piece in (text[at_src + 15:at_tgt], text[at_tgt + 15:]))
+    if not body.endswith("}"):
+        raise ValueError("not a components list")
+    heads, components = _component_heads(n), []
+    for piece in body[:-1].split("},"):
+        cut = piece.index('"tensor":') + 9
+        at = heads.get(piece[:cut])
+        if at is None:
+            raise ValueError("not a component head")
+        components.append((at, _interned(memo, piece[cut:], _text_tensor, piece[cut:])))
+    return _assembled_gauge(src, tgt, cube_plan(n), components, where)
+
+
+def _after(text, pos, literal):
+    """The offset after ``literal``, which must stand at ``pos``."""
+    return text.index(literal, pos, pos + len(literal)) + len(literal)
+
+
+def _text_transitions(text, pos):
+    """Each transition, its gauge as text, from ``pos`` in a transitions list."""
+    comma = ""
+    while not (pos == len(text) - 2 and text.endswith("]}")):
+        src, pos = _DECODE(text, _after(text, pos, comma + '{"from":'))
+        start = _after(text, pos, ',"gauge":' + _GAUGE_START)
+        end = text.index('},"point":', start)
+        p, pos = _DECODE(text, end + 10)
+        dst, pos = _DECODE(text, _after(text, pos, ',"to":'))
+        yield {"from": src, "to": dst, "point": p, "gauge": text[start:end]}
+        pos, comma = _after(text, pos, "}"), ","
+
+
+def _read_canonical(data):
+    """The atlas (its head before the transitions read as JSON) or gauge in
+    the canonical text ``data``; None for any other input or one failing a check."""
+    try:
+        text = data.decode("utf-8").rstrip(" \t\n\r")
+        if text.startswith(_GAUGE_START) and text.endswith("}"):
+            return _text_gauge(text[15:-1], _GAUGE_FIELDS, {})
+        if text.startswith('{"base":'):
+            at, memo = text.index(',"transitions":['), {}
+            return _atlas(json.loads(text[:at] + "}"), memo,
+                          lambda: _text_transitions(text, at + 16),
+                          lambda raw, where: _text_gauge(raw, "", memo, where))
+    except (MvbError, ValueError):
+        return None
+
+
+def parse(data):
+    """Parse bytes into the object named by their ``kind`` field; canonical
+    atlas and gauge text is read by its text (``_read_canonical``)."""
     if isinstance(data, str):
         data = data.encode("utf-8")
+    value = _read_canonical(data)
+    if value is not None:
+        return value
     try:
-        return json.loads(data.decode("utf-8"))
+        obj = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as err:
         raise ParseError("input is not UTF-8: %s" % err, position=err.start)
     except json.JSONDecodeError as err:
         raise ParseError("invalid JSON at offset %d: %s" % (err.pos, err.msg),
                          position=err.pos)
-
-
-def parse(data):
-    """Parse bytes into the object named by their ``kind`` field."""
-    obj = parse_json_bytes(data)
     if not isinstance(obj, dict):
         raise SchemaError("top-level JSON value must be an object")
     kind = obj.get("kind")

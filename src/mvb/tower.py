@@ -101,7 +101,7 @@ class RuleGenerator:
             if type(dim_rule.get(field)) is not int or dim_rule[field] < 0:
                 raise SchemaError("rule generator dim_rule: %s must be a nonnegative"
                                   " integer, got %r" % (field, dim_rule.get(field)))
-        self.dim_rule = {key: dim_rule[key] for key in ("kind", "dim", "max_card")}
+        self.dim_rule = dict(dim_rule)
         if transition_rule.get("kind") not in ("identity", "conjugate"):
             raise SchemaError("rule generator transition_rule: kind must be 'identity' or"
                               " 'conjugate', got %r" % (transition_rule.get("kind"),))
@@ -110,6 +110,11 @@ class RuleGenerator:
             raise SchemaError("rule generator transition_rule: seed must be an integer,"
                               " got %r" % (seed,))
         self.transition_rule = dict(transition_rule)
+        for name, rule, fields in (("dim_rule", dim_rule, ("kind", "dim", "max_card")),
+                                   ("transition_rule", transition_rule, ("kind", "seed"))):
+            for field in rule:
+                if field not in fields:
+                    raise SchemaError("rule generator %s: unknown field %r" % (name, field))
         self.chart_specs = tuple((c.id, c.domain) for c in self._charts)
 
     @property

@@ -31,7 +31,6 @@ from mvb.formats import (
     _index_set_value,
     _integer_value,
     _label,
-    _list_field,
     _list_value,
     _rational_text,
     _string_field,
@@ -85,7 +84,7 @@ def gauge_from_json(obj, where="gauge"):
     tgt = dims_from_json(n, obj.get("target_dims"), where + ".target_dims")
     plan = cube_plan(n)
     tensors = [None] * len(plan.keys)
-    for item in _list_field(obj, "components", where):
+    for item in _list_value(obj, "components", where, []):
         if not isinstance(item, dict):
             raise SchemaError("%s component must be an object, got %r" % (where, item))
         at = _component_position(plan, item, where)
@@ -126,7 +125,7 @@ def atlas_from_json(obj):
             raise SchemaError("atlas chart malformed: missing %s" % err)
     dims = dims_from_json(n, obj.get("dims"))
     transitions = {}
-    for item in _list_field(obj, "transitions", "atlas"):
+    for item in _list_value(obj, "transitions", "atlas", []):
         try:
             src, dst, p = str(item["from"]), str(item["to"]), str(item["point"])
         except (KeyError, TypeError) as err:
@@ -144,7 +143,7 @@ def atlas_from_json(obj):
 def morphism_from_json(obj, source, target):
     _check_header(obj, "morphism", "a morphism")
     data = {}
-    for item in _list_field(obj, "data", "morphism"):
+    for item in _list_value(obj, "data", "morphism", []):
         if not isinstance(item, dict):
             raise SchemaError("morphism data entry must be an object, got %r" % (item,))
         chart = _string_field(item, "chart", "morphism data")

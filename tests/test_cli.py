@@ -388,9 +388,10 @@ def test_malformed_atlases_exit_two(tmp_path, capsys):
 
 
 def test_transition_ids_of_any_json_type_exit_cleanly(tmp_path, capsys):
-    """A transition's from/to/point are read as strings, like chart ids and
-    base points, so a list or null there names no chart or point and fails
-    validation structurally; it used to raise TypeError."""
+    """A transition's from/to/point, like chart ids and base points, is a
+    JSON string or an integer; a list, null or object there is an input
+    error naming the field.  It used to raise TypeError, and then to be
+    read as the Python text of the value and fail validation."""
     instance = twisted_instance(404, n=2, n_points=2, n_charts=2)
     body = formats.atlas_to_json(instance)
     for field, value in (("from", ["0"]), ("point", None), ("to", {"a": 1})):
@@ -399,9 +400,100 @@ def test_transition_ids_of_any_json_type_exit_cleanly(tmp_path, capsys):
         path = tmp_path / ("%s.json" % field)
         path.write_bytes(formats.canonical_bytes(copy))
         code, out, err = invoke(capsys, ["validate", str(path)])
-        assert code == 1, (field, err)
-        kinds = {c["kind"] for c in report_of(out)["counterexamples"]}
-        assert kinds == {"structural"}, (field, out)
+        assert (code, out) == (2, ""), (field, err)
+        assert err.startswith("input error: transition %s must be a string or an integer"
+                              % field), err
+
+
+# A base point, chart id or domain point other than a JSON string or
+# integer, each (place, value, field named in the error).  They used to be
+# read as the Python text of the value: a list base point was reported as
+# a counterexample at point "['x']", and a list chart id failed
+# validation with "transition outside overlap".
+BAD_NAMES = {
+    "base-list": ("base", ["x"], "atlas base point"),
+    "base-null": ("base", None, "atlas base point"),
+    "chart-id-list": ("id", ["x"], "atlas chart id"),
+    "chart-id-boolean": ("id", True, "atlas chart id"),
+    "domain-float": ("domain", 1.5, "atlas chart 0 domain point"),
+    "domain-object": ("domain", {"p": 1}, "atlas chart 0 domain point"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_NAMES.values()), ids=list(BAD_NAMES))
+def test_names_of_other_json_types_exit_two_naming_the_field(tmp_path, capsys, case):
+    place, value, field = case
+    body = formats.atlas_to_json(twisted_instance(404, n=2, n_points=2, n_charts=2))
+    if place == "base":
+        body["base"][0] = value
+    elif place == "id":
+        body["charts"][0]["id"] = value
+    else:
+        body["charts"][0]["domain"][0] = value
+    path = tmp_path / "a.json"
+    path.write_bytes(formats.canonical_bytes(body))
+    code, out, err = invoke(capsys, ["validate", str(path)])
+    assert (code, out) == (2, ""), err
+    assert err == "input error: %s must be a string or an integer, got %r\n" % (field, value)
+
+
+@pytest.mark.parametrize("place, value", [("base", ["x"]), ("id", None), ("domain", 2.0)])
+def test_rule_generator_names_of_other_json_types_exit_two(tmp_path, capsys, place, value):
+    body = json.loads(formats.dumps(InfinityPresentation(RuleGenerator(
+        ["p"], [("0", ("p",))], {"kind": "threshold", "dim": 1, "max_card": 2},
+        {"kind": "conjugate", "seed": 3}))))
+    generator = body["generator"]
+    if place == "base":
+        generator["base"][0] = value
+    elif place == "id":
+        generator["charts"][0]["id"] = value
+    else:
+        generator["charts"][0]["domain"][0] = value
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(body))
+    code, out, err = invoke(capsys, ["inf", "truncate", str(path), "--n", "1"])
+    assert (code, out) == (2, ""), err
+    assert err.startswith("input error: rule generator ") and \
+        "must be a string or an integer, got %r" % (value,) in err, err
+
+
+def test_integer_names_read_as_their_decimal_text(tmp_path, capsys):
+    """Integers stand for their decimal text wherever a name goes, in the
+    canonical text reader and the JSON reader alike."""
+    body = formats.atlas_to_json(twisted_instance(404, n=2, n_points=2, n_charts=2))
+    named = {"p0": 70, "p1": 71, "0": 0, "1": 1}
+    expected = json.loads(json.dumps(body).replace('"p0"', '"70"').replace('"p1"', '"71"'))
+    body["base"] = [named[p] for p in body["base"]]
+    for chart in body["charts"]:
+        chart["id"], chart["domain"] = named[chart["id"]], [named[p] for p in chart["domain"]]
+    for transition in body["transitions"]:
+        for field in ("from", "to", "point"):
+            transition[field] = named[transition[field]]
+    want = formats.parse(formats.canonical_bytes(expected))
+    for data in (formats.canonical_bytes(body), json.dumps(body, indent=1).encode()):
+        got = formats.parse(data)
+        assert (got.base, got.charts, got.transitions) == (
+            want.base, want.charts, want.transitions)
+        path = tmp_path / "a.json"
+        path.write_bytes(data)
+        code, out, _ = invoke(capsys, ["validate", str(path)])
+        assert code == 0 and report_of(out)["fingerprint"] == formats.fingerprint(want)
+
+
+def test_duplicate_points_are_named(tmp_path, capsys):
+    """The errors used to read "duplicate base points" and "duplicate
+    points in chart domain", naming neither the point nor the chart."""
+    body = formats.atlas_to_json(twisted_instance(404, n=2, n_points=2, n_charts=2))
+    base = json.loads(json.dumps(body))
+    base["base"].append("p1")
+    domain = json.loads(json.dumps(body))
+    domain["charts"][1]["domain"].append("p0")
+    for copy, message in ((base, "duplicate base point 'p1'"),
+                          (domain, "duplicate point 'p0' in the domain of chart '1'")):
+        path = tmp_path / "a.json"
+        path.write_bytes(formats.canonical_bytes(copy))
+        code, out, err = invoke(capsys, ["validate", str(path)])
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_non_integer_counts_exit_two(tmp_path, capsys):
@@ -544,6 +636,7 @@ def test_stabilizing_generator_level_must_be_the_instance_level(tmp_path, capsys
 # a "dim" of -1 was reported at a slot of the truncation, and a
 # "max_card" of -1 was accepted.  A seed other than an integer was
 # hashed as its text, and an unknown kind was an "error:" naming no field.
+# An extra field was dropped from "dim_rule" and kept in "transition_rule".
 BAD_RULE_FIELDS = {
     "dim_rule-list": ("dim_rule", None, [1]),
     "dim_rule-string": ("dim_rule", None, "threshold"),
@@ -565,6 +658,8 @@ BAD_RULE_FIELDS = {
     "seed-list": ("transition_rule", "seed", [5]),
     "dim_rule-kind": ("dim_rule", "kind", "linear"),
     "transition_rule-kind": ("transition_rule", "kind", "shear"),
+    "dim_rule-extra": ("dim_rule", "extra", 5),
+    "transition_rule-extra": ("transition_rule", "extra", 5),
 }
 
 

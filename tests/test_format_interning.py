@@ -10,7 +10,10 @@ kept in ``format_oracle`` (the same object or the same error, the same
 bytes), and pin what the interning promises: shared dims, shared equal
 tensors, each distinct tensor written once, no shared mutable
 container in a ``to_json`` tree, and an input fingerprint that depends
-only on the values an input holds.
+only on the values an input holds.  Canonical atlas and gauge text is
+read by its text: the same edits written canonically, and mutations of
+canonical text, must read as the JSON reader reads them, and no
+canonical input may reach the JSON reader's component checks.
 """
 import contextlib
 import copy
@@ -18,7 +21,9 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
+import time
 from math import prod
 
 from fractions import Fraction
@@ -195,13 +200,13 @@ EDITS = [_bool_or_float, _bool_or_float_in_a_repeat, _entry_not_a_string, _dupli
          _copy_tensor, _drop_component]
 
 
-def edited(choose):
+def edited(choose, write=json.dumps):
     """A copy of one of ``BASES`` with up to three edits, each choice
-    made by ``choose(options)``."""
+    made by ``choose(options)``, written by ``write``."""
     body = copy.deepcopy(choose(BASES))
     for _ in range(choose(range(4))):
         choose(EDITS)(choose, body)
-    return json.dumps(body)
+    return write(body)
 
 
 def outcome(read, text):
@@ -222,6 +227,137 @@ def test_the_interning_reader_reads_as_the_eager_one(data):
     text = edited(lambda options: data.draw(st.sampled_from(options)))
     assert outcome(formats.parse, text) == outcome(
         lambda t: oracle.from_json(json.loads(t)), text)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_the_text_reader_reads_canonical_edits_as_the_eager_one(data):
+    """The same edits written canonically, which the text reader reads
+    unless it declines."""
+    text = edited(lambda options: data.draw(st.sampled_from(options)), formats.canonical_text)
+    assert outcome(formats.parse, text) == outcome(
+        lambda t: oracle.from_json(json.loads(t)), text)
+
+
+def test_canonical_edits_reach_the_text_reader_and_its_declines():
+    rng = seeded(4)
+    read = [formats._read_canonical(edited(rng.choice, formats.canonical_bytes)) is not None
+            for _ in range(200)]
+    assert 20 < sum(read) < 180
+
+
+def tree_outcome(monkeypatch, data):
+    """What the JSON reader alone makes of ``data``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(formats, "_read_canonical", lambda data: None)
+        return outcome(formats.parse, data)
+
+
+def _spot(rng, text, needle):
+    """The offset of a random occurrence of ``needle`` in ``text``."""
+    return rng.choice([m.start() for m in re.finditer(re.escape(needle), text)])
+
+
+def _replaced(rng, text, needle, options):
+    if needle not in text:
+        return text
+    at = _spot(rng, text, needle)
+    return text[:at] + rng.choice(options) + text[at + len(needle):]
+
+
+def _id_at(rng, text):
+    """The offset just inside a random id or point string of an atlas
+    text, or inside an entry of a gauge text."""
+    needles = ['"base":["', '"id":"', '"from":"', '"to":"', '"point":"']
+    found = [needle for needle in needles if needle in text] or ['"entries":["']
+    needle = rng.choice(found)
+    return _spot(rng, text, needle) + len(needle)
+
+
+def _escaped(rng, text):
+    """An id's first character as a ``\\u`` escape: the same value."""
+    at = _id_at(rng, text)
+    return text[:at] + "\\u%04x" % ord(text[at]) + text[at + 1:]
+
+
+def _trailing_comma(rng, text):
+    at = _spot(rng, text, rng.choice(["]}", "}]", "]]"]))
+    return text[:at] + "," + text[at:]
+
+
+def _dims_as_tensor(rng, text):
+    """The last gauge's target dims replaced by a tensor text read before,
+    which must not be taken for the dims read from the same text."""
+    tensor = rng.choice(re.findall(r'\{"entries":\[[^]]*\],"in_dims":\[[^]]*\],"out_dim":\d+\}',
+                                   text))
+    at = text.rindex('"target_dims":') + len('"target_dims":')
+    return text[:at] + tensor + text[text.index("}]", at) + 2:]
+
+
+BYTES = '019",:{}[]/-+ .ex\\\x00\x1f\x7f\u00e9'
+TEXT_MUTATIONS = {
+    "deleted": lambda rng, t: (lambda at: t[:at] + t[at + 1:])(rng.randrange(len(t))),
+    "duplicated": lambda rng, t: (lambda at: t[:at] + t[at] + t[at:])(rng.randrange(len(t))),
+    "replaced": lambda rng, t: (lambda at: t[:at] + rng.choice(BYTES) + t[at + 1:])(
+        rng.randrange(len(t))),
+    "leading-zero": lambda rng, t: _replaced(rng, t, "1", ["01"]),
+    "minus-zero": lambda rng, t: _replaced(rng, t, "1", ["-0"]),
+    "decimal": lambda rng, t: _replaced(rng, t, "1", ["1.0"]),
+    "zero-denominator": lambda rng, t: _replaced(rng, t, '"1"', ['"1/0"']),
+    "unreduced": lambda rng, t: _replaced(rng, t, '"1"', ['"2/2"', '"+1"', '"01"', '"-0"']),
+    # spellings int() reads and the entry grammar does not
+    "int-spelling": lambda rng, t: _replaced(rng, t, '"1"', ['" 1"', '"1 "', '"1_0"', '"\u0661"',
+                                                             '"1/ 2"', '"1/+2"']),
+    "control-character": lambda rng, t: (lambda at: t[:at] + rng.choice("\x00\x01\n\x1f")
+                                         + t[at:])(_id_at(rng, t)),
+    "escape": _escaped,
+    "bom": lambda rng, t: "\ufeff" + t,
+    "trailing-comma": _trailing_comma,
+    "trailing-space": lambda rng, t: t + rng.choice(["\n", " \r\n\t", "\x0b"]),
+    "dims-as-tensor": _dims_as_tensor,
+    "component-unclosed": lambda rng, t: _replaced(rng, t, '}}],"', ['}]],"', '}],"', '}}}],"']),
+    "transition-unclosed": lambda rng, t: _replaced(rng, t, '"to":"0"}', [
+        '"to":"0"' + rng.choice(["]", " ", "", ",", '"'])]),
+}
+
+
+@pytest.mark.parametrize("mutation", list(TEXT_MUTATIONS), ids=list(TEXT_MUTATIONS))
+def test_text_mutations_read_as_the_json_reader_reads_them(monkeypatch, mutation):
+    """Mutated canonical atlas and gauge texts: whatever the text reader
+    makes of them, read or declined, is what the JSON reader makes."""
+    rng = seeded(len(mutation))
+    texts = [formats.canonical_text(body) for body in BASES] + [formats.to_text(gen_atlas())]
+    for _ in range(12):
+        data = TEXT_MUTATIONS[mutation](rng, rng.choice(texts)).encode()
+        assert outcome(formats.parse, data) == tree_outcome(monkeypatch, data), data
+
+
+def test_the_text_reader_reads_equal_spellings_it_accepts():
+    """Escapes, unreduced entries and trailing JSON whitespace are read by
+    the text reader, with the JSON reader's objects."""
+    text = formats.to_text(gen_atlas())
+    for variant in (_escaped(seeded(1), text), text.replace('"1"', '"2/2"'), text + " \n"):
+        assert formats._read_canonical(variant.encode()) is not None
+        assert outcome(formats.parse, variant) == outcome(
+            lambda t: oracle.from_json(json.loads(t)), variant)
+
+
+@pytest.mark.parametrize("fragment", ['],"n":', '},', '},"point":', '"1",',
+                                      '{"entries":["1"],"in_dims":[],"out_dim":1}},'])
+def test_long_adversarial_inputs_are_read_in_linear_time(monkeypatch, fragment):
+    """No scan of the text reader backtracks over a list or restarts from
+    each fragment: a megabyte of fragments is declined at once."""
+    atlas = formats.to_text(gen_atlas())
+    transitions = atlas.index('"transitions":[') + len('"transitions":[')
+    gauge = formats.canonical_text(BASES[-1])
+    entries = gauge.index('"entries":[') + len('"entries":[')
+    count = 10 ** 6 // len(fragment)
+    for head in (atlas[:transitions], gauge[:entries], formats._GAUGE_START):
+        data = (head + fragment * count + "]}").encode()
+        started = time.process_time()
+        got = outcome(formats.parse, data)
+        assert time.process_time() - started < 2.0, (head[:40], fragment)
+        assert got == tree_outcome(monkeypatch, data)
 
 
 def test_the_edits_reach_every_check_the_interning_must_keep():
@@ -252,14 +388,25 @@ def test_equal_tensors_in_one_file_are_one_object():
 
 
 def test_each_distinct_tensor_is_decoded_once(monkeypatch):
+    # indented, so that the JSON reader reads it
     body = formats.atlas_to_json(gen_atlas())
     keys = {(t["out_dim"], tuple(t["in_dims"]), tuple(t["entries"])) for t in tensors_of(body)}
     calls = []
     decode = formats.tensor_from_json
     monkeypatch.setattr(formats, "tensor_from_json",
                         lambda obj, where="": calls.append(1) or decode(obj, where))
-    formats.parse(formats.canonical_bytes(body))
+    formats.parse(json.dumps(body, indent=1).encode())
     assert len(calls) == len(keys) < len(tensors_of(body))
+
+
+def test_each_distinct_tensor_text_is_decoded_once(monkeypatch):
+    body = formats.atlas_to_json(gen_atlas())
+    texts = {formats.canonical_text(t) for t in tensors_of(body)}
+    calls = []
+    decode = formats._text_tensor
+    monkeypatch.setattr(formats, "_text_tensor", lambda text: calls.append(text) or decode(text))
+    formats.parse(formats.canonical_bytes(body))
+    assert sorted(calls) == sorted(texts) and len(texts) < len(tensors_of(body))
 
 
 def test_a_bound_morphism_reads_as_the_eager_one():
@@ -329,9 +476,10 @@ def test_the_writer_of_a_morphism_writes_as_the_eager_one():
     assert formats.to_json(dec) == oracle.to_json(dec)
 
 
-def workload_inputs(tmp_path, name):
-    """The parsed input files of a workload's seed-0 pass: written by its
-    set-up, by its ``gen`` operations and by the preparation of others."""
+def workload_files(tmp_path, name):
+    """The bytes of each input file of a workload's seed-0 pass: written
+    by its set-up, by its ``gen`` operations and by the preparation of
+    others."""
     workdir = str(tmp_path / name)
     ops = workloads.setup(name, workdir, workloads.DEFAULT_SEED)
     cwd = os.getcwd()
@@ -346,13 +494,60 @@ def workload_inputs(tmp_path, name):
         found = {}
         for file_name in sorted(os.listdir(workdir)):
             with open(file_name, "rb") as handle:
-                try:
-                    found[file_name] = formats.parse(handle.read())
-                except SchemaError:
-                    assert file_name.startswith("malformed-")
+                found[file_name] = handle.read()
         return found
     finally:
         os.chdir(cwd)
+
+
+def workload_inputs(tmp_path, name):
+    """The parsed input files of a workload's seed-0 pass."""
+    found = {}
+    for file_name, data in workload_files(tmp_path, name).items():
+        try:
+            found[file_name] = formats.parse(data)
+        except SchemaError:
+            assert file_name.startswith("malformed-")
+    return found
+
+
+def canonical_files(tmp_path):
+    """Every atlas and gauge file a test or bench run reads: the acceptance
+    and format fixtures, the well-formed atlas and gauge inputs of the
+    corpus and ingest workloads, a ``gen`` atlas and a gauge."""
+    from test_acceptance import corpus
+    from test_formats import fixture_corpus
+    files = {name: formats.dumps(value) for name, value in corpus()}
+    files.update(("fixture-%d" % k, formats.dumps(value))
+                 for k, value in enumerate(fixture_corpus()))
+    for workload in ("corpus", "ingest"):
+        files.update((workload + "/" + name, data)
+                     for name, data in workload_files(tmp_path, workload).items()
+                     if not name.startswith("malformed-")
+                     and json.loads(data)["kind"] in ("atlas", "gauge"))
+    files["gen"] = formats.dumps(gen_atlas()) + b"\n"
+    files["gauge"] = formats.dumps(random_gauge(seeded(5), random_dims(seeded(6), 3, max_dim=2)))
+    return files
+
+
+def test_every_canonical_file_is_read_by_its_text(tmp_path, monkeypatch):
+    """No canonical input reaches the JSON reader's component checks or
+    tensor decoder, and an indented copy reaches both; either way the
+    object read writes the same text."""
+    calls = []
+    for name in ("_component_position", "tensor_from_json"):
+        read = getattr(formats, name)
+        monkeypatch.setattr(formats, name, lambda *args, name=name, read=read:
+                            calls.append(name) or read(*args))
+    files = canonical_files(tmp_path)
+    assert len(files) > 30 and any(b'"kind":"gauge"' in data for data in files.values())
+    for name, data in files.items():
+        by_text = formats.parse(data)
+        assert calls == [], name
+        by_tree = formats.parse(json.dumps(json.loads(data), indent=1))
+        assert set(calls) == {"_component_position", "tensor_from_json"}, name
+        del calls[:]
+        assert formats.to_text(by_text) == formats.to_text(by_tree) == data.decode().strip()
 
 
 @pytest.mark.parametrize("name", ["corpus", "ingest"])

@@ -179,3 +179,16 @@ def test_rule_generator_names_the_field_of_an_unknown_kind(rule, kind, allowed):
     with pytest.raises(SchemaError, match=re.escape(
             "rule generator %s: kind must be %s, got %r" % (rule, allowed, kind))):
         RuleGenerator(["p"], [("0", ("p",))], **rules)
+
+
+@pytest.mark.parametrize("rule", ["dim_rule", "transition_rule"])
+def test_rule_generator_names_a_field_it_does_not_know(rule):
+    """Both rules keep exactly their own fields: an extra ``dim_rule``
+    field used to be dropped without a word, and an extra
+    ``transition_rule`` field kept and written back."""
+    rules = {"dim_rule": {"kind": "threshold", "dim": 1, "max_card": 2},
+             "transition_rule": {"kind": "conjugate", "seed": 3}}
+    rules[rule]["extra"] = 5
+    with pytest.raises(SchemaError, match=re.escape(
+            "rule generator %s: unknown field 'extra'" % rule)):
+        RuleGenerator(["p"], [("0", ("p",))], **rules)
