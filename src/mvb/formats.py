@@ -14,12 +14,13 @@ in lowest terms, with no ``Fraction`` made on either path.  Both ways a
 numerator or denominator has at most ``MAX_DIGITS`` digits; a result
 with a longer part is an error naming its component, not a longer text.
 
-One top-level read (``parse``, ``morphism_from_json``) decodes each
-distinct tensor and dims list once: an interning table that lives for
-that read maps each one's key, made only of exact JSON types, to the
-object decoded from it, so every place it appears holds that object.
-``parse`` reads canonical atlas and gauge text by its text, keyed by
-tensor and dims texts; any other input goes to the JSON reader.
+``parse`` reads every atlas and gauge by its canonical text: the input
+as it stands when it is that text, else its JSON tree written
+canonically.  One such read decodes each distinct tensor and dims text
+once, in an interning table keyed by the text, so every place a piece
+appears holds one object.  The JSON reader names the errors and reads
+the spellings the text reader declines, and elements, rule generators
+and morphism data.
 One serialization (``to_text``) writes canonical text straight from the
 objects, with no JSON tree between: a memo that lives for that call
 keeps the text of each distinct tensor and dims list by value, so equal
@@ -31,7 +32,6 @@ import hashlib
 import json
 import re
 from fractions import Fraction
-from itertools import chain
 from math import lcm, prod
 
 from .atlas import AtlasPresentation, Chart, FiniteBase
@@ -158,56 +158,6 @@ def tensor_from_json(obj, where=""):
         out_dim, in_dims, [x * (den // d) for x, d in pairs], den)
 
 
-_INT, _STR, _LIST = {int}, {str}, {list}
-
-
-def _tensor_key(obj):
-    """The interning key of a tensor's JSON form, ``(out_dim, in_dims,
-    entries)`` as tuples, when ``out_dim`` and every in-dim are JSON
-    integers and every entry is a string; None for any other form, which
-    is read and checked as it stands.  ``True`` and ``1.0`` equal 1 and
-    hash like it, and a list does not hash at all, so the key is made
-    only of exact types."""
-    if type(obj) is dict:
-        out_dim, in_dims, entries = obj.get("out_dim"), obj.get("in_dims"), obj.get("entries")
-        if (type(out_dim) is int and type(in_dims) is list and type(entries) is list
-                and _INT.issuperset(map(type, in_dims))
-                and _STR.issuperset(map(type, entries))):
-            return out_dim, tuple(in_dims), tuple(entries)
-    return None
-
-
-def _dims_key(n, obj):
-    """The interning key of a dims list read over ``n`` axes: ``n`` and the
-    ``(set, dim)`` pairs in order, under the type rules of
-    ``_tensor_key``, or None.  It has two parts and a tensor key three,
-    so one table holds both."""
-    if type(obj) is not list:
-        return None
-    pairs = []
-    for item in obj:
-        if type(item) is not dict:
-            return None
-        subset, dim = item.get("set"), item.get("dim")
-        if (type(dim) is not int or type(subset) is not list
-                or not _INT.issuperset(map(type, subset))):
-            return None
-        pairs.append((tuple(subset), dim))
-    return n, tuple(pairs)
-
-
-def _interned(memo, key, read, *args):
-    """``read(*args)``, or the object that an earlier read under an equal
-    ``key`` made.  ``memo`` is the interning table of one top-level read;
-    a key of None is never kept, and a read that raises keeps nothing."""
-    found = memo.get(key)
-    if found is None:
-        found = read(*args)
-        if key is not None:
-            memo[key] = found
-    return found
-
-
 def dims_from_json(n, obj, where="dims"):
     if not isinstance(obj, list):
         raise SchemaError("%s must be a list" % where)
@@ -234,30 +184,25 @@ def _string_field(obj, key, where):
     return value
 
 
-def gauge_from_json(obj, where="gauge", memo=None):
-    """The gauge ``obj`` holds.  ``memo`` is the interning table of the
-    top-level read this gauge is part of (a fresh one when not given):
-    each distinct tensor and dims list is decoded once, and every place
-    it appears holds the one object."""
-    if memo is None:
-        memo = {}
+def gauge_from_json(obj, where="gauge"):
+    """The gauge ``obj`` holds."""
     if not isinstance(obj, dict):
         raise SchemaError("%s must be an object" % where)
     n = _cube_dimension(obj, where)
-    src = _read_dims(n, obj.get("source_dims"), where + ".source_dims", memo)
-    tgt = _read_dims(n, obj.get("target_dims"), where + ".target_dims", memo)
+    src = dims_from_json(n, obj.get("source_dims"), where + ".source_dims")
+    tgt = dims_from_json(n, obj.get("target_dims"), where + ".target_dims")
     plan = cube_plan(n)
-    return _assembled_gauge(src, tgt, plan, _tree_components(obj, plan, where, memo), where)
+    return _assembled_gauge(src, tgt, plan, _tree_components(obj, plan, where), where)
 
 
-def _tree_components(obj, plan, where, memo):
+def _tree_components(obj, plan, where):
     """``(plan position, tensor)`` of each component of a gauge's tree."""
     for item in _list_value(obj, "components", where, []):
         if not isinstance(item, dict):
             raise SchemaError("%s component must be an object, got %r" % (where, item))
         at = _component_position(plan, item, where)
-        raw = item.get("tensor")
-        yield at, _interned(memo, _tensor_key(raw), _component_tensor, raw, where, plan.keys[at])
+        yield at, tensor_from_json(item.get("tensor"),
+                                   " of %s component%s" % (where, _label(*plan.keys[at])))
 
 
 def _assembled_gauge(src, tgt, plan, components, where):
@@ -283,35 +228,9 @@ def _assembled_gauge(src, tgt, plan, components, where):
     return _shaped_gauge(src, tgt, tensors)
 
 
-def _read_dims(n, obj, where, memo):
-    """``dims_from_json``, interned in ``memo``."""
-    return _interned(memo, _dims_key(n, obj), dims_from_json, n, obj, where)
-
-
-def _component_tensor(raw, where, key):
-    """The tensor of the gauge component at plan key ``key``; an error in
-    it names the component."""
-    try:
-        return tensor_from_json(raw)
-    except SchemaError:
-        # read again for the error located at the component
-        tensor_from_json(raw, where=" of %s component%s" % (where, _label(*key)))
-        raise
-
-
 def _component_position(plan, item, where):
-    """The plan position of a gauge component's ``target`` and ``blocks``.
-
-    Index sets and partitions are tuples, so JSON integer lists in
-    canonical form are found in the plan index as they stand.  Any other
-    form is read and checked as an index set and a partition of it.
-    """
-    target, blocks = item.get("target"), item.get("blocks")
-    if (type(target) is list and type(blocks) is list and _LIST.issuperset(map(type, blocks))
-            and _INT.issuperset(map(type, chain(target, *blocks)))):
-        at = plan.index.get((tuple(target), tuple(map(tuple, blocks))))
-        if at is not None:
-            return at
+    """The plan position of a gauge component's ``target`` and ``blocks``,
+    read and checked as an index set and a partition of it."""
     target = _index_set_value(item, "target", where + " component")
     blocks = _list_value(item, "blocks", where + " component")
     try:
@@ -364,13 +283,13 @@ def _chart_specs(items, where):
 
 def _atlas(obj, memo, transitions, read_gauge):
     """The atlas ``obj`` with ``transitions()``, each gauge read by
-    ``read_gauge(raw, where)``; ``memo`` keeps the dims, also by text."""
+    ``read_gauge(raw, where)``; ``memo`` keeps the dims by their text."""
     _check_header(obj, "atlas", "an atlas")
     n = _cube_dimension(obj, "atlas")
     base = FiniteBase([_name(p, "atlas base point") for p in _list_value(obj, "base", "atlas")])
     charts = tuple(Chart(*spec) for spec in _chart_specs(_list_value(obj, "charts", "atlas"),
                                                           "atlas"))
-    dims = _read_dims(n, obj.get("dims"), "dims", memo)
+    dims = dims_from_json(n, obj.get("dims"))
     memo[n, _dims_text(dims, {})] = dims
     out = {}
     for item in transitions():
@@ -394,9 +313,8 @@ def _atlas(obj, memo, transitions, read_gauge):
 
 
 def atlas_from_json(obj):
-    memo = {}
-    return _atlas(obj, memo, lambda: _list_value(obj, "transitions", "atlas", []),
-                  lambda raw, where: gauge_from_json(raw, where, memo))
+    return _atlas(obj, {}, lambda: _list_value(obj, "transitions", "atlas", []),
+                  gauge_from_json)
 
 
 def element_from_json(obj):
@@ -420,7 +338,6 @@ def element_from_json(obj):
 def morphism_from_json(obj, source, target):
     """Bind serialized morphism data to source and target presentations."""
     _check_header(obj, "morphism", "a morphism")
-    memo = {}
     data = {}
     for item in _list_value(obj, "data", "morphism", []):
         if not isinstance(item, dict):
@@ -430,7 +347,7 @@ def morphism_from_json(obj, source, target):
         where = "morphism data at (%s, %s)" % (chart, p)
         if (chart, p) in data:
             raise SchemaError("duplicate %s" % where)
-        data[(chart, p)] = gauge_from_json(item.get("gauge"), where, memo)
+        data[(chart, p)] = gauge_from_json(item.get("gauge"), where)
     try:
         return BundleMorphism(source, target, data)
     except Exception as err:
@@ -444,7 +361,7 @@ def generator_from_json(obj):
     if not isinstance(body, dict):
         raise SchemaError("generator body missing")
     if body.get("kind") == "stabilizing":
-        instance = atlas_from_json(body.get("instance"))
+        instance = _by_text(body.get("instance"), "atlas")
         level = body.get("N")
         if type(level) is not int or level != instance.n:
             raise SchemaError("stabilizing generator: N must be the instance's level %d,"
@@ -646,6 +563,16 @@ _DECODE = json.JSONDecoder().raw_decode
 _GAUGE_START = '{"components":['
 
 
+def _interned(memo, key, read, *args):
+    """``read(*args)``, or the object an earlier read under an equal ``key``
+    (a tensor text, or ``n`` and a dims text) made; ``memo`` is the
+    interning table of one read."""
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = read(*args)
+    return found
+
+
 @_memoized(256)
 def _naturals(text):
     """The JSON integers, none negative, of the comma-separated ``text``."""
@@ -698,10 +625,11 @@ def _after(text, pos, literal):
     return text.index(literal, pos, pos + len(literal)) + len(literal)
 
 
-def _text_transitions(text, pos):
-    """Each transition, its gauge as text, from ``pos`` in a transitions list."""
+def _text_transitions(text, pos, stop):
+    """Each transition, its gauge as text, from ``pos`` in a transitions
+    list whose atlas ends at ``stop``."""
     comma = ""
-    while not (pos == len(text) - 2 and text.endswith("]}")):
+    while not (pos == stop - 2 and text.startswith("]}", pos)):
         src, pos = _DECODE(text, _after(text, pos, comma + '{"from":'))
         start = _after(text, pos, ',"gauge":' + _GAUGE_START)
         end = text.index('},"point":', start)
@@ -711,47 +639,69 @@ def _text_transitions(text, pos):
         pos, comma = _after(text, pos, "}"), ","
 
 
-def _read_canonical(data):
-    """The atlas (its head before the transitions read as JSON) or gauge in
-    the canonical text ``data``; None for any other input or one failing a check."""
+def _read_canonical(text):
+    """The atlas (its head before the transitions read as JSON) or gauge in the
+    canonical text ``text``, read in place; None for any other input or one failing a check."""
     try:
-        text = data.decode("utf-8").rstrip(" \t\n\r")
-        if text.startswith(_GAUGE_START) and text.endswith("}"):
-            return _text_gauge(text[15:-1], _GAUGE_FIELDS, {})
+        end = len(text.rstrip(" \t\n\r"))
+        if text.startswith(_GAUGE_START) and text.endswith("}", 0, end):
+            return _text_gauge(text[15:end - 1], _GAUGE_FIELDS, {})
         if text.startswith('{"base":'):
             at, memo = text.index(',"transitions":['), {}
             return _atlas(json.loads(text[:at] + "}"), memo,
-                          lambda: _text_transitions(text, at + 16),
+                          lambda: _text_transitions(text, at + 16, end),
                           lambda raw, where: _text_gauge(raw, "", memo, where))
     except (MvbError, ValueError):
         return None
 
 
-def parse(data):
-    """Parse bytes into the object named by their ``kind`` field; canonical
-    atlas and gauge text is read by its text (``_read_canonical``)."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    value = _read_canonical(data)
+def _by_text(obj, kind):
+    """The ``kind`` object, an atlas or a gauge, of the JSON tree ``obj``,
+    read from its canonical text; the JSON reader reads it when the text
+    reader declines, and names its errors."""
+    value = None
+    if isinstance(obj, dict) and obj.get("kind") == kind:
+        value = _read_canonical(_ENCODE(obj))
     if value is not None:
         return value
+    if kind == "atlas":
+        return atlas_from_json(obj)
+    _check_header(obj, "gauge", "a gauge")
+    return gauge_from_json(obj)
+
+
+def parse(data):
+    """Parse bytes into the object named by their ``kind`` field; an atlas
+    or gauge is read by its canonical text (``_read_canonical``): the input
+    as it stands, or else its JSON tree written canonically (``_by_text``).
+    Input nested too deeply to read is an error, not a traceback."""
     try:
-        obj = json.loads(data.decode("utf-8"))
+        text = data if isinstance(data, str) else data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ParseError("input is not UTF-8: %s" % err, position=err.start)
+    try:
+        value = _read_canonical(text)
+        return _parsed_tree(text) if value is None else value
+    except RecursionError:
+        raise ParseError("input nested too deeply to read") from None
+
+
+def _parsed_tree(text):
+    """The object of ``text`` read as JSON, the kind named by its tree."""
+    try:
+        obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError("invalid JSON at offset %d: %s" % (err.pos, err.msg),
                          position=err.pos)
+    except ValueError as err:  # an integer longer than the int-to-string limit
+        raise ParseError("invalid JSON: %s" % err)
     if not isinstance(obj, dict):
         raise SchemaError("top-level JSON value must be an object")
     kind = obj.get("kind")
-    if kind == "atlas":
-        return atlas_from_json(obj)
+    if kind in ("atlas", "gauge"):
+        return _by_text(obj, kind)
     if kind == "element":
         return element_from_json(obj)
-    if kind == "gauge":
-        _check_header(obj, "gauge", "a gauge")
-        return gauge_from_json(obj)
     if kind == "generator":
         return generator_from_json(obj)
     if kind == "morphism":

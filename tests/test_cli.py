@@ -82,6 +82,65 @@ def test_syntax_error_exit_two(tmp_path, capsys):
     assert "offset" in err
 
 
+def test_deeply_nested_input_exits_two(tmp_path, capsys):
+    """It raised RecursionError out of cli.run."""
+    path = tmp_path / "deep.json"
+    path.write_bytes(b"[" * 100000)
+    code, out, err = invoke(capsys, ["validate", str(path)])
+    assert (code, out, err) == (2, "", "input error: input nested too deeply to read\n")
+
+
+def deepest_json_nesting():
+    """The deepest nesting of lists ``json.loads`` reads from here, found
+    by bisection."""
+    def reads(depth):
+        try:
+            json.loads("[" * depth + "]" * depth)
+            return True
+        except RecursionError:
+            return False
+    low, high = 1, 100000
+    assert reads(low) and not reads(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if reads(middle) else (low, middle)
+    return low
+
+
+@pytest.mark.parametrize("spelling", ["canonical", "indented"])
+def test_an_atlas_nested_up_to_the_json_limit_exits_two(tmp_path, capsys, spelling):
+    """A base point that is an array nested up to the deepest depth
+    ``json.loads`` reads.  Read as text, read as JSON, written again
+    canonically or named in an error, it raised RecursionError under
+    CPython 3.11, whose limit counts the caller's frames."""
+    deepest = deepest_json_nesting()
+    body = formats.atlas_to_json(twisted_instance(5, n=1, n_points=1, n_charts=1))
+    text = formats.canonical_text(body) if spelling == "canonical" else json.dumps(body, indent=1)
+    at = text.index("[", text.index('"base":')) + 1
+    path = tmp_path / "deep.json"
+    for depth in range(deepest - 24, deepest + 1):
+        # the atlas object and its base list hold the rest
+        path.write_text(text[:at] + "[" * (depth - 2) + "]" * (depth - 2) + "," + text[at:])
+        code, out, err = invoke(capsys, ["validate", str(path)])
+        assert (code, out) == (2, "") and err.startswith("input error: "), (depth, err[:200])
+
+
+@pytest.mark.parametrize("digits, limit", [(5000, None), (1000, 640)],
+                         ids=["default-limit", "lowered-limit"])
+def test_an_over_long_json_integer_exits_two(tmp_path, capsys, digits, limit):
+    """``json.loads`` reads no integer past the int-to-string limit; its
+    ValueError escaped cli.run."""
+    path = tmp_path / "long.json"
+    path.write_text('{"kind":"atlas","n":' + "1" * digits + "}")
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit or default)
+    try:
+        code, out, err = invoke(capsys, ["validate", str(path)])
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert (code, out) == (2, "") and err.startswith("input error: invalid JSON: "), err
+
+
 def test_gen_then_validate_round_trip(tmp_path, capsys):
     out_path = str(tmp_path / "gen.json")
     code, out, _ = invoke(capsys, [

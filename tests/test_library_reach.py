@@ -62,6 +62,7 @@ SWEEP = [
     (["decompose"], 2),
     (["bogus"], 2),
     (["validate", "a3.json"], 0),
+    (["validate", "reordered.json"], 0),
     (["--output", "text", "validate", "broken.json"], 1),
     (["face", "a3.json", "--outer", "1,2", "--inner", "1"], 0),
     (["--output", "text", "core", "a3.json", "--s", "1,2,3", "--j", "1,2"], 0),
@@ -184,6 +185,12 @@ def _sweep_inputs(workdir):
     _write(workdir / "a3.json", twisted_instance(11, n=3, max_dim=1, n_points=1, n_charts=2))
     a2 = twisted_instance(12, n=2, n_points=2, n_charts=2)
     _write(workdir / "a2.json", a2)
+    # blocks in another order: a spelling the text reader declines
+    body = json.loads(formats.dumps(a2))
+    for transition in body["transitions"]:
+        for component in transition["gauge"]["components"]:
+            component["blocks"].reverse()
+    (workdir / "reordered.json").write_text(json.dumps(body))
     # twist one direction of a transition pair only: the pair stops being
     # mutually inverse
     p = next(p for p in a2.base if len(a2.charts_at(p)) >= 2)
