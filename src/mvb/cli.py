@@ -68,12 +68,13 @@ def _load(path):
         return handle.read()
 
 
-def _load_as(path, kind, noun):
-    """The object a file holds, which must be a ``kind`` (``noun`` in errors)."""
-    obj = formats.parse(_load(path))
-    if not isinstance(obj, kind):
+def _load_as(path, kind, noun, fingerprinted=False):
+    """The object a file holds, which must be a ``kind`` (``noun`` in errors);
+    ``fingerprinted``, paired with its fingerprint (``formats.parse``)."""
+    found = formats.parse(_load(path), fingerprinted)
+    if not isinstance(found[0] if fingerprinted else found, kind):
         raise SchemaError("%s does not hold %s" % (path, noun))
-    return obj
+    return found
 
 
 def _subset(text):
@@ -274,9 +275,9 @@ def cmd_stato(args):
 
 
 def cmd_hom(args):
-    e_pres = _load_as(args.source, AtlasPresentation, "an atlas")
+    e_pres, fingerprint = _load_as(args.source, AtlasPresentation, "an atlas", True)
     f_pres = _load_as(args.target, AtlasPresentation, "an atlas")
-    report = Report("hom", formats.fingerprint(e_pres))
+    report = Report("hom", fingerprint)
     result = hom_bundle(e_pres, f_pres)
     _validation_into(report, result)
     report.set_result(formats.to_text(result), args.out)
@@ -312,8 +313,9 @@ def cmd_lift3(report, presentation, args):
 
 
 def cmd_inf(args):
-    infinity = _load_as(args.generator, InfinityPresentation, "a tower generator")
-    report = Report("inf-%s" % args.action, formats.fingerprint(infinity))
+    infinity, fingerprint = _load_as(args.generator, InfinityPresentation,
+                                     "a tower generator", True)
+    report = Report("inf-%s" % args.action, fingerprint)
     if args.action == "truncate":
         result = infinity.truncate(args.n)
         if args.n >= 1:
@@ -350,13 +352,13 @@ _STRATEGY = {"default": "least-chart", "choices": STRATEGIES}
 
 
 def _atlas_command(body, *flags):
-    """The table entry of a subcommand on one atlas file: its ``fn`` loads
-    and fingerprints the atlas, opens a report named after the subcommand,
-    runs ``body(report, presentation, args)`` on it and emits it, so a
-    check on every atlas input is made in one place."""
+    """The table entry of a subcommand on one atlas file: its ``fn`` loads and
+    fingerprints the atlas (by the file's own bytes when checked canonical),
+    opens a report named after the subcommand, runs ``body(report, presentation,
+    args)`` on it and emits it, so a check on every atlas input is made in one place."""
     def fn(args):
-        presentation = _load_as(args.instance, AtlasPresentation, "an atlas")
-        report = Report(args.command, formats.fingerprint(presentation))
+        presentation, fingerprint = _load_as(args.instance, AtlasPresentation, "an atlas", True)
+        report = Report(args.command, fingerprint)
         body(report, presentation, args)
         return _emit(report, args)
     return fn, (("instance", {}), _OUT) + flags

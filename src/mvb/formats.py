@@ -18,9 +18,11 @@ with a longer part is an error naming its component, not a longer text.
 as it stands when it is that text, else its JSON tree written
 canonically.  One such read decodes each distinct tensor and dims text
 once, in an interning table keyed by the text, so every place a piece
-appears holds one object.  The JSON reader names the errors and reads
-the spellings the text reader declines, and elements, rule generators
-and morphism data.
+appears holds one object, and checks once that the writer writes it, so
+``parse`` fingerprints an input that ``to_text`` writes byte for byte by
+its own bytes, with nothing written.  The JSON reader names the errors
+and reads the spellings the text reader declines, and elements, rule
+generators and morphism data.
 One serialization (``to_text``) writes canonical text straight from the
 objects, with no JSON tree between: a memo that lives for that call
 keeps the text of each distinct tensor and dims list by value, so equal
@@ -32,7 +34,8 @@ import hashlib
 import json
 import re
 from fractions import Fraction
-from math import lcm, prod
+from itertools import starmap
+from math import gcd, lcm, prod
 
 from .atlas import AtlasPresentation, Chart, FiniteBase
 from .bundle import BundleElement, BundleMorphism
@@ -283,14 +286,14 @@ def _chart_specs(items, where):
 
 def _atlas(obj, memo, transitions, read_gauge):
     """The atlas ``obj`` with ``transitions()``, each gauge read by
-    ``read_gauge(raw, where)``; ``memo`` keeps the dims by their text."""
+    ``read_gauge(raw, where)``; ``memo`` maps the writer's text of the dims to (dims, True)."""
     _check_header(obj, "atlas", "an atlas")
     n = _cube_dimension(obj, "atlas")
     base = FiniteBase([_name(p, "atlas base point") for p in _list_value(obj, "base", "atlas")])
     charts = tuple(Chart(*spec) for spec in _chart_specs(_list_value(obj, "charts", "atlas"),
                                                           "atlas"))
     dims = dims_from_json(n, obj.get("dims"))
-    memo[n, _dims_text(dims, {})] = dims
+    memo[n, _dims_text(dims, {})] = dims, True
     out = {}
     for item in transitions():
         try:
@@ -361,7 +364,10 @@ def generator_from_json(obj):
     if not isinstance(body, dict):
         raise SchemaError("generator body missing")
     if body.get("kind") == "stabilizing":
-        instance = _by_text(body.get("instance"), "atlas")
+        instance = body.get("instance")
+        found = (_read_canonical(_ENCODE(instance)) if isinstance(instance, dict)
+                 and instance.get("kind") == "atlas" else None)
+        instance = atlas_from_json(instance) if found is None else found[0]
         level = body.get("N")
         if type(level) is not int or level != instance.n:
             raise SchemaError("stabilizing generator: N must be the instance's level %d,"
@@ -451,16 +457,19 @@ def _charts_text(charts):
                              for cid, domain in charts)
 
 
+def _atlas_head(a, memo):  # an atlas's text before its transitions
+    return '{"base":%s,"charts":%s,"dims":%s,"format_version":%d,"kind":"atlas","n":%d' % (
+        _ENCODE(list(a.base.points)), _charts_text((c.id, c.domain) for c in a.charts),
+        _dims_text(a.dims, memo), FORMAT_VERSION, a.n)
+
+
 def _atlas_text(a):
     memo = {}
-    return ('{"base":%s,"charts":%s,"dims":%s,"format_version":%d,"kind":"atlas",'
-            '"n":%d,"transitions":[%s]}') % (
-        _ENCODE(list(a.base.points)), _charts_text((c.id, c.domain) for c in a.charts),
-        _dims_text(a.dims, memo), FORMAT_VERSION, a.n, ",".join(
-            '{"from":%s,"gauge":%s,"point":%s,"to":%s}' % (
-                _ENCODE(src), _gauge_text(g, "transition %s<-%s at %s" % (dst, src, p), memo),
-                _ENCODE(p), _ENCODE(dst))
-            for (dst, src, p), g in sorted(a.transitions.items())))
+    return '%s,"transitions":[%s]}' % (_atlas_head(a, memo), ",".join(
+        '{"from":%s,"gauge":%s,"point":%s,"to":%s}' % (
+            _ENCODE(src), _gauge_text(g, "transition %s<-%s at %s" % (dst, src, p), memo),
+            _ENCODE(p), _ENCODE(dst))
+        for (dst, src, p), g in sorted(a.transitions.items())))
 
 
 def _element_text(elem):
@@ -554,23 +563,16 @@ def canonical_bytes(obj):
     return _ENCODE(obj).encode("utf-8")
 
 
-# a tensor text, and its entries "p" or "p/q", parts of at most _CHUNK digits
+# a tensor text, and its entries "p" or "p/q", parts of at most _CHUNK digits;
+# _EXACT: entries as the writer writes them: "0", or no "+", leading zero or "/1"
 _TENSOR = re.compile(r'\{"entries":\[([^]]*)\],"in_dims":\[([^]]*)\],'
                      r'"out_dim":([^}]*)\}').fullmatch
 _ENTRIES = re.compile(r'(?:"[+-]?[0-9]{1,%d}(?:/[0-9]{1,%d})?"(?:,(?=")|\Z))*'
                       % (_CHUNK, _CHUNK)).fullmatch
+_EXACT = re.compile(r'(?:"(?:0|-?[1-9][0-9]{0,%d}(?:/(?:[2-9]|[1-9][0-9]{1,%d}))?)"'
+                    r'(?:,(?=")|\Z))*' % (_CHUNK - 1, _CHUNK - 1)).fullmatch
 _DECODE = json.JSONDecoder().raw_decode
 _GAUGE_START = '{"components":['
-
-
-def _interned(memo, key, read, *args):
-    """``read(*args)``, or the object an earlier read under an equal ``key``
-    (a tensor text, or ``n`` and a dims text) made; ``memo`` is the
-    interning table of one read."""
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = read(*args)
-    return found
 
 
 @_memoized(256)
@@ -583,9 +585,11 @@ def _naturals(text):
 
 
 def _text_tensor(text):
-    """The tensor of a tensor text, built as ``tensor_from_json`` builds it."""
+    """The tensor of a tensor text, built as ``tensor_from_json`` builds it,
+    and whether ``_tensor_text`` writes that text: entries in lowest terms."""
     match = _TENSOR(text)
-    if match is None or not _ENTRIES(match[1]):
+    exact = match is not None and _EXACT(match[1]) is not None
+    if not exact and (match is None or not _ENTRIES(match[1])):
         raise ValueError("not a tensor text")
     entries, in_dims, (out_dim,) = match[1], _naturals(match[2]), _naturals(match[3])
     parts = entries[1:-1].split('","') if entries else []
@@ -593,31 +597,48 @@ def _text_tensor(text):
     den = lcm(*{q for _, q in pairs})
     if len(pairs) != out_dim * prod(in_dims) or not den:
         raise ValueError("a zero denominator, or entries that do not fit the shape")
-    return MultiTensor.from_integers(out_dim, in_dims, [p * (den // q) for p, q in pairs], den)
+    exact = exact and ("/" not in entries or max(starmap(gcd, pairs)) == 1)
+    return MultiTensor.from_integers(
+        out_dim, in_dims, [p * (den // q) for p, q in pairs], den), exact
 
 
-def _text_gauge(text, fields, memo, where="gauge"):
-    """The gauge of a gauge text inside ``{"components":[`` and the last
-    brace, ``fields`` before its ``n``; ``n`` and dims are read before any
-    plan, and ``memo`` keeps each distinct tensor and dims text's object.
-    A tensor is a component's last field and only object: only ``},`` ends one."""
+def _text_dims(n, text):
+    """The dims of a dims text over ``n`` axes, and whether ``_dims_text`` writes it."""
+    dims = dims_from_json(n, json.loads(text))
+    return dims, _dims_text(dims, {}) == text
+
+
+def _text_gauge(text, fields, memo, odd, where="gauge"):
+    """The gauge of a gauge text inside ``{"components":[`` and the last brace,
+    ``fields`` before its ``n``: ``n`` and dims read before any plan, each distinct
+    tensor and dims text once into ``memo`` with whether the writer writes it; ``odd``
+    gains ``where`` unless it writes all of ``text``.  A tensor is a component's
+    last field and only object: only ``},`` ends one."""
     tail = '],%s"n":' % fields
     body = text[:text.index(tail)]
     at_src = text.index(',"source_dims":', len(body))
     at_tgt = text.index(',"target_dims":', at_src)
     (n,) = _naturals(text[len(body) + len(tail):at_src])
-    src, tgt = (_interned(memo, (n, piece), lambda: dims_from_json(n, json.loads(piece)))
-                for piece in (text[at_src + 15:at_tgt], text[at_tgt + 15:]))
+    (src, src_exact), (tgt, tgt_exact) = (
+        memo.get((n, piece)) or memo.setdefault((n, piece), _text_dims(n, piece))
+        for piece in (text[at_src + 15:at_tgt], text[at_tgt + 15:]))
     if not body.endswith("}"):
         raise ValueError("not a components list")
-    heads, components = _component_heads(n), []
+    heads, plan, components = _component_heads(n), cube_plan(n), []
+    if not src_exact or not tgt_exact:
+        odd.append(where)
     for piece in body[:-1].split("},"):
         cut = piece.index('"tensor":') + 9
         at = heads.get(piece[:cut])
         if at is None:
             raise ValueError("not a component head")
-        components.append((at, _interned(memo, piece[cut:], _text_tensor, piece[cut:])))
-    return _assembled_gauge(src, tgt, cube_plan(n), components, where)
+        piece = piece[cut:]
+        tensor, exact = memo.get(piece) or memo.setdefault(piece, _text_tensor(piece))
+        if not exact or components and components[-1][0] >= at or (
+                tensor.is_zero() and len(plan.keys[at][1]) > 1):
+            odd.append(where)
+        components.append((at, tensor))
+    return _assembled_gauge(src, tgt, plan, components, where)
 
 
 def _after(text, pos, literal):
@@ -625,69 +646,76 @@ def _after(text, pos, literal):
     return text.index(literal, pos, pos + len(literal)) + len(literal)
 
 
-def _text_transitions(text, pos, stop):
+def _text_transitions(text, pos, stop, odd):
     """Each transition, its gauge as text, from ``pos`` in a transitions
-    list whose atlas ends at ``stop``."""
-    comma = ""
+    list whose atlas ends at ``stop``; ``odd`` gains the key of one out of
+    key order or whose names are not the JSON strings ``_ENCODE`` writes."""
+    comma, last = "", ()
     while not (pos == stop - 2 and text.startswith("]}", pos)):
-        src, pos = _DECODE(text, _after(text, pos, comma + '{"from":'))
+        at_src = _after(text, pos, comma + '{"from":')
+        src, pos = _DECODE(text, at_src)
         start = _after(text, pos, ',"gauge":' + _GAUGE_START)
         end = text.index('},"point":', start)
         p, pos = _DECODE(text, end + 10)
         dst, pos = _DECODE(text, _after(text, pos, ',"to":'))
+        key = (dst, src, p)
+        if not odd and not (text[at_src:start] == _ENCODE(str(src)) + ',"gauge":' + _GAUGE_START
+                            and text[end:pos] == '},"point":%s,"to":%s' % (
+                                _ENCODE(str(p)), _ENCODE(str(dst))) and key > last):
+            odd.append(key)
         yield {"from": src, "to": dst, "point": p, "gauge": text[start:end]}
-        pos, comma = _after(text, pos, "}"), ","
+        pos, comma, last = _after(text, pos, "}"), ",", key
 
 
 def _read_canonical(text):
     """The atlas (its head before the transitions read as JSON) or gauge in the
-    canonical text ``text``, read in place; None for any other input or one failing a check."""
+    canonical text ``text``, read in place, and the length of ``text`` to its
+    last brace if ``to_text`` writes just that, else None; None for other input."""
+    odd = []
     try:
         end = len(text.rstrip(" \t\n\r"))
         if text.startswith(_GAUGE_START) and text.endswith("}", 0, end):
-            return _text_gauge(text[15:end - 1], _GAUGE_FIELDS, {})
-        if text.startswith('{"base":'):
+            value = _text_gauge(text[15:end - 1], _GAUGE_FIELDS, {}, odd)
+        elif text.startswith('{"base":'):
             at, memo = text.index(',"transitions":['), {}
-            return _atlas(json.loads(text[:at] + "}"), memo,
-                          lambda: _text_transitions(text, at + 16, end),
-                          lambda raw, where: _text_gauge(raw, "", memo, where))
+            value = _atlas(json.loads(text[:at] + "}"), memo,
+                           lambda: _text_transitions(text, at + 16, end, odd),
+                           lambda raw, where: _text_gauge(raw, "", memo, odd, where))
+            if text[:at] != _atlas_head(value, {}):
+                odd.append("atlas")
+        else:
+            return None
     except (MvbError, ValueError):
         return None
+    return value, None if odd else end
 
 
-def _by_text(obj, kind):
-    """The ``kind`` object, an atlas or a gauge, of the JSON tree ``obj``,
-    read from its canonical text; the JSON reader reads it when the text
-    reader declines, and names its errors."""
-    value = None
-    if isinstance(obj, dict) and obj.get("kind") == kind:
-        value = _read_canonical(_ENCODE(obj))
-    if value is not None:
-        return value
-    if kind == "atlas":
-        return atlas_from_json(obj)
-    _check_header(obj, "gauge", "a gauge")
-    return gauge_from_json(obj)
-
-
-def parse(data):
-    """Parse bytes into the object named by their ``kind`` field; an atlas
-    or gauge is read by its canonical text (``_read_canonical``): the input
-    as it stands, or else its JSON tree written canonically (``_by_text``).
-    Input nested too deeply to read is an error, not a traceback."""
+def parse(data, fingerprinted=False):
+    """Parse bytes into the object named by their ``kind`` field; an atlas or
+    gauge is read by its canonical text (``_read_canonical``): the input as it
+    stands, or else its JSON tree written canonically.  ``fingerprinted``, with
+    its ``fingerprint``: the bytes read hashed if the reader found them the
+    canonical text, else the object written.  Too deep input is an error."""
     try:
         text = data if isinstance(data, str) else data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ParseError("input is not UTF-8: %s" % err, position=err.start)
     try:
-        value = _read_canonical(text)
-        return _parsed_tree(text) if value is None else value
+        found = _read_canonical(text)
+        value, exact = found or _parsed_tree(text)
     except RecursionError:
         raise ParseError("input nested too deeply to read") from None
+    if not fingerprinted:
+        return value
+    if found and exact is not None:  # exact text is ASCII: it is the first ``exact`` bytes read
+        exact = memoryview(text.encode() if data is text else data)[:exact]
+    return value, fingerprint(value) if exact is None else hashlib.sha256(exact).hexdigest()
 
 
 def _parsed_tree(text):
-    """The object of ``text`` read as JSON, the kind named by its tree."""
+    """The object of ``text`` read as JSON, and its tree's canonical bytes if
+    exact: an atlas or gauge tree is dropped once so written, and read again
+    only for the JSON reader, when the text reader declines that text too."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
@@ -699,11 +727,21 @@ def _parsed_tree(text):
         raise SchemaError("top-level JSON value must be an object")
     kind = obj.get("kind")
     if kind in ("atlas", "gauge"):
-        return _by_text(obj, kind)
+        encoded = _ENCODE(obj)
+        if not text.startswith(encoded):  # else the text reader declined it already
+            del obj
+            found = _read_canonical(encoded)
+            if found is not None:
+                return found[0], None if found[1] is None else encoded.encode()
+            obj = json.loads(text)
+        del encoded
+        if kind == "gauge":
+            _check_header(obj, "gauge", "a gauge")
+        return (atlas_from_json if kind == "atlas" else gauge_from_json)(obj), None
     if kind == "element":
-        return element_from_json(obj)
+        return element_from_json(obj), None
     if kind == "generator":
-        return generator_from_json(obj)
+        return generator_from_json(obj), None
     if kind == "morphism":
         raise SchemaError(
             "morphism data must be bound with morphism_from_json and its presentations")

@@ -15,7 +15,9 @@ only on the values an input holds.  Edits written with ``json.dumps``,
 canonically, and with blocks reversed (which the JSON reader reads),
 and mutations of canonical text, must read as the eager reader or the
 JSON reader reads them, and no canonical or indented input may reach
-the JSON reader's component checks.
+the JSON reader's component checks.  The text reader calls what it read
+exact just when ``to_text`` writes that text, so an input is fingerprinted
+by its own bytes only then, and by the text written from it otherwise.
 """
 import contextlib
 import copy
@@ -776,3 +778,205 @@ def test_ids_and_points_with_escapes_are_written_as_the_eager_writer_writes_them
         assert formats.dumps(value) == eager_bytes(value)
     assert validate_fingerprint(capsys, raw) == validate_fingerprint(capsys, escaped) \
         == hashlib.sha256(eager_bytes(parsed)).hexdigest()
+
+
+# The text reader also tells whether the text it read is byte for byte what
+# ``to_text`` writes for the value; a fingerprint then hashes the bytes read,
+# and the value is written only when they are not that text.
+
+def exact_text(text):
+    """``_read_canonical``'s verdict on ``text``, checked against the
+    writer: None when it declines, else the length of the text it found
+    exact, or None."""
+    found = formats._read_canonical(text)
+    if found is None:
+        return None
+    value, exact = found
+    written = formats.to_text(value)
+    assert (exact is not None) == (written == text.rstrip(" \t\n\r")), text[:200]
+    assert exact is None or text[:exact] == written
+    return exact
+
+
+def fingerprinted(monkeypatch, data):
+    """``parse(data, fingerprinted=True)`` and whether it wrote the value."""
+    written = []
+    write = formats.fingerprint
+    monkeypatch.setattr(formats, "fingerprint", lambda value: written.append(value) or write(value))
+    value, digest = formats.parse(data, fingerprinted=True)
+    monkeypatch.setattr(formats, "fingerprint", write)
+    assert digest == formats.fingerprint(value)
+    return value, digest, bool(written)
+
+
+@pytest.fixture(scope="module")
+def writer_texts(tmp_path_factory):
+    """The text of every atlas and gauge file a test or bench run reads."""
+    return [data.decode() for data in canonical_files(tmp_path_factory.mktemp("files")).values()]
+
+
+def test_every_canonical_file_is_fingerprinted_by_its_own_bytes(writer_texts, monkeypatch):
+    """The canonical files, with a trailing newline or not, given as bytes or
+    as text, and their indented copies: none is written to be fingerprinted."""
+    for text in writer_texts:
+        assert exact_text(text) == len(text.rstrip())
+        digest = hashlib.sha256(text.rstrip().encode()).hexdigest()
+        for data in (text, text.encode(), text.rstrip() + "\n",
+                     json.dumps(json.loads(text), indent=1)):
+            value, got, written = fingerprinted(monkeypatch, data)
+            assert (got, written) == (digest, False)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_the_exact_flag_holds_just_when_the_writer_writes_the_text(writer_texts, data):
+    """Mutated canonical texts: whenever the text reader reads one, it
+    calls it exact just when ``to_text`` of what it read is that text."""
+    text = data.draw(st.sampled_from(writer_texts))
+    mutation = data.draw(st.sampled_from(sorted(TEXT_MUTATIONS)))
+    exact_text(TEXT_MUTATIONS[mutation](seeded(data.draw(st.integers(0, 999))), text))
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_the_exact_flag_holds_just_when_the_writer_writes_edited_texts(data):
+    exact_text(edited(lambda options: data.draw(st.sampled_from(options)),
+                      formats.canonical_text))
+
+
+def _plan_ordered(body):
+    """``body`` with every gauge's components in plan order."""
+    plan = cube_plan(body["n"])
+    for gauge in gauges_of(body):
+        gauge["components"].sort(key=lambda c: plan.index[
+            (tuple(c["target"]), Partition(c["blocks"]))])
+    return body
+
+
+def _entry_spelled(old, new):
+    """An edit of a canonical text: the first tensor entry ``old`` spelled ``new``."""
+    def edit(text):
+        entry = re.search(r'(?<="entries":\[)(?:"[^"]*",)*"%s"(?=[],])' % re.escape(old), text)
+        return text[:entry.end() - len(old) - 1] + new + text[entry.end() - 1:]
+    return edit
+
+
+def _edit(edit):
+    """An edit of a canonical text made on its JSON tree."""
+    return lambda text: formats.canonical_text(edit(json.loads(text)))
+
+
+def _integer_from(body):
+    """The first transition's ``from``, a chart id of digits, as that JSON integer."""
+    body["transitions"][0]["from"] = int(body["transitions"][0]["from"])
+    return body
+
+
+def _raw_point(text):
+    """Every transition's point ``é`` written raw, not escaped as in the base
+    and charts and as the writer writes it."""
+    at = text.index('"transitions":[')
+    return text[:at] + text[at:].replace('"point":"\\u00e9"', '"point":"é"')
+
+
+def _reversed_transitions(body):
+    body["transitions"].reverse()
+    return body
+
+
+def _reversed_in_gauges(field):
+    """An edit of a JSON tree: ``field`` of every gauge reversed."""
+    def edit(body):
+        for gauge in gauges_of(body):
+            gauge[field].reverse()
+        return body
+    return edit
+
+
+NOT_EXACT = {
+    "2/4": _entry_spelled("1/2", "2/4"),
+    "+1": _entry_spelled("1", "+1"),
+    "01": _entry_spelled("1", "01"),
+    "1/1": _entry_spelled("1", "1/1"),
+    "0/5": _entry_spelled("0", "0/5"),
+    "zero-component": _edit(lambda body: _plan_ordered(_explicit_zeros(body))),
+    "transitions-reordered": _edit(_reversed_transitions),
+    "dims-reordered": _edit(_reversed_in_gauges("source_dims")),
+    "components-reordered": _edit(_reversed_in_gauges("components")),
+    "integer-chart-id": _edit(_integer_from),
+    "raw-point": _raw_point,
+}
+
+
+def _fraction_atlas():
+    """A canonical atlas text holding ``"1/2"``, ``"1"`` and ``"0"`` entries
+    and an absent multi-block component, its point ``p0`` renamed ``é``."""
+    for seed in range(100):
+        text = formats.to_text(twisted_instance(seed, n=3, n_points=2, n_charts=2))
+        if all(entry in text for entry in ('"1/2"', '"1"', '"0"')):
+            return formats.to_text(formats.parse(text.replace('"p0"', '"\\u00e9"')))
+    raise AssertionError("no seed gives a 1/2 entry")
+
+
+@pytest.mark.parametrize("name", list(NOT_EXACT))
+def test_spellings_the_text_reader_reads_are_not_exact(tmp_path, capsys, monkeypatch, name):
+    """Each spelling is read by the text reader, is not the writer's text,
+    and gets the writer's text's fingerprint all the same."""
+    canonical = _fraction_atlas()
+    text = NOT_EXACT[name](canonical)
+    assert text != canonical
+    assert formats._read_canonical(text) is not None and exact_text(text) is None
+    value, digest, written = fingerprinted(monkeypatch, text.encode())
+    assert written and formats.to_text(value) == canonical
+    path = tmp_path / "atlas.json"
+    path.write_bytes(text.encode())
+    assert validate_fingerprint(capsys, path) == digest \
+        == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spelling", ["canonical", "newline", "indented", "edited"])
+def test_the_reported_fingerprint_is_the_writers_text_hashed(tmp_path, capsys, spelling):
+    atlas = twisted_instance(33, n=3, n_points=2, n_charts=3)
+    text = formats.to_text(atlas)
+    text = {"canonical": text, "newline": text + "\n",
+            "indented": json.dumps(json.loads(text), indent=2),
+            "edited": formats.canonical_text(_shuffled(json.loads(text)))}[spelling]
+    path = tmp_path / "atlas.json"
+    path.write_text(text)
+    value = formats.parse(text)
+    for command in (["validate"], ["decompose"], ["hom", str(path)]):
+        assert cli.run(command[:1] + [str(path)] + command[1:]) in (0, 1)
+        got = json.loads(capsys.readouterr().out)["fingerprint"]
+        assert got == formats.fingerprint(value) == hashlib.sha256(
+            formats.dumps(atlas)).hexdigest(), command
+
+
+@pytest.mark.parametrize("command", ["validate", "decompose"])
+def test_a_canonical_atlas_is_fingerprinted_with_nothing_written(tmp_path, monkeypatch, command):
+    path = tmp_path / "atlas.json"
+    path.write_bytes(formats.dumps(gen_atlas()) + b"\n")
+    calls = []
+    write = formats._atlas_text
+    monkeypatch.setattr(formats, "_atlas_text", lambda a: calls.append(a) or write(a))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.run([command, str(path)]) == 0
+    assert calls == []
+    assert json.loads(out.getvalue())["fingerprint"] == hashlib.sha256(
+        formats.dumps(gen_atlas())).hexdigest()
+
+
+def test_a_declined_canonical_input_is_read_by_text_once(tmp_path, monkeypatch):
+    """Ingest's malformed atlases, written canonically as the workload
+    writes them, reach the text reader once each: their JSON tree written
+    canonically is the same text, so it is not read again."""
+    files = {name: data for name, data in workload_files(tmp_path, "ingest").items()
+             if name.startswith("malformed-")}
+    assert len(files) == 3
+    calls = []
+    read = formats._read_canonical
+    monkeypatch.setattr(formats, "_read_canonical", lambda text: calls.append(text) or read(text))
+    for name, data in files.items():
+        with pytest.raises(SchemaError):
+            formats.parse(data)
+        assert calls == [data.decode()], name
+        del calls[:]
