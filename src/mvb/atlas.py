@@ -12,9 +12,16 @@ conditions are checked on a spanning family: identity self-transitions,
 mutually inverse pairs (reported at the degenerate triple (a, b, a)),
 and one orientation per unordered chart triple; all other orientations
 follow from these.
+
+``overlaps`` lists the transition keys of a chart system in the one
+order every builder uses.  ``conjugates`` is the one frame rule: given a
+frame gauge per chart and point, it makes the transitions of a whole
+level as frame conjugates, so their cocycles hold by construction.
+Random instances and rule-generated tower levels are built by it.
 """
 
 from collections.abc import Mapping
+from functools import cache
 
 from .cubecat import Partition, cube_plan
 from .errors import InvalidInput
@@ -347,6 +354,24 @@ def single_chart(base, chart_id="0"):
     return (Chart(chart_id, tuple(base)),)
 
 
+def overlaps(charts):
+    """Every transition key (a, b, p) of ``charts``, p in both domains:
+    by chart a, then chart b, then a's domain order."""
+    return [(ca.id, cb.id, p) for ca in charts for cb in charts
+            for p in ca.domain if p in cb.domain]
+
+
+def conjugates(dims, charts, frame):
+    """The frame rule over the overlaps of ``charts``: t[a<-b](p) is
+    F_a(p) . F_b(p)^{-1} for the gauge F_c(p) = ``frame(c, p)``, each made
+    and inverted at most once, on first need; a chart's own transitions
+    are ``identity_gauge(dims)``, what F . F^{-1} is."""
+    frame = cache(frame)
+    ident, inverse = identity_gauge(dims), cache(lambda c, p: frame(c, p).invert())
+    return {(a, b, p): ident if a == b else frame(a, p).compose(inverse(b, p))
+            for a, b, p in overlaps(charts)}
+
+
 def decomposed(dims, base, charts=None, transitions=None, axis_blocks=None):
     """The decomposed presentation: block-diagonal (default identity) gluing.
 
@@ -357,17 +382,10 @@ def decomposed(dims, base, charts=None, transitions=None, axis_blocks=None):
     base = base if isinstance(base, FiniteBase) else FiniteBase(base)
     charts = tuple(charts) if charts else single_chart(base)
     charts = tuple(c if isinstance(c, Chart) else Chart(*c) for c in charts)
-    out = {}
-    ident = identity_gauge(dims)
-    for ca in charts:
-        for cb in charts:
-            for p in ca.domain:
-                if p in cb.domain:
-                    key = (ca.id, cb.id, p)
-                    g = (transitions or {}).get(key, ident)
-                    if not g.is_block_diagonal():
-                        raise InvalidInput("decomposed transitions must be one-block")
-                    out[key] = g
+    ident, transitions = identity_gauge(dims), transitions or {}
+    out = {key: transitions.get(key, ident) for key in overlaps(charts)}
+    if not all(g.is_block_diagonal() for g in out.values()):
+        raise InvalidInput("decomposed transitions must be one-block")
     return AtlasPresentation(dims.n, dims, base, charts, out, axis_blocks)
 
 

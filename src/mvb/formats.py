@@ -187,11 +187,19 @@ def _string_field(obj, key, where):
     return value
 
 
-def gauge_from_json(obj, where="gauge"):
-    """The gauge ``obj`` holds."""
+def _check_level(n, within):
+    """Reject a gauge whose ``n`` differs from its container's: ``within`` is
+    None or (that n, the error), checked before any dims or plan are read."""
+    if within is not None and n != within[0]:
+        raise SchemaError(within[1])
+
+
+def gauge_from_json(obj, where="gauge", within=None):
+    """The gauge ``obj`` holds, over the cube ``within`` names (``_check_level``)."""
     if not isinstance(obj, dict):
         raise SchemaError("%s must be an object" % where)
     n = _cube_dimension(obj, where)
+    _check_level(n, within)
     src = dims_from_json(n, obj.get("source_dims"), where + ".source_dims")
     tgt = dims_from_json(n, obj.get("target_dims"), where + ".target_dims")
     plan = cube_plan(n)
@@ -285,8 +293,8 @@ def _chart_specs(items, where):
 
 
 def _atlas(obj, memo, transitions, read_gauge):
-    """The atlas ``obj`` with ``transitions()``, each gauge read by
-    ``read_gauge(raw, where)``; ``memo`` maps the writer's text of the dims to (dims, True)."""
+    """The atlas ``obj`` with ``transitions()``, each gauge read by ``read_gauge(raw,
+    where, within)``; ``memo`` maps the writer's text of the dims to (dims, True)."""
     _check_header(obj, "atlas", "an atlas")
     n = _cube_dimension(obj, "atlas")
     base = FiniteBase([_name(p, "atlas base point") for p in _list_value(obj, "base", "atlas")])
@@ -305,9 +313,10 @@ def _atlas(obj, memo, transitions, read_gauge):
         where = "transition %s<-%s at %s" % key
         if key in out:
             raise SchemaError("duplicate %s" % where)
-        g = read_gauge(item.get("gauge"), where)
+        mismatch = "%s: gauge dims differ from the atlas dims" % where
+        g = read_gauge(item.get("gauge"), where, (n, mismatch))
         if g.source_dims != dims or g.target_dims != dims:
-            raise SchemaError("%s: gauge dims differ from the atlas dims" % where)
+            raise SchemaError(mismatch)
         out[key] = g
     try:
         return AtlasPresentation(n, dims, base, charts, out)
@@ -350,7 +359,9 @@ def morphism_from_json(obj, source, target):
         where = "morphism data at (%s, %s)" % (chart, p)
         if (chart, p) in data:
             raise SchemaError("duplicate %s" % where)
-        data[(chart, p)] = gauge_from_json(item.get("gauge"), where)
+        data[(chart, p)] = gauge_from_json(item.get("gauge"), where, (
+            source.n, "morphism inconsistent with presentations: morphism data shape"
+            " mismatch at (%r, %r)" % (chart, p)))
     try:
         return BundleMorphism(source, target, data)
     except Exception as err:
@@ -608,9 +619,10 @@ def _text_dims(n, text):
     return dims, _dims_text(dims, {}) == text
 
 
-def _text_gauge(text, fields, memo, odd, where="gauge"):
+def _text_gauge(text, fields, memo, odd, where="gauge", within=None):
     """The gauge of a gauge text inside ``{"components":[`` and the last brace,
-    ``fields`` before its ``n``: ``n`` and dims read before any plan, each distinct
+    ``fields`` before its ``n``: ``n`` checked against ``within`` (``_check_level``)
+    and dims read before any plan, each distinct
     tensor and dims text once into ``memo`` with whether the writer writes it; ``odd``
     gains ``where`` unless it writes all of ``text``.  A tensor is a component's
     last field and only object: only ``},`` ends one."""
@@ -619,6 +631,7 @@ def _text_gauge(text, fields, memo, odd, where="gauge"):
     at_src = text.index(',"source_dims":', len(body))
     at_tgt = text.index(',"target_dims":', at_src)
     (n,) = _naturals(text[len(body) + len(tail):at_src])
+    _check_level(n, within)
     (src, src_exact), (tgt, tgt_exact) = (
         memo.get((n, piece)) or memo.setdefault((n, piece), _text_dims(n, piece))
         for piece in (text[at_src + 15:at_tgt], text[at_tgt + 15:]))
@@ -680,7 +693,8 @@ def _read_canonical(text):
             at, memo = text.index(',"transitions":['), {}
             value = _atlas(json.loads(text[:at] + "}"), memo,
                            lambda: _text_transitions(text, at + 16, end, odd),
-                           lambda raw, where: _text_gauge(raw, "", memo, odd, where))
+                           lambda raw, where, within: _text_gauge(
+                               raw, "", memo, odd, where, within))
             if text[:at] != _atlas_head(value, {}):
                 odd.append("atlas")
         else:

@@ -1,9 +1,10 @@
 """Seeded random generators for gauges and twisted instances.
 
-Twisted atlases are built by conjugation: each chart gets a random
-invertible gauge per point and the transition from chart b to chart a
-at p is g_a(p) composed with the inverse of g_b(p).  Cocycle conditions
-then hold by construction, so every generated instance validates.
+Twisted atlases are built by the frame rule ``atlas.conjugates``: each
+chart gets a random invertible gauge per point, all drawn first in chart
+then domain order, and the transition from chart b to chart a at p is g_a(p)
+composed with the inverse of g_b(p).  Cocycle conditions then hold by
+construction, so every generated instance validates.
 """
 
 import random
@@ -72,25 +73,15 @@ def twisted_instance(seed, n=2, max_dim=2, n_points=2, n_charts=2, dims=None):
     instance validates by construction.  One-chart layouts give a
     (possibly nontrivially presented) globally trivialized instance.
     """
-    from .atlas import AtlasPresentation, FiniteBase
+    from .atlas import AtlasPresentation, FiniteBase, conjugates
     rng = random.Random(seed)
     points = ["p%d" % i for i in range(n_points)]
     base = FiniteBase(points)
     if dims is None:
         dims = random_dims(rng, n, max_dim=max_dim, min_dim=1)
     charts = _chart_layout(rng, points, n_charts)
-    frames = {}
-    for c in charts:
-        for p in c.domain:
-            frames[(c.id, p)] = random_gauge(rng, dims)
-    inverses = {key: frame.invert() for key, frame in frames.items()}
-    transitions = {}
-    for ca in charts:
-        for cb in charts:
-            for p in ca.domain:
-                if p in cb.domain:
-                    g = frames[(ca.id, p)].compose(inverses[(cb.id, p)])
-                    transitions[(ca.id, cb.id, p)] = g
+    frames = {(c.id, p): random_gauge(rng, dims) for c in charts for p in c.domain}
+    transitions = conjugates(dims, charts, lambda chart, point: frames[chart, point])
     return AtlasPresentation(n, dims, base, charts, transitions)
 
 

@@ -3,10 +3,13 @@
 An infinity presentation is a rule for producing one n-fold
 presentation per level, over a shared base and chart layout, such that
 each level restricts to the previous one along the coordinate
-inclusion.  Two generator kinds are supported: a stabilizing generator
-wraps explicit finite data and pads every slot beyond its level with
-zeros, and a rule generator derives slot dimensions and per-chart
-conjugation frames from a deterministic hash of a seed.
+inclusion.  A generator gives a slot's dimension by ``dim(subset)`` and
+hands over a whole level's transitions by ``transitions(dims)``.  Two
+generator kinds are supported: a stabilizing generator wraps explicit
+finite data and pads every slot beyond its level with zeros, and a rule
+generator derives slot dimensions and per-chart frames from a
+deterministic hash of a seed; its levels are made by the frame rule
+``atlas.conjugates``.
 
 Tower decompositions share one splitting cache across levels, keyed by
 the block partition that names each core; since those keys never
@@ -16,7 +19,7 @@ decomposition of level n by construction.
 
 import hashlib
 
-from .atlas import AtlasPresentation, Chart, FiniteBase
+from .atlas import AtlasPresentation, Chart, FiniteBase, conjugates, overlaps
 from .cubecat import (
     IndexSet,
     ambient_positions,
@@ -52,18 +55,19 @@ class StabilizingGenerator:
             return self.instance.dims.dim(subset)
         return 0
 
-    def transition(self, dst, src, point, dims):
-        """The instance's transition read over the cube of ``dims``: its
-        face on {1..n} at or below the level, else its components placed
-        at their keys in the larger cube, every other one zero."""
-        g = self.instance.transition(dst, src, point)
-        if dims.n <= self.level:
-            return g.diagonal_restrict(_top_key(dims.n))
-        tensors = [None] * len(cube_plan(dims.n).keys)
-        for at, tensor in zip(ambient_positions((dims.n, _top_key(self.level))),
-                              g.tensors):
-            tensors[at] = tensor
-        return Gauge.from_tensors(dims, dims, tensors)
+    def transitions(self, dims):
+        """The instance's transition at each overlap, read over the cube
+        of ``dims``: its face on {1..n} at or below the level, else its
+        components placed at their keys in the larger cube, every other
+        one zero."""
+        def lift(g):
+            if dims.n <= self.level:
+                return g.diagonal_restrict(_top_key(dims.n))
+            tensors = [None] * len(cube_plan(dims.n).keys)
+            for at, tensor in zip(ambient_positions((dims.n, _top_key(self.level))), g.tensors):
+                tensors[at] = tensor
+            return Gauge.from_tensors(dims, dims, tensors)
+        return {key: lift(self.instance.transition(*key)) for key in overlaps(self.charts)}
 
 
 def _hash_ints(*labels):
@@ -151,12 +155,11 @@ class RuleGenerator:
             self._frame_tensor(chart, point, subset, rho, *shape)
             for (subset, rho), shape in zip(cube_plan(dims.n).keys, dims.shapes)])
 
-    def transition(self, dst, src, point, dims):
-        if self.transition_rule["kind"] == "identity" or dst == src:
-            return identity_gauge(dims)
-        g_dst = self._frame(dst, point, dims)
-        g_src = self._frame(src, point, dims)
-        return g_dst.compose(g_src.invert())
+    def transitions(self, dims):
+        if self.transition_rule["kind"] == "identity":
+            return dict.fromkeys(overlaps(self._charts), identity_gauge(dims))
+        return conjugates(dims, self._charts,
+                          lambda chart, point: self._frame(chart, point, dims))
 
 
 class InfinityPresentation:
@@ -175,17 +178,8 @@ class InfinityPresentation:
 
     def _build(self, n):
         gen = self.generator
-        dims = DimAssignment(n, {
-            s: gen.dim(s) for s in nonempty_subsets(full_set(n))
-        })
-        transitions = {}
-        for ca in gen.charts:
-            for cb in gen.charts:
-                for p in ca.domain:
-                    if p not in cb.domain:
-                        continue
-                    transitions[(ca.id, cb.id, p)] = gen.transition(ca.id, cb.id, p, dims)
-        return AtlasPresentation(n, dims, gen.base, gen.charts, transitions)
+        dims = DimAssignment(n, {s: gen.dim(s) for s in nonempty_subsets(full_set(n))})
+        return AtlasPresentation(n, dims, gen.base, gen.charts, gen.transitions(dims))
 
 
 class TowerDecomposition:

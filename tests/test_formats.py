@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from mvb import formats
 from mvb.atlas import AtlasPresentation, decomposed, FiniteBase, validate
 from mvb.cli import run
-from mvb.cubecat import full_set, nonempty_subsets
+from mvb.cubecat import cube_plan, full_set, nonempty_subsets
 from mvb.errors import InvalidInput, ParseError, SchemaError
 from mvb.exactlin import MultiTensor
 from mvb.gauge import DimAssignment, Gauge, identity_gauge
@@ -333,6 +335,47 @@ def test_morphism_duplicate_entry_is_schema_error():
     message = str(err.value)
     assert "duplicate" in message
     assert entry["chart"] in message and entry["point"] in message
+
+
+def _over_zero_cube(gauge, n):
+    """The gauge tree ``gauge`` moved to the cube of ``n`` axes: every dim
+    0 and no components, a small text whose plan would be large."""
+    zero = [{"dim": 0, "set": list(s)} for s in nonempty_subsets(full_set(n))]
+    gauge.update(n=n, source_dims=zero, target_dims=zero, components=[])
+
+
+@pytest.mark.parametrize("spelling", ["canonical", "indented"])
+def test_nested_gauge_of_another_cube_exits_before_its_plan(tmp_path, spelling):
+    """A transition gauge declaring n=9 inside an n=2 atlas is rejected as
+    soon as its n is read, by the text reader and the JSON reader alike:
+    ``cube_plan(9)`` alone takes seconds and a hundred MB."""
+    tree = formats.to_json(twisted_instance(12, n=2, n_points=1, n_charts=1))
+    _over_zero_cube(tree["transitions"][0]["gauge"], 9)
+    path = tmp_path / "nested.json"
+    path.write_bytes(formats.canonical_bytes(tree) if spelling == "canonical"
+                     else json.dumps(tree, indent=2).encode())
+    code = ("import sys, time, mvb.cli as cli, mvb.cubecat as c; t = time.perf_counter(); "
+            "code = cli.run(['validate', sys.argv[1]]); "
+            "print(code, time.perf_counter() - t, 9 in c.cube_plan.memo)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True,
+                          capture_output=True, text=True)
+    exit_code, seconds, built = done.stdout.split()
+    assert (exit_code, built) == ("2", "False")
+    assert float(seconds) < 0.5
+    assert "transition 0<-0 at p0: gauge dims differ from the atlas dims" in done.stderr
+
+
+def test_morphism_gauge_of_another_cube_is_rejected_before_its_plan():
+    body, dec = _morphism_body()
+    entry = body["data"][0]
+    _over_zero_cube(entry["gauge"], 9)
+    with pytest.raises(SchemaError) as err:
+        formats.morphism_from_json(body, dec.source, dec.target)
+    assert str(err.value) == (
+        "morphism inconsistent with presentations: morphism data shape mismatch at (%r, %r)"
+        % (entry["chart"], entry["point"]))
+    assert 9 not in cube_plan.memo
 
 
 # A list field given as a string would iterate as its characters.  On the
