@@ -726,6 +726,15 @@ def parse(data, fingerprinted=False):
     return value, fingerprint(value) if exact is None else hashlib.sha256(exact).hexdigest()
 
 
+def _tree_text(obj):
+    """``_ENCODE(obj)`` of a JSON object, each item of its top-level lists
+    encoded on its own: the encoder holds one string per token until it
+    joins them, which for a whole atlas tree is many times its text."""
+    return "{%s}" % ",".join("%s:%s" % (
+        _ENCODE(key), "[%s]" % ",".join(map(_ENCODE, value)) if isinstance(value, list)
+        else _ENCODE(value)) for key, value in sorted(obj.items()))
+
+
 def _parsed_tree(text):
     """The object of ``text`` read as JSON, and its tree's canonical bytes if
     exact: an atlas or gauge tree is dropped once so written, and read again
@@ -741,7 +750,7 @@ def _parsed_tree(text):
         raise SchemaError("top-level JSON value must be an object")
     kind = obj.get("kind")
     if kind in ("atlas", "gauge"):
-        encoded = _ENCODE(obj)
+        encoded = _tree_text(obj)
         if not text.startswith(encoded):  # else the text reader declined it already
             del obj
             found = _read_canonical(encoded)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import random_morphism_gauge, seeded
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mvb import formats
@@ -279,6 +279,28 @@ def test_parse_dumps_round_trip_random_gauges(seed, n, max_dim, kind):
     else:
         gauge = random_gauge(rng, source, statomorphism=kind == "statomorphism")
     assert formats.parse(formats.dumps(gauge)) == gauge
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.dictionaries(st.text(), JSON_VALUES | st.lists(JSON_VALUES, max_size=4), max_size=5))
+@example({"kind": "atlas", 'chart "\u00e9"\\': ["p\n\u2028", {"\x00": "\ud834"}], "n": 1.5})
+def test_tree_text_is_the_encoders_text(tree):
+    """An indented atlas or gauge tree is written canonically one item of
+    each top-level list at a time: the bytes of one ``_ENCODE`` call, with
+    escaped keys and strings, floats and nested lists alike."""
+    assert formats._tree_text(tree).encode() == formats._ENCODE(tree).encode()
+
+
+def test_tree_text_of_an_atlas_is_its_canonical_text():
+    instance = twisted_instance(21, n=2, n_points=2, n_charts=2)
+    tree = json.loads(formats.dumps(instance))
+    assert formats._tree_text(tree).encode() == formats.dumps(instance)
 
 
 def _element_body():
