@@ -27,7 +27,7 @@ from itertools import combinations
 from .cubecat import Partition, cube_plan
 from .errors import InvalidInput
 from .exactlin import rank
-from .gauge import DimAssignment, Gauge, diagonal_dims, identity_gauge, singleton_dims
+from .gauge import DimAssignment, diagonal_dims, identity_gauge, singleton_dims
 
 
 class FiniteBase:
@@ -408,7 +408,7 @@ def decomposed(dims, base, charts=None, transitions=None, axis_blocks=None):
     charts = tuple(c if isinstance(c, Chart) else Chart(*c) for c in charts)
     ident, transitions = identity_gauge(dims), transitions or {}
     out = {key: transitions.get(key, ident) for key in overlaps(charts)}
-    if not all(g.is_block_diagonal() for g in out.values()):
+    if not all(g.is_block_diagonal() for key, g in transitions.items() if key in out):
         raise InvalidInput("decomposed transitions must be one-block")
     return AtlasPresentation(dims.n, dims, base, charts, out, axis_blocks)
 
@@ -437,13 +437,9 @@ def associated_decomposed(presentation):
     presentation."""
     a = presentation
     if a._decomposed is None:
-        keys, transitions, dims = cube_plan(a.n).keys, a.transitions, a.dims
-
-        def linear(key):
-            return Gauge.from_tensors(dims, dims, [
-                t if len(rho) == 1 else None
-                for (_, rho), t in zip(keys, transitions[key].tensors)])
-        a._decomposed = a.derived(a.n, dims, linear, a.axis_blocks)
+        transitions, dims = a.transitions, a.dims
+        a._decomposed = a.derived(a.n, dims, lambda key: transitions[key].one_block_parts(dims),
+                                  a.axis_blocks)
     return a._decomposed
 
 

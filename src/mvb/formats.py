@@ -42,7 +42,7 @@ from .bundle import BundleElement, BundleMorphism
 from .cubecat import IndexSet, Partition, _memoized, cube_plan
 from .errors import InvalidInput, InvalidPartition, MvbError, ParseError, SchemaError
 from .exactlin import MultiTensor
-from .gauge import DimAssignment, Gauge, _shaped_gauge
+from .gauge import DimAssignment, Gauge, _pair_tensor, _shaped_gauge
 
 FORMAT_VERSION = 1
 
@@ -443,17 +443,21 @@ def _gauge_text(gauge, where, memo, header=""):
     and dims list written so far in this serialization; an error names
     the component at ``where``.  ``header`` goes before ``n``: a gauge
     file's format fields."""
-    components = []
-    for head, (subset, rho), tensor in zip(
-            _component_heads(gauge.n), cube_plan(gauge.n).keys, gauge.tensors):
-        if tensor is None:
+    components, pairs = [], gauge.pairs
+    for head, (subset, rho), item, (_, in_dims) in zip(
+            _component_heads(gauge.n), cube_plan(gauge.n).keys,
+            gauge.tensors if pairs is None else pairs, gauge.source_dims.shapes):
+        if item is None:
             if len(rho) > 1:
                 continue
-            tensor = gauge.linear_part(subset)
-        text = memo.get(tensor)
+            item = gauge.linear_part(subset)
+        elif pairs is not None:
+            item = item, in_dims  # a pair's tensor, as ``_pair_tensor`` reads it
+        text = memo.get(item)
         if text is None:
             try:
-                text = memo[tensor] = _tensor_text(tensor)
+                text = memo[item] = _tensor_text(
+                    item if isinstance(item, MultiTensor) else _pair_tensor(item))
             except InvalidInput as err:
                 raise InvalidInput("%s component%s: %s" % (where, _label(subset, rho), err))
         components.append(head + text + "}")

@@ -19,33 +19,27 @@ The shape of these sums depends on n alone.  ``cubecat.cube_plan(n)``
 enumerates it once per n, on first use: the (J, rho) keys in component
 order and, per key, one term per grouping of rho's blocks, naming the
 outer key, the inner keys and the slots each inner component consumes
-by position in the key list.  A gauge stores its components once, as
-``tensors``: one entry per plan key in plan order, ``None`` for every
-all-zero component, so no tensor is allocated for a zero component.
-``components`` is a read-only mapping view over the same store that
-reads an absent key as a zero tensor of its shape.  The shape of the
-component at each plan position comes from ``DimAssignment.shapes``, a
-table by plan position built once per distinct dimension assignment
-and shared; construction, composition, inversion and restriction read
-it, and ``Gauge.from_tensors`` takes components already in plan order.
-Restriction and trimming take the tensors of a checked gauge by
-position and check none of them again.
+by position in the key list.  A gauge stores its components once, one
+per plan key in plan order, ``None`` for each all-zero one.  Over unit
+dims (every dimension on both sides 0 or 1, ``DimAssignment.unit``) a
+nonzero component is one rational and the store is ``pairs``, each a
+reduced ``(numerator, denominator)``; ``tensors`` is made from them when
+a tensor reader (``evaluate``, ``cores``, ``sections``) first asks.
+Otherwise the store is ``tensors``.  ``components`` reads a gauge as a
+mapping, an absent key as a zero tensor of the shape that
+``DimAssignment.shapes`` gives its plan position.  Restriction and
+trimming take a checked gauge's store by position, unchecked.
 
 Composition and inversion walk the plan and skip every term whose
 outer or inner component is zero, since such a term contributes
 nothing to the exact sum.  ``_sum_terms`` hands the remaining terms of a
 key to the one contraction kernel of ``exactlin``, which runs each by
 its gather program into integer numerators over the lcm of their
-denominators.
-When every dimension on both sides is 0 or 1
-(``DimAssignment.unit``), a nonzero component is one rational, and the
-walk adds each key's term products of ``(numerator, denominator)``
-pairs (read by ``integer_form``) over their lcm instead: the same
-integers, as a one-entry tensor's integer form is its entry in lowest
-terms.  ``_compose_at`` runs those sums for requested keys only:
-composition asks for every key, and a caller that reads one component
-of a composite (the uniform paste in ``split``) asks for the keys that
-component's terms read.
+denominators; over pairs ``_scalar_sum`` adds the term products over
+their lcm, the same integers.  ``_compose_at`` runs those sums for
+requested keys only: composition asks for every key, the uniform paste
+in ``split`` for the keys one component of a composite reads.  An
+operand that is exactly the identity is not composed: g . I = I . g = g.
 """
 
 from collections.abc import Mapping
@@ -187,13 +181,10 @@ def diagonal_dims(dims, blocks):
 class Gauge:
     """A family of components from one DimAssignment to another.
 
-    ``tensors`` is the one store: a tensor per key of ``cube_plan(n)``,
-    in plan order, with ``None`` in place of every all-zero one.  The
-    constructor takes a mapping from plan keys to tensors and
-    ``from_tensors`` a sequence in plan order; both check the shape of
-    each tensor given against the dims' ``shapes`` and allocate nothing
-    for absent or zero components.  ``components`` reads the store as a
-    mapping over every plan key.
+    Its one store is ``pairs`` over unit dims (source and target), else
+    ``tensors`` with ``pairs`` None.  The constructor takes a mapping from
+    plan keys to tensors and ``from_tensors`` a sequence in plan order;
+    both check each tensor's shape against the dims' ``shapes``.
     """
 
     def __init__(self, source_dims, target_dims, components):
@@ -219,9 +210,6 @@ class Gauge:
     def _store(self, source_dims, target_dims, tensors):
         if source_dims.n != target_dims.n:
             raise DimensionMismatch("source and target live over different cubes")
-        self.n = source_dims.n
-        self.source_dims = source_dims
-        self.target_dims = target_dims
         out_shapes, in_shapes = target_dims.shapes, source_dims.shapes
         if len(tensors) != len(in_shapes):
             raise DimensionMismatch("expected %d components in plan order, got %d"
@@ -231,16 +219,36 @@ class Gauge:
                 continue
             out_dim, in_dims = out_shapes[at][0], in_shapes[at][1]
             if tensor.out_dim != out_dim or tensor.in_dims != in_dims:
-                subset, rho = cube_plan(self.n).keys[at]
-                raise DimensionMismatch(
-                    "component (%s, %s) has shape %dx%s, expected %dx%s"
-                    % (list(subset), [list(b) for b in rho],
-                       tensor.out_dim, list(tensor.in_dims),
-                       out_dim, list(in_dims))
-                )
+                subset, rho = cube_plan(source_dims.n).keys[at]
+                raise DimensionMismatch("component (%s, %s) has shape %dx%s, expected %dx%s" % (
+                    list(subset), [list(b) for b in rho], tensor.out_dim,
+                    list(tensor.in_dims), out_dim, list(in_dims)))
             if tensor.is_zero():
                 tensors[at] = None
-        self.tensors = tuple(tensors)
+        self._keep(source_dims, target_dims, tuple(tensors), False)
+
+    def _keep(self, source_dims, target_dims, store, paired):
+        """Keep ``store`` (pairs if ``paired``) as the store the dims call for."""
+        self.n, self.source_dims, self.target_dims = source_dims.n, source_dims, target_dims
+        if source_dims.unit and target_dims.unit:
+            # a nonzero one-entry tensor's integer form is its entry in lowest terms
+            self.pairs, self._tensors = store if paired else tuple([None if t is None else (
+                (form := t.integer_form())[0][0], form[1]) for t in store]), None
+        else:
+            self.pairs = None
+            self._tensors = _pair_tensors(store, source_dims.shapes) if paired else store
+
+    def _stored(self):
+        """The one store and whether it holds pairs."""
+        return (self.tensors, False) if self.pairs is None else (self.pairs, True)
+
+    @property
+    def tensors(self):
+        """The components as tensors in plan order, ``None`` for zero
+        ones; over unit dims made from ``pairs`` on first read."""
+        if self._tensors is None:
+            self._tensors = _pair_tensors(self.pairs, self.source_dims.shapes)
+        return self._tensors
 
     @property
     def components(self):
@@ -263,17 +271,27 @@ class Gauge:
     def is_statomorphism(self):
         """Identity one-block parts over equal dims; nonlinear parts free.
         The identity on a 0-dimensional slot is the empty, zero tensor."""
-        plan, tensors, dims = cube_plan(self.n), self.tensors, self.source_dims.dims
+        (store, paired), shapes = self._stored(), self.source_dims.shapes
         return self.is_square() and all(
-            dims[plan.keys[at][0]] == 0 if tensors[at] is None else tensors[at].is_identity()
-            for at in plan.one_block)
+            not shapes[at][0] if store[at] is None
+            else store[at] == (1, 1) if paired else store[at].is_identity()
+            for at in cube_plan(self.n).one_block)
 
     def is_block_diagonal(self):
-        return all(
-            tensor is None
-            for (_, rho), tensor in zip(cube_plan(self.n).keys, self.tensors)
-            if len(rho) > 1
-        )
+        keys = cube_plan(self.n).keys
+        return all(item is None for (_, rho), item in zip(keys, self._stored()[0]) if len(rho) > 1)
+
+    def one_block_parts(self, dims):
+        """The gauge from ``dims`` to ``dims`` of this gauge's one-block
+        components, every other one zero; checked as the constructor checks
+        unless this gauge is over ``dims``."""
+        same = self.source_dims == dims == self.target_dims
+        store, paired = self._stored() if same else (self.tensors, False)
+        kept = [item if len(rho) == 1 else None
+                for (_, rho), item in zip(cube_plan(self.n).keys, store)]
+        if not same:
+            return Gauge.from_tensors(dims, dims, kept)
+        return _trusted_gauge(dims, dims, tuple(kept), paired)
 
     def evaluate(self, vectors):
         """Apply the family to per-subset input vectors.
@@ -297,11 +315,14 @@ class Gauge:
         return out
 
     def compose(self, other):
-        """The gauge acting as ``self`` after ``other``."""
+        """The gauge acting as ``self`` after ``other``; an identity on
+        either side gives the other operand, as g . I = I . g = g."""
         if other.target_dims != self.source_dims:
             raise DimensionMismatch("middle dimensions do not match")
-        return _shaped_gauge(other.source_dims, self.target_dims,
-                             _compose_at(self, other, range(len(self.tensors))))
+        if self.is_identity():
+            return other
+        return self if other.is_identity() else _compose_at(
+            self, other, range(len(cube_plan(self.n).keys)))
 
     def invert(self):
         """Two-sided inverse; requires invertible one-block parts.
@@ -312,7 +333,7 @@ class Gauge:
         """
         if not self.is_square():
             raise DimensionMismatch("only square gauges invert")
-        if self.source_dims.unit:
+        if self.pairs is not None:
             return _invert_scalars(self)
         plan = cube_plan(self.n)
         shapes = self.source_dims.shapes
@@ -358,9 +379,9 @@ class Gauge:
             src = diagonal_dims(self.source_dims, blocks)
             dims = src, (src if self.target_dims == self.source_dims
                          else diagonal_dims(self.target_dims, blocks))
-        tensors = self.tensors
+        store, paired = self._stored()
         return _trusted_gauge(
-            *dims, tuple(tensors[at] for at in ambient_positions((self.n, blocks))))
+            *dims, tuple(store[at] for at in ambient_positions((self.n, blocks))), paired)
 
     def trimmed(self, dims):
         """The gauge from ``dims`` to ``dims`` keeping every component whose
@@ -369,32 +390,45 @@ class Gauge:
         Restricts a gauge to a sub-bundle with smaller dimensions, such as
         a pullback or an ultracore.
         """
+        store, paired = self._stored()
         return _trusted_gauge(dims, dims, tuple(
-            tensor if tensor is not None and (tensor.out_dim, tensor.in_dims) == shape
-            else None
-            for tensor, shape in zip(self.tensors, dims.shapes)))
+            item if item is not None and (out[0], own[1]) == shape else None
+            for item, out, own, shape in zip(
+                store, self.target_dims.shapes, self.source_dims.shapes, dims.shapes)), paired)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Gauge)
-            and self.source_dims == other.source_dims
-            and self.target_dims == other.target_dims
-            and self.tensors == other.tensors
-        )
+        return (isinstance(other, Gauge) and self.source_dims == other.source_dims
+                and self.target_dims == other.target_dims
+                and (self.pairs == other.pairs if None not in (self.pairs, other.pairs)
+                     else self.tensors == other.tensors))
 
     def __hash__(self):
-        return hash((self.source_dims, self.target_dims, self.tensors))
+        return hash((self.source_dims, self.target_dims, self._stored()[0]))
 
     def __repr__(self):
         return "Gauge(n=%d)" % self.n
 
 
-def _trusted_gauge(source_dims, target_dims, tensors):
-    """The gauge of ``tensors``, taken by position from checked gauges, unchecked."""
+def _trusted_gauge(source_dims, target_dims, store, paired=False):
+    """The gauge of ``store``, tensors or (if ``paired``) pairs taken by
+    position from checked gauges, unchecked."""
     gauge = Gauge.__new__(Gauge)
-    gauge.n, gauge.source_dims, gauge.target_dims = source_dims.n, source_dims, target_dims
-    gauge.tensors = tensors
+    gauge._keep(source_dims, target_dims, store, paired)
     return gauge
+
+
+@_memoized(4096)
+def _pair_tensor(pair_and_in_dims):
+    """The one-entry tensor of ``(pair, in_dims)``: equal ones read as one
+    shared tensor while the memo keeps them."""
+    (num, den), in_dims = pair_and_in_dims
+    return MultiTensor.from_integers(1, in_dims, [num], den)
+
+
+def _pair_tensors(pairs, shapes):
+    """The tensors of ``pairs`` at their plan positions' ``shapes``."""
+    return tuple([None if pair is None else _pair_tensor((pair, shape[1]))
+                  for pair, shape in zip(pairs, shapes)])
 
 
 class _Components(Mapping):
@@ -411,16 +445,16 @@ class _Components(Mapping):
     def __getitem__(self, key):
         g = self.gauge
         at = cube_plan(g.n).index[key]
-        tensor = g.tensors[at]
-        if tensor is None:
-            return MultiTensor.zeros(g.target_dims.shapes[at][0], g.source_dims.shapes[at][1])
-        return tensor
+        (store, paired), in_dims = g._stored(), g.source_dims.shapes[at][1]
+        if store[at] is None:
+            return MultiTensor.zeros(g.target_dims.shapes[at][0], in_dims)
+        return _pair_tensor((store[at], in_dims)) if paired else store[at]
 
     def __iter__(self):
         return iter(cube_plan(self.gauge.n).keys)
 
     def __len__(self):
-        return len(self.gauge.tensors)
+        return len(cube_plan(self.gauge.n).keys)
 
 
 def _shaped_gauge(source_dims, target_dims, tensors):
@@ -430,23 +464,24 @@ def _shaped_gauge(source_dims, target_dims, tensors):
 
 
 def _compose_at(outer, inner, positions):
-    """The components of ``outer`` after ``inner`` at the requested plan
-    positions, in plan order as a gauge's ``tensors``; ``None`` at every
-    other position and where no term survives.  A result can be the
-    inner side of a further restricted composition whose terms read only
-    the positions it holds."""
+    """The gauge of ``outer`` after ``inner`` at the requested plan
+    positions, zero at every other one.  It can be the inner side of a
+    further restricted composition whose terms read only the positions
+    it holds."""
     terms, shapes = cube_plan(inner.n).terms, inner.source_dims.shapes
     out = [None] * len(terms)
-    if outer.target_dims.unit and inner.target_dims.unit and inner.source_dims.unit:
-        outers, inners = _scalars(outer.tensors), _scalars(inner.tensors)
+    if outer.pairs is not None and inner.pairs is not None:
+        outers, inners = outer.pairs, inner.pairs
         for at in positions:
             num, den = _scalar_sum(terms[at], outers, inners)
             if num:
-                out[at] = MultiTensor.from_integers(1, shapes[at][1], [num], den)
-    else:
-        for at in positions:
-            out[at] = _sum_terms(terms[at], outer.tensors, inner.tensors, shapes[at][1])
-    return out
+                g = gcd(num, den)
+                out[at] = num // g, den // g
+        return _trusted_gauge(inner.source_dims, outer.target_dims, tuple(out), True)
+    outers, inners = outer.tensors, inner.tensors
+    for at in positions:
+        out[at] = _sum_terms(terms[at], outers, inners, shapes[at][1])
+    return _shaped_gauge(inner.source_dims, outer.target_dims, out)
 
 
 def _sum_terms(terms, outers, inners, total_in):
@@ -466,9 +501,9 @@ def _sum_terms(terms, outers, inners, total_in):
 
 
 def _invert_scalars(gauge):
-    """``Gauge.invert`` over unit dims, on ``_scalars``."""
+    """``Gauge.invert`` over unit dims, on ``pairs``."""
     plan, shapes = cube_plan(gauge.n), gauge.source_dims.shapes
-    given, solved = _scalars(gauge.tensors), [None] * len(shapes)
+    given, solved = gauge.pairs, [None] * len(shapes)
     for at, ((subset, rho), terms) in enumerate(zip(plan.keys, plan.terms)):
         if len(rho) > 1:
             # terms[0] reads the unknown and the one-block part of subset
@@ -482,20 +517,13 @@ def _invert_scalars(gauge):
                 raise SingularMatrix("one-block part at %s is singular" % (list(subset),))
             p, q = given[at]
             solved[at] = (q, p) if p > 0 else (-q, -p)
-    return _trusted_gauge(gauge.source_dims, gauge.target_dims, tuple(
-        MultiTensor.from_integers(1, shape[1], [pair[0]], pair[1]) if pair else None
-        for pair, shape in zip(solved, shapes)))
-
-
-def _scalars(tensors):
-    """A ``(numerator, denominator)`` pair per one-entry tensor, or ``None``."""
-    forms = [((0,), 1) if tensor is None else tensor.integer_form() for tensor in tensors]
-    return [(nums[0], den) if any(nums) else None for nums, den in forms]
+    return _trusted_gauge(gauge.source_dims, gauge.target_dims, tuple(solved), True)
 
 
 def _scalar_sum(terms, outers, inners):
-    """``_sum_terms`` over ``_scalars`` as an unreduced ``(numerator,
-    denominator)``: the live terms' pair products over their lcm."""
+    """``_sum_terms`` over pairs as an unreduced ``(numerator,
+    denominator)``: the live terms' pair products over their lcm, taken
+    only when a term's denominator does not divide the running one."""
     num, den = 0, 1
     for outer_at, inner_at, _ in terms:
         outer = outers[outer_at]
@@ -509,8 +537,11 @@ def _scalar_sum(terms, outers, inners):
             p *= inner[0]
             q *= inner[1]
         else:
-            common = lcm(den, q)
-            num, den = num * (common // den) + p * (common // q), common
+            if den % q:
+                common = lcm(den, q)
+                num, den = num * (common // den) + p * (common // q), common
+            else:
+                num += p * (den // q)
     return num, den
 
 

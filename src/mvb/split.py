@@ -115,14 +115,8 @@ def _conjugated_top(outer, g, inner):
     all-singleton keys alone, so those are the only inner keys composed.
     """
     plan = cube_plan(g.n)
-    top_at = plan.top
-    right = _trusted_gauge(inner.source_dims, g.target_dims,
-                           _compose_at(g, inner, plan.singletons))
-    tensor = _compose_at(outer, right, [top_at])[top_at]
-    if tensor is None:
-        return MultiTensor.zeros(outer.target_dims.shapes[top_at][0],
-                                 inner.source_dims.shapes[top_at][1])
-    return tensor
+    top = _compose_at(outer, _compose_at(g, inner, plan.singletons), [plan.top])
+    return top.components[plan.keys[plan.top]]
 
 
 def _splitting_tensors(dims, tops):

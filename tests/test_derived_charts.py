@@ -45,7 +45,7 @@ def test_restricted_composite_matches_dense_oracle(seed, n, max_dim, mode_f, mod
     keys = cube_plan(n).keys
     requested = set(rng.sample(range(len(keys)), rng.randint(1, len(keys))))
     dense = dense_compose(g, f)
-    got = _compose_at(g, f, sorted(requested))
+    got = _compose_at(g, f, sorted(requested)).tensors
     assert len(got) == len(keys)
     for at, key in enumerate(keys):
         if at not in requested:
